@@ -28,7 +28,6 @@ from .exactnum import (
     PI,
     PiPolynomial,
     PiXPolynomial,
-    Rational,
     bernoulli_number,
     bernoulli_polynomial,
     euler_number,
@@ -78,7 +77,7 @@ __all__ = [
     "InconsistentSystem", "MultipleAnomalies", "NoClosedForm", "NonIntegerFrequency",
     "NotConverged", "OpzetaError", "OutsideDomain", "PoleAtOne", "PoleHit",
     "PrecisionLoss", "SingularAtEndpoint", "UnsupportedExpression",
-    "PI", "PiPolynomial", "PiXPolynomial", "Rational",
+    "PI", "PiPolynomial", "PiXPolynomial",
     "bernoulli_number", "bernoulli_polynomial", "euler_number", "pipoly_eval",
     "EvalResult", "clausen_closed_form", "dirichlet_beta", "functional_equation_residual",
     "hankel_zeta", "hurwitz_zeta", "lerch_hankel", "recip_gamma",

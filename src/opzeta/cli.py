@@ -19,7 +19,7 @@ from typing import Optional
 
 from . import divmatrix, operators, registry, series, specfun
 from .errors import OpzetaError
-from .exactnum import bernoulli_number, euler_number, pipoly_eval
+from .exactnum import PiPolynomial, bernoulli_number, euler_number, pipoly_eval
 from .operators import Expression, apply_recip_gamma_op, parity_anomaly, taylor_flow
 
 _EXACT_K = 12
@@ -68,7 +68,7 @@ def _verify_exact(rec: registry.IdentityRecord, tol: float) -> VerificationRepor
         closed = specfun.clausen_closed_form(rec.trig, m)
         anomaly = parity_anomaly(closed, "odd" if rec.trig == "sin" else "even")
         route_a = apply_recip_gamma_op(rec.gamma_shift, Expression.from_poly(closed)).poly
-        if anomaly is not None and int(rec.gamma_shift) + anomaly.degree <= 0:
+        if anomaly is not None and apply_recip_gamma_op(rec.gamma_shift, Expression.from_poly(anomaly)).is_zero():
             rep.pole_events.append("annihilated_constant")
         # route B: term-by-term flow first, 1/Gamma after
         flow = taylor_flow(rec.op, rec.trig, _EXACT_K)
@@ -186,6 +186,10 @@ def _cmd_verify(args, out) -> int:
     except KeyError as exc:
         print(exc, file=sys.stderr)
         return 2
+    exact = args.exact or rec.verify_mode == "exact"
+    if exact and args.grid is not None:
+        print(f"{rec.id}: the exact route compares polynomials in Q[pi] and takes no --grid", file=sys.stderr)
+        return 2
     grid = rec.default_grid if args.grid is None else args.grid
     a, b, steps = grid
     if steps < 1 or not (rec.domain.contains(a) and rec.domain.contains(b)):
@@ -193,7 +197,7 @@ def _cmd_verify(args, out) -> int:
         return 2
     tol = rec.default_tol if args.tol is None else args.tol
     try:
-        if args.exact or rec.verify_mode == "exact":
+        if exact:
             rep = _verify_exact(rec, tol)
         else:
             rep = _verify_grid(rec, grid, tol)
@@ -204,26 +208,21 @@ def _cmd_verify(args, out) -> int:
     return 0 if rep.passed else 1
 
 
-def _exact_zeta_row(k: int):
-    if k == 1:
-        return None, "pole", None
-    if k <= 0:
-        q = Fraction(-1, 2) if k == 0 else specfun.zeta_neg_int(-k)
-        return float(q), "exact", str(q)
-    if k % 2 == 0:
-        p = specfun.zeta_even_pi_form(k)
-        return float(p.evaluate(math.pi)), "exact", repr(p)
-    return None, None, None
+_NUMERIC_METHOD = {"zeta": "euler_maclaurin", "beta": "hurwitz_difference"}
 
 
-def _exact_beta_row(k: int):
-    if k <= 0:
-        q = specfun.beta_nonpos_int(-k)
-        return float(q), "exact", str(q)
-    if k % 2 == 1:
-        p = specfun.beta_odd_pi_form(k)
-        return float(p.evaluate(math.pi)), "exact", repr(p)
-    return None, None, None
+def _exact_row(tok: str, exact) -> dict:
+    """A `values` row for an exact Fraction or PiPolynomial; its double is
+    None where the value lies beyond the double range."""
+    if isinstance(exact, PiPolynomial):
+        number, text = exact.evaluate(math.pi), repr(exact)
+    else:
+        number, text = exact, str(exact)
+    try:
+        value = float(number)
+    except OverflowError:
+        value = None
+    return {"argument": tok, "value": value, "exact": text, "method": "exact", "abs_error": 0.0}
 
 
 def _cmd_values(args, out) -> int:
@@ -232,7 +231,9 @@ def _cmd_values(args, out) -> int:
         try:
             v = float(tok)
         except ValueError:
-            print(f"bad numeric argument {tok!r}", file=sys.stderr)
+            v = math.nan
+        if not math.isfinite(v):
+            print(f"bad numeric argument {tok!r}: need a finite number", file=sys.stderr)
             return 2
         is_int = abs(v - round(v)) < 1e-12
         k = int(round(v))
@@ -240,29 +241,16 @@ def _cmd_values(args, out) -> int:
             if not is_int or k < 0:
                 print(f"{args.kind} needs a nonnegative integer, got {tok!r}", file=sys.stderr)
                 return 2
-            exact = bernoulli_number(k) if args.kind == "bernoulli" else Fraction(euler_number(k))
-            rows.append({"argument": tok, "value": float(exact), "exact": str(exact), "method": "exact", "abs_error": 0.0})
+            rows.append(_exact_row(tok, bernoulli_number(k) if args.kind == "bernoulli" else Fraction(euler_number(k))))
             continue
-        if args.kind == "zeta":
-            if is_int:
-                val, method, exact = _exact_zeta_row(k)
-                if method == "pole":
-                    rows.append({"argument": tok, "value": None, "exact": "pole at s=1", "method": "pole", "abs_error": None})
-                    continue
-                if method == "exact":
-                    rows.append({"argument": tok, "value": val, "exact": exact, "method": "exact", "abs_error": 0.0})
-                    continue
-            r = specfun.zeta_em(v)
-            rows.append({"argument": tok, "value": r.value.real, "exact": "", "method": "euler_maclaurin", "abs_error": r.abs_error_estimate})
-            continue
-        # beta
-        if is_int:
-            val, method, exact = _exact_beta_row(k)
-            if method == "exact":
-                rows.append({"argument": tok, "value": val, "exact": exact, "method": "exact", "abs_error": 0.0})
-                continue
-        r = specfun.dirichlet_beta(v)
-        rows.append({"argument": tok, "value": r.value.real, "exact": "", "method": "hurwitz_difference", "abs_error": r.abs_error_estimate})
+        tag, exact = operators._exact_value(args.kind, Fraction(k) if is_int else Fraction(v))
+        if tag == "pole":
+            rows.append({"argument": tok, "value": None, "exact": "pole at s=1", "method": "pole", "abs_error": None})
+        elif tag == "exact":
+            rows.append(_exact_row(tok, exact))
+        else:
+            value, err = operators._numeric_value(args.kind, Fraction(v))
+            rows.append({"argument": tok, "value": value.real, "exact": "", "method": _NUMERIC_METHOD[args.kind], "abs_error": err})
 
     if args.format == "json":
         out.write(json.dumps({"kind": args.kind, "rows": rows}, indent=2, sort_keys=True) + "\n")
@@ -289,6 +277,9 @@ def _cmd_extract(args, out) -> int:
         return 2
     if not rec.extract:
         print(f"identity {args.id!r} has no exact polynomial right side to match against", file=sys.stderr)
+        return 2
+    if args.terms < 1:
+        print(f"--terms must be >= 1, got {args.terms}", file=sys.stderr)
         return 2
     values = operators.extract_special_values(args.id, terms=args.terms)
     rows = [
@@ -352,8 +343,7 @@ def _cmd_list(args, out) -> int:
 
 def _grid_arg(text: str) -> tuple[float, float, int]:
     try:
-        a, b, steps = text.split(":")
-        return float(a), float(b), int(steps)
+        return registry._parse_grid(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"grid must be a:b:steps, got {text!r}") from exc
 

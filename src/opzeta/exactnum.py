@@ -18,8 +18,6 @@ from typing import Iterable, Union
 
 import mpmath
 
-Rational = Fraction
-
 _ScalarLike = Union[int, Fraction]
 
 

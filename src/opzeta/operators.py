@@ -280,8 +280,9 @@ def apply_operator(op: DilationShift, expr: Expression, allow_pole: bool = False
 def apply_recip_gamma_op(b, expr: Expression) -> Expression:
     """Apply 1/Gamma(b + iD) exactly: x^n -> x^n / Gamma(b + n).
 
-    Terms with b + n a nonpositive integer are annihilated (coefficient set
-    to exact zero); positive integers use 1/(b+n-1)!. Requires integer b so
+    The values come from the same route table as `apply_operator`: terms
+    with b + n a nonpositive integer are annihilated (coefficient set to
+    exact zero), positive integers use 1/(b+n-1)!. Requires integer b so
     every coefficient stays exact.
     """
     b = Fraction(b)
@@ -289,21 +290,7 @@ def apply_recip_gamma_op(b, expr: Expression) -> Expression:
         raise UnsupportedExpression("non-integer offsets leave Q[pi]; use apply_operator's numeric path")
     if expr.trig_atoms:
         raise UnsupportedExpression("1/Gamma of the dilation generator acts on polynomial parts only")
-    k = int(b)
-    coeffs = []
-    for n in range(expr.poly.degree + 1 if expr.poly else 0):
-        arg = k + n
-        if arg <= 0:
-            coeffs.append(PiPolynomial())  # annihilated by the Gamma pole
-        else:
-            coeffs.append(expr.poly.coeff(n) * Fraction(1, factorial(arg - 1)))
-    singular = []
-    for term in expr.singular_terms:
-        arg = k + term.power
-        if arg <= 0:
-            continue
-        singular.append(SingularTerm(term.coeff * Fraction(1, factorial(arg - 1)), term.power))
-    return Expression(PiXPolynomial(coeffs), (), tuple(singular))
+    return apply_operator(DilationShift("recip_gamma", b), expr).expr
 
 
 def _trig_degrees(trig: str, terms: int) -> list[int]:
@@ -421,10 +408,10 @@ def extract_special_values(identity_id: str, terms: int = 8) -> list[ExtractedVa
     for j, d in enumerate(_trig_degrees(rec.trig, terms)):
         factor = Fraction((-1) ** j, factorial(d))
         if rec.gamma_shift is not None:
-            g = int(rec.gamma_shift) + d
-            if g <= 0:
+            _, gamma_factor = _exact_value("recip_gamma", rec.gamma_shift + d)
+            if gamma_factor == 0:
                 continue  # degree annihilated by 1/Gamma: carries no equation
-            factor *= Fraction(1, factorial(g - 1))
+            factor *= gamma_factor
         arg = shift - d
         value = rhs.coeff(d) / factor
         if value.is_rational():

@@ -141,7 +141,8 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
 
 
 @lru_cache(maxsize=1)
-def load_registry() -> dict[str, IdentityRecord]:
+def _parse_registry() -> tuple[int, dict[str, IdentityRecord]]:
+    """(version, records) of the data file, parsed once per process."""
     cfg = configparser.ConfigParser(interpolation=None)
     cfg.optionxform = str
     path = resources.files("opzeta").joinpath("data/identities.cfg")
@@ -179,7 +180,11 @@ def load_registry() -> dict[str, IdentityRecord]:
             extra_check=block.get("extra_check"),
             expected_event=block.get("expected_event"),
         )
-    return out
+    return cfg.getint("meta", "version"), out
+
+
+def load_registry() -> dict[str, IdentityRecord]:
+    return _parse_registry()[1]
 
 
 def get_identity(identity_id: str) -> IdentityRecord:
@@ -190,7 +195,4 @@ def get_identity(identity_id: str) -> IdentityRecord:
 
 
 def registry_version() -> int:
-    cfg = configparser.ConfigParser(interpolation=None)
-    path = resources.files("opzeta").joinpath("data/identities.cfg")
-    cfg.read_string(path.read_text(encoding="utf-8"))
-    return cfg.getint("meta", "version")
+    return _parse_registry()[0]

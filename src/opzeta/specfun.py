@@ -66,13 +66,34 @@ def _em_params(sig: float, tau: float) -> tuple[int, int]:
     return n, dps
 
 
-def _hurwitz_em_core(s, a: float, target: float = 1e-12, k_max: int = 40):
+def _em_corrections(val, s, sig: float, base, sign: int):
+    """Add sign times the Bernoulli correction terms of sum_n (n + a)^-s,
+    cut off at base = N + a, to the accumulator `val`.
+
+    Returns (val, float error bound). Terms are added (K >= 15, at most 40)
+    until the standard remainder bound
+    |B_{2K+2}/(2K+2)! (s)_{2K+1} base^{-s-2K-1} (s+2K+1)/(sigma+2K+1)|
+    drops below 1e-12 or K is exhausted.
+    """
+    rising = s
+    err = math.inf
+    for k in range(1, 41):
+        term = _bern_mpf(2 * k) / mpmath.factorial(2 * k) * rising * base ** (-s - 2 * k + 1)
+        val += sign * term
+        rising *= (s + 2 * k - 1) * (s + 2 * k)
+        if sig + 2 * k + 1 <= 0:
+            continue
+        nxt = abs(_bern_mpf(2 * k + 2) / mpmath.factorial(2 * k + 2) * rising * base ** (-s - 2 * k - 1))
+        err = float(nxt * abs((s + 2 * k + 1) / (sig + 2 * k + 1)))
+        if k >= 15 and err < 1e-12:
+            break
+    return val, err
+
+
+def _hurwitz_em_core(s, a: float):
     """Euler-Maclaurin value of zeta(s, a), inside an mp precision context.
 
-    Returns (mpc value, float error bound). Correction terms are added
-    adaptively (defaults N=40, K=15) until the standard remainder bound
-    |B_{2K+2}/(2K+2)! (s)_{2K+1} (N+a)^{-s-2K-1} (s+2K+1)/(sigma+2K+1)|
-    drops below `target` or K is exhausted.
+    Returns (mpc value, float error bound) at the cutoff of `_em_params`.
     """
     s = _mpc_of(s)
     sig = float(mpmath.re(s))
@@ -82,19 +103,7 @@ def _hurwitz_em_core(s, a: float, target: float = 1e-12, k_max: int = 40):
     part = mpmath.fsum((n + a_mp) ** (-s) for n in range(n_cut))
     base = n_cut + a_mp
     val = part + base ** (1 - s) / (s - 1) + base ** (-s) / 2
-    rising = s
-    err = math.inf
-    for k in range(1, k_max + 1):
-        term = _bern_mpf(2 * k) / mpmath.factorial(2 * k) * rising * base ** (-s - 2 * k + 1)
-        val += term
-        rising *= (s + 2 * k - 1) * (s + 2 * k)
-        if sig + 2 * k + 1 <= 0:
-            continue
-        nxt = abs(_bern_mpf(2 * k + 2) / mpmath.factorial(2 * k + 2) * rising * base ** (-s - 2 * k - 1))
-        err = float(nxt * abs((s + 2 * k + 1) / (sig + 2 * k + 1)))
-        if k >= 15 and err < target:
-            break
-    return val, err
+    return _em_corrections(val, s, sig, base, 1)
 
 
 def _check_validated_domain(s, caller: str) -> None:
@@ -204,21 +213,9 @@ def dirichlet_beta(s) -> EvalResult:
         else:
             pole = -(b1 ** (1 - smp)) * mpmath.expm1(w) / (smp - 1)
         val = part + pole + (b1 ** (-smp) - b2 ** (-smp)) / 2
-        err_total = 0.0
-        for base, sign in ((b1, 1), (b2, -1)):
-            rising = smp
-            err = math.inf
-            for k in range(1, 41):
-                term = _bern_mpf(2 * k) / mpmath.factorial(2 * k) * rising * base ** (-smp - 2 * k + 1)
-                val += sign * term
-                rising *= (smp + 2 * k - 1) * (smp + 2 * k)
-                if sig + 2 * k + 1 <= 0:
-                    continue
-                nxt = abs(_bern_mpf(2 * k + 2) / mpmath.factorial(2 * k + 2) * rising * base ** (-smp - 2 * k - 1))
-                err = float(nxt * abs((smp + 2 * k + 1) / (sig + 2 * k + 1)))
-                if k >= 15 and err < 1e-12:
-                    break
-            err_total += err
+        val, err1 = _em_corrections(val, smp, sig, b1, 1)
+        val, err2 = _em_corrections(val, smp, sig, b2, -1)
+        err_total = err1 + err2
         out = complex(mpmath.mpf(4) ** (-smp) * val)
         scale = float(abs(mpmath.mpf(4) ** (-smp)))
     err_total = scale * err_total + abs(out) * 1e-15 + 1e-16

@@ -1,0 +1,92 @@
+"""Golden CLI transcript: replays tests/data/cli_golden.txt in-process and
+requires byte-identical stdout and the same exit code for every command.
+
+The transcript covers `list`, `verify` of every registry id (default profile,
+plus `--exact` wherever the exact route applies), `extract` of every
+`extract = yes` id, `values zeta|beta` at -30..30 and a few non-integers, and
+`values bernoulli|euler` at 0..59.
+
+Regenerate (only when an output change is intended, and say why):
+
+    PYTHONPATH=src python tests/test_cli_golden.py > tests/data/cli_golden.txt
+"""
+
+import io
+import shlex
+import sys
+from pathlib import Path
+
+import pytest
+
+from opzeta.cli import main
+from opzeta.registry import load_registry
+
+GOLDEN = Path(__file__).parent / "data" / "cli_golden.txt"
+PROMPT = "$ opzeta "
+EXIT = "[exit "
+
+_INTS = [str(k) for k in range(-30, 31)]
+_NON_INTS = ["-24.5", "-2.5", "-0.5", "0.5", "1.5", "2.5", "7.25"]
+_INDICES = [str(n) for n in range(60)]
+
+
+def golden_commands() -> list[list[str]]:
+    reg = load_registry()
+    cmds = [["list"]]
+    for ident, rec in reg.items():
+        cmds.append(["verify", ident])
+        if rec.verify_mode != "exact" and rec.op is not None and rec.trig is not None:
+            cmds.append(["verify", ident, "--exact"])
+    cmds += [["verify", ident, "--format", "json"] for ident, rec in reg.items() if rec.verify_mode == "exact"]
+    cmds += [["extract", ident] for ident, rec in reg.items() if rec.extract]
+    for kind in ("zeta", "beta"):
+        cmds.append(["values", kind, *_INTS, *_NON_INTS, "--format", "csv"])
+        cmds.append(["values", kind, "-3", "0", "1", "2", "3", "0.5"])
+        cmds.append(["values", kind, "-3", "1", "2", "0.5", "--format", "json"])
+    for kind in ("bernoulli", "euler"):
+        cmds.append(["values", kind, *_INDICES, "--format", "csv"])
+    return cmds
+
+
+def run(argv: list[str]) -> tuple[int, str]:
+    buf = io.StringIO()
+    code = main(list(argv), out=buf)
+    return code, buf.getvalue()
+
+
+def render(argv: list[str]) -> str:
+    code, out = run(argv)
+    return f"{PROMPT}{shlex.join(argv)}\n{out}{EXIT}{code}]\n"
+
+
+def read_golden() -> list[tuple[list[str], str, int]]:
+    """-> [(argv, stdout, exit code)] in transcript order."""
+    entries = []
+    argv, lines = None, []
+    for line in GOLDEN.read_text(encoding="utf-8").splitlines(keepends=True):
+        if argv is None:
+            assert line.startswith(PROMPT), f"expected a command line, got {line!r}"
+            argv, lines = shlex.split(line[len(PROMPT):]), []
+        elif line.startswith(EXIT):
+            entries.append((argv, "".join(lines), int(line[len(EXIT):].rstrip("]\n"))))
+            argv = None
+        else:
+            lines.append(line)
+    assert argv is None, "transcript ends inside a command"
+    return entries
+
+
+_ENTRIES = read_golden() if GOLDEN.exists() else []
+
+
+def test_transcript_covers_the_command_list():
+    assert [argv for argv, _, _ in _ENTRIES] == golden_commands()
+
+
+@pytest.mark.parametrize("argv,stdout,code", _ENTRIES, ids=[f"{i:02d}-{'-'.join(e[0][:2])}" for i, e in enumerate(_ENTRIES)])
+def test_output_is_byte_identical(argv, stdout, code):
+    assert run(argv) == (code, stdout)
+
+
+if __name__ == "__main__":
+    sys.stdout.write("".join(render(argv) for argv in golden_commands()))

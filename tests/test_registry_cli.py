@@ -141,6 +141,17 @@ class TestVerifyCommand:
         b = run_cli("verify", "eq6", "--grid", "0.5:5.5:20", "--format", "json")
         assert a == b
 
+    @pytest.mark.parametrize("argv", [
+        ("eq17", "--grid", "0.1:3.1:5"),
+        ("eq21_sin", "--grid", "0.1:3.1:5"),
+        ("eq2", "--exact", "--grid", "0.1:3.1:5"),
+        ("eq18", "--exact", "--grid", "0.1:6.1:5"),
+    ])
+    def test_exact_route_rejects_grid(self, argv, capsys):
+        code, out = run_cli("verify", *argv)
+        assert code == 2 and out == ""
+        assert "takes no --grid" in capsys.readouterr().err
+
     def test_eq5_geometric_mode(self):
         code, out = run_cli("verify", "eq5", "--grid", "0.3:6.0:20")
         assert code == 0
@@ -183,9 +194,25 @@ class TestValuesCommand:
         assert code == 0
         assert "euler_maclaurin" in out
 
-    def test_malformed_argument(self):
-        code, _ = run_cli("values", "zeta", "abc")
-        assert code == 2
+    def test_malformed_argument(self, capsys):
+        for argv in (("zeta", "abc"), ("zeta", "inf"), ("zeta", "nan"), ("beta", "1e999"),
+                     ("beta", "--", "-inf"), ("bernoulli", "inf")):
+            code, out = run_cli("values", *argv)
+            assert code == 2 and out == "", argv
+            assert "bad numeric argument" in capsys.readouterr().err, argv
+
+    @pytest.mark.parametrize("kind,arg", [("bernoulli", "260"), ("euler", "188"), ("zeta", "-261"), ("beta", "-188")])
+    def test_beyond_double_range(self, kind, arg):
+        # the exact text stays, the double is null (JSON) or '-' (text)
+        code, out = run_cli("values", kind, arg, "2", "--format", "json")
+        assert code == 0
+        big, small = json.loads(out)["rows"]
+        assert big["value"] is None and big["method"] == "exact"
+        assert abs(Fraction(big["exact"])) > Fraction(10) ** 308
+        assert small["value"] is not None
+        code, out = run_cli("values", kind, arg)
+        assert code == 0
+        assert out.splitlines()[1].split()[:3] == [arg, "-", "="]
 
     def test_bernoulli_negative_rejected(self):
         code, _ = run_cli("values", "bernoulli", "-3")
@@ -221,6 +248,12 @@ class TestExtractCommand:
     def test_unknown(self):
         code, _ = run_cli("extract", "eq999")
         assert code == 2
+
+    @pytest.mark.parametrize("terms", ["0", "-2"])
+    def test_no_terms_is_usage_error(self, terms, capsys):
+        code, out = run_cli("extract", "eq17", "--terms", terms)
+        assert code == 2 and out == ""
+        assert "--terms must be >= 1" in capsys.readouterr().err
 
     def test_csv(self):
         code, out = run_cli("extract", "beta_cos_s0", "--format", "csv")
