@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -19,7 +20,7 @@ from typing import Optional
 
 from . import divmatrix, operators, registry, series, specfun
 from .errors import OpzetaError
-from .exactnum import PiPolynomial, bernoulli_number, euler_number, pipoly_eval
+from .exactnum import PiPolynomial, PiXPolynomial, bernoulli_number, euler_number, pipoly_eval
 from .operators import Expression, apply_recip_gamma_op, parity_anomaly, taylor_flow
 
 _EXACT_K = 12
@@ -210,12 +211,17 @@ def _cmd_verify(args, out) -> int:
 
 _NUMERIC_METHOD = {"zeta": "euler_maclaurin", "beta": "hurwitz_difference"}
 
+# |argument| bound of `values`: past it the exact recurrences (B_k, E_k) and
+# the Euler-Maclaurin working precision (which grows with -Re s) run for
+# minutes; at the bound the slowest rows take a few seconds.
+_VALUES_BOUND = 1000
+
 
 def _exact_row(tok: str, exact) -> dict:
-    """A `values` row for an exact Fraction or PiPolynomial; its double is
-    None where the value lies beyond the double range."""
+    """A `values` row for an exact Fraction or PiPolynomial, rounded once to
+    a double; the double is None where the value lies beyond its range."""
     if isinstance(exact, PiPolynomial):
-        number, text = exact.evaluate(math.pi), repr(exact)
+        number, text = pipoly_eval(PiXPolynomial((exact,)), 0), repr(exact)
     else:
         number, text = exact, str(exact)
     try:
@@ -226,7 +232,7 @@ def _exact_row(tok: str, exact) -> dict:
 
 
 def _cmd_values(args, out) -> int:
-    rows = []
+    values = []
     for tok in args.args:
         try:
             v = float(tok)
@@ -235,12 +241,19 @@ def _cmd_values(args, out) -> int:
         if not math.isfinite(v):
             print(f"bad numeric argument {tok!r}: need a finite number", file=sys.stderr)
             return 2
+        if abs(v) > _VALUES_BOUND:
+            print(f"bad numeric argument {tok!r}: need |argument| <= {_VALUES_BOUND}", file=sys.stderr)
+            return 2
         is_int = abs(v - round(v)) < 1e-12
+        if args.kind in ("bernoulli", "euler") and (v < 0 or not is_int):
+            print(f"{args.kind} needs a nonnegative integer, got {tok!r}", file=sys.stderr)
+            return 2
+        values.append((tok, v, is_int))
+
+    rows = []
+    for tok, v, is_int in values:
         k = int(round(v))
         if args.kind in ("bernoulli", "euler"):
-            if not is_int or k < 0:
-                print(f"{args.kind} needs a nonnegative integer, got {tok!r}", file=sys.stderr)
-                return 2
             rows.append(_exact_row(tok, bernoulli_number(k) if args.kind == "bernoulli" else Fraction(euler_number(k))))
             continue
         tag, exact = operators._exact_value(args.kind, Fraction(k) if is_int else Fraction(v))
@@ -365,6 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
     w = sub.add_parser("values", help="value table for zeta/beta/bernoulli/euler")
     w.add_argument("kind", choices=("zeta", "beta", "bernoulli", "euler"))
     w.add_argument("args", nargs="+")
+    # read negative numeric tokens such as -1e6 or -inf as arguments, not as
+    # options (argparse's own test admits only plain decimals like -3 or -2.5)
+    w._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
     w.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     e = sub.add_parser("extract", help="solve special values by coefficient matching")

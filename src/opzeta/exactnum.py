@@ -1,7 +1,9 @@
 """Exact arithmetic: rationals, Bernoulli/Euler numbers, and polynomials
 over Q and Q[pi].
 
-All values are immutable after construction and all operations are pure.
+All values are immutable after construction and all operations are pure;
+`pipoly_eval` computes in the calling thread's own mpmath context and never
+sets the precision of mpmath's process-global `mp` context.
 The Bernoulli convention is fixed to B_1 = -1/2 (the generating function
 x/(e^x - 1)); the alternate B_1 = +1/2 convention is deliberately rejected
 because every identity in this package is derived with the -1/2 sign.
@@ -11,6 +13,8 @@ all odd-index values vanish.
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -19,6 +23,23 @@ from typing import Iterable, Union
 import mpmath
 
 _ScalarLike = Union[int, Fraction]
+
+_THREAD = threading.local()
+
+
+@contextmanager
+def _working_precision(dps: int):
+    """Yield the calling thread's own mpmath context (built once per thread)
+    at `dps` digits; on exit, nested or not, the previous precision returns."""
+    ctx = getattr(_THREAD, "ctx", None)
+    if ctx is None:
+        ctx = _THREAD.ctx = mpmath.MPContext()
+    prec = ctx.prec
+    ctx.dps = dps
+    try:
+        yield ctx
+    finally:
+        ctx.prec = prec
 
 
 def _as_fraction(v) -> Fraction:
@@ -128,10 +149,16 @@ class PiPolynomial:
         return self * (1 / q)
 
     def evaluate(self, pi_value) -> "mpmath.mpf":
-        """Evaluate with the supplied numeric value of pi (Horner)."""
-        acc = mpmath.mpf(0)
+        """Evaluate with the supplied numeric value of pi (Horner), at the
+        precision of `pi_value`: its own context for an mpmath number, double
+        precision for a float."""
+        if not hasattr(pi_value, "context"):
+            with _working_precision(15) as ctx:
+                return self.evaluate(ctx.mpf(pi_value))
+        ctx = pi_value.context
+        acc = ctx.mpf(0)
         for c in reversed(self.coeffs):
-            acc = acc * pi_value + mpmath.mpf(c.numerator) / c.denominator
+            acc = acc * pi_value + ctx.mpf(c.numerator) / c.denominator
         return acc
 
     def __repr__(self) -> str:
@@ -252,13 +279,13 @@ def pipoly_eval(p: PiXPolynomial, x, pi_digits: int = 30) -> float:
     """
     if pi_digits < 15:
         raise ValueError("pi_digits must be >= 15")
-    with mpmath.workdps(pi_digits + 5):
-        pi_val = +mpmath.pi
+    with _working_precision(pi_digits + 5) as ctx:
+        pi_val = +ctx.pi
         if isinstance(x, Fraction):
-            xv = mpmath.mpf(x.numerator) / x.denominator
+            xv = ctx.mpf(x.numerator) / x.denominator
         else:
-            xv = mpmath.mpf(x)
-        acc = mpmath.mpf(0)
+            xv = ctx.mpf(x)
+        acc = ctx.mpf(0)
         for c in reversed(p.coeffs):
             acc = acc * xv + c.evaluate(pi_val)
         return float(acc)

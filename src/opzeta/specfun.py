@@ -3,21 +3,19 @@
 independent cross-check route.
 
 Numeric kernels run in mpmath working precision sized to the cancellation
-headroom of the argument, then round once to a complex double. A module lock
-serializes the (process-global) precision context, so the public functions
-stay safe for concurrent use.
+headroom of the argument, then round once to a complex double. Each thread
+computes in its own mpmath context (`exactnum._working_precision`); there is
+no lock and no process-global precision, so the public functions are safe for
+concurrent use and leave mpmath's global `mp` context untouched.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-
-import mpmath
 
 from .errors import ContourClipped, PoleAtOne, PrecisionLoss
 from .exactnum import (
@@ -26,9 +24,8 @@ from .exactnum import (
     bernoulli_number,
     bernoulli_polynomial,
     euler_number,
+    _working_precision,
 )
-
-_MP_LOCK = threading.Lock()
 
 _TWO_PI = 2 * math.pi
 
@@ -46,15 +43,15 @@ class EvalResult:
     is_pole: bool = False
 
 
-def _mpc_of(s) -> "mpmath.mpc":
+def _mpc_of(ctx, s):
     if isinstance(s, Fraction):
-        return mpmath.mpc(mpmath.mpf(s.numerator) / s.denominator)
-    return mpmath.mpc(s)
+        return ctx.mpc(ctx.mpf(s.numerator) / s.denominator)
+    return ctx.mpc(s)
 
 
-def _bern_mpf(n: int) -> "mpmath.mpf":
+def _bern_mpf(ctx, n: int):
     b = bernoulli_number(n)
-    return mpmath.mpf(b.numerator) / b.denominator
+    return ctx.mpf(b.numerator) / b.denominator
 
 
 def _em_params(sig: float, tau: float) -> tuple[int, int]:
@@ -66,7 +63,7 @@ def _em_params(sig: float, tau: float) -> tuple[int, int]:
     return n, dps
 
 
-def _em_corrections(val, s, sig: float, base, sign: int):
+def _em_corrections(ctx, val, s, base, sign: int):
     """Add sign times the Bernoulli correction terms of sum_n (n + a)^-s,
     cut off at base = N + a, to the accumulator `val`.
 
@@ -75,35 +72,20 @@ def _em_corrections(val, s, sig: float, base, sign: int):
     |B_{2K+2}/(2K+2)! (s)_{2K+1} base^{-s-2K-1} (s+2K+1)/(sigma+2K+1)|
     drops below 1e-12 or K is exhausted.
     """
+    sig = float(s.real)
     rising = s
     err = math.inf
     for k in range(1, 41):
-        term = _bern_mpf(2 * k) / mpmath.factorial(2 * k) * rising * base ** (-s - 2 * k + 1)
+        term = _bern_mpf(ctx, 2 * k) / ctx.factorial(2 * k) * rising * base ** (-s - 2 * k + 1)
         val += sign * term
         rising *= (s + 2 * k - 1) * (s + 2 * k)
         if sig + 2 * k + 1 <= 0:
             continue
-        nxt = abs(_bern_mpf(2 * k + 2) / mpmath.factorial(2 * k + 2) * rising * base ** (-s - 2 * k - 1))
+        nxt = abs(_bern_mpf(ctx, 2 * k + 2) / ctx.factorial(2 * k + 2) * rising * base ** (-s - 2 * k - 1))
         err = float(nxt * abs((s + 2 * k + 1) / (sig + 2 * k + 1)))
         if k >= 15 and err < 1e-12:
             break
     return val, err
-
-
-def _hurwitz_em_core(s, a: float):
-    """Euler-Maclaurin value of zeta(s, a), inside an mp precision context.
-
-    Returns (mpc value, float error bound) at the cutoff of `_em_params`.
-    """
-    s = _mpc_of(s)
-    sig = float(mpmath.re(s))
-    tau = abs(float(mpmath.im(s)))
-    n_cut, _ = _em_params(sig, tau)
-    a_mp = mpmath.mpf(a)
-    part = mpmath.fsum((n + a_mp) ** (-s) for n in range(n_cut))
-    base = n_cut + a_mp
-    val = part + base ** (1 - s) / (s - 1) + base ** (-s) / 2
-    return _em_corrections(val, s, sig, base, 1)
 
 
 def _check_validated_domain(s, caller: str) -> None:
@@ -133,15 +115,18 @@ def hurwitz_zeta(s, a) -> EvalResult:
     a = float(a)
     if not 0 < a <= 1:
         raise ValueError("a must lie in (0, 1]")
-    sc = complex(_mpc_of(s))
+    sc = complex(s)
     if abs(sc - 1) < 1e-13:
         raise PoleAtOne(f"s={sc} is within 1e-13 of the pole at s=1")
     _check_validated_domain(sc, "hurwitz_zeta")
-    sig = sc.real
-    tau = abs(sc.imag)
-    _, dps = _em_params(sig, tau)
-    with _MP_LOCK, mpmath.workdps(dps):
-        val, err = _hurwitz_em_core(s, a)
+    n_cut, dps = _em_params(sc.real, abs(sc.imag))
+    with _working_precision(dps) as ctx:
+        smp = _mpc_of(ctx, s)
+        a_mp = ctx.mpf(a)
+        part = ctx.fsum((n + a_mp) ** (-smp) for n in range(n_cut))
+        base = n_cut + a_mp
+        val = part + base ** (1 - smp) / (smp - 1) + base ** (-smp) / 2
+        val, err = _em_corrections(ctx, val, smp, base, 1)
         out = complex(val)
     err = max(err, abs(out) * 1e-15 + 1e-16)
     return EvalResult(out, err)
@@ -194,32 +179,28 @@ def dirichlet_beta(s) -> EvalResult:
     Euler-Maclaurin pole parts is combined through expm1 so s = 1 needs no
     special casing beyond the 0/0 limit.
     """
-    sc = complex(_mpc_of(s))
+    sc = complex(s)
     _check_validated_domain(sc, "dirichlet_beta")
-    sig = sc.real
-    tau = abs(sc.imag)
-    n_cut, dps = _em_params(sig, tau)
-    with _MP_LOCK, mpmath.workdps(dps):
-        smp = _mpc_of(s)
-        a1 = mpmath.mpf(1) / 4
-        a2 = mpmath.mpf(3) / 4
-        part = mpmath.fsum((n + a1) ** (-smp) - (n + a2) ** (-smp) for n in range(n_cut))
+    n_cut, dps = _em_params(sc.real, abs(sc.imag))
+    with _working_precision(dps) as ctx:
+        smp = _mpc_of(ctx, s)
+        a1 = ctx.mpf(1) / 4
+        a2 = ctx.mpf(3) / 4
+        part = ctx.fsum((n + a1) ** (-smp) - (n + a2) ** (-smp) for n in range(n_cut))
         b1 = n_cut + a1
         b2 = n_cut + a2
         # [b1^(1-s) - b2^(1-s)]/(s-1) = -b1^(1-s) expm1((1-s) log(b2/b1))/(s-1)
-        w = (1 - smp) * mpmath.log(b2 / b1)
+        w = (1 - smp) * ctx.log(b2 / b1)
         if abs(smp - 1) < 1e-13:
-            pole = b1 ** (1 - smp) * mpmath.log(b2 / b1)
+            pole = b1 ** (1 - smp) * ctx.log(b2 / b1)
         else:
-            pole = -(b1 ** (1 - smp)) * mpmath.expm1(w) / (smp - 1)
+            pole = -(b1 ** (1 - smp)) * ctx.expm1(w) / (smp - 1)
         val = part + pole + (b1 ** (-smp) - b2 ** (-smp)) / 2
-        val, err1 = _em_corrections(val, smp, sig, b1, 1)
-        val, err2 = _em_corrections(val, smp, sig, b2, -1)
-        err_total = err1 + err2
-        out = complex(mpmath.mpf(4) ** (-smp) * val)
-        scale = float(abs(mpmath.mpf(4) ** (-smp)))
-    err_total = scale * err_total + abs(out) * 1e-15 + 1e-16
-    return EvalResult(out, err_total)
+        val, err1 = _em_corrections(ctx, val, smp, b1, 1)
+        val, err2 = _em_corrections(ctx, val, smp, b2, -1)
+        out = complex(ctx.mpf(4) ** (-smp) * val)
+        scale = float(abs(ctx.mpf(4) ** (-smp)))
+    return EvalResult(out, scale * (err1 + err2) + abs(out) * 1e-15 + 1e-16)
 
 
 def recip_gamma(s) -> complex:
@@ -229,11 +210,11 @@ def recip_gamma(s) -> complex:
     mechanism the operator engine relies on. Absolute accuracy 1e-12 where
     the value has order <= 1, relative 1e-12 elsewhere (|s| <= 30).
     """
-    sc = complex(_mpc_of(s))
+    sc = complex(s)
     if sc.imag == 0.0 and sc.real <= 0 and sc.real == int(sc.real):
         return complex(0.0)
-    with _MP_LOCK, mpmath.workdps(50):
-        return complex(mpmath.rgamma(_mpc_of(s)))
+    with _working_precision(50) as ctx:
+        return complex(ctx.rgamma(_mpc_of(ctx, s)))
 
 
 def _ray_cutoff(sig: float, tau: float, delta: float) -> float:
@@ -244,22 +225,38 @@ def _ray_cutoff(sig: float, tau: float, delta: float) -> float:
     return r
 
 
-def _hankel_integral(kernel, rho: float, delta: float, r_max: float):
-    """Integrate kernel over the Hankel contour: in along the ray at angle
-    -(pi - delta), around the circle |t| = rho, out along +(pi - delta).
-    Returns (mpc integral, mpf quadrature error, float segment magnitude)."""
+def _hankel_loop(s, x: float, rho: float, delta: float):
+    """Gamma(1-s)/(2 pi i) times the loop integral of t^(s-1)/(e^(-t-ix) - 1):
+    in along the ray at angle -(pi - delta), around |t| = rho, out along
+    +(pi - delta). Returns (value, quadrature error, cancellation floor); the
+    floor is 0.0 unless the segments cancel to below 1e-12 of their size."""
+    sc = complex(s)
+    r_max = _ray_cutoff(sc.real, abs(sc.imag), delta)
     theta = math.pi - delta
-    e_up = mpmath.exp(1j * theta)
-    e_lo = mpmath.exp(-1j * theta)
-    up, e1 = mpmath.quad(lambda u: kernel(u * e_up) * e_up, [rho, r_max], error=True)
-    lo, e2 = mpmath.quad(lambda u: kernel(u * e_lo) * e_lo, [rho, r_max], error=True)
-    circ, e3 = mpmath.quad(
-        lambda ph: kernel(rho * mpmath.exp(1j * ph)) * 1j * rho * mpmath.exp(1j * ph),
-        [-theta, theta],
-        error=True,
-    )
-    magnitude = float(abs(up) + abs(lo) + abs(circ))
-    return up - lo + circ, e1 + e2 + e3, magnitude
+    with _working_precision(30) as ctx:
+        smp = _mpc_of(ctx, s)
+        ix = ctx.mpc(0, x)
+
+        def kernel(t):
+            return ctx.power(t, smp - 1) / ctx.expm1(-t - ix)
+
+        e_up = ctx.exp(1j * theta)
+        e_lo = ctx.exp(-1j * theta)
+        up, e1 = ctx.quad(lambda u: kernel(u * e_up) * e_up, [rho, r_max], error=True)
+        lo, e2 = ctx.quad(lambda u: kernel(u * e_lo) * e_lo, [rho, r_max], error=True)
+        circ, e3 = ctx.quad(
+            lambda ph: kernel(rho * ctx.exp(1j * ph)) * 1j * rho * ctx.exp(1j * ph),
+            [-theta, theta],
+            error=True,
+        )
+        magnitude = float(abs(up) + abs(lo) + abs(circ))
+        integral = up - lo + circ
+        pref = ctx.gamma(1 - smp) / (2j * ctx.pi)
+        val = complex(pref * integral)
+        qerr = float(abs(pref) * (e1 + e2 + e3))
+        cancel = float(abs(integral)) < 1e-12 * magnitude
+        floor = float(abs(pref)) * magnitude * 1e-24 if cancel else 0.0
+    return val, qerr, floor
 
 
 def hankel_zeta(s, rho: float = math.pi, delta: float = 0.15) -> EvalResult:
@@ -270,30 +267,20 @@ def hankel_zeta(s, rho: float = math.pi, delta: float = 0.15) -> EvalResult:
     the rays hug the cut at angle +/-(pi - delta). rho must stay below 2*pi
     or the kernel poles at +/-2*pi*i would be enclosed (ContourClipped).
     """
-    sc = complex(_mpc_of(s))
+    sc = complex(s)
     if sc.real >= 1:
         raise ValueError("hankel_zeta requires Re s < 1")
     if not 0 < rho < _TWO_PI:
         raise ContourClipped(f"rho={rho} must lie in (0, 2*pi) to exclude the kernel poles at +/-2*pi*i")
     if not 0 < delta < math.pi / 2:
         raise ValueError("delta must lie in (0, pi/2)")
-    r_max = _ray_cutoff(sc.real, abs(sc.imag), delta)
-    with _MP_LOCK, mpmath.workdps(30):
-        smp = _mpc_of(s)
-
-        def kernel(t):
-            return mpmath.power(t, smp - 1) / mpmath.expm1(-t)
-
-        integral, qerr, magnitude = _hankel_integral(kernel, rho, delta, r_max)
-        pref = mpmath.gamma(1 - smp) / (2j * mpmath.pi)
-        val = complex(pref * integral)
-        err = float(abs(pref) * qerr) + abs(val) * 1e-14 + 1e-14
-        # branch terms nearly cancel close to (but not at) integer s
-        near_int = abs(sc.real - round(sc.real)) < 1e-9 and abs(sc.imag) < 1e-9
-        cancel = float(abs(integral)) < 1e-12 * magnitude
-        if cancel and not near_int:
-            warnings.warn("hankel_zeta: severe cancellation between contour segments", PrecisionLoss, stacklevel=2)
-            err = max(err, float(abs(pref)) * magnitude * 1e-24)
+    val, qerr, floor = _hankel_loop(s, 0.0, rho, delta)
+    err = qerr + abs(val) * 1e-14 + 1e-14
+    # branch terms nearly cancel close to (but not at) integer s
+    near_int = abs(sc.real - round(sc.real)) < 1e-9 and abs(sc.imag) < 1e-9
+    if floor and not near_int:
+        warnings.warn("hankel_zeta: severe cancellation between contour segments", PrecisionLoss, stacklevel=2)
+        err = max(err, floor)
     return EvalResult(val, err)
 
 
@@ -308,8 +295,7 @@ def lerch_hankel(s, x: float, delta: float = 0.15, rho: float | None = None) -> 
     """
     if not 0 < x < _TWO_PI:
         raise ValueError("x must lie in (0, 2*pi)")
-    sc = complex(_mpc_of(s))
-    if sc.real >= 1:
+    if complex(s).real >= 1:
         raise ValueError("lerch_hankel requires Re s < 1")
     pole_dist = min(x, _TWO_PI - x)
     if rho is None:
@@ -318,21 +304,11 @@ def lerch_hankel(s, x: float, delta: float = 0.15, rho: float | None = None) -> 
         raise ContourClipped(
             f"rho={rho} would enclose the kernel pole at distance {pole_dist:.6g} from the origin"
         )
-    r_max = _ray_cutoff(sc.real, abs(sc.imag), delta)
-    with _MP_LOCK, mpmath.workdps(30):
-        smp = _mpc_of(s)
-        xm = mpmath.mpf(x)
-
-        def kernel(t):
-            return mpmath.power(t, smp - 1) / mpmath.expm1(-t - 1j * xm)
-
-        integral, qerr, _ = _hankel_integral(kernel, rho, delta, r_max)
-        pref = mpmath.gamma(1 - smp) / (2j * mpmath.pi)
-        val = complex(pref * integral)
-        err = float(abs(pref) * qerr) + abs(val) * 1e-13 + 1e-13
-        if pole_dist < 0.05:
-            warnings.warn("lerch_hankel: kernel pole close to the contour", PrecisionLoss, stacklevel=2)
-            err = max(err, 1e-8)
+    val, qerr, _ = _hankel_loop(s, x, rho, delta)
+    err = qerr + abs(val) * 1e-13 + 1e-13
+    if pole_dist < 0.05:
+        warnings.warn("lerch_hankel: kernel pole close to the contour", PrecisionLoss, stacklevel=2)
+        err = max(err, 1e-8)
     return EvalResult(val, err)
 
 
@@ -370,11 +346,6 @@ def functional_equation_residual(s) -> float:
     zs = zeta_em(s).value
     z1s = zeta_em(1 - complex(s)).value
     sc = complex(s)
-    with _MP_LOCK, mpmath.workdps(40):
-        pref = complex(
-            mpmath.mpf(2) ** sc
-            * mpmath.pi ** (sc - 1)
-            * mpmath.sin(mpmath.pi * sc / 2)
-            * mpmath.gamma(1 - mpmath.mpc(sc))
-        )
+    with _working_precision(40) as ctx:
+        pref = complex(ctx.mpf(2) ** sc * ctx.pi ** (sc - 1) * ctx.sin(ctx.pi * sc / 2) * ctx.gamma(1 - ctx.mpc(sc)))
     return abs(zs - pref * z1s)

@@ -1,10 +1,13 @@
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from opzeta.cli import main
@@ -196,10 +199,46 @@ class TestValuesCommand:
 
     def test_malformed_argument(self, capsys):
         for argv in (("zeta", "abc"), ("zeta", "inf"), ("zeta", "nan"), ("beta", "1e999"),
-                     ("beta", "--", "-inf"), ("bernoulli", "inf")):
+                     ("beta", "--", "-inf"), ("beta", "-inf"), ("bernoulli", "inf")):
             code, out = run_cli("values", *argv)
             assert code == 2 and out == "", argv
             assert "bad numeric argument" in capsys.readouterr().err, argv
+
+    @pytest.mark.parametrize("argv", [
+        ("zeta", "1e300"), ("zeta", "3000"), ("zeta", "--", "-3000.5"), ("beta", "--", "-3000.5"),
+        ("beta", "-1e6"), ("bernoulli", "1e300"), ("euler", "1001"), ("zeta", "2", "1e300"),
+    ])
+    def test_argument_bound(self, argv, capsys):
+        # past |argument| 1000 the exact recurrences and the Euler-Maclaurin
+        # working precision run for minutes; every such command exits 2 at once
+        start = time.perf_counter()
+        code, out = run_cli("values", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == "", argv
+        assert "need |argument| <= 1000" in capsys.readouterr().err, argv
+
+    def test_negative_exponent_token(self):
+        # -2.5e1 is an argument, not an option, and reads as -25
+        code, out = run_cli("values", "zeta", "-2.5e1", "--format", "json")
+        assert code == 0
+        code, ref = run_cli("values", "zeta", "-25", "--format", "json")
+        row, ref_row = json.loads(out)["rows"][0], json.loads(ref)["rows"][0]
+        assert row["argument"] == "-2.5e1"
+        assert {**row, "argument": "-25"} == ref_row
+
+    @pytest.mark.parametrize("kind,args,reference", [
+        ("zeta", [*range(2, 62, 2), 400], lambda ctx, k: ctx.zeta(k)),
+        ("beta", [*range(1, 63, 2), 401], lambda ctx, k: ctx.dirichlet(k, [0, 1, 0, -1])),
+    ])
+    def test_exact_pi_rows_are_correctly_rounded(self, kind, args, reference):
+        # an exact Q[pi] value prints as its correctly rounded double
+        ctx = mpmath.MPContext()
+        ctx.dps = 80
+        code, out = run_cli("values", kind, *map(str, args), "--format", "json")
+        assert code == 0
+        for k, row in zip(args, json.loads(out)["rows"]):
+            assert row["method"] == "exact"
+            assert row["value"] == float(reference(ctx, k)), (kind, k)
 
     @pytest.mark.parametrize("kind,arg", [("bernoulli", "260"), ("euler", "188"), ("zeta", "-261"), ("beta", "-188")])
     def test_beyond_double_range(self, kind, arg):
@@ -296,10 +335,12 @@ class TestListCommand:
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self):
+        # the child gets this process's import path, so it runs the same opzeta
         proc = subprocess.run(
             [sys.executable, "-m", "opzeta", "values", "zeta", "0"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         )
         assert proc.returncode == 0
         assert "-1/2" in proc.stdout

@@ -300,8 +300,8 @@ class TestFunctionalEquation:
 
 class TestConcurrentUse:
     def test_numeric_kernels_under_threads(self):
-        # the numeric kernels serialize the precision context internally;
-        # results must be identical regardless of interleaving
+        # each thread computes in its own precision context; results must be
+        # identical regardless of interleaving
         from concurrent.futures import ThreadPoolExecutor
 
         points = [2.0, 0.5, -1.0, -3.0, 0.25, -0.5] * 4
@@ -312,6 +312,48 @@ class TestConcurrentUse:
         with ThreadPoolExecutor(max_workers=8) as pool:
             betas = list(pool.map(lambda n: dirichlet_beta(n).value, [-2] * 16))
         assert all(abs(b - (-0.5)) < 1e-9 for b in betas)
+
+    def test_precision_does_not_leak_between_threads(self):
+        # zeta_em works at 25+ digits while pipoly_eval(..., pi_digits=15)
+        # works at 20; with one process-global precision, each thread's
+        # setting leaks into the other's arithmetic and outlives both
+        import sys
+        import threading
+
+        import mpmath
+
+        from opzeta.exactnum import pipoly_eval
+
+        points = [0.5, -3.5, 2.0, -12.25, 0.25, 7.5, -0.75, 3.0, complex(0.5, 14.0), complex(-2.0, 5.0), -20.5, 1.5]
+        poly = clausen_closed_form("cos", 3)
+        expect_z = [zeta_em(s) for s in points]
+        expect_p = pipoly_eval(poly, 0.7, pi_digits=15)
+        dps = mpmath.mp.dps
+        got_z, got_p = [], []
+
+        def loop_zeta():
+            for _ in range(10):
+                got_z.append([zeta_em(s) for s in points])
+
+        def loop_pipoly():
+            for _ in range(120):
+                got_p.append(pipoly_eval(poly, 0.7, pi_digits=15))
+
+        threads = [threading.Thread(target=f) for f in (loop_zeta, loop_zeta, loop_pipoly, loop_pipoly)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(got_z) == 20 and len(got_p) == 240
+        assert got_z == [expect_z] * 20
+        assert got_p == [expect_p] * 240
+        assert mpmath.mp.dps == dps
 
 
 class TestPrecisionLossWarnings:
