@@ -20,7 +20,7 @@ from typing import Optional
 
 from . import divmatrix, operators, registry, series, specfun
 from .errors import OpzetaError
-from .exactnum import PiPolynomial, PiXPolynomial, bernoulli_number, euler_number, pipoly_eval
+from .exactnum import bernoulli_number, euler_number, pipoly_eval
 from .operators import Expression, apply_recip_gamma_op, parity_anomaly, taylor_flow
 
 _EXACT_K = 12
@@ -220,15 +220,11 @@ _VALUES_BOUND = 1000
 def _exact_row(tok: str, exact) -> dict:
     """A `values` row for an exact Fraction or PiPolynomial, rounded once to
     a double; the double is None where the value lies beyond its range."""
-    if isinstance(exact, PiPolynomial):
-        number, text = pipoly_eval(PiXPolynomial((exact,)), 0), repr(exact)
-    else:
-        number, text = exact, str(exact)
     try:
-        value = float(number)
+        value = float(exact)
     except OverflowError:
         value = None
-    return {"argument": tok, "value": value, "exact": text, "method": "exact", "abs_error": 0.0}
+    return {"argument": tok, "value": value, "exact": str(exact), "method": "exact", "abs_error": 0.0}
 
 
 def _cmd_values(args, out) -> int:

@@ -88,7 +88,7 @@ class ConsistencyReport:
     max_abs_deviation: float
 
 
-def _gauss_panels(breaks: list[float], nodes: int, min_panels: int) -> Iterator[tuple[float, float]]:
+def _gauss_panels(breaks: list[float], min_panels: int) -> Iterator[tuple[float, float]]:
     for a, b in zip(breaks, breaks[1:]):
         width = b - a
         sub = max(1, math.ceil(min_panels * width / math.pi))
@@ -116,7 +116,7 @@ def consistency_check(n: int, M: int, gl_nodes: int = 32) -> ConsistencyReport:
     deviations = []
     for m in range(1, M + 1):
         total = 0.0
-        for a, b in _gauss_panels(breaks, gl_nodes, min_panels=max(4, m // 2 + 2)):
+        for a, b in _gauss_panels(breaks, min_panels=max(4, m // 2 + 2)):
             mid = 0.5 * (a + b)
             half = 0.5 * (b - a)
             xq = mid + half * xs_gl

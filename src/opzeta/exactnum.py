@@ -1,9 +1,12 @@
 """Exact arithmetic: rationals, Bernoulli/Euler numbers, and polynomials
 over Q and Q[pi].
 
-All values are immutable after construction and all operations are pure;
-`pipoly_eval` computes in the calling thread's own mpmath context and never
-sets the precision of mpmath's process-global `mp` context.
+`PiPolynomial` (in pi over Q) and `PiXPolynomial` (in x over Q[pi]) share
+one private base, `_Poly`: the trimmed, immutable coefficient tuple, `+`,
+`-`, equality, hashing and printing. All operations are pure. `pipoly_eval`
+and `float(PiPolynomial)` (pi to 30 digits, rounded once to a double) compute
+in the calling thread's own mpmath context and never set the precision of
+mpmath's process-global `mp` context.
 The Bernoulli convention is fixed to B_1 = -1/2 (the generating function
 x/(e^x - 1)); the alternate B_1 = +1/2 convention is deliberately rejected
 because every identity in this package is derived with the -1/2 sign.
@@ -50,27 +53,82 @@ def _as_fraction(v) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(v).__name__}")
 
 
-class PiPolynomial:
-    """Polynomial in pi with rational coefficients; coeffs[k] multiplies pi**k.
-
-    Trailing zero coefficients are trimmed; the empty tuple is the zero
-    polynomial.
-    """
+class _Poly:
+    """Immutable polynomial in one variable `_VAR`; coeffs[k] multiplies
+    _VAR**k. Each coefficient passes through `_coerce`; trailing zeros are
+    trimmed, and the empty tuple is the zero polynomial."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[_ScalarLike] = ()):
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+    def __init__(self, coeffs: Iterable = ()):
+        cs = [self._coerce(c) for c in coeffs]
+        while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    def __setattr__(self, *a):  # immutable
-        raise AttributeError("PiPolynomial is immutable")
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    @classmethod
-    def rational(cls, q: _ScalarLike) -> "PiPolynomial":
-        return cls((q,))
+    def _lift(self, other) -> "_Poly":
+        return other if isinstance(other, type(self)) else type(self)((other,))
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def coeff(self, k: int):
+        """Coefficient of _VAR**k (zero beyond the stored degree)."""
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else self._coerce(0)
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, type(self)):
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((type(self).__name__, self.coeffs))
+
+    def __add__(self, other) -> "_Poly":
+        a, b = self.coeffs, self._lift(other).coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return type(self)(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "_Poly":
+        return type(self)(-c for c in self.coeffs)
+
+    def __sub__(self, other) -> "_Poly":
+        return self + -self._lift(other)
+
+    def __rsub__(self, other) -> "_Poly":
+        return -self + other
+
+    def __repr__(self) -> str:
+        parts = []
+        for k, c in enumerate(self.coeffs):
+            if not c:
+                continue
+            text = str(c)
+            if " " in text:
+                text = f"({text})"
+            parts.append(text if k == 0 else f"{text}*{self._VAR}" + (f"^{k}" if k > 1 else ""))
+        return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
+class PiPolynomial(_Poly):
+    """Polynomial in pi with rational coefficients; coeffs[k] multiplies pi**k."""
+
+    __slots__ = ()
+    _VAR = "pi"
+    _coerce = staticmethod(_as_fraction)
 
     @classmethod
     def pi_power(cls, q: _ScalarLike, k: int) -> "PiPolynomial":
@@ -79,60 +137,23 @@ class PiPolynomial:
             raise ValueError("negative pi power")
         return cls((0,) * k + (q,))
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def is_rational(self) -> bool:
         return len(self.coeffs) <= 1
 
     def as_rational(self) -> Fraction:
         if len(self.coeffs) > 1:
             raise ValueError("polynomial has pi-dependent terms")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return self.coeff(0)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, PiPolynomial):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == PiPolynomial((other,))
-        return NotImplemented
+        return super().__eq__(PiPolynomial((other,)) if isinstance(other, (int, Fraction)) else other)
 
-    def __hash__(self):
-        return hash(("PiPolynomial", self.coeffs))
-
-    def __add__(self, other) -> "PiPolynomial":
-        o = other if isinstance(other, PiPolynomial) else PiPolynomial((_as_fraction(other),))
-        n = max(len(self.coeffs), len(o.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        for i, c in enumerate(o.coeffs):
-            a[i] += c
-        return PiPolynomial(a)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "PiPolynomial":
-        return PiPolynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other) -> "PiPolynomial":
-        return self + (-other if isinstance(other, PiPolynomial) else PiPolynomial((-_as_fraction(other),)))
-
-    def __rsub__(self, other) -> "PiPolynomial":
-        return (-self) + other
+    __hash__ = _Poly.__hash__
 
     def __mul__(self, other) -> "PiPolynomial":
         if isinstance(other, (int, Fraction)):
-            q = _as_fraction(other)
-            return PiPolynomial(tuple(c * q for c in self.coeffs))
+            return PiPolynomial(c * other for c in self.coeffs)
         if isinstance(other, PiPolynomial):
-            if not self.coeffs or not other.coeffs:
-                return PiPolynomial()
             out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
             for i, a in enumerate(self.coeffs):
                 for j, b in enumerate(other.coeffs):
@@ -161,114 +182,40 @@ class PiPolynomial:
             acc = acc * pi_value + ctx.mpf(c.numerator) / c.denominator
         return acc
 
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            elif k == 1:
-                parts.append(f"{c}*pi")
-            else:
-                parts.append(f"{c}*pi^{k}")
-        return " + ".join(parts).replace("+ -", "- ")
+    def __float__(self) -> float:
+        """The value as a double, by the computation of `pipoly_eval` at its
+        default 30 digits of pi (one rounding at the end)."""
+        with _working_precision(35) as ctx:
+            return float(self.evaluate(+ctx.pi))
 
 
 PI = PiPolynomial((0, 1))
 
 
-class PiXPolynomial:
+class PiXPolynomial(_Poly):
     """Polynomial in x whose coefficients are PiPolynomials; coeffs[j]
-    multiplies x**j. Trailing zeros trimmed; degree = len(coeffs) - 1."""
+    multiplies x**j. Rational coefficients are lifted to PiPolynomials."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
+    _VAR = "x"
 
-    def __init__(self, coeffs: Iterable = ()):
-        cs = []
-        for c in coeffs:
-            if isinstance(c, PiPolynomial):
-                cs.append(c)
-            else:
-                cs.append(PiPolynomial((_as_fraction(c),)))
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *a):
-        raise AttributeError("PiXPolynomial is immutable")
+    @staticmethod
+    def _coerce(c) -> PiPolynomial:
+        return c if isinstance(c, PiPolynomial) else PiPolynomial((c,))
 
     @classmethod
     def monomial(cls, degree: int, coeff) -> "PiXPolynomial":
-        c = coeff if isinstance(coeff, PiPolynomial) else PiPolynomial((_as_fraction(coeff),))
-        return cls((PiPolynomial(),) * degree + (c,))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff(self, j: int) -> PiPolynomial:
-        """Coefficient of x**j (zero beyond the stored degree)."""
-        if 0 <= j < len(self.coeffs):
-            return self.coeffs[j]
-        return PiPolynomial()
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, PiXPolynomial):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("PiXPolynomial", self.coeffs))
-
-    def __add__(self, other: "PiXPolynomial") -> "PiXPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for j in range(n):
-            out.append(self.coeff(j) + other.coeff(j))
-        return PiXPolynomial(out)
-
-    def __neg__(self) -> "PiXPolynomial":
-        return PiXPolynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "PiXPolynomial") -> "PiXPolynomial":
-        return self + (-other)
+        return cls((0,) * degree + (coeff,))
 
     def __mul__(self, other) -> "PiXPolynomial":
         if isinstance(other, (int, Fraction, PiPolynomial)):
-            return PiXPolynomial(tuple(c * other for c in self.coeffs))
+            return PiXPolynomial(c * other for c in self.coeffs)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def truncate(self, max_degree: int) -> "PiXPolynomial":
         return PiXPolynomial(self.coeffs[: max_degree + 1])
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for j, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            cs = repr(c)
-            if " " in cs:
-                cs = f"({cs})"
-            if j == 0:
-                parts.append(cs)
-            elif j == 1:
-                parts.append(f"{cs}*x")
-            else:
-                parts.append(f"{cs}*x^{j}")
-        return " + ".join(parts).replace("+ -", "- ")
 
 
 def pipoly_eval(p: PiXPolynomial, x, pi_digits: int = 30) -> float:

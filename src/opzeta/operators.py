@@ -25,7 +25,7 @@ from .errors import (
     PoleHit,
     UnsupportedExpression,
 )
-from .exactnum import PiPolynomial, PiXPolynomial, pipoly_eval
+from .exactnum import PiPolynomial, PiXPolynomial
 from .series import TrigSeries
 from . import specfun
 
@@ -239,7 +239,7 @@ def apply_operator(op: DilationShift, expr: Expression, allow_pole: bool = False
             return None
         if tag == "numeric":
             num, err = _numeric_value(op.kind, arg)
-            cnum = complex(pipoly_eval(PiXPolynomial((coeff,)), 0))
+            cnum = float(coeff)
             numeric.append(NumericTerm(degree, cnum * num, abs(cnum) * err + 1e-16))
             return None
         return coeff * value

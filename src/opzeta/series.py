@@ -321,14 +321,11 @@ def _richardson_to_zero(h: Sequence[float], vals: Sequence, order: int) -> tuple
     return best, abs(best - prev_best)
 
 
-def abel_extrapolate(series: TrigSeries, x: float, r_grid: Sequence[float] | None = None) -> SummedValue:
-    """Richardson-extrapolated Abel sum: evaluate the Abel means on r_grid
-    and extrapolate to r = 1 in the variable h = 1 - r (order 4).
-
-    Default grid 1 - 2^-k, k = 4..14. Integer exponents <= 0 use the exact
-    rational-function form of the means (repeated r d/dr of the geometric
-    closed form); positive exponents use damped truncation.
-    """
+def _extrapolate_to_one(mean: Callable[[float], complex], r_grid: Sequence[float] | None, x: float, what) -> tuple:
+    """Evaluate `mean` on r_grid (default 1 - 2^-k, k = 4..14) and Richardson
+    extrapolate to r = 1 in h = 1 - r (order 4). Returns (limit, |last
+    correction|, means); raises NotConverged, naming x and `what`, past 1e-6
+    relative disagreement."""
     if r_grid is None:
         r_grid = _DEFAULT_R_GRID
     r_grid = tuple(float(r) for r in r_grid)
@@ -338,30 +335,34 @@ def abel_extrapolate(series: TrigSeries, x: float, r_grid: Sequence[float] | Non
         raise ValueError("r_grid values must lie in (0, 1)")
     if any(b <= a for a, b in zip(r_grid, r_grid[1:])):
         raise ValueError("r_grid must be strictly increasing")
-    vals = [_abel_mean(series, x, r) for r in r_grid]
-    h = [1.0 - r for r in r_grid]
-    limit, correction = _richardson_to_zero(h, vals, _RICHARDSON_ORDER)
-    scale = max(1.0, max(abs(v) for v in vals))
-    err = correction + 1e-14 * scale
+    vals = [mean(r) for r in r_grid]
+    limit, correction = _richardson_to_zero([1.0 - r for r in r_grid], vals, _RICHARDSON_ORDER)
     if correction > 1e-6 * max(1.0, abs(limit)):
-        raise NotConverged(
-            f"extrapolants disagree by {correction:.3e} at x={x} for {series}"
-        )
-    return SummedValue(limit, err, "abel_extrapolated")
+        raise NotConverged(f"extrapolants disagree by {correction:.3e} at x={x} for {what}")
+    return limit, correction, vals
+
+
+def abel_extrapolate(series: TrigSeries, x: float, r_grid: Sequence[float] | None = None) -> SummedValue:
+    """Richardson-extrapolated Abel sum: evaluate the Abel means on r_grid
+    and extrapolate to r = 1 (`_extrapolate_to_one`).
+
+    Integer exponents <= 0 use the exact rational-function form of the means
+    (repeated r d/dr of the geometric closed form); positive exponents use
+    damped truncation.
+    """
+    limit, correction, vals = _extrapolate_to_one(lambda r: _abel_mean(series, x, r), r_grid, x, series)
+    scale = max(1.0, max(abs(v) for v in vals))
+    return SummedValue(limit, correction + 1e-14 * scale, "abel_extrapolated")
 
 
 def geometric_extrapolate(x: float, r_grid: Sequence[float] | None = None) -> SummedValue:
     """Complex Abel sum of sum e^(i n x) by the same extrapolation route;
     cross-checks `geometric_abel` (real part -1/2, imaginary part the
     exponent-0 sine series)."""
-    if r_grid is None:
-        r_grid = _DEFAULT_R_GRID
-    vals = []
-    for r in r_grid:
+
+    def mean(r: float) -> complex:
         z = r * cmath.exp(1j * x)
-        vals.append(z / (1.0 - z))
-    h = [1.0 - r for r in r_grid]
-    limit, correction = _richardson_to_zero(h, vals, _RICHARDSON_ORDER)
-    if correction > 1e-6 * max(1.0, abs(limit)):
-        raise NotConverged(f"geometric extrapolation failed at x={x}")
+        return z / (1.0 - z)
+
+    limit, correction, _ = _extrapolate_to_one(mean, r_grid, x, "the geometric series")
     return SummedValue(limit, correction + 1e-14, "abel_extrapolated")

@@ -40,7 +40,6 @@ class EvalResult:
 
     value: complex
     abs_error_estimate: float
-    is_pole: bool = False
 
 
 def _mpc_of(ctx, s):
@@ -341,11 +340,18 @@ def clausen_closed_form(parity: str, m: int) -> PiXPolynomial:
 
 
 def functional_equation_residual(s) -> float:
-    """|zeta(s) - 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s)|, all factors
-    numeric. A validation-only cross-check; never used as a definition."""
-    zs = zeta_em(s).value
-    z1s = zeta_em(1 - complex(s)).value
+    """Residual of the functional equation, all factors numeric, in the
+    direction whose Gamma factor has no pole (Gamma(1-s) has one at each
+    integer s >= 2); s = 0 and s = 1 raise PoleAtOne:
+      Re s < 1/2:   |zeta(s) - 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s)|
+      Re s >= 1/2:  |zeta(1-s) - 2 (2 pi)^-s cos(pi s/2) Gamma(s) zeta(s)|
+    A validation-only cross-check; never used as a definition."""
     sc = complex(s)
+    zs = zeta_em(s).value
+    z1s = zeta_em(1 - sc).value
     with _working_precision(40) as ctx:
-        pref = complex(ctx.mpf(2) ** sc * ctx.pi ** (sc - 1) * ctx.sin(ctx.pi * sc / 2) * ctx.gamma(1 - ctx.mpc(sc)))
-    return abs(zs - pref * z1s)
+        if sc.real < 0.5:
+            pref = ctx.mpf(2) ** sc * ctx.pi ** (sc - 1) * ctx.sin(ctx.pi * sc / 2) * ctx.gamma(1 - ctx.mpc(sc))
+            return abs(zs - complex(pref) * z1s)
+        pref = 2 * (2 * ctx.pi) ** -sc * ctx.cos(ctx.pi * sc / 2) * ctx.gamma(ctx.mpc(sc))
+        return abs(z1s - complex(pref) * zs)

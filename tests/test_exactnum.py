@@ -16,6 +16,7 @@ from opzeta.exactnum import (
     log_sec_plus_tan_half_series,
     pipoly_eval,
 )
+from opzeta.specfun import zeta_even_pi_form
 from oracles import (
     bernoulli_akiyama_tanigawa,
     bernoulli_from_generating_function,
@@ -121,6 +122,76 @@ class TestPiPolynomial:
 
     def test_division(self):
         assert PI / 2 == PiPolynomial([0, Fraction(1, 2)])
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            PI.coeffs = ()
+
+    def test_equal_values_hash_equal(self):
+        assert hash(PiPolynomial([1, Fraction(2, 4), 0])) == hash(PiPolynomial([Fraction(1), Fraction(1, 2)]))
+        assert len({PI * 2, PI + PI, PiPolynomial([0, 2])}) == 1
+
+    def test_repr(self):
+        assert repr(PiPolynomial([Fraction(-1, 2), 0, Fraction(1, 3)])) == "-1/2 + 1/3*pi^2"
+        assert repr(PiPolynomial([1, -1])) == "1 - 1*pi"
+        assert repr(PiPolynomial()) == "0"
+
+    @pytest.mark.parametrize("n", range(2, 41, 2))
+    def test_float_is_correctly_rounded(self, n):
+        import mpmath
+
+        ctx = mpmath.MPContext()
+        ctx.dps = 80
+        p = zeta_even_pi_form(n)
+        want = sum(ctx.mpf(c.numerator) / c.denominator * ctx.pi ** k for k, c in enumerate(p.coeffs))
+        assert float(p) == float(want)
+
+
+class TestPiXPolynomial:
+    P = PiXPolynomial([Fraction(1, 2), PI, 0, -1])  # 1/2 + pi*x - x^3
+    Q = PiXPolynomial([PI, Fraction(1, 3)])  # pi + x/3
+
+    def test_trim_and_zero(self):
+        assert PiXPolynomial([1, 0, PiPolynomial([0])]).degree == 0
+        assert PiXPolynomial([0, PiPolynomial()]).is_zero()
+        assert not PiXPolynomial([0])
+        assert PiXPolynomial().coeff(5) == PiPolynomial()
+
+    def test_add_sub_neg(self):
+        assert self.P + self.Q == PiXPolynomial([PI + Fraction(1, 2), PI + Fraction(1, 3), 0, -1])
+        assert self.P - self.Q == PiXPolynomial([Fraction(1, 2) - PI, PI - Fraction(1, 3), 0, -1])
+        assert -self.P == PiXPolynomial([Fraction(-1, 2), -PI, 0, 1])
+        assert (self.P - self.P).is_zero()
+        # cancellation of the leading term trims the degree
+        assert (self.P + PiXPolynomial.monomial(3, 1)).degree == 1
+
+    def test_scalar_product(self):
+        assert self.Q * 3 == PiXPolynomial([PI * 3, 1])
+        assert Fraction(1, 2) * self.Q == PiXPolynomial([PI / 2, Fraction(1, 6)])
+        assert self.Q * PI == PiXPolynomial([PI * PI, PI / 3])
+        assert (self.Q * 0).is_zero()
+
+    def test_truncate_and_monomial(self):
+        assert self.P.truncate(1) == PiXPolynomial([Fraction(1, 2), PI])
+        assert self.P.truncate(10) == self.P
+        assert PiXPolynomial.monomial(2, Fraction(1, 4)) == PiXPolynomial([0, 0, Fraction(1, 4)])
+        assert PiXPolynomial.monomial(1, PI).coeff(1) == PI
+        assert PiXPolynomial.monomial(3, 0).is_zero()
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            self.P.coeffs = ()
+
+    def test_equal_values_hash_equal(self):
+        a = PiXPolynomial([Fraction(2, 4), PiPolynomial([0, 1]), 0])
+        b = PiXPolynomial([PiPolynomial([Fraction(1, 2)]), PI])
+        assert a == b and hash(a) == hash(b)
+        assert a != PiPolynomial([Fraction(1, 2)]) and PiXPolynomial([1]) != 1
+
+    def test_repr(self):
+        p = PiXPolynomial([Fraction(-1, 2), PI, PiPolynomial([Fraction(1, 2), Fraction(1, 3)]), Fraction(-1, 6)])
+        assert repr(p) == "-1/2 + 1*pi*x + (1/2 + 1/3*pi)*x^2 - 1/6*x^3"
+        assert repr(PiXPolynomial()) == "0"
 
 
 class TestPiXPolynomialEval:

@@ -212,6 +212,14 @@ class TestDecompositionInvariants:
             e = geometric_extrapolate(x)
             assert abs(e.value - geometric_abel(x)) < 1e-9
 
+    @pytest.mark.parametrize(
+        "grid", [(0.99,), (0.9, 0.99, 0.999), (0.99, 0.9, 0.999, 0.9999), (0.9, 0.99, 0.999, 1.0)]
+    )
+    def test_geometric_extrapolate_grid_validation(self, grid):
+        # a one-point grid used to return the bare mean with a 1e-14 bound
+        with pytest.raises(ValueError):
+            geometric_extrapolate(1.0, grid)
+
 
 class TestConvergentClosedFormAgreement:
     @pytest.mark.parametrize("m", [1, 2])

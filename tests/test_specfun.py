@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -293,9 +294,48 @@ class TestClausenClosedForm:
 
 
 class TestFunctionalEquation:
-    @pytest.mark.parametrize("s", [-0.5, -1.5, 0.25])
+    @pytest.mark.parametrize("s", [-0.5, -1.5, 0.25, 2, 3, 4, 5, 2.5, 0.75])
     def test_residual_small(self, s):
+        # integer s >= 2 is a pole of Gamma(1 - s); the mirrored form has none
         assert functional_equation_residual(s) <= 1e-8
+
+    @pytest.mark.parametrize("s", [0, 1, 0.0, 1.0])
+    def test_zeta_pole_raises(self, s):
+        with pytest.raises(PoleAtOne):
+            functional_equation_residual(s)
+
+
+class TestAgainstMpmath:
+    """Seeded samples over the validated domain (Re s in [-25, 12],
+    |Im s| <= 50, half of them real); the claimed bound must cover the
+    distance to mpmath at 60 digits at every point."""
+
+    @staticmethod
+    def _points(n=50):
+        rng = random.Random(1810)
+        pts = []
+        for i in range(n):
+            sigma = rng.uniform(-25.0, 12.0)
+            pts.append(sigma if i % 2 == 0 else complex(sigma, rng.uniform(-50.0, 50.0)))
+        return pts
+
+    @pytest.mark.parametrize("kind", ["zeta", "beta"])
+    def test_error_within_bound(self, kind):
+        import mpmath
+
+        ctx = mpmath.MPContext()
+        ctx.dps = 60
+        over = []
+        for s in self._points():
+            a = ctx.mpmathify(s)
+            if kind == "zeta":
+                r, want = zeta_em(s), ctx.zeta(a)
+            else:  # beta(s) = 4^-s (zeta(s, 1/4) - zeta(s, 3/4))
+                r, want = dirichlet_beta(s), ctx.power(4, -a) * (ctx.zeta(a, ctx.mpf(1) / 4) - ctx.zeta(a, ctx.mpf(3) / 4))
+            err = abs(complex(r.value) - complex(want))
+            if err > r.abs_error_estimate:
+                over.append((s, err, r.abs_error_estimate))
+        assert over == []
 
 
 class TestConcurrentUse:
