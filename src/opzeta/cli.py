@@ -24,6 +24,9 @@ from .exactnum import bernoulli_number, euler_number, pipoly_eval
 from .operators import Expression, apply_recip_gamma_op, parity_anomaly, taylor_flow
 
 _EXACT_K = 12
+# steps bound of `verify --grid` (the registry's largest is 50): every grid
+# ends in seconds
+_GRID_STEPS_BOUND = 10_000
 
 
 @dataclass
@@ -193,10 +196,16 @@ def _cmd_verify(args, out) -> int:
         return 2
     grid = rec.default_grid if args.grid is None else args.grid
     a, b, steps = grid
-    if steps < 1 or not (rec.domain.contains(a) and rec.domain.contains(b)):
+    if not 1 <= steps <= _GRID_STEPS_BOUND:
+        print(f"grid steps must lie in [1, {_GRID_STEPS_BOUND}], got {steps}", file=sys.stderr)
+        return 2
+    if not (rec.domain.contains(a) and rec.domain.contains(b)):
         print(f"grid [{a}, {b}] outside the stated domain {rec.domain} of {rec.id}", file=sys.stderr)
         return 2
     tol = rec.default_tol if args.tol is None else args.tol
+    if not (math.isfinite(tol) and tol > 0):
+        print(f"--tol must be a finite number > 0, got {tol!r}", file=sys.stderr)
+        return 2
     try:
         if exact:
             rep = _verify_exact(rec, tol)

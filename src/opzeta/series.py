@@ -3,17 +3,20 @@ tail bounds, and Abel (Euler) summation for the divergent cases.
 
 A series is sum_n chi(n) trig(n x) / n^s. The trivial character runs over
 n = 1, 2, 3, ...; the `beta` character runs over odd n = 2k+1 with sign
-(-1)^k. Divergent series (exponent <= 0) are never summed by raw truncation;
-they take the Abel route: closed form when the (parity, exponent, character)
-triple is registered, Richardson extrapolation of the Abel means otherwise.
+(-1)^k. Convergent trivial-character series are summed as a short head plus
+an iterated summation-by-parts tail. Divergent series (exponent <= 0) are
+never summed by raw truncation; they take the Abel route: closed form when
+the (parity, exponent, character) triple is registered, Richardson
+extrapolation of the Abel means (closed forms up to exponent 1) otherwise.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -26,10 +29,10 @@ from .errors import (
     SingularAtEndpoint,
 )
 
-_TWO_PI = 2 * math.pi
-
 _DEFAULT_R_GRID = tuple(1.0 - 2.0 ** (-k) for k in range(4, 15))
 _RICHARDSON_ORDER = 4
+_UNIT_ROUNDOFF = 2.0**-53
+_N0_SCALE, _N0_CAP, _SBP_MAX_LEVELS = 64, 400_000, 48
 
 
 @dataclass(frozen=True)
@@ -88,82 +91,78 @@ def partial_sum(series: TrigSeries, x: float, N: int) -> SummedValue:
             raise EndpointConditional("x = 0 mod 2*pi: conditional convergence endpoint")
         if series.character == "beta" and abs(math.cos(x)) < 1e-12:
             raise EndpointConditional("cos x = 0: conditional convergence endpoint")
+    trig = np.sin if series.parity == "sin" else np.cos
     total = 0.0
-    chunk = 5_000_000
-    done = 0
-    while done < N:
-        step = min(chunk, N - done)
-        if series.character == "trivial":
-            n = np.arange(done + 1, done + step + 1, dtype=np.float64)
-            fn = np.sin if series.parity == "sin" else np.cos
-            total += float(np.sum(fn(n * x) / n ** series.exponent))
-        else:
-            k = np.arange(done, done + step, dtype=np.float64)
-            n = 2 * k + 1
-            fn = np.sin if series.parity == "sin" else np.cos
-            total += float(np.sum((-1.0) ** k * fn(n * x) / n ** series.exponent))
-        done += step
+    for start in range(0, N, 5_000_000):
+        k = np.arange(start, min(N, start + 5_000_000), dtype=np.float64)
+        n, sign = (k + 1, 1.0) if series.character == "trivial" else (2 * k + 1, (-1.0) ** k)
+        total += float(np.sum(sign * trig(n * x) / n**series.exponent))
     return SummedValue(total, _tail_bound(series, x, N), "partial_sum")
 
 
-def _sbp_tail_exponent1(z: complex, n0: int, depth: int) -> tuple[complex, float]:
-    """sum_{n>n0} z^n / n by iterated summation by parts.
+def _differences(m: int, s: int) -> Iterator[float]:
+    """Delta^j f(m), f(n) = n^-s, for j = 0, 1, ..., each correctly rounded:
+    Delta^j f(m) = (-1)^j j! h_{s-1}(1/m, ..., 1/(m+j)) / P_j, P_j = m...(m+j),
+    h_k complete homogeneous symmetric. h_k = N_k / P_j^k with integers N_k;
+    node m+j sets N_k <- N_k (m+j)^k + N_{k-1} P_{j-1}. One int/int division
+    per difference."""
+    num = [1] + [0] * (s - 1)
+    p_prev = den = fact = 1
+    for j in itertools.count():
+        node, node_k = m + j, 1
+        for k in range(1, s):
+            node_k *= node
+            num[k] = num[k] * node_k + num[k - 1] * p_prev
+        p_prev *= node
+        den *= node_k * node
+        yield (-1) ** j * (fact * num[-1]) / den
+        fact *= j + 1
 
-    Each level telescopes one exact term and leaves a remainder with one more
-    reciprocal factor; after `depth` levels the dropped remainder is bounded
-    by depth! / (|1-z|^depth * depth * (n0+1)...(n0+depth)).
-    """
-    coef = 1.0 + 0.0j
-    acc = 0.0 + 0.0j
-    prod = 1.0
-    z_pow = z ** (n0 + 1)
-    one_minus = 1.0 - z
-    for j in range(1, depth + 1):
-        prod *= n0 + j
-        acc += coef * z_pow / (one_minus * prod)
-        coef *= -(z * j) / one_minus
-    bound = abs(coef) / (depth * prod)
-    return acc, bound
 
-
-def _sbp_tail_general(z: complex, n0: int, extra: int, s: int) -> tuple[complex, float]:
-    """sum_{n>n0} z^n / n^s (s >= 2) by one summation by parts, summing `extra`
-    terms of the accelerated series; remainder bound (2/|1-z|) (n0+extra)^-s."""
-    n = np.arange(n0 + 1, n0 + extra + 1, dtype=np.float64)
-    zn1 = z ** (n0 + 1)
-    # S_n = (z^(n0+1) - z^(n+1)) / (1 - z); z^(n+1) via cumulative powers
-    powers = zn1 * np.cumprod(np.full(extra, z, dtype=np.complex128))
-    s_n = (zn1 - powers) / (1.0 - z)
-    diff = n ** (-float(s)) - (n + 1) ** (-float(s))
-    tail = complex(np.sum(s_n * diff))
-    bound = (2.0 / abs(1.0 - z)) * (n0 + extra) ** (-float(s))
+def _sbp_tail(x: float, n0: int, s: int, target: float) -> tuple[complex, float]:
+    """sum_{n>n0} z^n f(n), z = e^(ix), f(n) = n^-s, by iterated summation by
+    parts: level j adds w^j z^(n0+1)/(1-z) Delta^j f(n0+1), w = z/(1-z). f is
+    completely monotone, so Delta^d f keeps one sign and telescopes: after d
+    levels the remainder is at most |w|^d |Delta^(d-1) f(n0+1)| (at d = 0, the
+    tail sum of f). Levels are added while that bound shrinks and exceeds
+    target. Returns (tail, bound)."""
+    w = 1j * cmath.exp(0.5j * x) / (2.0 * math.sin(x / 2))  # 1 - z = -2i sin(x/2) e^(ix/2)
+    term = w * cmath.exp(1j * n0 * x)  # z^(n0+1)/(1-z), times w^j at level j
+    bound = math.inf if s == 1 else n0 ** (1.0 - s) / (s - 1)
+    tail = 0j
+    for j, delta in zip(range(_SBP_MAX_LEVELS), _differences(n0 + 1, s)):
+        if (level_bound := abs(w) ** (j + 1) * abs(delta)) >= bound:
+            break
+        tail += term * delta
+        term *= w
+        bound = level_bound
+        if bound <= target:
+            break
     return tail, bound
 
 
 def partial_sum_accelerated(series: TrigSeries, x: float, tol: float = 1e-9) -> SummedValue:
-    """Partial sum plus a summation-by-parts tail evaluation (trivial
-    character, exponent >= 1). Far cheaper than raw truncation at equal
-    accuracy; the returned bound covers both the dropped remainder and the
-    float accumulation."""
+    """Head of n0 = 64/|1-e^(ix)| terms (at most 4*10^5) plus `_sbp_tail`, for
+    the trivial character with exponent >= 1; a tail level then gains about a
+    factor (exponent + level)/64. The tail stops below tol and below the unit
+    roundoff: a level costs microseconds, so a loose tol keeps double
+    precision. The bound covers the remainder and the float rounding."""
     if series.character != "trivial" or series.exponent < 1:
         raise ValueError("accelerated path covers the trivial character with exponent >= 1")
     if abs(math.sin(x / 2)) < 1e-12:
         raise EndpointConditional("x = 0 mod 2*pi")
-    z = cmath.exp(1j * x)
-    s = series.exponent
-    if s == 1:
-        n0 = 4096
-        head = complex(np.sum(np.power(z, np.arange(1, n0 + 1)) / np.arange(1, n0 + 1)))
-        tail, bound = _sbp_tail_exponent1(z, n0, 12)
-    else:
-        n0 = 2000
-        n = np.arange(1, n0 + 1, dtype=np.float64)
-        head = complex(np.sum(np.power(z, np.arange(1, n0 + 1)) / n ** float(s)))
-        extra = int(min(4e5, max(1e4, (2.0 / (abs(1.0 - z) * tol)) ** (1.0 / s))))
-        tail, bound = _sbp_tail_general(z, n0, extra, s)
-    total = head + tail
-    value = total.imag if series.parity == "sin" else total.real
-    return SummedValue(value, bound + 1e-14 * n0, "partial_sum")
+    s, q = series.exponent, 2.0 * abs(math.sin(x / 2))  # q = |1 - e^(ix)|
+    n0 = int(min(_N0_CAP, math.ceil(_N0_SCALE / q)))
+    tail, bound = _sbp_tail(x, n0, s, min(tol, _UNIT_ROUNDOFF))
+    value = partial_sum(series, x, n0).value + (tail.imag if series.parity == "sin" else tail.real)
+    # rounding: a head term by u*n|x| (in n*x) plus a few u, the pairwise sum by u*log2(n0)
+    # per unit of sum n^-s <= log_n0; each tail level (<= (n0+1)^-s / q) by u*n0|x| plus a few u
+    log_n0 = 1.0 + math.log(n0)
+    tail_size = _SBP_MAX_LEVELS * (n0 + 1.0) ** -s / q
+    rounding = 4 * _UNIT_ROUNDOFF * (
+        abs(x) * (n0 if s == 1 else log_n0) + (3 + math.log2(n0)) * log_n0 + (n0 * abs(x) + 128) * tail_size
+    )
+    return SummedValue(value, bound + rounding, "partial_sum")
 
 
 def geometric_abel(x: float) -> complex:
@@ -290,18 +289,18 @@ def _abel_mean(series: TrigSeries, x: float, r: float) -> float:
             num = num * z + c
         den = (1.0 - z) if series.character == "trivial" else (1.0 + z * z)
         total = num / den ** den_pow
+    elif s == 1:
+        total = -cmath.log(1.0 - z) if series.character == "trivial" else cmath.atan(z)
     else:
         # truncated power series; geometric damping makes the cutoff explicit
         count = int(math.ceil((math.log(1e-17) + math.log1p(-r)) / math.log(r))) + 10
         if series.character == "trivial":
-            n = np.arange(1, count + 1, dtype=np.float64)
-            zp = np.exp(n * (math.log(r) + 1j * x))
-            total = complex(np.sum(zp / n ** float(s)))
+            k = np.arange(0, count, dtype=np.float64)
+            n, sign = k + 1, 1.0
         else:
             k = np.arange(0, count // 2 + 1, dtype=np.float64)
-            n = 2 * k + 1
-            zp = np.exp(n * (math.log(r) + 1j * x))
-            total = complex(np.sum((-1.0) ** k * zp / n ** float(s)))
+            n, sign = 2 * k + 1, (-1.0) ** k
+        total = complex(np.sum(sign * np.exp(n * (math.log(r) + 1j * x)) / n ** float(s)))
     return total.imag if series.parity == "sin" else total.real
 
 
@@ -347,8 +346,9 @@ def abel_extrapolate(series: TrigSeries, x: float, r_grid: Sequence[float] | Non
     and extrapolate to r = 1 (`_extrapolate_to_one`).
 
     Integer exponents <= 0 use the exact rational-function form of the means
-    (repeated r d/dr of the geometric closed form); positive exponents use
-    damped truncation.
+    (repeated r d/dr of the geometric closed form); exponent 1 uses
+    -log(1 - z) (trivial character) or atan(z) (beta), z = r e^(ix); larger
+    exponents use damped truncation.
     """
     limit, correction, vals = _extrapolate_to_one(lambda r: _abel_mean(series, x, r), r_grid, x, series)
     scale = max(1.0, max(abs(v) for v in vals))

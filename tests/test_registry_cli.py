@@ -155,6 +155,23 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert "takes no --grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ident", ["eq2", "eq6", "eq17"])
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "-inf"])
+    def test_tolerance_must_be_finite_and_positive(self, ident, tol, capsys):
+        # 0 and -1 used to raise tracebacks from the tail sizing; nan and inf
+        # gave a FAIL or PASS that checked nothing
+        code, out = run_cli("verify", ident, f"--tol={tol}")
+        assert code == 2 and out == ""
+        assert "--tol must be a finite number > 0" in capsys.readouterr().err
+
+    def test_grid_steps_are_bounded(self, capsys):
+        # 10^8 steps used to build a list of 10^8 floats and run for hours
+        start = time.perf_counter()
+        code, out = run_cli("verify", "eq2", "--grid", "0.1:3:100000000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert "grid steps must lie in [1, 10000]" in capsys.readouterr().err
+
     def test_eq5_geometric_mode(self):
         code, out = run_cli("verify", "eq5", "--grid", "0.3:6.0:20")
         assert code == 0

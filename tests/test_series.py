@@ -1,7 +1,10 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
 
 from opzeta.errors import (
@@ -16,6 +19,9 @@ from opzeta.series import (
     SummedValue,
     TrigSeries,
     _ABEL_REGISTRY,
+    _DEFAULT_R_GRID,
+    _abel_mean,
+    _differences,
     abel_extrapolate,
     abel_value,
     geometric_abel,
@@ -85,6 +91,65 @@ class TestPartialSumAccelerated:
     def test_rejects_divergent(self):
         with pytest.raises(ValueError):
             partial_sum_accelerated(TrigSeries("sin", 0), 1.0)
+
+    @pytest.mark.parametrize("exponent", range(1, 7))
+    def test_bounds_are_honest_and_useful_at_small_x(self, exponent):
+        # the closed form exists for sin at odd and cos at even exponents
+        parity = "sin" if exponent % 2 else "cos"
+        poly = clausen_closed_form(parity, (exponent + 1) // 2)
+        rng = random.Random(1000 + exponent)
+        xs = [1e-6, 1e-4, 1e-2, 2 * PI - 1e-3] + [rng.uniform(0.01, 2 * PI - 0.01) for _ in range(40)]
+        for x in xs:
+            r = partial_sum_accelerated(TrigSeries(parity, exponent), x)
+            assert abs(r.value - pipoly_eval(poly, x)) <= r.abs_error_estimate, x
+        # the exponent-1 bound here used to be 1.8e12
+        assert partial_sum_accelerated(TrigSeries(parity, exponent), 1e-4).abs_error_estimate < 1e-3
+
+
+class TestDifferences:
+    @pytest.mark.parametrize("m", [1, 7, 400_001])
+    @pytest.mark.parametrize("s", range(1, 7))
+    def test_correctly_rounded_forward_differences(self, m, s):
+        # Delta^j n^-s at m from the binomial sum in exact rationals
+        for j, got in zip(range(13), _differences(m, s)):
+            exact = sum((-1) ** (j - i) * math.comb(j, i) * Fraction(1, (m + i) ** s) for i in range(j + 1))
+            assert got == float(exact), (j, got, float(exact))
+
+
+class TestAbelMeanClosedForms:
+    """Exponent-1 Abel means: -log(1 - z) and atan(z), z = r e^(ix), against
+    the damped truncation they replaced and against mpmath."""
+
+    @staticmethod
+    def truncated_mean(parity, character, x, r):
+        count = int(math.ceil((math.log(1e-17) + math.log1p(-r)) / math.log(r))) + 10
+        if character == "trivial":
+            n = np.arange(1, count + 1, dtype=np.float64)
+            total = complex(np.sum(np.exp(n * (math.log(r) + 1j * x)) / n))
+        else:
+            k = np.arange(0, count // 2 + 1, dtype=np.float64)
+            n = 2 * k + 1
+            total = complex(np.sum((-1.0) ** k * np.exp(n * (math.log(r) + 1j * x)) / n))
+        return total.imag if parity == "sin" else total.real
+
+    @pytest.mark.parametrize("parity", ["sin", "cos"])
+    @pytest.mark.parametrize("character", ["trivial", "beta"])
+    def test_against_truncation_and_mpmath(self, parity, character):
+        ctx = mpmath.MPContext()
+        ctx.dps = 30
+        rng = random.Random(f"{parity}-{character}")
+        for _ in range(20):
+            x = rng.uniform(0.05, 2 * PI - 0.05) if character == "trivial" else rng.uniform(-1.5, 1.5)
+            r = rng.choice(_DEFAULT_R_GRID)
+            got = _abel_mean(TrigSeries(parity, 1, character), x, r)
+            # the truncation rounds to about 1e-14 absolute, so the relative
+            # tolerance is taken against max(1, |mean|)
+            want = self.truncated_mean(parity, character, x, r)
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (x, r)
+            z = ctx.mpf(r) * ctx.expj(x)
+            exact = -ctx.log(1 - z) if character == "trivial" else ctx.atan(z)
+            exact = float(exact.imag if parity == "sin" else exact.real)
+            assert abs(got - exact) <= 1e-14 * abs(exact), (x, r)
 
 
 class TestGeometricAbel:
