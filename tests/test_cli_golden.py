@@ -4,7 +4,10 @@ requires byte-identical stdout and the same exit code for every command.
 The transcript covers `list`, `verify` of every registry id (default profile,
 plus `--exact` wherever the exact route applies), `extract` of every
 `extract = yes` id, `values zeta|beta` at -30..30 and a few non-integers, and
-`values bernoulli|euler` at 0..59.
+`values bernoulli|euler` at 0..59, and `matrix`: triplet export at sizes
+1..40 and 3000, `--apply` of columns 1, 2 and size at sizes 7, 40 and 1000,
+`--check` of columns 1, 2, 3, size/2 and size at sizes 16, 32 and 96, and
+the three out-of-range index errors.
 
 Regenerate (only when an output change is intended, and say why):
 
@@ -28,6 +31,10 @@ EXIT = "[exit "
 _INTS = [str(k) for k in range(-30, 31)]
 _NON_INTS = ["-24.5", "-2.5", "-0.5", "0.5", "1.5", "2.5", "7.25"]
 _INDICES = [str(n) for n in range(60)]
+_TRIPLET_SIZES = [*range(1, 41), 3000]
+_APPLY_SIZES = [7, 40, 1000]
+_CHECK_SIZES = [16, 32, 96]
+_MATRIX_INDEX_ERRORS = [["--size", "0"], ["--size", "5", "--apply", "6"], ["--size", "5", "--check", "0"]]
 
 
 def golden_commands() -> list[list[str]]:
@@ -45,6 +52,14 @@ def golden_commands() -> list[list[str]]:
         cmds.append(["values", kind, "-3", "1", "2", "0.5", "--format", "json"])
     for kind in ("bernoulli", "euler"):
         cmds.append(["values", kind, *_INDICES, "--format", "csv"])
+    cmds += [["matrix", "--size", str(size)] for size in _TRIPLET_SIZES]
+    cmds += [["matrix", "--size", str(size), "--apply", str(n)] for size in _APPLY_SIZES for n in (1, 2, size)]
+    cmds += [
+        ["matrix", "--size", str(size), "--check", str(n)]
+        for size in _CHECK_SIZES
+        for n in (1, 2, 3, size // 2, size)
+    ]
+    cmds += [["matrix", *args] for args in _MATRIX_INDEX_ERRORS]
     return cmds
 
 
