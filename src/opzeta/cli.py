@@ -320,15 +320,28 @@ def _cmd_extract(args, out) -> int:
     return 0 if all(r["matched"] for r in rows) else 1
 
 
+# size bounds of `matrix`: the triplet export prints about size * ln(size)
+# lines (1.17M at the bound); the quadrature check costs O(size^2) and takes
+# about a second at its bound
+_MATRIX_SIZE_BOUND = 100_000
+_CHECK_SIZE_BOUND = 1000
+
+
 def _cmd_matrix(args, out) -> int:
-    if args.size < 1:
-        print("--size must be >= 1", file=sys.stderr)
+    if not 1 <= args.size <= _MATRIX_SIZE_BOUND:
+        print(f"--size must lie in [1, {_MATRIX_SIZE_BOUND}], got {args.size}", file=sys.stderr)
         return 2
     if args.apply is not None and not 1 <= args.apply <= args.size:
         print("--apply index must lie in [1, size]", file=sys.stderr)
         return 2
     if args.check is not None and not 1 <= args.check <= args.size:
         print("--check index must lie in [1, size]", file=sys.stderr)
+        return 2
+    if args.check is not None and args.size > _CHECK_SIZE_BOUND:
+        print(f"--check needs --size <= {_CHECK_SIZE_BOUND}, got {args.size}", file=sys.stderr)
+        return 2
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        print(f"--tol must be a finite number > 0, got {args.tol!r}", file=sys.stderr)
         return 2
     A = divmatrix.build_matrix(args.size)
     if args.apply is not None:
@@ -395,8 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     m = sub.add_parser("matrix", help="divisibility matrix export / apply / consistency check")
     m.add_argument("--size", type=int, required=True)
-    m.add_argument("--apply", type=int, default=None, metavar="N", help="apply to basis vector N")
-    m.add_argument("--check", type=int, default=None, metavar="N", help="quadrature consistency check of column N")
+    action = m.add_mutually_exclusive_group()
+    action.add_argument("--apply", type=int, default=None, metavar="N", help="apply to basis vector N")
+    action.add_argument("--check", type=int, default=None, metavar="N", help="quadrature consistency check of column N")
     m.add_argument("--tol", type=float, default=1e-8)
 
     sub.add_parser("list", help="list registry identities")

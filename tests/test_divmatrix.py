@@ -1,5 +1,8 @@
+import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from opzeta.divmatrix import build_matrix, consistency_check, matrix_apply
@@ -43,6 +46,50 @@ class TestBuildMatrix:
             build_matrix(0)
 
 
+def _brute_force_entries(M: int) -> dict[tuple[int, int], Fraction]:
+    return {(m, n): Fraction(n, m) for m in range(1, M + 1) for n in range(1, M + 1) if m % n == 0}
+
+
+class TestImplicitEntries:
+    @pytest.mark.parametrize("M", range(1, 65))
+    def test_equals_brute_force_dict(self, M):
+        A = build_matrix(M)
+        brute = _brute_force_entries(M)
+        assert A.entries == brute
+        assert brute == A.entries
+        assert dict(A.entries.items()) == brute
+
+    @pytest.mark.parametrize("M", [1, 2, 6, 64, 1000])
+    def test_length_is_count_of_multiples(self, M):
+        A = build_matrix(M)
+        assert len(A.entries) == A.nnz == sum(M // n for n in range(1, M + 1))
+        assert len(list(A.entries)) == A.nnz
+
+    def test_iteration_is_sorted(self):
+        keys = list(build_matrix(200).entries)
+        assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("key", [
+        (0, 0), (0, 1), (1, 0), (13, 13), (26, 13), (12, 13), (6, 4), (7, 2), (-6, -3), (6, -3),
+    ])
+    def test_keys_off_the_pattern_are_absent(self, key):
+        A = build_matrix(12)
+        assert key not in A.entries
+        assert A.entry(*key) == 0
+        with pytest.raises(KeyError):
+            A.entries[key]
+
+    def test_read_only(self):
+        A = build_matrix(6)
+        with pytest.raises(TypeError):
+            A.entries[(6, 5)] = Fraction(5, 6)
+        with pytest.raises(TypeError):
+            del A.entries[(6, 3)]
+        with pytest.raises(AttributeError):
+            A.entries = {}
+        assert (6, 5) not in A.entries and A.entry(6, 3) == Fraction(1, 2)
+
+
 class TestMatrixApply:
     def test_first_basis_vector(self):
         A = build_matrix(4)
@@ -68,6 +115,17 @@ class TestMatrixApply:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             matrix_apply(build_matrix(4), [Fraction(1)] * 3)
+
+    def test_dense_vector_against_brute_force(self):
+        M = 48
+        rng = random.Random(4807)
+        v = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(M)]
+        brute = _brute_force_entries(M)
+        want = [
+            sum((brute.get((m, n), Fraction(0)) * v[n - 1] for n in range(1, M + 1)), Fraction(0))
+            for m in range(1, M + 1)
+        ]
+        assert matrix_apply(build_matrix(M), v) == want
 
     def test_squared_diagonal_column_is_divisor_function(self):
         # (A^2)_{m,1} = sum_{d | m} (1/d)(d/m) = d(m)/m
@@ -126,6 +184,41 @@ class TestConsistencyCheck:
         # n=3 has an interior jump at 2*pi/3 < pi; the panel split must keep accuracy
         rep = consistency_check(3, 24)
         assert rep.max_abs_deviation < 1e-8
+
+    @pytest.mark.parametrize("n,M", [
+        (1, 16), (3, 16), (2, 40), (5, 40), (20, 40), (40, 40), (7, 96), (96, 96),
+    ])
+    def test_bit_identical_to_scalar_quadrature(self, n, M):
+        # the reference loop: panels generated one at a time, the sawtooth
+        # evaluated per node, panel sums added in order; every coefficient
+        # must equal it exactly, not within a tolerance
+        xs_gl, ws_gl = np.polynomial.legendre.leggauss(32)
+        jumps = [2 * math.pi * j / n for j in range(1, n // 2 + 1) if 2 * math.pi * j / n < math.pi - 1e-12]
+        breaks = [0.0] + jumps + [math.pi]
+
+        def sawtooth(x):
+            y = math.fmod(n * x, 2 * math.pi)
+            if y < 0:
+                y += 2 * math.pi
+            return (math.pi - y) / 2
+
+        want = []
+        for m in range(1, M + 1):
+            total = 0.0
+            for a0, b0 in zip(breaks, breaks[1:]):
+                width = b0 - a0
+                sub = max(1, math.ceil(max(4, m // 2 + 2) * width / math.pi))
+                for i in range(sub):
+                    a, b = a0 + width * i / sub, a0 + width * (i + 1) / sub
+                    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+                    xq = mid + half * xs_gl
+                    fx = np.array([sawtooth(float(x)) for x in xq])
+                    total += half * float(np.sum(ws_gl * fx * np.sin(m * xq)))
+            want.append(2.0 / math.pi * total)
+        rep = consistency_check(n, M)
+        assert rep.coefficients == tuple(want)
+        assert rep.deviations == tuple(abs(c - float(e)) for c, e in zip(want, rep.expected))
+        assert rep.expected == tuple(Fraction(n, m) if m % n == 0 else Fraction(0) for m in range(1, M + 1))
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -341,6 +341,35 @@ class TestMatrixCommand:
     def test_deterministic_export(self):
         assert run_cli("matrix", "--size", "12") == run_cli("matrix", "--size", "12")
 
+    def test_apply_and_check_are_exclusive(self, capsys):
+        # together, the check used to be dropped silently
+        code, out = run_cli("matrix", "--size", "8", "--apply", "2", "--check", "2")
+        assert code == 2 and out == ""
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "-inf"])
+    def test_tolerance_must_be_finite_and_positive(self, tol, capsys):
+        # nan and -1 used to print FAIL with exit 1, inf a PASS that checked nothing
+        code, out = run_cli("matrix", "--size", "8", "--check", "2", f"--tol={tol}")
+        assert code == 2 and out == ""
+        assert "--tol must be a finite number > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--size", "100001"), "--size must lie in [1, 100000]"),
+        (("--size", "10000000000"), "--size must lie in [1, 100000]"),
+        (("--size", "1000000000", "--apply", "1"), "--size must lie in [1, 100000]"),
+        (("--size", "1001", "--check", "1"), "--check needs --size <= 1000"),
+        (("--size", "100000", "--check", "100000"), "--check needs --size <= 1000"),
+    ])
+    def test_sizes_are_bounded(self, argv, message, capsys):
+        # --check costs O(size^2) and the export prints ~size ln(size) lines:
+        # every input past the bounds exits 2 before any work
+        start = time.perf_counter()
+        code, out = run_cli("matrix", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert message in capsys.readouterr().err
+
 
 class TestListCommand:
     def test_lists_all_ids(self):
