@@ -20,7 +20,7 @@ from typing import Optional
 
 from . import divmatrix, operators, registry, series, specfun
 from .errors import OpzetaError
-from .exactnum import bernoulli_number, euler_number, pipoly_eval
+from .exactnum import bernoulli_number, euler_number, pipoly_evaluator
 from .operators import Expression, apply_recip_gamma_op, parity_anomaly, taylor_flow
 
 _EXACT_K = 12
@@ -113,7 +113,8 @@ def _verify_grid(rec: registry.IdentityRecord, grid: tuple[float, float, int], t
     mode = rec.verify_mode
     rep = VerificationReport(rec.id, mode, tol, 0.0)
     xs = _linspace(*grid)
-    closed = rec.closed_form()
+    # the right side: its coefficients at pi once, then Horner per x (`rhs_poly` first)
+    rhs_at = pipoly_evaluator(rec.rhs_poly) if rec.rhs_poly is not None else rec.closed_form()
     for x in xs:
         if mode == "sum":
             sv = series.partial_sum_accelerated(rec.series, x, tol * 1e-3)
@@ -137,10 +138,7 @@ def _verify_grid(rec: registry.IdentityRecord, grid: tuple[float, float, int], t
                 deviation = math.inf
             lhs_out, rhs_out = repr(lhs), repr(rhs)
         else:
-            if rec.rhs_poly is not None:
-                rhs = pipoly_eval(rec.rhs_poly, x)
-            else:
-                rhs = closed(x)
+            rhs = rhs_at(x)
             deviation = abs(lhs - rhs)
             lhs_out, rhs_out = lhs, rhs
         rep.rows.append(_row(rec.id, x, lhs_out, rhs_out, deviation, method))

@@ -32,9 +32,12 @@ class DivisorEntries(Mapping):
     size: int
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
-        m, n = key
-        if 1 <= n <= m <= self.size and m % n == 0:
-            return Fraction(1, m // n)
+        try:  # as in a dict, any key equal to an integer pair (m, n) finds it
+            m, n = key
+            if (m, n) == (int(m), int(n)) and 1 <= n <= m <= self.size and m % n == 0:
+                return Fraction(1, int(m) // int(n))
+        except (TypeError, ValueError, OverflowError):  # not a pair of integers
+            pass
         raise KeyError(key)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:

@@ -3,9 +3,10 @@ over Q and Q[pi].
 
 `PiPolynomial` (in pi over Q) and `PiXPolynomial` (in x over Q[pi]) share
 one private base, `_Poly`: the trimmed, immutable coefficient tuple, `+`,
-`-`, equality, hashing and printing. All operations are pure. `pipoly_eval`
-and `float(PiPolynomial)` (pi to 30 digits, rounded once to a double) compute
-in the calling thread's own mpmath context and never set the precision of
+`-`, equality, hashing and printing. All operations are pure. `pipoly_eval`,
+`pipoly_evaluator` (coefficients at pi once, then Horner per x) and
+`float(PiPolynomial)` (pi to 30 digits, rounded once to a double) compute in
+the calling thread's own mpmath context and never set the precision of
 mpmath's process-global `mp` context.
 The Bernoulli convention is fixed to B_1 = -1/2 (the generating function
 x/(e^x - 1)); the alternate B_1 = +1/2 convention is deliberately rejected
@@ -218,24 +219,31 @@ class PiXPolynomial(_Poly):
         return PiXPolynomial(self.coeffs[: max_degree + 1])
 
 
-def pipoly_eval(p: PiXPolynomial, x, pi_digits: int = 30) -> float:
-    """Evaluate `p` at real x with pi carried to `pi_digits` decimal digits.
-
-    The error of the returned double is bounded by degree * ulp scale.
-    `x` may be a float, Fraction, or mpmath value.
-    """
+def pipoly_evaluator(p: PiXPolynomial, pi_digits: int = 30):
+    """x -> `pipoly_eval(p, x, pi_digits)`: the coefficients of `p` are
+    evaluated at pi once, and each call runs only the Horner step in x."""
     if pi_digits < 15:
         raise ValueError("pi_digits must be >= 15")
     with _working_precision(pi_digits + 5) as ctx:
         pi_val = +ctx.pi
-        if isinstance(x, Fraction):
-            xv = ctx.mpf(x.numerator) / x.denominator
-        else:
-            xv = ctx.mpf(x)
-        acc = ctx.mpf(0)
-        for c in reversed(p.coeffs):
-            acc = acc * xv + c.evaluate(pi_val)
-        return float(acc)
+        coeffs = [c.evaluate(pi_val) for c in reversed(p.coeffs)]
+
+    def horner(x) -> float:
+        with _working_precision(pi_digits + 5) as ctx:
+            xv = ctx.mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else ctx.mpf(x)
+            acc = ctx.mpf(0)
+            for c in coeffs:
+                acc = acc * xv + c
+            return float(acc)
+
+    return horner
+
+
+def pipoly_eval(p: PiXPolynomial, x, pi_digits: int = 30) -> float:
+    """Evaluate `p` at real x (a float, Fraction, or mpmath value) with pi
+    carried to `pi_digits` decimal digits; the error of the returned double is
+    bounded by degree * ulp scale."""
+    return pipoly_evaluator(p, pi_digits)(x)
 
 
 @lru_cache(maxsize=None)

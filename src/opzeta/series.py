@@ -3,11 +3,13 @@ tail bounds, and Abel (Euler) summation for the divergent cases.
 
 A series is sum_n chi(n) trig(n x) / n^s. The trivial character runs over
 n = 1, 2, 3, ...; the `beta` character runs over odd n = 2k+1 with sign
-(-1)^k. Convergent trivial-character series are summed as a short head plus
-an iterated summation-by-parts tail. Divergent series (exponent <= 0) are
-never summed by raw truncation; they take the Abel route: closed form when
-the (parity, exponent, character) triple is registered, Richardson
-extrapolation of the Abel means (closed forms up to exponent 1) otherwise.
+(-1)^k. Every convergent series (exponent >= 1) has one kernel,
+`partial_sum_accelerated`: a short head plus an iterated summation-by-parts
+tail, the beta character by a shift of x by pi/2. Divergent series (exponent
+<= 0) are never summed by raw truncation; they take the Abel route: closed
+form when the (parity, exponent, character) triple is registered, Richardson
+extrapolation of the closed-form Abel means (exponents <= 1) otherwise. At
+exponents >= 2 the Abel sum is the sum (Abel's theorem).
 """
 
 from __future__ import annotations
@@ -143,17 +145,36 @@ def _sbp_tail(x: float, n0: int, s: int, target: float) -> tuple[complex, float]
 
 def partial_sum_accelerated(series: TrigSeries, x: float, tol: float = 1e-9) -> SummedValue:
     """Head of n0 = 64/|1-e^(ix)| terms (at most 4*10^5) plus `_sbp_tail`, for
-    the trivial character with exponent >= 1; a tail level then gains about a
-    factor (exponent + level)/64. The tail stops below tol and below the unit
-    roundoff: a level costs microseconds, so a loose tol keeps double
-    precision. The bound covers the remainder and the float rounding."""
-    if series.character != "trivial" or series.exponent < 1:
-        raise ValueError("accelerated path covers the trivial character with exponent >= 1")
+    exponent >= 1; a tail level then gains about a factor (exponent + level)/64.
+    The tail stops below tol and below the unit roundoff: a level costs
+    microseconds, so a loose tol keeps double precision. The bound covers the
+    remainder and the float rounding. A remainder above max(tol, unit
+    roundoff) (near x = 0 mod 2*pi, where n0 is capped) raises NotConverged.
+    The beta character, chi(n) = sin(n pi/2), shifts the trivial C (cos) or S
+    (sin) series of the same exponent; cos x = 0 is its endpoint:
+      sin: (C(x - pi/2) - C(x + pi/2))/2,  cos: (S(x + pi/2) - S(x - pi/2))/2.
+    """
+    if series.exponent < 1:
+        raise ValueError("accelerated path covers exponents >= 1")
+    s = series.exponent
+    if series.character == "beta":
+        shifted = TrigSeries("cos" if series.parity == "sin" else "sin", s)
+        value = bound = 0.0
+        for sign, y in ((1.0, x - math.pi / 2), (-1.0, x + math.pi / 2)):
+            part, q = partial_sum_accelerated(shifted, y, tol), 2.0 * abs(math.sin(y / 2))
+            # y is off by at most u(|x| + 3) (its rounding and pi/2's), times the slope of the
+            # shifted sum: at most 1/|1 - e^(iy)| at exponent 1, 2 + |log|1 - e^(iy)|| above
+            slope = 1.0 / q if s == 1 else 2.0 + abs(math.log(q))
+            value += sign * part.value
+            bound += part.abs_error_estimate + _UNIT_ROUNDOFF * (abs(x) + 3.0) * slope
+        return SummedValue((0.5 if series.parity == "sin" else -0.5) * value, bound / 2, "partial_sum")
     if abs(math.sin(x / 2)) < 1e-12:
         raise EndpointConditional("x = 0 mod 2*pi")
-    s, q = series.exponent, 2.0 * abs(math.sin(x / 2))  # q = |1 - e^(ix)|
+    q = 2.0 * abs(math.sin(x / 2))  # q = |1 - e^(ix)|
     n0 = int(min(_N0_CAP, math.ceil(_N0_SCALE / q)))
     tail, bound = _sbp_tail(x, n0, s, min(tol, _UNIT_ROUNDOFF))
+    if bound > max(tol, _UNIT_ROUNDOFF):
+        raise NotConverged(f"tail remainder {bound:.3e} above tol {tol:.3e} at x={x} with n0={n0} head terms")
     value = partial_sum(series, x, n0).value + (tail.imag if series.parity == "sin" else tail.real)
     # rounding: a head term by u*n|x| (in n*x) plus a few u, the pairwise sum by u*log2(n0)
     # per unit of sum n^-s <= log_n0; each tail level (<= (n0+1)^-s / q) by u*n0|x| plus a few u
@@ -225,16 +246,9 @@ _ABEL_REGISTRY: dict[tuple[str, int, str], tuple[Callable[[float], float], Calla
 
 
 def abel_value(series: TrigSeries, x: float) -> SummedValue:
-    """Abel sum from the closed-form registry, falling back to
-    `abel_extrapolate` for unregistered triples.
-
-    Registered closed forms:
-      (sin, 0, trivial)  -> sin x / (2(1 - cos x))
-      (cos, -1, trivial) -> -1 / (2(1 - cos x))
-      (sin, 0, beta)     -> 0
-      (cos, 0, beta)     -> 1 / (2 cos x)
-      (sin, 1, beta)     -> (1/2) log(sec x + tan x)
-    """
+    """Abel sum from the closed-form registry `_ABEL_REGISTRY` (each form
+    named after its formula), falling back to `abel_extrapolate` for
+    unregistered triples."""
     key = (series.parity, series.exponent, series.character)
     entry = _ABEL_REGISTRY.get(key)
     if entry is not None:
@@ -257,51 +271,30 @@ def _geometric_rational(exponent: int, character: str) -> tuple[list[int], int]:
     P_{k+1} = z[(1-z) P' + (k+1) P]. Beta character: the analogue over
     z/(1+z^2) with Q_{k+1} = z[(1+z^2) Q' - 2(k+1) z Q].
     """
-    k = -exponent
     coeffs = [0, 1]  # the polynomial z
-    for j in range(k):
-        d = [i * c for i, c in enumerate(coeffs)][1:]  # derivative
-        if character == "trivial":
-            a = d + [0]
-            b = [0] + d
-            lead = [ai - bi for ai, bi in zip(a, b)]  # (1-z) P'
-            extra = [(j + 1) * c for c in coeffs]
-        else:
-            a = d + [0, 0]
-            b = [0, 0] + d
-            lead = [ai + bi for ai, bi in zip(a, b)]  # (1+z^2) Q'
-            extra = [0] + [-2 * (j + 1) * c for c in coeffs]
-        n = max(len(lead), len(extra))
-        lead += [0] * (n - len(lead))
-        extra += [0] * (n - len(extra))
-        coeffs = [0] + [u + v for u, v in zip(lead, extra)]
-    return coeffs, k + 1
+    for j in range(-exponent):
+        p = [0] + coeffs + [0, 0]  # p[i + 1] multiplies z^i
+        if character == "trivial":  # (1-z) P' + (j+1) P
+            inner = [(i + 1) * p[i + 2] + (j + 1 - i) * p[i + 1] for i in range(len(coeffs))]
+        else:  # (1+z^2) Q' - 2(j+1) z Q
+            inner = [(i + 1) * p[i + 2] + (i - 3 - 2 * j) * p[i] for i in range(len(coeffs) + 1)]
+        coeffs = [0] + inner
+    return coeffs, 1 - exponent
 
 
-def _abel_mean(series: TrigSeries, x: float, r: float) -> float:
-    """sum chi(n) r^n trig(n x)/n^s at Abel parameter r < 1."""
+def _abel_mean(exponent: int, character: str, x: float, r: float) -> complex:
+    """sum chi(n) z^n/n^exponent, z = r e^(ix), r < 1, for exponent <= 1: the
+    rational form for exponents <= 0, -log(1 - z) (trivial character) or
+    atan(z) (beta) at exponent 1."""
     z = r * cmath.exp(1j * x)
-    s = series.exponent
-    if s <= 0:
-        num_coeffs, den_pow = _geometric_rational(s, series.character)
-        num = 0.0 + 0.0j
-        for c in reversed(num_coeffs):
-            num = num * z + c
-        den = (1.0 - z) if series.character == "trivial" else (1.0 + z * z)
-        total = num / den ** den_pow
-    elif s == 1:
-        total = -cmath.log(1.0 - z) if series.character == "trivial" else cmath.atan(z)
-    else:
-        # truncated power series; geometric damping makes the cutoff explicit
-        count = int(math.ceil((math.log(1e-17) + math.log1p(-r)) / math.log(r))) + 10
-        if series.character == "trivial":
-            k = np.arange(0, count, dtype=np.float64)
-            n, sign = k + 1, 1.0
-        else:
-            k = np.arange(0, count // 2 + 1, dtype=np.float64)
-            n, sign = 2 * k + 1, (-1.0) ** k
-        total = complex(np.sum(sign * np.exp(n * (math.log(r) + 1j * x)) / n ** float(s)))
-    return total.imag if series.parity == "sin" else total.real
+    if exponent == 1:
+        return -cmath.log(1.0 - z) if character == "trivial" else cmath.atan(z)
+    num_coeffs, den_pow = _geometric_rational(exponent, character)
+    num = 0.0 + 0.0j
+    for c in reversed(num_coeffs):
+        num = num * z + c
+    den = (1.0 - z) if character == "trivial" else (1.0 + z * z)
+    return num / den ** den_pow
 
 
 def _richardson_to_zero(h: Sequence[float], vals: Sequence, order: int) -> tuple:
@@ -342,15 +335,20 @@ def _extrapolate_to_one(mean: Callable[[float], complex], r_grid: Sequence[float
 
 
 def abel_extrapolate(series: TrigSeries, x: float, r_grid: Sequence[float] | None = None) -> SummedValue:
-    """Richardson-extrapolated Abel sum: evaluate the Abel means on r_grid
-    and extrapolate to r = 1 (`_extrapolate_to_one`).
+    """Abel sum of `series` at x.
 
-    Integer exponents <= 0 use the exact rational-function form of the means
-    (repeated r d/dr of the geometric closed form); exponent 1 uses
-    -log(1 - z) (trivial character) or atan(z) (beta), z = r e^(ix); larger
-    exponents use damped truncation.
+    Exponents >= 2 converge absolutely, so by Abel's theorem the Abel sum is
+    the sum: `partial_sum_accelerated`, which raises EndpointConditional or
+    NotConverged where it does; r_grid plays no part there. Exponents <= 1
+    evaluate the closed-form Abel means (`_abel_mean`) on r_grid and
+    Richardson extrapolate them to r = 1 (`_extrapolate_to_one`).
     """
-    limit, correction, vals = _extrapolate_to_one(lambda r: _abel_mean(series, x, r), r_grid, x, series)
+    if series.exponent >= 2:
+        return partial_sum_accelerated(series, x)
+    part = "imag" if series.parity == "sin" else "real"
+    limit, correction, vals = _extrapolate_to_one(
+        lambda r: getattr(_abel_mean(series.exponent, series.character, x, r), part), r_grid, x, series
+    )
     scale = max(1.0, max(abs(v) for v in vals))
     return SummedValue(limit, correction + 1e-14 * scale, "abel_extrapolated")
 
@@ -359,10 +357,5 @@ def geometric_extrapolate(x: float, r_grid: Sequence[float] | None = None) -> Su
     """Complex Abel sum of sum e^(i n x) by the same extrapolation route;
     cross-checks `geometric_abel` (real part -1/2, imaginary part the
     exponent-0 sine series)."""
-
-    def mean(r: float) -> complex:
-        z = r * cmath.exp(1j * x)
-        return z / (1.0 - z)
-
-    limit, correction, _ = _extrapolate_to_one(mean, r_grid, x, "the geometric series")
+    limit, correction, _ = _extrapolate_to_one(lambda r: _abel_mean(0, "trivial", x, r), r_grid, x, "the geometric series")
     return SummedValue(limit, correction + 1e-14, "abel_extrapolated")

@@ -79,6 +79,12 @@ class TestImplicitEntries:
         with pytest.raises(KeyError):
             A.entries[key]
 
+    @pytest.mark.parametrize("key", [(2, 1), (1, 2, 3), 5, (2.0, 1.0), (2, 0), "ab", (True, True), (2.5, 1)])
+    def test_membership_is_dict_like(self, key):
+        # keys that are not integer pairs used to raise TypeError or ValueError
+        entries = build_matrix(4).entries
+        assert (key in entries) == (key in dict(entries.items()))
+
     def test_read_only(self):
         A = build_matrix(6)
         with pytest.raises(TypeError):

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from opzeta.exactnum import (
@@ -15,6 +16,7 @@ from opzeta.exactnum import (
     inv_one_minus_cos_regular,
     log_sec_plus_tan_half_series,
     pipoly_eval,
+    pipoly_evaluator,
 )
 from opzeta.specfun import zeta_even_pi_form
 from oracles import (
@@ -215,6 +217,20 @@ class TestPiXPolynomialEval:
     def test_fraction_argument(self):
         p = PiXPolynomial([0, 1, 1])  # x + x^2
         assert pipoly_eval(p, Fraction(1, 2)) == pytest.approx(0.75, abs=1e-15)
+
+    def test_evaluator_matches_per_point_coefficients(self):
+        # coefficients at pi once, then Horner per x: the same doubles as
+        # evaluating every coefficient at pi again at every x
+        p = bernoulli_polynomial(6) * PI + PiXPolynomial([PI * PI * Fraction(1, 6), PI * Fraction(-1, 2)])
+        at = pipoly_evaluator(p)
+        ctx = mpmath.MPContext()
+        ctx.dps = 35
+        for x in [0.0, 1e-9, 0.3, 1.0, math.pi, 2 * math.pi - 1e-3, -2.5, Fraction(1, 3)]:
+            acc = ctx.mpf(0)
+            xv = ctx.mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else ctx.mpf(x)
+            for c in reversed(p.coeffs):
+                acc = acc * xv + c.evaluate(+ctx.pi)
+            assert at(x) == pipoly_eval(p, x) == float(acc), x
 
 
 class TestTaylorGenerators:

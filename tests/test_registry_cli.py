@@ -172,6 +172,12 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert "grid steps must lie in [1, 10000]" in capsys.readouterr().err
 
+    def test_tiny_x_is_an_error_not_a_report(self, capsys):
+        # the head is capped there, so the sum was noise: lhs=+2.4999e+03 and FAIL
+        code, out = run_cli("verify", "eq2", "--grid", "1e-9:1e-8:3")
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err.startswith("verification error:")
+
     def test_eq5_geometric_mode(self):
         code, out = run_cli("verify", "eq5", "--grid", "0.3:6.0:20")
         assert code == 0

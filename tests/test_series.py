@@ -10,6 +10,7 @@ import pytest
 from opzeta.errors import (
     Diverges,
     EndpointConditional,
+    NotConverged,
     OutsideDomain,
     SingularAtEndpoint,
 )
@@ -100,10 +101,58 @@ class TestPartialSumAccelerated:
         rng = random.Random(1000 + exponent)
         xs = [1e-6, 1e-4, 1e-2, 2 * PI - 1e-3] + [rng.uniform(0.01, 2 * PI - 0.01) for _ in range(40)]
         for x in xs:
+            if x == 1e-6 and exponent <= 2:
+                # the tail remainder (2.5 and 2.5e-6) is above tol: an error, not noise
+                with pytest.raises(NotConverged):
+                    partial_sum_accelerated(TrigSeries(parity, exponent), x)
+                continue
             r = partial_sum_accelerated(TrigSeries(parity, exponent), x)
             assert abs(r.value - pipoly_eval(poly, x)) <= r.abs_error_estimate, x
         # the exponent-1 bound here used to be 1.8e12
         assert partial_sum_accelerated(TrigSeries(parity, exponent), 1e-4).abs_error_estimate < 1e-3
+
+    @pytest.mark.parametrize("parity", ["sin", "cos"])
+    @pytest.mark.parametrize("exponent", [1, 2])
+    @pytest.mark.parametrize("x", [1e-9, 1e-6, 1e-5])
+    def test_tiny_x_raises_instead_of_returning_noise(self, x, exponent, parity):
+        # n0 is capped at 4*10^5 there, so the tail cannot reach tol; at
+        # x = 1.12e-9, (sin, 1) used to return 2232.1 for pi/2
+        with pytest.raises(NotConverged, match="tail remainder"):
+            partial_sum_accelerated(TrigSeries(parity, exponent), x)
+
+    @staticmethod
+    def beta_reference(parity, s, x):
+        # sum chi_4(n) e^(inx) n^-s = 2^-s e^(ix) Phi(-e^(2ix), s, 1/2): no shift involved
+        ctx = mpmath.MPContext()
+        ctx.dps = 40
+        exact = ctx.mpf(2) ** -s * ctx.expj(x) * ctx.lerchphi(-ctx.expj(2 * ctx.mpf(x)), s, ctx.mpf(1) / 2)
+        return float(exact.imag if parity == "sin" else exact.real)
+
+    @pytest.mark.parametrize("parity", ["sin", "cos"])
+    @pytest.mark.parametrize("s", range(1, 7))
+    def test_beta_by_shift_against_lerchphi(self, parity, s):
+        rng = random.Random(f"beta-{parity}-{s}")
+        for _ in range(4):  # lerchphi takes about 0.2 s a point
+            x = rng.uniform(-1.5, 1.5)
+            r = partial_sum_accelerated(TrigSeries(parity, s, "beta"), x)
+            assert r.method == "partial_sum"
+            assert abs(r.value - self.beta_reference(parity, s, x)) <= r.abs_error_estimate, x
+            raw = partial_sum(TrigSeries(parity, s, "beta"), x, 200_000)
+            assert abs(r.value - raw.value) <= r.abs_error_estimate + raw.abs_error_estimate, x
+
+    @pytest.mark.parametrize("parity", ["sin", "cos"])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_beta_bound_covers_the_shifted_argument(self, parity, s):
+        # near cos x = 0 the shifted sum is steep, and x - pi/2 carries the
+        # rounding of pi/2: about 3e-13 at (sin, 1) and 1e-4 from pi/2
+        for x in (PI / 2 - 1e-3, PI / 2 - 1e-4, 1e-4 - PI / 2):
+            r = partial_sum_accelerated(TrigSeries(parity, s, "beta"), x)
+            assert abs(r.value - self.beta_reference(parity, s, x)) <= r.abs_error_estimate, x
+
+    def test_beta_endpoint(self):
+        for x in (PI / 2, -PI / 2, 3 * PI / 2):
+            with pytest.raises(EndpointConditional):
+                partial_sum_accelerated(TrigSeries("sin", 1, "beta"), x)
 
 
 class TestDifferences:
@@ -141,7 +190,7 @@ class TestAbelMeanClosedForms:
         for _ in range(20):
             x = rng.uniform(0.05, 2 * PI - 0.05) if character == "trivial" else rng.uniform(-1.5, 1.5)
             r = rng.choice(_DEFAULT_R_GRID)
-            got = _abel_mean(TrigSeries(parity, 1, character), x, r)
+            got = getattr(_abel_mean(1, character, x, r), "imag" if parity == "sin" else "real")
             # the truncation rounds to about 1e-14 absolute, so the relative
             # tolerance is taken against max(1, |mean|)
             want = self.truncated_mean(parity, character, x, r)
@@ -239,6 +288,18 @@ class TestAbelExtrapolate:
 
     def test_method_field(self):
         assert abel_extrapolate(TrigSeries("sin", 0), 2.0).method == "abel_extrapolated"
+
+    @pytest.mark.parametrize("exponent", range(2, 7))
+    def test_convergent_exponents_are_the_sum(self, exponent):
+        # Abel's theorem: at exponent >= 2 the Abel sum is the accelerated sum
+        parity = "sin" if exponent % 2 else "cos"
+        poly = clausen_closed_form(parity, (exponent + 1) // 2)
+        rng = random.Random(2000 + exponent)
+        for _ in range(20):
+            x = rng.uniform(0.05, 2 * PI - 0.05)
+            r = abel_extrapolate(TrigSeries(parity, exponent), x)
+            assert r.method == "partial_sum"
+            assert abs(r.value - pipoly_eval(poly, x)) <= r.abs_error_estimate, x
 
 
 class TestRegistryExtrapolationAgreement:
