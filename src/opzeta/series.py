@@ -260,7 +260,8 @@ def abel_value(series: TrigSeries, x: float) -> SummedValue:
     try:
         return abel_extrapolate(series, x)
     except NotConverged as exc:
-        raise NoClosedForm(f"no registry closed form for {key} and extrapolation failed") from exc
+        how = "the accelerated sum's tail did not converge" if series.exponent >= 2 else "extrapolation failed"
+        raise NoClosedForm(f"no registry closed form for {key} and {how}: {exc}") from exc
 
 
 def _geometric_rational(exponent: int, character: str) -> tuple[list[int], int]:
@@ -282,19 +283,32 @@ def _geometric_rational(exponent: int, character: str) -> tuple[list[int], int]:
     return coeffs, 1 - exponent
 
 
-def _abel_mean(exponent: int, character: str, x: float, r: float) -> complex:
-    """sum chi(n) z^n/n^exponent, z = r e^(ix), r < 1, for exponent <= 1: the
-    rational form for exponents <= 0, -log(1 - z) (trivial character) or
-    atan(z) (beta) at exponent 1."""
-    z = r * cmath.exp(1j * x)
+def _abel_means(exponent: int, character: str, x: float) -> Callable[[float], complex]:
+    """r -> sum chi(n) z^n/n^exponent, z = r e^(ix), r < 1, for exponent <= 1:
+    the rational form for exponents <= 0, its numerator built once, or
+    -log(1 - z) (trivial character) or atan(z) (beta) at exponent 1."""
+    unit = cmath.exp(1j * x)
     if exponent == 1:
-        return -cmath.log(1.0 - z) if character == "trivial" else cmath.atan(z)
+        if character == "trivial":
+            return lambda r: -cmath.log(1.0 - r * unit)
+        return lambda r: cmath.atan(r * unit)
     num_coeffs, den_pow = _geometric_rational(exponent, character)
-    num = 0.0 + 0.0j
-    for c in reversed(num_coeffs):
-        num = num * z + c
-    den = (1.0 - z) if character == "trivial" else (1.0 + z * z)
-    return num / den ** den_pow
+    horner = tuple(reversed(num_coeffs))
+
+    def mean(r: float) -> complex:
+        z = r * unit
+        num = 0.0 + 0.0j
+        for c in horner:
+            num = num * z + c
+        den = (1.0 - z) if character == "trivial" else (1.0 + z * z)
+        return num / den ** den_pow
+
+    return mean
+
+
+def _abel_mean(exponent: int, character: str, x: float, r: float) -> complex:
+    """The Abel mean of `_abel_means` at one r."""
+    return _abel_means(exponent, character, x)(r)
 
 
 def _richardson_to_zero(h: Sequence[float], vals: Sequence, order: int) -> tuple:
@@ -340,15 +354,14 @@ def abel_extrapolate(series: TrigSeries, x: float, r_grid: Sequence[float] | Non
     Exponents >= 2 converge absolutely, so by Abel's theorem the Abel sum is
     the sum: `partial_sum_accelerated`, which raises EndpointConditional or
     NotConverged where it does; r_grid plays no part there. Exponents <= 1
-    evaluate the closed-form Abel means (`_abel_mean`) on r_grid and
+    evaluate the closed-form Abel means (`_abel_means`) on r_grid and
     Richardson extrapolate them to r = 1 (`_extrapolate_to_one`).
     """
     if series.exponent >= 2:
         return partial_sum_accelerated(series, x)
     part = "imag" if series.parity == "sin" else "real"
-    limit, correction, vals = _extrapolate_to_one(
-        lambda r: getattr(_abel_mean(series.exponent, series.character, x, r), part), r_grid, x, series
-    )
+    mean = _abel_means(series.exponent, series.character, x)
+    limit, correction, vals = _extrapolate_to_one(lambda r: getattr(mean(r), part), r_grid, x, series)
     scale = max(1.0, max(abs(v) for v in vals))
     return SummedValue(limit, correction + 1e-14 * scale, "abel_extrapolated")
 
@@ -357,5 +370,5 @@ def geometric_extrapolate(x: float, r_grid: Sequence[float] | None = None) -> Su
     """Complex Abel sum of sum e^(i n x) by the same extrapolation route;
     cross-checks `geometric_abel` (real part -1/2, imaginary part the
     exponent-0 sine series)."""
-    limit, correction, _ = _extrapolate_to_one(lambda r: _abel_mean(0, "trivial", x, r), r_grid, x, "the geometric series")
+    limit, correction, _ = _extrapolate_to_one(_abel_means(0, "trivial", x), r_grid, x, "the geometric series")
     return SummedValue(limit, correction + 1e-14, "abel_extrapolated")

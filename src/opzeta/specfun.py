@@ -15,6 +15,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 from .errors import ContourClipped, PoleAtOne, PrecisionLoss
@@ -32,6 +33,10 @@ _TWO_PI = 2 * math.pi
 # Validated accuracy domain of the Euler-Maclaurin evaluator.
 _EM_RE_MIN = -25.0
 _EM_IM_MAX = 50.0
+# Euler-Maclaurin remainder target in units of the returned value, met within
+# _EM_K_MAX terms: a hundredth of the 1e-16 floor both evaluators add.
+_EM_TARGET = 1e-18
+_EM_K_MAX = 40
 
 
 @dataclass(frozen=True)
@@ -42,49 +47,53 @@ class EvalResult:
     abs_error_estimate: float
 
 
-def _mpc_of(ctx, s):
+def _mp_of(ctx, s):
+    """s in ctx: an mpf when s is real (float, int, Fraction), an mpc otherwise."""
     if isinstance(s, Fraction):
-        return ctx.mpc(ctx.mpf(s.numerator) / s.denominator)
-    return ctx.mpc(s)
+        return ctx.mpf(s.numerator) / s.denominator
+    return ctx.mpc(s) if complex(s).imag else ctx.mpf(complex(s).real)
 
 
-def _bern_mpf(ctx, n: int):
-    b = bernoulli_number(n)
-    return ctx.mpf(b.numerator) / b.denominator
+@cache
+def _em_coefficients() -> tuple[tuple[Fraction, ...], tuple[float, ...]]:
+    """B_2k/(2k)!, k = 1..K_max + 1, exact and |.| as doubles: built on first use."""
+    exact = tuple(bernoulli_number(2 * k) / factorial(2 * k) for k in range(1, _EM_K_MAX + 2))
+    return exact, tuple(abs(float(c)) for c in exact)
 
 
-def _em_params(sig: float, tau: float) -> tuple[int, int]:
-    """(N, dps): cutoff and working digits for Euler-Maclaurin at s."""
-    n = max(40, int(1.3 * tau) + 20)
-    if sig < 0:
-        n = max(n, int(1.5 * (-sig)) + 20)
-    dps = 25 + int(max(0.0, -sig) * math.log10(n + 2)) + int(0.12 * tau)
+def _em_params(sig: float, tau: float, stride: int = 1) -> tuple[int, int]:
+    """(N, dps) at s: N meets the remainder target within K_max terms; dps covers
+    head terms up to (stride (N + 2))^-sigma (stride 4 for beta's 4^-s)."""
+    n = max(10, int(0.6 * -sig) + 8) + (int(1.3 * tau) + 12 if tau else 0)
+    dps = 25 + int(max(0.0, -sig) * math.log10(stride * (n + 2))) + int(0.12 * tau)
     return n, dps
 
 
-def _em_corrections(ctx, val, s, base, sign: int):
-    """Add sign times the Bernoulli correction terms of sum_n (n + a)^-s,
-    cut off at base = N + a, to the accumulator `val`.
-
-    Returns (val, float error bound). Terms are added (K >= 15, at most 40)
-    until the standard remainder bound
-    |B_{2K+2}/(2K+2)! (s)_{2K+1} base^{-s-2K-1} (s+2K+1)/(sigma+2K+1)|
-    drops below 1e-12 or K is exhausted.
-    """
-    sig = float(s.real)
-    rising = s
-    err = math.inf
-    for k in range(1, 41):
-        term = _bern_mpf(ctx, 2 * k) / ctx.factorial(2 * k) * rising * base ** (-s - 2 * k + 1)
-        val += sign * term
-        rising *= (s + 2 * k - 1) * (s + 2 * k)
-        if sig + 2 * k + 1 <= 0:
-            continue
-        nxt = abs(_bern_mpf(ctx, 2 * k + 2) / ctx.factorial(2 * k + 2) * rising * base ** (-s - 2 * k - 1))
-        err = float(nxt * abs((s + 2 * k + 1) / (sig + 2 * k + 1)))
-        if k >= 15 and err < 1e-12:
-            break
-    return val, err
+def _em_sum(ctx, s, a, n_cut: int, unit: float):
+    """Euler-Maclaurin sum_(n>=0) (n + a)^-s less its pole term base^(1-s)/(s-1),
+    base = N + a: N head powers, base^-s / 2 and sum_(k<=K) B_2k/(2k)! g_k,
+    g_k = (s)_(2k-1) base^(-s-2k+1), which take no power: g_1 = s base^-s /
+    base, g_(k+1) = g_k (s+2k-1)(s+2k) / base^2. K <= 40 is the first K whose
+    remainder bound |B_(2K+2)/(2K+2)! g_(K+1)| |s+2K+1|/(sigma+2K+1) (Johansson,
+    arXiv:1309.2877, section 3), carried in doubles, times `unit` (the returned
+    value per unit of this sum) is below _EM_TARGET. Returns (sum, base^(1-s),
+    bound in units of the sum)."""
+    exact, approx = _em_coefficients()
+    base = n_cut + a
+    base_pow = base ** (-s)
+    sc, b = complex(s), float(base)
+    g, inv_sq = s * base_pow / base, 1 / (base * base)
+    total = ctx.fsum((n + a) ** (-s) for n in range(n_cut)) + base_pow / 2
+    g_abs, err = abs(sc) * float(abs(base_pow)) / b, math.inf
+    for k in range(1, _EM_K_MAX + 1):
+        total += g * exact[k - 1].numerator / exact[k - 1].denominator
+        g *= (s + 2 * k - 1) * (s + 2 * k) * inv_sq
+        g_abs *= abs(sc + 2 * k - 1) * abs(sc + 2 * k) / (b * b)
+        if sc.real + 2 * k + 1 > 0:
+            err = approx[k] * g_abs * abs(sc + 2 * k + 1) / (sc.real + 2 * k + 1)
+            if unit * err < _EM_TARGET:
+                break
+    return total, base * base_pow, err
 
 
 def _check_validated_domain(s, caller: str) -> None:
@@ -100,12 +109,12 @@ def _check_validated_domain(s, caller: str) -> None:
 
 
 def zeta_em(s) -> EvalResult:
-    """Riemann zeta via Euler-Maclaurin continuation of sum n^-s.
-
-    Accuracy <= 1e-10 (typically ~1e-13) for Re s >= -25, |Im s| <= 50,
-    up to the double-rounding floor |value|*1e-15 where the value is huge.
-    Raises PoleAtOne within 1e-13 of s = 1.
-    """
+    """Riemann zeta via Euler-Maclaurin continuation of sum n^-s (`_em_sum`):
+    N = max(10, 8 + 0.6(-sigma)) head powers, plus 12 + 1.3|tau| for complex
+    s, then K <= 40 corrections for one more power, K the first whose
+    remainder bound is below 1e-18; real s computes in mpf. The bound is the
+    floor |value|*1e-15 + 1e-16 in Re s >= -25, |Im s| <= 50. Raises
+    PoleAtOne within 1e-13 of s = 1."""
     return hurwitz_zeta(s, 1.0)
 
 
@@ -120,15 +129,10 @@ def hurwitz_zeta(s, a) -> EvalResult:
     _check_validated_domain(sc, "hurwitz_zeta")
     n_cut, dps = _em_params(sc.real, abs(sc.imag))
     with _working_precision(dps) as ctx:
-        smp = _mpc_of(ctx, s)
-        a_mp = ctx.mpf(a)
-        part = ctx.fsum((n + a_mp) ** (-smp) for n in range(n_cut))
-        base = n_cut + a_mp
-        val = part + base ** (1 - smp) / (smp - 1) + base ** (-smp) / 2
-        val, err = _em_corrections(ctx, val, smp, base, 1)
-        out = complex(val)
-    err = max(err, abs(out) * 1e-15 + 1e-16)
-    return EvalResult(out, err)
+        smp = _mp_of(ctx, s)
+        part, lead, err = _em_sum(ctx, smp, ctx.mpf(a), n_cut, 1.0)
+        out = complex(part + lead / (smp - 1))
+    return EvalResult(out, max(err, abs(out) * 1e-15 + 1e-16))
 
 
 def zeta_neg_int(n: int) -> Fraction:
@@ -176,29 +180,25 @@ def dirichlet_beta(s) -> EvalResult:
 
     The two Hurwitz pole terms cancel analytically; the difference of the
     Euler-Maclaurin pole parts is combined through expm1 so s = 1 needs no
-    special casing beyond the 0/0 limit.
-    """
+    special casing beyond the 0/0 limit. N is zeta_em's; each correction
+    loop stops once |4^-s| times its remainder bound is below 1e-18, which is
+    added to the floor |value|*1e-15 + 1e-16. dps also covers the 4^-s scale."""
     sc = complex(s)
     _check_validated_domain(sc, "dirichlet_beta")
-    n_cut, dps = _em_params(sc.real, abs(sc.imag))
+    n_cut, dps = _em_params(sc.real, abs(sc.imag), stride=4)
     with _working_precision(dps) as ctx:
-        smp = _mpc_of(ctx, s)
-        a1 = ctx.mpf(1) / 4
-        a2 = ctx.mpf(3) / 4
-        part = ctx.fsum((n + a1) ** (-smp) - (n + a2) ** (-smp) for n in range(n_cut))
-        b1 = n_cut + a1
-        b2 = n_cut + a2
-        # [b1^(1-s) - b2^(1-s)]/(s-1) = -b1^(1-s) expm1((1-s) log(b2/b1))/(s-1)
-        w = (1 - smp) * ctx.log(b2 / b1)
+        smp = _mp_of(ctx, s)
+        four_pow = ctx.mpf(4) ** (-smp)
+        scale = float(abs(four_pow))
+        part1, lead1, err1 = _em_sum(ctx, smp, ctx.mpf(1) / 4, n_cut, scale)
+        part2, _, err2 = _em_sum(ctx, smp, ctx.mpf(3) / 4, n_cut, scale)
+        # b1, b2 = N + 1/4, N + 3/4: [b1^(1-s) - b2^(1-s)]/(s-1) = -b1^(1-s) expm1((1-s) log(b2/b1))/(s-1)
+        log_ratio = ctx.log(ctx.mpf(4 * n_cut + 3) / (4 * n_cut + 1))
         if abs(smp - 1) < 1e-13:
-            pole = b1 ** (1 - smp) * ctx.log(b2 / b1)
+            pole = lead1 * log_ratio
         else:
-            pole = -(b1 ** (1 - smp)) * ctx.expm1(w) / (smp - 1)
-        val = part + pole + (b1 ** (-smp) - b2 ** (-smp)) / 2
-        val, err1 = _em_corrections(ctx, val, smp, b1, 1)
-        val, err2 = _em_corrections(ctx, val, smp, b2, -1)
-        out = complex(ctx.mpf(4) ** (-smp) * val)
-        scale = float(abs(ctx.mpf(4) ** (-smp)))
+            pole = -lead1 * ctx.expm1((1 - smp) * log_ratio) / (smp - 1)
+        out = complex(four_pow * (part1 - part2 + pole))
     return EvalResult(out, scale * (err1 + err2) + abs(out) * 1e-15 + 1e-16)
 
 
@@ -213,7 +213,7 @@ def recip_gamma(s) -> complex:
     if sc.imag == 0.0 and sc.real <= 0 and sc.real == int(sc.real):
         return complex(0.0)
     with _working_precision(50) as ctx:
-        return complex(ctx.rgamma(_mpc_of(ctx, s)))
+        return complex(ctx.rgamma(_mp_of(ctx, s)))
 
 
 def _ray_cutoff(sig: float, tau: float, delta: float) -> float:
@@ -233,7 +233,7 @@ def _hankel_loop(s, x: float, rho: float, delta: float):
     r_max = _ray_cutoff(sc.real, abs(sc.imag), delta)
     theta = math.pi - delta
     with _working_precision(30) as ctx:
-        smp = _mpc_of(ctx, s)
+        smp = _mp_of(ctx, s)
         ix = ctx.mpc(0, x)
 
         def kernel(t):

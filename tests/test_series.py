@@ -22,7 +22,10 @@ from opzeta.series import (
     _ABEL_REGISTRY,
     _DEFAULT_R_GRID,
     _abel_mean,
+    _abel_means,
     _differences,
+    _extrapolate_to_one,
+    _geometric_rational,
     abel_extrapolate,
     abel_value,
     geometric_abel,
@@ -264,6 +267,18 @@ class TestAbelValue:
         with pytest.raises(NoClosedForm):
             abel_value(TrigSeries("cos", 0), 1e-7)
 
+    def test_no_closed_form_names_the_tail_at_convergent_exponents(self):
+        from opzeta.errors import NoClosedForm
+
+        # exponent 2 takes the accelerated sum, not an extrapolation; at tiny
+        # x its tail remainder stays above tol
+        with pytest.raises(NoClosedForm) as info:
+            abel_value(TrigSeries("cos", 2), 1e-6)
+        message = str(info.value)
+        assert "accelerated sum's tail did not converge" in message
+        assert "extrapolation" not in message
+        assert str(info.value.__cause__) in message
+
 
 class TestAbelExtrapolate:
     def test_spec_grid_sine(self):
@@ -402,3 +417,57 @@ class TestTrigSeriesValidation:
     def test_summed_value_fields(self):
         v = SummedValue(1.0, 0.0, "partial_sum")
         assert v.abs_error_estimate >= 0
+
+
+class TestAbelMeansBuiltOnce:
+    """`_abel_means` builds the rational numerator once per x; the doubles
+    must equal those of the numerator rebuilt at every r."""
+
+    @staticmethod
+    def per_r_mean(exponent, character, x, r):
+        z = r * cmath.exp(1j * x)
+        num_coeffs, den_pow = _geometric_rational(exponent, character)
+        num = 0.0 + 0.0j
+        for c in reversed(num_coeffs):
+            num = num * z + c
+        den = (1.0 - z) if character == "trivial" else (1.0 + z * z)
+        return num / den ** den_pow
+
+    @pytest.mark.parametrize("parity", ["sin", "cos"])
+    @pytest.mark.parametrize("character", ["trivial", "beta"])
+    def test_same_doubles_as_per_r_construction(self, parity, character):
+        rng = random.Random(f"built-once-{parity}-{character}")
+        part = "imag" if parity == "sin" else "real"
+        extrapolated = 0
+        for exponent in range(0, -7, -1):
+            series = TrigSeries(parity, exponent, character)
+            for _ in range(10):
+                x = rng.uniform(0.2, 2 * PI - 0.2) if character == "trivial" else rng.uniform(-1.4, 1.4)
+                mean = _abel_means(exponent, character, x)
+                for r in _DEFAULT_R_GRID:
+                    want = self.per_r_mean(exponent, character, x, r)
+                    assert mean(r).real.hex() == want.real.hex() and mean(r).imag.hex() == want.imag.hex()
+                    assert _abel_mean(exponent, character, x, r) == mean(r)
+                try:
+                    limit, correction, vals = _extrapolate_to_one(
+                        lambda r: getattr(self.per_r_mean(exponent, character, x, r), part), None, x, series
+                    )
+                except NotConverged:
+                    with pytest.raises(NotConverged):
+                        abel_extrapolate(series, x)
+                    continue
+                got = abel_extrapolate(series, x)
+                bound = correction + 1e-14 * max(1.0, max(abs(v) for v in vals))
+                assert got.value.hex() == limit.hex()
+                assert got.abs_error_estimate.hex() == bound.hex()
+                extrapolated += 1
+        assert extrapolated >= 35
+
+    def test_geometric_extrapolate_same_doubles(self):
+        rng = random.Random("built-once-geometric")
+        for _ in range(10):
+            x = rng.uniform(0.2, 2 * PI - 0.2)
+            limit, correction, _ = _extrapolate_to_one(lambda r: self.per_r_mean(0, "trivial", x, r), None, x, "g")
+            got = geometric_extrapolate(x)
+            assert got.value.real.hex() == limit.real.hex() and got.value.imag.hex() == limit.imag.hex()
+            assert got.abs_error_estimate.hex() == (correction + 1e-14).hex()

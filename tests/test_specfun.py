@@ -337,6 +337,63 @@ class TestAgainstMpmath:
                 over.append((s, err, r.abs_error_estimate))
         assert over == []
 
+    @pytest.mark.parametrize("kind", ["zeta", "beta"])
+    def test_error_within_bound_wide(self, kind):
+        # 200 seeded points plus the corners of the domain: sigma = -25 and
+        # 12, |tau| = 50, sigma within 1e-6 of -25, the Fraction arguments
+        # 1/2 and -49/2, and for beta s = 1 +- 1e-12 (the expm1 branch)
+        import mpmath
+
+        ctx = mpmath.MPContext()
+        ctx.dps = 60
+        rng = random.Random(f"wide-{kind}")
+        points = []
+        for i in range(200):
+            sigma = rng.uniform(-25.0, 12.0)
+            points.append(sigma if i % 2 == 0 else complex(sigma, rng.uniform(-50.0, 50.0)))
+        points += [-25.0, 12.0, complex(-25, 50), complex(-25, -50), complex(12, 50), complex(12, -50), 50j]
+        points += [-25 + 1e-7, -25 + 1e-6, complex(-25 + 5e-7, 50), complex(-25 + 5e-7, -3.25)]
+        points += [Fraction(1, 2), Fraction(-49, 2)]
+        if kind == "beta":
+            points += [1 + 1e-12, 1 - 1e-12, complex(1 + 1e-12, 1e-12)]
+        over = []
+        for s in points:
+            a = ctx.mpf(s.numerator) / s.denominator if isinstance(s, Fraction) else ctx.mpmathify(s)
+            if kind == "zeta":
+                r, want = zeta_em(s), ctx.zeta(a)
+            else:
+                r, want = dirichlet_beta(s), ctx.power(4, -a) * (ctx.zeta(a, ctx.mpf(1) / 4) - ctx.zeta(a, ctx.mpf(3) / 4))
+            err = abs(complex(r.value) - complex(want))
+            if not err <= r.abs_error_estimate:
+                over.append((s, err, r.abs_error_estimate))
+        assert over == []
+
+    @pytest.mark.parametrize("f", [zeta_em, dirichlet_beta])
+    def test_fraction_and_float_agree(self, f):
+        # a real s computes in mpf arithmetic whatever its Python type
+        for q in (Fraction(1, 2), Fraction(-49, 2), Fraction(29, 4)):
+            assert f(q) == f(float(q))
+        assert f(3) == f(3.0)
+
+
+class TestImportIsCheap:
+    def test_no_bernoulli_number_at_import(self):
+        # the Euler-Maclaurin coefficient table is built on the first numeric
+        # call; importing the package must compute no Bernoulli number
+        import os
+        import subprocess
+        import sys
+
+        code = "import opzeta, opzeta.specfun as s, opzeta.exactnum as e; print(e.bernoulli_number.cache_info().currsize)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
+
 
 class TestConcurrentUse:
     def test_numeric_kernels_under_threads(self):
