@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from .errors import DimensionMismatch
 
 
@@ -115,6 +113,8 @@ def consistency_check(n: int, M: int, gl_nodes: int = 32) -> ConsistencyReport:
     """
     if n < 1 or M < n:
         raise ValueError("need 1 <= n <= M")
+    import numpy as np  # here only: the CLI's cold paths never load it
+
     xs_gl, ws_gl = np.polynomial.legendre.leggauss(gl_nodes)
     jumps = [2 * math.pi * j / n for j in range(1, n // 2 + 1) if 2 * math.pi * j / n < math.pi - 1e-12]
     breaks = np.array([0.0] + jumps + [math.pi])

@@ -8,6 +8,11 @@ one private base, `_Poly`: the trimmed, immutable coefficient tuple, `+`,
 `float(PiPolynomial)` (pi to 30 digits, rounded once to a double) compute in
 the calling thread's own mpmath context and never set the precision of
 mpmath's process-global `mp` context.
+
+Bernoulli and Euler numbers up to index 82 come from one immutable table,
+built by the exact recurrences on first use; a larger index is one rounded
+Dirichlet series (zeta or beta), summed in the thread's own context: B_1000
+and E_1000 take tens of milliseconds, and nothing else is memoised.
 The Bernoulli convention is fixed to B_1 = -1/2 (the generating function
 x/(e^x - 1)); the alternate B_1 = +1/2 convention is deliberately rejected
 because every identity in this package is derived with the -1/2 sign.
@@ -17,14 +22,17 @@ all odd-index values vanish.
 
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from math import comb, factorial
 from typing import Iterable, Union
 
 import mpmath
+
+from .errors import NotConverged
 
 _ScalarLike = Union[int, Fraction]
 
@@ -246,28 +254,82 @@ def pipoly_eval(p: PiXPolynomial, x, pi_digits: int = 30) -> float:
     return pipoly_evaluator(p, pi_digits)(x)
 
 
-@lru_cache(maxsize=None)
-def bernoulli_number(n: int) -> Fraction:
-    """Bernoulli number B_n, convention B_1 = -1/2.
+# B_n and E_n up to this index come from one table: the Euler-Maclaurin
+# coefficients B_2k/(2k)! (k <= 41) and every index the registry touches
+_TABLE_MAX = 82
 
-    Exact rational recurrence sum_{j<m} C(m+1, j) B_j = -(m+1) B_m, which is
-    the coefficient identity of x/(e^x - 1). Memoized; odd n >= 3 shortcut
-    to zero.
+
+@cache
+def _small_numbers() -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
+    """(B_0..B_82, E_0..E_82) by the exact recurrences, built on first use:
+    sum_(j<m) C(m+1, j) B_j = -(m+1) B_m (the coefficients of x/(e^x - 1))
+    and E_2m = -sum_(j<m) C(2m, 2j) E_2j (sech(t) cosh(t) = 1)."""
+    bern = [Fraction(1), Fraction(-1, 2)]
+    euler = [1, 0]
+    for m in range(2, _TABLE_MAX + 1):
+        if m % 2:
+            bern.append(Fraction(0))
+            euler.append(0)
+            continue
+        bern.append(-sum(comb(m + 1, j) * b for j, b in enumerate(bern) if b) / (m + 1))
+        euler.append(-sum(comb(m, j) * euler[j] for j in range(0, m, 2)))
+    return tuple(bern), tuple(euler)
+
+
+def _nint_l_value(scale: int, power: int, pi_mult: int, odd: bool) -> int:
+    """The integer nearest to scale L / (pi_mult pi)^power, where L is the
+    Dirichlet series sum_k chi(k) k^-power summed directly (Brent and Harvey,
+    arXiv:1108.0286): over k >= 1 (chi = 1, L = zeta(power)), or over odd k
+    with chi(2j+1) = (-1)^j (`odd`, L = beta(power)). The working precision is
+    log2 of the result plus 24 guard bits and the bits that pi^power loses;
+    the sum stops at the first omitted k with k^-power below that precision.
+    Raises NotConverged if the value lands more than 2^-16 from an integer."""
+    log2_value = math.log2(scale) - power * math.log2(pi_mult * math.pi)
+    prec = max(0, math.ceil(log2_value)) + power.bit_length() + 24
+    k_stop = int(2.0 ** ((prec + 2) / power)) + 1
+    with _working_precision(math.ceil(prec * math.log10(2)) + 2) as ctx:
+        if odd:
+            terms = ((-1) ** j * ctx.mpf(2 * j + 1) ** -power for j in range(k_stop // 2 + 1))
+        else:
+            terms = (ctx.mpf(k) ** -power for k in range(1, k_stop + 1))
+        value = scale * ctx.fsum(terms) / (pi_mult * ctx.pi) ** power
+        nearest = int(ctx.nint(value))
+        if abs(value - nearest) > 2.0**-16:
+            raise NotConverged(f"L-value rounding: {ctx.nstr(value - nearest, 3)} from the nearest integer")
+    return nearest
+
+
+def _staudt_clausen_denominator(n: int) -> int:
+    """Denominator of B_n for even n >= 2: the product of the primes p with
+    (p - 1) | n (von Staudt-Clausen)."""
+    den = 1
+    for d in range(1, math.isqrt(n) + 1):
+        if n % d == 0:
+            for p in {d + 1, n // d + 1}:
+                if all(p % q for q in range(2, math.isqrt(p) + 1)):
+                    den *= p
+    return den
+
+
+def bernoulli_number(n: int) -> Fraction:
+    """Bernoulli number B_n, convention B_1 = -1/2 (x/(e^x - 1)).
+
+    n <= 82 reads the exact table; odd n >= 3 is zero; a larger even n is
+    (-1)^(n/2+1) 2 n! zeta(n) / (2 pi)^n with the denominator D of von
+    Staudt-Clausen and the numerator the integer nearest to D |B_n|.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return Fraction(-1, 2)
-    if n % 2 == 1:
+    if n <= _TABLE_MAX:
+        return _small_numbers()[0][n]
+    if n % 2:
         return Fraction(0)
-    s = Fraction(0)
-    for j in range(n):
-        bj = bernoulli_number(j)
-        if bj:
-            s += comb(n + 1, j) * bj
-    return -s / (n + 1)
+    den = _staudt_clausen_denominator(n)
+    return Fraction((-1) ** (n // 2 + 1) * _nint_l_value(2 * factorial(n) * den, n, 2, False), den)
+
+
+# empties the small table, so that the next call computes it cold (for timing)
+bernoulli_number.cache_clear = _small_numbers.cache_clear
 
 
 def bernoulli_polynomial(m: int) -> PiXPolynomial:
@@ -282,21 +344,19 @@ def bernoulli_polynomial(m: int) -> PiXPolynomial:
     return PiXPolynomial(coeffs)
 
 
-@lru_cache(maxsize=None)
 def euler_number(n: int) -> int:
     """Euler number E_n from 2/(e^t + e^-t); odd indices vanish.
 
-    Integer recurrence from sech(t) * cosh(t) = 1:
-    E_{2m} = -sum_{j<m} C(2m, 2j) E_{2j}.
+    n <= 82 reads the exact table; a larger even n is the integer nearest to
+    (-1)^(n/2) 2^(n+2) n! beta(n+1) / pi^(n+1).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n % 2 == 1:
+    if n <= _TABLE_MAX:
+        return _small_numbers()[1][n]
+    if n % 2:
         return 0
-    if n == 0:
-        return 1
-    m = n // 2
-    return -sum(comb(n, 2 * j) * euler_number(2 * j) for j in range(m))
+    return (-1) ** (n // 2) * _nint_l_value(2 ** (n + 2) * factorial(n), n + 1, 1, True)
 
 
 # --- exact Taylor expansions of the registry closed forms ---------------------

@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-import numpy as np
-
 from .errors import (
     Diverges,
     EndpointConditional,
@@ -93,6 +91,8 @@ def partial_sum(series: TrigSeries, x: float, N: int) -> SummedValue:
             raise EndpointConditional("x = 0 mod 2*pi: conditional convergence endpoint")
         if series.character == "beta" and abs(math.cos(x)) < 1e-12:
             raise EndpointConditional("cos x = 0: conditional convergence endpoint")
+    import numpy as np  # here only: the CLI's cold paths never load it
+
     trig = np.sin if series.parity == "sin" else np.cos
     total = 0.0
     for start in range(0, N, 5_000_000):

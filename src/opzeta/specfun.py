@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cache
 from math import factorial
 
-from .errors import ContourClipped, PoleAtOne, PrecisionLoss
+from .errors import ContourClipped, NotConverged, PoleAtOne, PrecisionLoss
 from .exactnum import (
     PiPolynomial,
     PiXPolynomial,
@@ -77,11 +77,18 @@ def _em_sum(ctx, s, a, n_cut: int, unit: float):
     remainder bound |B_(2K+2)/(2K+2)! g_(K+1)| |s+2K+1|/(sigma+2K+1) (Johansson,
     arXiv:1309.2877, section 3), carried in doubles, times `unit` (the returned
     value per unit of this sum) is below _EM_TARGET. Returns (sum, base^(1-s),
-    bound in units of the sum)."""
+    bound in units of the sum). Raises NotConverged where no K <= 40 has a
+    finite bound (sigma + 2 K_max + 1 <= 0), before any work."""
+    sc = complex(s)
+    if sc.real + 2 * _EM_K_MAX + 1 <= 0:
+        raise NotConverged(
+            f"Euler-Maclaurin at Re s = {sc.real:g}: no finite remainder bound within "
+            f"{_EM_K_MAX} terms at Re s <= {-2 * _EM_K_MAX - 1}"
+        )
     exact, approx = _em_coefficients()
     base = n_cut + a
     base_pow = base ** (-s)
-    sc, b = complex(s), float(base)
+    b = float(base)
     g, inv_sq = s * base_pow / base, 1 / (base * base)
     total = ctx.fsum((n + a) ** (-s) for n in range(n_cut)) + base_pow / 2
     g_abs, err = abs(sc) * float(abs(base_pow)) / b, math.inf

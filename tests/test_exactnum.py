@@ -1,4 +1,7 @@
 import math
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import mpmath
@@ -18,6 +21,8 @@ from opzeta.exactnum import (
     pipoly_eval,
     pipoly_evaluator,
 )
+from opzeta import exactnum
+from opzeta.errors import NotConverged
 from opzeta.specfun import zeta_even_pi_form
 from oracles import (
     bernoulli_akiyama_tanigawa,
@@ -105,6 +110,62 @@ class TestEulerNumbers:
     def test_odd_vanish_up_to_51(self):
         for n in range(1, 52, 2):
             assert euler_number(n) == 0
+
+
+_ORACLE_MAX = 420
+
+
+@pytest.fixture(scope="module")
+def oracle_numbers():
+    """B_n and E_n to 420 from the independent oracles, built once: the small
+    table ends at 82, so both sides of the boundary are covered."""
+    return bernoulli_akiyama_tanigawa(_ORACLE_MAX), euler_from_generating_function(_ORACLE_MAX)
+
+
+class TestNumbersPastTheTable:
+    def test_bernoulli_against_akiyama_tanigawa_to_401(self, oracle_numbers):
+        for n in range(402):
+            assert bernoulli_number(n) == oracle_numbers[0][n], n
+
+    def test_euler_against_generating_function_to_401(self, oracle_numbers):
+        for n in range(402):
+            assert euler_number(n) == oracle_numbers[1][n], n
+
+    def test_index_1000_against_mpmath(self):
+        num, den = mpmath.bernfrac(1000)
+        assert bernoulli_number(1000) == Fraction(int(num), int(den))
+        assert euler_number(1000) == int(mpmath.eulernum(1000, exact=True))
+
+    def test_threads_agree_with_the_oracle(self, oracle_numbers):
+        # 4 threads (more than the 2 cores of the reference VM), a short switch
+        # interval, and the small table built cold while they run
+        rng = random.Random(9)
+        ns = rng.choices(range(300, _ORACLE_MAX + 1), k=64) + rng.choices(range(exactnum._TABLE_MAX + 1), k=16)
+        rng.shuffle(ns)
+        exactnum._small_numbers.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(lambda n: (bernoulli_number(n), euler_number(n)), ns, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [(oracle_numbers[0][n], oracle_numbers[1][n]) for n in ns]
+
+    def test_value_far_from_an_integer_raises(self):
+        # scale (2 pi)^84 / 2 puts scale zeta(84) / (2 pi)^84 near 1/2: no integer is returned
+        ctx = mpmath.MPContext()
+        ctx.prec = 400
+        scale = int((2 * ctx.pi) ** 84 / 2)
+        with pytest.raises(NotConverged):
+            exactnum._nint_l_value(scale, 84, 2, False)
+
+    def test_table_is_immutable_and_built_once(self):
+        bern, euler = exactnum._small_numbers()
+        assert exactnum._small_numbers() == (bern, euler)
+        assert exactnum._small_numbers()[0] is bern
+        assert isinstance(bern, tuple) and isinstance(euler, tuple)
+        assert len(bern) == len(euler) == exactnum._TABLE_MAX + 1
 
 
 class TestPiPolynomial:

@@ -11,6 +11,7 @@ import mpmath
 import pytest
 
 from opzeta.cli import main
+from opzeta.errors import PrecisionLoss
 from opzeta.exactnum import PiPolynomial, PiXPolynomial
 from opzeta.registry import (
     get_identity,
@@ -232,13 +233,43 @@ class TestValuesCommand:
         ("beta", "-1e6"), ("bernoulli", "1e300"), ("euler", "1001"), ("zeta", "2", "1e300"),
     ])
     def test_argument_bound(self, argv, capsys):
-        # past |argument| 1000 the exact recurrences and the Euler-Maclaurin
-        # working precision run for minutes; every such command exits 2 at once
+        # past |argument| 1000 the exact values and the Euler-Maclaurin working
+        # precision grow without bound; every such command exits 2 at once
         start = time.perf_counter()
         code, out = run_cli("values", *argv)
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == "", argv
         assert "need |argument| <= 1000" in capsys.readouterr().err, argv
+
+    @pytest.mark.parametrize("kind", ["zeta", "beta"])
+    def test_no_finite_bound_is_an_error(self, kind, capsys):
+        # below Re s = -81 no Euler-Maclaurin K <= 40 has a finite remainder
+        # bound: exit 1 with a message, never a value with abs_error Infinity
+        with pytest.warns(PrecisionLoss):
+            code, out = run_cli("values", kind, "-100.5", "--format", "json")
+        assert code == 1 and out == ""
+        err = capsys.readouterr().err
+        assert "values error: Euler-Maclaurin at Re s = -100.5" in err and "Traceback" not in err
+
+    def test_outside_validated_domain_within_bound(self):
+        with pytest.warns(PrecisionLoss):
+            code, out = run_cli("values", "zeta", "-60.5", "--format", "json")
+        assert code == 0
+        row = json.loads(out)["rows"][0]
+        ctx = mpmath.MPContext()
+        ctx.dps = 40
+        assert abs(row["value"] - float(ctx.zeta(ctx.mpf("-60.5")))) <= row["abs_error"]
+
+    @pytest.mark.parametrize("argv", [("zeta", "-999"), ("euler", "1000")])
+    def test_exact_rows_at_the_bound_are_fast(self, argv):
+        # B_1000 and E_1000 are one rounded Dirichlet series each, not a recurrence
+        proc = subprocess.run(
+            [sys.executable, "-m", "opzeta", "values", *argv],
+            capture_output=True, text=True, timeout=10,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "exact" in proc.stdout
 
     def test_negative_exponent_token(self):
         # -2.5e1 is an argument, not an option, and reads as -25

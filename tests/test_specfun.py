@@ -377,14 +377,12 @@ class TestAgainstMpmath:
 
 
 class TestImportIsCheap:
-    def test_no_bernoulli_number_at_import(self):
-        # the Euler-Maclaurin coefficient table is built on the first numeric
-        # call; importing the package must compute no Bernoulli number
+    @staticmethod
+    def _child(code: str) -> str:
         import os
         import subprocess
         import sys
 
-        code = "import opzeta, opzeta.specfun as s, opzeta.exactnum as e; print(e.bernoulli_number.cache_info().currsize)"
         proc = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True,
@@ -392,7 +390,40 @@ class TestImportIsCheap:
             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "0"
+        return proc.stdout.strip()
+
+    def test_no_bernoulli_number_at_import(self):
+        # the exact table and the Euler-Maclaurin coefficients are built on
+        # first use; importing the package must compute no Bernoulli or Euler
+        # number (a profile hook sees every call into exactnum's generators)
+        code = (
+            "import sys\n"
+            "calls = []\n"
+            "names = {'bernoulli_number', 'euler_number', '_small_numbers', '_nint_l_value'}\n"
+            "def hook(frame, event, arg):\n"
+            "    code = frame.f_code\n"
+            "    if event == 'call' and code.co_name in names and code.co_filename.endswith('exactnum.py'):\n"
+            "        calls.append(code.co_name)\n"
+            "sys.setprofile(hook)\n"
+            "import opzeta, opzeta.specfun as s, opzeta.exactnum as e\n"
+            "sys.setprofile(None)\n"
+            "print(calls, e._small_numbers.cache_info().currsize, s._em_coefficients.cache_info().currsize)"
+        )
+        assert self._child(code) == "[] 0 0"
+
+    def test_cli_paths_without_numpy(self):
+        # numpy is imported inside the two functions that use it; the import of
+        # the CLI and its list, values, extract and verify --exact never load it
+        code = (
+            "import io, sys\n"
+            "import opzeta.cli as cli\n"
+            "seen = ['numpy' in sys.modules]\n"
+            "for argv in (['list'], ['values', 'zeta', '4'], ['extract', 'eq17'], ['verify', 'eq17', '--exact']):\n"
+            "    assert cli.main(argv, out=io.StringIO()) == 0, argv\n"
+            "    seen.append('numpy' in sys.modules)\n"
+            "print(seen)"
+        )
+        assert self._child(code) == "[False, False, False, False, False]"
 
 
 class TestConcurrentUse:
@@ -473,3 +504,16 @@ class TestPrecisionLossWarnings:
         with pytest.warns(PrecisionLoss):
             r = lerch_hankel(0, 0.03)
         assert r.abs_error_estimate >= 1e-8
+
+    @pytest.mark.parametrize("fn", [zeta_em, dirichlet_beta, lambda s: hurwitz_zeta(s, 0.5)])
+    def test_no_finite_bound_raises(self, fn):
+        # at Re s <= -81 no K <= 40 gives a finite remainder bound: raise, never
+        # return a value with an infinite bound
+        from opzeta.errors import NotConverged, PrecisionLoss
+
+        with pytest.warns(PrecisionLoss):
+            r = fn(-80.5)
+        assert math.isfinite(r.abs_error_estimate)
+        for s in (-81.0, -100.5, complex(-200.0, 3.0)):
+            with pytest.warns(PrecisionLoss), pytest.raises(NotConverged):
+                fn(s)
