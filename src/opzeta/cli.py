@@ -118,18 +118,13 @@ def _verify_grid(rec: registry.IdentityRecord, grid: tuple[float, float, int], t
     for x in xs:
         if mode == "sum":
             sv = series.partial_sum_accelerated(rec.series, x, tol * 1e-3)
-            lhs = float(sv.value)
-            method = sv.method
         elif mode == "abel":
             sv = series.abel_extrapolate(rec.series, x)
-            lhs = float(sv.value)
-            method = sv.method
         elif mode == "geometric":
             sv = series.geometric_extrapolate(x)
-            lhs = sv.value
-            method = sv.method
         else:
             raise ValueError(f"unknown verify mode {mode!r}")
+        lhs, method = (sv.value if mode == "geometric" else float(sv.value)), sv.method
 
         if mode == "geometric":
             rhs = series.geometric_abel(x)
@@ -205,10 +200,7 @@ def _cmd_verify(args, out) -> int:
         print(f"--tol must be a finite number > 0, got {tol!r}", file=sys.stderr)
         return 2
     try:
-        if exact:
-            rep = _verify_exact(rec, tol)
-        else:
-            rep = _verify_grid(rec, grid, tol)
+        rep = _verify_exact(rec, tol) if exact else _verify_grid(rec, grid, tol)
     except OpzetaError as exc:
         print(f"verification error: {exc}", file=sys.stderr)
         return 1
@@ -324,7 +316,7 @@ def _cmd_extract(args, out) -> int:
 
 # size bounds of `matrix`: the triplet export prints about size * ln(size)
 # lines (1.17M at the bound); the quadrature check costs O(size^2) and takes
-# about a second at its bound
+# under a second at its bound
 _MATRIX_SIZE_BOUND = 100_000
 _CHECK_SIZE_BOUND = 1000
 
@@ -347,11 +339,7 @@ def _cmd_matrix(args, out) -> int:
         return 2
     A = divmatrix.build_matrix(args.size)
     if args.apply is not None:
-        v = [Fraction(0)] * args.size
-        v[args.apply - 1] = Fraction(1)
-        result = divmatrix.matrix_apply(A, v)
-        for m, q in enumerate(result, start=1):
-            out.write(f"{m} {q.numerator}/{q.denominator}\n")
+        out.write(A.column_text(args.apply))
         return 0
     if args.check is not None:
         report = divmatrix.consistency_check(args.check, args.size)
@@ -361,8 +349,7 @@ def _cmd_matrix(args, out) -> int:
             f"{report.max_abs_deviation:.3e} ({'PASS' if ok else 'FAIL'} at tol {args.tol:g})\n"
         )
         return 0 if ok else 1
-    for line in A.triplet_lines():
-        out.write(line + "\n")
+    out.writelines(A.triplet_rows())
     return 0
 
 

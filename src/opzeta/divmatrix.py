@@ -13,13 +13,28 @@ operators.PoleHit); both facts are recorded and tested, not reconciled.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from functools import cache
+from typing import Callable, Iterator, Sequence
 
 from .errors import DimensionMismatch
+
+
+def _divisor_rows(size: int, label: Callable = int) -> Iterator[list]:
+    """label(n) for each divisor n of m, increasing, one list per m = 1..size,
+    sieved 2^14 rows at a time: at the size bound, 1/6 of the lists at once."""
+    block = 1 << 14
+    for lo in range(1, size + 1, block):
+        rows = [[] for _ in range(lo, min(lo + block, size + 1))]
+        for n in range(1, lo + len(rows)):
+            name = label(n)
+            for row in rows[-lo % n :: n]:  # the multiples of n in this block
+                row.append(name)
+        yield from rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,11 +54,7 @@ class DivisorEntries(Mapping):
         raise KeyError(key)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        divisors: list[list[int]] = [[] for _ in range(self.size + 1)]
-        for n in range(1, self.size + 1):
-            for m in range(n, self.size + 1, n):
-                divisors[m].append(n)
-        return ((m, n) for m in range(1, self.size + 1) for n in divisors[m])
+        return ((m, n) for m, divs in enumerate(_divisor_rows(self.size), start=1) for n in divs)
 
     def __len__(self) -> int:
         return sum(self.size // n for n in range(1, self.size + 1))
@@ -66,9 +77,20 @@ class DivisibilityMatrix:
     def nnz(self) -> int:
         return len(self.entries)
 
-    def triplet_lines(self) -> Iterator[str]:
-        """Sparse triplet export: one 'm n num den' line per entry, sorted by (m, n)."""
-        return (f"{m} {n} 1 {m // n}" for m, n in self.entries)
+    def triplet_rows(self) -> Iterator[str]:
+        """Sparse triplet export, one string per row m: 'm n 1 m/n' for each divisor n
+        of m, increasing; reversed, the divisors are the cofactors, the last is m."""
+        for divs in _divisor_rows(self.size, str):
+            row = divs[-1]
+            yield "".join([f"{row} {n} 1 {k}\n" for n, k in zip(divs, reversed(divs))])
+
+    def column_text(self, n: int) -> str:
+        """Column n as 'm num/den' lines, m = 1..size: 1/k at m = k n, 0/1 elsewhere."""
+        if not 1 <= n <= self.size:
+            raise ValueError("need 1 <= n <= size")
+        lines = [f"{m} 0/1\n" for m in range(1, self.size + 1)]
+        lines[n - 1 :: n] = [f"{k * n} 1/{k}\n" for k in range(1, self.size // n + 1)]
+        return "".join(lines)
 
 
 def build_matrix(M: int) -> DivisibilityMatrix:
@@ -102,39 +124,45 @@ class ConsistencyReport:
     max_abs_deviation: float
 
 
+@cache
+def _gauss_legendre(nodes: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per count."""
+    import numpy as np
+    return tuple(tuple(a.tolist()) for a in np.polynomial.legendre.leggauss(nodes))
+
+
 def consistency_check(n: int, M: int, gl_nodes: int = 32) -> ConsistencyReport:
     """Compare column n of the size-M matrix with the Fourier sine coefficients
     (2/pi) Int_0^pi f(x) sin(m x) dx of f(x) = (pi - (n x mod 2 pi))/2, the
     Abel sum of the frequency-n series.
 
     f jumps at x = 2 pi j / n, so the quadrature is composite Gauss-Legendre
-    with panels split at the jumps and refined with the frequency m; the
-    panels of one m form one array, their sums are added in panel order.
+    with panels split at the jumps and refined with the frequency m. m = 1..5
+    share one panel layout and so does each pair 2j, 2j + 1: nodes and weighted
+    sawtooth are built once per layout, each m adds its panel sums in order.
     """
     if n < 1 or M < n:
         raise ValueError("need 1 <= n <= M")
     import numpy as np  # here only: the CLI's cold paths never load it
 
-    xs_gl, ws_gl = np.polynomial.legendre.leggauss(gl_nodes)
+    xs_gl, ws_gl = map(np.array, _gauss_legendre(gl_nodes))
     jumps = [2 * math.pi * j / n for j in range(1, n // 2 + 1) if 2 * math.pi * j / n < math.pi - 1e-12]
     breaks = np.array([0.0] + jumps + [math.pi])
     starts, widths = breaks[:-1], np.diff(breaks)
     coeffs = []
-    for m in range(1, M + 1):
-        sub = np.maximum(1, np.ceil(max(4, m // 2 + 2) * widths / math.pi)).astype(np.int64)  # panels per interval
+    for per, ms in itertools.groupby(range(1, M + 1), key=lambda m: max(4, m // 2 + 2)):
+        sub = np.maximum(1, np.ceil(per * widths / math.pi)).astype(np.int64)  # panels per interval
         seg = np.repeat(np.arange(len(sub)), sub)
         i = np.arange(len(seg)) - np.repeat(np.cumsum(sub) - sub, sub)  # panel i of interval seg is [a, b]
-        a = starts[seg] + widths[seg] * i / sub[seg]
-        b = starts[seg] + widths[seg] * (i + 1) / sub[seg]
+        a, b = starts[seg] + widths[seg] * np.stack([i, i + 1]) / sub[seg]
         half = 0.5 * (b - a)
         xq = (0.5 * (a + b))[:, None] + half[:, None] * xs_gl
-        y = np.fmod(n * xq, 2 * math.pi)
-        ramp = (math.pi - np.where(y < 0, y + 2 * math.pi, y)) / 2
-        panel_sums = np.sum(ws_gl * ramp * np.sin(m * xq), axis=1)
-        total = 0.0
-        for h, s in zip(half.tolist(), panel_sums.tolist()):
-            total += h * s
-        coeffs.append(2.0 / math.pi * total)
-    expected = tuple(DivisibilityMatrix(M).entry(m, n) for m in range(1, M + 1))
+        weighted = ws_gl * ((math.pi - np.fmod(n * xq, 2 * math.pi)) / 2)  # n xq > 0: fmod is never negative
+        for m in ms:
+            total = 0.0
+            for h, s in zip(half.tolist(), np.sum(weighted * np.sin(m * xq), axis=1).tolist()):
+                total += h * s
+            coeffs.append(2.0 / math.pi * total)
+    expected = tuple(Fraction(1, m // n) if m % n == 0 else Fraction(0) for m in range(1, M + 1))
     deviations = tuple(abs(c - float(e)) for c, e in zip(coeffs, expected))
     return ConsistencyReport(n, M, tuple(coeffs), expected, deviations, max(deviations))

@@ -36,7 +36,7 @@ _EM_IM_MAX = 50.0
 # Euler-Maclaurin remainder target in units of the returned value, met within
 # _EM_K_MAX terms: a hundredth of the 1e-16 floor both evaluators add.
 _EM_TARGET = 1e-18
-_EM_K_MAX = 40
+_EM_K_MAX = 41
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,8 @@ def _mp_of(ctx, s):
 
 @cache
 def _em_coefficients() -> tuple[tuple[Fraction, ...], tuple[float, ...]]:
-    """B_2k/(2k)!, k = 1..K_max + 1, exact and |.| as doubles: built on first use."""
-    exact = tuple(bernoulli_number(2 * k) / factorial(2 * k) for k in range(1, _EM_K_MAX + 2))
+    """B_2k/(2k)!, k = 1..K_max, exact and |.| as doubles: built on first use."""
+    exact = tuple(bernoulli_number(2 * k) / factorial(2 * k) for k in range(1, _EM_K_MAX + 1))
     return exact, tuple(abs(float(c)) for c in exact)
 
 
@@ -73,17 +73,18 @@ def _em_sum(ctx, s, a, n_cut: int, unit: float):
     """Euler-Maclaurin sum_(n>=0) (n + a)^-s less its pole term base^(1-s)/(s-1),
     base = N + a: N head powers, base^-s / 2 and sum_(k<=K) B_2k/(2k)! g_k,
     g_k = (s)_(2k-1) base^(-s-2k+1), which take no power: g_1 = s base^-s /
-    base, g_(k+1) = g_k (s+2k-1)(s+2k) / base^2. K <= 40 is the first K whose
-    remainder bound |B_(2K+2)/(2K+2)! g_(K+1)| |s+2K+1|/(sigma+2K+1) (Johansson,
-    arXiv:1309.2877, section 3), carried in doubles, times `unit` (the returned
-    value per unit of this sum) is below _EM_TARGET. Returns (sum, base^(1-s),
-    bound in units of the sum). Raises NotConverged where no K <= 40 has a
-    finite bound (sigma + 2 K_max + 1 <= 0), before any work."""
+    base, g_(k+1) = g_k (s+2k-1)(s+2k) / base^2. K <= 41 is the first K whose
+    remainder bound after K terms, |B_2K/(2K)! g_K| |s+2K-1|/(sigma+2K-1) =
+    |B_2K/(2K)!| |(s)_2K| base^(-sigma-2K+1)/(sigma+2K-1) (Johansson,
+    arXiv:1309.2877, theorem 1 with M = K), carried in doubles, times `unit`
+    (the returned value per unit of this sum) is below _EM_TARGET. Returns
+    (sum, base^(1-s), bound in units of the sum). Raises NotConverged where no
+    K <= 41 has a finite bound (sigma + 2 K_max - 1 <= 0), before any work."""
     sc = complex(s)
-    if sc.real + 2 * _EM_K_MAX + 1 <= 0:
+    if sc.real + 2 * _EM_K_MAX - 1 <= 0:
         raise NotConverged(
             f"Euler-Maclaurin at Re s = {sc.real:g}: no finite remainder bound within "
-            f"{_EM_K_MAX} terms at Re s <= {-2 * _EM_K_MAX - 1}"
+            f"{_EM_K_MAX} terms at Re s <= {-2 * _EM_K_MAX + 1}"
         )
     exact, approx = _em_coefficients()
     base = n_cut + a
@@ -94,12 +95,12 @@ def _em_sum(ctx, s, a, n_cut: int, unit: float):
     g_abs, err = abs(sc) * float(abs(base_pow)) / b, math.inf
     for k in range(1, _EM_K_MAX + 1):
         total += g * exact[k - 1].numerator / exact[k - 1].denominator
-        g *= (s + 2 * k - 1) * (s + 2 * k) * inv_sq
-        g_abs *= abs(sc + 2 * k - 1) * abs(sc + 2 * k) / (b * b)
-        if sc.real + 2 * k + 1 > 0:
-            err = approx[k] * g_abs * abs(sc + 2 * k + 1) / (sc.real + 2 * k + 1)
+        if sc.real + 2 * k - 1 > 0:
+            err = approx[k - 1] * g_abs * abs(sc + 2 * k - 1) / (sc.real + 2 * k - 1)
             if unit * err < _EM_TARGET:
                 break
+        g *= (s + 2 * k - 1) * (s + 2 * k) * inv_sq
+        g_abs *= abs(sc + 2 * k - 1) * abs(sc + 2 * k) / (b * b)
     return total, base * base_pow, err
 
 
@@ -118,7 +119,7 @@ def _check_validated_domain(s, caller: str) -> None:
 def zeta_em(s) -> EvalResult:
     """Riemann zeta via Euler-Maclaurin continuation of sum n^-s (`_em_sum`):
     N = max(10, 8 + 0.6(-sigma)) head powers, plus 12 + 1.3|tau| for complex
-    s, then K <= 40 corrections for one more power, K the first whose
+    s, then K <= 41 corrections for one more power, K the first whose
     remainder bound is below 1e-18; real s computes in mpf. The bound is the
     floor |value|*1e-15 + 1e-16 in Re s >= -25, |Im s| <= 50. Raises
     PoleAtOne within 1e-13 of s = 1."""

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from opzeta.divmatrix import build_matrix, consistency_check, matrix_apply
+from opzeta.divmatrix import _divisor_rows, build_matrix, consistency_check, matrix_apply
 from opzeta.errors import DimensionMismatch
 from oracles import divisor_count
 
@@ -153,12 +153,47 @@ class TestColumnStructure:
 
 class TestTripletExport:
     def test_sorted_lines(self):
-        lines = list(build_matrix(6).triplet_lines())
+        lines = "".join(build_matrix(6).triplet_rows()).splitlines()
         assert len(lines) == 14
         assert lines[0] == "1 1 1 1"
         assert "6 3 1 2" in lines
         keys = [tuple(map(int, ln.split()[:2])) for ln in lines]
         assert keys == sorted(keys)
+
+    def test_sieve_blocks_agree(self):
+        # rows are sieved 2^14 at a time: across two block boundaries every
+        # row lists divisors of m in increasing order, and the rows hold all
+        # sum_n size//n divisor pairs, so none is missing
+        size = 2 * 2**14 + 5
+        rows = list(_divisor_rows(size))
+        assert len(rows) == size
+        for m, row in enumerate(rows, start=1):
+            assert row[0] == 1 and row[-1] == m and all(a < b and m % a == 0 for a, b in zip(row, row[1:]))
+        assert sum(map(len, rows)) == sum(size // n for n in range(1, size + 1))
+        assert list(_divisor_rows(60, str)) == [[str(n) for n in row] for row in rows[:60]]
+
+    @pytest.mark.parametrize("M", [1, 2, 12, 97])
+    def test_one_string_per_row_matches_entries(self, M):
+        rows = list(build_matrix(M).triplet_rows())
+        assert len(rows) == M
+        for m, row in enumerate(rows, start=1):
+            want = [f"{m} {n} {q.numerator} {q.denominator}" for (i, n), q in build_matrix(M).entries.items() if i == m]
+            assert row.endswith("\n") and row.splitlines() == want
+
+
+class TestColumnText:
+    @pytest.mark.parametrize("M", range(1, 65))
+    def test_equals_formatted_matrix_apply(self, M):
+        A = build_matrix(M)
+        for n in range(1, M + 1):
+            e_n = [Fraction(int(i == n)) for i in range(1, M + 1)]
+            want = "".join(f"{m} {q.numerator}/{q.denominator}\n" for m, q in enumerate(matrix_apply(A, e_n), start=1))
+            assert A.column_text(n) == want
+
+    @pytest.mark.parametrize("n", [0, 5, -1])
+    def test_index_out_of_range(self, n):
+        with pytest.raises(ValueError):
+            build_matrix(4).column_text(n)
 
 
 class TestConsistencyCheck:
@@ -192,7 +227,7 @@ class TestConsistencyCheck:
         assert rep.max_abs_deviation < 1e-8
 
     @pytest.mark.parametrize("n,M", [
-        (1, 16), (3, 16), (2, 40), (5, 40), (20, 40), (40, 40), (7, 96), (96, 96),
+        (1, 16), (3, 16), (2, 40), (5, 40), (20, 40), (40, 40), (7, 96), (96, 96), (1, 5), (4, 7), (13, 61),
     ])
     def test_bit_identical_to_scalar_quadrature(self, n, M):
         # the reference loop: panels generated one at a time, the sawtooth

@@ -243,7 +243,7 @@ class TestValuesCommand:
 
     @pytest.mark.parametrize("kind", ["zeta", "beta"])
     def test_no_finite_bound_is_an_error(self, kind, capsys):
-        # below Re s = -81 no Euler-Maclaurin K <= 40 has a finite remainder
+        # below Re s = -81 no Euler-Maclaurin K <= 41 has a finite remainder
         # bound: exit 1 with a message, never a value with abs_error Infinity
         with pytest.warns(PrecisionLoss):
             code, out = run_cli("values", kind, "-100.5", "--format", "json")
@@ -374,6 +374,21 @@ class TestMatrixCommand:
         assert run_cli("matrix", "--size", "0")[0] == 2
         assert run_cli("matrix", "--size", "4", "--apply", "9")[0] == 2
         assert run_cli("matrix", "--size", "4", "--check", "0")[0] == 2
+
+    def test_export_streams_by_row(self):
+        # the export is written a row at a time, never joined whole
+        # (about 15 MB at the size bound)
+        class RecordingOut(io.StringIO):
+            largest = 0
+
+            def write(self, text):
+                self.largest = max(self.largest, len(text))
+                return super().write(text)
+
+        out = RecordingOut()
+        assert main(["matrix", "--size", "20000"], out=out) == 0
+        assert len(out.getvalue().splitlines()) == sum(20000 // n for n in range(1, 20001))
+        assert 0 < out.largest <= 64 * 1024
 
     def test_deterministic_export(self):
         assert run_cli("matrix", "--size", "12") == run_cli("matrix", "--size", "12")

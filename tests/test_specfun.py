@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from opzeta.errors import ContourClipped, PoleAtOne
+from opzeta.errors import ContourClipped, PoleAtOne, PrecisionLoss
 from opzeta.exactnum import PiPolynomial, PiXPolynomial, bernoulli_number, euler_number
 from opzeta.specfun import (
     beta_nonpos_int,
@@ -338,6 +338,30 @@ class TestAgainstMpmath:
         assert over == []
 
     @pytest.mark.parametrize("kind", ["zeta", "beta"])
+    def test_error_within_bound_far_left(self, kind):
+        # outside the validated domain (a PrecisionLoss warning) the bound must
+        # still hold: the remainder bound after K terms is theorem 1 of
+        # arXiv:1309.2877 with M = K; M = K + 1, the size of the first omitted
+        # term, fell short by up to 4% near Re s = -74
+        import mpmath
+
+        ctx = mpmath.MPContext()
+        ctx.dps = 60
+        rng = random.Random(2877)
+        over = []
+        for s in [rng.uniform(-80.9, -25.0) for _ in range(60)] + [-74.033, -75.188, -74.572]:
+            a = ctx.mpf(s)
+            with pytest.warns(PrecisionLoss):
+                if kind == "zeta":
+                    r, want = zeta_em(s), ctx.zeta(a)
+                else:
+                    r, want = dirichlet_beta(s), ctx.power(4, -a) * (ctx.zeta(a, ctx.mpf(1) / 4) - ctx.zeta(a, ctx.mpf(3) / 4))
+            err = abs(complex(r.value) - complex(want))
+            if err > r.abs_error_estimate:
+                over.append((s, err / r.abs_error_estimate))
+        assert over == []
+
+    @pytest.mark.parametrize("kind", ["zeta", "beta"])
     def test_error_within_bound_wide(self, kind):
         # 200 seeded points plus the corners of the domain: sigma = -25 and
         # 12, |tau| = 50, sigma within 1e-6 of -25, the Fraction arguments
@@ -507,7 +531,7 @@ class TestPrecisionLossWarnings:
 
     @pytest.mark.parametrize("fn", [zeta_em, dirichlet_beta, lambda s: hurwitz_zeta(s, 0.5)])
     def test_no_finite_bound_raises(self, fn):
-        # at Re s <= -81 no K <= 40 gives a finite remainder bound: raise, never
+        # at Re s <= -81 no K <= 41 gives a finite remainder bound: raise, never
         # return a value with an infinite bound
         from opzeta.errors import NotConverged, PrecisionLoss
 
