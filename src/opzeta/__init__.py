@@ -49,7 +49,6 @@ from .specfun import (
 from .series import (
     SummedValue,
     TrigSeries,
-    abel_extrapolate,
     abel_value,
     geometric_abel,
     partial_sum,
@@ -82,8 +81,8 @@ __all__ = [
     "EvalResult", "clausen_closed_form", "dirichlet_beta", "functional_equation_residual",
     "hankel_zeta", "hurwitz_zeta", "lerch_hankel", "recip_gamma",
     "zeta_em", "zeta_even_pi_form", "zeta_neg_int",
-    "SummedValue", "TrigSeries", "abel_extrapolate", "abel_value",
-    "geometric_abel", "partial_sum", "partial_sum_accelerated",
+    "SummedValue", "TrigSeries", "abel_value", "geometric_abel",
+    "partial_sum", "partial_sum_accelerated",
     "DilationShift", "Expression", "OpResult", "TaylorFlowResult",
     "apply_operator", "apply_recip_gamma_op", "dilate", "extract_special_values",
     "parity_anomaly", "taylor_flow",

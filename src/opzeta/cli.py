@@ -115,18 +115,20 @@ def _verify_grid(rec: registry.IdentityRecord, grid: tuple[float, float, int], t
     xs = _linspace(*grid)
     # the right side: its coefficients at pi once, then Horner per x (`rhs_poly` first)
     rhs_at = pipoly_evaluator(rec.rhs_poly) if rec.rhs_poly is not None else rec.closed_form()
+    geometric_parts = series.TrigSeries("cos", 0), series.TrigSeries("sin", 0)
     for x in xs:
         if mode == "sum":
             sv = series.partial_sum_accelerated(rec.series, x, tol * 1e-3)
         elif mode == "abel":
-            sv = series.abel_extrapolate(rec.series, x)
-        elif mode == "geometric":
-            sv = series.geometric_extrapolate(x)
+            sv = series.abel_value(rec.series, x)
+        elif mode == "geometric":  # sum e^(inx) = sum cos(nx) + i sum sin(nx), both Abel sums
+            cos_sum, sv = (series.abel_value(part, x) for part in geometric_parts)
         else:
             raise ValueError(f"unknown verify mode {mode!r}")
-        lhs, method = (sv.value if mode == "geometric" else float(sv.value)), sv.method
+        lhs, method = sv.value, sv.method
 
         if mode == "geometric":
+            lhs = complex(cos_sum.value, lhs)
             rhs = series.geometric_abel(x)
             deviation = abs(lhs - rhs)
             if abs(rhs.real + 0.5) > 1e-8 or abs(lhs.real + 0.5) > 1e-8:

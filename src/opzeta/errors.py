@@ -45,11 +45,12 @@ class OutsideDomain(OpzetaError):
 
 
 class NoClosedForm(OpzetaError):
-    """No registry closed form and the extrapolation fallback did not converge."""
+    """An Abel sum at exponent >= 2, which has no closed form here: the
+    accelerated sum that stands for it did not converge."""
 
 
 class NotConverged(OpzetaError):
-    """Successive extrapolants disagree beyond the convergence tolerance."""
+    """A series, tail or expansion did not reach the accuracy its caller needs."""
 
 
 # --- operator engine ---------------------------------------------------------

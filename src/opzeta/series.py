@@ -6,10 +6,11 @@ n = 1, 2, 3, ...; the `beta` character runs over odd n = 2k+1 with sign
 (-1)^k. Every convergent series (exponent >= 1) has one kernel,
 `partial_sum_accelerated`: a short head plus an iterated summation-by-parts
 tail, the beta character by a shift of x by pi/2. Divergent series (exponent
-<= 0) are never summed by raw truncation; they take the Abel route: closed
-form when the (parity, exponent, character) triple is registered, Richardson
-extrapolation of the closed-form Abel means (exponents <= 1) otherwise. At
-exponents >= 2 the Abel sum is the sum (Abel's theorem).
+<= 0) are never summed by raw truncation; they take the Abel route,
+`abel_value`: at exponents <= 1 the Abel mean is a closed form in
+z = r e^(ix), continuous up to |z| = 1 away from its singular points, so the
+Abel sum is that form at r = 1. At exponents >= 2 the Abel sum is the sum
+(Abel's theorem).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 from .errors import (
     Diverges,
@@ -29,8 +30,6 @@ from .errors import (
     SingularAtEndpoint,
 )
 
-_DEFAULT_R_GRID = tuple(1.0 - 2.0 ** (-k) for k in range(4, 15))
-_RICHARDSON_ORDER = 4
 _UNIT_ROUNDOFF = 2.0**-53
 _N0_SCALE, _N0_CAP, _SBP_MAX_LEVELS = 64, 400_000, 48
 
@@ -56,9 +55,9 @@ class TrigSeries:
 class SummedValue:
     """Value with error bound and the method that produced it (audit trail)."""
 
-    value: complex | float
+    value: float
     abs_error_estimate: float
-    method: str  # partial_sum | abel_closed_form | abel_extrapolated
+    method: str  # partial_sum | abel_closed_form
 
 
 def _tail_bound(series: TrigSeries, x: float, count: int) -> float:
@@ -200,11 +199,11 @@ def geometric_abel(x: float) -> complex:
 # --- closed-form registry ------------------------------------------------------
 
 def _sin_over_one_minus_cos(x: float) -> float:
-    return math.sin(x) / (2.0 * (1.0 - math.cos(x)))
+    return 0.5 / math.tan(x / 2)  # sin x / (2 (1 - cos x)), with no 1 - cos x to cancel
 
 
 def _neg_inv_one_minus_cos(x: float) -> float:
-    return -1.0 / (2.0 * (1.0 - math.cos(x)))
+    return -1.0 / (4.0 * math.sin(x / 2) ** 2)  # -1 / (2 (1 - cos x))
 
 
 def _half_sec(x: float) -> float:
@@ -212,19 +211,8 @@ def _half_sec(x: float) -> float:
 
 
 def _log_sec_plus_tan_half(x: float) -> float:
-    return 0.5 * math.log((1.0 + math.sin(x)) / math.cos(x))
-
-
-def _not_near_multiple_of_two_pi(x: float) -> bool:
-    return abs(math.sin(x / 2)) > 1e-9
-
-
-def _cos_nonzero(x: float) -> bool:
-    return abs(math.cos(x)) > 1e-9
-
-
-def _inside_half_pi(x: float) -> bool:
-    return abs(x) < math.pi / 2 - 1e-12
+    sn = math.sin(x)  # (1 + sin x)/cos x = cos x/(1 - sin x): no 1 + sin x to cancel
+    return math.copysign(0.5 * math.log((1.0 + abs(sn)) / math.cos(x)), sn)
 
 
 CLOSED_FORMS: dict[str, Callable[[float], float]] = {
@@ -234,34 +222,6 @@ CLOSED_FORMS: dict[str, Callable[[float], float]] = {
     "log_sec_plus_tan_half": _log_sec_plus_tan_half,
     "zero": lambda x: 0.0,
 }
-
-# (parity, exponent, character) -> (closed form, domain predicate, domain text)
-_ABEL_REGISTRY: dict[tuple[str, int, str], tuple[Callable[[float], float], Callable[[float], bool], str]] = {
-    ("sin", 0, "trivial"): (_sin_over_one_minus_cos, _not_near_multiple_of_two_pi, "x != 0 mod 2*pi"),
-    ("cos", -1, "trivial"): (_neg_inv_one_minus_cos, _not_near_multiple_of_two_pi, "x != 0 mod 2*pi"),
-    ("sin", 0, "beta"): (lambda x: 0.0, _cos_nonzero, "cos x != 0"),
-    ("cos", 0, "beta"): (_half_sec, _cos_nonzero, "cos x != 0"),
-    ("sin", 1, "beta"): (_log_sec_plus_tan_half, _inside_half_pi, "|x| < pi/2"),
-}
-
-
-def abel_value(series: TrigSeries, x: float) -> SummedValue:
-    """Abel sum from the closed-form registry `_ABEL_REGISTRY` (each form
-    named after its formula), falling back to `abel_extrapolate` for
-    unregistered triples."""
-    key = (series.parity, series.exponent, series.character)
-    entry = _ABEL_REGISTRY.get(key)
-    if entry is not None:
-        fn, domain_ok, domain_text = entry
-        if not domain_ok(x):
-            raise OutsideDomain(f"x={x} outside the validity domain ({domain_text}) of {key}")
-        v = fn(x)
-        return SummedValue(v, 4e-16 * (1.0 + abs(v)), "abel_closed_form")
-    try:
-        return abel_extrapolate(series, x)
-    except NotConverged as exc:
-        how = "the accelerated sum's tail did not converge" if series.exponent >= 2 else "extrapolation failed"
-        raise NoClosedForm(f"no registry closed form for {key} and {how}: {exc}") from exc
 
 
 def _geometric_rational(exponent: int, character: str) -> tuple[list[int], int]:
@@ -283,92 +243,45 @@ def _geometric_rational(exponent: int, character: str) -> tuple[list[int], int]:
     return coeffs, 1 - exponent
 
 
-def _abel_means(exponent: int, character: str, x: float) -> Callable[[float], complex]:
-    """r -> sum chi(n) z^n/n^exponent, z = r e^(ix), r < 1, for exponent <= 1:
-    the rational form for exponents <= 0, its numerator built once, or
-    -log(1 - z) (trivial character) or atan(z) (beta) at exponent 1."""
-    unit = cmath.exp(1j * x)
-    if exponent == 1:
-        if character == "trivial":
-            return lambda r: -cmath.log(1.0 - r * unit)
-        return lambda r: cmath.atan(r * unit)
-    num_coeffs, den_pow = _geometric_rational(exponent, character)
-    horner = tuple(reversed(num_coeffs))
-
-    def mean(r: float) -> complex:
-        z = r * unit
-        num = 0.0 + 0.0j
-        for c in horner:
-            num = num * z + c
-        den = (1.0 - z) if character == "trivial" else (1.0 + z * z)
-        return num / den ** den_pow
-
-    return mean
-
-
-def _abel_mean(exponent: int, character: str, x: float, r: float) -> complex:
-    """The Abel mean of `_abel_means` at one r."""
-    return _abel_means(exponent, character, x)(r)
-
-
-def _richardson_to_zero(h: Sequence[float], vals: Sequence, order: int) -> tuple:
-    """Neville extrapolation of vals(h) to h = 0, column depth capped at
-    `order`. Returns (limit, |last correction|)."""
-    n = len(vals)
-    depth = min(order, n - 1)
-    t = [list(vals)]  # t[j][i] valid for i >= j
-    for j in range(1, depth + 1):
-        row: list = [None] * n
-        for i in range(j, n):
-            row[i] = (h[i - j] * t[j - 1][i] - h[i] * t[j - 1][i - 1]) / (h[i - j] - h[i])
-        t.append(row)
-    best = t[depth][n - 1]
-    prev_best = t[depth - 1][n - 1]
-    return best, abs(best - prev_best)
-
-
-def _extrapolate_to_one(mean: Callable[[float], complex], r_grid: Sequence[float] | None, x: float, what) -> tuple:
-    """Evaluate `mean` on r_grid (default 1 - 2^-k, k = 4..14) and Richardson
-    extrapolate to r = 1 in h = 1 - r (order 4). Returns (limit, |last
-    correction|, means); raises NotConverged, naming x and `what`, past 1e-6
-    relative disagreement."""
-    if r_grid is None:
-        r_grid = _DEFAULT_R_GRID
-    r_grid = tuple(float(r) for r in r_grid)
-    if len(r_grid) < 4:
-        raise ValueError("r_grid needs at least 4 points")
-    if any(not 0.0 < r < 1.0 for r in r_grid):
-        raise ValueError("r_grid values must lie in (0, 1)")
-    if any(b <= a for a, b in zip(r_grid, r_grid[1:])):
-        raise ValueError("r_grid must be strictly increasing")
-    vals = [mean(r) for r in r_grid]
-    limit, correction = _richardson_to_zero([1.0 - r for r in r_grid], vals, _RICHARDSON_ORDER)
-    if correction > 1e-6 * max(1.0, abs(limit)):
-        raise NotConverged(f"extrapolants disagree by {correction:.3e} at x={x} for {what}")
-    return limit, correction, vals
-
-
-def abel_extrapolate(series: TrigSeries, x: float, r_grid: Sequence[float] | None = None) -> SummedValue:
-    """Abel sum of `series` at x.
+def abel_value(series: TrigSeries, x: float) -> SummedValue:
+    """Abel sum of `series` at x: the limit r -> 1 of the Abel mean
+    sum chi(n) z^n / n^exponent, z = r e^(ix) (its imaginary part for sin,
+    real part for cos).
 
     Exponents >= 2 converge absolutely, so by Abel's theorem the Abel sum is
-    the sum: `partial_sum_accelerated`, which raises EndpointConditional or
-    NotConverged where it does; r_grid plays no part there. Exponents <= 1
-    evaluate the closed-form Abel means (`_abel_means`) on r_grid and
-    Richardson extrapolate them to r = 1 (`_extrapolate_to_one`).
+    the sum: `partial_sum_accelerated`. Below that the mean is a closed form,
+    continuous on the closed unit disk away from z = 1 (trivial character) or
+    z = +-i (beta), so the limit is its value at z = e^(ix): P(z)/D^p from
+    `_geometric_rational` at exponents <= 0, -log(1 - z) or atan(z) at
+    exponent 1. D is factored so that no digits cancel near those points:
+    1 - z = -2i sin(x/2) e^(ix/2), 1 + z^2 = 2 cos x z. The bound is the
+    rounding: the coefficient sizes over |D|^p. Raises OutsideDomain at
+    |sin(x/2)| <= 1e-9 (trivial) or |cos x| <= 1e-9 (beta).
     """
+    key = (series.parity, series.exponent, series.character)
     if series.exponent >= 2:
-        return partial_sum_accelerated(series, x)
-    part = "imag" if series.parity == "sin" else "real"
-    mean = _abel_means(series.exponent, series.character, x)
-    limit, correction, vals = _extrapolate_to_one(lambda r: getattr(mean(r), part), r_grid, x, series)
-    scale = max(1.0, max(abs(v) for v in vals))
-    return SummedValue(limit, correction + 1e-14 * scale, "abel_extrapolated")
-
-
-def geometric_extrapolate(x: float, r_grid: Sequence[float] | None = None) -> SummedValue:
-    """Complex Abel sum of sum e^(i n x) by the same extrapolation route;
-    cross-checks `geometric_abel` (real part -1/2, imaginary part the
-    exponent-0 sine series)."""
-    limit, correction, _ = _extrapolate_to_one(_abel_means(0, "trivial", x), r_grid, x, "the geometric series")
-    return SummedValue(limit, correction + 1e-14, "abel_extrapolated")
+        try:
+            return partial_sum_accelerated(series, x)
+        except NotConverged as exc:
+            raise NoClosedForm(f"no closed form for {key} and the accelerated sum's tail did not converge: {exc}") from exc
+    trivial = series.character == "trivial"
+    q = math.sin(x / 2) if trivial else math.cos(x)
+    if abs(q) <= 1e-9:
+        raise OutsideDomain(f"x={x} is a singular point ({'sin(x/2)' if trivial else 'cos x'} = 0) of the Abel sum of {key}")
+    z = cmath.exp(1j * x)
+    den = -2j * q * cmath.exp(0.5j * x) if trivial else 2.0 * q * z
+    if series.exponent == 1:
+        if trivial:  # -log(1 - z)
+            value = -cmath.log(den)
+        else:  # atan(z) = (1/2i) log(i cos x / (1 + sin x)), the log's argument kept off 1 - |sin x|
+            sn = math.sin(x)
+            value = complex(math.copysign(math.pi / 4, q), math.copysign(0.5 * math.log((1.0 + abs(sn)) / abs(q)), sn))
+        bound = 8 * _UNIT_ROUNDOFF * (4.0 + abs(value))
+    else:
+        coeffs, p = _geometric_rational(series.exponent, series.character)
+        num = 0j
+        for c in reversed(coeffs):
+            num = num * z + c
+        value = num / den**p
+        bound = 4 * _UNIT_ROUNDOFF * (len(coeffs) + p + 2) * sum(map(abs, coeffs)) / abs(2.0 * q) ** p
+    return SummedValue(value.imag if series.parity == "sin" else value.real, bound, "abel_closed_form")

@@ -4,7 +4,6 @@ import random
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 import pytest
 
 from opzeta.errors import (
@@ -19,17 +18,9 @@ from opzeta.series import (
     CLOSED_FORMS,
     SummedValue,
     TrigSeries,
-    _ABEL_REGISTRY,
-    _DEFAULT_R_GRID,
-    _abel_mean,
-    _abel_means,
     _differences,
-    _extrapolate_to_one,
-    _geometric_rational,
-    abel_extrapolate,
     abel_value,
     geometric_abel,
-    geometric_extrapolate,
     partial_sum,
     partial_sum_accelerated,
 )
@@ -168,40 +159,41 @@ class TestDifferences:
             assert got == float(exact), (j, got, float(exact))
 
 
-class TestAbelMeanClosedForms:
-    """Exponent-1 Abel means: -log(1 - z) and atan(z), z = r e^(ix), against
-    the damped truncation they replaced and against mpmath."""
+class TestAbelValueHonestBound:
+    """`abel_value` against mpmath polylog at 40 digits: exponents 1 down to
+    -14, both characters and parities, x down to 1e-3 from each singular
+    point. The beta series is (Li_s(iz) - Li_s(-iz))/(2i), z = e^(ix)."""
 
     @staticmethod
-    def truncated_mean(parity, character, x, r):
-        count = int(math.ceil((math.log(1e-17) + math.log1p(-r)) / math.log(r))) + 10
-        if character == "trivial":
-            n = np.arange(1, count + 1, dtype=np.float64)
-            total = complex(np.sum(np.exp(n * (math.log(r) + 1j * x)) / n))
-        else:
-            k = np.arange(0, count // 2 + 1, dtype=np.float64)
-            n = 2 * k + 1
-            total = complex(np.sum((-1.0) ** k * np.exp(n * (math.log(r) + 1j * x)) / n))
-        return total.imag if parity == "sin" else total.real
-
-    @pytest.mark.parametrize("parity", ["sin", "cos"])
-    @pytest.mark.parametrize("character", ["trivial", "beta"])
-    def test_against_truncation_and_mpmath(self, parity, character):
+    def reference(s, character, x):
         ctx = mpmath.MPContext()
-        ctx.dps = 30
-        rng = random.Random(f"{parity}-{character}")
-        for _ in range(20):
-            x = rng.uniform(0.05, 2 * PI - 0.05) if character == "trivial" else rng.uniform(-1.5, 1.5)
-            r = rng.choice(_DEFAULT_R_GRID)
-            got = getattr(_abel_mean(1, character, x, r), "imag" if parity == "sin" else "real")
-            # the truncation rounds to about 1e-14 absolute, so the relative
-            # tolerance is taken against max(1, |mean|)
-            want = self.truncated_mean(parity, character, x, r)
-            assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (x, r)
-            z = ctx.mpf(r) * ctx.expj(x)
-            exact = -ctx.log(1 - z) if character == "trivial" else ctx.atan(z)
-            exact = float(exact.imag if parity == "sin" else exact.real)
-            assert abs(got - exact) <= 1e-14 * abs(exact), (x, r)
+        ctx.dps = 40
+        z = ctx.expj(x)
+        if character == "trivial":
+            return ctx.polylog(s, z)
+        return (ctx.polylog(s, 1j * z) - ctx.polylog(s, -1j * z)) / 2j
+
+    def test_error_within_bound(self):
+        rng = random.Random(20261018)
+        singular = {"trivial": (0.0, 2 * PI), "beta": (PI / 2, -PI / 2)}
+        points = [  # where 1 - cos x and 1 + sin x cancel in the named closed forms
+            (0, "trivial", 1e-3), (-1, "trivial", 1e-3), (1, "beta", 1e-3 - PI / 2),
+            (1, "beta", 2.0),  # cos x < 0, past |x| < pi/2, where the series still converges
+        ]
+        for character, centres in singular.items():
+            for s in range(1, -15, -1):
+                for c in centres:
+                    points += [(s, character, x) for x in (c + 1e-3, c - 1e-3)]
+                    points.append((s, character, c + rng.choice((-1, 1)) * 10 ** rng.uniform(-3, 0)))
+        for s, character, x in points:
+            want = self.reference(s, character, x)
+            for parity, part in (("sin", want.imag), ("cos", want.real)):
+                got = abel_value(TrigSeries(parity, s, character), x)
+                assert got.method == "abel_closed_form"
+                assert abs(got.value - float(part)) <= got.abs_error_estimate, (parity, s, character, x)
+        got = abel_value(TrigSeries("sin", 1, "beta"), 2.0)
+        want = 0.5 * math.log((1 + math.sin(2.0)) / abs(math.cos(2.0)))
+        assert abs(got.value - want) <= got.abs_error_estimate + 4e-16 * abs(want)
 
 
 class TestGeometricAbel:
@@ -254,18 +246,16 @@ class TestAbelValue:
             abel_value(TrigSeries("cos", 0, "beta"), PI / 2)
 
     def test_fallback_extrapolates(self):
-        # (cos, 0, trivial) is not in the registry; Abel sum of sum cos(nx) = -1/2
+        # the Abel sum of sum cos(nx) is -1/2 wherever x != 0 mod 2*pi
         r = abel_value(TrigSeries("cos", 0), 1.2)
-        assert r.method == "abel_extrapolated"
-        assert r.value == pytest.approx(-0.5, abs=1e-9)
+        assert r.method == "abel_closed_form"
+        assert abs(r.value + 0.5) <= r.abs_error_estimate <= 1e-14
 
-    def test_no_closed_form_when_extrapolation_blows_up(self):
-        from opzeta.errors import NoClosedForm
-
-        # unregistered triple evaluated against the r -> 1 pole: sum cos(n x)
-        # at x ~ 0 has Abel means ~ 1/(1-r), which cannot extrapolate
-        with pytest.raises(NoClosedForm):
-            abel_value(TrigSeries("cos", 0), 1e-7)
+    def test_cos_exponent0_next_to_the_pole(self):
+        # the Abel means of sum cos(nx) grow like 1/(1 - r) at x ~ 0, but at
+        # r = 1 the factored 1 - z keeps -1/2 within a bound of 1e-7
+        r = abel_value(TrigSeries("cos", 0), 1e-7)
+        assert abs(r.value + 0.5) <= r.abs_error_estimate <= 1e-7
 
     def test_no_closed_form_names_the_tail_at_convergent_exponents(self):
         from opzeta.errors import NoClosedForm
@@ -281,28 +271,22 @@ class TestAbelValue:
 
 
 class TestAbelExtrapolate:
+    """`abel_value` at sample points: closed forms below exponent 2, the sum above."""
+
     def test_spec_grid_sine(self):
-        r = abel_extrapolate(TrigSeries("sin", 0), PI / 2, (0.9, 0.99, 0.999, 0.9999))
-        assert abs(r.value - 0.5) < 1e-6
+        r = abel_value(TrigSeries("sin", 0), PI / 2)
+        assert abs(r.value - 0.5) < 1e-15
 
     def test_beta_cos_at_one(self):
-        r = abel_extrapolate(TrigSeries("cos", 0, "beta"), 1.0, (0.9, 0.99, 0.999, 0.9999))
-        assert abs(r.value - 1 / (2 * math.cos(1.0))) < 1e-6
+        r = abel_value(TrigSeries("cos", 0, "beta"), 1.0)
+        assert abs(r.value - 1 / (2 * math.cos(1.0))) < 1e-15
 
     def test_sin_at_pi_vanishes(self):
-        r = abel_extrapolate(TrigSeries("sin", 0), PI)
-        assert abs(r.value) < 1e-12
-
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            abel_extrapolate(TrigSeries("sin", 0), 1.0, (0.9, 0.99))
-        with pytest.raises(ValueError):
-            abel_extrapolate(TrigSeries("sin", 0), 1.0, (0.99, 0.9, 0.999, 0.9999))
-        with pytest.raises(ValueError):
-            abel_extrapolate(TrigSeries("sin", 0), 1.0, (0.9, 0.99, 0.999, 1.0))
+        r = abel_value(TrigSeries("sin", 0), PI)
+        assert abs(r.value) < 1e-15
 
     def test_method_field(self):
-        assert abel_extrapolate(TrigSeries("sin", 0), 2.0).method == "abel_extrapolated"
+        assert abel_value(TrigSeries("sin", 0), 2.0).method == "abel_closed_form"
 
     @pytest.mark.parametrize("exponent", range(2, 7))
     def test_convergent_exponents_are_the_sum(self, exponent):
@@ -312,32 +296,39 @@ class TestAbelExtrapolate:
         rng = random.Random(2000 + exponent)
         for _ in range(20):
             x = rng.uniform(0.05, 2 * PI - 0.05)
-            r = abel_extrapolate(TrigSeries(parity, exponent), x)
+            r = abel_value(TrigSeries(parity, exponent), x)
             assert r.method == "partial_sum"
             assert abs(r.value - pipoly_eval(poly, x)) <= r.abs_error_estimate, x
 
 
 class TestRegistryExtrapolationAgreement:
-    """Every registry closed form vs extrapolation at 20 random points."""
+    """Every registry closed form vs `abel_value` at 20 random points."""
 
-    @pytest.mark.parametrize("key", sorted(_ABEL_REGISTRY))
+    FORMS = {
+        ("sin", 0, "trivial"): "sin_over_one_minus_cos",
+        ("cos", -1, "trivial"): "neg_inv_one_minus_cos",
+        ("sin", 0, "beta"): "zero",
+        ("cos", 0, "beta"): "half_sec",
+        ("sin", 1, "beta"): "log_sec_plus_tan_half",
+    }
+
+    @pytest.mark.parametrize("key", sorted(FORMS))
     def test_agreement(self, key):
         parity, exponent, character = key
         series = TrigSeries(parity, exponent, character)
-        fn, domain_ok, _ = _ABEL_REGISTRY[key]
+        fn = CLOSED_FORMS[self.FORMS[key]]
         rng = random.Random(20260811)
         lo, hi = (-1.4, 1.4) if character == "beta" else (0.05, 2 * PI - 0.05)
         count = 0
         while count < 20:
             x = rng.uniform(lo, hi)
-            if not domain_ok(x) or (character == "beta" and abs(math.cos(x)) < 0.1):
+            if character == "beta" and abs(math.cos(x)) < 0.1:
                 continue
             if character == "trivial" and abs(math.sin(x / 2)) < 0.05:
                 continue
             count += 1
             a = abel_value(series, x)
-            b = abel_extrapolate(series, x)
-            assert abs(a.value - b.value) <= a.abs_error_estimate + b.abs_error_estimate + 1e-12
+            assert abs(a.value - fn(x)) <= a.abs_error_estimate + 1e-15 * abs(fn(x))
 
 
 class TestDecompositionInvariants:
@@ -348,18 +339,11 @@ class TestDecompositionInvariants:
             assert g.imag == pytest.approx(float(s.value), abs=1e-12)
             assert g.real == pytest.approx(-0.5, abs=1e-12)
 
-    def test_geometric_extrapolate_matches_closed_form(self):
+    def test_geometric_from_abel_values_matches_closed_form(self):
+        # the complex left side of `verify`'s geometric mode
         for x in (0.3, 1.1, 2.7, 5.1):
-            e = geometric_extrapolate(x)
-            assert abs(e.value - geometric_abel(x)) < 1e-9
-
-    @pytest.mark.parametrize(
-        "grid", [(0.99,), (0.9, 0.99, 0.999), (0.99, 0.9, 0.999, 0.9999), (0.9, 0.99, 0.999, 1.0)]
-    )
-    def test_geometric_extrapolate_grid_validation(self, grid):
-        # a one-point grid used to return the bare mean with a 1e-14 bound
-        with pytest.raises(ValueError):
-            geometric_extrapolate(1.0, grid)
+            e = complex(abel_value(TrigSeries("cos", 0), x).value, abel_value(TrigSeries("sin", 0), x).value)
+            assert abs(e - geometric_abel(x)) < 1e-14
 
 
 class TestConvergentClosedFormAgreement:
@@ -380,6 +364,26 @@ class TestConvergentClosedFormAgreement:
             x = 0.1 + (2 * PI - 0.2) * k / 19
             r = partial_sum(series, x, 20_000)
             assert abs(r.value - pipoly_eval(poly, x)) <= r.abs_error_estimate
+
+
+class TestClosedFormsNearCancellation:
+    """Right sides against mpmath where 1 - cos x (x ~ 0 mod 2*pi) or
+    1 + sin x (x ~ -pi/2) cancels: name -> (the form in mpmath, points)."""
+
+    EXACT = {
+        "sin_over_one_minus_cos": (lambda c, x: c.sin(x) / (2 * (1 - c.cos(x))), (1e-3, 1e-6, 2 * PI - 1e-4)),
+        "neg_inv_one_minus_cos": (lambda c, x: -1 / (2 * (1 - c.cos(x))), (1e-3, 1e-6, 2 * PI - 1e-4)),
+        "log_sec_plus_tan_half": (lambda c, x: c.log((1 + c.sin(x)) / c.cos(x)) / 2, (1e-3 - PI / 2, 1e-6 - PI / 2)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(EXACT))
+    def test_relative_error_against_mpmath(self, name):
+        exact, xs = self.EXACT[name]
+        ctx = mpmath.MPContext()
+        ctx.dps = 40
+        for x in xs:
+            want = exact(ctx, ctx.mpf(x))
+            assert abs(CLOSED_FORMS[name](x) - want) <= 1e-15 * abs(want), x
 
 
 class TestBetaSquareWaveDerivative:
@@ -417,57 +421,3 @@ class TestTrigSeriesValidation:
     def test_summed_value_fields(self):
         v = SummedValue(1.0, 0.0, "partial_sum")
         assert v.abs_error_estimate >= 0
-
-
-class TestAbelMeansBuiltOnce:
-    """`_abel_means` builds the rational numerator once per x; the doubles
-    must equal those of the numerator rebuilt at every r."""
-
-    @staticmethod
-    def per_r_mean(exponent, character, x, r):
-        z = r * cmath.exp(1j * x)
-        num_coeffs, den_pow = _geometric_rational(exponent, character)
-        num = 0.0 + 0.0j
-        for c in reversed(num_coeffs):
-            num = num * z + c
-        den = (1.0 - z) if character == "trivial" else (1.0 + z * z)
-        return num / den ** den_pow
-
-    @pytest.mark.parametrize("parity", ["sin", "cos"])
-    @pytest.mark.parametrize("character", ["trivial", "beta"])
-    def test_same_doubles_as_per_r_construction(self, parity, character):
-        rng = random.Random(f"built-once-{parity}-{character}")
-        part = "imag" if parity == "sin" else "real"
-        extrapolated = 0
-        for exponent in range(0, -7, -1):
-            series = TrigSeries(parity, exponent, character)
-            for _ in range(10):
-                x = rng.uniform(0.2, 2 * PI - 0.2) if character == "trivial" else rng.uniform(-1.4, 1.4)
-                mean = _abel_means(exponent, character, x)
-                for r in _DEFAULT_R_GRID:
-                    want = self.per_r_mean(exponent, character, x, r)
-                    assert mean(r).real.hex() == want.real.hex() and mean(r).imag.hex() == want.imag.hex()
-                    assert _abel_mean(exponent, character, x, r) == mean(r)
-                try:
-                    limit, correction, vals = _extrapolate_to_one(
-                        lambda r: getattr(self.per_r_mean(exponent, character, x, r), part), None, x, series
-                    )
-                except NotConverged:
-                    with pytest.raises(NotConverged):
-                        abel_extrapolate(series, x)
-                    continue
-                got = abel_extrapolate(series, x)
-                bound = correction + 1e-14 * max(1.0, max(abs(v) for v in vals))
-                assert got.value.hex() == limit.hex()
-                assert got.abs_error_estimate.hex() == bound.hex()
-                extrapolated += 1
-        assert extrapolated >= 35
-
-    def test_geometric_extrapolate_same_doubles(self):
-        rng = random.Random("built-once-geometric")
-        for _ in range(10):
-            x = rng.uniform(0.2, 2 * PI - 0.2)
-            limit, correction, _ = _extrapolate_to_one(lambda r: self.per_r_mean(0, "trivial", x, r), None, x, "g")
-            got = geometric_extrapolate(x)
-            assert got.value.real.hex() == limit.real.hex() and got.value.imag.hex() == limit.imag.hex()
-            assert got.abs_error_estimate.hex() == (correction + 1e-14).hex()
