@@ -16,6 +16,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 from . import divmatrix, operators, registry, series, specfun
@@ -341,7 +342,7 @@ def _cmd_matrix(args, out) -> int:
         return 2
     A = divmatrix.build_matrix(args.size)
     if args.apply is not None:
-        out.write(A.column_text(args.apply))
+        out.writelines(A.column_blocks(args.apply))
         return 0
     if args.check is not None:
         report = divmatrix.consistency_check(args.check, args.size)
@@ -370,7 +371,16 @@ def _grid_arg(text: str) -> tuple[float, float, int]:
         raise argparse.ArgumentTypeError(f"grid must be a:b:steps, got {text!r}") from exc
 
 
+# read negative numeric tokens such as -1e6, -inf or a grid -1.4:1.4:3 as
+# arguments, not as options (argparse's own test admits only plain decimals
+# like -3 or -2.5)
+_NEGATIVE_NUMBER = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use and only read after
+    (parsing leaves it unchanged, so threads share it); do not modify it."""
     p = argparse.ArgumentParser(
         prog="opzeta",
         description="Verify dilation-operator series identities, print special values, and export the divisibility matrix.",
@@ -379,6 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="verify one registry identity on a grid (or exactly)")
     v.add_argument("id")
+    v._negative_number_matcher = _NEGATIVE_NUMBER
     v.add_argument("--grid", type=_grid_arg, default=None, help="a:b:steps (default: registry profile)")
     v.add_argument("--tol", type=float, default=None)
     v.add_argument("--exact", action="store_true", help="exact comparison in Q[pi] where available")
@@ -387,9 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     w = sub.add_parser("values", help="value table for zeta/beta/bernoulli/euler")
     w.add_argument("kind", choices=("zeta", "beta", "bernoulli", "euler"))
     w.add_argument("args", nargs="+")
-    # read negative numeric tokens such as -1e6 or -inf as arguments, not as
-    # options (argparse's own test admits only plain decimals like -3 or -2.5)
-    w._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
+    w._negative_number_matcher = _NEGATIVE_NUMBER
     w.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     e = sub.add_parser("extract", help="solve special values by coefficient matching")

@@ -24,12 +24,15 @@ from typing import Callable, Iterator, Sequence
 from .errors import DimensionMismatch
 
 
+# rows per block of the divisor sieve and of the printed column
+_BLOCK = 1 << 14
+
+
 def _divisor_rows(size: int, label: Callable = int) -> Iterator[list]:
     """label(n) for each divisor n of m, increasing, one list per m = 1..size,
     sieved 2^14 rows at a time: at the size bound, 1/6 of the lists at once."""
-    block = 1 << 14
-    for lo in range(1, size + 1, block):
-        rows = [[] for _ in range(lo, min(lo + block, size + 1))]
+    for lo in range(1, size + 1, _BLOCK):
+        rows = [[] for _ in range(lo, min(lo + _BLOCK, size + 1))]
         for n in range(1, lo + len(rows)):
             name = label(n)
             for row in rows[-lo % n :: n]:  # the multiples of n in this block
@@ -84,13 +87,21 @@ class DivisibilityMatrix:
             row = divs[-1]
             yield "".join([f"{row} {n} 1 {k}\n" for n, k in zip(divs, reversed(divs))])
 
-    def column_text(self, n: int) -> str:
-        """Column n as 'm num/den' lines, m = 1..size: 1/k at m = k n, 0/1 elsewhere."""
+    def column_blocks(self, n: int) -> Iterator[str]:
+        """Column n as 'm num/den' lines, m = 1..size, 2^14 rows per string:
+        1/k at m = k n, 0/1 elsewhere."""
         if not 1 <= n <= self.size:
             raise ValueError("need 1 <= n <= size")
-        lines = [f"{m} 0/1\n" for m in range(1, self.size + 1)]
-        lines[n - 1 :: n] = [f"{k * n} 1/{k}\n" for k in range(1, self.size // n + 1)]
-        return "".join(lines)
+        for lo in range(1, self.size + 1, _BLOCK):
+            hi = min(lo + _BLOCK, self.size + 1)
+            lines = [f"{m} 0/1\n" for m in range(lo, hi)]
+            first = -(-lo // n)  # the least k with k n >= lo
+            lines[first * n - lo :: n] = [f"{k * n} 1/{k}\n" for k in range(first, (hi - 1) // n + 1)]
+            yield "".join(lines)
+
+    def column_text(self, n: int) -> str:
+        """Column n as one string: the joined `column_blocks(n)`."""
+        return "".join(self.column_blocks(n))
 
 
 def build_matrix(M: int) -> DivisibilityMatrix:

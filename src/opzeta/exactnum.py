@@ -5,9 +5,11 @@ over Q and Q[pi].
 one private base, `_Poly`: the trimmed, immutable coefficient tuple, `+`,
 `-`, equality, hashing and printing. All operations are pure. `pipoly_eval`,
 `pipoly_evaluator` (coefficients at pi once, then Horner per x) and
-`float(PiPolynomial)` (pi to 30 digits, rounded once to a double) compute in
-the calling thread's own mpmath context and never set the precision of
-mpmath's process-global `mp` context.
+`float(PiPolynomial)` compute in integers, with pi from one integer literal
+(77 digits), and round the exact rational value once to a double by one
+int/int division. `PiPolynomial.evaluate`
+computes in the calling thread's own mpmath context and never sets the
+precision of mpmath's process-global `mp` context.
 
 Bernoulli and Euler numbers up to index 82 come from one immutable table,
 built by the exact recurrences on first use; a larger index is one rounded
@@ -37,6 +39,9 @@ from .errors import NotConverged
 _ScalarLike = Union[int, Fraction]
 
 _THREAD = threading.local()
+
+# floor(pi 2^256), 77 digits of pi as one integer; the tests check it against mpmath
+_PI_FIXED = 0x3243F6A8885A308D313198A2E03707344A4093822299F31D0082EFA98EC4E6C89
 
 
 @contextmanager
@@ -192,10 +197,10 @@ class PiPolynomial(_Poly):
         return acc
 
     def __float__(self) -> float:
-        """The value as a double, by the computation of `pipoly_eval` at its
-        default 30 digits of pi (one rounding at the end)."""
-        with _working_precision(35) as ctx:
-            return float(self.evaluate(+ctx.pi))
+        """The value at pi to 128 + log2(degree) bits (so pi^degree carries
+        127), rounded once to a double."""
+        num, den = _at_pi(self, 128 + self.degree.bit_length())
+        return num / den
 
 
 PI = PiPolynomial((0, 1))
@@ -227,30 +232,57 @@ class PiXPolynomial(_Poly):
         return PiXPolynomial(self.coeffs[: max_degree + 1])
 
 
+def _at_pi(c: PiPolynomial, bits: int) -> tuple[int, int]:
+    """c at floor(pi 2^bits) / 2^bits (bits <= 256), exactly, as (num, den)
+    with den > 0; zero coefficients cost nothing."""
+    terms = [(k, a) for k, a in enumerate(c.coeffs) if a]
+    if not terms:
+        return 0, 1
+    pi, top = _PI_FIXED >> (256 - bits), terms[-1][0]
+    den = math.lcm(*(a.denominator for _, a in terms))
+    num = sum(a.numerator * (den // a.denominator) * pi**k << (top - k) * bits for k, a in terms)
+    return num, den << top * bits
+
+
+def _exact_ratio(x) -> tuple[int, int]:
+    """x = num / den exactly, den > 0, for an int, Fraction, float or mpmath
+    mpf; ValueError or OverflowError where x is nan or infinite."""
+    if hasattr(x, "_mpf_"):  # an mpmath mpf
+        if not x.context.isfinite(x):
+            raise ValueError("not a finite number")
+        return mpmath.libmp.to_rational(x._mpf_)
+    return x.as_integer_ratio()
+
+
 def pipoly_evaluator(p: PiXPolynomial, pi_digits: int = 30):
-    """x -> `pipoly_eval(p, x, pi_digits)`: the coefficients of `p` are
-    evaluated at pi once, and each call runs only the Horner step in x."""
-    if pi_digits < 15:
-        raise ValueError("pi_digits must be >= 15")
-    with _working_precision(pi_digits + 5) as ctx:
-        pi_val = +ctx.pi
-        coeffs = [c.evaluate(pi_val) for c in reversed(p.coeffs)]
+    """x -> `pipoly_eval(p, x, pi_digits)`. The coefficients of `p` are
+    evaluated at pi once, as integers scaled by 2^200 (60 digits, which
+    covers every pi_digits in [15, 60]); each call runs the Horner step in
+    integers at x's exact ratio and rounds once, by an int/int division."""
+    if not 15 <= pi_digits <= 60:
+        raise ValueError("pi_digits must lie in [15, 60]")
+    coeffs = [(num << 200) // den for num, den in (_at_pi(c, 256) for c in reversed(p.coeffs))]
+    top, rest = (coeffs or [0])[0], coeffs[1:]
 
     def horner(x) -> float:
-        with _working_precision(pi_digits + 5) as ctx:
-            xv = ctx.mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else ctx.mpf(x)
-            acc = ctx.mpf(0)
-            for c in coeffs:
-                acc = acc * xv + c
-            return float(acc)
+        try:
+            num, den = _exact_ratio(x)
+        except (OverflowError, ValueError):  # x is nan or infinite: 0 * x, the first step, is nan
+            return math.nan
+        acc, den_pow = top, 1
+        for c in rest:  # acc = den^i sum_(j <= i) c_j x^(i - j)
+            den_pow *= den
+            acc = acc * num + c * den_pow
+        return acc / (den_pow << 200)
 
     return horner
 
 
 def pipoly_eval(p: PiXPolynomial, x, pi_digits: int = 30) -> float:
-    """Evaluate `p` at real x (a float, Fraction, or mpmath value) with pi
-    carried to `pi_digits` decimal digits; the error of the returned double is
-    bounded by degree * ulp scale."""
+    """Evaluate `p` at real x (an int, float, Fraction or mpmath mpf, each
+    taken exactly) with pi and the coefficients carried to 60 decimal digits
+    (`pi_digits`, 15 to 60, asks for at most that), then rounded once to a
+    double; nan where x is nan or infinite."""
     return pipoly_evaluator(p, pi_digits)(x)
 
 

@@ -91,3 +91,29 @@ def divisor_count(m: int) -> int:
 
 def divisors(m: int) -> list[int]:
     return [d for d in range(1, m + 1) if m % d == 0]
+
+
+def pipoly_evaluator_mpf(p, pi_digits: int = 30):
+    """x -> p(x) as a double by Horner in mpmath at pi_digits + 5 digits, with
+    pi and each coefficient of p rounded to that precision first (the route
+    `exactnum.pipoly_evaluator` took before it computed in integers)."""
+    import mpmath
+
+    ctx = mpmath.MPContext()
+    ctx.dps = pi_digits + 5
+    pi = +ctx.pi
+    coeffs = []
+    for c in reversed(p.coeffs):
+        acc = ctx.mpf(0)
+        for a in reversed(c.coeffs):
+            acc = acc * pi + ctx.mpf(a.numerator) / a.denominator
+        coeffs.append(acc)
+
+    def horner(x) -> float:
+        xv = ctx.mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else ctx.mpf(x)
+        acc = ctx.mpf(0)
+        for c in coeffs:
+            acc = acc * xv + c
+        return float(acc)
+
+    return horner

@@ -196,6 +196,25 @@ class TestColumnText:
             build_matrix(4).column_text(n)
 
 
+class TestColumnBlocks:
+    BLOCK = 1 << 14
+
+    @pytest.mark.parametrize("M", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    def test_joined_blocks_equal_the_column_across_block_boundaries(self, M):
+        A = build_matrix(M)
+        for n in sorted({1, 2, 3, 7, 5461, self.BLOCK - 1, self.BLOCK, self.BLOCK + 1, M} & set(range(1, M + 1))):
+            want = "".join(f"{m} 1/{m // n}\n" if m % n == 0 else f"{m} 0/1\n" for m in range(1, M + 1))
+            blocks = list(A.column_blocks(n))
+            assert [b.count("\n") for b in blocks[:-1]] == [self.BLOCK] * (len(blocks) - 1)
+            assert 0 < blocks[-1].count("\n") <= self.BLOCK
+            assert "".join(blocks) == A.column_text(n) == want, n
+
+    @pytest.mark.parametrize("n", [0, 5, -1])
+    def test_index_out_of_range(self, n):
+        with pytest.raises(ValueError):
+            next(build_matrix(4).column_blocks(n))
+
+
 class TestConsistencyCheck:
     def test_frequency_one_column(self):
         rep = consistency_check(1, 32)

@@ -23,12 +23,14 @@ from opzeta.exactnum import (
 )
 from opzeta import exactnum
 from opzeta.errors import NotConverged
-from opzeta.specfun import zeta_even_pi_form
+from opzeta.registry import load_registry
+from opzeta.specfun import beta_odd_pi_form, zeta_even_pi_form
 from oracles import (
     bernoulli_akiyama_tanigawa,
     bernoulli_from_generating_function,
     bernoulli_poly_coeffs,
     euler_from_generating_function,
+    pipoly_evaluator_mpf,
 )
 
 
@@ -210,6 +212,26 @@ class TestPiPolynomial:
         assert float(p) == float(want)
 
 
+    def test_pi_literal_against_mpmath(self):
+        ctx = mpmath.MPContext()
+        ctx.dps = 80
+        assert exactnum._PI_FIXED == int(ctx.floor(ctx.pi * 2**256))
+
+    def test_float_same_double_as_the_mpf_route(self):
+        # every exact zeta/beta value in Q[pi] at |k| <= 400: the same double as
+        # Horner in pi at 35 digits, the route of float() before it was integer
+        forms = [zeta_even_pi_form(n) for n in range(2, 401, 2)] + [beta_odd_pi_form(n) for n in range(1, 400, 2)]
+        for p in forms:
+            assert float(p) == pipoly_evaluator_mpf(PiXPolynomial([p]))(0), p.degree
+
+    def test_float_of_sums_and_zero(self):
+        ctx = mpmath.MPContext()
+        ctx.dps = 80
+        assert float(PiPolynomial([-3, 1])) == float(ctx.pi - 3)  # one digit cancels
+        assert float(PiPolynomial()) == 0.0 and float(PiPolynomial([Fraction(1, 3)])) == 1 / 3
+        assert float(PI * PI / 6 + Fraction(1, 7)) == pipoly_evaluator_mpf(PiXPolynomial([PI * PI / 6 + Fraction(1, 7)]))(0)
+
+
 class TestPiXPolynomial:
     P = PiXPolynomial([Fraction(1, 2), PI, 0, -1])  # 1/2 + pi*x - x^3
     Q = PiXPolynomial([PI, Fraction(1, 3)])  # pi + x/3
@@ -292,6 +314,55 @@ class TestPiXPolynomialEval:
             for c in reversed(p.coeffs):
                 acc = acc * xv + c.evaluate(+ctx.pi)
             assert at(x) == pipoly_eval(p, x) == float(acc), x
+
+
+    def test_evaluator_same_double_as_the_mpf_route(self):
+        # 20,000 seeded x over the grid-mode ids with an rhs_poly, inside and
+        # just beyond each default grid: the integer Horner step returns the
+        # double of the mpf Horner step it replaced
+        recs = [r for r in load_registry().values() if r.verify_mode != "exact" and r.rhs_poly is not None]
+        assert len(recs) == 11
+        rng = random.Random(12)
+        per_id = -(-20_000 // len(recs))
+        for rec in recs:
+            at, oracle = pipoly_evaluator(rec.rhs_poly), pipoly_evaluator_mpf(rec.rhs_poly)
+            a, b, _ = rec.default_grid
+            for _ in range(per_id):
+                x = rng.uniform(a - 0.1, b + 0.1)
+                assert at(x) == oracle(x), (rec.id, x)
+
+    def test_every_argument_type_is_taken_exactly(self):
+        p = bernoulli_polynomial(6) * PI + PiXPolynomial([PI * PI * Fraction(1, 6), PI * Fraction(-1, 2)])
+        at = pipoly_evaluator(p)
+        ctx = mpmath.MPContext()
+        for x in [0.0, -0.0, 1e-300, 0.3, 2.5, -7.0, math.pi, 2.0**60]:
+            assert at(x) == at(Fraction(x)) == at(ctx.mpf(x)), x
+        for k in [0, 1, -3, 10**20]:
+            assert at(k) == at(float(k)) == at(Fraction(k)), k
+        assert at(Fraction(1, 3)) == pipoly_evaluator_mpf(p, 80)(Fraction(1, 3))
+
+    def test_non_finite_argument_is_nan(self):
+        at = pipoly_evaluator(PiXPolynomial([PI, 1]))
+        ctx = mpmath.MPContext()
+        for x in [math.inf, -math.inf, math.nan, ctx.inf, ctx.nan]:
+            assert math.isnan(at(x)), x
+
+    def test_zero_polynomial(self):
+        assert pipoly_evaluator(PiXPolynomial())(1.5) == 0.0
+
+    def test_pi_digits_range(self):
+        # every evaluation carries 60 digits: pi_digits 15 to 60 asks for no
+        # more, and beyond 60 it is refused like below 15
+        p = bernoulli_polynomial(4) * PI * PI
+        for x in [0.1, 1.0, 3.0, Fraction(2, 7)]:
+            assert pipoly_eval(p, x, pi_digits=15) == pipoly_eval(p, x, pi_digits=60) == pipoly_eval(p, x), x
+        with pytest.raises(ValueError):
+            pipoly_evaluator(p, pi_digits=61)
+        # x = pi rounded: (x - pi)^2 is about 1.5e-32, far below 30 digits of the terms
+        sq = PiXPolynomial([PI * PI, PI * -2, 1])
+        ctx = mpmath.MPContext()
+        ctx.dps = 120
+        assert pipoly_eval(sq, math.pi) == float((ctx.mpf(math.pi) - ctx.pi) ** 2)
 
 
 class TestTaylorGenerators:

@@ -87,6 +87,13 @@ class TestRegistry:
 
 
 class TestVerifyCommand:
+    def test_negative_grid_start(self):
+        # a grid that starts below 0 is an argument of --grid, not an option
+        code, out = run_cli("verify", "beta_sin_s1", "--grid", "-1.4:1.4:3")
+        assert code == 0
+        assert (code, out) == run_cli("verify", "beta_sin_s1", "--grid=-1.4:1.4:3")
+        assert out.count("x=") == 3 and "x=-1.400000" in out
+
     def test_eq2_passes(self):
         code, out = run_cli("verify", "eq2", "--grid", "0.1:3.1:50", "--tol", "1e-6")
         assert code == 0
@@ -390,6 +397,46 @@ class TestMatrixCommand:
         assert len(out.getvalue().splitlines()) == sum(20000 // n for n in range(1, 20001))
         assert 0 < out.largest <= 64 * 1024
 
+    def test_apply_writes_blocks_of_rows(self):
+        # --apply writes the column 2^14 rows at a time, never joined whole
+        class RecordingOut(io.StringIO):
+            def __init__(self):
+                super().__init__()
+                self.rows = []
+
+            def write(self, text):
+                self.rows.append(text.count("\n"))
+                return super().write(text)
+
+        out = RecordingOut()
+        assert main(["matrix", "--size", "100000", "--apply", "3"], out=out) == 0
+        assert out.rows == [1 << 14] * 6 + [100000 - 6 * (1 << 14)]
+        lines = out.getvalue().splitlines()
+        assert lines[2] == "3 1/1" and lines[99998] == "99999 1/33333" and lines[-1] == "100000 0/1"
+
+    def test_apply_peak_rss_at_the_size_bound(self):
+        # one string per row, joined once, peaked at 36 MB; blocks of rows
+        # keep the child within 31 MB (about 24 MB measured). A child's
+        # ru_maxrss counts the memory of the process it was started from, so
+        # a small interpreter starts it and reports its wait4 usage.
+        starter = (
+            "import os, subprocess, sys\n"
+            "proc = subprocess.Popen([sys.executable, '-m', 'opzeta', 'matrix', '--size', '100000',"
+            " '--apply', '1'], stdout=subprocess.DEVNULL)\n"
+            "_, status, usage = os.wait4(proc.pid, 0)\n"
+            "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", starter],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, maxrss_kb = map(int, proc.stdout.split())
+        assert code == 0
+        assert maxrss_kb <= 31 * 1024  # ru_maxrss is in kilobytes on Linux
+
     def test_deterministic_export(self):
         assert run_cli("matrix", "--size", "12") == run_cli("matrix", "--size", "12")
 
@@ -421,6 +468,46 @@ class TestMatrixCommand:
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
         assert message in capsys.readouterr().err
+
+
+class TestSharedParser:
+    """`cli.main` parses with one parser per process, built on first use."""
+
+    ARGV = {
+        "values": ["values", "zeta", "0.5", "-3", "2", "--format", "json"],
+        "verify": ["verify", "beta_sin_s1", "--grid", "-1.4:1.4:7", "--format", "csv"],
+        "matrix": ["matrix", "--size", "300", "--apply", "7"],
+        "usage": ["values", "zeta"],
+    }
+
+    def test_threads_share_the_parser(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        expect = {name: run_cli(*argv) for name, argv in self.ARGV.items()}
+        assert expect["usage"] == (2, "") and all(code == 0 for code, _ in list(expect.values())[:3])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(lambda name: [run_cli(*self.ARGV[name]) for _ in range(10)], self.ARGV))
+        finally:
+            sys.setswitchinterval(interval)
+        for name, results in zip(self.ARGV, got):
+            assert results == [expect[name]] * 10, name
+
+    def test_usage_error_leaves_the_parser_unchanged(self, capsys):
+        from opzeta.cli import build_parser
+
+        valid = self.ARGV["verify"]
+        build_parser.cache_clear()
+        fresh = run_cli(*valid)
+        assert run_cli("verify", "beta_sin_s1", "--grid", "1:2") == (2, "")
+        first_error = capsys.readouterr().err
+        assert "grid must be a:b:steps" in first_error
+        assert run_cli(*valid) == fresh
+        assert run_cli("verify", "beta_sin_s1", "--grid", "1:2") == (2, "")
+        assert capsys.readouterr().err == first_error
+        assert build_parser() is build_parser()
 
 
 class TestListCommand:
