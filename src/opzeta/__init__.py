@@ -6,6 +6,8 @@ divergent trigonometric series, a symbolic dilation-operator engine, and the
 sine-basis divisibility matrix, all driven by an auditable identity registry.
 """
 
+from importlib import import_module
+
 from .errors import (
     ContourClipped,
     DimensionMismatch,
@@ -24,50 +26,37 @@ from .errors import (
     SingularAtEndpoint,
     UnsupportedExpression,
 )
-from .exactnum import (
-    PI,
-    PiPolynomial,
-    PiXPolynomial,
-    bernoulli_number,
-    bernoulli_polynomial,
-    euler_number,
-    pipoly_eval,
-)
-from .specfun import (
-    EvalResult,
-    clausen_closed_form,
-    dirichlet_beta,
-    functional_equation_residual,
-    hankel_zeta,
-    hurwitz_zeta,
-    lerch_hankel,
-    recip_gamma,
-    zeta_em,
-    zeta_even_pi_form,
-    zeta_neg_int,
-)
-from .series import (
-    SummedValue,
-    TrigSeries,
-    abel_value,
-    geometric_abel,
-    partial_sum,
-    partial_sum_accelerated,
-)
-from .operators import (
-    DilationShift,
-    Expression,
-    OpResult,
-    TaylorFlowResult,
-    apply_operator,
-    apply_recip_gamma_op,
-    dilate,
-    extract_special_values,
-    parity_anomaly,
-    taylor_flow,
-)
-from .divmatrix import DivisibilityMatrix, build_matrix, consistency_check, matrix_apply
-from .registry import IdentityRecord, get_identity, load_registry
+
+# every other public name is imported from its layer on first access (PEP
+# 562), so that a command loads only the layers it uses
+_LAYER_OF = {
+    name: layer
+    for layer, names in {
+        "exactnum": "PI PiPolynomial PiXPolynomial bernoulli_number bernoulli_polynomial euler_number pipoly_eval",
+        "specfun": "EvalResult clausen_closed_form dirichlet_beta functional_equation_residual hankel_zeta"
+        " hurwitz_zeta lerch_hankel recip_gamma zeta_em zeta_even_pi_form zeta_neg_int",
+        "series": "SummedValue TrigSeries abel_value geometric_abel partial_sum partial_sum_accelerated",
+        "operators": "DilationShift Expression OpResult TaylorFlowResult apply_operator apply_recip_gamma_op"
+        " dilate extract_special_values parity_anomaly taylor_flow",
+        "divmatrix": "DivisibilityMatrix build_matrix consistency_check matrix_apply",
+        "registry": "IdentityRecord get_identity load_registry",
+    }.items()
+    for name in names.split()
+}
+
+
+def __getattr__(name: str):
+    layer = _LAYER_OF.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{layer}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "0.1.0"
 

@@ -5,16 +5,18 @@ over Q and Q[pi].
 one private base, `_Poly`: the trimmed, immutable coefficient tuple, `+`,
 `-`, equality, hashing and printing. All operations are pure. `pipoly_eval`,
 `pipoly_evaluator` (coefficients at pi once, then Horner per x) and
-`float(PiPolynomial)` compute in integers, with pi from one integer literal
-(77 digits), and round the exact rational value once to a double by one
-int/int division. `PiPolynomial.evaluate`
-computes in the calling thread's own mpmath context and never sets the
-precision of mpmath's process-global `mp` context.
+`float(PiPolynomial)` compute in integers, with pi from Machin's formula
+in integers (`_pi_fixed`), and round the exact rational value once to a
+double by one int/int division. `PiPolynomial.evaluate` computes in the
+calling thread's own mpmath context and never sets the precision of
+mpmath's process-global `mp` context; mpmath is imported there, on the
+first numeric use, so the exact paths never load it.
 
 Bernoulli and Euler numbers up to index 82 come from one immutable table,
 built by the exact recurrences on first use; a larger index is one rounded
-Dirichlet series (zeta or beta), summed in the thread's own context: B_1000
-and E_1000 take tens of milliseconds, and nothing else is memoised.
+Dirichlet series (zeta or beta), summed in integers at a fixed point: B_1000
+and E_1000 take about 7 and 14 ms on a 2-vCPU VM, and nothing else is
+memoised.
 The Bernoulli convention is fixed to B_1 = -1/2 (the generating function
 x/(e^x - 1)); the alternate B_1 = +1/2 convention is deliberately rejected
 because every identity in this package is derived with the -1/2 sign.
@@ -32,16 +34,39 @@ from functools import cache
 from math import comb, factorial
 from typing import Iterable, Union
 
-import mpmath
-
 from .errors import NotConverged
 
 _ScalarLike = Union[int, Fraction]
 
 _THREAD = threading.local()
 
-# floor(pi 2^256), 77 digits of pi as one integer; the tests check it against mpmath
-_PI_FIXED = 0x3243F6A8885A308D313198A2E03707344A4093822299F31D0082EFA98EC4E6C89
+
+def _atan_inv_fixed(x: int, one: int) -> int:
+    """atan(1/x) scaled by `one`, as sum_k (-1)^k floor(one / x^(2k+1)) // (2k+1):
+    each term is under two units below its exact value."""
+    power = total = one // x
+    x2, k, sign = x * x, 3, -1
+    while power:
+        power //= x2
+        total += sign * (power // k)
+        k, sign = k + 2, -sign
+    return total
+
+
+def _pi_fixed(bits: int) -> int:
+    """pi 2^bits within one unit of floor(pi 2^bits), by Machin's formula
+    pi = 16 atan(1/5) - 4 atan(1/239) in integers at bits + g bits. The
+    0.22 (bits + g) + 1 terms of atan(1/5) and 0.07 (bits + g) + 1 of
+    atan(1/239) err by under two units each, so the sum errs by under
+    7.4 (bits + g) + 80 units of 2^-(bits + g): under half a unit of 2^-bits
+    with g = 16 guard bits below 4,096 bits and g = bit_length(bits) + 4 above."""
+    guard = max(16, bits.bit_length() + 4)
+    one = 1 << bits + guard
+    return 16 * _atan_inv_fixed(5, one) - 4 * _atan_inv_fixed(239, one) >> guard
+
+
+# floor(pi 2^256); the tests check it against mpmath
+_PI_FIXED = _pi_fixed(256)
 
 
 @contextmanager
@@ -50,6 +75,8 @@ def _working_precision(dps: int):
     at `dps` digits; on exit, nested or not, the previous precision returns."""
     ctx = getattr(_THREAD, "ctx", None)
     if ctx is None:
+        import mpmath  # on first numeric use only: the exact paths never load it
+
         ctx = _THREAD.ctx = mpmath.MPContext()
     prec = ctx.prec
     ctx.dps = dps
@@ -247,10 +274,12 @@ def _at_pi(c: PiPolynomial, bits: int) -> tuple[int, int]:
 def _exact_ratio(x) -> tuple[int, int]:
     """x = num / den exactly, den > 0, for an int, Fraction, float or mpmath
     mpf; ValueError or OverflowError where x is nan or infinite."""
-    if hasattr(x, "_mpf_"):  # an mpmath mpf
+    if hasattr(x, "_mpf_"):  # an mpmath mpf, so mpmath is loaded already
+        from mpmath.libmp import to_rational
+
         if not x.context.isfinite(x):
             raise ValueError("not a finite number")
-        return mpmath.libmp.to_rational(x._mpf_)
+        return to_rational(x._mpf_)
     return x.as_integer_ratio()
 
 
@@ -309,25 +338,44 @@ def _small_numbers() -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
 
 
 def _nint_l_value(scale: int, power: int, pi_mult: int, odd: bool) -> int:
-    """The integer nearest to scale L / (pi_mult pi)^power, where L is the
+    """The integer nearest to V = scale L / (pi_mult pi)^power, where L is the
     Dirichlet series sum_k chi(k) k^-power summed directly (Brent and Harvey,
     arXiv:1108.0286): over k >= 1 (chi = 1, L = zeta(power)), or over odd k
-    with chi(2j+1) = (-1)^j (`odd`, L = beta(power)). The working precision is
-    log2 of the result plus 24 guard bits and the bits that pi^power loses;
-    the sum stops at the first omitted k with k^-power below that precision.
-    Raises NotConverged if the value lands more than 2^-16 from an integer."""
+    with chi(2j+1) = (-1)^j (`odd`, L = beta(power)).
+
+    Everything is an integer at `prec` fractional bits (u = 2^-prec): log2 V
+    plus 24 guard bits and bit_length(power), the bits that pi^power loses,
+    so that V u <= 2^-24 / power. The error budget, relative to V:
+    - the sum: each term one // k^power is under one unit low, and the sum
+      stops at the first omitted k with k^-power below u/4, so with L >= 1/2
+      the sum is within 2 (k_stop + 1) u of L;
+    - pi: `_pi_fixed` is within one unit of floor(pi 2^prec), so pi_mult pi
+      is within relative 2 u / pi, and its power within relative power u;
+    - the powering: fewer than 2 bit_length(power) products, each shifted
+      right by prec and so under one unit low on a value above pi.
+    So the computed value is within (2 k_stop + 3 + power + bit_length(power))
+    2^-24 / power of V: under 2^-21 for every B_n and E_n (k_stop < power).
+    Rounds once by an integer division; raises NotConverged if the value
+    lands more than 2^-16 from an integer."""
     log2_value = math.log2(scale) - power * math.log2(pi_mult * math.pi)
     prec = max(0, math.ceil(log2_value)) + power.bit_length() + 24
     k_stop = int(2.0 ** ((prec + 2) / power)) + 1
-    with _working_precision(math.ceil(prec * math.log10(2)) + 2) as ctx:
-        if odd:
-            terms = ((-1) ** j * ctx.mpf(2 * j + 1) ** -power for j in range(k_stop // 2 + 1))
-        else:
-            terms = (ctx.mpf(k) ** -power for k in range(1, k_stop + 1))
-        value = scale * ctx.fsum(terms) / (pi_mult * ctx.pi) ** power
-        nearest = int(ctx.nint(value))
-        if abs(value - nearest) > 2.0**-16:
-            raise NotConverged(f"L-value rounding: {ctx.nstr(value - nearest, 3)} from the nearest integer")
+    one = 1 << prec
+    if odd:
+        series = sum((-1) ** j * (one // (2 * j + 1) ** power) for j in range(k_stop // 2 + 1))
+    else:
+        series = sum(one // k**power for k in range(1, k_stop + 1))
+    base = pi_mult * _pi_fixed(prec)
+    den = base
+    for bit in bin(power)[3:]:  # left to right: square, then multiply on a set bit
+        den = den * den >> prec
+        if bit == "1":
+            den = den * base >> prec
+    num = scale * series  # V = num / den
+    nearest = (2 * num + den) // (2 * den)
+    miss = num - nearest * den
+    if abs(miss) << 16 > den:
+        raise NotConverged(f"L-value rounding: {miss / den:.3g} from the nearest integer")
     return nearest
 
 

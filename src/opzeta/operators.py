@@ -26,8 +26,6 @@ from .errors import (
     UnsupportedExpression,
 )
 from .exactnum import PiPolynomial, PiXPolynomial
-from .series import TrigSeries
-from . import specfun
 
 _KINDS = ("zeta", "beta", "recip_gamma")
 
@@ -179,6 +177,8 @@ def _exact_value(kind: str, arg: Fraction):
     Returns ('exact', Fraction | PiPolynomial), ('pole', None), or
     ('numeric', None) when only a numeric evaluation exists.
     """
+    from . import specfun  # here and in _numeric_value only: `list` loads no specfun
+
     if arg.denominator != 1:
         return "numeric", None
     k = int(arg)
@@ -205,6 +205,8 @@ def _exact_value(kind: str, arg: Fraction):
 
 
 def _numeric_value(kind: str, arg: Fraction):
+    from . import specfun
+
     if kind == "zeta":
         r = specfun.zeta_em(float(arg))
         return r.value, r.abs_error_estimate
@@ -257,6 +259,8 @@ def apply_operator(op: DilationShift, expr: Expression, allow_pole: bool = False
         res = handle(term.power, term.coeff)
         if res is not None and not res.is_zero():
             singular_out.append(SingularTerm(res, term.power))
+
+    from .series import TrigSeries  # here only: `values zeta|beta` loads no series
 
     series_terms: list[SeriesTerm] = []
     for atom in expr.trig_atoms:

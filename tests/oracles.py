@@ -8,8 +8,12 @@ transformation of alternating partial sums instead of Hurwitz differences.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from math import comb, factorial
+
+from opzeta.errors import NotConverged
+from opzeta.exactnum import _working_precision
 
 
 def bernoulli_akiyama_tanigawa(nmax: int) -> list[Fraction]:
@@ -117,3 +121,29 @@ def pipoly_evaluator_mpf(p, pi_digits: int = 30):
         return float(acc)
 
     return horner
+
+
+def nint_l_value_mpmath(scale: int, power: int, pi_mult: int, odd: bool) -> int:
+    """The integer nearest to scale L / (pi_mult pi)^power, where L is the
+    Dirichlet series sum_k chi(k) k^-power summed directly (Brent and Harvey,
+    arXiv:1108.0286): over k >= 1 (chi = 1, L = zeta(power)), or over odd k
+    with chi(2j+1) = (-1)^j (`odd`, L = beta(power)). The working precision is
+    log2 of the result plus 24 guard bits and the bits that pi^power loses;
+    the sum stops at the first omitted k with k^-power below that precision.
+    Raises NotConverged if the value lands more than 2^-16 from an integer.
+
+    The route `exactnum._nint_l_value` took before it computed in integers:
+    mpmath numbers, mpmath's pi and one `nint`."""
+    log2_value = math.log2(scale) - power * math.log2(pi_mult * math.pi)
+    prec = max(0, math.ceil(log2_value)) + power.bit_length() + 24
+    k_stop = int(2.0 ** ((prec + 2) / power)) + 1
+    with _working_precision(math.ceil(prec * math.log10(2)) + 2) as ctx:
+        if odd:
+            terms = ((-1) ** j * ctx.mpf(2 * j + 1) ** -power for j in range(k_stop // 2 + 1))
+        else:
+            terms = (ctx.mpf(k) ** -power for k in range(1, k_stop + 1))
+        value = scale * ctx.fsum(terms) / (pi_mult * ctx.pi) ** power
+        nearest = int(ctx.nint(value))
+        if abs(value - nearest) > 2.0**-16:
+            raise NotConverged(f"L-value rounding: {ctx.nstr(value - nearest, 3)} from the nearest integer")
+    return nearest

@@ -1,0 +1,135 @@
+"""What a cold `python -m opzeta` loads: each command imports only the layers
+it uses, the exact paths never load mpmath or numpy, and the package's
+public names resolve on first access (PEP 562). Every check runs in a fresh
+child interpreter, where nothing is imported yet."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import opzeta
+
+# runs each argv of the JSON list argv[1] through cli.main in turn; prints one
+# JSON row per command: exit code, stdout, and the modules loaded so far
+_RUN_COMMANDS = """
+import io, json, sys
+import opzeta.cli as cli
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    code = cli.main(argv, out=out)
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("opzeta", "mpmath", "numpy"))
+    print(json.dumps({"code": code, "out": out.getvalue(), "loaded": loaded}))
+"""
+
+_EXACT_COMMANDS = [
+    ["list"],
+    ["values", "bernoulli", "400"],
+    ["values", "euler", "1000"],
+    ["values", "zeta", "-399"],
+    ["values", "beta", "399"],
+    ["values", "zeta", "400"],
+    ["extract", "eq21_sin", "--terms", "40"],
+    ["verify", "eq17", "--exact"],
+]
+
+
+def _child(*args: str) -> str:
+    proc = subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _run_commands(*argvs: list[str]) -> list[dict]:
+    return [json.loads(line) for line in _child("-c", _RUN_COMMANDS, json.dumps(argvs)).splitlines()]
+
+
+class TestCommandImports:
+    @pytest.mark.parametrize("argv", _EXACT_COMMANDS, ids=" ".join)
+    def test_exact_path_loads_no_mpmath_or_numpy(self, argv):
+        (row,) = _run_commands(argv)
+        assert row["code"] == 0
+        assert "mpmath" not in row["loaded"] and "numpy" not in row["loaded"]
+
+    @pytest.mark.parametrize("argv", [["values", "bernoulli", "400"], ["values", "euler", "1000"]], ids=" ".join)
+    def test_number_values_load_no_other_layer(self, argv):
+        (row,) = _run_commands(argv)
+        layers = {"opzeta.registry", "opzeta.operators", "opzeta.series", "opzeta.specfun", "opzeta.divmatrix"}
+        assert not layers & set(row["loaded"]), row["loaded"]
+
+    @pytest.mark.parametrize("argv", [["values", "zeta", "-399"], ["values", "beta", "399"]], ids=" ".join)
+    def test_exact_zeta_beta_values_load_no_registry_or_series(self, argv):
+        (row,) = _run_commands(argv)
+        assert not {"opzeta.registry", "opzeta.series", "opzeta.divmatrix"} & set(row["loaded"]), row["loaded"]
+
+    def test_list_loads_no_specfun_or_divmatrix(self):
+        (row,) = _run_commands(["list"])
+        assert not {"opzeta.specfun", "opzeta.divmatrix"} & set(row["loaded"]), row["loaded"]
+
+    def test_first_numeric_value_after_the_exact_paths(self):
+        # mpmath is imported on the first numeric call, after every exact
+        # command ran without it, and prints the bytes of a fresh process
+        *exact, numeric = _run_commands(*_EXACT_COMMANDS, ["values", "zeta", "0.5"])
+        assert all(row["code"] == 0 and "mpmath" not in row["loaded"] for row in exact)
+        assert numeric["code"] == 0 and "mpmath" in numeric["loaded"]
+        assert numeric["out"] == _child("-m", "opzeta", "values", "zeta", "0.5")
+
+
+class TestLazyPublicNames:
+    def test_names_are_their_layers_objects(self):
+        for name in opzeta.__all__:
+            if name == "__version__":
+                continue
+            obj = getattr(opzeta, name)
+            assert obj.__module__.startswith("opzeta."), name
+            assert getattr(sys.modules[obj.__module__], name) is obj, name
+
+    def test_dir_and_star_import(self):
+        assert set(opzeta.__all__) <= set(dir(opzeta))
+        namespace: dict = {}
+        exec("from opzeta import *", namespace)
+        assert all(namespace[name] is getattr(opzeta, name) for name in opzeta.__all__)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            opzeta.no_such_name  # noqa: B018
+        assert not hasattr(opzeta, "zeta")
+
+    def test_import_loads_only_errors(self):
+        code = "import sys, opzeta\nprint(sorted(m for m in sys.modules if m.split('.')[0] in ('opzeta', 'mpmath', 'numpy')))"
+        assert _child("-c", code).strip() == "['opzeta', 'opzeta.errors']"
+
+
+def test_first_mpmath_use_under_threads():
+    # 4 threads build their mpmath contexts at once, each importing mpmath on
+    # its first call; every result must equal the serial one
+    code = """
+import sys, threading
+from concurrent.futures import ThreadPoolExecutor
+from opzeta.specfun import dirichlet_beta, zeta_em
+assert "mpmath" not in sys.modules
+calls = [(zeta_em, 0.5), (dirichlet_beta, 0.25), (zeta_em, -3.5), (dirichlet_beta, 2.5)]
+start = threading.Barrier(len(calls))
+def run(call):
+    start.wait(timeout=60)
+    f, s = call
+    return f(s)
+interval = sys.getswitchinterval()
+sys.setswitchinterval(1e-6)
+try:
+    with ThreadPoolExecutor(max_workers=len(calls)) as pool:
+        threaded = list(pool.map(run, calls, timeout=60))
+finally:
+    sys.setswitchinterval(interval)
+serial = [f(s) for f, s in calls]
+print(threaded == serial, "mpmath" in sys.modules)
+"""
+    assert _child("-c", code).strip() == "True True"

@@ -30,6 +30,7 @@ from oracles import (
     bernoulli_from_generating_function,
     bernoulli_poly_coeffs,
     euler_from_generating_function,
+    nint_l_value_mpmath,
     pipoly_evaluator_mpf,
 )
 
@@ -400,3 +401,31 @@ class TestTaylorGenerators:
         for x in (0.3, 0.9):
             closed = 0.5 * math.log((1 + math.sin(x)) / math.cos(x))
             assert pipoly_eval(p, x) == pytest.approx(closed, abs=1e-9)
+
+
+class TestIntegerLValue:
+    """`_nint_l_value` and `_pi_fixed` in integers against mpmath."""
+
+    @staticmethod
+    def _numbers_by_the_mpmath_route(n: int) -> tuple[Fraction, int]:
+        den = exactnum._staudt_clausen_denominator(n)
+        bern = nint_l_value_mpmath(2 * math.factorial(n) * den, n, 2, False)
+        euler = nint_l_value_mpmath(2 ** (n + 2) * math.factorial(n), n + 1, 1, True)
+        return Fraction((-1) ** (n // 2 + 1) * bern, den), (-1) ** (n // 2) * euler
+
+    def test_numbers_equal_the_mpmath_route(self):
+        # every even index from the end of the table to 200, then a stride to 1000
+        ns = [*range(exactnum._TABLE_MAX + 2, 201, 2), *range(226, 999, 24), 998, 1000]
+        for n in ns:
+            assert (bernoulli_number(n), euler_number(n)) == self._numbers_by_the_mpmath_route(n), n
+
+    def test_pi_fixed_within_one_unit(self):
+        # floor(pi 2^b) for every b from one mpmath value at the largest b
+        top = 12_000
+        ctx = mpmath.MPContext()
+        ctx.prec = top + 128
+        pi_top = int(ctx.floor(ctx.pi * 2 ** (top + 64)))
+        sizes = [*range(1, 300), *range(300, top, 97), 11_794, top]
+        for b in sizes:
+            assert abs(exactnum._pi_fixed(b) - (pi_top >> top + 64 - b)) <= 1, b
+
