@@ -11,12 +11,10 @@ specfun, divmatrix or mpmath.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from typing import Optional
@@ -30,16 +28,17 @@ _EXACT_K = 12
 _GRID_STEPS_BOUND = 10_000
 
 
-@dataclass
 class VerificationReport:
-    identity: str
-    mode: str
-    tolerance: float
-    max_abs_deviation: float
-    pole_events: list[str] = field(default_factory=list)
-    rows: list[dict] = field(default_factory=list)
-    passed: bool = False
-    expected_event: Optional[str] = None
+    """One `verify` run: its rows, pole events and verdict (set by `finalize`)."""
+
+    __slots__ = ("identity", "mode", "tolerance", "max_abs_deviation", "pole_events", "rows", "passed", "expected_event")
+
+    def __init__(
+        self, identity: str, mode: str, tolerance: float, max_abs_deviation: float, expected_event: Optional[str] = None
+    ) -> None:
+        self.identity, self.mode, self.tolerance = identity, mode, tolerance
+        self.max_abs_deviation, self.expected_event = max_abs_deviation, expected_event
+        self.pole_events, self.rows, self.passed = [], [], False
 
     def finalize(self) -> "VerificationReport":
         events_ok = self.expected_event is None or self.expected_event in self.pole_events
@@ -169,6 +168,8 @@ def _print_report(rep: VerificationReport, fmt: str, out) -> None:
         out.write(json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n")
         return
     if fmt == "csv":
+        import csv
+
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["id", "x", "lhs", "rhs", "deviation", "method"])
         for r in rep.rows:
@@ -222,7 +223,7 @@ _NUMERIC_METHOD = {"zeta": "euler_maclaurin", "beta": "hurwitz_difference"}
 
 # |argument| bound of `values`: the exact values grow with it (B_k and E_k
 # have about k log10(k) digits; E_4000 takes 0.4 s); at the bound the slowest
-# row, E_1000, takes 12-15 ms on a 2-vCPU VM.
+# row, E_1000, takes 7-8 ms on a 2-vCPU VM.
 _VALUES_BOUND = 1000
 
 
@@ -279,6 +280,8 @@ def _cmd_values(args, out) -> int:
     if args.format == "json":
         out.write(json.dumps({"kind": args.kind, "rows": rows}, indent=2, sort_keys=True) + "\n")
     elif args.format == "csv":
+        import csv
+
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["argument", "value", "exact", "method", "abs_error"])
         for r in rows:
@@ -315,6 +318,8 @@ def _cmd_extract(args, out) -> int:
     if args.format == "json":
         out.write(json.dumps({"id": args.id, "rows": rows}, indent=2, sort_keys=True) + "\n")
     elif args.format == "csv":
+        import csv
+
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["argument", "value", "matched"])
         for r in rows:

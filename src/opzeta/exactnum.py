@@ -5,8 +5,8 @@ over Q and Q[pi].
 one private base, `_Poly`: the trimmed, immutable coefficient tuple, `+`,
 `-`, equality, hashing and printing. All operations are pure. `pipoly_eval`,
 `pipoly_evaluator` (coefficients at pi once, then Horner per x) and
-`float(PiPolynomial)` compute in integers, with pi from Machin's formula
-in integers (`_pi_fixed`), and round the exact rational value once to a
+`float(PiPolynomial)` compute in integers, with pi from the Chudnovsky
+series in integers (`_pi_fixed`), and round the exact rational value once to a
 double by one int/int division. `PiPolynomial.evaluate` computes in the
 calling thread's own mpmath context and never sets the precision of
 mpmath's process-global `mp` context; mpmath is imported there, on the
@@ -15,7 +15,7 @@ first numeric use, so the exact paths never load it.
 Bernoulli and Euler numbers up to index 82 come from one immutable table,
 built by the exact recurrences on first use; a larger index is one rounded
 Dirichlet series (zeta or beta), summed in integers at a fixed point: B_1000
-and E_1000 take about 7 and 14 ms on a 2-vCPU VM, and nothing else is
+and E_1000 take about 3 and 8 ms on a 2-vCPU VM, and nothing else is
 memoised.
 The Bernoulli convention is fixed to B_1 = -1/2 (the generating function
 x/(e^x - 1)); the alternate B_1 = +1/2 convention is deliberately rejected
@@ -41,28 +41,29 @@ _ScalarLike = Union[int, Fraction]
 _THREAD = threading.local()
 
 
-def _atan_inv_fixed(x: int, one: int) -> int:
-    """atan(1/x) scaled by `one`, as sum_k (-1)^k floor(one / x^(2k+1)) // (2k+1):
-    each term is under two units below its exact value."""
-    power = total = one // x
-    x2, k, sign = x * x, 3, -1
-    while power:
-        power //= x2
-        total += sign * (power // k)
-        k, sign = k + 2, -sign
-    return total
+def _chudnovsky_split(a: int, b: int) -> tuple[int, int, int]:
+    """(P, Q, T) of the Chudnovsky terms a <= k < b by binary splitting: the
+    sum of those terms is T / Q times the product of the terms before a."""
+    if b - a == 1:  # 10939058860032000 = 640320^3 / 24
+        p, q = ((6 * a - 5) * (2 * a - 1) * (6 * a - 1), a**3 * 10939058860032000) if a else (1, 1)
+        return p, q, (-1) ** a * p * (13591409 + 545140134 * a)
+    m = (a + b) // 2
+    p1, q1, t1 = _chudnovsky_split(a, m)
+    p2, q2, t2 = _chudnovsky_split(m, b)
+    return p1 * p2, q1 * q2, q2 * t1 + p1 * t2
 
 
 def _pi_fixed(bits: int) -> int:
-    """pi 2^bits within one unit of floor(pi 2^bits), by Machin's formula
-    pi = 16 atan(1/5) - 4 atan(1/239) in integers at bits + g bits. The
-    0.22 (bits + g) + 1 terms of atan(1/5) and 0.07 (bits + g) + 1 of
-    atan(1/239) err by under two units each, so the sum errs by under
-    7.4 (bits + g) + 80 units of 2^-(bits + g): under half a unit of 2^-bits
-    with g = 16 guard bits below 4,096 bits and g = bit_length(bits) + 4 above."""
-    guard = max(16, bits.bit_length() + 4)
-    one = 1 << bits + guard
-    return 16 * _atan_inv_fixed(5, one) - 4 * _atan_inv_fixed(239, one) >> guard
+    """pi 2^bits within one unit of floor(pi 2^bits), by the Chudnovsky series
+    pi = 426880 sqrt(10005) Q / T in integers (binary splitting) at bits + 16
+    bits. Each term adds 47.1 bits, so (bits + 16) // 47 + 2 terms leave a
+    tail below 2^-(bits + 16 + 47) of pi; the floored sqrt(10005) errs by
+    under one unit, which Q/T scales by pi/sqrt(10005) < 1/31, and the final
+    division by under one unit: under 2 units of 2^-(bits + 16) in all, so the
+    16 guard bits leave it within one unit of floor(pi 2^bits)."""
+    work = bits + 16
+    _, q, t = _chudnovsky_split(0, work // 47 + 2)
+    return 426880 * math.isqrt(10005 << 2 * work) * q // t >> 16
 
 
 # floor(pi 2^256); the tests check it against mpmath

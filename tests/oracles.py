@@ -4,6 +4,8 @@ Everything here is deliberately computed by a different route than the
 package code it checks: Akiyama-Tanigawa instead of the binomial recurrence,
 power-series long division instead of coefficient recurrences, Euler
 transformation of alternating partial sums instead of Hurwitz differences.
+The `*_mpf`/`*_mpmath` functions are the mpmath routes that package code
+took before it computed in integers.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from math import comb, factorial
 
 from opzeta.errors import NotConverged
 from opzeta.exactnum import _working_precision
+from opzeta.specfun import _EM_K_MAX, _EM_TARGET, _em_coefficients
 
 
 def bernoulli_akiyama_tanigawa(nmax: int) -> list[Fraction]:
@@ -147,3 +150,42 @@ def nint_l_value_mpmath(scale: int, power: int, pi_mult: int, odd: bool) -> int:
         if abs(value - nearest) > 2.0**-16:
             raise NotConverged(f"L-value rounding: {ctx.nstr(value - nearest, 3)} from the nearest integer")
     return nearest
+
+
+def em_sum_mpf(ctx, s, a, n_cut: int, unit: float):
+    """The route `specfun._em_sum` took before its corrections ran in
+    integers: s and a are mpmath numbers of `ctx`, and every correction is
+    one mpf product and sum.
+
+    Euler-Maclaurin sum_(n>=0) (n + a)^-s less its pole term base^(1-s)/(s-1),
+    base = N + a: N head powers, base^-s / 2 and sum_(k<=K) B_2k/(2k)! g_k,
+    g_k = (s)_(2k-1) base^(-s-2k+1), which take no power: g_1 = s base^-s /
+    base, g_(k+1) = g_k (s+2k-1)(s+2k) / base^2. K <= 41 is the first K whose
+    remainder bound after K terms, |B_2K/(2K)! g_K| |s+2K-1|/(sigma+2K-1) =
+    |B_2K/(2K)!| |(s)_2K| base^(-sigma-2K+1)/(sigma+2K-1) (Johansson,
+    arXiv:1309.2877, theorem 1 with M = K), carried in doubles, times `unit`
+    (the returned value per unit of this sum) is below _EM_TARGET. Returns
+    (sum, base^(1-s), bound in units of the sum). Raises NotConverged where no
+    K <= 41 has a finite bound (sigma + 2 K_max - 1 <= 0), before any work."""
+    sc = complex(s)
+    if sc.real + 2 * _EM_K_MAX - 1 <= 0:
+        raise NotConverged(
+            f"Euler-Maclaurin at Re s = {sc.real:g}: no finite remainder bound within "
+            f"{_EM_K_MAX} terms at Re s <= {-2 * _EM_K_MAX + 1}"
+        )
+    exact, approx = _em_coefficients()
+    base = n_cut + a
+    base_pow = base ** (-s)
+    b = float(base)
+    g, inv_sq = s * base_pow / base, 1 / (base * base)
+    total = ctx.fsum((n + a) ** (-s) for n in range(n_cut)) + base_pow / 2
+    g_abs, err = abs(sc) * float(abs(base_pow)) / b, math.inf
+    for k in range(1, _EM_K_MAX + 1):
+        total += g * exact[k - 1].numerator / exact[k - 1].denominator
+        if sc.real + 2 * k - 1 > 0:
+            err = approx[k - 1] * g_abs * abs(sc + 2 * k - 1) / (sc.real + 2 * k - 1)
+            if unit * err < _EM_TARGET:
+                break
+        g *= (s + 2 * k - 1) * (s + 2 * k) * inv_sq
+        g_abs *= abs(sc + 2 * k - 1) * abs(sc + 2 * k) / (b * b)
+    return total, base * base_pow, err

@@ -82,6 +82,18 @@ class TestCommandImports:
         assert numeric["code"] == 0 and "mpmath" in numeric["loaded"]
         assert numeric["out"] == _child("-m", "opzeta", "values", "zeta", "0.5")
 
+    def test_number_values_load_no_dataclasses_or_csv(self):
+        # started with -S, so that no module `site` imports is counted: the
+        # report class of `verify` is a plain class and csv is imported by
+        # the --format csv branches only
+        code = (
+            "import io, sys\n"
+            "import opzeta.cli as cli\n"
+            "assert cli.main(['values', 'bernoulli', '400', '--format', 'json'], out=io.StringIO()) == 0\n"
+            "print(sorted({'dataclasses', 'inspect', 'csv'} & set(sys.modules)))"
+        )
+        assert _child("-S", "-c", code).strip() == "[]"
+
 
 class TestLazyPublicNames:
     def test_names_are_their_layers_objects(self):

@@ -541,3 +541,80 @@ class TestPrecisionLossWarnings:
         for s in (-81.0, -100.5, complex(-200.0, 3.0)):
             with pytest.warns(PrecisionLoss), pytest.raises(NotConverged):
                 fn(s)
+
+
+class TestIntegerCorrections:
+    """`_em_sum` sums its Euler-Maclaurin corrections in integers at a fixed
+    point; the mpf loop it replaced (`oracles.em_sum_mpf`) must give the same
+    double and the same bound at every point."""
+
+    _ROUTES = [
+        ("zeta_em", lambda s: zeta_em(s)),
+        ("dirichlet_beta", lambda s: dirichlet_beta(s)),
+        ("hurwitz a=0.1", lambda s: hurwitz_zeta(s, 0.1)),
+        ("hurwitz a=1/3", lambda s: hurwitz_zeta(s, 1 / 3)),
+        ("hurwitz a=0.5", lambda s: hurwitz_zeta(s, 0.5)),
+    ]
+
+    @staticmethod
+    def _calls():
+        # each seeded point goes through one route in turn, so every route
+        # sees 400 real and 40 complex points; the special points see all five
+        rng = random.Random(2877_14)
+        points = [rng.uniform(-25.0, 12.0) for _ in range(2000)]
+        points += [complex(rng.uniform(-25.0, 12.0), rng.uniform(-50.0, 50.0)) for _ in range(200)]
+        routes = TestIntegerCorrections._ROUTES
+        calls = [(routes[i % len(routes)], s) for i, s in enumerate(points)]
+        special = [Fraction(1, 3), Fraction(-49, 2), Fraction(29, 4), Fraction(-7, 3), 1 + 1e-10, 1 - 1e-10, 50j]
+        calls += [(route, s) for s in special for route in routes]
+        calls.append((routes[1], 1))
+        return calls
+
+    def test_same_double_and_bound_as_the_mpf_loop(self, monkeypatch):
+        from oracles import em_sum_mpf
+
+        from opzeta import specfun
+
+        def results():
+            return [(name, s, *astuple(f(s))) for (name, f), s in calls]
+
+        def astuple(r):
+            return r.value, r.abs_error_estimate
+
+        calls = self._calls()
+        integer = results()
+        monkeypatch.setattr(
+            specfun,
+            "_em_sum",
+            lambda ctx, s, a, n_cut, unit: em_sum_mpf(ctx, specfun._mp_of(ctx, s), ctx.mpf(a), n_cut, unit),
+        )
+        mpf = results()
+        assert [r for r, m in zip(integer, mpf) if r != m] == []
+
+    def test_routes_under_threads(self):
+        # the loop keeps its state in local integers: 4 threads at once, with
+        # a short switch interval, give each call its serial result
+        import sys
+        import threading
+        from concurrent.futures import ThreadPoolExecutor
+
+        calls = [
+            (zeta_em, -12.75), (dirichlet_beta, 0.3), (zeta_em, complex(0.5, 21.0)), (dirichlet_beta, complex(-3.25, 9.5)),
+            (dirichlet_beta, -20.1), (zeta_em, 7.125), (dirichlet_beta, complex(2.0, -40.0)), (zeta_em, complex(-24.0, 3.0)),
+        ]
+        serial = [f(s) for f, s in calls]
+        start = threading.Barrier(4)
+
+        def run(offset):
+            start.wait(timeout=60)
+            return [f(s) for f, s in calls[offset:] + calls[:offset]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(run, range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for offset, got in enumerate(threaded):
+            assert got == serial[offset:] + serial[:offset]
