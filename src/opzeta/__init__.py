@@ -8,6 +8,7 @@ sine-basis divisibility matrix, all driven by an auditable identity registry.
 
 from importlib import import_module
 
+from . import errors
 from .errors import (
     ContourClipped,
     DimensionMismatch,
@@ -60,22 +61,5 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ContourClipped", "DimensionMismatch", "Diverges", "EndpointConditional",
-    "InconsistentSystem", "MultipleAnomalies", "NoClosedForm", "NonIntegerFrequency",
-    "NotConverged", "OpzetaError", "OutsideDomain", "PoleAtOne", "PoleHit",
-    "PrecisionLoss", "SingularAtEndpoint", "UnsupportedExpression",
-    "PI", "PiPolynomial", "PiXPolynomial",
-    "bernoulli_number", "bernoulli_polynomial", "euler_number", "pipoly_eval",
-    "EvalResult", "clausen_closed_form", "dirichlet_beta", "functional_equation_residual",
-    "hankel_zeta", "hurwitz_zeta", "lerch_hankel", "recip_gamma",
-    "zeta_em", "zeta_even_pi_form", "zeta_neg_int",
-    "SummedValue", "TrigSeries", "abel_value", "geometric_abel",
-    "partial_sum", "partial_sum_accelerated",
-    "DilationShift", "Expression", "OpResult", "TaylorFlowResult",
-    "apply_operator", "apply_recip_gamma_op", "dilate", "extract_special_values",
-    "parity_anomaly", "taylor_flow",
-    "DivisibilityMatrix", "build_matrix", "consistency_check", "matrix_apply",
-    "IdentityRecord", "get_identity", "load_registry",
-    "__version__",
-]
+# the error types of `errors`, then every layer's names
+__all__ = [name for name, obj in vars(errors).items() if isinstance(obj, type)] + [*_LAYER_OF, "__version__"]

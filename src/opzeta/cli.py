@@ -4,8 +4,10 @@ extraction, and matrix export.
 Exit codes: 0 = pass, 1 = verification/extraction failure, 2 = usage error.
 Output is deterministic: identical invocations produce byte-identical bytes
 (fixed float formats, fixed row order). Each command imports the layers it
-uses when it runs, so `values bernoulli` loads no registry and `list` no
-specfun, divmatrix or mpmath.
+uses when it runs, so `values bernoulli` loads no registry, `values zeta|beta`
+no operators and `list` no specfun, divmatrix or mpmath. A `values` row takes
+its route (exact, numeric or pole) from `specfun.special_value`, the one
+table the operator engine reads too.
 """
 
 from __future__ import annotations
@@ -219,8 +221,6 @@ def _cmd_verify(args, out) -> int:
     return 0 if rep.passed else 1
 
 
-_NUMERIC_METHOD = {"zeta": "euler_maclaurin", "beta": "hurwitz_difference"}
-
 # |argument| bound of `values`: the exact values grow with it (B_k and E_k
 # have about k log10(k) digits; E_4000 takes 0.4 s); at the bound the slowest
 # row, E_1000, takes 7-8 ms on a 2-vCPU VM.
@@ -237,19 +237,17 @@ def _exact_row(tok: str, exact) -> dict:
     return {"argument": tok, "value": value, "exact": str(exact), "method": "exact", "abs_error": 0.0}
 
 
-def _values_row(kind: str, tok: str, v: float, is_int: bool) -> dict:
-    k = int(round(v))
+def _values_row(kind: str, tok: str, v: float) -> dict:
     if kind in ("bernoulli", "euler"):
-        return _exact_row(tok, bernoulli_number(k) if kind == "bernoulli" else Fraction(euler_number(k)))
-    from . import operators
+        return _exact_row(tok, bernoulli_number(int(v)) if kind == "bernoulli" else Fraction(euler_number(int(v))))
+    from .specfun import special_value
 
-    tag, exact = operators._exact_value(kind, Fraction(k) if is_int else Fraction(v))
-    if tag == "pole":
-        return {"argument": tok, "value": None, "exact": "pole at s=1", "method": "pole", "abs_error": None}
+    tag, value, err, method = special_value(kind, Fraction(v))
     if tag == "exact":
-        return _exact_row(tok, exact)
-    value, err = operators._numeric_value(kind, Fraction(v))
-    return {"argument": tok, "value": value.real, "exact": "", "method": _NUMERIC_METHOD[kind], "abs_error": err}
+        return _exact_row(tok, value)
+    pole = tag == "pole"
+    return {"argument": tok, "value": None if pole else value.real, "exact": "pole at s=1" if pole else "",
+            "method": method, "abs_error": err}
 
 
 def _cmd_values(args, out) -> int:
@@ -265,14 +263,13 @@ def _cmd_values(args, out) -> int:
         if abs(v) > _VALUES_BOUND:
             print(f"bad numeric argument {tok!r}: need |argument| <= {_VALUES_BOUND}", file=sys.stderr)
             return 2
-        is_int = abs(v - round(v)) < 1e-12
-        if args.kind in ("bernoulli", "euler") and (v < 0 or not is_int):
+        if args.kind in ("bernoulli", "euler") and (v < 0 or v != int(v)):
             print(f"{args.kind} needs a nonnegative integer, got {tok!r}", file=sys.stderr)
             return 2
-        values.append((tok, v, is_int))
+        values.append((tok, v))
 
     try:
-        rows = [_values_row(args.kind, tok, v, is_int) for tok, v, is_int in values]
+        rows = [_values_row(args.kind, tok, v) for tok, v in values]
     except OpzetaError as exc:
         print(f"values error: {exc}", file=sys.stderr)
         return 1
@@ -296,6 +293,13 @@ def _cmd_values(args, out) -> int:
     return 0
 
 
+# --terms bound of `extract`: the right side's Taylor terms reach B_(2 terms + 6)
+# and E_(2 terms + 4), within _VALUES_BOUND up to here; at the bound a cold
+# run of beta_cos_s0 or beta_sin_s1 takes 2.1-2.5 s, sec4_cos 1.3 s and
+# eq21_sin 1.1-1.2 s on a 2-vCPU VM (--terms 2000 ran past 60 s)
+_TERMS_BOUND = 497
+
+
 def _cmd_extract(args, out) -> int:
     from . import operators, registry
 
@@ -307,8 +311,8 @@ def _cmd_extract(args, out) -> int:
     if not rec.extract:
         print(f"identity {args.id!r} has no exact polynomial right side to match against", file=sys.stderr)
         return 2
-    if args.terms < 1:
-        print(f"--terms must be >= 1, got {args.terms}", file=sys.stderr)
+    if not 1 <= args.terms <= _TERMS_BOUND:
+        print(f"--terms must be >= 1 and <= {_TERMS_BOUND}, got {args.terms}", file=sys.stderr)
         return 2
     values = operators.extract_special_values(args.id, terms=args.terms)
     rows = [
@@ -388,7 +392,7 @@ def _grid_arg(text: str) -> tuple[float, float, int]:
     from . import registry
 
     try:
-        return registry._parse_grid(text)
+        return registry.parse_grid(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"grid must be a:b:steps, got {text!r}") from exc
 

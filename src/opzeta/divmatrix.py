@@ -99,10 +99,6 @@ class DivisibilityMatrix:
             lines[first * n - lo :: n] = [f"{k * n} 1/{k}\n" for k in range(first, (hi - 1) // n + 1)]
             yield "".join(lines)
 
-    def column_text(self, n: int) -> str:
-        """Column n as one string: the joined `column_blocks(n)`."""
-        return "".join(self.column_blocks(n))
-
 
 def build_matrix(M: int) -> DivisibilityMatrix:
     """Exact divisibility matrix of size M; O(1), as entries are computed on demand."""
@@ -136,13 +132,14 @@ class ConsistencyReport:
 
 
 @cache
-def _gauss_legendre(nodes: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per count."""
+def _gauss_legendre() -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The 32 Gauss-Legendre nodes and weights on [-1, 1] of each quadrature
+    panel, computed once."""
     import numpy as np
-    return tuple(tuple(a.tolist()) for a in np.polynomial.legendre.leggauss(nodes))
+    return tuple(tuple(a.tolist()) for a in np.polynomial.legendre.leggauss(32))
 
 
-def consistency_check(n: int, M: int, gl_nodes: int = 32) -> ConsistencyReport:
+def consistency_check(n: int, M: int) -> ConsistencyReport:
     """Compare column n of the size-M matrix with the Fourier sine coefficients
     (2/pi) Int_0^pi f(x) sin(m x) dx of f(x) = (pi - (n x mod 2 pi))/2, the
     Abel sum of the frequency-n series.
@@ -156,7 +153,7 @@ def consistency_check(n: int, M: int, gl_nodes: int = 32) -> ConsistencyReport:
         raise ValueError("need 1 <= n <= M")
     import numpy as np  # here only: the CLI's cold paths never load it
 
-    xs_gl, ws_gl = map(np.array, _gauss_legendre(gl_nodes))
+    xs_gl, ws_gl = map(np.array, _gauss_legendre())
     jumps = [2 * math.pi * j / n for j in range(1, n // 2 + 1) if 2 * math.pi * j / n < math.pi - 1e-12]
     breaks = np.array([0.0] + jumps + [math.pi])
     starts, widths = breaks[:-1], np.diff(breaks)

@@ -7,10 +7,8 @@ one private base, `_Poly`: the trimmed, immutable coefficient tuple, `+`,
 `pipoly_evaluator` (coefficients at pi once, then Horner per x) and
 `float(PiPolynomial)` compute in integers, with pi from the Chudnovsky
 series in integers (`_pi_fixed`), and round the exact rational value once to a
-double by one int/int division. `PiPolynomial.evaluate` computes in the
-calling thread's own mpmath context and never sets the precision of
-mpmath's process-global `mp` context; mpmath is imported there, on the
-first numeric use, so the exact paths never load it.
+double by one int/int division. This module holds no mpmath context: an
+mpmath argument is only read exactly, as a ratio of integers.
 
 Bernoulli and Euler numbers up to index 82 come from one immutable table,
 built by the exact recurrences on first use; a larger index is one rounded
@@ -27,8 +25,6 @@ all odd-index values vanish.
 from __future__ import annotations
 
 import math
-import threading
-from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial
@@ -37,8 +33,6 @@ from typing import Iterable, Union
 from .errors import NotConverged
 
 _ScalarLike = Union[int, Fraction]
-
-_THREAD = threading.local()
 
 
 def _chudnovsky_split(a: int, b: int) -> tuple[int, int, int]:
@@ -68,23 +62,6 @@ def _pi_fixed(bits: int) -> int:
 
 # floor(pi 2^256); the tests check it against mpmath
 _PI_FIXED = _pi_fixed(256)
-
-
-@contextmanager
-def _working_precision(dps: int):
-    """Yield the calling thread's own mpmath context (built once per thread)
-    at `dps` digits; on exit, nested or not, the previous precision returns."""
-    ctx = getattr(_THREAD, "ctx", None)
-    if ctx is None:
-        import mpmath  # on first numeric use only: the exact paths never load it
-
-        ctx = _THREAD.ctx = mpmath.MPContext()
-    prec = ctx.prec
-    ctx.dps = dps
-    try:
-        yield ctx
-    finally:
-        ctx.prec = prec
 
 
 def _as_fraction(v) -> Fraction:
@@ -211,19 +188,6 @@ class PiPolynomial(_Poly):
             raise ZeroDivisionError("division by zero rational")
         return self * (1 / q)
 
-    def evaluate(self, pi_value) -> "mpmath.mpf":
-        """Evaluate with the supplied numeric value of pi (Horner), at the
-        precision of `pi_value`: its own context for an mpmath number, double
-        precision for a float."""
-        if not hasattr(pi_value, "context"):
-            with _working_precision(15) as ctx:
-                return self.evaluate(ctx.mpf(pi_value))
-        ctx = pi_value.context
-        acc = ctx.mpf(0)
-        for c in reversed(self.coeffs):
-            acc = acc * pi_value + ctx.mpf(c.numerator) / c.denominator
-        return acc
-
     def __float__(self) -> float:
         """The value at pi to 128 + log2(degree) bits (so pi^degree carries
         127), rounded once to a double."""
@@ -284,13 +248,11 @@ def _exact_ratio(x) -> tuple[int, int]:
     return x.as_integer_ratio()
 
 
-def pipoly_evaluator(p: PiXPolynomial, pi_digits: int = 30):
-    """x -> `pipoly_eval(p, x, pi_digits)`. The coefficients of `p` are
-    evaluated at pi once, as integers scaled by 2^200 (60 digits, which
-    covers every pi_digits in [15, 60]); each call runs the Horner step in
-    integers at x's exact ratio and rounds once, by an int/int division."""
-    if not 15 <= pi_digits <= 60:
-        raise ValueError("pi_digits must lie in [15, 60]")
+def pipoly_evaluator(p: PiXPolynomial):
+    """x -> `pipoly_eval(p, x)`. The coefficients of `p` are evaluated at pi
+    once, as integers scaled by 2^200 (60 digits); each call runs the Horner
+    step in integers at x's exact ratio and rounds once, by an int/int
+    division."""
     coeffs = [(num << 200) // den for num, den in (_at_pi(c, 256) for c in reversed(p.coeffs))]
     top, rest = (coeffs or [0])[0], coeffs[1:]
 
@@ -308,12 +270,11 @@ def pipoly_evaluator(p: PiXPolynomial, pi_digits: int = 30):
     return horner
 
 
-def pipoly_eval(p: PiXPolynomial, x, pi_digits: int = 30) -> float:
+def pipoly_eval(p: PiXPolynomial, x) -> float:
     """Evaluate `p` at real x (an int, float, Fraction or mpmath mpf, each
-    taken exactly) with pi and the coefficients carried to 60 decimal digits
-    (`pi_digits`, 15 to 60, asks for at most that), then rounded once to a
-    double; nan where x is nan or infinite."""
-    return pipoly_evaluator(p, pi_digits)(x)
+    taken exactly) with pi and the coefficients carried to 60 decimal digits,
+    then rounded once to a double; nan where x is nan or infinite."""
+    return pipoly_evaluator(p)(x)
 
 
 # B_n and E_n up to this index come from one table: the Euler-Maclaurin

@@ -3,7 +3,8 @@
 The generator is D = x p with p = -i d/dx, so exp(i*lambda*D) rescales the
 argument: f(x) -> f(e^lambda x), and i*D has eigenvalue alpha on x^alpha.
 Operators act only on the eigenbasis: monomials (including negative powers)
-pick up the scalar zeta(shift - n), beta(shift - n), or 1/Gamma(shift + n);
+pick up the scalar zeta(shift - n), beta(shift - n), or 1/Gamma(shift + n),
+exact, numeric or the pole as `specfun.special_value` routes it;
 unit-coefficient trig atoms map to symbolic series. The engine never expands
 an operator function in powers of D about a point - every monomial degree is
 handled independently, which is what makes the pole at argument 1 an explicit,
@@ -171,51 +172,6 @@ def dilate(expr: Expression, lam: float) -> Expression:
 ExactValue = Union[Fraction, PiPolynomial]
 
 
-def _exact_value(kind: str, arg: Fraction):
-    """Route an operator argument to its exact value.
-
-    Returns ('exact', Fraction | PiPolynomial), ('pole', None), or
-    ('numeric', None) when only a numeric evaluation exists.
-    """
-    from . import specfun  # here and in _numeric_value only: `list` loads no specfun
-
-    if arg.denominator != 1:
-        return "numeric", None
-    k = int(arg)
-    if kind == "zeta":
-        if k == 1:
-            return "pole", None
-        if k == 0:
-            return "exact", Fraction(-1, 2)
-        if k < 0:
-            return "exact", specfun.zeta_neg_int(-k)
-        if k % 2 == 0:
-            return "exact", specfun.zeta_even_pi_form(k)
-        return "numeric", None  # odd zeta values >= 3 have no closed form
-    if kind == "beta":
-        if k <= 0:
-            return "exact", specfun.beta_nonpos_int(-k)
-        if k % 2 == 1:
-            return "exact", specfun.beta_odd_pi_form(k)
-        return "numeric", None  # beta at even arguments >= 2 (Catalan etc.)
-    # recip_gamma
-    if k <= 0:
-        return "exact", Fraction(0)  # annihilated at the Gamma poles
-    return "exact", Fraction(1, factorial(k - 1))
-
-
-def _numeric_value(kind: str, arg: Fraction):
-    from . import specfun
-
-    if kind == "zeta":
-        r = specfun.zeta_em(float(arg))
-        return r.value, r.abs_error_estimate
-    if kind == "beta":
-        r = specfun.dirichlet_beta(float(arg))
-        return r.value, r.abs_error_estimate
-    return specfun.recip_gamma(float(arg)), 1e-12
-
-
 def apply_operator(op: DilationShift, expr: Expression, allow_pole: bool = False) -> OpResult:
     """Apply kind(shift -+ iD) to the expression in its eigenbasis.
 
@@ -225,6 +181,8 @@ def apply_operator(op: DilationShift, expr: Expression, allow_pole: bool = False
     argument equal to 1 for the zeta kind raises PoleHit unless `allow_pole`,
     in which case the term is moved to `pole_terms` unevaluated.
     """
+    from .specfun import special_value  # imported on use, as below: `list` loads no specfun
+
     sign = 1 if op.kind == "recip_gamma" else -1
 
     out_coeffs: list[PiPolynomial] = [PiPolynomial()] * (expr.poly.degree + 1 if expr.poly else 0)
@@ -232,17 +190,15 @@ def apply_operator(op: DilationShift, expr: Expression, allow_pole: bool = False
     numeric: list[NumericTerm] = []
 
     def handle(degree: int, coeff: PiPolynomial):
-        arg = op.shift + sign * degree
-        tag, value = _exact_value(op.kind, arg)
+        tag, value, err, _ = special_value(op.kind, op.shift + sign * degree)
         if tag == "pole":
             if not allow_pole:
                 raise PoleHit(degree)
             poles.append(PoleTerm(degree, coeff))
             return None
         if tag == "numeric":
-            num, err = _numeric_value(op.kind, arg)
             cnum = float(coeff)
-            numeric.append(NumericTerm(degree, cnum * num, abs(cnum) * err + 1e-16))
+            numeric.append(NumericTerm(degree, cnum * value, abs(cnum) * err + 1e-16))
             return None
         return coeff * value
 
@@ -313,6 +269,8 @@ def taylor_flow(op: DilationShift, trig: str, K: int) -> TaylorFlowResult:
     result then carries anomaly_missing=True and the matching closed form's
     parity-violating term is exactly what is missing.
     """
+    from .specfun import special_value
+
     if K < 4:
         raise ValueError("K must be >= 4")
     if trig not in ("sin", "cos"):
@@ -335,13 +293,12 @@ def taylor_flow(op: DilationShift, trig: str, K: int) -> TaylorFlowResult:
     degrees = _trig_degrees(trig, K)
     coeffs = [PiPolynomial()] * (degrees[-1] + 1)
     for j, d in enumerate(degrees):
-        tag, value = _exact_value(op.kind, Fraction(shift - d))
+        # the parity analysis above has raised wherever a degree meets the pole
+        tag, value, _, _ = special_value(op.kind, Fraction(shift - d))
         if tag == "numeric":
             raise UnsupportedExpression(
                 f"no exact value at argument {shift - d}; taylor_flow stays in Q[pi]"
             )
-        if tag == "pole":  # defensive; parity analysis above already raised
-            raise PoleHit(d)
         c = Fraction((-1) ** j, factorial(d))
         coeffs[d] = value * c if isinstance(value, PiPolynomial) else PiPolynomial((value * c,))
     return TaylorFlowResult(PiXPolynomial(coeffs), anomaly_missing)
@@ -394,6 +351,7 @@ def extract_special_values(identity_id: str, terms: int = 8) -> list[ExtractedVa
     different values, ValueError if the identity has no exact right side.
     """
     from . import registry  # local import: registry declares records using engine types
+    from .specfun import special_value
 
     rec = registry.get_identity(identity_id)
     rhs = rec.exact_rhs(max_degree=2 * terms + 2)
@@ -412,7 +370,7 @@ def extract_special_values(identity_id: str, terms: int = 8) -> list[ExtractedVa
     for j, d in enumerate(_trig_degrees(rec.trig, terms)):
         factor = Fraction((-1) ** j, factorial(d))
         if rec.gamma_shift is not None:
-            _, gamma_factor = _exact_value("recip_gamma", rec.gamma_shift + d)
+            gamma_factor = special_value("recip_gamma", rec.gamma_shift + d)[1]
             if gamma_factor == 0:
                 continue  # degree annihilated by 1/Gamma: carries no equation
             factor *= gamma_factor
@@ -423,7 +381,7 @@ def extract_special_values(identity_id: str, terms: int = 8) -> list[ExtractedVa
         if arg in solved and solved[arg] != value:
             raise InconsistentSystem(f"argument {arg} solved twice: {solved[arg]} vs {value}")
         solved[arg] = value
-        tag, independent = _exact_value(rec.op.kind, Fraction(arg))
+        tag, independent, _, _ = special_value(rec.op.kind, Fraction(arg))
         # PiPolynomial.__eq__ accepts rationals, so mixed comparisons stay exact
         matched = tag == "exact" and independent == value
         out.append(ExtractedValue(arg, value, bool(matched)))

@@ -135,7 +135,8 @@ def _parse_lhs(text: str):
     raise ValueError(f"bad lhs {text!r}")
 
 
-def _parse_grid(text: str) -> tuple[float, float, int]:
+def parse_grid(text: str) -> tuple[float, float, int]:
+    """A grid 'a:b:steps' as (a, b, steps); ValueError where it is malformed."""
     a, b, steps = text.split(":")
     return float(a), float(b), int(steps)
 
@@ -174,7 +175,7 @@ def _parse_registry() -> tuple[int, dict[str, IdentityRecord]]:
             domain=_parse_interval(block["domain"]),
             anomaly_parity=block.get("anomaly_parity", "none"),
             verify_mode=block["verify_mode"],
-            default_grid=_parse_grid(block["default_grid"]),
+            default_grid=parse_grid(block["default_grid"]),
             default_tol=float(block["default_tol"]),
             extract=block.get("extract", "no") == "yes",
             extra_check=block.get("extra_check"),

@@ -5,12 +5,13 @@ A series is sum_n chi(n) trig(n x) / n^s. The trivial character runs over
 n = 1, 2, 3, ...; the `beta` character runs over odd n = 2k+1 with sign
 (-1)^k. Every convergent series (exponent >= 1) has one kernel,
 `partial_sum_accelerated`: a short head plus an iterated summation-by-parts
-tail, the beta character by a shift of x by pi/2. Divergent series (exponent
-<= 0) are never summed by raw truncation; they take the Abel route,
-`abel_value`: at exponents <= 1 the Abel mean is a closed form in
-z = r e^(ix), continuous up to |z| = 1 away from its singular points, so the
-Abel sum is that form at r = 1. At exponents >= 2 the Abel sum is the sum
-(Abel's theorem).
+tail, the beta character by a shift of x by pi/2. Raw truncation,
+`partial_sum`, is the head of that kernel and covers the trivial character
+only. Divergent series (exponent <= 0) are never summed by raw truncation;
+they take the Abel route, `abel_value`: at exponents <= 1 the Abel mean is a
+closed form in z = r e^(ix), continuous up to |z| = 1 away from its singular
+points, so the Abel sum is that form at r = 1. At exponents >= 2 the Abel sum
+is the sum (Abel's theorem).
 """
 
 from __future__ import annotations
@@ -60,45 +61,31 @@ class SummedValue:
     method: str  # partial_sum | abel_closed_form
 
 
-def _tail_bound(series: TrigSeries, x: float, count: int) -> float:
-    s = series.exponent
-    if series.character == "trivial":
-        if s >= 2:
-            return count ** (1 - s) / (s - 1)
-        # summation-by-parts bound: partial sums of e^(inx) bounded by 1/|sin(x/2)|
-        return 1.0 / ((count + 1) * abs(math.sin(x / 2)))
-    if s >= 2:
-        return (2 * count) ** (1 - s) / (2 * (s - 1))
-    return 1.0 / ((2 * count + 1) * abs(math.cos(x)))
-
-
 def partial_sum(series: TrigSeries, x: float, N: int) -> SummedValue:
-    """Sum of the first N terms, with a rigorous tail bound as the error.
-
-    Requires exponent >= 1; for exponent 1 the convergence is conditional and
-    the endpoint where the summation-by-parts kernel vanishes is rejected
-    (x = 0 mod 2*pi for the trivial character, cos x = 0 for the beta one).
+    """Sum of the first N terms of a trivial-character series, with a
+    rigorous tail bound as the error: N^(1-s)/(s-1) at exponent s >= 2, and
+    by summation by parts 1/((N+1) |sin(x/2)|) at exponent 1, where the
+    convergence is conditional and x = 0 mod 2*pi is rejected. A beta series
+    is summed by `partial_sum_accelerated` only.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    if series.exponent <= 0:
-        raise Diverges(
-            f"exponent {series.exponent} <= 0: raw truncation diverges; use abel_value"
-        )
-    if series.exponent == 1:
-        if series.character == "trivial" and abs(math.sin(x / 2)) < 1e-12:
-            raise EndpointConditional("x = 0 mod 2*pi: conditional convergence endpoint")
-        if series.character == "beta" and abs(math.cos(x)) < 1e-12:
-            raise EndpointConditional("cos x = 0: conditional convergence endpoint")
+    if series.character != "trivial":
+        raise ValueError("partial_sum sums the trivial character; use partial_sum_accelerated")
+    s = series.exponent
+    if s <= 0:
+        raise Diverges(f"exponent {s} <= 0: raw truncation diverges; use abel_value")
+    if s == 1 and abs(math.sin(x / 2)) < 1e-12:
+        raise EndpointConditional("x = 0 mod 2*pi: conditional convergence endpoint")
     import numpy as np  # here only: the CLI's cold paths never load it
 
     trig = np.sin if series.parity == "sin" else np.cos
     total = 0.0
-    for start in range(0, N, 5_000_000):
-        k = np.arange(start, min(N, start + 5_000_000), dtype=np.float64)
-        n, sign = (k + 1, 1.0) if series.character == "trivial" else (2 * k + 1, (-1.0) ** k)
-        total += float(np.sum(sign * trig(n * x) / n**series.exponent))
-    return SummedValue(total, _tail_bound(series, x, N), "partial_sum")
+    for start in range(1, N + 1, 5_000_000):
+        n = np.arange(start, min(N + 1, start + 5_000_000), dtype=np.float64)
+        total += float(np.sum(trig(n * x) / n**s))
+    bound = N ** (1 - s) / (s - 1) if s >= 2 else 1.0 / ((N + 1) * abs(math.sin(x / 2)))
+    return SummedValue(total, bound, "partial_sum")
 
 
 def _differences(m: int, s: int) -> Iterator[float]:

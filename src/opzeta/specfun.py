@@ -6,15 +6,22 @@ Numeric kernels run in mpmath working precision sized to the cancellation
 headroom of the argument, then round once to a complex double; the
 Euler-Maclaurin corrections run in integers at a fixed point below that
 precision (`_em_sum`). Each thread computes in its own mpmath context
-(`exactnum._working_precision`) and local integers; there is no lock and no
+(`_working_precision`) and local integers; there is no lock and no
 process-global precision, so the public functions are safe for concurrent use
-and leave mpmath's global `mp` context untouched.
+and leave mpmath's global `mp` context untouched. mpmath is imported on the
+first numeric call, so the exact values never load it.
+
+`special_value` is the one route table of the operator values: for each kind
+and exact argument it decides between the exact value, the numeric one and
+the pole.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -27,10 +34,10 @@ from .exactnum import (
     bernoulli_number,
     bernoulli_polynomial,
     euler_number,
-    _working_precision,
 )
 
 _TWO_PI = 2 * math.pi
+_THREAD = threading.local()
 
 # Validated accuracy domain of the Euler-Maclaurin evaluator.
 _EM_RE_MIN = -25.0
@@ -39,6 +46,23 @@ _EM_IM_MAX = 50.0
 # _EM_K_MAX terms: a hundredth of the 1e-16 floor both evaluators add.
 _EM_TARGET = 1e-18
 _EM_K_MAX = 41
+
+
+@contextmanager
+def _working_precision(dps: int):
+    """Yield the calling thread's own mpmath context (built once per thread)
+    at `dps` digits; on exit, nested or not, the previous precision returns."""
+    ctx = getattr(_THREAD, "ctx", None)
+    if ctx is None:
+        import mpmath  # on first numeric use only: the exact paths never load it
+
+        ctx = _THREAD.ctx = mpmath.MPContext()
+    prec = ctx.prec
+    ctx.dps = dps
+    try:
+        yield ctx
+    finally:
+        ctx.prec = prec
 
 
 @dataclass(frozen=True)
@@ -257,6 +281,51 @@ def recip_gamma(s) -> complex:
         return complex(0.0)
     with _working_precision(50) as ctx:
         return complex(ctx.rgamma(_mp_of(ctx, s)))
+
+
+_NUMERIC_ROUTE = {"zeta": "euler_maclaurin", "beta": "hurwitz_difference", "recip_gamma": "rgamma"}
+
+
+def special_value(kind: str, arg: Fraction):
+    """kind(arg) for kind zeta, beta or recip_gamma at an exact argument, as
+    (tag, value, abs_error_estimate, method), with tag and method:
+
+      exact    a Fraction or PiPolynomial, error 0.0, method 'exact';
+      pole     zeta(1): value and error None, method 'pole';
+      numeric  a complex double and its bound, method the route's name:
+               euler_maclaurin (zeta_em), hurwitz_difference
+               (dirichlet_beta) or rgamma (recip_gamma, bound 1e-12
+               max(1, |value|)).
+
+    Exact at every integer but zeta at odd n >= 3 and beta at even n >= 2,
+    which have no closed form; 1/Gamma is 0 at the Gamma poles."""
+    if kind not in _NUMERIC_ROUTE:
+        raise ValueError(f"kind must be one of {tuple(_NUMERIC_ROUTE)}")
+    exact = None
+    if arg.denominator == 1:
+        k = int(arg)
+        if kind == "zeta":
+            if k == 1:
+                return "pole", None, None, "pole"
+            if k <= 0:
+                exact = zeta_neg_int(-k) if k else Fraction(-1, 2)
+            elif k % 2 == 0:
+                exact = zeta_even_pi_form(k)
+        elif kind == "beta":
+            if k <= 0:
+                exact = beta_nonpos_int(-k)
+            elif k % 2:
+                exact = beta_odd_pi_form(k)
+        else:
+            exact = Fraction(0) if k <= 0 else Fraction(1, factorial(k - 1))
+    if exact is not None:
+        return "exact", exact, 0.0, "exact"
+    # arg goes in exactly: rounded to a double first, zeta(-221/10) errs by 16 times its bound
+    if kind == "recip_gamma":
+        value = recip_gamma(arg)
+        return "numeric", value, 1e-12 * max(1.0, abs(value)), _NUMERIC_ROUTE[kind]
+    r = zeta_em(arg) if kind == "zeta" else dirichlet_beta(arg)
+    return "numeric", r.value, r.abs_error_estimate, _NUMERIC_ROUTE[kind]
 
 
 def _ray_cutoff(sig: float, tau: float, delta: float) -> float:

@@ -15,8 +15,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from opzeta.errors import NotConverged
-from opzeta.exactnum import _working_precision
-from opzeta.specfun import _EM_K_MAX, _EM_TARGET, _em_coefficients
+from opzeta.specfun import _EM_K_MAX, _EM_TARGET, _em_coefficients, _working_precision
 
 
 def bernoulli_akiyama_tanigawa(nmax: int) -> list[Fraction]:
@@ -100,6 +99,32 @@ def divisors(m: int) -> list[int]:
     return [d for d in range(1, m + 1) if m % d == 0]
 
 
+def beta_partial_sum(parity: str, s: int, x: float, N: int) -> tuple[float, float]:
+    """Raw truncation of the beta-character series sum_k (-1)^k
+    trig((2k+1) x) / (2k+1)^s after N terms, summed in doubles, and its tail
+    bound: (2N)^(1-s)/(2(s-1)) at s >= 2, 1/((2N+1) |cos x|) by summation by
+    parts at s = 1 (the route `series.partial_sum` took for this character
+    before `partial_sum_accelerated` summed it by a shift)."""
+    import numpy as np
+
+    k = np.arange(N, dtype=np.float64)
+    n = 2 * k + 1
+    trig = np.sin if parity == "sin" else np.cos
+    value = float(np.sum((-1.0) ** k * trig(n * x) / n**s))
+    bound = (2 * N) ** (1 - s) / (2 * (s - 1)) if s >= 2 else 1.0 / ((2 * N + 1) * abs(math.cos(x)))
+    return value, bound
+
+
+def pi_poly_mpf(c, pi):
+    """The PiPolynomial c at the mpmath number `pi`, by Horner in pi's own
+    context (the route of the deleted `PiPolynomial.evaluate`)."""
+    ctx = pi.context
+    acc = ctx.mpf(0)
+    for a in reversed(c.coeffs):
+        acc = acc * pi + ctx.mpf(a.numerator) / a.denominator
+    return acc
+
+
 def pipoly_evaluator_mpf(p, pi_digits: int = 30):
     """x -> p(x) as a double by Horner in mpmath at pi_digits + 5 digits, with
     pi and each coefficient of p rounded to that precision first (the route
@@ -109,12 +134,7 @@ def pipoly_evaluator_mpf(p, pi_digits: int = 30):
     ctx = mpmath.MPContext()
     ctx.dps = pi_digits + 5
     pi = +ctx.pi
-    coeffs = []
-    for c in reversed(p.coeffs):
-        acc = ctx.mpf(0)
-        for a in reversed(c.coeffs):
-            acc = acc * pi + ctx.mpf(a.numerator) / a.denominator
-        coeffs.append(acc)
+    coeffs = [pi_poly_mpf(c, pi) for c in reversed(p.coeffs)]
 
     def horner(x) -> float:
         xv = ctx.mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else ctx.mpf(x)

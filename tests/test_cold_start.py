@@ -70,6 +70,12 @@ class TestCommandImports:
         (row,) = _run_commands(argv)
         assert not {"opzeta.registry", "opzeta.series", "opzeta.divmatrix"} & set(row["loaded"]), row["loaded"]
 
+    def test_zeta_beta_values_load_no_operators(self):
+        # exact, numeric or pole, the route is `specfun.special_value`
+        rows = _run_commands(["values", "zeta", "0.5"], ["values", "zeta", "-399"], ["values", "beta", "399"])
+        assert all(row["code"] == 0 for row in rows)
+        assert "opzeta.operators" not in rows[-1]["loaded"], rows[-1]["loaded"]
+
     def test_list_loads_no_specfun_or_divmatrix(self):
         (row,) = _run_commands(["list"])
         assert not {"opzeta.specfun", "opzeta.divmatrix"} & set(row["loaded"]), row["loaded"]

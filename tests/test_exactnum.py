@@ -31,6 +31,7 @@ from oracles import (
     bernoulli_poly_coeffs,
     euler_from_generating_function,
     nint_l_value_mpmath,
+    pi_poly_mpf,
     pipoly_evaluator_mpf,
 )
 
@@ -285,6 +286,11 @@ class TestPiXPolynomialEval:
         # (pi - x)/2 at x = pi
         p = PiXPolynomial([PI * Fraction(1, 2), Fraction(-1, 2)])
         assert abs(pipoly_eval(p, math.pi)) < 5e-16
+        # x = pi rounded: (x - pi)^2 is about 1.5e-32, within the 60 digits the terms carry
+        sq = PiXPolynomial([PI * PI, PI * -2, 1])
+        ctx = mpmath.MPContext()
+        ctx.dps = 120
+        assert pipoly_eval(sq, math.pi) == float((ctx.mpf(math.pi) - ctx.pi) ** 2)
 
     def test_constant_term(self):
         p = PiXPolynomial([PI * Fraction(1, 2), Fraction(-1, 2)])
@@ -293,10 +299,6 @@ class TestPiXPolynomialEval:
     def test_quadratic_constant_is_zeta2(self):
         p = PiXPolynomial([PI * PI * Fraction(1, 6), PI * Fraction(-1, 2), Fraction(1, 4)])
         assert pipoly_eval(p, 0.0) == pytest.approx(1.6449340668482264, abs=1e-14)
-
-    def test_min_digits_enforced(self):
-        with pytest.raises(ValueError):
-            pipoly_eval(PiXPolynomial([1]), 0.0, pi_digits=10)
 
     def test_fraction_argument(self):
         p = PiXPolynomial([0, 1, 1])  # x + x^2
@@ -313,7 +315,7 @@ class TestPiXPolynomialEval:
             acc = ctx.mpf(0)
             xv = ctx.mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else ctx.mpf(x)
             for c in reversed(p.coeffs):
-                acc = acc * xv + c.evaluate(+ctx.pi)
+                acc = acc * xv + pi_poly_mpf(c, +ctx.pi)
             assert at(x) == pipoly_eval(p, x) == float(acc), x
 
 
@@ -350,20 +352,6 @@ class TestPiXPolynomialEval:
 
     def test_zero_polynomial(self):
         assert pipoly_evaluator(PiXPolynomial())(1.5) == 0.0
-
-    def test_pi_digits_range(self):
-        # every evaluation carries 60 digits: pi_digits 15 to 60 asks for no
-        # more, and beyond 60 it is refused like below 15
-        p = bernoulli_polynomial(4) * PI * PI
-        for x in [0.1, 1.0, 3.0, Fraction(2, 7)]:
-            assert pipoly_eval(p, x, pi_digits=15) == pipoly_eval(p, x, pi_digits=60) == pipoly_eval(p, x), x
-        with pytest.raises(ValueError):
-            pipoly_evaluator(p, pi_digits=61)
-        # x = pi rounded: (x - pi)^2 is about 1.5e-32, far below 30 digits of the terms
-        sq = PiXPolynomial([PI * PI, PI * -2, 1])
-        ctx = mpmath.MPContext()
-        ctx.dps = 120
-        assert pipoly_eval(sq, math.pi) == float((ctx.mpf(math.pi) - ctx.pi) ** 2)
 
 
 class TestTaylorGenerators:

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from opzeta.errors import (
@@ -159,6 +160,17 @@ class TestApplyOperator:
         assert r.expr.poly.coeff(0).is_zero()  # 1/Gamma(0) = 0
         assert r.expr.poly.coeff(1) == PiPolynomial([1])  # 1/Gamma(1)
         assert r.expr.poly.coeff(2) == PiPolynomial([1])  # 1/Gamma(2)
+
+    @pytest.mark.parametrize("shift", [Fraction(-41, 2), Fraction(-1, 2), Fraction(1, 2), Fraction(25, 2)])
+    def test_recip_gamma_numeric_bound_is_honest(self, shift):
+        # 1/Gamma(-20.5) is about -3.5e18: its double is off by up to half an
+        # ulp (256), so an absolute 1e-12 bound cannot hold there
+        r = apply_operator(DilationShift("recip_gamma", shift), Expression.from_poly(PiXPolynomial([1])))
+        (term,) = r.numeric_terms
+        ctx = mpmath.MPContext()
+        ctx.dps = 50
+        want = ctx.rgamma(ctx.mpf(shift.numerator) / shift.denominator)
+        assert abs(ctx.mpc(term.value) - want) <= term.abs_error_estimate, shift
 
     def test_recip_gamma_kind_on_trig_unsupported(self):
         with pytest.raises(UnsupportedExpression):

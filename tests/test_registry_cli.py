@@ -278,6 +278,34 @@ class TestValuesCommand:
         assert proc.returncode == 0, proc.stderr
         assert "exact" in proc.stdout
 
+    @pytest.mark.parametrize("kind", ["bernoulli", "euler"])
+    def test_near_integer_index_is_usage_error(self, kind, capsys):
+        # the exact route takes only an exact integer, so 3 + 1e-13 is no index
+        code, out = run_cli("values", kind, "3.0000000000001")
+        assert code == 2 and out == ""
+        assert "needs a nonnegative integer" in capsys.readouterr().err
+
+    def test_near_pole_is_numeric_and_an_error(self, capsys):
+        # 1 + 1e-13 is no pole row: the numeric route is within 1e-13 of s = 1
+        code, out = run_cli("values", "zeta", "1.0000000000001")
+        assert code == 1 and out == ""
+        err = capsys.readouterr().err
+        assert "values error:" in err and "pole at s=1" in err
+
+    @pytest.mark.parametrize("kind,token,reference", [
+        ("zeta", "2.0000000000001", lambda ctx, s: ctx.zeta(s)),
+        ("beta", "3.0000000000001", lambda ctx, s: ctx.dirichlet(s, [0, 1, 0, -1])),
+    ])
+    def test_near_integer_is_numeric(self, kind, token, reference):
+        # zeta(2 + 1e-13) is 9.4e-14 from pi^2/6, so the exact row would be wrong
+        code, out = run_cli("values", kind, token, "--format", "json")
+        assert code == 0
+        (row,) = json.loads(out)["rows"]
+        assert row["method"] != "exact" and row["exact"] == ""
+        ctx = mpmath.MPContext()
+        ctx.dps = 40
+        assert abs(row["value"] - reference(ctx, ctx.mpf(float(token)))) <= row["abs_error"]
+
     def test_negative_exponent_token(self):
         # -2.5e1 is an argument, not an option, and reads as -25
         code, out = run_cli("values", "zeta", "-2.5e1", "--format", "json")
@@ -354,6 +382,24 @@ class TestExtractCommand:
         code, out = run_cli("extract", "eq17", "--terms", terms)
         assert code == 2 and out == ""
         assert "--terms must be >= 1" in capsys.readouterr().err
+
+    def test_terms_bound(self, capsys):
+        # past 497 terms the right side needs B_n beyond n = 1000, and the
+        # run takes minutes: exit 2 before any work
+        start = time.perf_counter()
+        code, out = run_cli("extract", "eq21_sin", "--terms", "498")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert "--terms must be >= 1 and <= 497" in capsys.readouterr().err
+
+    def test_terms_at_the_bound_end(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "opzeta", "extract", "eq21_sin", "--terms", "497", "--format", "json"],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert len(json.loads(proc.stdout)["rows"]) == 497
 
     def test_csv(self):
         code, out = run_cli("extract", "beta_cos_s0", "--format", "csv")

@@ -1,8 +1,11 @@
 import cmath
 import math
 import random
+import warnings
 from fractions import Fraction
+from math import factorial
 
+import mpmath
 import pytest
 
 from opzeta.errors import ContourClipped, PoleAtOne, PrecisionLoss
@@ -17,11 +20,12 @@ from opzeta.specfun import (
     hurwitz_zeta,
     lerch_hankel,
     recip_gamma,
+    special_value,
     zeta_em,
     zeta_even_pi_form,
     zeta_neg_int,
 )
-from oracles import euler_summed_alternating
+from oracles import euler_summed_alternating, pi_poly_mpf
 
 PI = math.pi
 
@@ -95,7 +99,7 @@ class TestZetaEvenPiForm:
 
     def test_numeric_agreement(self):
         for n in (2, 4, 6, 8):
-            v = float(zeta_even_pi_form(n).evaluate(PI))
+            v = float(pi_poly_mpf(zeta_even_pi_form(n), mpmath.mpf(PI)))
             assert v == pytest.approx(zeta_em(n).value.real, abs=1e-12)
 
 
@@ -153,8 +157,75 @@ class TestDirichletBeta:
 
     def test_pi_form_numeric_agreement(self):
         for n in (1, 3, 5):
-            v = float(beta_odd_pi_form(n).evaluate(PI))
+            v = float(pi_poly_mpf(beta_odd_pi_form(n), mpmath.mpf(PI)))
             assert v == pytest.approx(dirichlet_beta(n).value.real, abs=1e-11)
+
+
+class TestSpecialValue:
+    @staticmethod
+    def exact_formula(kind, k):
+        """The closed form of kind(k), 'pole' at zeta(1), None where there is none."""
+        if kind == "zeta":
+            if k == 1:
+                return "pole"
+            if k <= 0:
+                return zeta_neg_int(-k) if k else Fraction(-1, 2)
+            return None if k % 2 else zeta_even_pi_form(k)
+        if kind == "beta":
+            return beta_nonpos_int(-k) if k <= 0 else beta_odd_pi_form(k) if k % 2 else None
+        return Fraction(0) if k <= 0 else Fraction(1, factorial(k - 1))
+
+    NUMERIC = {"zeta": (zeta_em, "euler_maclaurin"), "beta": (dirichlet_beta, "hurwitz_difference")}
+
+    @pytest.mark.parametrize("kind", ["zeta", "beta", "recip_gamma"])
+    def test_exact_formulas_at_every_integer(self, kind):
+        for k in range(-60, 61):
+            want = self.exact_formula(kind, k)
+            got = special_value(kind, Fraction(k))
+            if want == "pole":
+                assert got == ("pole", None, None, "pole")
+            elif want is not None:
+                assert got == ("exact", want, 0.0, "exact"), k
+                assert type(got[1]) is type(want), k
+            else:  # odd zeta and even beta values >= 2: the numeric route
+                f, method = self.NUMERIC[kind]
+                r = f(float(k))
+                assert got == ("numeric", r.value, r.abs_error_estimate, method), k
+
+    @pytest.mark.parametrize("kind", ["zeta", "beta", "recip_gamma"])
+    def test_numeric_at_the_halves(self, kind):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PrecisionLoss)  # Re s < -25: best-effort values
+            for k in range(-60, 60):
+                h = Fraction(2 * k + 1, 2)
+                tag, value, err, method = special_value(kind, h)
+                assert tag == "numeric", h
+                if kind == "recip_gamma":
+                    v = recip_gamma(float(h))
+                    assert (value, err, method) == (v, 1e-12 * max(1.0, abs(v)), "rgamma"), h
+                else:
+                    f, want_method = self.NUMERIC[kind]
+                    r = f(float(h))
+                    assert (value, err, method) == (r.value, r.abs_error_estimate, want_method), h
+
+    def test_numeric_bound_holds_at_every_rational(self):
+        # the argument is taken exactly: rounded to a double first, zeta and
+        # beta near -22 erred by up to 18 times their bounds
+        rng = random.Random(15)
+        args = [Fraction(-221, 10), Fraction(-239, 10), Fraction(-231, 10), Fraction(-67, 3), Fraction(-157, 7)]
+        args += [Fraction(rng.randrange(-24 * q, 12 * q), q) for q in rng.choices((3, 5, 7, 10), k=40)]
+        ctx = mpmath.MPContext()
+        ctx.dps = 50
+        refs = {"zeta": ctx.zeta, "beta": lambda s: ctx.dirichlet(s, [0, 1, 0, -1]), "recip_gamma": ctx.rgamma}
+        for a in (a for a in args if a.denominator != 1):
+            for kind, ref in refs.items():
+                tag, value, err, _ = special_value(kind, a)
+                assert tag == "numeric"
+                assert abs(ctx.mpc(value) - ref(ctx.mpf(a.numerator) / a.denominator)) <= err, (kind, a)
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="kind"):
+            special_value("gamma", Fraction(2))
 
 
 class TestRecipGamma:
@@ -466,32 +537,27 @@ class TestConcurrentUse:
         assert all(abs(b - (-0.5)) < 1e-9 for b in betas)
 
     def test_precision_does_not_leak_between_threads(self):
-        # zeta_em works at 25+ digits while pipoly_eval(..., pi_digits=15)
-        # works at 20; with one process-global precision, each thread's
-        # setting leaks into the other's arithmetic and outlives both
+        # zeta_em works at 25+ digits while recip_gamma works at 50; with one
+        # process-global precision, each thread's setting leaks into the
+        # other's arithmetic and outlives both
         import sys
         import threading
 
-        import mpmath
-
-        from opzeta.exactnum import pipoly_eval
-
         points = [0.5, -3.5, 2.0, -12.25, 0.25, 7.5, -0.75, 3.0, complex(0.5, 14.0), complex(-2.0, 5.0), -20.5, 1.5]
-        poly = clausen_closed_form("cos", 3)
         expect_z = [zeta_em(s) for s in points]
-        expect_p = pipoly_eval(poly, 0.7, pi_digits=15)
+        expect_g = [recip_gamma(s) for s in points]
         dps = mpmath.mp.dps
-        got_z, got_p = [], []
+        got_z, got_g = [], []
 
         def loop_zeta():
             for _ in range(10):
                 got_z.append([zeta_em(s) for s in points])
 
-        def loop_pipoly():
+        def loop_gamma():
             for _ in range(120):
-                got_p.append(pipoly_eval(poly, 0.7, pi_digits=15))
+                got_g.append([recip_gamma(s) for s in points])
 
-        threads = [threading.Thread(target=f) for f in (loop_zeta, loop_zeta, loop_pipoly, loop_pipoly)]
+        threads = [threading.Thread(target=f) for f in (loop_zeta, loop_zeta, loop_gamma, loop_gamma)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -502,9 +568,9 @@ class TestConcurrentUse:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert len(got_z) == 20 and len(got_p) == 240
+        assert len(got_z) == 20 and len(got_g) == 240
         assert got_z == [expect_z] * 20
-        assert got_p == [expect_p] * 240
+        assert got_g == [expect_g] * 240
         assert mpmath.mp.dps == dps
 
 
