@@ -3,8 +3,10 @@ requires byte-identical stdout and the same exit code for every command.
 
 The transcript covers `list`, `verify` of every registry id (default profile,
 plus `--exact` wherever the exact route applies), `extract` of every
-`extract = yes` id, `values zeta|beta` at -30..30 and a few non-integers, and
-`values bernoulli|euler` at 0..59, and `matrix`: triplet export at sizes
+`extract = yes` id, `values zeta|beta` at -30..30 and a few non-integers,
+`values bernoulli|euler` at 0..59 and `values bernoulli 260` (a value beyond
+the double range, `null` in JSON), each of `verify`, `extract` and `values` in
+every `--format`, and `matrix`: triplet export at sizes
 1..40 and 3000, `--apply` of columns 1, 2 and size at sizes 7, 40 and 1000,
 `--check` of columns 1, 2, 3, size/2 and size at sizes 16, 32 and 96, and
 the three out-of-range index errors.
@@ -34,6 +36,18 @@ _INDICES = [str(n) for n in range(60)]
 _TRIPLET_SIZES = [*range(1, 41), 3000]
 _APPLY_SIZES = [7, 40, 1000]
 _CHECK_SIZES = [16, 32, 96]
+# every command x format pair: grid verify in json (real rows, the complex
+# repr strings of eq5, the `x: null` extra-check row of eq1) and csv, exact
+# verify with a non-empty `pole_events` and in csv, extract in json and csv
+_VERIFY_FORMATS = [
+    ["eq6", "--format", "json"],
+    ["eq6", "--format", "csv"],
+    ["eq5", "--format", "json"],
+    ["eq1", "--grid", "0.5:2.5:3", "--format", "json"],
+    ["eq2", "--exact", "--format", "json"],
+    ["eq17", "--format", "csv"],
+]
+_EXTRACT_FORMATS = [["eq17", "--format", "json"], ["beta_cos_s0", "--format", "csv"]]
 _MATRIX_INDEX_ERRORS = [["--size", "0"], ["--size", "5", "--apply", "6"], ["--size", "5", "--check", "0"]]
 
 
@@ -60,6 +74,10 @@ def golden_commands() -> list[list[str]]:
         for n in (1, 2, 3, size // 2, size)
     ]
     cmds += [["matrix", *args] for args in _MATRIX_INDEX_ERRORS]
+    # appended last, so that the cells above keep their indices
+    cmds += [["verify", *args] for args in _VERIFY_FORMATS]
+    cmds += [["extract", *args] for args in _EXTRACT_FORMATS]
+    cmds += [["values", "bernoulli", "260", "--format", fmt] for fmt in ("json", "csv")]
     return cmds
 
 
