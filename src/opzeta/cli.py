@@ -3,23 +3,24 @@ extraction, and matrix export.
 
 Exit codes: 0 = pass, 1 = verification/extraction failure, 2 = usage error.
 Output is deterministic: identical invocations produce byte-identical bytes
-(fixed float formats, fixed row order). Each command imports the layers it
-uses when it runs, so `values bernoulli` loads no registry, `values zeta|beta`
-no operators and `list` no specfun, divmatrix or mpmath. A `values` row takes
-its route (exact, numeric or pole) from `specfun.special_value`, the one
-table the operator engine reads too.
+(fixed float formats, fixed row order). `verify`, `values` and `extract` each
+build a head and flat rows, which one writer, `_write`, prints as JSON, CSV or
+text. Each command imports the layers it uses when it runs, so `values
+bernoulli` loads no registry, `values zeta|beta` no operators and `list` no
+specfun, divmatrix or mpmath; json and csv load for their format only. A
+`values` row takes its route (exact, numeric or pole) from
+`specfun.special_value`, the one table the operator engine reads too.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
 from fractions import Fraction
 from functools import cache
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import OpzetaError
 from .exactnum import bernoulli_number, euler_number, pipoly_evaluator
@@ -30,96 +31,61 @@ _EXACT_K = 12
 _GRID_STEPS_BOUND = 10_000
 
 
-class VerificationReport:
-    """One `verify` run: its rows, pole events and verdict (set by `finalize`)."""
-
-    __slots__ = ("identity", "mode", "tolerance", "max_abs_deviation", "pole_events", "rows", "passed", "expected_event")
-
-    def __init__(
-        self, identity: str, mode: str, tolerance: float, max_abs_deviation: float, expected_event: Optional[str] = None
-    ) -> None:
-        self.identity, self.mode, self.tolerance = identity, mode, tolerance
-        self.max_abs_deviation, self.expected_event = max_abs_deviation, expected_event
-        self.pole_events, self.rows, self.passed = [], [], False
-
-    def finalize(self) -> "VerificationReport":
-        events_ok = self.expected_event is None or self.expected_event in self.pole_events
-        self.passed = self.max_abs_deviation <= self.tolerance and events_ok
-        return self
-
-
-def _linspace(a: float, b: float, steps: int) -> list[float]:
-    if steps == 1:
-        return [a]
-    return [a + (b - a) * i / (steps - 1) for i in range(steps)]
-
-
 def _row(identity: str, x, lhs, rhs, deviation: float, method: str) -> dict:
     return {"id": identity, "x": x, "lhs": lhs, "rhs": rhs, "deviation": deviation, "method": method}
 
 
-def _clausen_m(trig: str, shift: int) -> int:
-    return (shift + 1) // 2 if trig == "sin" else shift // 2
-
-
-def _verify_exact(rec: registry.IdentityRecord, tol: float) -> VerificationReport:
-    """Exact-equality verification in Q[pi]; deviation is 0.0 on equality."""
+def _verify_exact(rec: registry.IdentityRecord) -> tuple[list[dict], float, list[str]]:
+    """Exact-equality verification in Q[pi] -> (rows, max deviation, pole
+    events); the deviation is 0.0 on equality and inf otherwise."""
     from . import specfun
     from .operators import Expression, apply_recip_gamma_op, parity_anomaly, taylor_flow
 
-    rep = VerificationReport(rec.id, "exact", tol, math.inf, expected_event=rec.expected_event)
     if rec.op is None or rec.trig is None:
         raise ValueError(f"{rec.id}: exact mode needs an operator-on-trig left side")
-
+    events = []
+    flow = taylor_flow(rec.op, rec.trig, _EXACT_K)
     if rec.gamma_shift is not None:
         # route A: closed form of the series, then the exact 1/Gamma action
-        m = _clausen_m(rec.trig, int(rec.op.shift))
-        closed = specfun.clausen_closed_form(rec.trig, m)
+        shift = int(rec.op.shift)
+        closed = specfun.clausen_closed_form(rec.trig, (shift + 1) // 2 if rec.trig == "sin" else shift // 2)
         anomaly = parity_anomaly(closed, "odd" if rec.trig == "sin" else "even")
         route_a = apply_recip_gamma_op(rec.gamma_shift, Expression.from_poly(closed)).poly
         if anomaly is not None and apply_recip_gamma_op(rec.gamma_shift, Expression.from_poly(anomaly)).is_zero():
-            rep.pole_events.append("annihilated_constant")
+            events.append("annihilated_constant")
         # route B: term-by-term flow first, 1/Gamma after
-        flow = taylor_flow(rec.op, rec.trig, _EXACT_K)
-        if flow.anomaly_missing:
-            rep.pole_events.append("anomaly_missing")
         route_b = apply_recip_gamma_op(rec.gamma_shift, Expression.from_poly(flow.poly)).poly
         target = rec.rhs_poly
+        lhs_polys = [route_a, route_b]
         equal = route_a == route_b == target
-        rep.rows.append(_row(rec.id, None, repr(route_a), repr(target), 0.0 if equal else math.inf, "exact"))
-        rep.rows.append(_row(rec.id, None, repr(route_b), repr(target), 0.0 if equal else math.inf, "exact"))
-        rep.max_abs_deviation = 0.0 if equal else math.inf
-        return rep.finalize()
-
-    flow = taylor_flow(rec.op, rec.trig, _EXACT_K)
-    if flow.anomaly_missing:
-        rep.pole_events.append("anomaly_missing")
-    if rec.anomaly_parity != "none":
+    elif rec.anomaly_parity != "none":
         # flow + the parity-violating term must rebuild the closed form exactly
         target = rec.exact_rhs(max_degree=2 * _EXACT_K + 2)
         anomaly = parity_anomaly(target, rec.anomaly_parity)
-        lhs_poly = flow.poly + anomaly if anomaly is not None else flow.poly
-        equal = lhs_poly == target
+        lhs_polys = [flow.poly + anomaly if anomaly is not None else flow.poly]
+        equal = lhs_polys[0] == target
     else:
         # singularity-removed identity: flow equals the regrouped Taylor series
         gen = rec.exact_rhs(max_degree=2 * _EXACT_K + 2)
         if gen is None:
             raise ValueError(f"{rec.id}: no exact right side available for exact mode")
-        d = flow.poly.degree
-        target = gen.truncate(d)
+        target = gen.truncate(flow.poly.degree)
+        lhs_polys = [flow.poly]
         equal = flow.poly == target and not flow.anomaly_missing
-        lhs_poly = flow.poly
-    rep.rows.append(_row(rec.id, None, repr(lhs_poly), repr(target), 0.0 if equal else math.inf, "exact"))
-    rep.max_abs_deviation = 0.0 if equal else math.inf
-    return rep.finalize()
+    if flow.anomaly_missing:
+        events.append("anomaly_missing")
+    deviation = 0.0 if equal else math.inf
+    return [_row(rec.id, None, repr(p), repr(target), deviation, "exact") for p in lhs_polys], deviation, events
 
 
-def _verify_grid(rec: registry.IdentityRecord, grid: tuple[float, float, int], tol: float) -> VerificationReport:
+def _verify_grid(rec: registry.IdentityRecord, grid: tuple[float, float, int], tol: float) -> tuple[list[dict], float, list[str]]:
+    """Numeric verification on the grid -> (rows, max deviation, no events)."""
     from . import series
 
     mode = rec.verify_mode
-    rep = VerificationReport(rec.id, mode, tol, 0.0)
-    xs = _linspace(*grid)
+    a, b, steps = grid
+    xs = [a + (b - a) * i / (steps - 1) for i in range(steps)] if steps > 1 else [a]
+    rows, max_deviation = [], 0.0
     # the right side: its coefficients at pi once, then Horner per x (`rhs_poly` first)
     rhs_at = pipoly_evaluator(rec.rhs_poly) if rec.rhs_poly is not None else rec.closed_form()
     geometric_parts = series.TrigSeries("cos", 0), series.TrigSeries("sin", 0)
@@ -132,60 +98,64 @@ def _verify_grid(rec: registry.IdentityRecord, grid: tuple[float, float, int], t
             cos_sum, sv = (series.abel_value(part, x) for part in geometric_parts)
         else:
             raise ValueError(f"unknown verify mode {mode!r}")
-        lhs, method = sv.value, sv.method
-
         if mode == "geometric":
-            lhs = complex(cos_sum.value, lhs)
-            rhs = series.geometric_abel(x)
-            deviation = abs(lhs - rhs)
-            if abs(rhs.real + 0.5) > 1e-8 or abs(lhs.real + 0.5) > 1e-8:
-                deviation = math.inf
-            lhs_out, rhs_out = repr(lhs), repr(rhs)
+            lhs, rhs = complex(cos_sum.value, sv.value), series.geometric_abel(x)
+            off_line = abs(rhs.real + 0.5) > 1e-8 or abs(lhs.real + 0.5) > 1e-8
+            deviation = math.inf if off_line else abs(lhs - rhs)
+            lhs, rhs = repr(lhs), repr(rhs)
         else:
-            rhs = rhs_at(x)
+            lhs, rhs = sv.value, rhs_at(x)
             deviation = abs(lhs - rhs)
-            lhs_out, rhs_out = lhs, rhs
-        rep.rows.append(_row(rec.id, x, lhs_out, rhs_out, deviation, method))
-        rep.max_abs_deviation = max(rep.max_abs_deviation, deviation)
+        rows.append(_row(rec.id, x, lhs, rhs, deviation, sv.method))
+        max_deviation = max(max_deviation, deviation)
 
     if rec.extra_check == "geometric_real_part":
         worst = max(abs(series.geometric_abel(x).real + 0.5) for x in xs)
-        rep.rows.append(_row(rec.id, None, "Re(geometric)", "-1/2", worst, "closed_form"))
+        rows.append(_row(rec.id, None, "Re(geometric)", "-1/2", worst, "closed_form"))
         if worst > 1e-8:
-            rep.max_abs_deviation = math.inf
-    return rep.finalize()
+            max_deviation = math.inf
+    return rows, max_deviation, []
 
 
-def _print_report(rep: VerificationReport, fmt: str, out) -> None:
-    if fmt == "json":
-        payload = {
-            "id": rep.identity,
-            "mode": rep.mode,
-            "tolerance": rep.tolerance,
-            "max_abs_deviation": rep.max_abs_deviation,
-            "pass": rep.passed,
-            "pole_events": rep.pole_events,
-            "rows": rep.rows,
-        }
-        out.write(json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n")
-        return
-    if fmt == "csv":
+def _write(out, fmt: str, head: dict, rows: list[dict], text: Callable[[], str], cells: Callable = dict.values) -> None:
+    """Write the result of `verify`, `values` or `extract` as `fmt`.
+
+    json: `{**head, "rows": rows}` with sorted keys, in the layout `json.dumps`
+    gives it at an indent of 2, plus a newline. An indent makes CPython encode
+    in pure Python, so the C encoder writes it here, its item separators
+    carrying the layout's newlines. An encoded string holds no raw newline, so
+    `}`, the row separator and `{` always mark a row boundary. The head holds
+    scalars or flat lists; the rows are non-empty flat dicts. csv: a header of
+    the row keys, then `cells(row)` per row. text: `text()`, for text only.
+    """
+    if fmt == "text":
+        out.write(text())
+    elif fmt == "csv":
         import csv
 
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["id", "x", "lhs", "rhs", "deviation", "method"])
-        for r in rep.rows:
-            writer.writerow([r["id"], r["x"], r["lhs"], r["rhs"], f"{r['deviation']:.6e}", r["method"]])
-        return
-    out.write(f"identity {rep.identity} [{rep.mode}] tol={rep.tolerance:g}\n")
-    for r in rep.rows:
-        x = "-" if r["x"] is None else f"{r['x']:.6f}"
-        lhs = r["lhs"] if isinstance(r["lhs"], str) else f"{r['lhs']:+.12e}"
-        rhs = r["rhs"] if isinstance(r["rhs"], str) else f"{r['rhs']:+.12e}"
-        out.write(f"  x={x}  lhs={lhs}  rhs={rhs}  dev={r['deviation']:.3e}  [{r['method']}]\n")
-    if rep.pole_events:
-        out.write("  events: " + ", ".join(rep.pole_events) + "\n")
-    out.write(f"  {'PASS' if rep.passed else 'FAIL'}: max deviation {rep.max_abs_deviation:.3e}\n")
+        csv.writer(out, lineterminator="\n").writerows([list(rows[0]), *map(cells, rows)] if rows else [])
+    else:
+        from json import JSONEncoder
+
+        head_enc = JSONEncoder(sort_keys=True, separators=(",\n    ", ": "))
+        rows_enc = JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+        items = []
+        for key in sorted([*head, "rows"]):
+            value = rows if key == "rows" else head[key]
+            if key == "rows" and rows:
+                body = rows_enc.encode(rows)[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+                encoded = "[\n    {\n      " + body + "\n    }\n  ]"
+            elif isinstance(value, list) and value:
+                encoded = "[\n    " + head_enc.encode(value)[1:-1] + "\n  ]"
+            else:
+                encoded = head_enc.encode(value)
+            items.append(f"{head_enc.encode(key)}: {encoded}")
+        out.write("{\n  " + ",\n  ".join(items) + "\n}\n")
+
+
+def _x_text(x: Optional[float]) -> str:
+    """`verify`'s text x: fixed point, unless a nonzero x would print as zero."""
+    return "-" if x is None else f"{x:.6f}" if x == 0 or abs(x) >= 1e-3 else f"{x:.6e}"
 
 
 def _cmd_verify(args, out) -> int:
@@ -213,12 +183,26 @@ def _cmd_verify(args, out) -> int:
         print(f"--tol must be a finite number > 0, got {tol!r}", file=sys.stderr)
         return 2
     try:
-        rep = _verify_exact(rec, tol) if exact else _verify_grid(rec, grid, tol)
+        rows, deviation, events = _verify_exact(rec) if exact else _verify_grid(rec, grid, tol)
     except OpzetaError as exc:
         print(f"verification error: {exc}", file=sys.stderr)
         return 1
-    _print_report(rep, args.format, out)
-    return 0 if rep.passed else 1
+    passed = deviation <= tol and (not exact or rec.expected_event is None or rec.expected_event in events)
+    mode = "exact" if exact else rec.verify_mode
+
+    def text() -> str:
+        side = lambda v: v if isinstance(v, str) else f"{v:+.12e}"  # noqa: E731
+        lines = [f"identity {rec.id} [{mode}] tol={tol:g}\n"]
+        for r in rows:
+            lines.append(f"  x={_x_text(r['x'])}  lhs={side(r['lhs'])}  rhs={side(r['rhs'])}  dev={r['deviation']:.3e}  [{r['method']}]\n")
+        if events:
+            lines.append("  events: " + ", ".join(events) + "\n")
+        lines.append(f"  {'PASS' if passed else 'FAIL'}: max deviation {deviation:.3e}\n")
+        return "".join(lines)
+
+    head = {"id": rec.id, "mode": mode, "tolerance": tol, "max_abs_deviation": deviation, "pass": passed, "pole_events": events}
+    _write(out, args.format, head, rows, text, lambda r: {**r, "deviation": f"{r['deviation']:.6e}"}.values())
+    return 0 if passed else 1
 
 
 # |argument| bound of `values`: the exact values grow with it (B_k and E_k
@@ -274,22 +258,16 @@ def _cmd_values(args, out) -> int:
         print(f"values error: {exc}", file=sys.stderr)
         return 1
 
-    if args.format == "json":
-        out.write(json.dumps({"kind": args.kind, "rows": rows}, indent=2, sort_keys=True) + "\n")
-    elif args.format == "csv":
-        import csv
-
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["argument", "value", "exact", "method", "abs_error"])
-        for r in rows:
-            writer.writerow([r["argument"], r["value"], r["exact"], r["method"], r["abs_error"]])
-    else:
-        out.write(f"{args.kind} values\n")
+    def text() -> str:
+        lines = [f"{args.kind} values\n"]
         for r in rows:
             val = "-" if r["value"] is None else f"{r['value']:.12g}"
             err = "-" if r["abs_error"] is None else f"{r['abs_error']:.2e}"
             exact = f"  = {r['exact']}" if r["exact"] else ""
-            out.write(f"  {r['argument']:>8}  {val:>22}{exact}  [{r['method']}, err<={err}]\n")
+            lines.append(f"  {r['argument']:>8}  {val:>22}{exact}  [{r['method']}, err<={err}]\n")
+        return "".join(lines)
+
+    _write(out, args.format, {"kind": args.kind}, rows, text)
     return 0
 
 
@@ -314,26 +292,16 @@ def _cmd_extract(args, out) -> int:
     if not 1 <= args.terms <= _TERMS_BOUND:
         print(f"--terms must be >= 1 and <= {_TERMS_BOUND}, got {args.terms}", file=sys.stderr)
         return 2
-    values = operators.extract_special_values(args.id, terms=args.terms)
-    rows = [
-        {"argument": v.argument, "value": str(v.value) if isinstance(v.value, Fraction) else repr(v.value), "matched": v.matched}
-        for v in values
-    ]
-    if args.format == "json":
-        out.write(json.dumps({"id": args.id, "rows": rows}, indent=2, sort_keys=True) + "\n")
-    elif args.format == "csv":
-        import csv
+    rows = [{"argument": v.argument, "value": str(v.value) if isinstance(v.value, Fraction) else repr(v.value), "matched": v.matched}
+            for v in operators.extract_special_values(args.id, terms=args.terms)]
+    kind = rec.op.kind if rec.op else "?"
 
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["argument", "value", "matched"])
-        for r in rows:
-            writer.writerow([r["argument"], r["value"], r["matched"]])
-    else:
-        kind = rec.op.kind if rec.op else "?"
-        out.write(f"extraction from {args.id} (operator kind: {kind})\n")
-        for r in rows:
-            mark = "matched" if r["matched"] else "MISMATCH"
-            out.write(f"  {kind}({r['argument']}) = {r['value']}  [{mark}]\n")
+    def text() -> str:
+        lines = [f"extraction from {args.id} (operator kind: {kind})\n"]
+        lines += [f"  {kind}({r['argument']}) = {r['value']}  [{'matched' if r['matched'] else 'MISMATCH'}]\n" for r in rows]
+        return "".join(lines)
+
+    _write(out, args.format, {"id": args.id}, rows, text)
     return 0 if all(r["matched"] for r in rows) else 1
 
 
@@ -414,6 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="verify one registry identity on a grid (or exactly)")
+    v.set_defaults(run=_cmd_verify)
     v.add_argument("id")
     v._negative_number_matcher = _NEGATIVE_NUMBER
     v.add_argument("--grid", type=_grid_arg, default=None, help="a:b:steps (default: registry profile)")
@@ -422,34 +391,28 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     w = sub.add_parser("values", help="value table for zeta/beta/bernoulli/euler")
+    w.set_defaults(run=_cmd_values)
     w.add_argument("kind", choices=("zeta", "beta", "bernoulli", "euler"))
     w.add_argument("args", nargs="+")
     w._negative_number_matcher = _NEGATIVE_NUMBER
     w.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     e = sub.add_parser("extract", help="solve special values by coefficient matching")
+    e.set_defaults(run=_cmd_extract)
     e.add_argument("id")
     e.add_argument("--terms", type=int, default=6)
     e.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     m = sub.add_parser("matrix", help="divisibility matrix export / apply / consistency check")
+    m.set_defaults(run=_cmd_matrix)
     m.add_argument("--size", type=int, required=True)
     action = m.add_mutually_exclusive_group()
     action.add_argument("--apply", type=int, default=None, metavar="N", help="apply to basis vector N")
     action.add_argument("--check", type=int, default=None, metavar="N", help="quadrature consistency check of column N")
     m.add_argument("--tol", type=float, default=1e-8)
 
-    sub.add_parser("list", help="list registry identities")
+    sub.add_parser("list", help="list registry identities").set_defaults(run=_cmd_list)
     return p
-
-
-_DISPATCH = {
-    "verify": _cmd_verify,
-    "values": _cmd_values,
-    "extract": _cmd_extract,
-    "matrix": _cmd_matrix,
-    "list": _cmd_list,
-}
 
 
 def main(argv: Optional[list[str]] = None, out=None) -> int:
@@ -460,7 +423,7 @@ def main(argv: Optional[list[str]] = None, out=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _DISPATCH[args.command](args, out)
+        return args.run(args, out)
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

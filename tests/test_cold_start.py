@@ -89,16 +89,18 @@ class TestCommandImports:
         assert numeric["out"] == _child("-m", "opzeta", "values", "zeta", "0.5")
 
     def test_number_values_load_no_dataclasses_or_csv(self):
-        # started with -S, so that no module `site` imports is counted: the
-        # report class of `verify` is a plain class and csv is imported by
-        # the --format csv branches only
+        # started with -S, so that no module `site` imports is counted: cli
+        # defines no dataclass, csv is imported by the --format csv branch of
+        # the writer only and json by its --format json branch only
         code = (
             "import io, sys\n"
             "import opzeta.cli as cli\n"
+            "assert cli.main(['values', 'bernoulli', '400'], out=io.StringIO()) == 0\n"
+            "print(sorted({'dataclasses', 'inspect', 'csv', 'json'} & set(sys.modules)))\n"
             "assert cli.main(['values', 'bernoulli', '400', '--format', 'json'], out=io.StringIO()) == 0\n"
             "print(sorted({'dataclasses', 'inspect', 'csv'} & set(sys.modules)))"
         )
-        assert _child("-S", "-c", code).strip() == "[]"
+        assert _child("-S", "-c", code).split() == ["[]", "[]"]
 
 
 class TestLazyPublicNames:

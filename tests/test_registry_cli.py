@@ -10,7 +10,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from opzeta.cli import main
+from opzeta.cli import _write, main
 from opzeta.errors import PrecisionLoss
 from opzeta.exactnum import PiPolynomial, PiXPolynomial
 from opzeta.registry import (
@@ -185,6 +185,26 @@ class TestVerifyCommand:
         code, out = run_cli("verify", "eq2", "--grid", "1e-9:1e-8:3")
         assert code == 1 and out == ""
         assert capsys.readouterr().err.startswith("verification error:")
+
+    def test_text_x_of_a_tiny_grid_is_not_zero(self):
+        # at |x| < 1e-3 a fixed-point x printed every row as x=0.000000
+        _, out = run_cli("verify", "sec4_cos", "--grid", "1e-8:1e-7:3")
+        xs = [line.split()[0] for line in out.splitlines()[1:4]]
+        assert xs == ["x=1.000000e-08", "x=5.500000e-08", "x=1.000000e-07"]
+
+    def test_text_x_of_a_rounded_midpoint(self):
+        # the grid's midpoint is -2.2e-16, not zero, and printed as x=-0.000000
+        code, out = run_cli("verify", "beta_sin_s1", "--grid", "-1.4:1.4:7")
+        assert code == 0
+        xs = [line.split()[0] for line in out.splitlines()[1:8]]
+        assert xs[3] == "x=-2.220446e-16"
+        assert xs[:3] + xs[4:] == ["x=-1.400000", "x=-0.933333", "x=-0.466667", "x=0.466667", "x=0.933333", "x=1.400000"]
+
+    def test_text_x_at_zero_and_without_x(self):
+        _, out = run_cli("verify", "beta_sin_s1", "--grid", "0:1:2")
+        assert out.splitlines()[1].split()[0] == "x=0.000000"
+        _, out = run_cli("verify", "eq17")
+        assert out.splitlines()[1].split()[0] == "x=-"
 
     def test_eq5_geometric_mode(self):
         code, out = run_cli("verify", "eq5", "--grid", "0.3:6.0:20")
@@ -405,6 +425,43 @@ class TestExtractCommand:
         code, out = run_cli("extract", "beta_cos_s0", "--format", "csv")
         assert code == 0
         assert out.splitlines()[0] == "argument,value,matched"
+
+
+_TRICKY = 'quote " backslash \\ newline \n tab \t nul \x00 zeta \u03b6 \U0001d701 },\n      {'
+
+
+class TestWriter:
+    """`_write`'s JSON is the bytes of `json.dumps(indent=2, sort_keys=True)`."""
+
+    PAYLOADS = {
+        "scalars": ({"id": "eq1", "pass": True, "tolerance": 1e-6, "max_abs_deviation": math.inf, "pole_events": []},
+                    [{"id": "eq1", "x": None, "lhs": math.nan, "rhs": -math.inf, "deviation": 0.0, "method": "m"}]),
+        "strings": ({"zz": _TRICKY, "aa": ["},\n      {", _TRICKY]},
+                    [{_TRICKY: _TRICKY, "b": "},\n    {"}, {"c": "\n    },\n    {\n      "}]),
+        "ints": ({"kind": "bernoulli"}, [{"argument": str(n), "value": n, "big": 10**40 + n, "ok": n % 2 == 0} for n in range(5)]),
+        "empty rows": ({"id": "eq2", "pole_events": ["anomaly_missing", "annihilated_constant"]}, []),
+        "no head": ({}, [{"a": 1}]),
+        "one row": ({"rows_": [], "row": [None, False, -0.0]}, [{"value": 5e-324, "exact": "1/6"}]),
+    }
+
+    @pytest.mark.parametrize("name", PAYLOADS)
+    def test_json_bytes(self, name):
+        head, rows = self.PAYLOADS[name]
+        out = io.StringIO()
+        _write(out, "json", head, rows, text=lambda: pytest.fail("text built for JSON"))
+        assert out.getvalue() == json.dumps({**head, "rows": rows}, indent=2, sort_keys=True) + "\n"
+
+    def test_csv_header_and_cells(self):
+        rows = [{"b": 1, "a": "x,y"}, {"b": None, "a": "z"}]
+        out = io.StringIO()
+        _write(out, "csv", {"id": "h"}, rows, text=lambda: pytest.fail("text built for CSV"),
+               cells=lambda r: (r["b"], r["a"].upper()))
+        assert out.getvalue() == 'b,a\n1,"X,Y"\n,Z\n'
+
+    def test_text(self):
+        out = io.StringIO()
+        _write(out, "text", {}, [], text=lambda: "line\n")
+        assert out.getvalue() == "line\n"
 
 
 class TestMatrixCommand:
