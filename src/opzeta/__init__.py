@@ -14,7 +14,6 @@ from .errors import (
     DimensionMismatch,
     Diverges,
     EndpointConditional,
-    InconsistentSystem,
     MultipleAnomalies,
     NoClosedForm,
     NonIntegerFrequency,
@@ -35,7 +34,7 @@ _LAYER_OF = {
     for layer, names in {
         "exactnum": "PI PiPolynomial PiXPolynomial bernoulli_number bernoulli_polynomial euler_number pipoly_eval",
         "specfun": "EvalResult clausen_closed_form dirichlet_beta functional_equation_residual hankel_zeta"
-        " hurwitz_zeta lerch_hankel recip_gamma zeta_em zeta_even_pi_form zeta_neg_int",
+        " hurwitz_zeta lerch_hankel recip_gamma zeta_em",
         "series": "SummedValue TrigSeries abel_value geometric_abel partial_sum partial_sum_accelerated",
         "operators": "DilationShift Expression OpResult TaylorFlowResult apply_operator apply_recip_gamma_op"
         " dilate extract_special_values parity_anomaly taylor_flow",

@@ -271,10 +271,10 @@ def _cmd_values(args, out) -> int:
     return 0
 
 
-# --terms bound of `extract`: the right side's Taylor terms reach B_(2 terms + 6)
-# and E_(2 terms + 4), within _VALUES_BOUND up to here; at the bound a cold
-# run of beta_cos_s0 or beta_sin_s1 takes 2.1-2.5 s, sec4_cos 1.3 s and
-# eq21_sin 1.1-1.2 s on a 2-vCPU VM (--terms 2000 ran past 60 s)
+# --terms bound of `extract`: the values it matches against, special_value's
+# B_n and E_n, reach at most n = 2 terms, within _VALUES_BOUND up to here; at
+# the bound a cold run of beta_cos_s0 or beta_sin_s1 takes 1.3-1.7 s, eq21_sin
+# and sec4_cos 0.7-1.2 s on a 2-vCPU VM
 _TERMS_BOUND = 497
 
 

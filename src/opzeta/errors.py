@@ -80,10 +80,6 @@ class MultipleAnomalies(OpzetaError):
     """More than one parity-violating term found; indicates a registry bug."""
 
 
-class InconsistentSystem(OpzetaError):
-    """Coefficient matching produced contradictory values for one unknown."""
-
-
 # --- divisibility matrix -----------------------------------------------------
 
 class DimensionMismatch(OpzetaError):

@@ -1,5 +1,5 @@
-"""Exact arithmetic: rationals, Bernoulli/Euler numbers, and polynomials
-over Q and Q[pi].
+"""Exact arithmetic: rationals, Bernoulli/Euler numbers, polynomials over Q
+and Q[pi], and the Taylor generators of the closed forms (zigzag numbers).
 
 `PiPolynomial` (in pi over Q) and `PiXPolynomial` (in x over Q[pi]) share
 one private base, `_Poly`: the trimmed, immutable coefficient tuple, `+`,
@@ -13,8 +13,7 @@ mpmath argument is only read exactly, as a ratio of integers.
 Bernoulli and Euler numbers up to index 82 come from one immutable table,
 built by the exact recurrences on first use; a larger index is one rounded
 Dirichlet series (zeta or beta), summed in integers at a fixed point: B_1000
-and E_1000 take about 3 and 8 ms on a 2-vCPU VM, and nothing else is
-memoised.
+and E_1000 take about 3 and 8 ms on a 2-vCPU VM. Nothing else is memoised.
 The Bernoulli convention is fixed to B_1 = -1/2 (the generating function
 x/(e^x - 1)); the alternate B_1 = +1/2 convention is deliberately rejected
 because every identity in this package is derived with the -1/2 sign.
@@ -27,6 +26,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate
 from math import comb, factorial
 from typing import Iterable, Union
 
@@ -403,57 +403,56 @@ def euler_number(n: int) -> int:
 
 # --- exact Taylor expansions of the registry closed forms ---------------------
 #
-# These are the right sides of the singularity-removed identities, expanded in
-# exact rational arithmetic straight from the generating functions. They serve
-# as the independent route against which the operator engine's term-by-term
-# results are matched.
+# The right sides of the singularity-removed identities in exact rationals, from
+# the trigonometric closed forms alone through the zigzag numbers A_m, with no
+# Bernoulli or Euler number: the independent route the operator engine matches.
+
+def _zigzag(n: int) -> list[int]:
+    """A_0..A_(n-1), sec x + tan x = sum A_m x^m / m!, by the Seidel-Entringer
+    boustrophedon in O(n^2) integer additions (Brent and Harvey,
+    arXiv:1108.0286): row m is 0 and then the running sums of row m - 1 read
+    backwards, and A_m is its last entry."""
+    row, out = [1], [1]
+    for _ in range(1, n):
+        row = list(accumulate(reversed(row), initial=0))
+        out.append(row[-1])
+    return out
+
 
 def cot_half_regular(terms: int) -> PiXPolynomial:
     """Taylor polynomial of sin x / (2(1 - cos x)) - 1/x, `terms` nonzero terms.
 
-    Equals (1/2)cot(x/2) - 1/x = sum_{k>=1} (-1)^k B_{2k} x^(2k-1) / (2k)!.
+    Iterating cot y - tan y = 2 cot 2y gives -sum_(j>=2) 2^-j tan(2^-j x), so the
+    coefficient of x^m, m = 2k + 1, is -A_m / (m! 4^(k+1) (4^(k+1) - 1)), 4^(k+1) = 2^(m+1).
     """
     if terms < 1:
         raise ValueError("terms must be >= 1")
-    coeffs = [Fraction(0)] * (2 * terms)
-    for k in range(1, terms + 1):
-        coeffs[2 * k - 1] = Fraction((-1) ** k) * bernoulli_number(2 * k) / factorial(2 * k)
+    a, coeffs = _zigzag(2 * terms), [Fraction(0)] * (2 * terms)
+    for m in range(1, 2 * terms, 2):
+        coeffs[m] = Fraction(-a[m], factorial(m) * 2 ** (m + 1) * (2 ** (m + 1) - 1))
     return PiXPolynomial(coeffs)
 
 
 def inv_one_minus_cos_regular(terms: int) -> PiXPolynomial:
-    """Taylor polynomial of -1/(2(1 - cos x)) + 1/x^2, `terms` nonzero terms.
-
-    Derivative of `cot_half_regular`; coefficient of x^(2k-2) is
-    (-1)^k B_{2k} (2k-1) / (2k)!.
-    """
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
-    coeffs = [Fraction(0)] * (2 * terms - 1)
-    for k in range(1, terms + 1):
-        coeffs[2 * k - 2] = Fraction((-1) ** k) * bernoulli_number(2 * k) * (2 * k - 1) / factorial(2 * k)
-    return PiXPolynomial(coeffs)
+    """Taylor polynomial of -1/(2(1 - cos x)) + 1/x^2, `terms` nonzero terms:
+    the derivative of `cot_half_regular`."""
+    return PiXPolynomial(c * j for j, c in enumerate(cot_half_regular(terms).coeffs[1:], 1))
 
 
 def half_sec_series(terms: int) -> PiXPolynomial:
-    """Taylor polynomial of 1/(2 cos x): coefficient of x^(2n) is |E_{2n}| / (2 (2n)!)."""
+    """Taylor polynomial of 1/(2 cos x): coefficient of x^(2k) is A_2k / (2 (2k)!)."""
     if terms < 1:
         raise ValueError("terms must be >= 1")
-    coeffs = [Fraction(0)] * (2 * terms - 1)
-    for n in range(terms):
-        coeffs[2 * n] = Fraction(abs(euler_number(2 * n)), 2 * factorial(2 * n))
+    a, coeffs = _zigzag(2 * terms - 1), [Fraction(0)] * (2 * terms - 1)
+    for m in range(0, 2 * terms - 1, 2):
+        coeffs[m] = Fraction(a[m], 2 * factorial(m))
     return PiXPolynomial(coeffs)
 
 
 def log_sec_plus_tan_half_series(terms: int) -> PiXPolynomial:
-    """Taylor polynomial of (1/2) log(sec x + tan x), the antiderivative of
-    1/(2 cos x): coefficient of x^(2n+1) is |E_{2n}| / (2 (2n+1)!)."""
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
-    coeffs = [Fraction(0)] * (2 * terms)
-    for n in range(terms):
-        coeffs[2 * n + 1] = Fraction(abs(euler_number(2 * n)), 2 * factorial(2 * n + 1))
-    return PiXPolynomial(coeffs)
+    """Taylor polynomial of (1/2) log(sec x + tan x): the antiderivative of
+    `half_sec_series`."""
+    return PiXPolynomial([0] + [c / j for j, c in enumerate(half_sec_series(terms).coeffs, 1)])
 
 
 TAYLOR_GENERATORS = {

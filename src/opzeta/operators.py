@@ -20,7 +20,6 @@ from math import factorial
 from typing import Optional, Union
 
 from .errors import (
-    InconsistentSystem,
     MultipleAnomalies,
     NonIntegerFrequency,
     PoleHit,
@@ -347,8 +346,7 @@ def extract_special_values(identity_id: str, terms: int = 8) -> list[ExtractedVa
 
     Each unknown kind(shift - degree) appears at exactly one degree; the
     solved value is marked `matched` when it equals the independent exact
-    value. Raises InconsistentSystem if one argument is solved twice with
-    different values, ValueError if the identity has no exact right side.
+    value. Raises ValueError if the identity has no exact right side.
     """
     from . import registry  # local import: registry declares records using engine types
     from .specfun import special_value
@@ -365,7 +363,6 @@ def extract_special_values(identity_id: str, terms: int = 8) -> list[ExtractedVa
             rhs = rhs - anom
 
     shift = int(rec.op.shift)
-    solved: dict[int, ExactValue] = {}
     out: list[ExtractedValue] = []
     for j, d in enumerate(_trig_degrees(rec.trig, terms)):
         factor = Fraction((-1) ** j, factorial(d))
@@ -378,9 +375,6 @@ def extract_special_values(identity_id: str, terms: int = 8) -> list[ExtractedVa
         value = rhs.coeff(d) / factor
         if value.is_rational():
             value = value.as_rational()
-        if arg in solved and solved[arg] != value:
-            raise InconsistentSystem(f"argument {arg} solved twice: {solved[arg]} vs {value}")
-        solved[arg] = value
         tag, independent, _, _ = special_value(rec.op.kind, Fraction(arg))
         # PiPolynomial.__eq__ accepts rationals, so mixed comparisons stay exact
         matched = tag == "exact" and independent == value

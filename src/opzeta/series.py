@@ -207,7 +207,6 @@ CLOSED_FORMS: dict[str, Callable[[float], float]] = {
     "neg_inv_one_minus_cos": _neg_inv_one_minus_cos,
     "half_sec": _half_sec,
     "log_sec_plus_tan_half": _log_sec_plus_tan_half,
-    "zero": lambda x: 0.0,
 }
 
 

@@ -202,45 +202,6 @@ def hurwitz_zeta(s, a) -> EvalResult:
     return EvalResult(out, max(err, abs(out) * 1e-15 + 1e-16))
 
 
-def zeta_neg_int(n: int) -> Fraction:
-    """Exact zeta(-n) = (-1)^n B_{n+1}/(n+1) for positive integer n.
-
-    Zero exactly for even n (the trivial zeros, since B_{odd>=3} = 0).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return Fraction((-1) ** n) * bernoulli_number(n + 1) / (n + 1)
-
-
-def zeta_even_pi_form(n: int) -> PiPolynomial:
-    """Exact zeta(n) for even n >= 2 as a rational multiple of pi^n:
-    zeta(2m) = (-1)^(m+1) B_{2m} (2 pi)^(2m) / (2 (2m)!)."""
-    if n < 2 or n % 2:
-        raise ValueError("n must be an even integer >= 2")
-    m = n // 2
-    q = Fraction((-1) ** (m + 1)) * bernoulli_number(n) * (2 ** n) / (2 * factorial(n))
-    return PiPolynomial.pi_power(q, n)
-
-
-def beta_nonpos_int(n: int) -> Fraction:
-    """Exact beta(-n) for n >= 0: E_n / 2 for even n, 0 for odd n."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n % 2:
-        return Fraction(0)
-    return Fraction(euler_number(n), 2)
-
-
-def beta_odd_pi_form(n: int) -> PiPolynomial:
-    """Exact beta(n) for odd n >= 1 as a rational multiple of pi^n:
-    beta(2m+1) = (-1)^m E_{2m} pi^(2m+1) / (4^(m+1) (2m)!)."""
-    if n < 1 or n % 2 == 0:
-        raise ValueError("n must be an odd integer >= 1")
-    m = (n - 1) // 2
-    q = Fraction((-1) ** m * euler_number(2 * m), 4 ** (m + 1) * factorial(2 * m))
-    return PiPolynomial.pi_power(q, n)
-
-
 def dirichlet_beta(s) -> EvalResult:
     """Dirichlet beta (the L-function of the nontrivial character mod 4),
     entire, via 4^-s [zeta(s, 1/4) - zeta(s, 3/4)].
@@ -303,19 +264,21 @@ def special_value(kind: str, arg: Fraction):
         raise ValueError(f"kind must be one of {tuple(_NUMERIC_ROUTE)}")
     exact = None
     if arg.denominator == 1:
-        k = int(arg)
+        k = int(arg)  # (-1) ** -k below: (-1) ** k is a float at k < 0
         if kind == "zeta":
             if k == 1:
                 return "pole", None, None, "pole"
-            if k <= 0:
-                exact = zeta_neg_int(-k) if k else Fraction(-1, 2)
-            elif k % 2 == 0:
-                exact = zeta_even_pi_form(k)
+            if k <= 0:  # zeta(-n) = (-1)^n B_(n+1)/(n+1), n >= 0; zero at even n >= 2
+                exact = (-1) ** -k * bernoulli_number(1 - k) / (1 - k)
+            elif k % 2 == 0:  # zeta(2m) = (-1)^(m+1) B_2m (2 pi)^2m / (2 (2m)!)
+                q = (-1) ** (k // 2 + 1) * bernoulli_number(k) * 2 ** (k - 1) / factorial(k)
+                exact = PiPolynomial.pi_power(q, k)
         elif kind == "beta":
-            if k <= 0:
-                exact = beta_nonpos_int(-k)
-            elif k % 2:
-                exact = beta_odd_pi_form(k)
+            if k <= 0:  # beta(-n) = E_n/2, n >= 0; zero at odd n
+                exact = Fraction(euler_number(-k), 2)
+            elif k % 2:  # beta(2m+1) = (-1)^m E_2m pi^(2m+1) / (4^(m+1) (2m)!)
+                q = Fraction((-1) ** (k // 2) * euler_number(k - 1), 2 ** (k + 1) * factorial(k - 1))
+                exact = PiPolynomial.pi_power(q, k)
         else:
             exact = Fraction(0) if k <= 0 else Fraction(1, factorial(k - 1))
     if exact is not None:

@@ -3,7 +3,8 @@
 Everything here is deliberately computed by a different route than the
 package code it checks: Akiyama-Tanigawa instead of the binomial recurrence,
 power-series long division instead of coefficient recurrences, Euler
-transformation of alternating partial sums instead of Hurwitz differences.
+transformation of alternating partial sums instead of Hurwitz differences,
+Bernoulli and Euler numbers instead of the zigzag triangle.
 The `*_mpf`/`*_mpmath` functions are the mpmath routes that package code
 took before it computed in integers.
 """
@@ -15,6 +16,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from opzeta.errors import NotConverged
+from opzeta.exactnum import PiXPolynomial, bernoulli_number, euler_number
 from opzeta.specfun import _EM_K_MAX, _EM_TARGET, _em_coefficients, _working_precision
 
 
@@ -64,6 +66,49 @@ def euler_from_generating_function(nmax: int) -> list[int]:
     vals = [g[k] * factorial(k) for k in range(nmax + 1)]
     assert all(v.denominator == 1 for v in vals)
     return [int(v) for v in vals]
+
+
+# The exact Taylor generators by their Bernoulli and Euler number formulas:
+# the route `exactnum.TAYLOR_GENERATORS` took before the zigzag triangle.
+
+def cot_half_regular_bernoulli(terms: int) -> PiXPolynomial:
+    """sin x / (2(1 - cos x)) - 1/x = sum_(k>=1) (-1)^k B_2k x^(2k-1) / (2k)!."""
+    coeffs = [Fraction(0)] * (2 * terms)
+    for k in range(1, terms + 1):
+        coeffs[2 * k - 1] = Fraction((-1) ** k) * bernoulli_number(2 * k) / factorial(2 * k)
+    return PiXPolynomial(coeffs)
+
+
+def inv_one_minus_cos_regular_bernoulli(terms: int) -> PiXPolynomial:
+    """-1/(2(1 - cos x)) + 1/x^2: coefficient of x^(2k-2) is (-1)^k B_2k (2k-1) / (2k)!."""
+    coeffs = [Fraction(0)] * (2 * terms - 1)
+    for k in range(1, terms + 1):
+        coeffs[2 * k - 2] = Fraction((-1) ** k) * bernoulli_number(2 * k) * (2 * k - 1) / factorial(2 * k)
+    return PiXPolynomial(coeffs)
+
+
+def half_sec_series_euler(terms: int) -> PiXPolynomial:
+    """1/(2 cos x): coefficient of x^(2n) is |E_2n| / (2 (2n)!)."""
+    coeffs = [Fraction(0)] * (2 * terms - 1)
+    for n in range(terms):
+        coeffs[2 * n] = Fraction(abs(euler_number(2 * n)), 2 * factorial(2 * n))
+    return PiXPolynomial(coeffs)
+
+
+def log_sec_plus_tan_half_series_euler(terms: int) -> PiXPolynomial:
+    """(1/2) log(sec x + tan x): coefficient of x^(2n+1) is |E_2n| / (2 (2n+1)!)."""
+    coeffs = [Fraction(0)] * (2 * terms)
+    for n in range(terms):
+        coeffs[2 * n + 1] = Fraction(abs(euler_number(2 * n)), 2 * factorial(2 * n + 1))
+    return PiXPolynomial(coeffs)
+
+
+TAYLOR_BY_NUMBERS = {
+    "cot_half_regular": cot_half_regular_bernoulli,
+    "inv_one_minus_cos_regular": inv_one_minus_cos_regular_bernoulli,
+    "half_sec_series": half_sec_series_euler,
+    "log_sec_plus_tan_half_series": log_sec_plus_tan_half_series_euler,
+}
 
 
 def bernoulli_poly_coeffs(m: int) -> list[Fraction]:

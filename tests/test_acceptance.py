@@ -35,8 +35,8 @@ from opzeta.specfun import (
     dirichlet_beta,
     functional_equation_residual,
     hankel_zeta,
+    special_value,
     zeta_em,
-    zeta_neg_int,
 )
 from oracles import bernoulli_akiyama_tanigawa
 
@@ -121,9 +121,9 @@ def test_criterion_4_trivial_zero_extraction():
     exact_ok = vals[0].value == Fraction(-1, 2) and vals[0].matched
     for k in range(1, 6):
         v = vals[-2 * k]
-        exact_ok = exact_ok and v.value == 0 and v.matched and zeta_neg_int(2 * k) == 0
+        exact_ok = exact_ok and v.value == 0 and v.matched and special_value("zeta", Fraction(-2 * k))[1] == 0
     ok = code == 0 and exact_ok
-    report(4, ok, "extract eq17: zeta(0) = -1/2 and zeta(-2k) = 0 for k=1..5, exact, matched against zeta_neg_int")
+    report(4, ok, "extract eq17: zeta(0) = -1/2 and zeta(-2k) = 0 for k=1..5, exact, matched against special_value")
 
 
 def test_criterion_5_anomaly_ledger():
@@ -180,7 +180,7 @@ def test_criterion_8_oracle_triangle():
         h = hankel_zeta(s)
         e = zeta_em(s)
         ok = ok and abs(h.value - e.value) <= 1e-7
-    exact_pts = {0: Fraction(-1, 2), -1: zeta_neg_int(1), -2: Fraction(0), -3: zeta_neg_int(3)}
+    exact_pts = {0: Fraction(-1, 2), -1: Fraction(-1, 12), -2: Fraction(0), -3: Fraction(1, 120)}
     for s, want in exact_pts.items():
         ok = ok and abs(hankel_zeta(s).value - float(want)) <= 1e-8
         ok = ok and abs(zeta_em(s).value - float(want)) <= 1e-10

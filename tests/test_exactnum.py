@@ -9,6 +9,7 @@ import pytest
 
 from opzeta.exactnum import (
     PI,
+    TAYLOR_GENERATORS,
     PiPolynomial,
     PiXPolynomial,
     bernoulli_number,
@@ -24,8 +25,9 @@ from opzeta.exactnum import (
 from opzeta import exactnum
 from opzeta.errors import NotConverged
 from opzeta.registry import load_registry
-from opzeta.specfun import beta_odd_pi_form, zeta_even_pi_form
+from opzeta.specfun import special_value
 from oracles import (
+    TAYLOR_BY_NUMBERS,
     bernoulli_akiyama_tanigawa,
     bernoulli_from_generating_function,
     bernoulli_poly_coeffs,
@@ -209,7 +211,7 @@ class TestPiPolynomial:
 
         ctx = mpmath.MPContext()
         ctx.dps = 80
-        p = zeta_even_pi_form(n)
+        p = special_value("zeta", Fraction(n))[1]
         want = sum(ctx.mpf(c.numerator) / c.denominator * ctx.pi ** k for k, c in enumerate(p.coeffs))
         assert float(p) == float(want)
 
@@ -222,7 +224,8 @@ class TestPiPolynomial:
     def test_float_same_double_as_the_mpf_route(self):
         # every exact zeta/beta value in Q[pi] at |k| <= 400: the same double as
         # Horner in pi at 35 digits, the route of float() before it was integer
-        forms = [zeta_even_pi_form(n) for n in range(2, 401, 2)] + [beta_odd_pi_form(n) for n in range(1, 400, 2)]
+        forms = [special_value("zeta", Fraction(n))[1] for n in range(2, 401, 2)]
+        forms += [special_value("beta", Fraction(n))[1] for n in range(1, 400, 2)]
         for p in forms:
             assert float(p) == pipoly_evaluator_mpf(PiXPolynomial([p]))(0), p.degree
 
@@ -355,6 +358,15 @@ class TestPiXPolynomialEval:
 
 
 class TestTaylorGenerators:
+    def test_zigzag_numbers(self):
+        # sec x + tan x = sum A_n x^n/n! (OEIS A000111)
+        assert exactnum._zigzag(13) == [1, 1, 1, 2, 5, 16, 61, 272, 1385, 7936, 50521, 353792, 2702765]
+
+    @pytest.mark.parametrize("name", sorted(TAYLOR_GENERATORS))
+    def test_equal_the_bernoulli_euler_formulas(self, name):
+        for terms in (1, 2, 3, 200):
+            assert TAYLOR_GENERATORS[name](terms) == TAYLOR_BY_NUMBERS[name](terms), terms
+
     def test_cot_half_leading_term(self):
         p = cot_half_regular(4)
         assert p.coeff(1).as_rational() == Fraction(-1, 12)

@@ -28,7 +28,7 @@ from opzeta.operators import (
     taylor_flow,
 )
 from opzeta.registry import load_registry
-from opzeta.specfun import clausen_closed_form, zeta_even_pi_form, zeta_neg_int
+from opzeta.specfun import clausen_closed_form, special_value
 
 
 def zeta_op(shift) -> DilationShift:
@@ -120,11 +120,11 @@ class TestApplyOperator:
             r = apply_operator(zeta_op(a), expr)
             arg = a - n
             if arg <= 0:
-                want = Fraction(-1, 2) if arg == 0 else zeta_neg_int(-arg)
+                want = special_value("zeta", Fraction(arg))[1]
                 assert r.expr.poly.coeff(n) == PiPolynomial([want])
                 assert not r.numeric_terms
             elif arg % 2 == 0:
-                assert r.expr.poly.coeff(n) == zeta_even_pi_form(arg)
+                assert r.expr.poly.coeff(n) == special_value("zeta", Fraction(arg))[1]
                 assert not r.numeric_terms
             else:
                 # odd zeta values >= 3: numeric route, exact part untouched
@@ -136,7 +136,7 @@ class TestApplyOperator:
 
         e = Expression(singular_terms=(SingularTerm(PiPolynomial([1]), -1),))
         r = apply_operator(zeta_op(1), e)  # argument 1 - (-1) = 2
-        assert r.expr.singular_terms[0].coeff == zeta_even_pi_form(2)
+        assert r.expr.singular_terms[0].coeff == special_value("zeta", Fraction(2))[1]
 
     def test_singular_pole(self):
         from opzeta.operators import SingularTerm
@@ -148,7 +148,7 @@ class TestApplyOperator:
     def test_large_degree_no_radius_restriction(self):
         # the engine never expands about a point, so degree 200 works like degree 2
         r = apply_operator(zeta_op(5), Expression.from_poly(PiXPolynomial.monomial(200, 1)))
-        assert r.expr.poly.coeff(200) == PiPolynomial([zeta_neg_int(195)])
+        assert r.expr.poly.coeff(200) == PiPolynomial([special_value("zeta", Fraction(-195))[1]])
 
     def test_non_integer_shift_on_trig_unsupported(self):
         with pytest.raises(UnsupportedExpression):
@@ -241,7 +241,7 @@ class TestTaylorFlow:
 
     def test_shift2_cosine_value(self):
         r = taylor_flow(zeta_op(2), "cos", 8)
-        want = PiXPolynomial([zeta_even_pi_form(2), PiPolynomial(), PiPolynomial([Fraction(1, 4)])])
+        want = PiXPolynomial([special_value("zeta", Fraction(2))[1], PiPolynomial(), PiPolynomial([Fraction(1, 4)])])
         assert r.poly == want
 
     def test_k_minimum(self):
@@ -326,7 +326,7 @@ class TestExtraction:
     def test_eq18_includes_pi_form(self):
         vals = extract_special_values("eq18", 4)
         table = {v.argument: v.value for v in vals}
-        assert table[2] == zeta_even_pi_form(2)
+        assert table[2] == special_value("zeta", Fraction(2))[1]
         assert table[0] == Fraction(-1, 2)
         assert table[-2] == 0
 

@@ -404,7 +404,7 @@ class TestExtractCommand:
         assert "--terms must be >= 1" in capsys.readouterr().err
 
     def test_terms_bound(self, capsys):
-        # past 497 terms the right side needs B_n beyond n = 1000, and the
+        # past 497 terms the values matched need B_n beyond n = 1000, and the
         # run takes minutes: exit 2 before any work
         start = time.perf_counter()
         code, out = run_cli("extract", "eq21_sin", "--terms", "498")
@@ -420,6 +420,23 @@ class TestExtractCommand:
         )
         assert proc.returncode == 0, proc.stderr
         assert len(json.loads(proc.stdout)["rows"]) == 497
+
+    def test_taylor_right_sides_take_no_bernoulli_or_euler_number(self, monkeypatch):
+        # the four rhs_taylor ids: their right sides come from the trig closed
+        # forms, so `matched` compares two routes, not one number with itself
+        import opzeta.specfun  # binds the real numbers for special_value first
+
+        def forbidden(n):
+            raise AssertionError(f"Taylor right side asked for a Bernoulli or Euler number ({n})")
+
+        monkeypatch.setattr(opzeta.exactnum, "bernoulli_number", forbidden)
+        monkeypatch.setattr(opzeta.exactnum, "euler_number", forbidden)
+        for ident in ("eq21_sin", "sec4_cos", "beta_cos_s0", "beta_sin_s1"):
+            code, out = run_cli("extract", ident, "--terms", "20", "--format", "json")
+            rows = json.loads(out)["rows"]
+            assert code == 0 and len(rows) == 20 and all(r["matched"] for r in rows), ident
+        code, out = run_cli("verify", "eq21_sin", "--exact")
+        assert code == 0, out
 
     def test_csv(self):
         code, out = run_cli("extract", "beta_cos_s0", "--format", "csv")

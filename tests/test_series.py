@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 from fractions import Fraction
+from math import factorial
 
 import mpmath
 import pytest
@@ -19,13 +20,14 @@ from opzeta.series import (
     SummedValue,
     TrigSeries,
     _differences,
+    _geometric_rational,
     abel_value,
     geometric_abel,
     partial_sum,
     partial_sum_accelerated,
 )
-from opzeta.specfun import clausen_closed_form
-from oracles import beta_partial_sum
+from opzeta.specfun import clausen_closed_form, special_value
+from oracles import beta_partial_sum, series_reciprocal
 
 PI = math.pi
 
@@ -308,18 +310,18 @@ class TestRegistryExtrapolationAgreement:
     """Every registry closed form vs `abel_value` at 20 random points."""
 
     FORMS = {
-        ("sin", 0, "trivial"): "sin_over_one_minus_cos",
-        ("cos", -1, "trivial"): "neg_inv_one_minus_cos",
-        ("sin", 0, "beta"): "zero",
-        ("cos", 0, "beta"): "half_sec",
-        ("sin", 1, "beta"): "log_sec_plus_tan_half",
+        ("sin", 0, "trivial"): CLOSED_FORMS["sin_over_one_minus_cos"],
+        ("cos", -1, "trivial"): CLOSED_FORMS["neg_inv_one_minus_cos"],
+        ("sin", 0, "beta"): lambda x: 0.0,  # beta_sin_s0's right side, rhs_poly = 0
+        ("cos", 0, "beta"): CLOSED_FORMS["half_sec"],
+        ("sin", 1, "beta"): CLOSED_FORMS["log_sec_plus_tan_half"],
     }
 
     @pytest.mark.parametrize("key", sorted(FORMS))
     def test_agreement(self, key):
         parity, exponent, character = key
         series = TrigSeries(parity, exponent, character)
-        fn = CLOSED_FORMS[self.FORMS[key]]
+        fn = self.FORMS[key]
         rng = random.Random(20260811)
         lo, hi = (-1.4, 1.4) if character == "beta" else (0.05, 2 * PI - 0.05)
         count = 0
@@ -332,6 +334,35 @@ class TestRegistryExtrapolationAgreement:
             count += 1
             a = abel_value(series, x)
             assert abs(a.value - fn(x)) <= a.abs_error_estimate + 1e-15 * abs(fn(x))
+
+
+class TestFourierSideSpecialValues:
+    """zeta(-k) and beta(-k), k = 0..30, from the exact Abel means of
+    `_geometric_rational` alone, by power-series long division."""
+
+    def test_zeta_is_the_constant_term_of_the_abel_mean(self):
+        # sum n^k e^(nw) = P_k(e^w)/(1 - e^w)^(k+1) = k!/(-w)^(k+1) + sum_j zeta(-k-j) w^j/j!.
+        # With 1 - e^w = -w S(w), S = sum_j w^j/(j+1)!, its w^0 coefficient is
+        # (-1)^(k+1) [w^(k+1)] P_k(e^w) / S(w)^(k+1).
+        n = 32
+        s = [Fraction(1, factorial(j + 1)) for j in range(n)]
+        s_pow = [Fraction(1)] + [Fraction(0)] * (n - 1)
+        for k in range(31):
+            coeffs, p = _geometric_rational(-k, "trivial")
+            assert p == k + 1
+            s_pow = [sum(s_pow[i] * s[j - i] for i in range(j + 1)) for j in range(n)]
+            inv = series_reciprocal(s_pow, k + 2)
+            # [w^j] P_k(e^w) = sum_i c_i i^j / j!
+            num = [Fraction(sum(c * i**j for i, c in enumerate(coeffs)), factorial(j)) for j in range(k + 2)]
+            constant = (-1) ** (k + 1) * sum(num[j] * inv[k + 1 - j] for j in range(k + 2))
+            assert constant == special_value("zeta", Fraction(-k))[1], k
+
+    def test_beta_is_the_abel_mean_at_one(self):
+        # sum chi(n) n^k z^n = Q_k(z)/(1 + z^2)^(k+1) is regular at z = 1
+        for k in range(31):
+            coeffs, p = _geometric_rational(-k, "beta")
+            assert p == k + 1
+            assert Fraction(sum(coeffs), 2**p) == special_value("beta", Fraction(-k))[1], k
 
 
 class TestDecompositionInvariants:

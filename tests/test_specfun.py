@@ -11,8 +11,6 @@ import pytest
 from opzeta.errors import ContourClipped, PoleAtOne, PrecisionLoss
 from opzeta.exactnum import PiPolynomial, PiXPolynomial, bernoulli_number, euler_number
 from opzeta.specfun import (
-    beta_nonpos_int,
-    beta_odd_pi_form,
     clausen_closed_form,
     dirichlet_beta,
     functional_equation_residual,
@@ -22,10 +20,13 @@ from opzeta.specfun import (
     recip_gamma,
     special_value,
     zeta_em,
-    zeta_even_pi_form,
-    zeta_neg_int,
 )
-from oracles import euler_summed_alternating, pi_poly_mpf
+from oracles import (
+    bernoulli_akiyama_tanigawa,
+    euler_from_generating_function,
+    euler_summed_alternating,
+    pi_poly_mpf,
+)
 
 PI = math.pi
 
@@ -33,6 +34,13 @@ PI = math.pi
 ZETA_HALF = -1.4603545088095868
 # eta(1/2) = sum (-1)^(n-1) n^(-1/2), frozen from the alternating oracle
 ETA_HALF = 0.6048986434216304
+
+
+def exact(kind: str, k: int):
+    """special_value's exact value of kind(k)."""
+    tag, value, _, _ = special_value(kind, Fraction(k))
+    assert tag == "exact", (kind, k)
+    return value
 
 
 class TestZetaEM:
@@ -75,31 +83,31 @@ class TestZetaEM:
 class TestZetaNegInt:
     def test_trivial_zeros(self):
         for n in (2, 4, 6, 8, 10):
-            assert zeta_neg_int(n) == 0
+            assert exact("zeta", -n) == 0
 
     def test_minus_one(self):
-        assert zeta_neg_int(1) == Fraction(-1, 12)
+        assert exact("zeta", -1) == Fraction(-1, 12)
 
     def test_minus_three(self):
         # continuation formula with B_4 = -1/30, cross-checked numerically
-        assert zeta_neg_int(3) == Fraction(1, 120)
+        assert exact("zeta", -3) == Fraction(1, 120)
         assert abs(zeta_em(-3).value - 1 / 120) < 1e-10
 
     def test_matches_euler_maclaurin(self):
         for n in range(1, 16):
-            assert abs(zeta_em(-n).value - float(zeta_neg_int(n))) < 1e-10
+            assert abs(zeta_em(-n).value - float(exact("zeta", -n))) < 1e-10
 
 
 class TestZetaEvenPiForm:
     def test_zeta2(self):
-        assert zeta_even_pi_form(2) == PiPolynomial.pi_power(Fraction(1, 6), 2)
+        assert exact("zeta", 2) == PiPolynomial.pi_power(Fraction(1, 6), 2)
 
     def test_zeta4(self):
-        assert zeta_even_pi_form(4) == PiPolynomial.pi_power(Fraction(1, 90), 4)
+        assert exact("zeta", 4) == PiPolynomial.pi_power(Fraction(1, 90), 4)
 
     def test_numeric_agreement(self):
         for n in (2, 4, 6, 8):
-            v = float(pi_poly_mpf(zeta_even_pi_form(n), mpmath.mpf(PI)))
+            v = float(pi_poly_mpf(exact("zeta", n), mpmath.mpf(PI)))
             assert v == pytest.approx(zeta_em(n).value.real, abs=1e-12)
 
 
@@ -148,31 +156,42 @@ class TestDirichletBeta:
         assert dirichlet_beta(1).value == pytest.approx(oracle, abs=1e-12)
 
     def test_exact_value_tables(self):
-        assert beta_nonpos_int(0) == Fraction(1, 2)
-        assert beta_nonpos_int(2) == Fraction(-1, 2)
-        assert beta_nonpos_int(4) == Fraction(5, 2)
-        assert beta_nonpos_int(1) == 0
-        assert beta_odd_pi_form(1) == PiPolynomial.pi_power(Fraction(1, 4), 1)
-        assert beta_odd_pi_form(3) == PiPolynomial.pi_power(Fraction(1, 32), 3)
+        assert exact("beta", 0) == Fraction(1, 2)
+        assert exact("beta", -2) == Fraction(-1, 2)
+        assert exact("beta", -4) == Fraction(5, 2)
+        assert exact("beta", -1) == 0
+        assert exact("beta", 1) == PiPolynomial.pi_power(Fraction(1, 4), 1)
+        assert exact("beta", 3) == PiPolynomial.pi_power(Fraction(1, 32), 3)
 
     def test_pi_form_numeric_agreement(self):
         for n in (1, 3, 5):
-            v = float(pi_poly_mpf(beta_odd_pi_form(n), mpmath.mpf(PI)))
+            v = float(pi_poly_mpf(exact("beta", n), mpmath.mpf(PI)))
             assert v == pytest.approx(dirichlet_beta(n).value.real, abs=1e-11)
 
 
 class TestSpecialValue:
-    @staticmethod
-    def exact_formula(kind, k):
+    # B_n and E_n by routes other than exactnum's (Akiyama-Tanigawa, sech long division)
+    B = bernoulli_akiyama_tanigawa(62)
+    E = euler_from_generating_function(62)
+
+    @classmethod
+    def exact_formula(cls, kind, k):
         """The closed form of kind(k), 'pole' at zeta(1), None where there is none."""
         if kind == "zeta":
             if k == 1:
                 return "pole"
-            if k <= 0:
-                return zeta_neg_int(-k) if k else Fraction(-1, 2)
-            return None if k % 2 else zeta_even_pi_form(k)
+            if k <= 0:  # zeta(-n) = (-1)^n B_(n+1)/(n+1); the oracle's B_1 is already -1/2
+                return (-1) ** -k * cls.B[1 - k] / (1 - k)
+            if k % 2:
+                return None
+            return PiPolynomial.pi_power((-1) ** (k // 2 + 1) * cls.B[k] * 2**k / (2 * factorial(k)), k)
         if kind == "beta":
-            return beta_nonpos_int(-k) if k <= 0 else beta_odd_pi_form(k) if k % 2 else None
+            if k <= 0:  # beta(-n) = E_n/2
+                return Fraction(cls.E[-k], 2)
+            if k % 2 == 0:
+                return None
+            m = (k - 1) // 2  # beta(2m+1) = (-1)^m E_2m pi^(2m+1) / (4^(m+1) (2m)!)
+            return PiPolynomial.pi_power(Fraction((-1) ** m * cls.E[2 * m], 4 ** (m + 1) * factorial(2 * m)), k)
         return Fraction(0) if k <= 0 else Fraction(1, factorial(k - 1))
 
     NUMERIC = {"zeta": (zeta_em, "euler_maclaurin"), "beta": (dirichlet_beta, "hurwitz_difference")}
@@ -272,7 +291,7 @@ class TestHankelZeta:
         assert abs(r.value - em.value) <= 1e-8
 
     def test_at_minus_one(self):
-        assert abs(hankel_zeta(-1).value - float(zeta_neg_int(1))) <= 1e-8
+        assert abs(hankel_zeta(-1).value - float(exact("zeta", -1))) <= 1e-8
 
     def test_contour_clipped(self):
         with pytest.raises(ContourClipped):
@@ -301,7 +320,7 @@ class TestHankelZeta:
     def test_integer_points_exact_within_1e8(self):
         assert abs(hankel_zeta(0).value + 0.5) <= 1e-8
         for n in (1, 2, 3):
-            assert abs(hankel_zeta(-n).value - float(zeta_neg_int(n))) <= 1e-8
+            assert abs(hankel_zeta(-n).value - float(exact("zeta", -n))) <= 1e-8
 
 
 class TestLerchHankel:
