@@ -13,7 +13,9 @@ mpmath argument is only read exactly, as a ratio of integers.
 Bernoulli and Euler numbers up to index 82 come from one immutable table,
 built by the exact recurrences on first use; a larger index is one rounded
 Dirichlet series (zeta or beta), summed in integers at a fixed point: B_1000
-and E_1000 take about 3 and 8 ms on a 2-vCPU VM. Nothing else is memoised.
+and E_1000 take about 3 and 8 ms on a 2-vCPU VM. The only other memo is pi
+in blocks of 1,024 bits (`_pi_block`), which those series shift down to their
+precision: about 8 blocks up to index 1000.
 The Bernoulli convention is fixed to B_1 = -1/2 (the generating function
 x/(e^x - 1)); the alternate B_1 = +1/2 convention is deliberately rejected
 because every identity in this package is derived with the -1/2 sign.
@@ -62,6 +64,12 @@ def _pi_fixed(bits: int) -> int:
 
 # floor(pi 2^256); the tests check it against mpmath
 _PI_FIXED = _pi_fixed(256)
+
+
+@cache
+def _pi_block(blocks: int) -> int:
+    """`_pi_fixed(1024 blocks)`: computed once per block count."""
+    return _pi_fixed(1024 * blocks)
 
 
 def _as_fraction(v) -> Fraction:
@@ -311,8 +319,10 @@ def _nint_l_value(scale: int, power: int, pi_mult: int, odd: bool) -> int:
     - the sum: each term one // k^power is under one unit low, and the sum
       stops at the first omitted k with k^-power below u/4, so with L >= 1/2
       the sum is within 2 (k_stop + 1) u of L;
-    - pi: `_pi_fixed` is within one unit of floor(pi 2^prec), so pi_mult pi
-      is within relative 2 u / pi, and its power within relative power u;
+    - pi: `_pi_block` at the next multiple of 1,024 bits is within one unit
+      of its floor, so shifted down to prec it is within one unit of
+      floor(pi 2^prec). So pi_mult pi is within relative 2 u / pi, and its
+      power within relative power u;
     - the powering: fewer than 2 bit_length(power) products, each shifted
       right by prec and so under one unit low on a value above pi.
     So the computed value is within (2 k_stop + 3 + power + bit_length(power))
@@ -327,7 +337,7 @@ def _nint_l_value(scale: int, power: int, pi_mult: int, odd: bool) -> int:
         series = sum((-1) ** j * (one // (2 * j + 1) ** power) for j in range(k_stop // 2 + 1))
     else:
         series = sum(one // k**power for k in range(1, k_stop + 1))
-    base = pi_mult * _pi_fixed(prec)
+    base = pi_mult * (_pi_block(-(-prec // 1024)) >> -prec % 1024)
     den = base
     for bit in bin(power)[3:]:  # left to right: square, then multiply on a set bit
         den = den * den >> prec

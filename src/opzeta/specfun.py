@@ -5,11 +5,14 @@ independent cross-check route.
 Numeric kernels run in mpmath working precision sized to the cancellation
 headroom of the argument, then round once to a complex double; the
 Euler-Maclaurin corrections run in integers at a fixed point below that
-precision (`_em_sum`). Each thread computes in its own mpmath context
-(`_working_precision`) and local integers; there is no lock and no
-process-global precision, so the public functions are safe for concurrent use
-and leave mpmath's global `mp` context untouched. mpmath is imported on the
-first numeric call, so the exact values never load it.
+precision (`_em_sum`). The heads of zeta and beta come from one table of
+m^-s per call (`_power_table`): m^-s and chi_4 are completely
+multiplicative, so each prime takes one mpmath power and each composite one
+product. Each thread computes in its own mpmath context
+(`_working_precision`), local integers and a local table; there is no lock
+and no process-global precision, so the public functions are safe for
+concurrent use and leave mpmath's global `mp` context untouched. mpmath is
+imported on the first numeric call, so the exact values never load it.
 
 `special_value` is the one route table of the operator values: for each kind
 and exact argument it decides between the exact value, the numeric one and
@@ -82,9 +85,9 @@ def _ratio(s) -> tuple[int, int, int]:
     return re_n * (q // re_d), im_n * (q // im_d), q
 
 
-def _mp_of(ctx, s):
-    """s in ctx from its exact ratio: an mpf when s is real (float, int, Fraction), an mpc otherwise."""
-    p_re, p_im, q = _ratio(s)
+def _mp_of(ctx, ratio):
+    """s = `_ratio(s)` in ctx: an mpf when s is real (float, int, Fraction), an mpc otherwise."""
+    p_re, p_im, q = ratio
     return (ctx.mpc(p_re, p_im) if p_im else ctx.mpf(p_re)) / q
 
 
@@ -97,23 +100,57 @@ def _em_coefficients() -> tuple[tuple[Fraction, ...], tuple[float, ...]]:
 
 def _em_params(sig: float, tau: float, stride: int = 1) -> tuple[int, int]:
     """(N, dps) at s: N meets the remainder target within K_max terms; dps covers
-    head terms up to (stride (N + 2))^-sigma (stride 4 for beta's 4^-s)."""
+    head terms up to (stride (N + 2))^-sigma (stride 4 for beta's 4^-s).
+    Raises NotConverged where no K <= 41 has a finite remainder bound
+    (sigma + 2 K_max - 1 <= 0), before any work."""
+    if sig + 2 * _EM_K_MAX - 1 <= 0:
+        raise NotConverged(
+            f"Euler-Maclaurin at Re s = {sig:g}: no finite remainder bound within "
+            f"{_EM_K_MAX} terms at Re s <= {-2 * _EM_K_MAX + 1}"
+        )
     n = max(10, int(0.6 * -sig) + 8) + (int(1.3 * tau) + 12 if tau else 0)
     dps = 25 + int(max(0.0, -sig) * math.log10(stride * (n + 2))) + int(0.12 * tau)
     return n, dps
 
 
-def _em_sum(ctx, s, a: float, n_cut: int, unit: float):
+def _power_table(ctx, smp, top: int, odd: bool = False) -> list:
+    """m^-s at m = 1..top (odd m only if `odd`; None elsewhere), by a linear
+    sieve: a prime m is one mpmath power, a composite m = p c, p its smallest
+    prime factor, the product of the entries at c and p. Error budget: m has
+    at most log2(m) prime factors, so its entry is at most log2(m) powers,
+    each within one ulp at prec, joined by fewer products, each within half
+    an ulp: within relative 3 log2(m) 2^-prec of m^-s (at m <= 4N + 3, under
+    2^(5-prec) in the validated domain)."""
+    table = [None] * (top + 1)
+    table[1] = ctx.mpf(1)
+    neg, primes = -smp, []
+    for m in range(2 + odd, top + 1, 1 + odd):
+        if table[m] is None:
+            table[m] = ctx.mpf(m) ** neg
+            primes.append(m)
+        for p in primes:
+            if m * p > top:
+                break
+            table[m * p] = table[m] * table[p]
+            if m % p == 0:
+                break
+    return table
+
+
+def _em_sum(ctx, ratio, smp, a: float, n_cut: int, unit: float, head, base_pow):
     """Euler-Maclaurin sum_(n>=0) (n + a)^-s less its pole term base^(1-s)/(s-1),
-    base = N + a: N head powers and base^-s / 2 in mpf, and sum_(k<=K) B_2k/(2k)!
-    g_k, g_k = (s)_(2k-1) base^(-s-2k+1), in integers. K <= 41 is the first K
+    base = N + a, at s = `smp` = (p_re + i p_im)/q (`ratio`): the caller's head
+    sum_(n<N) (n + a)^-s and base^-s (from `_power_table` at a in {1, 1/4,
+    3/4}; its rounding stays within the 25 guard digits of dps), plus
+    base^-s / 2 and sum_(k<=K) B_2k/(2k)! g_k, g_k = (s)_(2k-1)
+    base^(-s-2k+1), in integers. K <= 41 is the first K
     whose remainder bound after K terms, |B_2K/(2K)!| |(s)_2K|
     base^(-sigma-2K+1)/(sigma+2K-1) (Johansson, arXiv:1309.2877, theorem 1
     with M = K), carried in doubles, times `unit` (the returned value per unit
     of this sum) is below _EM_TARGET.
 
-    The corrections take s exactly as (p_re + i p_im)/q (`_ratio`) and base as
-    bn/bd, and run in Gaussian integers at the fixed point 2^-F, F = prec + 16
+    The corrections take s exactly as (p_re + i p_im)/q and base as bn/bd,
+    and run in Gaussian integers at the fixed point 2^-F, F = prec + 16
     - mag(base^-s) - bit_length(int(|s|)): one unit is under 2^-(prec+14)
     max(1, |s|) |base^-s|. g_1 = s base^-s / base is floored to it once, each
     step is g_(k+1) = g_k (p + (2k-1)q)(p + 2kq) bd^2 // (q bn)^2, and each
@@ -123,21 +160,11 @@ def _em_sum(ctx, s, a: float, n_cut: int, unit: float):
     the terms fall, as they do up to the stopping K. So at most 41 terms err
     by under 41 (1 + 41/12) < 2^8 units (the worst seen on Re s in [-80, 12]
     was 26), below 2^-(prec+6) max(1, |s|) |base^-s|. The sum enters the mpf
-    total as one mpf. Returns (sum, base^(1-s), bound in units of the sum).
-    Raises NotConverged where no K <= 41 has a finite bound
-    (sigma + 2 K_max - 1 <= 0), before any work."""
-    sc = complex(s)
-    if sc.real + 2 * _EM_K_MAX - 1 <= 0:
-        raise NotConverged(
-            f"Euler-Maclaurin at Re s = {sc.real:g}: no finite remainder bound within "
-            f"{_EM_K_MAX} terms at Re s <= {-2 * _EM_K_MAX + 1}"
-        )
+    total as one mpf. Returns (sum, base^(1-s), bound in units of the sum)."""
+    p_re, p_im, q = ratio
+    sc = complex(p_re / q, p_im / q)  # complex(s): int / int rounds once
     exact, approx = _em_coefficients()
-    smp, a_mp = _mp_of(ctx, s), ctx.mpf(a)
-    base = n_cut + a_mp
-    base_pow = base ** (-smp)
-    total = ctx.fsum((n + a_mp) ** (-smp) for n in range(n_cut)) + base_pow / 2
-    p_re, p_im, q = _ratio(s)
+    base = n_cut + ctx.mpf(a)
     a_num, bd = a.as_integer_ratio()
     step_den, bd_sq = (q * (n_cut * bd + a_num)) ** 2, bd * bd  # bn = n_cut bd + a_num
     frac_bits = ctx.prec + 16 - ctx.mag(base_pow) - int(abs(sc)).bit_length()
@@ -160,7 +187,7 @@ def _em_sum(ctx, s, a: float, n_cut: int, unit: float):
         g_re, g_im = (g_re * m_re - g_im * m_im) // step_den, (g_re * m_im + g_im * m_re) // step_den
         g_abs *= abs(sc + 2 * k - 1) * abs(sc + 2 * k) / (b * b)
     corr = ctx.mpc((sum_re, -frac_bits), (sum_im, -frac_bits)) if sum_im else ctx.mpf((sum_re, -frac_bits))
-    return total + corr, base * base_pow, err
+    return head + base_pow / 2 + corr, base * base_pow, err
 
 
 def _check_validated_domain(s, caller: str) -> None:
@@ -177,16 +204,18 @@ def _check_validated_domain(s, caller: str) -> None:
 
 def zeta_em(s) -> EvalResult:
     """Riemann zeta via Euler-Maclaurin continuation of sum n^-s (`_em_sum`):
-    N = max(10, 8 + 0.6(-sigma)) head powers, plus 12 + 1.3|tau| for complex
-    s, then K <= 41 corrections for one more power, K the first whose
-    remainder bound is below 1e-18, summed in integers. The bound is the
-    floor |value|*1e-15 + 1e-16 in Re s >= -25, |Im s| <= 50. Raises
+    N = max(10, 8 + 0.6(-sigma)) head terms, plus 12 + 1.3|tau| for complex
+    s, and base^-s, all read from one table of m^-s, m <= N + 1
+    (`_power_table`, one power per prime), then K <= 41 corrections, K the
+    first whose remainder bound is below 1e-18, summed in integers. The bound
+    is the floor |value|*1e-15 + 1e-16 in Re s >= -25, |Im s| <= 50. Raises
     PoleAtOne within 1e-13 of s = 1."""
     return hurwitz_zeta(s, 1.0)
 
 
 def hurwitz_zeta(s, a) -> EvalResult:
-    """Hurwitz zeta(s, a) for 0 < a <= 1 by the same Euler-Maclaurin route."""
+    """Hurwitz zeta(s, a) for 0 < a <= 1 by the same Euler-Maclaurin route;
+    a != 1 takes one power per head term."""
     a = float(a)
     if not 0 < a <= 1:
         raise ValueError("a must lie in (0, 1]")
@@ -195,9 +224,17 @@ def hurwitz_zeta(s, a) -> EvalResult:
         raise PoleAtOne(f"s={sc} is within 1e-13 of the pole at s=1")
     _check_validated_domain(sc, "hurwitz_zeta")
     n_cut, dps = _em_params(sc.real, abs(sc.imag))
+    ratio = _ratio(s)
     with _working_precision(dps) as ctx:
-        smp = _mp_of(ctx, s)
-        part, lead, err = _em_sum(ctx, s, a, n_cut, 1.0)
+        smp = _mp_of(ctx, ratio)
+        if a == 1:
+            table = _power_table(ctx, smp, n_cut + 1)
+            head, base_pow = ctx.fsum(table[1:n_cut + 1]), table[n_cut + 1]
+        else:
+            a_mp = ctx.mpf(a)
+            head = ctx.fsum((n + a_mp) ** (-smp) for n in range(n_cut))
+            base_pow = (n_cut + a_mp) ** (-smp)
+        part, lead, err = _em_sum(ctx, ratio, smp, a, n_cut, 1.0, head, base_pow)
         out = complex(part + lead / (smp - 1))
     return EvalResult(out, max(err, abs(out) * 1e-15 + 1e-16))
 
@@ -206,22 +243,29 @@ def dirichlet_beta(s) -> EvalResult:
     """Dirichlet beta (the L-function of the nontrivial character mod 4),
     entire, via 4^-s [zeta(s, 1/4) - zeta(s, 3/4)].
 
-    The two Hurwitz pole terms cancel analytically; the difference of the
-    Euler-Maclaurin pole parts is combined through expm1 so s = 1 needs no
-    special casing beyond the 0/0 limit. N is zeta_em's; each correction
-    loop stops once |4^-s| times its remainder bound is below 1e-18, which is
-    added to the floor |value|*1e-15 + 1e-16. dps also covers the 4^-s scale."""
+    Both heads and base powers come from one table of m^-s over odd
+    m <= 4N + 3 (`_power_table`), as (n + 1/4)^-s = 4^s (4n+1)^-s and
+    (n + 3/4)^-s = 4^s (4n+3)^-s. The two Hurwitz pole terms cancel
+    analytically; the difference of the Euler-Maclaurin pole parts is
+    combined through expm1 so s = 1 needs no special casing beyond the 0/0
+    limit. N is zeta_em's; each correction loop stops once |4^-s| times its
+    remainder bound is below 1e-18, which is added to the floor
+    |value|*1e-15 + 1e-16. dps also covers the 4^-s scale."""
     sc = complex(s)
     _check_validated_domain(sc, "dirichlet_beta")
     n_cut, dps = _em_params(sc.real, abs(sc.imag), stride=4)
+    ratio = _ratio(s)
     with _working_precision(dps) as ctx:
-        smp = _mp_of(ctx, s)
+        smp = _mp_of(ctx, ratio)
         four_pow = ctx.mpf(4) ** (-smp)
-        scale = float(abs(four_pow))
-        part1, lead1, err1 = _em_sum(ctx, s, 0.25, n_cut, scale)
-        part2, _, err2 = _em_sum(ctx, s, 0.75, n_cut, scale)
+        four_s, scale = 1 / four_pow, float(abs(four_pow))
+        n4 = 4 * n_cut
+        table = _power_table(ctx, smp, n4 + 3, odd=True)
+        head1, head2 = four_s * ctx.fsum(table[1:n4:4]), four_s * ctx.fsum(table[3:n4:4])
+        part1, lead1, err1 = _em_sum(ctx, ratio, smp, 0.25, n_cut, scale, head1, four_s * table[n4 + 1])
+        part2, _, err2 = _em_sum(ctx, ratio, smp, 0.75, n_cut, scale, head2, four_s * table[n4 + 3])
         # b1, b2 = N + 1/4, N + 3/4: [b1^(1-s) - b2^(1-s)]/(s-1) = -b1^(1-s) expm1((1-s) log(b2/b1))/(s-1)
-        log_ratio = ctx.log(ctx.mpf(4 * n_cut + 3) / (4 * n_cut + 1))
+        log_ratio = ctx.log(ctx.mpf(n4 + 3) / (n4 + 1))
         if abs(smp - 1) < 1e-13:
             pole = lead1 * log_ratio
         else:
@@ -241,7 +285,7 @@ def recip_gamma(s) -> complex:
     if sc.imag == 0.0 and sc.real <= 0 and sc.real == int(sc.real):
         return complex(0.0)
     with _working_precision(50) as ctx:
-        return complex(ctx.rgamma(_mp_of(ctx, s)))
+        return complex(ctx.rgamma(_mp_of(ctx, _ratio(s))))
 
 
 _NUMERIC_ROUTE = {"zeta": "euler_maclaurin", "beta": "hurwitz_difference", "recip_gamma": "rgamma"}
@@ -308,7 +352,7 @@ def _hankel_loop(s, x: float, rho: float, delta: float):
     r_max = _ray_cutoff(sc.real, abs(sc.imag), delta)
     theta = math.pi - delta
     with _working_precision(30) as ctx:
-        smp = _mp_of(ctx, s)
+        smp = _mp_of(ctx, _ratio(s))
         ix = ctx.mpc(0, x)
 
         def kernel(t):

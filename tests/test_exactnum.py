@@ -429,3 +429,22 @@ class TestIntegerLValue:
         for b in sizes:
             assert abs(exactnum._pi_fixed(b) - (pi_top >> top + 64 - b)) <= 1, b
 
+    def test_pi_blocks_shifted_down_within_one_unit(self):
+        # `_nint_l_value` shifts pi down from the next block of 1,024 bits
+        top = 8192
+        ctx = mpmath.MPContext()
+        ctx.prec = top + 128
+        pi_top = int(ctx.floor(ctx.pi * 2 ** (top + 64)))
+        for b in [*range(1, 200), *range(200, top + 1, 89), 1023, 1024, 1025, 7168, top]:
+            blocks = -(-b // 1024)
+            assert abs((exactnum._pi_block(blocks) >> 1024 * blocks - b) - (pi_top >> top + 64 - b)) <= 1, b
+
+    def test_pi_blocks_to_index_1000(self, monkeypatch):
+        # B_1000 and E_1000 need the most bits of any index `values` accepts,
+        # so every B_n and E_n there takes pi from one of 8 blocks
+        asked = []
+        block = exactnum._pi_block
+        monkeypatch.setattr(exactnum, "_pi_block", lambda blocks: asked.append(blocks) or block(blocks))
+        bernoulli_number(1000)
+        euler_number(1000)
+        assert len(asked) == 2 and max(asked) <= 8

@@ -671,14 +671,15 @@ class TestIntegerCorrections:
         monkeypatch.setattr(
             specfun,
             "_em_sum",
-            lambda ctx, s, a, n_cut, unit: em_sum_mpf(ctx, specfun._mp_of(ctx, s), ctx.mpf(a), n_cut, unit),
+            lambda ctx, ratio, smp, a, n_cut, unit, head, base_pow: em_sum_mpf(ctx, smp, ctx.mpf(a), n_cut, unit),
         )
         mpf = results()
         assert [r for r, m in zip(integer, mpf) if r != m] == []
 
     def test_routes_under_threads(self):
-        # the loop keeps its state in local integers: 4 threads at once, with
-        # a short switch interval, give each call its serial result
+        # the loop keeps its state in local integers and the head table in a
+        # local list: 4 threads at once, with a short switch interval, give
+        # each call its serial result
         import sys
         import threading
         from concurrent.futures import ThreadPoolExecutor
@@ -686,6 +687,9 @@ class TestIntegerCorrections:
         calls = [
             (zeta_em, -12.75), (dirichlet_beta, 0.3), (zeta_em, complex(0.5, 21.0)), (dirichlet_beta, complex(-3.25, 9.5)),
             (dirichlet_beta, -20.1), (zeta_em, 7.125), (dirichlet_beta, complex(2.0, -40.0)), (zeta_em, complex(-24.0, 3.0)),
+            # decimal Fractions, as `values` passes them: each call builds its own table of m^-s
+            (zeta_em, Fraction(-2469, 200)), (dirichlet_beta, Fraction(-2469, 200)),
+            (dirichlet_beta, Fraction(1139, 100)), (zeta_em, Fraction(-17, 8)),
         ]
         serial = [f(s) for f, s in calls]
         start = threading.Barrier(4)
@@ -703,3 +707,58 @@ class TestIntegerCorrections:
             sys.setswitchinterval(interval)
         for offset, got in enumerate(threaded):
             assert got == serial[offset:] + serial[:offset]
+
+
+class TestPowerTable:
+    """`_power_table` gives the heads of zeta_em and dirichlet_beta: one
+    mpmath power per prime m and one product per composite."""
+
+    @pytest.mark.parametrize("s", [-25, Fraction(-1, 2), 12, complex(3, 50), complex(-24, 3)])
+    def test_entries_within_the_stated_bound(self, s):
+        # every entry within relative 3 log2(m) 2^-prec of m^-s, from mpmath
+        # one power per term at 64 more bits, up to dirichlet_beta's 4N + 3
+        from opzeta import specfun
+
+        sc = complex(s)
+        n_cut, dps = specfun._em_params(sc.real, abs(sc.imag), stride=4)
+        top = 4 * n_cut + 3
+        with specfun._working_precision(dps) as ctx:
+            prec, smp = ctx.prec, specfun._mp_of(ctx, specfun._ratio(s))
+            full = specfun._power_table(ctx, smp, top)
+            odd = specfun._power_table(ctx, smp, top, odd=True)
+        ref = mpmath.MPContext()
+        ref.prec = prec + 64
+        neg = -specfun._mp_of(ref, specfun._ratio(s))
+        assert odd[2::2] == [None] * (top // 2)
+        worst = 0.0
+        for m in range(1, top + 1):
+            exact_pow = ref.mpf(m) ** neg
+            for table in (full, odd) if m % 2 else (full,):
+                rel = abs(table[m] - exact_pow) / abs(exact_pow)
+                worst = max(worst, float(rel * 2**prec / max(1.0, 3 * math.log2(m))))
+        assert worst <= 1.0
+
+    @pytest.mark.parametrize(
+        "fn, s, n_cut, powers",
+        [
+            (zeta_em, Fraction(1, 3), 10, 5),  # primes <= 11
+            (zeta_em, -25, 23, 9),  # primes <= 24
+            (dirichlet_beta, Fraction(1, 3), 10, 14),  # odd primes <= 43, and 4^-s
+            (dirichlet_beta, -25, 23, 24),  # odd primes <= 95, and 4^-s
+        ],
+    )
+    def test_powers_per_call(self, monkeypatch, fn, s, n_cut, powers):
+        from mpmath.ctx_mp_python import _mpf
+
+        from opzeta import specfun
+
+        assert specfun._em_params(complex(s).real, 0.0)[0] == n_cut
+        calls, power = [], _mpf.__pow__
+
+        def counted(x, y):
+            calls.append(x)
+            return power(x, y)
+
+        monkeypatch.setattr(_mpf, "__pow__", counted)
+        fn(s)
+        assert len(calls) == powers
