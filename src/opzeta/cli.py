@@ -58,20 +58,15 @@ def _verify_exact(rec: registry.IdentityRecord) -> tuple[list[dict], float, list
         target = rec.rhs_poly
         lhs_polys = [route_a, route_b]
         equal = route_a == route_b == target
-    elif rec.anomaly_parity != "none":
-        # flow + the parity-violating term must rebuild the closed form exactly
-        target = rec.exact_rhs(max_degree=2 * _EXACT_K + 2)
-        anomaly = parity_anomaly(target, rec.anomaly_parity)
-        lhs_polys = [flow.poly + anomaly if anomaly is not None else flow.poly]
-        equal = lhs_polys[0] == target
     else:
-        # singularity-removed identity: flow equals the regrouped Taylor series
-        gen = rec.exact_rhs(max_degree=2 * _EXACT_K + 2)
-        if gen is None:
+        # the flow, plus the parity-violating term where the record names one, rebuilds the
+        # right side exactly; the flow misses a term exactly where the record names one
+        target = rec.exact_rhs(_EXACT_K)
+        if target is None:
             raise ValueError(f"{rec.id}: no exact right side available for exact mode")
-        target = gen.truncate(flow.poly.degree)
-        lhs_polys = [flow.poly]
-        equal = flow.poly == target and not flow.anomaly_missing
+        anomaly = parity_anomaly(target, rec.anomaly_parity) if rec.anomaly_parity != "none" else None
+        lhs_polys = [flow.poly + anomaly if anomaly is not None else flow.poly]
+        equal = lhs_polys[0] == target and flow.anomaly_missing == (anomaly is not None)
     if flow.anomaly_missing:
         events.append("anomaly_missing")
     deviation = 0.0 if equal else math.inf

@@ -6,16 +6,18 @@ one private base, `_Poly`: the trimmed, immutable coefficient tuple, `+`,
 `-`, equality, hashing and printing. All operations are pure. `pipoly_eval`,
 `pipoly_evaluator` (coefficients at pi once, then Horner per x) and
 `float(PiPolynomial)` compute in integers, with pi from the Chudnovsky
-series in integers (`_pi_fixed`), and round the exact rational value once to a
-double by one int/int division. This module holds no mpmath context: an
-mpmath argument is only read exactly, as a ratio of integers.
+series in integers (`_pi_fixed`, through the first block of `_pi_block`), and
+round the exact rational value once to a double by one int/int division. This
+module holds no mpmath context: an mpmath argument is only read exactly, as a
+ratio of integers.
 
 Bernoulli and Euler numbers up to index 82 come from one immutable table,
 built by the exact recurrences on first use; a larger index is one rounded
 Dirichlet series (zeta or beta), summed in integers at a fixed point: B_1000
 and E_1000 take about 3 and 8 ms on a 2-vCPU VM. The only other memo is pi
-in blocks of 1,024 bits (`_pi_block`), which those series shift down to their
-precision: about 8 blocks up to index 1000.
+in blocks of 1,024 bits (`_pi_block`), built on first use, which those series
+(about 8 blocks up to index 1000) and the evaluations in Q[pi] (one block)
+shift down to their precision.
 The Bernoulli convention is fixed to B_1 = -1/2 (the generating function
 x/(e^x - 1)); the alternate B_1 = +1/2 convention is deliberately rejected
 because every identity in this package is derived with the -1/2 sign.
@@ -60,10 +62,6 @@ def _pi_fixed(bits: int) -> int:
     work = bits + 16
     _, q, t = _chudnovsky_split(0, work // 47 + 2)
     return 426880 * math.isqrt(10005 << 2 * work) * q // t >> 16
-
-
-# floor(pi 2^256); the tests check it against mpmath
-_PI_FIXED = _pi_fixed(256)
 
 
 @cache
@@ -233,12 +231,12 @@ class PiXPolynomial(_Poly):
 
 
 def _at_pi(c: PiPolynomial, bits: int) -> tuple[int, int]:
-    """c at floor(pi 2^bits) / 2^bits (bits <= 256), exactly, as (num, den)
-    with den > 0; zero coefficients cost nothing."""
+    """c at floor(pi 2^bits) / 2^bits (bits <= 1024, pi from `_pi_block(1)`),
+    exactly, as (num, den) with den > 0; zero coefficients cost nothing."""
     terms = [(k, a) for k, a in enumerate(c.coeffs) if a]
     if not terms:
         return 0, 1
-    pi, top = _PI_FIXED >> (256 - bits), terms[-1][0]
+    pi, top = _pi_block(1) >> (1024 - bits), terms[-1][0]
     den = math.lcm(*(a.denominator for _, a in terms))
     num = sum(a.numerator * (den // a.denominator) * pi**k << (top - k) * bits for k, a in terms)
     return num, den << top * bits

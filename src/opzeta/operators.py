@@ -352,7 +352,7 @@ def extract_special_values(identity_id: str, terms: int = 8) -> list[ExtractedVa
     from .specfun import special_value
 
     rec = registry.get_identity(identity_id)
-    rhs = rec.exact_rhs(max_degree=2 * terms + 2)
+    rhs = rec.exact_rhs(terms)
     if rhs is None:
         raise ValueError(f"identity {identity_id!r} has no exact polynomial right side")
     if rec.op is None or rec.trig is None:

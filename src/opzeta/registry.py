@@ -101,13 +101,13 @@ class IdentityRecord:
     extra_check: Optional[str]
     expected_event: Optional[str]
 
-    def exact_rhs(self, max_degree: int = 16) -> Optional[PiXPolynomial]:
-        """Exact polynomial right side (literal, or generated Taylor
-        truncation covering max_degree), None when only numeric forms exist."""
+    def exact_rhs(self, terms: int) -> Optional[PiXPolynomial]:
+        """Exact polynomial right side: the literal, or the generated Taylor
+        polynomial of `terms` nonzero terms (those of a flow of `terms` terms);
+        None when only numeric forms exist."""
         if self.rhs_poly is not None:
             return self.rhs_poly
         if self.rhs_taylor is not None:
-            terms = max_degree // 2 + 2
             return TAYLOR_GENERATORS[self.rhs_taylor](terms)
         return None
 

@@ -3,15 +3,15 @@ tail bounds, and Abel (Euler) summation for the divergent cases.
 
 A series is sum_n chi(n) trig(n x) / n^s. The trivial character runs over
 n = 1, 2, 3, ...; the `beta` character runs over odd n = 2k+1 with sign
-(-1)^k. Every convergent series (exponent >= 1) has one kernel,
-`partial_sum_accelerated`: a short head plus an iterated summation-by-parts
-tail, the beta character by a shift of x by pi/2. Raw truncation,
-`partial_sum`, is the head of that kernel and covers the trivial character
-only. Divergent series (exponent <= 0) are never summed by raw truncation;
-they take the Abel route, `abel_value`: at exponents <= 1 the Abel mean is a
-closed form in z = r e^(ix), continuous up to |z| = 1 away from its singular
-points, so the Abel sum is that form at r = 1. At exponents >= 2 the Abel sum
-is the sum (Abel's theorem).
+(-1)^k. Both routes compute the trivial character only and take the beta
+character as the trivial series at x - pi/2 and x + pi/2. Every convergent
+series (exponent >= 1) has one kernel, `partial_sum_accelerated`: a short
+head, `partial_sum`, plus an iterated summation-by-parts tail. Divergent
+series (exponent <= 0) are never summed by raw truncation; they take the
+Abel route, `abel_value`: at exponents <= 1 the trivial Abel mean is a
+closed form in z = r e^(ix), continuous up to |z| = 1 away from z = 1, so
+the Abel sum is that form at r = 1. At exponents >= 2 the Abel sum is the
+sum (Abel's theorem).
 """
 
 from __future__ import annotations
@@ -210,23 +210,32 @@ CLOSED_FORMS: dict[str, Callable[[float], float]] = {
 }
 
 
-def _geometric_rational(exponent: int, character: str) -> tuple[list[int], int]:
-    """Numerator coefficients and denominator exponent of the Abel mean at
-    integer exponent <= 0.
-
-    Trivial character: sum n^k z^n = P_k(z)/(1-z)^(k+1), P_0 = z,
-    P_{k+1} = z[(1-z) P' + (k+1) P]. Beta character: the analogue over
-    z/(1+z^2) with Q_{k+1} = z[(1+z^2) Q' - 2(k+1) z Q].
-    """
+def _geometric_rational(exponent: int) -> tuple[list[int], int]:
+    """(coefficients of P, p) of the trivial Abel mean at exponent <= 0:
+    sum n^k z^n = P_k(z)/(1-z)^(k+1), P_0 = z, P_{k+1} = z[(1-z) P' + (k+1) P].
+    The coefficients of P_k are the Eulerian numbers: nonnegative, summing to k!."""
     coeffs = [0, 1]  # the polynomial z
     for j in range(-exponent):
-        p = [0] + coeffs + [0, 0]  # p[i + 1] multiplies z^i
-        if character == "trivial":  # (1-z) P' + (j+1) P
-            inner = [(i + 1) * p[i + 2] + (j + 1 - i) * p[i + 1] for i in range(len(coeffs))]
-        else:  # (1+z^2) Q' - 2(j+1) z Q
-            inner = [(i + 1) * p[i + 2] + (i - 3 - 2 * j) * p[i] for i in range(len(coeffs) + 1)]
-        coeffs = [0] + inner
+        p = [0] + coeffs + [0]  # p[i + 1] multiplies z^i
+        coeffs = [0] + [(i + 1) * p[i + 2] + (j + 1 - i) * p[i + 1] for i in range(len(coeffs))]
     return coeffs, 1 - exponent
+
+
+def _abel_mean(exponent: int, y: float) -> tuple[complex, float]:
+    """(F(e^(iy)), its rounding bound, at least 8u|F|) for the trivial mean
+    F(z) = sum z^n / n^exponent at exponent <= 1: -log(1 - z), or P(z)/(1 - z)^p
+    from `_geometric_rational`, with 1 - z = -2i sin(y/2) e^(iy/2) factored so
+    that no digits cancel near z = 1."""
+    q = math.sin(y / 2)
+    den = -2j * q * cmath.exp(0.5j * y)
+    if exponent == 1:
+        value = -cmath.log(den)
+        return value, 8 * _UNIT_ROUNDOFF * (4.0 + abs(value))
+    coeffs, p = _geometric_rational(exponent)
+    z, num = cmath.exp(1j * y), 0j
+    for c in reversed(coeffs):
+        num = num * z + c
+    return num / den**p, 4 * _UNIT_ROUNDOFF * (len(coeffs) + p + 2) * sum(coeffs) / abs(2.0 * q) ** p
 
 
 def abel_value(series: TrigSeries, x: float) -> SummedValue:
@@ -235,14 +244,13 @@ def abel_value(series: TrigSeries, x: float) -> SummedValue:
     real part for cos).
 
     Exponents >= 2 converge absolutely, so by Abel's theorem the Abel sum is
-    the sum: `partial_sum_accelerated`. Below that the mean is a closed form,
-    continuous on the closed unit disk away from z = 1 (trivial character) or
-    z = +-i (beta), so the limit is its value at z = e^(ix): P(z)/D^p from
-    `_geometric_rational` at exponents <= 0, -log(1 - z) or atan(z) at
-    exponent 1. D is factored so that no digits cancel near those points:
-    1 - z = -2i sin(x/2) e^(ix/2), 1 + z^2 = 2 cos x z. The bound is the
-    rounding: the coefficient sizes over |D|^p. Raises OutsideDomain at
-    |sin(x/2)| <= 1e-9 (trivial) or |cos x| <= 1e-9 (beta).
+    the sum: `partial_sum_accelerated`. Below that the trivial mean F is
+    continuous on the closed unit disk away from z = 1, so the limit is
+    `_abel_mean` at r = 1. The beta character is the trivial mean at x +- pi/2,
+    (F(iz) - F(-iz))/(2i) (DLMF 25.12); its bound adds the error of each shifted
+    argument, at most u(|x| + 3), times the slope there,
+    |F'| = |F_(exponent-1)| <= (1 - exponent)!/|1 - e^(iy)|^(2 - exponent).
+    Raises OutsideDomain at |sin(x/2)| <= 1e-9 (trivial) or |cos x| <= 1e-9 (beta).
     """
     key = (series.parity, series.exponent, series.character)
     if series.exponent >= 2:
@@ -250,24 +258,14 @@ def abel_value(series: TrigSeries, x: float) -> SummedValue:
             return partial_sum_accelerated(series, x)
         except NotConverged as exc:
             raise NoClosedForm(f"no closed form for {key} and the accelerated sum's tail did not converge: {exc}") from exc
-    trivial = series.character == "trivial"
-    q = math.sin(x / 2) if trivial else math.cos(x)
-    if abs(q) <= 1e-9:
+    s, trivial = series.exponent, series.character == "trivial"
+    if abs(math.sin(x / 2) if trivial else math.cos(x)) <= 1e-9:
         raise OutsideDomain(f"x={x} is a singular point ({'sin(x/2)' if trivial else 'cos x'} = 0) of the Abel sum of {key}")
-    z = cmath.exp(1j * x)
-    den = -2j * q * cmath.exp(0.5j * x) if trivial else 2.0 * q * z
-    if series.exponent == 1:
-        if trivial:  # -log(1 - z)
-            value = -cmath.log(den)
-        else:  # atan(z) = (1/2i) log(i cos x / (1 + sin x)), the log's argument kept off 1 - |sin x|
-            sn = math.sin(x)
-            value = complex(math.copysign(math.pi / 4, q), math.copysign(0.5 * math.log((1.0 + abs(sn)) / abs(q)), sn))
-        bound = 8 * _UNIT_ROUNDOFF * (4.0 + abs(value))
-    else:
-        coeffs, p = _geometric_rational(series.exponent, series.character)
-        num = 0j
-        for c in reversed(coeffs):
-            num = num * z + c
-        value = num / den**p
-        bound = 4 * _UNIT_ROUNDOFF * (len(coeffs) + p + 2) * sum(map(abs, coeffs)) / abs(2.0 * q) ** p
+    if trivial:
+        value, bound = _abel_mean(s, x)
+    else:  # the difference's own rounding lies within the 8u|F| of each bound
+        ys = x + math.pi / 2, x - math.pi / 2
+        (plus, b_plus), (minus, b_minus) = (_abel_mean(s, y) for y in ys)
+        slope = sum(math.factorial(1 - s) / abs(2.0 * math.sin(y / 2)) ** (2 - s) for y in ys)
+        value, bound = (plus - minus) / 2j, (b_plus + b_minus + _UNIT_ROUNDOFF * (abs(x) + 3.0) * slope) / 2
     return SummedValue(value.imag if series.parity == "sin" else value.real, bound, "abel_closed_form")

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -120,6 +121,23 @@ class TestVerifyCommand:
         code, out = run_cli("verify", "eq18", "--exact")
         assert code == 0
         assert "anomaly_missing" in out
+
+    @staticmethod
+    def verify_altered_eq2(monkeypatch, **change):
+        import opzeta.registry
+
+        altered = dataclasses.replace(get_identity("eq2"), verify_mode="exact", **change)
+        monkeypatch.setattr(opzeta.registry, "get_identity", lambda identity_id: altered)
+        return run_cli("verify", "eq2")
+
+    def test_exact_route_fails_an_anomaly_the_record_does_not_name(self, monkeypatch):
+        # the flow misses eq2's pi/2, and the record no longer names it
+        code, out = self.verify_altered_eq2(monkeypatch, anomaly_parity="none")
+        assert code == 1 and "FAIL" in out
+
+    def test_anomalous_record_without_exact_rhs_is_a_usage_error(self, monkeypatch, capsys):
+        code, _ = self.verify_altered_eq2(monkeypatch, rhs_poly=None, rhs_closed="half_sec")
+        assert code == 2 and "no exact right side" in capsys.readouterr().err
 
     def test_exact_identities_default_to_exact(self):
         for ident in ("eq17", "eq21_sin"):

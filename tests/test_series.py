@@ -201,6 +201,23 @@ class TestAbelValueHonestBound:
         assert abs(got.value - want) <= got.abs_error_estimate + 4e-16 * abs(want)
 
 
+class TestBetaIsTheShiftedTrivialMean:
+    def test_bit_for_bit(self):
+        # the beta Abel sum is (F(e^(i(x + pi/2))) - F(e^(i(x - pi/2))))/(2i) from the trivial
+        # means F, with no closed form of its own
+        rng = random.Random(20261019)
+        xs = [rng.uniform(-3.0, 3.0) for _ in range(20)]
+        for s in range(1, -15, -1):
+            for x in xs:
+                plus, minus = (
+                    complex(abel_value(TrigSeries("cos", s), y).value, abel_value(TrigSeries("sin", s), y).value)
+                    for y in (x + PI / 2, x - PI / 2)
+                )
+                want = (plus - minus) / 2j
+                assert abel_value(TrigSeries("sin", s, "beta"), x).value == want.imag, (s, x)
+                assert abel_value(TrigSeries("cos", s, "beta"), x).value == want.real, (s, x)
+
+
 class TestGeometricAbel:
     def test_half_turn(self):
         assert geometric_abel(PI) == pytest.approx(-0.5 + 0j, abs=1e-14)
@@ -337,8 +354,9 @@ class TestRegistryExtrapolationAgreement:
 
 
 class TestFourierSideSpecialValues:
-    """zeta(-k) and beta(-k), k = 0..30, from the exact Abel means of
-    `_geometric_rational` alone, by power-series long division."""
+    """zeta(-k) and beta(-k), k = 0..30, from the exact trivial Abel means of
+    `_geometric_rational` alone: by power-series long division at z = 1, and
+    at z = i for the beta character."""
 
     def test_zeta_is_the_constant_term_of_the_abel_mean(self):
         # sum n^k e^(nw) = P_k(e^w)/(1 - e^w)^(k+1) = k!/(-w)^(k+1) + sum_j zeta(-k-j) w^j/j!.
@@ -348,7 +366,7 @@ class TestFourierSideSpecialValues:
         s = [Fraction(1, factorial(j + 1)) for j in range(n)]
         s_pow = [Fraction(1)] + [Fraction(0)] * (n - 1)
         for k in range(31):
-            coeffs, p = _geometric_rational(-k, "trivial")
+            coeffs, p = _geometric_rational(-k)
             assert p == k + 1
             s_pow = [sum(s_pow[i] * s[j - i] for i in range(j + 1)) for j in range(n)]
             inv = series_reciprocal(s_pow, k + 2)
@@ -358,11 +376,17 @@ class TestFourierSideSpecialValues:
             assert constant == special_value("zeta", Fraction(-k))[1], k
 
     def test_beta_is_the_abel_mean_at_one(self):
-        # sum chi(n) n^k z^n = Q_k(z)/(1 + z^2)^(k+1) is regular at z = 1
+        # sum chi(n) n^k z^n = (F_k(iz) - F_k(-iz))/(2i), F_k = P_k/(1 - z)^(k+1), is regular
+        # at z = 1; P_k has real coefficients, so there it is Im F_k(i) = Im P_k(i)/(1 - i)^(k+1)
         for k in range(31):
-            coeffs, p = _geometric_rational(-k, "beta")
-            assert p == k + 1
-            assert Fraction(sum(coeffs), 2**p) == special_value("beta", Fraction(-k))[1], k
+            coeffs, p = _geometric_rational(-k)
+            num = [sum(c for i, c in enumerate(coeffs) if i % 4 == r) for r in range(4)]
+            re, im = num[0] - num[2], num[1] - num[3]  # P_k(i)
+            a, b = 1, 0  # (1 + i)^p, and 1/(1 - i) = (1 + i)/2
+            for _ in range(p):
+                a, b = a - b, a + b
+            value = Fraction(re * b + im * a, 2**p)
+            assert value == special_value("beta", Fraction(-k))[1], k
 
 
 class TestDecompositionInvariants:
