@@ -26,9 +26,11 @@ from .errors import OpzetaError
 from .exactnum import bernoulli_number, euler_number, pipoly_evaluator
 
 _EXACT_K = 12
-# steps bound of `verify --grid` (the registry's largest is 50): every grid
-# ends in seconds
-_GRID_STEPS_BOUND = 10_000
+# bounds of `verify --grid`: its steps (the registry's largest is 50), and
+# the head terms the accelerated sum of a sum-mode grid adds up to (a default
+# grid takes at most about 3.2*10^4; a point near x = 0 mod 2*pi takes
+# 4*10^5, and 100 of them took 1.5 s), so that every grid ends in seconds
+_GRID_STEPS_BOUND, _GRID_HEAD_TERMS_BOUND = 10_000, 20_000_000
 
 
 def _row(identity: str, x, lhs, rhs, deviation: float, method: str) -> dict:
@@ -84,9 +86,11 @@ def _verify_grid(rec: registry.IdentityRecord, grid: tuple[float, float, int], t
     # the right side: its coefficients at pi once, then Horner per x (`rhs_poly` first)
     rhs_at = pipoly_evaluator(rec.rhs_poly) if rec.rhs_poly is not None else rec.closed_form()
     geometric_parts = series.TrigSeries("cos", 0), series.TrigSeries("sin", 0)
+    if mode == "sum":  # the whole grid in one pass; a grid beyond the head terms bound is a usage error
+        sums = iter(series.partial_sums_accelerated(rec.series, xs, tol * 1e-3, _GRID_HEAD_TERMS_BOUND))
     for x in xs:
         if mode == "sum":
-            sv = series.partial_sum_accelerated(rec.series, x, tol * 1e-3)
+            sv = next(sums)
         elif mode == "abel":
             sv = series.abel_value(rec.series, x)
         elif mode == "geometric":  # sum e^(inx) = sum cos(nx) + i sum sin(nx), both Abel sums

@@ -226,9 +226,6 @@ class PiXPolynomial(_Poly):
 
     __rmul__ = __mul__
 
-    def truncate(self, max_degree: int) -> "PiXPolynomial":
-        return PiXPolynomial(self.coeffs[: max_degree + 1])
-
 
 def _at_pi(c: PiPolynomial, bits: int) -> tuple[int, int]:
     """c at floor(pi 2^bits) / 2^bits (bits <= 1024, pi from `_pi_block(1)`),

@@ -5,9 +5,11 @@ A series is sum_n chi(n) trig(n x) / n^s. The trivial character runs over
 n = 1, 2, 3, ...; the `beta` character runs over odd n = 2k+1 with sign
 (-1)^k. Both routes compute the trivial character only and take the beta
 character as the trivial series at x - pi/2 and x + pi/2. Every convergent
-series (exponent >= 1) has one kernel, `partial_sum_accelerated`: a short
-head, `partial_sum`, plus an iterated summation-by-parts tail. Divergent
-series (exponent <= 0) are never summed by raw truncation; they take the
+series (exponent >= 1) has one kernel, `partial_sums_accelerated`, over a
+whole grid: a short head per point, all heads batched into few numpy
+evaluations by `_heads` (raw truncation, `partial_sum`, too), plus an
+iterated summation-by-parts tail; `partial_sum_accelerated` is its one-point
+case. Divergent series (exponent <= 0) are never summed by raw truncation; they take the
 Abel route, `abel_value`: at exponents <= 1 the trivial Abel mean is a
 closed form in z = r e^(ix), continuous up to |z| = 1 away from z = 1, so
 the Abel sum is that form at r = 1. At exponents >= 2 the Abel sum is the
@@ -20,7 +22,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     Diverges,
@@ -33,6 +35,8 @@ from .errors import (
 
 _UNIT_ROUNDOFF = 2.0**-53
 _N0_SCALE, _N0_CAP, _SBP_MAX_LEVELS = 64, 400_000, 48
+# terms of one numpy evaluation in `_heads`: a batch of heads, and a piece of a longer head
+_HEAD_BATCH, _HEAD_PIECE = 1 << 16, 5_000_000
 
 
 @dataclass(frozen=True)
@@ -66,7 +70,7 @@ def partial_sum(series: TrigSeries, x: float, N: int) -> SummedValue:
     rigorous tail bound as the error: N^(1-s)/(s-1) at exponent s >= 2, and
     by summation by parts 1/((N+1) |sin(x/2)|) at exponent 1, where the
     convergence is conditional and x = 0 mod 2*pi is rejected. A beta series
-    is summed by `partial_sum_accelerated` only.
+    is summed by `partial_sums_accelerated` only.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -77,15 +81,35 @@ def partial_sum(series: TrigSeries, x: float, N: int) -> SummedValue:
         raise Diverges(f"exponent {s} <= 0: raw truncation diverges; use abel_value")
     if s == 1 and abs(math.sin(x / 2)) < 1e-12:
         raise EndpointConditional("x = 0 mod 2*pi: conditional convergence endpoint")
+    bound = N ** (1 - s) / (s - 1) if s >= 2 else 1.0 / ((N + 1) * abs(math.sin(x / 2)))
+    return SummedValue(_heads(series.parity, s, [x], [N])[0], bound, "partial_sum")
+
+
+def _heads(parity: str, s: int, xs: Sequence[float], lengths: Sequence[int]) -> list[float]:
+    """sum_(n<=N) trig(n x) / n^s for each x and N of xs and lengths. A head
+    is cut into pieces of at most 5*10^6 terms; consecutive pieces of up to
+    2^16 terms in all (or one longer piece) take one numpy evaluation, and
+    each piece is the pairwise `sum` of its own slice, so a head is the same
+    double whichever heads share its batch (`np.add.reduceat` does not sum
+    pairwise, and would change it)."""
     import numpy as np  # here only: the CLI's cold paths never load it
 
-    trig = np.sin if series.parity == "sin" else np.cos
-    total = 0.0
-    for start in range(1, N + 1, 5_000_000):
-        n = np.arange(start, min(N + 1, start + 5_000_000), dtype=np.float64)
-        total += float(np.sum(trig(n * x) / n**s))
-    bound = N ** (1 - s) / (s - 1) if s >= 2 else 1.0 / ((N + 1) * abs(math.sin(x / 2)))
-    return SummedValue(total, bound, "partial_sum")
+    trig = np.sin if parity == "sin" else np.cos
+    pieces = [(k, x, start, min(N + 1, start + _HEAD_PIECE) - start)
+              for k, (x, N) in enumerate(zip(xs, lengths)) for start in range(1, N + 1, _HEAD_PIECE)]
+    sums, i = [0.0] * len(xs), 0
+    while i < len(pieces):
+        j, size = i + 1, pieces[i][3]
+        while j < len(pieces) and size + pieces[j][3] <= _HEAD_BATCH:
+            size, j = size + pieces[j][3], j + 1
+        heads, xb, starts, counts = zip(*pieces[i:j])
+        firsts = np.cumsum(counts) - counts  # each piece's offset in the batch
+        n = np.arange(size, dtype=np.float64) + np.repeat(np.subtract(starts, firsts), counts)
+        terms = trig(n * np.repeat(xb, counts)) / n**s
+        for k, a, c in zip(heads, firsts.tolist(), counts):
+            sums[k] += float(terms[a : a + c].sum())
+        i = j
+    return sums
 
 
 def _differences(m: int, s: int) -> Iterator[float]:
@@ -107,18 +131,28 @@ def _differences(m: int, s: int) -> Iterator[float]:
         fact *= j + 1
 
 
-def _sbp_tail(x: float, n0: int, s: int, target: float) -> tuple[complex, float]:
+def _replay(drawn: list[float], rest: Iterator[float]) -> Iterator[float]:
+    """The items of drawn, then those of rest, each kept in drawn as it is
+    drawn: the tails at one n0 compute its differences once."""
+    yield from drawn
+    for delta in rest:
+        drawn.append(delta)
+        yield delta
+
+
+def _sbp_tail(x: float, n0: int, s: int, target: float, deltas: Iterable[float]) -> tuple[complex, float]:
     """sum_{n>n0} z^n f(n), z = e^(ix), f(n) = n^-s, by iterated summation by
-    parts: level j adds w^j z^(n0+1)/(1-z) Delta^j f(n0+1), w = z/(1-z). f is
-    completely monotone, so Delta^d f keeps one sign and telescopes: after d
-    levels the remainder is at most |w|^d |Delta^(d-1) f(n0+1)| (at d = 0, the
-    tail sum of f). Levels are added while that bound shrinks and exceeds
-    target. Returns (tail, bound)."""
+    parts: level j adds w^j z^(n0+1)/(1-z) Delta^j f(n0+1), w = z/(1-z), with
+    Delta^j f(n0+1) the j-th of `deltas`. f is completely monotone, so
+    Delta^d f keeps one sign and telescopes: after d levels the remainder is
+    at most |w|^d |Delta^(d-1) f(n0+1)| (at d = 0, the tail sum of f). Levels
+    are added while that bound shrinks and exceeds target. Returns (tail,
+    bound)."""
     w = 1j * cmath.exp(0.5j * x) / (2.0 * math.sin(x / 2))  # 1 - z = -2i sin(x/2) e^(ix/2)
     term = w * cmath.exp(1j * n0 * x)  # z^(n0+1)/(1-z), times w^j at level j
     bound = math.inf if s == 1 else n0 ** (1.0 - s) / (s - 1)
     tail = 0j
-    for j, delta in zip(range(_SBP_MAX_LEVELS), _differences(n0 + 1, s)):
+    for j, delta in zip(range(_SBP_MAX_LEVELS), deltas):
         if (level_bound := abs(w) ** (j + 1) * abs(delta)) >= bound:
             break
         tail += term * delta
@@ -129,47 +163,76 @@ def _sbp_tail(x: float, n0: int, s: int, target: float) -> tuple[complex, float]
     return tail, bound
 
 
-def partial_sum_accelerated(series: TrigSeries, x: float, tol: float = 1e-9) -> SummedValue:
-    """Head of n0 = 64/|1-e^(ix)| terms (at most 4*10^5) plus `_sbp_tail`, for
-    exponent >= 1; a tail level then gains about a factor (exponent + level)/64.
-    The tail stops below tol and below the unit roundoff: a level costs
-    microseconds, so a loose tol keeps double precision. The bound covers the
-    remainder and the float rounding. A remainder above max(tol, unit
-    roundoff) (near x = 0 mod 2*pi, where n0 is capped) raises NotConverged.
+def partial_sums_accelerated(
+    series: TrigSeries, xs: Sequence[float], tol: float = 1e-9, max_head_terms: float = math.inf
+) -> list[SummedValue]:
+    """The sum at every x of xs, for exponent >= 1: a head of n0 = 64/|1-e^(ix)|
+    terms (at most 4*10^5) plus `_sbp_tail`; a tail level then gains about a
+    factor (exponent + level)/64. The tail stops below tol and below the unit
+    roundoff: a level costs microseconds, so a loose tol keeps double
+    precision. The bound covers the remainder and the float rounding.
+    In order: every endpoint check (x = 0 mod 2*pi raises EndpointConditional)
+    and n0; ValueError if the n0 add up to more than max_head_terms; every
+    tail, where a remainder above max(tol, unit roundoff) (near x = 0 mod
+    2*pi, where n0 is capped) raises NotConverged; only then the heads, by
+    `_heads`. The tails at one n0 share its differences, in a dict local to
+    the call. Each value is the double its x gives alone.
     The beta character, chi(n) = sin(n pi/2), shifts the trivial C (cos) or S
     (sin) series of the same exponent; cos x = 0 is its endpoint:
-      sin: (C(x - pi/2) - C(x + pi/2))/2,  cos: (S(x + pi/2) - S(x - pi/2))/2.
+      sin: (C(x - pi/2) - C(x + pi/2))/2,  cos: (S(x + pi/2) - S(x - pi/2))/2,
+    all at once: x - pi/2 and x + pi/2 of every x, in grid order, in one call.
     """
     if series.exponent < 1:
         raise ValueError("accelerated path covers exponents >= 1")
     s = series.exponent
     if series.character == "beta":
         shifted = TrigSeries("cos" if series.parity == "sin" else "sin", s)
-        value = bound = 0.0
-        for sign, y in ((1.0, x - math.pi / 2), (-1.0, x + math.pi / 2)):
-            part, q = partial_sum_accelerated(shifted, y, tol), 2.0 * abs(math.sin(y / 2))
-            # y is off by at most u(|x| + 3) (its rounding and pi/2's), times the slope of the
-            # shifted sum: at most 1/|1 - e^(iy)| at exponent 1, 2 + |log|1 - e^(iy)|| above
-            slope = 1.0 / q if s == 1 else 2.0 + abs(math.log(q))
-            value += sign * part.value
-            bound += part.abs_error_estimate + _UNIT_ROUNDOFF * (abs(x) + 3.0) * slope
-        return SummedValue((0.5 if series.parity == "sin" else -0.5) * value, bound / 2, "partial_sum")
-    if abs(math.sin(x / 2)) < 1e-12:
+        ys = [y for x in xs for y in (x - math.pi / 2, x + math.pi / 2)]
+        parts = partial_sums_accelerated(shifted, ys, tol, max_head_terms)
+        out = []
+        for k, x in enumerate(xs):
+            value = bound = 0.0
+            for sign, y, part in zip((1.0, -1.0), ys[2 * k : 2 * k + 2], parts[2 * k : 2 * k + 2]):
+                q = 2.0 * abs(math.sin(y / 2))
+                # y is off by at most u(|x| + 3) (its rounding and pi/2's), times the slope of the
+                # shifted sum: at most 1/|1 - e^(iy)| at exponent 1, 2 + |log|1 - e^(iy)|| above
+                slope = 1.0 / q if s == 1 else 2.0 + abs(math.log(q))
+                value += sign * part.value
+                bound += part.abs_error_estimate + _UNIT_ROUNDOFF * (abs(x) + 3.0) * slope
+            out.append(SummedValue((0.5 if series.parity == "sin" else -0.5) * value, bound / 2, "partial_sum"))
+        return out
+    if any(abs(math.sin(x / 2)) < 1e-12 for x in xs):
         raise EndpointConditional("x = 0 mod 2*pi")
-    q = 2.0 * abs(math.sin(x / 2))  # q = |1 - e^(ix)|
-    n0 = int(min(_N0_CAP, math.ceil(_N0_SCALE / q)))
-    tail, bound = _sbp_tail(x, n0, s, min(tol, _UNIT_ROUNDOFF))
-    if bound > max(tol, _UNIT_ROUNDOFF):
-        raise NotConverged(f"tail remainder {bound:.3e} above tol {tol:.3e} at x={x} with n0={n0} head terms")
-    value = partial_sum(series, x, n0).value + (tail.imag if series.parity == "sin" else tail.real)
-    # rounding: a head term by u*n|x| (in n*x) plus a few u, the pairwise sum by u*log2(n0)
-    # per unit of sum n^-s <= log_n0; each tail level (<= (n0+1)^-s / q) by u*n0|x| plus a few u
-    log_n0 = 1.0 + math.log(n0)
-    tail_size = _SBP_MAX_LEVELS * (n0 + 1.0) ** -s / q
-    rounding = 4 * _UNIT_ROUNDOFF * (
-        abs(x) * (n0 if s == 1 else log_n0) + (3 + math.log2(n0)) * log_n0 + (n0 * abs(x) + 128) * tail_size
-    )
-    return SummedValue(value, bound + rounding, "partial_sum")
+    qs = [2.0 * abs(math.sin(x / 2)) for x in xs]  # q = |1 - e^(ix)|
+    n0s = [int(min(_N0_CAP, math.ceil(_N0_SCALE / q))) for q in qs]
+    if sum(n0s) > max_head_terms:
+        raise ValueError(f"the heads of the grid add up to {sum(n0s)} terms, above the bound {max_head_terms}")
+    drawn: dict[int, tuple[list[float], Iterator[float]]] = {}
+    tails = []
+    for x, n0 in zip(xs, n0s):
+        if n0 not in drawn:
+            drawn[n0] = [], _differences(n0 + 1, s)
+        tail, bound = _sbp_tail(x, n0, s, min(tol, _UNIT_ROUNDOFF), _replay(*drawn[n0]))
+        if bound > max(tol, _UNIT_ROUNDOFF):
+            raise NotConverged(f"tail remainder {bound:.3e} above tol {tol:.3e} at x={x} with n0={n0} head terms")
+        tails.append((tail, bound))
+    out = []
+    for x, q, n0, head, (tail, bound) in zip(xs, qs, n0s, _heads(series.parity, s, xs, n0s), tails):
+        value = head + (tail.imag if series.parity == "sin" else tail.real)
+        # rounding: a head term by u*n|x| (in n*x) plus a few u, the pairwise sum by u*log2(n0)
+        # per unit of sum n^-s <= log_n0; each tail level (<= (n0+1)^-s / q) by u*n0|x| plus a few u
+        log_n0 = 1.0 + math.log(n0)
+        tail_size = _SBP_MAX_LEVELS * (n0 + 1.0) ** -s / q
+        rounding = 4 * _UNIT_ROUNDOFF * (
+            abs(x) * (n0 if s == 1 else log_n0) + (3 + math.log2(n0)) * log_n0 + (n0 * abs(x) + 128) * tail_size
+        )
+        out.append(SummedValue(value, bound + rounding, "partial_sum"))
+    return out
+
+
+def partial_sum_accelerated(series: TrigSeries, x: float, tol: float = 1e-9) -> SummedValue:
+    """`partial_sums_accelerated` at the one point x."""
+    return partial_sums_accelerated(series, [x], tol)[0]
 
 
 def geometric_abel(x: float) -> complex:

@@ -6,7 +6,8 @@ power-series long division instead of coefficient recurrences, Euler
 transformation of alternating partial sums instead of Hurwitz differences,
 Bernoulli and Euler numbers instead of the zigzag triangle.
 The `*_mpf`/`*_mpmath` functions are the mpmath routes that package code
-took before it computed in integers.
+took before it computed in integers, and `partial_sum_accelerated_per_point`
+the per-point route of the accelerated sum before it took a grid in one pass.
 """
 
 from __future__ import annotations
@@ -15,8 +16,18 @@ import math
 from fractions import Fraction
 from math import comb, factorial
 
-from opzeta.errors import NotConverged
+from opzeta.errors import EndpointConditional, NotConverged
 from opzeta.exactnum import PiXPolynomial, bernoulli_number, euler_number
+from opzeta.series import (
+    _N0_CAP,
+    _N0_SCALE,
+    _SBP_MAX_LEVELS,
+    _UNIT_ROUNDOFF,
+    SummedValue,
+    TrigSeries,
+    _differences,
+    _sbp_tail,
+)
 from opzeta.specfun import _EM_K_MAX, _EM_TARGET, _em_coefficients, _working_precision
 
 
@@ -158,6 +169,45 @@ def beta_partial_sum(parity: str, s: int, x: float, N: int) -> tuple[float, floa
     value = float(np.sum((-1.0) ** k * trig(n * x) / n**s))
     bound = (2 * N) ** (1 - s) / (2 * (s - 1)) if s >= 2 else 1.0 / ((2 * N + 1) * abs(math.cos(x)))
     return value, bound
+
+
+def partial_sum_accelerated_per_point(series: TrigSeries, x: float, tol: float = 1e-9) -> SummedValue:
+    """The route `series.partial_sum_accelerated` took before it became one
+    point of `partial_sums_accelerated`: the endpoint check, the tail and its
+    NotConverged check, then a head of its own numpy arrays and `np.sum`,
+    with the tail's differences computed afresh at every point. The beta
+    character is this route at x - pi/2, then at x + pi/2."""
+    import numpy as np
+
+    if series.exponent < 1:
+        raise ValueError("accelerated path covers exponents >= 1")
+    s = series.exponent
+    if series.character == "beta":
+        shifted = TrigSeries("cos" if series.parity == "sin" else "sin", s)
+        value = bound = 0.0
+        for sign, y in ((1.0, x - math.pi / 2), (-1.0, x + math.pi / 2)):
+            part, q = partial_sum_accelerated_per_point(shifted, y, tol), 2.0 * abs(math.sin(y / 2))
+            slope = 1.0 / q if s == 1 else 2.0 + abs(math.log(q))
+            value += sign * part.value
+            bound += part.abs_error_estimate + _UNIT_ROUNDOFF * (abs(x) + 3.0) * slope
+        return SummedValue((0.5 if series.parity == "sin" else -0.5) * value, bound / 2, "partial_sum")
+    if abs(math.sin(x / 2)) < 1e-12:
+        raise EndpointConditional("x = 0 mod 2*pi")
+    q = 2.0 * abs(math.sin(x / 2))
+    n0 = int(min(_N0_CAP, math.ceil(_N0_SCALE / q)))
+    tail, bound = _sbp_tail(x, n0, s, min(tol, _UNIT_ROUNDOFF), _differences(n0 + 1, s))
+    if bound > max(tol, _UNIT_ROUNDOFF):
+        raise NotConverged(f"tail remainder {bound:.3e} above tol {tol:.3e} at x={x} with n0={n0} head terms")
+    n = np.arange(1, n0 + 1, dtype=np.float64)
+    head = 0.0
+    head += float(np.sum((np.sin if series.parity == "sin" else np.cos)(n * x) / n**s))
+    value = head + (tail.imag if series.parity == "sin" else tail.real)
+    log_n0 = 1.0 + math.log(n0)
+    tail_size = _SBP_MAX_LEVELS * (n0 + 1.0) ** -s / q
+    rounding = 4 * _UNIT_ROUNDOFF * (
+        abs(x) * (n0 if s == 1 else log_n0) + (3 + math.log2(n0)) * log_n0 + (n0 * abs(x) + 128) * tail_size
+    )
+    return SummedValue(value, bound + rounding, "partial_sum")
 
 
 def pi_poly_mpf(c, pi):

@@ -261,9 +261,7 @@ class TestPiXPolynomial:
         assert self.Q * PI == PiXPolynomial([PI * PI, PI / 3])
         assert (self.Q * 0).is_zero()
 
-    def test_truncate_and_monomial(self):
-        assert self.P.truncate(1) == PiXPolynomial([Fraction(1, 2), PI])
-        assert self.P.truncate(10) == self.P
+    def test_monomial(self):
         assert PiXPolynomial.monomial(2, Fraction(1, 4)) == PiXPolynomial([0, 0, Fraction(1, 4)])
         assert PiXPolynomial.monomial(1, PI).coeff(1) == PI
         assert PiXPolynomial.monomial(3, 0).is_zero()

@@ -198,6 +198,15 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert "grid steps must lie in [1, 10000]" in capsys.readouterr().err
 
+    def test_grid_head_terms_are_bounded(self, capsys):
+        # every point sums a capped head of 4*10^5 terms: 10^4 steps used to
+        # run for about 150 s
+        start = time.perf_counter()
+        code, out = run_cli("verify", "eq4_2", "--grid", "1e-4:2e-4:10000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert "above the bound 20000000" in capsys.readouterr().err
+
     def test_tiny_x_is_an_error_not_a_report(self, capsys):
         # the head is capped there, so the sum was noise: lhs=+2.4999e+03 and FAIL
         code, out = run_cli("verify", "eq2", "--grid", "1e-9:1e-8:3")

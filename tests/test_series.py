@@ -7,6 +7,7 @@ from math import factorial
 import mpmath
 import pytest
 
+from opzeta import series as series_module
 from opzeta.errors import (
     Diverges,
     EndpointConditional,
@@ -25,9 +26,10 @@ from opzeta.series import (
     geometric_abel,
     partial_sum,
     partial_sum_accelerated,
+    partial_sums_accelerated,
 )
 from opzeta.specfun import clausen_closed_form, special_value
-from oracles import beta_partial_sum, series_reciprocal
+from oracles import beta_partial_sum, partial_sum_accelerated_per_point, series_reciprocal
 
 PI = math.pi
 
@@ -152,6 +154,68 @@ class TestPartialSumAccelerated:
         for x in (PI / 2, -PI / 2, 3 * PI / 2):
             with pytest.raises(EndpointConditional):
                 partial_sum_accelerated(TrigSeries("sin", 1, "beta"), x)
+
+
+class TestPartialSumsAccelerated:
+    """The grid kernel against the per-point route it replaced, bit for bit:
+    the heads of a grid share numpy evaluations and its tails share
+    differences, and no value may move."""
+
+    @staticmethod
+    def fields(r):
+        return r.value, r.abs_error_estimate, r.method
+
+    def assert_matches_per_point(self, series, xs, tol=1e-9):
+        got = partial_sums_accelerated(series, xs, tol)
+        assert len(got) == len(xs)
+        for x, r in zip(xs, got):
+            assert self.fields(r) == self.fields(partial_sum_accelerated_per_point(series, x, tol)), x
+
+    @pytest.mark.parametrize("character", ["trivial", "beta"])
+    @pytest.mark.parametrize("parity", ["sin", "cos"])
+    @pytest.mark.parametrize("exponent", range(1, 7))
+    def test_seeded_grid(self, exponent, parity, character):
+        rng = random.Random(f"grid-{exponent}-{parity}-{character}")
+        if character == "trivial":
+            xs = [rng.uniform(1e-3, 2 * PI - 1e-3) for _ in range(30)]
+            xs += [-xs[0], 2 * PI - xs[1], PI, 1e-2, -7.5]  # head lengths repeat: shared differences
+        else:
+            xs = [rng.uniform(-1.5, 1.5) for _ in range(30)] + [-1.0, 1.0, 0.0, PI / 2 - 1e-3]
+        for tol in (1e-9, 1e-13):
+            self.assert_matches_per_point(TrigSeries(parity, exponent, character), xs, tol)
+
+    def test_one_point_grid(self):
+        for series in (TrigSeries("sin", 1), TrigSeries("cos", 4), TrigSeries("cos", 3, "beta")):
+            for x in (0.3, 2.9, 5e-4):
+                self.assert_matches_per_point(series, [x])
+                assert self.fields(partial_sum_accelerated(series, x)) == self.fields(partial_sum_accelerated_per_point(series, x))
+        assert partial_sums_accelerated(TrigSeries("sin", 2), []) == []
+
+    def test_heads_span_several_batches(self):
+        # heads of about 6.4*10^4 and 1.3*10^5 terms (longer than a batch) among short ones
+        xs = [1e-3, 2.0, 1.1e-3, 5e-4, 3.0, 1e-3, 0.9e-3, 4.0, 6.28]
+        assert sum(math.ceil(64 / (2 * math.sin(x / 2))) for x in xs) > 4 * series_module._HEAD_BATCH
+        for series in (TrigSeries("sin", 1), TrigSeries("cos", 2), TrigSeries("sin", 5)):
+            self.assert_matches_per_point(series, xs)
+
+    @pytest.mark.parametrize(
+        "series, bad",
+        [
+            (TrigSeries("cos", 1), 2 * PI),  # x = 0 mod 2*pi
+            (TrigSeries("sin", 2), 1e-9),  # capped head: the tail cannot reach tol
+            (TrigSeries("sin", 1, "beta"), PI / 2),  # x - pi/2 = 0
+            (TrigSeries("cos", 1, "beta"), -PI / 2 + 1e-9),  # x + pi/2 tiny
+        ],
+    )
+    def test_a_bad_point_fails_before_any_head(self, series, bad, monkeypatch):
+        with pytest.raises((EndpointConditional, NotConverged)) as want:
+            partial_sum_accelerated_per_point(series, bad)
+        calls = []
+        monkeypatch.setattr(series_module, "_heads", lambda *args: calls.append(args))
+        with pytest.raises(type(want.value)) as got:
+            partial_sums_accelerated(series, [0.2, 1.0, bad, 1.3])
+        assert str(got.value) == str(want.value)
+        assert calls == []
 
 
 class TestDifferences:
