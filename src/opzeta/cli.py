@@ -26,11 +26,9 @@ from .errors import OpzetaError
 from .exactnum import bernoulli_number, euler_number, pipoly_evaluator
 
 _EXACT_K = 12
-# bounds of `verify --grid`: its steps (the registry's largest is 50), and
-# the head terms the accelerated sum of a sum-mode grid adds up to (a default
-# grid takes at most about 3.2*10^4; a point near x = 0 mod 2*pi takes
-# 4*10^5, and 100 of them took 1.5 s), so that every grid ends in seconds
-_GRID_STEPS_BOUND, _GRID_HEAD_TERMS_BOUND = 10_000, 20_000_000
+# bound of `verify --grid`'s steps (the registry's largest is 50); the head
+# terms a sum-mode grid sums are bounded in `series.partial_sums_accelerated`
+_GRID_STEPS_BOUND = 10_000
 
 
 def _row(identity: str, x, lhs, rhs, deviation: float, method: str) -> dict:
@@ -87,7 +85,7 @@ def _verify_grid(rec: registry.IdentityRecord, grid: tuple[float, float, int], t
     rhs_at = pipoly_evaluator(rec.rhs_poly) if rec.rhs_poly is not None else rec.closed_form()
     geometric_parts = series.TrigSeries("cos", 0), series.TrigSeries("sin", 0)
     if mode == "sum":  # the whole grid in one pass; a grid beyond the head terms bound is a usage error
-        sums = iter(series.partial_sums_accelerated(rec.series, xs, tol * 1e-3, _GRID_HEAD_TERMS_BOUND))
+        sums = iter(series.partial_sums_accelerated(rec.series, xs, tol * 1e-3))
     for x in xs:
         if mode == "sum":
             sv = next(sums)

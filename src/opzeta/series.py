@@ -19,6 +19,7 @@ sum (Abel's theorem).
 from __future__ import annotations
 
 import cmath
+import copy
 import itertools
 import math
 from dataclasses import dataclass
@@ -37,6 +38,9 @@ _UNIT_ROUNDOFF = 2.0**-53
 _N0_SCALE, _N0_CAP, _SBP_MAX_LEVELS = 64, 400_000, 48
 # terms of one numpy evaluation in `_heads`: a batch of heads, and a piece of a longer head
 _HEAD_BATCH, _HEAD_PIECE = 1 << 16, 5_000_000
+# the head terms one call sums at most: a default verify grid takes about 3.2*10^4, a point
+# within about 1.6e-4 of x = 0 mod 2*pi the cap of 4*10^5, and 100 of those took 1.5 s
+_HEAD_TERMS_BOUND = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -131,15 +135,6 @@ def _differences(m: int, s: int) -> Iterator[float]:
         fact *= j + 1
 
 
-def _replay(drawn: list[float], rest: Iterator[float]) -> Iterator[float]:
-    """The items of drawn, then those of rest, each kept in drawn as it is
-    drawn: the tails at one n0 compute its differences once."""
-    yield from drawn
-    for delta in rest:
-        drawn.append(delta)
-        yield delta
-
-
 def _sbp_tail(x: float, n0: int, s: int, target: float, deltas: Iterable[float]) -> tuple[complex, float]:
     """sum_{n>n0} z^n f(n), z = e^(ix), f(n) = n^-s, by iterated summation by
     parts: level j adds w^j z^(n0+1)/(1-z) Delta^j f(n0+1), w = z/(1-z), with
@@ -163,20 +158,19 @@ def _sbp_tail(x: float, n0: int, s: int, target: float, deltas: Iterable[float])
     return tail, bound
 
 
-def partial_sums_accelerated(
-    series: TrigSeries, xs: Sequence[float], tol: float = 1e-9, max_head_terms: float = math.inf
-) -> list[SummedValue]:
+def partial_sums_accelerated(series: TrigSeries, xs: Sequence[float], tol: float = 1e-9) -> list[SummedValue]:
     """The sum at every x of xs, for exponent >= 1: a head of n0 = 64/|1-e^(ix)|
     terms (at most 4*10^5) plus `_sbp_tail`; a tail level then gains about a
     factor (exponent + level)/64. The tail stops below tol and below the unit
     roundoff: a level costs microseconds, so a loose tol keeps double
     precision. The bound covers the remainder and the float rounding.
     In order: every endpoint check (x = 0 mod 2*pi raises EndpointConditional)
-    and n0; ValueError if the n0 add up to more than max_head_terms; every
-    tail, where a remainder above max(tol, unit roundoff) (near x = 0 mod
-    2*pi, where n0 is capped) raises NotConverged; only then the heads, by
-    `_heads`. The tails at one n0 share its differences, in a dict local to
-    the call. Each value is the double its x gives alone.
+    and n0; ValueError if the n0 add up to more than 2*10^7 head terms, so a
+    grid near x = 0 mod 2*pi is refused before its tails; every tail, where a
+    remainder above max(tol, unit roundoff) (near x = 0 mod 2*pi, where n0 is
+    capped) raises NotConverged; only then the heads, by `_heads`. The tails
+    at one n0 read copies of one `itertools.tee` of its differences, in a dict
+    local to the call. Each value is the double its x gives alone.
     The beta character, chi(n) = sin(n pi/2), shifts the trivial C (cos) or S
     (sin) series of the same exponent; cos x = 0 is its endpoint:
       sin: (C(x - pi/2) - C(x + pi/2))/2,  cos: (S(x + pi/2) - S(x - pi/2))/2,
@@ -188,7 +182,7 @@ def partial_sums_accelerated(
     if series.character == "beta":
         shifted = TrigSeries("cos" if series.parity == "sin" else "sin", s)
         ys = [y for x in xs for y in (x - math.pi / 2, x + math.pi / 2)]
-        parts = partial_sums_accelerated(shifted, ys, tol, max_head_terms)
+        parts = partial_sums_accelerated(shifted, ys, tol)
         out = []
         for k, x in enumerate(xs):
             value = bound = 0.0
@@ -205,14 +199,14 @@ def partial_sums_accelerated(
         raise EndpointConditional("x = 0 mod 2*pi")
     qs = [2.0 * abs(math.sin(x / 2)) for x in xs]  # q = |1 - e^(ix)|
     n0s = [int(min(_N0_CAP, math.ceil(_N0_SCALE / q))) for q in qs]
-    if sum(n0s) > max_head_terms:
-        raise ValueError(f"the heads of the grid add up to {sum(n0s)} terms, above the bound {max_head_terms}")
-    drawn: dict[int, tuple[list[float], Iterator[float]]] = {}
+    if sum(n0s) > _HEAD_TERMS_BOUND:
+        raise ValueError(f"the heads of the grid add up to {sum(n0s)} terms, above the bound {_HEAD_TERMS_BOUND}")
+    drawn: dict[int, Iterator[float]] = {}  # each n0's differences; a tail reads a copy of the tee
     tails = []
     for x, n0 in zip(xs, n0s):
         if n0 not in drawn:
-            drawn[n0] = [], _differences(n0 + 1, s)
-        tail, bound = _sbp_tail(x, n0, s, min(tol, _UNIT_ROUNDOFF), _replay(*drawn[n0]))
+            drawn[n0] = itertools.tee(_differences(n0 + 1, s), 1)[0]
+        tail, bound = _sbp_tail(x, n0, s, min(tol, _UNIT_ROUNDOFF), copy.copy(drawn[n0]))
         if bound > max(tol, _UNIT_ROUNDOFF):
             raise NotConverged(f"tail remainder {bound:.3e} above tol {tol:.3e} at x={x} with n0={n0} head terms")
         tails.append((tail, bound))

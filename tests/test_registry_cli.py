@@ -213,6 +213,21 @@ class TestVerifyCommand:
         assert code == 1 and out == ""
         assert capsys.readouterr().err.startswith("verification error:")
 
+    def test_tiny_x_grid_above_the_head_terms_bound_is_a_usage_error(self, capsys):
+        # 100 capped heads of 4*10^5 terms: the bound is checked before the
+        # tails, so the grid is refused rather than failing at its first tail
+        start = time.perf_counter()
+        code, out = run_cli("verify", "eq2", "--grid", "1e-9:1e-8:100")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert "the heads of the grid add up to 40000000 terms, above the bound 20000000" in capsys.readouterr().err
+
+    def test_endpoint_check_comes_before_an_earlier_tiny_x(self, capsys):
+        # x = 1e-9 alone is a tail that does not converge; x = 0 is reported first
+        code, out = run_cli("verify", "eq4_2", "--grid", "1e-9:0:2")
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == "verification error: x = 0 mod 2*pi\n"
+
     def test_text_x_of_a_tiny_grid_is_not_zero(self):
         # at |x| < 1e-3 a fixed-point x printed every row as x=0.000000
         _, out = run_cli("verify", "sec4_cos", "--grid", "1e-8:1e-7:3")

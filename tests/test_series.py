@@ -217,6 +217,19 @@ class TestPartialSumsAccelerated:
         assert str(got.value) == str(want.value)
         assert calls == []
 
+    def test_checks_run_in_order(self, monkeypatch):
+        # every endpoint, then the head terms bound, then the tails: a grid fails on
+        # the first check in that order, not at its first bad point
+        calls = []
+        monkeypatch.setattr(series_module, "_sbp_tail", lambda *args: calls.append(args))
+        with pytest.raises(EndpointConditional):
+            partial_sums_accelerated(TrigSeries("sin", 2), [1e-9, 0.0])
+        with pytest.raises(ValueError, match="add up to 20400000 terms, above the bound 20000000"):
+            partial_sums_accelerated(TrigSeries("sin", 2), [1e-9] * 51)
+        with pytest.raises(ValueError, match="above the bound 20000000"):  # one shift of each point is capped
+            partial_sums_accelerated(TrigSeries("cos", 1, "beta"), [PI / 2 + 1e-9] * 51)
+        assert calls == []
+
 
 class TestDifferences:
     @pytest.mark.parametrize("m", [1, 7, 400_001])
