@@ -8,8 +8,8 @@ character as the trivial series at x - pi/2 and x + pi/2. Every convergent
 series (exponent >= 1) has one kernel, `partial_sums_accelerated`, over a
 whole grid: a short head per point, all heads batched into few numpy
 evaluations by `_heads` (raw truncation, `partial_sum`, too), plus an
-iterated summation-by-parts tail; `partial_sum_accelerated` is its one-point
-case. Divergent series (exponent <= 0) are never summed by raw truncation; they take the
+iterated summation-by-parts tail, all tails in one numpy pass by `_tails`;
+`partial_sum_accelerated` is its one-point case. Divergent series (exponent <= 0) are never summed by raw truncation; they take the
 Abel route, `abel_value`: at exponents <= 1 the trivial Abel mean is a
 closed form in z = r e^(ix), continuous up to |z| = 1 away from z = 1, so
 the Abel sum is that form at r = 1. At exponents >= 2 the Abel sum is the
@@ -19,11 +19,9 @@ sum (Abel's theorem).
 from __future__ import annotations
 
 import cmath
-import copy
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     Diverges,
@@ -84,7 +82,7 @@ def partial_sum(series: TrigSeries, x: float, N: int) -> SummedValue:
     if s <= 0:
         raise Diverges(f"exponent {s} <= 0: raw truncation diverges; use abel_value")
     if s == 1 and abs(math.sin(x / 2)) < 1e-12:
-        raise EndpointConditional("x = 0 mod 2*pi: conditional convergence endpoint")
+        raise EndpointConditional(f"x = 0 mod 2*pi at x={x}: conditional convergence endpoint")
     bound = N ** (1 - s) / (s - 1) if s >= 2 else 1.0 / ((N + 1) * abs(math.sin(x / 2)))
     return SummedValue(_heads(series.parity, s, [x], [N])[0], bound, "partial_sum")
 
@@ -116,61 +114,67 @@ def _heads(parity: str, s: int, xs: Sequence[float], lengths: Sequence[int]) -> 
     return sums
 
 
-def _differences(m: int, s: int) -> Iterator[float]:
-    """Delta^j f(m), f(n) = n^-s, for j = 0, 1, ..., each correctly rounded:
-    Delta^j f(m) = (-1)^j j! h_{s-1}(1/m, ..., 1/(m+j)) / P_j, P_j = m...(m+j),
-    h_k complete homogeneous symmetric. h_k = N_k / P_j^k with integers N_k;
-    node m+j sets N_k <- N_k (m+j)^k + N_{k-1} P_{j-1}. One int/int division
-    per difference."""
-    num = [1] + [0] * (s - 1)
-    p_prev = den = fact = 1
-    for j in itertools.count():
-        node, node_k = m + j, 1
+def _differences(m, s: int):
+    """|Delta^j f(m)|, f(n) = n^-s, for j < _SBP_MAX_LEVELS, in floats over an
+    array m of integers below 2^53: (-1)^j Delta^j f(m) = c_j h_(s-1)(1/m, ...,
+    1/(m+j)), c_j = j!/(m...(m+j)) = c_(j-1) j/(m+j), h_k complete homogeneous
+    symmetric; node m+j sets h_k <- h_k + h_(k-1)/(m+j), k = 1..s-1, over
+    positive terms. Each step rounds at most twice, so to first order level j
+    is off by at most (3j + 2s)u relative: (2j + 1)u in c_j, (j + 2s - 3)u in
+    h_(s-1), u in their product."""
+    c, h = 1.0, [1.0] + [0.0] * (s - 1)
+    for j in range(_SBP_MAX_LEVELS):
+        node = m + j
+        c = c * max(j, 1) / node
         for k in range(1, s):
-            node_k *= node
-            num[k] = num[k] * node_k + num[k - 1] * p_prev
-        p_prev *= node
-        den *= node_k * node
-        yield (-1) ** j * (fact * num[-1]) / den
-        fact *= j + 1
+            h[k] = h[k] + h[k - 1] / node
+        yield c * h[-1]
 
 
-def _sbp_tail(x: float, n0: int, s: int, target: float, deltas: Iterable[float]) -> tuple[complex, float]:
-    """sum_{n>n0} z^n f(n), z = e^(ix), f(n) = n^-s, by iterated summation by
-    parts: level j adds w^j z^(n0+1)/(1-z) Delta^j f(n0+1), w = z/(1-z), with
-    Delta^j f(n0+1) the j-th of `deltas`. f is completely monotone, so
-    Delta^d f keeps one sign and telescopes: after d levels the remainder is
-    at most |w|^d |Delta^(d-1) f(n0+1)| (at d = 0, the tail sum of f). Levels
-    are added while that bound shrinks and exceeds target. Returns (tail,
-    bound)."""
-    w = 1j * cmath.exp(0.5j * x) / (2.0 * math.sin(x / 2))  # 1 - z = -2i sin(x/2) e^(ix/2)
-    term = w * cmath.exp(1j * n0 * x)  # z^(n0+1)/(1-z), times w^j at level j
-    bound = math.inf if s == 1 else n0 ** (1.0 - s) / (s - 1)
-    tail = 0j
-    for j, delta in zip(range(_SBP_MAX_LEVELS), deltas):
-        if (level_bound := abs(w) ** (j + 1) * abs(delta)) >= bound:
-            break
-        tail += term * delta
-        term *= w
-        bound = level_bound
-        if bound <= target:
-            break
+def _tails(xs: Sequence[float], n0s: Sequence[int], qs: Sequence[float], s: int, target: float):
+    """(tails, bounds): sum_{n>n0} z^n f(n), z = e^(ix), f(n) = n^-s, at each
+    x, n0 and q = |1 - z| of the grid by iterated summation by parts, in one
+    pass of numpy arrays: level j adds w^j z^(n0+1)/(1-z) Delta^j f(n0+1),
+    w = z/(1-z). f is completely monotone, so Delta^d f keeps one sign and
+    telescopes: after d levels the remainder is at most |w|^d |Delta^(d-1)
+    f(n0+1)| (at d = 0, the tail sum of f). A point adds levels while that
+    bound shrinks and exceeds target (`live`); no point's arithmetic reads
+    another's."""
+    import numpy as np
+
+    x, n0 = np.array(xs, dtype=np.float64), np.array(n0s, dtype=np.float64)
+    w_abs = 1.0 / np.array(qs, dtype=np.float64)
+    w = 1j * np.exp(0.5j * x) / (2.0 * np.sin(x / 2))  # 1 - z = -2i sin(x/2) e^(ix/2)
+    term, neg_w = w * np.exp(1j * (n0 * x)), -w  # z^(n0+1)/(1-z), times (-w)^j at level j
+    bound = np.full(len(x), math.inf) if s == 1 else n0 ** (1.0 - s) / (s - 1)
+    tail, live, w_pow = np.zeros(len(x), dtype=np.complex128), np.ones(len(x), dtype=bool), w_abs
+    with np.errstate(over="ignore", invalid="ignore"):  # a stopped point's w^j may overflow
+        for delta in _differences(n0 + 1, s):
+            level = w_pow * delta
+            live &= level < bound
+            np.add(tail, term * delta, out=tail, where=live)
+            np.copyto(bound, level, where=live)
+            live &= level > target
+            if not live.any():
+                break
+            term, w_pow = term * neg_w, w_pow * w_abs
     return tail, bound
 
 
 def partial_sums_accelerated(series: TrigSeries, xs: Sequence[float], tol: float = 1e-9) -> list[SummedValue]:
     """The sum at every x of xs, for exponent >= 1: a head of n0 = 64/|1-e^(ix)|
-    terms (at most 4*10^5) plus `_sbp_tail`; a tail level then gains about a
-    factor (exponent + level)/64. The tail stops below tol and below the unit
-    roundoff: a level costs microseconds, so a loose tol keeps double
-    precision. The bound covers the remainder and the float rounding.
-    In order: every endpoint check (x = 0 mod 2*pi raises EndpointConditional)
-    and n0; ValueError if the n0 add up to more than 2*10^7 head terms, so a
-    grid near x = 0 mod 2*pi is refused before its tails; every tail, where a
-    remainder above max(tol, unit roundoff) (near x = 0 mod 2*pi, where n0 is
-    capped) raises NotConverged; only then the heads, by `_heads`. The tails
-    at one n0 read copies of one `itertools.tee` of its differences, in a dict
-    local to the call. Each value is the double its x gives alone.
+    terms (at most 4*10^5) plus a tail by `_tails`; a tail level then gains
+    about a factor (exponent + level)/64. The tail stops below tol and below
+    the unit roundoff: a level costs microseconds, so a loose tol keeps double
+    precision. The bound covers the remainder and the float rounding, the
+    float differences' relative error of at most (3j + 2s)u at level j
+    included. In order: every endpoint check (the first x = 0 mod 2*pi in grid
+    order raises EndpointConditional, naming it) and n0; ValueError if the n0
+    add up to more than 2*10^7 head terms, so a grid near x = 0 mod 2*pi is
+    refused before its tails; every tail, in one pass of arrays over the grid,
+    where the first remainder in grid order above max(tol, unit roundoff)
+    (near x = 0 mod 2*pi, where n0 is capped) raises NotConverged; only then
+    the heads, by `_heads`. Each value is the double its x gives alone.
     The beta character, chi(n) = sin(n pi/2), shifts the trivial C (cos) or S
     (sin) series of the same exponent; cos x = 0 is its endpoint:
       sin: (C(x - pi/2) - C(x + pi/2))/2,  cos: (S(x + pi/2) - S(x - pi/2))/2,
@@ -195,32 +199,27 @@ def partial_sums_accelerated(series: TrigSeries, xs: Sequence[float], tol: float
                 bound += part.abs_error_estimate + _UNIT_ROUNDOFF * (abs(x) + 3.0) * slope
             out.append(SummedValue((0.5 if series.parity == "sin" else -0.5) * value, bound / 2, "partial_sum"))
         return out
-    if any(abs(math.sin(x / 2)) < 1e-12 for x in xs):
-        raise EndpointConditional("x = 0 mod 2*pi")
     qs = [2.0 * abs(math.sin(x / 2)) for x in xs]  # q = |1 - e^(ix)|
+    if endpoints := [x for x, q in zip(xs, qs) if q < 2e-12]:  # |sin(x/2)| < 1e-12
+        raise EndpointConditional(f"x = 0 mod 2*pi at x={endpoints[0]}")
     n0s = [int(min(_N0_CAP, math.ceil(_N0_SCALE / q))) for q in qs]
     if sum(n0s) > _HEAD_TERMS_BOUND:
         raise ValueError(f"the heads of the grid add up to {sum(n0s)} terms, above the bound {_HEAD_TERMS_BOUND}")
-    drawn: dict[int, Iterator[float]] = {}  # each n0's differences; a tail reads a copy of the tee
-    tails = []
-    for x, n0 in zip(xs, n0s):
-        if n0 not in drawn:
-            drawn[n0] = itertools.tee(_differences(n0 + 1, s), 1)[0]
-        tail, bound = _sbp_tail(x, n0, s, min(tol, _UNIT_ROUNDOFF), copy.copy(drawn[n0]))
+    tails, bounds = _tails(xs, n0s, qs, s, min(tol, _UNIT_ROUNDOFF))
+    tails, bounds = (tails.imag if series.parity == "sin" else tails.real).tolist(), bounds.tolist()
+    for x, n0, bound in zip(xs, n0s, bounds):
         if bound > max(tol, _UNIT_ROUNDOFF):
             raise NotConverged(f"tail remainder {bound:.3e} above tol {tol:.3e} at x={x} with n0={n0} head terms")
-        tails.append((tail, bound))
     out = []
-    for x, q, n0, head, (tail, bound) in zip(xs, qs, n0s, _heads(series.parity, s, xs, n0s), tails):
-        value = head + (tail.imag if series.parity == "sin" else tail.real)
+    for x, q, n0, head, tail, bound in zip(xs, qs, n0s, _heads(series.parity, s, xs, n0s), tails, bounds):
         # rounding: a head term by u*n|x| (in n*x) plus a few u, the pairwise sum by u*log2(n0)
         # per unit of sum n^-s <= log_n0; each tail level (<= (n0+1)^-s / q) by u*n0|x| plus a few u
+        # (4 * (n0|x| + 128)), and its difference by (3j + 2s)u at level j (`_differences`)
         log_n0 = 1.0 + math.log(n0)
         tail_size = _SBP_MAX_LEVELS * (n0 + 1.0) ** -s / q
-        rounding = 4 * _UNIT_ROUNDOFF * (
-            abs(x) * (n0 if s == 1 else log_n0) + (3 + math.log2(n0)) * log_n0 + (n0 * abs(x) + 128) * tail_size
-        )
-        out.append(SummedValue(value, bound + rounding, "partial_sum"))
+        rounding = _UNIT_ROUNDOFF * (4 * (abs(x) * (n0 if s == 1 else log_n0) + (3 + math.log2(n0)) * log_n0)
+                                     + (4 * (n0 * abs(x) + 128) + 3 * _SBP_MAX_LEVELS + 2 * s) * tail_size)
+        out.append(SummedValue(head + tail, bound + rounding, "partial_sum"))
     return out
 
 

@@ -7,12 +7,16 @@ transformation of alternating partial sums instead of Hurwitz differences,
 Bernoulli and Euler numbers instead of the zigzag triangle.
 The `*_mpf`/`*_mpmath` functions are the mpmath routes that package code
 took before it computed in integers, and `partial_sum_accelerated_per_point`
-the per-point route of the accelerated sum before it took a grid in one pass.
+the per-point route of the accelerated sum, with exact differences, before it
+took a grid in one pass with float differences.
 """
 
 from __future__ import annotations
 
+import cmath
+import itertools
 import math
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from math import comb, factorial
 
@@ -25,8 +29,6 @@ from opzeta.series import (
     _UNIT_ROUNDOFF,
     SummedValue,
     TrigSeries,
-    _differences,
-    _sbp_tail,
 )
 from opzeta.specfun import _EM_K_MAX, _EM_TARGET, _em_coefficients, _working_precision
 
@@ -171,11 +173,53 @@ def beta_partial_sum(parity: str, s: int, x: float, N: int) -> tuple[float, floa
     return value, bound
 
 
+def exact_differences(m: int, s: int) -> Iterator[float]:
+    """Delta^j f(m), f(n) = n^-s, for j = 0, 1, ..., each correctly rounded:
+    Delta^j f(m) = (-1)^j j! h_{s-1}(1/m, ..., 1/(m+j)) / P_j, P_j = m...(m+j),
+    h_k complete homogeneous symmetric. h_k = N_k / P_j^k with integers N_k;
+    node m+j sets N_k <- N_k (m+j)^k + N_{k-1} P_{j-1}. One int/int division
+    per difference (the route of `series._differences` before it took floats)."""
+    num = [1] + [0] * (s - 1)
+    p_prev = den = fact = 1
+    for j in itertools.count():
+        node, node_k = m + j, 1
+        for k in range(1, s):
+            node_k *= node
+            num[k] = num[k] * node_k + num[k - 1] * p_prev
+        p_prev *= node
+        den *= node_k * node
+        yield (-1) ** j * (fact * num[-1]) / den
+        fact *= j + 1
+
+
+def sbp_tail(x: float, n0: int, s: int, target: float, deltas: Iterable[float]) -> tuple[complex, float]:
+    """sum_{n>n0} z^n f(n), z = e^(ix), f(n) = n^-s, by iterated summation by
+    parts at one point: level j adds w^j z^(n0+1)/(1-z) Delta^j f(n0+1),
+    w = z/(1-z), with Delta^j f(n0+1) the j-th of `deltas`; levels are added
+    while the remainder bound |w|^(j+1) |Delta^j f(n0+1)| shrinks and exceeds
+    target (the route of `series._tails` before it took a grid). Returns
+    (tail, bound)."""
+    w = 1j * cmath.exp(0.5j * x) / (2.0 * math.sin(x / 2))  # 1 - z = -2i sin(x/2) e^(ix/2)
+    term = w * cmath.exp(1j * n0 * x)  # z^(n0+1)/(1-z), times w^j at level j
+    bound = math.inf if s == 1 else n0 ** (1.0 - s) / (s - 1)
+    tail = 0j
+    for j, delta in zip(range(_SBP_MAX_LEVELS), deltas):
+        if (level_bound := abs(w) ** (j + 1) * abs(delta)) >= bound:
+            break
+        tail += term * delta
+        term *= w
+        bound = level_bound
+        if bound <= target:
+            break
+    return tail, bound
+
+
 def partial_sum_accelerated_per_point(series: TrigSeries, x: float, tol: float = 1e-9) -> SummedValue:
     """The route `series.partial_sum_accelerated` took before it became one
     point of `partial_sums_accelerated`: the endpoint check, the tail and its
     NotConverged check, then a head of its own numpy arrays and `np.sum`,
-    with the tail's differences computed afresh at every point. The beta
+    with the tail's exact differences computed afresh at every point. Its
+    bound omits the float differences' error, which it does not have. The beta
     character is this route at x - pi/2, then at x + pi/2."""
     import numpy as np
 
@@ -192,10 +236,10 @@ def partial_sum_accelerated_per_point(series: TrigSeries, x: float, tol: float =
             bound += part.abs_error_estimate + _UNIT_ROUNDOFF * (abs(x) + 3.0) * slope
         return SummedValue((0.5 if series.parity == "sin" else -0.5) * value, bound / 2, "partial_sum")
     if abs(math.sin(x / 2)) < 1e-12:
-        raise EndpointConditional("x = 0 mod 2*pi")
+        raise EndpointConditional(f"x = 0 mod 2*pi at x={x}")
     q = 2.0 * abs(math.sin(x / 2))
     n0 = int(min(_N0_CAP, math.ceil(_N0_SCALE / q)))
-    tail, bound = _sbp_tail(x, n0, s, min(tol, _UNIT_ROUNDOFF), _differences(n0 + 1, s))
+    tail, bound = sbp_tail(x, n0, s, min(tol, _UNIT_ROUNDOFF), exact_differences(n0 + 1, s))
     if bound > max(tol, _UNIT_ROUNDOFF):
         raise NotConverged(f"tail remainder {bound:.3e} above tol {tol:.3e} at x={x} with n0={n0} head terms")
     n = np.arange(1, n0 + 1, dtype=np.float64)

@@ -226,7 +226,7 @@ class TestVerifyCommand:
         # x = 1e-9 alone is a tail that does not converge; x = 0 is reported first
         code, out = run_cli("verify", "eq4_2", "--grid", "1e-9:0:2")
         assert code == 1 and out == ""
-        assert capsys.readouterr().err == "verification error: x = 0 mod 2*pi\n"
+        assert capsys.readouterr().err == "verification error: x = 0 mod 2*pi at x=0.0\n"
 
     def test_text_x_of_a_tiny_grid_is_not_zero(self):
         # at |x| < 1e-3 a fixed-point x printed every row as x=0.000000

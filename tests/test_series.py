@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import factorial
 
 import mpmath
+import numpy as np
 import pytest
 
 from opzeta import series as series_module
@@ -29,9 +30,20 @@ from opzeta.series import (
     partial_sums_accelerated,
 )
 from opzeta.specfun import clausen_closed_form, special_value
-from oracles import beta_partial_sum, partial_sum_accelerated_per_point, series_reciprocal
+from oracles import beta_partial_sum, exact_differences, partial_sum_accelerated_per_point, series_reciprocal
 
 PI = math.pi
+
+
+def polylog_reference(s, character, x):
+    """sum chi(n) e^(inx) n^-s by mpmath polylog at 40 digits: Li_s(z), z = e^(ix),
+    and for the beta character (Li_s(iz) - Li_s(-iz))/(2i)."""
+    ctx = mpmath.MPContext()
+    ctx.dps = 40
+    z = ctx.expj(x)
+    if character == "trivial":
+        return ctx.polylog(s, z)
+    return (ctx.polylog(s, 1j * z) - ctx.polylog(s, -1j * z)) / 2j
 
 
 class TestPartialSum:
@@ -109,6 +121,8 @@ class TestPartialSumAccelerated:
                 continue
             r = partial_sum_accelerated(TrigSeries(parity, exponent), x)
             assert abs(r.value - pipoly_eval(poly, x)) <= r.abs_error_estimate, x
+            want = polylog_reference(exponent, "trivial", x)
+            assert abs(r.value - float(want.imag if parity == "sin" else want.real)) <= r.abs_error_estimate, x
         # the exponent-1 bound here used to be 1.8e12
         assert partial_sum_accelerated(TrigSeries(parity, exponent), 1e-4).abs_error_estimate < 1e-3
 
@@ -157,19 +171,28 @@ class TestPartialSumAccelerated:
 
 
 class TestPartialSumsAccelerated:
-    """The grid kernel against the per-point route it replaced, bit for bit:
-    the heads of a grid share numpy evaluations and its tails share
-    differences, and no value may move."""
+    """The grid kernel against mpmath and against the per-point route it
+    replaced, which sums with exact differences: within their bounds, not bit
+    for bit, since the kernel's differences are floats. Each point's arithmetic
+    is its own, so a value may not depend on the grid around it."""
 
     @staticmethod
     def fields(r):
         return r.value, r.abs_error_estimate, r.method
 
-    def assert_matches_per_point(self, series, xs, tol=1e-9):
-        got = partial_sums_accelerated(series, xs, tol)
-        assert len(got) == len(xs)
-        for x, r in zip(xs, got):
-            assert self.fields(r) == self.fields(partial_sum_accelerated_per_point(series, x, tol)), x
+    def assert_within_bounds(self, series, xs, tols=(1e-9,)):
+        refs = [polylog_reference(series.exponent, series.character, x) for x in xs]
+        for tol in tols:
+            got = partial_sums_accelerated(series, xs, tol)
+            reversed_grid = partial_sums_accelerated(series, xs[::-1], tol)[::-1]
+            assert len(got) == len(xs)
+            for x, ref, r, r_rev in zip(xs, refs, got, reversed_grid):
+                want = float(ref.imag if series.parity == "sin" else ref.real)
+                assert abs(r.value - want) <= r.abs_error_estimate, (x, tol)
+                oracle = partial_sum_accelerated_per_point(series, x, tol)
+                assert abs(r.value - oracle.value) <= r.abs_error_estimate + oracle.abs_error_estimate, (x, tol)
+                assert r.abs_error_estimate <= 2 * oracle.abs_error_estimate, (x, tol)  # float differences cost little
+                assert self.fields(r) == self.fields(r_rev) == self.fields(partial_sum_accelerated(series, x, tol)), (x, tol)
 
     @pytest.mark.parametrize("character", ["trivial", "beta"])
     @pytest.mark.parametrize("parity", ["sin", "cos"])
@@ -178,17 +201,15 @@ class TestPartialSumsAccelerated:
         rng = random.Random(f"grid-{exponent}-{parity}-{character}")
         if character == "trivial":
             xs = [rng.uniform(1e-3, 2 * PI - 1e-3) for _ in range(30)]
-            xs += [-xs[0], 2 * PI - xs[1], PI, 1e-2, -7.5]  # head lengths repeat: shared differences
+            xs += [-xs[0], 2 * PI - xs[1], PI, 1e-2, -7.5]  # head lengths repeat
         else:
             xs = [rng.uniform(-1.5, 1.5) for _ in range(30)] + [-1.0, 1.0, 0.0, PI / 2 - 1e-3]
-        for tol in (1e-9, 1e-13):
-            self.assert_matches_per_point(TrigSeries(parity, exponent, character), xs, tol)
+        self.assert_within_bounds(TrigSeries(parity, exponent, character), xs, (1e-9, 1e-13))
 
     def test_one_point_grid(self):
         for series in (TrigSeries("sin", 1), TrigSeries("cos", 4), TrigSeries("cos", 3, "beta")):
             for x in (0.3, 2.9, 5e-4):
-                self.assert_matches_per_point(series, [x])
-                assert self.fields(partial_sum_accelerated(series, x)) == self.fields(partial_sum_accelerated_per_point(series, x))
+                self.assert_within_bounds(series, [x])
         assert partial_sums_accelerated(TrigSeries("sin", 2), []) == []
 
     def test_heads_span_several_batches(self):
@@ -196,7 +217,7 @@ class TestPartialSumsAccelerated:
         xs = [1e-3, 2.0, 1.1e-3, 5e-4, 3.0, 1e-3, 0.9e-3, 4.0, 6.28]
         assert sum(math.ceil(64 / (2 * math.sin(x / 2))) for x in xs) > 4 * series_module._HEAD_BATCH
         for series in (TrigSeries("sin", 1), TrigSeries("cos", 2), TrigSeries("sin", 5)):
-            self.assert_matches_per_point(series, xs)
+            self.assert_within_bounds(series, xs)
 
     @pytest.mark.parametrize(
         "series, bad",
@@ -221,7 +242,7 @@ class TestPartialSumsAccelerated:
         # every endpoint, then the head terms bound, then the tails: a grid fails on
         # the first check in that order, not at its first bad point
         calls = []
-        monkeypatch.setattr(series_module, "_sbp_tail", lambda *args: calls.append(args))
+        monkeypatch.setattr(series_module, "_tails", lambda *args: calls.append(args))
         with pytest.raises(EndpointConditional):
             partial_sums_accelerated(TrigSeries("sin", 2), [1e-9, 0.0])
         with pytest.raises(ValueError, match="add up to 20400000 terms, above the bound 20000000"):
@@ -232,28 +253,35 @@ class TestPartialSumsAccelerated:
 
 
 class TestDifferences:
+    @staticmethod
+    def exact(m, s, j):
+        # Delta^j n^-s at m from the binomial sum in exact rationals
+        return sum((-1) ** (j - i) * math.comb(j, i) * Fraction(1, (m + i) ** s) for i in range(j + 1))
+
     @pytest.mark.parametrize("m", [1, 7, 400_001])
     @pytest.mark.parametrize("s", range(1, 7))
     def test_correctly_rounded_forward_differences(self, m, s):
-        # Delta^j n^-s at m from the binomial sum in exact rationals
-        for j, got in zip(range(13), _differences(m, s)):
-            exact = sum((-1) ** (j - i) * math.comb(j, i) * Fraction(1, (m + i) ** s) for i in range(j + 1))
-            assert got == float(exact), (j, got, float(exact))
+        # the oracle's exact integer recurrence, which the per-point route sums with
+        for j, got in zip(range(13), exact_differences(m, s)):
+            assert got == float(self.exact(m, s, j)), (j, got)
+
+    @pytest.mark.parametrize("s", range(1, 7))
+    def test_float_differences_within_their_error(self, s):
+        # the kernel's recurrence, over an array of m: |Delta^j n^-s| to a relative error of
+        # (s + 2j + 2)u, inside the (3j + 2s)u its docstring proves, at every level it can reach
+        ms = [1, 7, 65, 400_001]
+        levels = list(_differences(np.array(ms, dtype=np.float64), s))
+        assert len(levels) == series_module._SBP_MAX_LEVELS
+        for j, got in enumerate(levels):
+            for m, value in zip(ms, got.tolist()):
+                exact = abs(self.exact(m, s, j))
+                assert abs(Fraction(value) - exact) <= (s + 2 * j + 2) * Fraction(2.0**-53) * exact, (m, j)
 
 
 class TestAbelValueHonestBound:
     """`abel_value` against mpmath polylog at 40 digits: exponents 1 down to
     -14, both characters and parities, x down to 1e-3 from each singular
     point. The beta series is (Li_s(iz) - Li_s(-iz))/(2i), z = e^(ix)."""
-
-    @staticmethod
-    def reference(s, character, x):
-        ctx = mpmath.MPContext()
-        ctx.dps = 40
-        z = ctx.expj(x)
-        if character == "trivial":
-            return ctx.polylog(s, z)
-        return (ctx.polylog(s, 1j * z) - ctx.polylog(s, -1j * z)) / 2j
 
     def test_error_within_bound(self):
         rng = random.Random(20261018)
@@ -268,7 +296,7 @@ class TestAbelValueHonestBound:
                     points += [(s, character, x) for x in (c + 1e-3, c - 1e-3)]
                     points.append((s, character, c + rng.choice((-1, 1)) * 10 ** rng.uniform(-3, 0)))
         for s, character, x in points:
-            want = self.reference(s, character, x)
+            want = polylog_reference(s, character, x)
             for parity, part in (("sin", want.imag), ("cos", want.real)):
                 got = abel_value(TrigSeries(parity, s, character), x)
                 assert got.method == "abel_closed_form"
