@@ -15,8 +15,6 @@ from .errors import (
     Diverges,
     EndpointConditional,
     MultipleAnomalies,
-    NoClosedForm,
-    NonIntegerFrequency,
     NotConverged,
     OpzetaError,
     OutsideDomain,
@@ -35,10 +33,9 @@ _LAYER_OF = {
         "exactnum": "PI PiPolynomial PiXPolynomial bernoulli_number bernoulli_polynomial euler_number pipoly_eval",
         "specfun": "EvalResult clausen_closed_form dirichlet_beta functional_equation_residual hankel_zeta"
         " hurwitz_zeta lerch_hankel recip_gamma zeta_em",
-        "series": "SummedValue TrigSeries abel_value geometric_abel partial_sum partial_sum_accelerated"
-        " partial_sums_accelerated",
+        "series": "SummedValue TrigSeries abel_value geometric_abel partial_sum partial_sums_accelerated",
         "operators": "DilationShift Expression OpResult TaylorFlowResult apply_operator apply_recip_gamma_op"
-        " dilate extract_special_values parity_anomaly taylor_flow",
+        " extract_special_values parity_anomaly taylor_flow",
         "divmatrix": "DivisibilityMatrix build_matrix consistency_check matrix_apply",
         "registry": "IdentityRecord get_identity load_registry",
     }.items()

@@ -141,8 +141,9 @@ def _gauss_legendre() -> tuple[tuple[float, ...], tuple[float, ...]]:
 
 def consistency_check(n: int, M: int) -> ConsistencyReport:
     """Compare column n of the size-M matrix with the Fourier sine coefficients
-    (2/pi) Int_0^pi f(x) sin(m x) dx of f(x) = (pi - (n x mod 2 pi))/2, the
-    Abel sum of the frequency-n series.
+    (2/pi) Int_0^pi f(x) sin(m x) dx of f(x) = S(n x mod 2 pi), the sum of the
+    frequency-n series, S(y) = pi/2 - y/2 = `specfun.clausen_closed_form("sin",
+    1)` with its coefficients as doubles.
 
     f jumps at x = 2 pi j / n, so the quadrature is composite Gauss-Legendre
     with panels split at the jumps and refined with the frequency m. m = 1..5
@@ -153,6 +154,9 @@ def consistency_check(n: int, M: int) -> ConsistencyReport:
         raise ValueError("need 1 <= n <= M")
     import numpy as np  # here only: the CLI's cold paths never load it
 
+    from .specfun import clausen_closed_form
+
+    half_pi, slope = map(float, clausen_closed_form("sin", 1).coeffs)
     xs_gl, ws_gl = map(np.array, _gauss_legendre())
     jumps = [2 * math.pi * j / n for j in range(1, n // 2 + 1) if 2 * math.pi * j / n < math.pi - 1e-12]
     breaks = np.array([0.0] + jumps + [math.pi])
@@ -165,7 +169,7 @@ def consistency_check(n: int, M: int) -> ConsistencyReport:
         a, b = starts[seg] + widths[seg] * np.stack([i, i + 1]) / sub[seg]
         half = 0.5 * (b - a)
         xq = (0.5 * (a + b))[:, None] + half[:, None] * xs_gl
-        weighted = ws_gl * ((math.pi - np.fmod(n * xq, 2 * math.pi)) / 2)  # n xq > 0: fmod is never negative
+        weighted = ws_gl * (slope * np.fmod(n * xq, 2 * math.pi) + half_pi)  # n xq > 0: fmod is never negative
         for m in ms:
             total = 0.0
             for h, s in zip(half.tolist(), np.sum(weighted * np.sin(m * xq), axis=1).tolist()):

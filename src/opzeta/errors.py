@@ -44,11 +44,6 @@ class OutsideDomain(OpzetaError):
     """Point lies outside the validity domain of the requested closed form."""
 
 
-class NoClosedForm(OpzetaError):
-    """An Abel sum at exponent >= 2, which has no closed form here: the
-    accelerated sum that stands for it did not converge."""
-
-
 class NotConverged(OpzetaError):
     """A series, tail or expansion did not reach the accuracy its caller needs."""
 
@@ -64,11 +59,6 @@ class PoleHit(OpzetaError):
     def __init__(self, degree: int, message: str | None = None):
         self.degree = degree
         super().__init__(message or f"operator argument hits the pole at monomial degree {degree}")
-
-
-class NonIntegerFrequency(OpzetaError):
-    """Dilation scale does not map every trig frequency (or exact coefficient)
-    to an admissible exact value."""
 
 
 class UnsupportedExpression(OpzetaError):

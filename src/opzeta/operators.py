@@ -13,7 +13,6 @@ typed event (PoleHit) instead of a divergent expansion.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
@@ -21,7 +20,6 @@ from typing import Optional, Union
 
 from .errors import (
     MultipleAnomalies,
-    NonIntegerFrequency,
     PoleHit,
     UnsupportedExpression,
 )
@@ -138,34 +136,6 @@ class TaylorFlowResult:
 
     poly: PiXPolynomial
     anomaly_missing: bool
-
-
-def dilate(expr: Expression, lam: float) -> Expression:
-    """Substitute x -> e^lambda x.
-
-    Coefficients are exact, so e^lambda is snapped to a rational (within
-    1e-9); trig atoms additionally require the scaled frequency to be a
-    positive integer, otherwise NonIntegerFrequency is raised.
-    """
-    scale_f = math.exp(lam)
-    scale = Fraction(scale_f).limit_denominator(10 ** 6)
-    if abs(float(scale) - scale_f) > 1e-9 * max(1.0, scale_f):
-        raise NonIntegerFrequency(f"e^lambda = {scale_f!r} is not an exact rational scale")
-    new_poly = PiXPolynomial(
-        tuple(expr.poly.coeff(j) * scale ** j for j in range(expr.poly.degree + 1))
-    )
-    atoms = []
-    for atom in expr.trig_atoms:
-        freq = scale * atom.frequency
-        if freq.denominator != 1 or freq <= 0:
-            raise NonIntegerFrequency(
-                f"frequency {atom.frequency} scales to non-integer {freq} under e^lambda = {scale_f!r}"
-            )
-        atoms.append(TrigAtom(atom.coeff, atom.parity, int(freq)))
-    singular = tuple(
-        SingularTerm(t.coeff * scale ** t.power, t.power) for t in expr.singular_terms
-    )
-    return Expression(new_poly, tuple(atoms), singular)
 
 
 ExactValue = Union[Fraction, PiPolynomial]

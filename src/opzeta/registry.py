@@ -87,7 +87,6 @@ class IdentityRecord:
     op: Optional[DilationShift]  # operator form of the left side, if any
     trig: Optional[str]  # 'sin' | 'cos' when the left side acts on a trig function
     series: Optional[TrigSeries]  # induced/declared series form of the left side
-    geometric: bool  # left side is the complex exponential sum
     gamma_shift: Optional[Fraction]
     rhs_poly: Optional[PiXPolynomial]
     rhs_closed: Optional[str]
@@ -116,10 +115,10 @@ class IdentityRecord:
 
 
 def _parse_lhs(text: str):
-    """-> (op, trig, series, geometric)."""
+    """-> (op, trig, series); all None for the geometric left side."""
     parts = text.split()
     if parts[0] == "geometric":
-        return None, None, None, True
+        return None, None, None
     kv = dict(p.split("=", 1) for p in parts[2 if parts[0] == "operator" else 1:])
     if parts[0] == "operator":
         kind = parts[1]
@@ -128,10 +127,10 @@ def _parse_lhs(text: str):
         op = DilationShift(kind, shift)
         character = "trivial" if kind == "zeta" else "beta"
         series = TrigSeries(trig, int(shift), character) if shift.denominator == 1 else None
-        return op, trig, series, False
+        return op, trig, series
     if parts[0] == "series":
         series = TrigSeries(kv["parity"], int(kv["exponent"]), kv["character"])
-        return None, kv["parity"], series, False
+        return None, kv["parity"], series
     raise ValueError(f"bad lhs {text!r}")
 
 
@@ -153,7 +152,7 @@ def _parse_registry() -> tuple[int, dict[str, IdentityRecord]]:
         if sec == "meta":
             continue
         block = cfg[sec]
-        op, trig, series, geometric = _parse_lhs(block["lhs"])
+        op, trig, series = _parse_lhs(block["lhs"])
         rhs_poly = _parse_poly(block["rhs_poly"]) if "rhs_poly" in block else None
         rhs_closed = block.get("rhs_closed")
         rhs_taylor = block.get("rhs_taylor")
@@ -167,7 +166,6 @@ def _parse_registry() -> tuple[int, dict[str, IdentityRecord]]:
             op=op,
             trig=trig,
             series=series,
-            geometric=geometric,
             gamma_shift=Fraction(block["gamma_shift"]) if "gamma_shift" in block else None,
             rhs_poly=rhs_poly,
             rhs_closed=rhs_closed,

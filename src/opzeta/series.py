@@ -3,17 +3,17 @@ tail bounds, and Abel (Euler) summation for the divergent cases.
 
 A series is sum_n chi(n) trig(n x) / n^s. The trivial character runs over
 n = 1, 2, 3, ...; the `beta` character runs over odd n = 2k+1 with sign
-(-1)^k. Both routes compute the trivial character only and take the beta
-character as the trivial series at x - pi/2 and x + pi/2. Every convergent
-series (exponent >= 1) has one kernel, `partial_sums_accelerated`, over a
-whole grid: a short head per point, all heads batched into few numpy
-evaluations by `_heads` (raw truncation, `partial_sum`, too), plus an
-iterated summation-by-parts tail, all tails in one numpy pass by `_tails`;
-`partial_sum_accelerated` is its one-point case. Divergent series (exponent <= 0) are never summed by raw truncation; they take the
-Abel route, `abel_value`: at exponents <= 1 the trivial Abel mean is a
-closed form in z = r e^(ix), continuous up to |z| = 1 away from z = 1, so
-the Abel sum is that form at r = 1. At exponents >= 2 the Abel sum is the
-sum (Abel's theorem).
+(-1)^k. Each route computes the trivial character only, and `_beta` takes
+the beta character as the trivial series at x - pi/2 and x + pi/2 through
+either route. Every convergent series (exponent >= 1) has one kernel,
+`partial_sums_accelerated`, over a whole grid: a short head per point, all
+heads batched into few numpy evaluations by `_heads` (raw truncation,
+`partial_sum`, too), plus an iterated summation-by-parts tail, all tails in
+one numpy pass by `_tails`. Divergent series (exponent <= 0) are never
+summed by raw truncation; they take the Abel route, `abel_value`, which
+covers exponents <= 1: there the trivial Abel mean is a closed form in
+z = r e^(ix), continuous up to |z| = 1 away from z = 1, so the Abel sum is
+that form at r = 1.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from typing import Callable, Sequence
 from .errors import (
     Diverges,
     EndpointConditional,
-    NoClosedForm,
     NotConverged,
     OutsideDomain,
     SingularAtEndpoint,
@@ -77,7 +76,7 @@ def partial_sum(series: TrigSeries, x: float, N: int) -> SummedValue:
     if N < 1:
         raise ValueError("N must be >= 1")
     if series.character != "trivial":
-        raise ValueError("partial_sum sums the trivial character; use partial_sum_accelerated")
+        raise ValueError("partial_sum sums the trivial character; use partial_sums_accelerated")
     s = series.exponent
     if s <= 0:
         raise Diverges(f"exponent {s} <= 0: raw truncation diverges; use abel_value")
@@ -175,43 +174,36 @@ def partial_sums_accelerated(series: TrigSeries, xs: Sequence[float], tol: float
     where the first remainder in grid order above max(tol, unit roundoff)
     (near x = 0 mod 2*pi, where n0 is capped) raises NotConverged; only then
     the heads, by `_heads`. Each value is the double its x gives alone.
-    The beta character, chi(n) = sin(n pi/2), shifts the trivial C (cos) or S
-    (sin) series of the same exponent; cos x = 0 is its endpoint:
-      sin: (C(x - pi/2) - C(x + pi/2))/2,  cos: (S(x + pi/2) - S(x - pi/2))/2,
-    all at once: x - pi/2 and x + pi/2 of every x, in grid order, in one call.
+    The beta character is `_beta` over this route, all shifts of the grid in
+    one call; its endpoint is cos x = 0, and its errors name the caller's x.
     """
     if series.exponent < 1:
         raise ValueError("accelerated path covers exponents >= 1")
-    s = series.exponent
-    if series.character == "beta":
-        shifted = TrigSeries("cos" if series.parity == "sin" else "sin", s)
-        ys = [y for x in xs for y in (x - math.pi / 2, x + math.pi / 2)]
-        parts = partial_sums_accelerated(shifted, ys, tol)
-        out = []
-        for k, x in enumerate(xs):
-            value = bound = 0.0
-            for sign, y, part in zip((1.0, -1.0), ys[2 * k : 2 * k + 2], parts[2 * k : 2 * k + 2]):
-                q = 2.0 * abs(math.sin(y / 2))
-                # y is off by at most u(|x| + 3) (its rounding and pi/2's), times the slope of the
-                # shifted sum: at most 1/|1 - e^(iy)| at exponent 1, 2 + |log|1 - e^(iy)|| above
-                slope = 1.0 / q if s == 1 else 2.0 + abs(math.log(q))
-                value += sign * part.value
-                bound += part.abs_error_estimate + _UNIT_ROUNDOFF * (abs(x) + 3.0) * slope
-            out.append(SummedValue((0.5 if series.parity == "sin" else -0.5) * value, bound / 2, "partial_sum"))
-        return out
+    if series.character == "trivial":
+        sums = _trivial_sums(series.parity, series.exponent, xs, tol, xs, "x = 0 mod 2*pi")
+    else:
+        names = [x for x in xs for _ in range(2)]  # the x of each shifted point
+        sums = _beta(series, xs, lambda parity, s, ys: _trivial_sums(parity, s, ys, tol, names, "cos x = 0"))
+    return [SummedValue(value, bound, "partial_sum") for value, bound in sums]
+
+
+def _trivial_sums(parity: str, s: int, xs: Sequence[float], tol: float, names: Sequence[float], endpoint: str):
+    """(value, bound) of the trivial series at every x of xs, as
+    `partial_sums_accelerated` gives them; an error at xs[k] names names[k]
+    and, for an endpoint, the condition `endpoint`."""
     qs = [2.0 * abs(math.sin(x / 2)) for x in xs]  # q = |1 - e^(ix)|
-    if endpoints := [x for x, q in zip(xs, qs) if q < 2e-12]:  # |sin(x/2)| < 1e-12
-        raise EndpointConditional(f"x = 0 mod 2*pi at x={endpoints[0]}")
+    if endpoints := [name for name, q in zip(names, qs) if q < 2e-12]:  # |sin(x/2)| < 1e-12
+        raise EndpointConditional(f"{endpoint} at x={endpoints[0]}")
     n0s = [int(min(_N0_CAP, math.ceil(_N0_SCALE / q))) for q in qs]
     if sum(n0s) > _HEAD_TERMS_BOUND:
         raise ValueError(f"the heads of the grid add up to {sum(n0s)} terms, above the bound {_HEAD_TERMS_BOUND}")
     tails, bounds = _tails(xs, n0s, qs, s, min(tol, _UNIT_ROUNDOFF))
-    tails, bounds = (tails.imag if series.parity == "sin" else tails.real).tolist(), bounds.tolist()
-    for x, n0, bound in zip(xs, n0s, bounds):
+    tails, bounds = (tails.imag if parity == "sin" else tails.real).tolist(), bounds.tolist()
+    for name, n0, bound in zip(names, n0s, bounds):
         if bound > max(tol, _UNIT_ROUNDOFF):
-            raise NotConverged(f"tail remainder {bound:.3e} above tol {tol:.3e} at x={x} with n0={n0} head terms")
+            raise NotConverged(f"tail remainder {bound:.3e} above tol {tol:.3e} at x={name} with n0={n0} head terms")
     out = []
-    for x, q, n0, head, tail, bound in zip(xs, qs, n0s, _heads(series.parity, s, xs, n0s), tails, bounds):
+    for x, q, n0, head, tail, bound in zip(xs, qs, n0s, _heads(parity, s, xs, n0s), tails, bounds):
         # rounding: a head term by u*n|x| (in n*x) plus a few u, the pairwise sum by u*log2(n0)
         # per unit of sum n^-s <= log_n0; each tail level (<= (n0+1)^-s / q) by u*n0|x| plus a few u
         # (4 * (n0|x| + 128)), and its difference by (3j + 2s)u at level j (`_differences`)
@@ -219,13 +211,30 @@ def partial_sums_accelerated(series: TrigSeries, xs: Sequence[float], tol: float
         tail_size = _SBP_MAX_LEVELS * (n0 + 1.0) ** -s / q
         rounding = _UNIT_ROUNDOFF * (4 * (abs(x) * (n0 if s == 1 else log_n0) + (3 + math.log2(n0)) * log_n0)
                                      + (4 * (n0 * abs(x) + 128) + 3 * _SBP_MAX_LEVELS + 2 * s) * tail_size)
-        out.append(SummedValue(head + tail, bound + rounding, "partial_sum"))
+        out.append((head + tail, bound + rounding))
     return out
 
 
-def partial_sum_accelerated(series: TrigSeries, x: float, tol: float = 1e-9) -> SummedValue:
-    """`partial_sums_accelerated` at the one point x."""
-    return partial_sums_accelerated(series, [x], tol)[0]
+def _beta(series: TrigSeries, xs: Sequence[float], route: Callable) -> list[tuple[float, float]]:
+    """The beta series (chi(n) = sin(n pi/2), DLMF 25.12) at every x of xs from
+    the trivial C (cos) or S (sin) series that route(parity, s, ys) sums at
+    ys = x - pi/2, x + pi/2 of every x, in grid order:
+      sin: (C(x - pi/2) - C(x + pi/2))/2,  cos: (S(x + pi/2) - S(x - pi/2))/2.
+    y is off by at most u(|x| + 3) (its rounding and pi/2's), so the bound adds
+    that times the slope at y, q = |1 - e^(iy)|: (1 - s)!/q^(2 - s) at s <= 1,
+    2 + |log q| above (the two agree at s = 1)."""
+    s = series.exponent
+    ys = [y for x in xs for y in (x - math.pi / 2, x + math.pi / 2)]
+    parts = route("cos" if series.parity == "sin" else "sin", s, ys)
+    out = []
+    for k, x in enumerate(xs):
+        ((minus, b_minus), (plus, b_plus)), slope = parts[2 * k : 2 * k + 2], 0.0
+        for y in ys[2 * k : 2 * k + 2]:
+            q = 2.0 * abs(math.sin(y / 2))
+            slope += math.factorial(1 - s) / q ** (2 - s) if s <= 1 else 2.0 + abs(math.log(q))
+        value = minus - plus if series.parity == "sin" else plus - minus
+        out.append((value / 2, (b_minus + b_plus + _UNIT_ROUNDOFF * (abs(x) + 3.0) * slope) / 2))
+    return out
 
 
 def geometric_abel(x: float) -> complex:
@@ -277,51 +286,44 @@ def _geometric_rational(exponent: int) -> tuple[list[int], int]:
     return coeffs, 1 - exponent
 
 
-def _abel_mean(exponent: int, y: float) -> tuple[complex, float]:
-    """(F(e^(iy)), its rounding bound, at least 8u|F|) for the trivial mean
-    F(z) = sum z^n / n^exponent at exponent <= 1: -log(1 - z), or P(z)/(1 - z)^p
+def _abel_means(parity: str, s: int, ys: Sequence[float]) -> list[tuple[float, float]]:
+    """(value, bound) of the trivial Abel sum at every y of ys, unchecked: the
+    imaginary (sin) or real (cos) part of F(e^(iy)) for the mean
+    F(z) = sum z^n / n^exponent at exponent <= 1, -log(1 - z) or P(z)/(1 - z)^p
     from `_geometric_rational`, with 1 - z = -2i sin(y/2) e^(iy/2) factored so
-    that no digits cancel near z = 1."""
-    q = math.sin(y / 2)
-    den = -2j * q * cmath.exp(0.5j * y)
-    if exponent == 1:
-        value = -cmath.log(den)
-        return value, 8 * _UNIT_ROUNDOFF * (4.0 + abs(value))
-    coeffs, p = _geometric_rational(exponent)
-    z, num = cmath.exp(1j * y), 0j
-    for c in reversed(coeffs):
-        num = num * z + c
-    return num / den**p, 4 * _UNIT_ROUNDOFF * (len(coeffs) + p + 2) * sum(coeffs) / abs(2.0 * q) ** p
+    that no digits cancel near z = 1. The bound is the rounding, at least 8u|F|."""
+    out = []
+    coeffs, p = _geometric_rational(s) if s < 1 else ([], 0)
+    for y in ys:
+        q = math.sin(y / 2)
+        den = -2j * q * cmath.exp(0.5j * y)
+        if s == 1:
+            value = -cmath.log(den)
+            bound = 8 * _UNIT_ROUNDOFF * (4.0 + abs(value))
+        else:
+            z, num = cmath.exp(1j * y), 0j
+            for c in reversed(coeffs):
+                num = num * z + c
+            value, bound = num / den**p, 4 * _UNIT_ROUNDOFF * (len(coeffs) + p + 2) * sum(coeffs) / abs(2.0 * q) ** p
+        out.append((value.imag if parity == "sin" else value.real, bound))
+    return out
 
 
 def abel_value(series: TrigSeries, x: float) -> SummedValue:
-    """Abel sum of `series` at x: the limit r -> 1 of the Abel mean
-    sum chi(n) z^n / n^exponent, z = r e^(ix) (its imaginary part for sin,
-    real part for cos).
-
-    Exponents >= 2 converge absolutely, so by Abel's theorem the Abel sum is
-    the sum: `partial_sum_accelerated`. Below that the trivial mean F is
-    continuous on the closed unit disk away from z = 1, so the limit is
-    `_abel_mean` at r = 1. The beta character is the trivial mean at x +- pi/2,
-    (F(iz) - F(-iz))/(2i) (DLMF 25.12); its bound adds the error of each shifted
-    argument, at most u(|x| + 3), times the slope there,
-    |F'| = |F_(exponent-1)| <= (1 - exponent)!/|1 - e^(iy)|^(2 - exponent).
-    Raises OutsideDomain at |sin(x/2)| <= 1e-9 (trivial) or |cos x| <= 1e-9 (beta).
+    """Abel sum of `series` at x, at exponent <= 1: the limit r -> 1 of the
+    Abel mean sum chi(n) z^n / n^exponent, z = r e^(ix) (its imaginary part
+    for sin, real part for cos). The trivial mean F is continuous on the closed
+    unit disk away from z = 1, so the limit is `_abel_means` at r = 1; the beta
+    character is `_beta` over it, (F(iz) - F(-iz))/(2i). Raises OutsideDomain at
+    |sin(x/2)| <= 1e-9 (trivial) or |cos x| <= 1e-9 (beta), and ValueError at
+    exponents >= 2, which converge: their Abel sum is the sum (Abel's theorem),
+    `partial_sums_accelerated`.
     """
     key = (series.parity, series.exponent, series.character)
     if series.exponent >= 2:
-        try:
-            return partial_sum_accelerated(series, x)
-        except NotConverged as exc:
-            raise NoClosedForm(f"no closed form for {key} and the accelerated sum's tail did not converge: {exc}") from exc
-    s, trivial = series.exponent, series.character == "trivial"
+        raise ValueError(f"exponent {series.exponent} >= 2 converges; use partial_sums_accelerated")
+    trivial = series.character == "trivial"
     if abs(math.sin(x / 2) if trivial else math.cos(x)) <= 1e-9:
         raise OutsideDomain(f"x={x} is a singular point ({'sin(x/2)' if trivial else 'cos x'} = 0) of the Abel sum of {key}")
-    if trivial:
-        value, bound = _abel_mean(s, x)
-    else:  # the difference's own rounding lies within the 8u|F| of each bound
-        ys = x + math.pi / 2, x - math.pi / 2
-        (plus, b_plus), (minus, b_minus) = (_abel_mean(s, y) for y in ys)
-        slope = sum(math.factorial(1 - s) / abs(2.0 * math.sin(y / 2)) ** (2 - s) for y in ys)
-        value, bound = (plus - minus) / 2j, (b_plus + b_minus + _UNIT_ROUNDOFF * (abs(x) + 3.0) * slope) / 2
-    return SummedValue(value.imag if series.parity == "sin" else value.real, bound, "abel_closed_form")
+    sums = _abel_means(series.parity, series.exponent, [x]) if trivial else _beta(series, [x], _abel_means)
+    return SummedValue(*sums[0], "abel_closed_form")

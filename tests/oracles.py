@@ -215,12 +215,13 @@ def sbp_tail(x: float, n0: int, s: int, target: float, deltas: Iterable[float]) 
 
 
 def partial_sum_accelerated_per_point(series: TrigSeries, x: float, tol: float = 1e-9) -> SummedValue:
-    """The route `series.partial_sum_accelerated` took before it became one
-    point of `partial_sums_accelerated`: the endpoint check, the tail and its
-    NotConverged check, then a head of its own numpy arrays and `np.sum`,
+    """The route of the one-point `series.partial_sum_accelerated` before it
+    became one point of `partial_sums_accelerated`: the endpoint check, the
+    tail and its NotConverged check, then a head of its own numpy arrays and `np.sum`,
     with the tail's exact differences computed afresh at every point. Its
     bound omits the float differences' error, which it does not have. The beta
-    character is this route at x - pi/2, then at x + pi/2."""
+    character is this route at x - pi/2, then at x + pi/2; its errors name x
+    and the beta endpoint, cos x = 0, as the kernel's do."""
     import numpy as np
 
     if series.exponent < 1:
@@ -230,7 +231,12 @@ def partial_sum_accelerated_per_point(series: TrigSeries, x: float, tol: float =
         shifted = TrigSeries("cos" if series.parity == "sin" else "sin", s)
         value = bound = 0.0
         for sign, y in ((1.0, x - math.pi / 2), (-1.0, x + math.pi / 2)):
-            part, q = partial_sum_accelerated_per_point(shifted, y, tol), 2.0 * abs(math.sin(y / 2))
+            try:
+                part, q = partial_sum_accelerated_per_point(shifted, y, tol), 2.0 * abs(math.sin(y / 2))
+            except EndpointConditional:
+                raise EndpointConditional(f"cos x = 0 at x={x}") from None
+            except NotConverged as exc:
+                raise NotConverged(str(exc).replace(f"at x={y} ", f"at x={x} ")) from None
             slope = 1.0 / q if s == 1 else 2.0 + abs(math.log(q))
             value += sign * part.value
             bound += part.abs_error_estimate + _UNIT_ROUNDOFF * (abs(x) + 3.0) * slope

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import mpmath
@@ -6,7 +5,6 @@ import pytest
 
 from opzeta.errors import (
     MultipleAnomalies,
-    NonIntegerFrequency,
     PoleHit,
     UnsupportedExpression,
 )
@@ -22,7 +20,6 @@ from opzeta.operators import (
     TrigAtom,
     apply_operator,
     apply_recip_gamma_op,
-    dilate,
     extract_special_values,
     parity_anomaly,
     taylor_flow,
@@ -40,37 +37,6 @@ def beta_op(shift) -> DilationShift:
 
 
 SAWTOOTH = clausen_closed_form("sin", 1)  # (pi - x)/2
-
-
-class TestDilate:
-    def test_monomial_doubling(self):
-        e = Expression.from_poly(PiXPolynomial.monomial(2, 1))
-        assert dilate(e, math.log(2)).poly == PiXPolynomial.monomial(2, 4)
-
-    def test_trig_frequency_scaling(self):
-        e = Expression.from_trig("sin")
-        out = dilate(e, math.log(3))
-        assert out.trig_atoms == (TrigAtom(Fraction(1), "sin", 3),)
-
-    def test_identity(self):
-        e = Expression.from_poly(PiXPolynomial([Fraction(-1, 2), 1]))
-        assert dilate(e, 0.0).poly == e.poly
-
-    def test_non_integer_frequency_rejected(self):
-        with pytest.raises(NonIntegerFrequency):
-            dilate(Expression.from_trig("sin"), 0.5)
-
-    def test_rational_scale_on_poly(self):
-        e = Expression.from_poly(PiXPolynomial.monomial(3, 1))
-        out = dilate(e, math.log(0.5))
-        assert out.poly == PiXPolynomial.monomial(3, Fraction(1, 8))
-
-    def test_singular_terms_scale(self):
-        from opzeta.operators import SingularTerm
-
-        e = Expression(singular_terms=(SingularTerm(PiPolynomial([1]), -2),))
-        out = dilate(e, math.log(2))
-        assert out.singular_terms[0].coeff == PiPolynomial([Fraction(1, 4)])
 
 
 class TestApplyOperator:

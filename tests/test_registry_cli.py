@@ -84,7 +84,15 @@ class TestRegistry:
         reg = load_registry()
         assert reg["eq2"].series.exponent == 1
         assert reg["beta_cos_s0"].series.character == "beta"
-        assert reg["eq5"].geometric
+        assert reg["eq5"].verify_mode == "geometric" and reg["eq5"].series is None
+
+    def test_each_route_gets_its_exponents(self):
+        # the Abel closed form covers exponents <= 1 and the accelerated sum exponents >= 1
+        reg = load_registry()
+        abel = [rec.series.exponent for rec in reg.values() if rec.verify_mode == "abel"]
+        summed = [rec.series.exponent for rec in reg.values() if rec.verify_mode == "sum"]
+        assert abel and summed
+        assert max(abel) <= 1 <= min(summed), (abel, summed)
 
 
 class TestVerifyCommand:

@@ -26,7 +26,6 @@ from opzeta.series import (
     abel_value,
     geometric_abel,
     partial_sum,
-    partial_sum_accelerated,
     partial_sums_accelerated,
 )
 from opzeta.specfun import clausen_closed_form, special_value
@@ -76,7 +75,7 @@ class TestPartialSum:
     def test_beta_character_terms(self):
         # raw truncation covers the trivial character; the beta one is summed
         # by the shift, and its raw truncation is the tests' reference
-        with pytest.raises(ValueError, match="partial_sum_accelerated"):
+        with pytest.raises(ValueError, match="partial_sums_accelerated"):
             partial_sum(TrigSeries("cos", 2, "beta"), 0.0, 200_000)
         # sum (-1)^k cos((2k+1)x)/(2k+1)^2 at x=0 is Catalan's constant
         value, bound = beta_partial_sum("cos", 2, 0.0, 200_000)
@@ -91,20 +90,20 @@ class TestPartialSum:
 class TestPartialSumAccelerated:
     @pytest.mark.parametrize("x", [0.1, 0.9, 2.2, 3.1, 5.0])
     def test_sawtooth_everywhere(self, x):
-        r = partial_sum_accelerated(TrigSeries("sin", 1), x)
+        r = partial_sums_accelerated(TrigSeries("sin", 1), [x])[0]
         want = pipoly_eval(clausen_closed_form("sin", 1), x) if x <= PI else (PI - x) / 2
         assert abs(r.value - want) < 1e-12
         assert abs(r.value - want) <= r.abs_error_estimate + 1e-12
 
     @pytest.mark.parametrize("x", [0.1, 1.7, 4.4])
     def test_quadratic_cosine(self, x):
-        r = partial_sum_accelerated(TrigSeries("cos", 2), x, tol=1e-10)
+        r = partial_sums_accelerated(TrigSeries("cos", 2), [x], tol=1e-10)[0]
         want = pipoly_eval(clausen_closed_form("cos", 1), x)
         assert abs(r.value - want) < 1e-9
 
     def test_rejects_divergent(self):
         with pytest.raises(ValueError):
-            partial_sum_accelerated(TrigSeries("sin", 0), 1.0)
+            partial_sums_accelerated(TrigSeries("sin", 0), [1.0])
 
     @pytest.mark.parametrize("exponent", range(1, 7))
     def test_bounds_are_honest_and_useful_at_small_x(self, exponent):
@@ -117,14 +116,14 @@ class TestPartialSumAccelerated:
             if x == 1e-6 and exponent <= 2:
                 # the tail remainder (2.5 and 2.5e-6) is above tol: an error, not noise
                 with pytest.raises(NotConverged):
-                    partial_sum_accelerated(TrigSeries(parity, exponent), x)
+                    partial_sums_accelerated(TrigSeries(parity, exponent), [x])
                 continue
-            r = partial_sum_accelerated(TrigSeries(parity, exponent), x)
+            r = partial_sums_accelerated(TrigSeries(parity, exponent), [x])[0]
             assert abs(r.value - pipoly_eval(poly, x)) <= r.abs_error_estimate, x
             want = polylog_reference(exponent, "trivial", x)
             assert abs(r.value - float(want.imag if parity == "sin" else want.real)) <= r.abs_error_estimate, x
         # the exponent-1 bound here used to be 1.8e12
-        assert partial_sum_accelerated(TrigSeries(parity, exponent), 1e-4).abs_error_estimate < 1e-3
+        assert partial_sums_accelerated(TrigSeries(parity, exponent), [1e-4])[0].abs_error_estimate < 1e-3
 
     @pytest.mark.parametrize("parity", ["sin", "cos"])
     @pytest.mark.parametrize("exponent", [1, 2])
@@ -133,7 +132,7 @@ class TestPartialSumAccelerated:
         # n0 is capped at 4*10^5 there, so the tail cannot reach tol; at
         # x = 1.12e-9, (sin, 1) used to return 2232.1 for pi/2
         with pytest.raises(NotConverged, match="tail remainder"):
-            partial_sum_accelerated(TrigSeries(parity, exponent), x)
+            partial_sums_accelerated(TrigSeries(parity, exponent), [x])
 
     @staticmethod
     def beta_reference(parity, s, x):
@@ -149,7 +148,7 @@ class TestPartialSumAccelerated:
         rng = random.Random(f"beta-{parity}-{s}")
         for _ in range(4):  # lerchphi takes about 0.2 s a point
             x = rng.uniform(-1.5, 1.5)
-            r = partial_sum_accelerated(TrigSeries(parity, s, "beta"), x)
+            r = partial_sums_accelerated(TrigSeries(parity, s, "beta"), [x])[0]
             assert r.method == "partial_sum"
             assert abs(r.value - self.beta_reference(parity, s, x)) <= r.abs_error_estimate, x
             raw, raw_bound = beta_partial_sum(parity, s, x, 200_000)
@@ -161,13 +160,24 @@ class TestPartialSumAccelerated:
         # near cos x = 0 the shifted sum is steep, and x - pi/2 carries the
         # rounding of pi/2: about 3e-13 at (sin, 1) and 1e-4 from pi/2
         for x in (PI / 2 - 1e-3, PI / 2 - 1e-4, 1e-4 - PI / 2):
-            r = partial_sum_accelerated(TrigSeries(parity, s, "beta"), x)
+            r = partial_sums_accelerated(TrigSeries(parity, s, "beta"), [x])[0]
             assert abs(r.value - self.beta_reference(parity, s, x)) <= r.abs_error_estimate, x
 
     def test_beta_endpoint(self):
         for x in (PI / 2, -PI / 2, 3 * PI / 2):
             with pytest.raises(EndpointConditional):
-                partial_sum_accelerated(TrigSeries("sin", 1, "beta"), x)
+                partial_sums_accelerated(TrigSeries("sin", 1, "beta"), [x])
+
+    def test_beta_errors_name_the_callers_x(self):
+        # the shifted points are the kernel's own business: its errors name the beta
+        # condition and the x the caller passed, not x -/+ pi/2
+        with pytest.raises(EndpointConditional) as info:
+            partial_sums_accelerated(TrigSeries("sin", 1, "beta"), [0.5, PI / 2])
+        assert str(info.value) == "cos x = 0 at x=1.5707963267948966"
+        x = -PI / 2 + 1e-9  # x + pi/2 is tiny, so its capped head leaves the tail above tol
+        with pytest.raises(NotConverged) as info:
+            partial_sums_accelerated(TrigSeries("cos", 1, "beta"), [0.5, x])
+        assert f"at x={x} with n0=400000 head terms" in str(info.value)
 
 
 class TestPartialSumsAccelerated:
@@ -192,7 +202,7 @@ class TestPartialSumsAccelerated:
                 oracle = partial_sum_accelerated_per_point(series, x, tol)
                 assert abs(r.value - oracle.value) <= r.abs_error_estimate + oracle.abs_error_estimate, (x, tol)
                 assert r.abs_error_estimate <= 2 * oracle.abs_error_estimate, (x, tol)  # float differences cost little
-                assert self.fields(r) == self.fields(r_rev) == self.fields(partial_sum_accelerated(series, x, tol)), (x, tol)
+                assert self.fields(r) == self.fields(r_rev) == self.fields(partial_sums_accelerated(series, [x], tol)[0]), (x, tol)
 
     @pytest.mark.parametrize("character", ["trivial", "beta"])
     @pytest.mark.parametrize("parity", ["sin", "cos"])
@@ -322,6 +332,19 @@ class TestBetaIsTheShiftedTrivialMean:
                 assert abel_value(TrigSeries("sin", s, "beta"), x).value == want.imag, (s, x)
                 assert abel_value(TrigSeries("cos", s, "beta"), x).value == want.real, (s, x)
 
+    @pytest.mark.parametrize("s", range(1, 5))
+    def test_kernel_bit_for_bit(self, s):
+        # the kernel's beta sum is the same combination of its trivial sums at x -/+ pi/2
+        rng = random.Random(f"beta-kernel-{s}")
+        xs = [rng.uniform(-1.4, 1.4) for _ in range(20)]
+        for parity, other in (("sin", "cos"), ("cos", "sin")):
+            minus = partial_sums_accelerated(TrigSeries(other, s), [x - PI / 2 for x in xs])
+            plus = partial_sums_accelerated(TrigSeries(other, s), [x + PI / 2 for x in xs])
+            got = partial_sums_accelerated(TrigSeries(parity, s, "beta"), xs)
+            for x, m, p, r in zip(xs, minus, plus, got):
+                want = (m.value - p.value) / 2 if parity == "sin" else (p.value - m.value) / 2
+                assert r.value == want, (parity, x)
+
 
 class TestGeometricAbel:
     def test_half_turn(self):
@@ -385,20 +408,19 @@ class TestAbelValue:
         assert abs(r.value + 0.5) <= r.abs_error_estimate <= 1e-7
 
     def test_no_closed_form_names_the_tail_at_convergent_exponents(self):
-        from opzeta.errors import NoClosedForm
-
-        # exponent 2 takes the accelerated sum, not an extrapolation; at tiny
-        # x its tail remainder stays above tol
-        with pytest.raises(NoClosedForm) as info:
-            abel_value(TrigSeries("cos", 2), 1e-6)
-        message = str(info.value)
-        assert "accelerated sum's tail did not converge" in message
-        assert "extrapolation" not in message
-        assert str(info.value.__cause__) in message
+        # exponent >= 2 converges, so its Abel sum is the sum: the kernel's job, not this
+        # route's, and the route names it
+        for series in (TrigSeries("cos", 2), TrigSeries("sin", 5, "beta")):
+            with pytest.raises(ValueError, match="use partial_sums_accelerated"):
+                abel_value(series, 1.0)
+        # the kernel's own error where the capped head leaves the tail above tol, which the
+        # Abel route used to wrap
+        with pytest.raises(NotConverged, match="tail remainder"):
+            partial_sums_accelerated(TrigSeries("cos", 2), [1e-6])
 
 
 class TestAbelExtrapolate:
-    """`abel_value` at sample points: closed forms below exponent 2, the sum above."""
+    """`abel_value` at sample points, and the kernel at the convergent exponents."""
 
     def test_spec_grid_sine(self):
         r = abel_value(TrigSeries("sin", 0), PI / 2)
@@ -417,13 +439,12 @@ class TestAbelExtrapolate:
 
     @pytest.mark.parametrize("exponent", range(2, 7))
     def test_convergent_exponents_are_the_sum(self, exponent):
-        # Abel's theorem: at exponent >= 2 the Abel sum is the accelerated sum
+        # Abel's theorem: at exponent >= 2 the Abel sum is the accelerated sum, one call a grid
         parity = "sin" if exponent % 2 else "cos"
         poly = clausen_closed_form(parity, (exponent + 1) // 2)
         rng = random.Random(2000 + exponent)
-        for _ in range(20):
-            x = rng.uniform(0.05, 2 * PI - 0.05)
-            r = abel_value(TrigSeries(parity, exponent), x)
+        xs = [rng.uniform(0.05, 2 * PI - 0.05) for _ in range(20)]
+        for x, r in zip(xs, partial_sums_accelerated(TrigSeries(parity, exponent), xs)):
             assert r.method == "partial_sum"
             assert abs(r.value - pipoly_eval(poly, x)) <= r.abs_error_estimate, x
 
