@@ -269,9 +269,9 @@ def _cmd_values(args, out) -> int:
 
 
 # --terms bound of `extract`: the values it matches against, special_value's
-# B_n and E_n, reach at most n = 2 terms, within _VALUES_BOUND up to here; at
-# the bound a cold run of beta_cos_s0 or beta_sin_s1 takes 1.3-1.7 s, eq21_sin
-# and sec4_cos 0.7-1.2 s on a 2-vCPU VM
+# B_n and E_n, reach n of about 2 * terms (B_994 and E_992 here), within
+# _VALUES_BOUND; at the bound a cold run of beta_cos_s0 or beta_sin_s1 takes
+# 1.3-1.7 s, eq21_sin and sec4_cos 0.7-1.2 s on a 2-vCPU VM
 _TERMS_BOUND = 497
 
 
@@ -291,7 +291,7 @@ def _cmd_extract(args, out) -> int:
         return 2
     rows = [{"argument": v.argument, "value": str(v.value) if isinstance(v.value, Fraction) else repr(v.value), "matched": v.matched}
             for v in operators.extract_special_values(args.id, terms=args.terms)]
-    kind = rec.op.kind if rec.op else "?"
+    kind = rec.op.kind
 
     def text() -> str:
         lines = [f"extraction from {args.id} (operator kind: {kind})\n"]

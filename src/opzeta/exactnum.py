@@ -80,13 +80,13 @@ def _as_fraction(v) -> Fraction:
 
 class _Poly:
     """Immutable polynomial in one variable `_VAR`; coeffs[k] multiplies
-    _VAR**k. Each coefficient passes through `_coerce`; trailing zeros are
-    trimmed, and the empty tuple is the zero polynomial."""
+    _VAR**k. Each coefficient not of type `_ELEM` passes through `_coerce`;
+    trailing zeros are trimmed, and the empty tuple is the zero polynomial."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [self._coerce(c) for c in coeffs]
+        cs = [c if type(c) is self._ELEM else self._coerce(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -106,7 +106,7 @@ class _Poly:
 
     def coeff(self, k: int):
         """Coefficient of _VAR**k (zero beyond the stored degree)."""
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else self._coerce(0)
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else self._ELEM()
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -153,6 +153,7 @@ class PiPolynomial(_Poly):
 
     __slots__ = ()
     _VAR = "pi"
+    _ELEM = Fraction
     _coerce = staticmethod(_as_fraction)
 
     @classmethod
@@ -177,7 +178,7 @@ class PiPolynomial(_Poly):
 
     def __mul__(self, other) -> "PiPolynomial":
         if isinstance(other, (int, Fraction)):
-            return PiPolynomial(c * other for c in self.coeffs)
+            return PiPolynomial([c * other for c in self.coeffs])
         if isinstance(other, PiPolynomial):
             out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
             for i, a in enumerate(self.coeffs):
@@ -210,6 +211,7 @@ class PiXPolynomial(_Poly):
 
     __slots__ = ()
     _VAR = "x"
+    _ELEM = PiPolynomial
 
     @staticmethod
     def _coerce(c) -> PiPolynomial:

@@ -9,6 +9,11 @@ unit-coefficient trig atoms map to symbolic series. The engine never expands
 an operator function in powers of D about a point - every monomial degree is
 handled independently, which is what makes the pole at argument 1 an explicit,
 typed event (PoleHit) instead of a divergent expansion.
+
+`apply_operator` is the only place a term meets an operator value: the flow
+(`taylor_flow`) is `apply_operator` on the exact Taylor polynomial of sin or
+cos, and `extract_special_values` reads the factor of each unknown value off
+that same polynomial.
 """
 
 from __future__ import annotations
@@ -152,14 +157,16 @@ def apply_operator(op: DilationShift, expr: Expression, allow_pole: bool = False
     """
     from .specfun import special_value  # imported on use, as below: `list` loads no specfun
 
-    sign = 1 if op.kind == "recip_gamma" else -1
+    # the argument shift -+ degree as one Fraction of ints: no Fraction arithmetic per term
+    num, den = op.shift.numerator, op.shift.denominator
+    step = den if op.kind == "recip_gamma" else -den
 
-    out_coeffs: list[PiPolynomial] = [PiPolynomial()] * (expr.poly.degree + 1 if expr.poly else 0)
+    out_coeffs: list[PiPolynomial] = [PiPolynomial()] * len(expr.poly.coeffs)
     poles: list[PoleTerm] = []
     numeric: list[NumericTerm] = []
 
     def handle(degree: int, coeff: PiPolynomial):
-        tag, value, err, _ = special_value(op.kind, op.shift + sign * degree)
+        tag, value, err, _ = special_value(op.kind, Fraction(num + step * degree, den))
         if tag == "pole":
             if not allow_pole:
                 raise PoleHit(degree)
@@ -171,12 +178,8 @@ def apply_operator(op: DilationShift, expr: Expression, allow_pole: bool = False
             return None
         return coeff * value
 
-    for n in range(expr.poly.degree + 1 if expr.poly else 0):
-        c = expr.poly.coeff(n)
-        if c.is_zero():
-            continue
-        res = handle(n, c)
-        if res is not None:
+    for n, c in enumerate(expr.poly.coeffs):
+        if c.coeffs and (res := handle(n, c)) is not None:
             out_coeffs[n] = res
 
     singular_out: list[SingularTerm] = []
@@ -185,18 +188,16 @@ def apply_operator(op: DilationShift, expr: Expression, allow_pole: bool = False
         if res is not None and not res.is_zero():
             singular_out.append(SingularTerm(res, term.power))
 
-    from .series import TrigSeries  # here only: `values zeta|beta` loads no series
-
     series_terms: list[SeriesTerm] = []
     for atom in expr.trig_atoms:
+        from .series import TrigSeries  # for a trig atom only: `values zeta|beta` loads no series
+
         if op.kind == "recip_gamma":
             raise UnsupportedExpression("1/Gamma of the dilation generator has no series action on trig atoms")
-        if op.shift.denominator != 1:
+        if den != 1:
             raise UnsupportedExpression("trig atoms need an integer shift (series weight is n^-shift)")
         character = "trivial" if op.kind == "zeta" else "beta"
-        series_terms.append(
-            SeriesTerm(atom.coeff, atom.frequency, TrigSeries(atom.parity, int(op.shift), character))
-        )
+        series_terms.append(SeriesTerm(atom.coeff, atom.frequency, TrigSeries(atom.parity, num, character)))
 
     return OpResult(
         expr=Expression(PiXPolynomial(out_coeffs), (), tuple(singular_out)),
@@ -222,14 +223,21 @@ def apply_recip_gamma_op(b, expr: Expression) -> Expression:
     return apply_operator(DilationShift("recip_gamma", b), expr).expr
 
 
-def _trig_degrees(trig: str, terms: int) -> list[int]:
+def _taylor(trig: str, terms: int) -> PiXPolynomial:
+    """The first `terms` nonzero Taylor terms of sin or cos, exactly:
+    (-1)^j x^d / d! at d = 2j + 1 (sin) or 2j (cos)."""
     start = 1 if trig == "sin" else 0
-    return [start + 2 * j for j in range(terms)]
+    coeffs = [PiPolynomial()] * (start + 2 * terms - 1)
+    for j in range(terms):
+        d = start + 2 * j
+        coeffs[d] = PiPolynomial((Fraction((-1) ** j, factorial(d)),))
+    return PiXPolynomial(coeffs)
 
 
 def taylor_flow(op: DilationShift, trig: str, K: int) -> TaylorFlowResult:
-    """Term-by-term operator action on the first K Taylor terms of sin or cos,
-    using exact values only; returns the exact truncated polynomial.
+    """`apply_operator` on the exact polynomial of the first K Taylor terms
+    of sin or cos; returns the image, which must stay in Q[pi]
+    (UnsupportedExpression where a value has no exact form).
 
     If the pole degree shift - 1 has the same parity as the expansion, the
     flow genuinely hits the pole and PoleHit is raised (independently of K:
@@ -238,8 +246,6 @@ def taylor_flow(op: DilationShift, trig: str, K: int) -> TaylorFlowResult:
     result then carries anomaly_missing=True and the matching closed form's
     parity-violating term is exactly what is missing.
     """
-    from .specfun import special_value
-
     if K < 4:
         raise ValueError("K must be >= 4")
     if trig not in ("sin", "cos"):
@@ -250,27 +256,16 @@ def taylor_flow(op: DilationShift, trig: str, K: int) -> TaylorFlowResult:
         raise UnsupportedExpression("taylor_flow needs an integer shift for exact values")
     shift = int(op.shift)
 
-    anomaly_missing = False
-    if op.kind == "zeta":
-        pole_degree = shift - 1
-        if pole_degree >= 0:
-            pole_parity_odd = pole_degree % 2 == 1
-            if (trig == "sin") == pole_parity_odd:
-                raise PoleHit(pole_degree)
-            anomaly_missing = True
+    pole_degree = shift - 1 if op.kind == "zeta" else -1
+    if pole_degree >= 0 and (trig == "sin") == (pole_degree % 2 == 1):
+        raise PoleHit(pole_degree)
 
-    degrees = _trig_degrees(trig, K)
-    coeffs = [PiPolynomial()] * (degrees[-1] + 1)
-    for j, d in enumerate(degrees):
-        # the parity analysis above has raised wherever a degree meets the pole
-        tag, value, _, _ = special_value(op.kind, Fraction(shift - d))
-        if tag == "numeric":
-            raise UnsupportedExpression(
-                f"no exact value at argument {shift - d}; taylor_flow stays in Q[pi]"
-            )
-        c = Fraction((-1) ** j, factorial(d))
-        coeffs[d] = value * c if isinstance(value, PiPolynomial) else PiPolynomial((value * c,))
-    return TaylorFlowResult(PiXPolynomial(coeffs), anomaly_missing)
+    # past the parity check no Taylor degree meets the pole
+    flow = apply_operator(op, Expression.from_poly(_taylor(trig, K)))
+    if flow.numeric_terms:
+        arg = shift - flow.numeric_terms[0].degree
+        raise UnsupportedExpression(f"no exact value at argument {arg}; taylor_flow stays in Q[pi]")
+    return TaylorFlowResult(flow.expr.poly, anomaly_missing=pole_degree >= 0)
 
 
 def parity_anomaly(poly: PiXPolynomial, expected_parity: str) -> Optional[PiXPolynomial]:
@@ -314,9 +309,12 @@ def extract_special_values(identity_id: str, terms: int = 8) -> list[ExtractedVa
     coefficients of a registry identity (anomaly term removed first) and solve
     for the operator's special values.
 
-    Each unknown kind(shift - degree) appears at exactly one degree; the
-    solved value is marked `matched` when it equals the independent exact
-    value. Raises ValueError if the identity has no exact right side.
+    Each unknown kind(shift - d) appears at exactly one degree d, as a factor
+    of the Taylor coefficient of x^d in the polynomial `taylor_flow` acts on
+    (after 1/Gamma(gamma_shift + iD) where the record has one; a degree it
+    annihilates carries no equation). The solved value is marked `matched`
+    when it equals the independent exact value from `special_value`. Raises
+    ValueError if the identity has no exact right side.
     """
     from . import registry  # local import: registry declares records using engine types
     from .specfun import special_value
@@ -332,17 +330,16 @@ def extract_special_values(identity_id: str, terms: int = 8) -> list[ExtractedVa
         if anom is not None:
             rhs = rhs - anom
 
+    taylor = Expression.from_poly(_taylor(rec.trig, terms))
+    if rec.gamma_shift is not None:
+        taylor = apply_recip_gamma_op(rec.gamma_shift, taylor)
     shift = int(rec.op.shift)
     out: list[ExtractedValue] = []
-    for j, d in enumerate(_trig_degrees(rec.trig, terms)):
-        factor = Fraction((-1) ** j, factorial(d))
-        if rec.gamma_shift is not None:
-            gamma_factor = special_value("recip_gamma", rec.gamma_shift + d)[1]
-            if gamma_factor == 0:
-                continue  # degree annihilated by 1/Gamma: carries no equation
-            factor *= gamma_factor
+    for d, factor in enumerate(taylor.poly.coeffs):
+        if not factor.coeffs:
+            continue  # no Taylor term, or one 1/Gamma annihilates: no equation
         arg = shift - d
-        value = rhs.coeff(d) / factor
+        value = rhs.coeff(d) / factor.coeffs[0]  # the factor is a nonzero rational
         if value.is_rational():
             value = value.as_rational()
         tag, independent, _, _ = special_value(rec.op.kind, Fraction(arg))

@@ -8,7 +8,10 @@ Bernoulli and Euler numbers instead of the zigzag triangle.
 The `*_mpf`/`*_mpmath` functions are the mpmath routes that package code
 took before it computed in integers, and `partial_sum_accelerated_per_point`
 the per-point route of the accelerated sum, with exact differences, before it
-took a grid in one pass with float differences.
+took a grid in one pass with float differences. `taylor_flow_per_degree` and
+`extract_special_values_per_degree` are the per-degree loops of the operator
+engine's flow and extraction, before both read their Taylor terms and
+operator values through `apply_operator`.
 """
 
 from __future__ import annotations
@@ -20,8 +23,10 @@ from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from math import comb, factorial
 
-from opzeta.errors import EndpointConditional, NotConverged
-from opzeta.exactnum import PiXPolynomial, bernoulli_number, euler_number
+from opzeta import registry
+from opzeta.errors import EndpointConditional, NotConverged, PoleHit, UnsupportedExpression
+from opzeta.exactnum import PiPolynomial, PiXPolynomial, bernoulli_number, euler_number
+from opzeta.operators import DilationShift, ExtractedValue, TaylorFlowResult, parity_anomaly
 from opzeta.series import (
     _N0_CAP,
     _N0_SCALE,
@@ -30,7 +35,7 @@ from opzeta.series import (
     SummedValue,
     TrigSeries,
 )
-from opzeta.specfun import _EM_K_MAX, _EM_TARGET, _em_coefficients, _working_precision
+from opzeta.specfun import _EM_K_MAX, _EM_TARGET, _em_coefficients, _working_precision, special_value
 
 
 def bernoulli_akiyama_tanigawa(nmax: int) -> list[Fraction]:
@@ -354,3 +359,77 @@ def em_sum_mpf(ctx, s, a, n_cut: int, unit: float):
         g *= (s + 2 * k - 1) * (s + 2 * k) * inv_sq
         g_abs *= abs(sc + 2 * k - 1) * abs(sc + 2 * k) / (b * b)
     return total, base * base_pow, err
+
+
+def _trig_degrees(trig: str, terms: int) -> list[int]:
+    start = 1 if trig == "sin" else 0
+    return [start + 2 * j for j in range(terms)]
+
+
+def taylor_flow_per_degree(op: DilationShift, trig: str, K: int) -> TaylorFlowResult:
+    """`operators.taylor_flow` by its own loop over the Taylor degrees of sin
+    or cos: each coefficient (-1)^j/d! times `special_value` at shift - d,
+    after the same pole-parity rule."""
+    if K < 4:
+        raise ValueError("K must be >= 4")
+    if trig not in ("sin", "cos"):
+        raise ValueError("trig must be 'sin' or 'cos'")
+    if op.kind not in ("zeta", "beta"):
+        raise UnsupportedExpression("taylor_flow drives zeta/beta kinds")
+    if op.shift.denominator != 1:
+        raise UnsupportedExpression("taylor_flow needs an integer shift for exact values")
+    shift = int(op.shift)
+
+    anomaly_missing = False
+    if op.kind == "zeta":
+        pole_degree = shift - 1
+        if pole_degree >= 0:
+            pole_parity_odd = pole_degree % 2 == 1
+            if (trig == "sin") == pole_parity_odd:
+                raise PoleHit(pole_degree)
+            anomaly_missing = True
+
+    degrees = _trig_degrees(trig, K)
+    coeffs = [PiPolynomial()] * (degrees[-1] + 1)
+    for j, d in enumerate(degrees):
+        tag, value, _, _ = special_value(op.kind, Fraction(shift - d))
+        if tag == "numeric":
+            raise UnsupportedExpression(f"no exact value at argument {shift - d}; taylor_flow stays in Q[pi]")
+        c = Fraction((-1) ** j, factorial(d))
+        coeffs[d] = value * c if isinstance(value, PiPolynomial) else PiPolynomial((value * c,))
+    return TaylorFlowResult(PiXPolynomial(coeffs), anomaly_missing)
+
+
+def extract_special_values_per_degree(identity_id: str, terms: int = 8) -> list[ExtractedValue]:
+    """`operators.extract_special_values` by its own loop over the Taylor
+    degrees: the factor of kind(shift - d) is (-1)^j/d! times
+    1/Gamma(gamma_shift + d) from `special_value`, and a zero factor carries
+    no equation."""
+    rec = registry.get_identity(identity_id)
+    rhs = rec.exact_rhs(terms)
+    if rhs is None:
+        raise ValueError(f"identity {identity_id!r} has no exact polynomial right side")
+    if rec.op is None or rec.trig is None:
+        raise ValueError(f"identity {identity_id!r} is not an operator-on-trig identity")
+    if rec.anomaly_parity != "none":
+        anom = parity_anomaly(rhs, rec.anomaly_parity)
+        if anom is not None:
+            rhs = rhs - anom
+
+    shift = int(rec.op.shift)
+    out: list[ExtractedValue] = []
+    for j, d in enumerate(_trig_degrees(rec.trig, terms)):
+        factor = Fraction((-1) ** j, factorial(d))
+        if rec.gamma_shift is not None:
+            gamma_factor = special_value("recip_gamma", rec.gamma_shift + d)[1]
+            if gamma_factor == 0:
+                continue
+            factor *= gamma_factor
+        arg = shift - d
+        value = rhs.coeff(d) / factor
+        if value.is_rational():
+            value = value.as_rational()
+        tag, independent, _, _ = special_value(rec.op.kind, Fraction(arg))
+        matched = tag == "exact" and independent == value
+        out.append(ExtractedValue(arg, value, bool(matched)))
+    return out

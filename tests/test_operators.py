@@ -1,8 +1,10 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+from opzeta import registry
 from opzeta.errors import (
     MultipleAnomalies,
     PoleHit,
@@ -24,8 +26,9 @@ from opzeta.operators import (
     parity_anomaly,
     taylor_flow,
 )
-from opzeta.registry import load_registry
+from opzeta.registry import get_identity, load_registry
 from opzeta.specfun import clausen_closed_form, special_value
+from oracles import extract_special_values_per_degree, taylor_flow_per_degree
 
 
 def zeta_op(shift) -> DilationShift:
@@ -213,6 +216,78 @@ class TestTaylorFlow:
     def test_k_minimum(self):
         with pytest.raises(ValueError):
             taylor_flow(zeta_op(0), "sin", 3)
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and args of what it raised."""
+    try:
+        return f(*args)
+    except (PoleHit, UnsupportedExpression) as exc:
+        return type(exc), exc.args
+
+
+def _table(vals):
+    """Extracted values with their exact types."""
+    return [(v.argument, type(v.value), v.value, v.matched) for v in vals]
+
+
+FLOW_IDS = [r.id for r in load_registry().values() if r.op is not None and r.trig is not None]
+EXTRACT_IDS = [r.id for r in load_registry().values() if r.extract]
+
+
+class TestAgainstPerDegreeOracles:
+    """The flow and the extraction act through `apply_operator`; the
+    per-degree loops they replaced (`tests/oracles.py`) give the same."""
+
+    @pytest.mark.parametrize("K", [4, 12, 40])
+    @pytest.mark.parametrize("ident", FLOW_IDS)
+    def test_flow_on_every_registry_operator(self, ident, K):
+        rec = get_identity(ident)
+        got = _outcome(taylor_flow, rec.op, rec.trig, K)
+        assert got == _outcome(taylor_flow_per_degree, rec.op, rec.trig, K)
+
+    def test_flow_off_the_registry(self):
+        # every zeta and beta shift in [-4, 8) on both trigs: the same polynomial,
+        # the same PoleHit degree or the same missing exact value
+        raised = []
+        for kind in ("zeta", "beta"):
+            for shift in range(-4, 8):
+                for trig in ("sin", "cos"):
+                    op = DilationShift(kind, Fraction(shift))
+                    got = _outcome(taylor_flow, op, trig, 12)
+                    assert got == _outcome(taylor_flow_per_degree, op, trig, 12), (kind, shift, trig)
+                    if isinstance(got, tuple):
+                        raised.append((got[0].__name__, kind, shift, trig))
+        unsupported = [r for r in raised if r[0] == "UnsupportedExpression"]
+        # beta(2m) has no exact form: beta at shift 2, 4, 6 (cos) and 3, 5, 7 (sin)
+        assert len(unsupported) == 6 and all(r[1] == "beta" for r in unsupported)
+        assert len(raised) == 13  # and PoleHit at zeta shifts 1 to 7, one trig each
+
+    @pytest.mark.parametrize("terms", [1, 6, 40])
+    @pytest.mark.parametrize("ident", EXTRACT_IDS)
+    def test_extraction_on_every_extract_id(self, ident, terms):
+        assert _table(extract_special_values(ident, terms)) == _table(extract_special_values_per_degree(ident, terms))
+
+    @pytest.mark.parametrize("gamma_shift", [-2, 0, 3])
+    @pytest.mark.parametrize("ident", ["eq18", "eq21_sin", "beta_cos_s0"])
+    def test_extraction_through_recip_gamma(self, ident, gamma_shift, monkeypatch):
+        # the registry's one 1/Gamma record, eq17, has a single nonzero coefficient, so it
+        # cannot tell a 1/Gamma factor from none; these right sides can, and each degree
+        # with gamma_shift + d <= 0 (1/Gamma = 0 there) drops its equation
+        get = registry.get_identity
+        monkeypatch.setattr(registry, "get_identity", lambda i: replace(get(i), gamma_shift=Fraction(gamma_shift)))
+        got = _table(extract_special_values(ident, 6))
+        assert got == _table(extract_special_values_per_degree(ident, 6))
+        start = 1 if get(ident).trig == "sin" else 0
+        assert len(got) == sum(gamma_shift + d > 0 for d in range(start, start + 12, 2))
+
+    @pytest.mark.parametrize(
+        "op",
+        [DilationShift("zeta", Fraction(1, 2)), DilationShift("beta", Fraction(1, 2)), DilationShift("recip_gamma", Fraction(1))],
+    )
+    def test_flow_rejects_a_rational_shift_and_recip_gamma(self, op):
+        with pytest.raises(UnsupportedExpression):
+            taylor_flow(op, "sin", 6)
 
 
 class TestParityAnomaly:

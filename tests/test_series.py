@@ -88,6 +88,9 @@ class TestPartialSum:
 
 
 class TestPartialSumAccelerated:
+    """`partial_sums_accelerated` on one-point grids. The class is named for
+    the one-point wrapper these tests once called; the name keeps their ids."""
+
     @pytest.mark.parametrize("x", [0.1, 0.9, 2.2, 3.1, 5.0])
     def test_sawtooth_everywhere(self, x):
         r = partial_sums_accelerated(TrigSeries("sin", 1), [x])[0]
