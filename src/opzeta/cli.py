@@ -7,9 +7,10 @@ Output is deterministic: identical invocations produce byte-identical bytes
 build a head and flat rows, which one writer, `_write`, prints as JSON, CSV or
 text. Each command imports the layers it uses when it runs, so `values
 bernoulli` loads no registry, `values zeta|beta` no operators and `list` no
-specfun, divmatrix or mpmath; json and csv load for their format only. A
-`values` row takes its route (exact, numeric or pole) from
-`specfun.special_value`, the one table the operator engine reads too.
+specfun, divmatrix or mpmath; json and csv load for their format only, and
+no layer loads `dataclasses`. A `values` row takes its route (exact, numeric
+or pole) from `specfun.special_value`, the one table the operator engine
+reads too.
 """
 
 from __future__ import annotations
@@ -161,7 +162,7 @@ def _cmd_verify(args, out) -> int:
     try:
         rec = registry.get_identity(args.id)
     except KeyError as exc:
-        print(exc, file=sys.stderr)
+        print(exc.args[0], file=sys.stderr)
         return 2
     exact = args.exact or rec.verify_mode == "exact"
     if exact and args.grid is not None:
@@ -281,7 +282,7 @@ def _cmd_extract(args, out) -> int:
     try:
         rec = registry.get_identity(args.id)
     except KeyError as exc:
-        print(exc, file=sys.stderr)
+        print(exc.args[0], file=sys.stderr)
         return 2
     if not rec.extract:
         print(f"identity {args.id!r} has no exact polynomial right side to match against", file=sys.stderr)

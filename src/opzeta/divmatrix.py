@@ -8,7 +8,9 @@ stored; floats appear only at the quadrature comparison boundary.
 
 Every finite truncation is unit lower triangular (hence invertible), while
 the operator itself still hits the zeta pole on constants (see
-operators.PoleHit); both facts are recorded and tested, not reconciled.
+operators.PoleHit); both facts are recorded and tested, not reconciled. The
+matrix and its report are NamedTuples; its entries, a read-only mapping,
+are a slotted class.
 """
 
 from __future__ import annotations
@@ -16,10 +18,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import DimensionMismatch
 
@@ -40,12 +41,20 @@ def _divisor_rows(size: int, label: Callable = int) -> Iterator[list]:
         yield from rows
 
 
-@dataclass(frozen=True, eq=False)
 class DivisorEntries(Mapping):
     """Read-only mapping (m, n) -> n/m over 1 <= n <= m <= size with n | m,
     computed per lookup; iteration is in sorted (m, n) order."""
 
-    size: int
+    __slots__ = ("size",)
+
+    def __init__(self, size: int):
+        object.__setattr__(self, "size", size)
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(size={self.size!r})"
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         try:  # as in a dict, any key equal to an integer pair (m, n) finds it
@@ -63,8 +72,7 @@ class DivisorEntries(Mapping):
         return sum(self.size // n for n in range(1, self.size + 1))
 
 
-@dataclass(frozen=True)
-class DivisibilityMatrix:
+class DivisibilityMatrix(NamedTuple):
     """Exact matrix: entry (m, n) = n/m iff n divides m, 1 <= m, n <= size."""
 
     size: int
@@ -119,8 +127,7 @@ def matrix_apply(A: DivisibilityMatrix, v: Sequence[Fraction]) -> list[Fraction]
     return out
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(NamedTuple):
     """Quadrature Fourier coefficients of the frequency-n sawtooth vs column n."""
 
     n: int

@@ -13,15 +13,15 @@ typed event (PoleHit) instead of a divergent expansion.
 `apply_operator` is the only place a term meets an operator value: the flow
 (`taylor_flow`) is `apply_operator` on the exact Taylor polynomial of sin or
 cos, and `extract_special_values` reads the factor of each unknown value off
-that same polynomial.
+that same polynomial. Every record is a NamedTuple; `DilationShift`,
+`TrigAtom` and `SingularTerm` check and coerce their fields in `__new__`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import (
     MultipleAnomalies,
@@ -33,8 +33,7 @@ from .exactnum import PiPolynomial, PiXPolynomial
 _KINDS = ("zeta", "beta", "recip_gamma")
 
 
-@dataclass(frozen=True)
-class DilationShift:
+class DilationShift(NamedTuple("DilationShift", [("kind", str), ("shift", Fraction)])):
     """Operator kind(shift - iD) for zeta/beta, kind(shift + iD) for
     recip_gamma; the shift is exact.
 
@@ -43,46 +42,43 @@ class DilationShift:
     operator; callers wanting that form derive it from the shift.
     """
 
-    kind: str
-    shift: Fraction
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` builds through `__new__`
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
+    def __new__(cls, kind: str, shift):
+        if kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}")
-        object.__setattr__(self, "shift", Fraction(self.shift))
+        return super().__new__(cls, kind, Fraction(shift))
 
 
-@dataclass(frozen=True)
-class TrigAtom:
-    coeff: Fraction
-    parity: str
-    frequency: int
+class TrigAtom(NamedTuple("TrigAtom", [("coeff", Fraction), ("parity", str), ("frequency", int)])):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` builds through `__new__`
 
-    def __post_init__(self):
-        if self.parity not in ("sin", "cos"):
+    def __new__(cls, coeff, parity: str, frequency: int):
+        if parity not in ("sin", "cos"):
             raise ValueError("parity must be 'sin' or 'cos'")
-        if self.frequency < 1:
+        if frequency < 1:
             raise ValueError("frequency must be a positive integer")
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
+        return super().__new__(cls, Fraction(coeff), parity, frequency)
 
 
-@dataclass(frozen=True)
-class SingularTerm:
+class SingularTerm(NamedTuple("SingularTerm", [("coeff", PiPolynomial), ("power", int)])):
     """coeff * x^power with power <= -1."""
 
-    coeff: PiPolynomial
-    power: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` builds through `__new__`
 
-    def __post_init__(self):
-        if self.power > -1:
+    def __new__(cls, coeff: PiPolynomial, power: int):
+        if power > -1:
             raise ValueError("singular powers must be <= -1")
+        return super().__new__(cls, coeff, power)
 
 
-@dataclass(frozen=True)
-class Expression:
+class Expression(NamedTuple):
     """Exact polynomial part + trig atoms + singular powers; empty = 0."""
 
-    poly: PiXPolynomial = field(default_factory=PiXPolynomial)
+    poly: PiXPolynomial = PiXPolynomial()
     trig_atoms: tuple[TrigAtom, ...] = ()
     singular_terms: tuple[SingularTerm, ...] = ()
 
@@ -98,8 +94,7 @@ class Expression:
         return self.poly.is_zero() and not self.trig_atoms and not self.singular_terms
 
 
-@dataclass(frozen=True)
-class SeriesTerm:
+class SeriesTerm(NamedTuple):
     """coeff * series evaluated at (arg_scale * x)."""
 
     coeff: Fraction
@@ -107,14 +102,12 @@ class SeriesTerm:
     series: TrigSeries
 
 
-@dataclass(frozen=True)
-class PoleTerm:
+class PoleTerm(NamedTuple):
     degree: int
     coeff: PiPolynomial
 
 
-@dataclass(frozen=True)
-class NumericTerm:
+class NumericTerm(NamedTuple):
     """Operator value without an exact form (kept out of the exact poly)."""
 
     degree: int
@@ -122,16 +115,14 @@ class NumericTerm:
     abs_error_estimate: float
 
 
-@dataclass(frozen=True)
-class OpResult:
+class OpResult(NamedTuple):
     expr: Expression
     pole_terms: tuple[PoleTerm, ...] = ()
     series_result: tuple[SeriesTerm, ...] = ()
     numeric_terms: tuple[NumericTerm, ...] = ()
 
 
-@dataclass(frozen=True)
-class TaylorFlowResult:
+class TaylorFlowResult(NamedTuple):
     """Truncated term-by-term operator action on a trig Taylor expansion.
 
     `anomaly_missing` is set when the parity analysis says the matching
@@ -290,8 +281,7 @@ def parity_anomaly(poly: PiXPolynomial, expected_parity: str) -> Optional[PiXPol
     return PiXPolynomial.monomial(j, c)
 
 
-@dataclass(frozen=True)
-class ExtractedValue:
+class ExtractedValue(NamedTuple):
     """One special value inferred by coefficient matching.
 
     `argument` is the integer point, `value` the solved exact value

@@ -1,9 +1,10 @@
-"""Identity registry: parses data/identities.cfg into IdentityRecord objects.
+"""Identity registry: parses data/identities.cfg into IdentityRecord tuples.
 
 The registry is a versioned text data file (key=value blocks) rather than
 code so each identity is auditable in one place; tests and the CLI share it
 as the single source of truth. See the header of the data file for the field
-reference.
+reference. Its records, like every layer's, are immutable NamedTuples,
+which a cold command defines without importing `dataclasses`.
 """
 
 from __future__ import annotations
@@ -11,11 +12,10 @@ from __future__ import annotations
 import configparser
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .exactnum import TAYLOR_GENERATORS, PiPolynomial, PiXPolynomial
 from .operators import DilationShift
@@ -33,8 +33,7 @@ def _parse_endpoint(tok: str) -> float:
     return float(tok)
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple):
     lo: float
     hi: float
     lo_open: bool
@@ -78,8 +77,7 @@ def _parse_poly(text: str) -> PiXPolynomial:
     return PiXPolynomial([parse_pi_coefficient(tok) for tok in text.split(";")])
 
 
-@dataclass(frozen=True)
-class IdentityRecord:
+class IdentityRecord(NamedTuple):
     """One registry identity with its stated validity domain (verbatim)."""
 
     id: str

@@ -13,15 +13,15 @@ one numpy pass by `_tails`. Divergent series (exponent <= 0) are never
 summed by raw truncation; they take the Abel route, `abel_value`, which
 covers exponents <= 1: there the trivial Abel mean is a closed form in
 z = r e^(ix), continuous up to |z| = 1 away from z = 1, so the Abel sum is
-that form at r = 1.
+that form at r = 1. `TrigSeries` and `SummedValue` are NamedTuples; a
+`TrigSeries` checks its fields in `__new__`.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import (
     Diverges,
@@ -40,25 +40,23 @@ _HEAD_BATCH, _HEAD_PIECE = 1 << 16, 5_000_000
 _HEAD_TERMS_BOUND = 20_000_000
 
 
-@dataclass(frozen=True)
-class TrigSeries:
+class TrigSeries(NamedTuple("TrigSeries", [("parity", str), ("exponent", int), ("character", str)])):
     """sum_n chi(n) trig(n x) / n^exponent with the stated character."""
 
-    parity: str
-    exponent: int
-    character: str = "trivial"
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` builds through `__new__`
 
-    def __post_init__(self):
-        if self.parity not in ("sin", "cos"):
+    def __new__(cls, parity: str, exponent: int, character: str = "trivial"):
+        if parity not in ("sin", "cos"):
             raise ValueError("parity must be 'sin' or 'cos'")
-        if self.character not in ("trivial", "beta"):
+        if character not in ("trivial", "beta"):
             raise ValueError("character must be 'trivial' or 'beta'")
-        if not isinstance(self.exponent, int):
+        if not isinstance(exponent, int):
             raise ValueError("exponent must be an integer")
+        return super().__new__(cls, parity, exponent, character)
 
 
-@dataclass(frozen=True)
-class SummedValue:
+class SummedValue(NamedTuple):
     """Value with error bound and the method that produced it (audit trail)."""
 
     value: float

@@ -25,10 +25,10 @@ import math
 import threading
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import factorial
+from typing import NamedTuple
 
 from .errors import ContourClipped, NotConverged, PoleAtOne, PrecisionLoss
 from .exactnum import (
@@ -68,8 +68,7 @@ def _working_precision(dps: int):
         ctx.prec = prec
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(NamedTuple):
     """Numeric value with the producing algorithm's claimed error bound."""
 
     value: complex

@@ -89,9 +89,10 @@ class TestCommandImports:
         assert numeric["out"] == _child("-m", "opzeta", "values", "zeta", "0.5")
 
     def test_number_values_load_no_dataclasses_or_csv(self):
-        # started with -S, so that no module `site` imports is counted: cli
-        # defines no dataclass, csv is imported by the --format csv branch of
-        # the writer only and json by its --format json branch only
+        # started with -S, so that no module `site` imports is counted: no
+        # module of the package imports dataclasses, csv is imported by the
+        # --format csv branch of the writer only and json by its --format json
+        # branch only
         code = (
             "import io, sys\n"
             "import opzeta.cli as cli\n"
@@ -101,6 +102,22 @@ class TestCommandImports:
             "print(sorted({'dataclasses', 'inspect', 'csv'} & set(sys.modules)))"
         )
         assert _child("-S", "-c", code).split() == ["[]", "[]"]
+
+    def test_registry_and_exact_commands_load_no_dataclasses(self):
+        # started with -S, as above: the records of every layer are NamedTuples
+        # or plain classes, so neither dataclasses nor the inspect it imports
+        # loads, after the registry nor after any exact command
+        code = (
+            "import io, json, sys\n"
+            "import opzeta\n"
+            "opzeta.load_registry()\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+            "import opzeta.cli as cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert cli.main(argv, out=io.StringIO()) == 0, argv\n"
+            "    print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        )
+        assert _child("-S", "-c", code, json.dumps(_EXACT_COMMANDS)).split() == ["[]"] * (1 + len(_EXACT_COMMANDS))
 
 
 class TestLazyPublicNames:

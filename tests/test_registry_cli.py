@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import json
 import math
@@ -116,9 +115,10 @@ class TestVerifyCommand:
         code, _ = run_cli("verify", "eq2", "--grid=-1:0:5")
         assert code == 2
 
-    def test_unknown_id_is_usage_error(self):
-        code, _ = run_cli("verify", "eq999")
-        assert code == 2
+    def test_unknown_id_is_usage_error(self, capsys):
+        # the message as the KeyError was raised with, not the KeyError's repr-quoted str
+        assert run_cli("verify", "nope") == (2, "")
+        assert capsys.readouterr().err == "unknown identity id 'nope'; see `opzeta list`\n"
 
     def test_impossible_tolerance_fails(self):
         code, out = run_cli("verify", "eq2", "--tol", "1e-30")
@@ -134,7 +134,7 @@ class TestVerifyCommand:
     def verify_altered_eq2(monkeypatch, **change):
         import opzeta.registry
 
-        altered = dataclasses.replace(get_identity("eq2"), verify_mode="exact", **change)
+        altered = get_identity("eq2")._replace(verify_mode="exact", **change)
         monkeypatch.setattr(opzeta.registry, "get_identity", lambda identity_id: altered)
         return run_cli("verify", "eq2")
 
@@ -443,9 +443,9 @@ class TestExtractCommand:
         code, _ = run_cli("extract", "eq5")
         assert code == 2
 
-    def test_unknown(self):
-        code, _ = run_cli("extract", "eq999")
-        assert code == 2
+    def test_unknown(self, capsys):
+        assert run_cli("extract", "nope") == (2, "")
+        assert capsys.readouterr().err == "unknown identity id 'nope'; see `opzeta list`\n"
 
     @pytest.mark.parametrize("terms", ["0", "-2"])
     def test_no_terms_is_usage_error(self, terms, capsys):
