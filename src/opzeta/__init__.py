@@ -12,7 +12,6 @@ from . import errors
 from .errors import (
     ContourClipped,
     DimensionMismatch,
-    Diverges,
     EndpointConditional,
     MultipleAnomalies,
     NotConverged,
@@ -33,7 +32,7 @@ _LAYER_OF = {
         "exactnum": "PI PiPolynomial PiXPolynomial bernoulli_number bernoulli_polynomial euler_number pipoly_eval",
         "specfun": "EvalResult clausen_closed_form dirichlet_beta functional_equation_residual hankel_zeta"
         " hurwitz_zeta lerch_hankel recip_gamma zeta_em",
-        "series": "SummedValue TrigSeries abel_value geometric_abel partial_sum partial_sums_accelerated",
+        "series": "SummedValue TrigSeries abel_sums geometric_abel partial_sums_accelerated",
         "operators": "DilationShift Expression OpResult TaylorFlowResult apply_operator apply_recip_gamma_op"
         " extract_special_values parity_anomaly taylor_flow",
         "divmatrix": "DivisibilityMatrix build_matrix consistency_check matrix_apply",

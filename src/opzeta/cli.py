@@ -84,20 +84,16 @@ def _verify_grid(rec: registry.IdentityRecord, grid: tuple[float, float, int], t
     rows, max_deviation = [], 0.0
     # the right side: its coefficients at pi once, then Horner per x (`rhs_poly` first)
     rhs_at = pipoly_evaluator(rec.rhs_poly) if rec.rhs_poly is not None else rec.closed_form()
-    geometric_parts = series.TrigSeries("cos", 0), series.TrigSeries("sin", 0)
-    if mode == "sum":  # the whole grid in one pass; a grid beyond the head terms bound is a usage error
-        sums = iter(series.partial_sums_accelerated(rec.series, xs, tol * 1e-3))
-    for x in xs:
-        if mode == "sum":
-            sv = next(sums)
-        elif mode == "abel":
-            sv = series.abel_value(rec.series, x)
-        elif mode == "geometric":  # sum e^(inx) = sum cos(nx) + i sum sin(nx), both Abel sums
-            cos_sum, sv = (series.abel_value(part, x) for part in geometric_parts)
-        else:
-            raise ValueError(f"unknown verify mode {mode!r}")
+    # one route call per grid; a sum-mode grid beyond the head terms bound is a usage error
+    if mode == "sum":
+        sums = series.partial_sums_accelerated(rec.series, xs, tol * 1e-3)
+    elif mode == "abel":
+        sums = series.abel_sums(rec.series, xs)
+    else:  # geometric: sum e^(inx) = sum cos(nx) + i sum sin(nx), both Abel sums
+        cos_sums, sums = (series.abel_sums(series.TrigSeries(parity, 0), xs) for parity in ("cos", "sin"))
+    for k, (x, sv) in enumerate(zip(xs, sums)):
         if mode == "geometric":
-            lhs, rhs = complex(cos_sum.value, sv.value), series.geometric_abel(x)
+            lhs, rhs = complex(cos_sums[k].value, sv.value), series.geometric_abel(x)
             off_line = abs(rhs.real + 0.5) > 1e-8 or abs(lhs.real + 0.5) > 1e-8
             deviation = math.inf if off_line else abs(lhs - rhs)
             lhs, rhs = repr(lhs), repr(rhs)

@@ -27,10 +27,6 @@ class PrecisionLoss(UserWarning):
 
 # --- series ------------------------------------------------------------------
 
-class Diverges(OpzetaError):
-    """Raw truncation requested for a series that does not converge."""
-
-
 class EndpointConditional(OpzetaError):
     """Conditionally convergent series evaluated at an endpoint where the
     partial-sum bound degenerates."""

@@ -141,10 +141,15 @@ def parse_grid(text: str) -> tuple[float, float, int]:
 @lru_cache(maxsize=1)
 def _parse_registry() -> tuple[int, dict[str, IdentityRecord]]:
     """(version, records) of the data file, parsed once per process."""
+    return _parse(resources.files("opzeta").joinpath("data/identities.cfg").read_text(encoding="utf-8"))
+
+
+def _parse(text: str) -> tuple[int, dict[str, IdentityRecord]]:
+    """(version, records) of a data file's text; an unknown closed form,
+    Taylor generator or verify mode raises ValueError naming its block."""
     cfg = configparser.ConfigParser(interpolation=None)
     cfg.optionxform = str
-    path = resources.files("opzeta").joinpath("data/identities.cfg")
-    cfg.read_string(path.read_text(encoding="utf-8"))
+    cfg.read_string(text)
     out: dict[str, IdentityRecord] = {}
     for sec in cfg.sections():
         if sec == "meta":
@@ -158,6 +163,8 @@ def _parse_registry() -> tuple[int, dict[str, IdentityRecord]]:
             raise ValueError(f"[{sec}] unknown closed form {rhs_closed!r}")
         if rhs_taylor is not None and rhs_taylor not in TAYLOR_GENERATORS:
             raise ValueError(f"[{sec}] unknown Taylor generator {rhs_taylor!r}")
+        if block["verify_mode"] not in ("sum", "abel", "geometric", "exact"):
+            raise ValueError(f"[{sec}] unknown verify mode {block['verify_mode']!r}")
         out[sec] = IdentityRecord(
             id=sec,
             summary=block["summary"],

@@ -1,20 +1,21 @@
-"""Trigonometric series evaluation: convergent partial sums with rigorous
-tail bounds, and Abel (Euler) summation for the divergent cases.
+"""Trigonometric series evaluation: convergent sums with rigorous error
+bounds, and Abel (Euler) summation for the divergent cases.
 
 A series is sum_n chi(n) trig(n x) / n^s. The trivial character runs over
 n = 1, 2, 3, ...; the `beta` character runs over odd n = 2k+1 with sign
 (-1)^k. Each route computes the trivial character only, and `_beta` takes
 the beta character as the trivial series at x - pi/2 and x + pi/2 through
-either route. Every convergent series (exponent >= 1) has one kernel,
-`partial_sums_accelerated`, over a whole grid: a short head per point, all
-heads batched into few numpy evaluations by `_heads` (raw truncation,
-`partial_sum`, too), plus an iterated summation-by-parts tail, all tails in
-one numpy pass by `_tails`. Divergent series (exponent <= 0) are never
-summed by raw truncation; they take the Abel route, `abel_value`, which
-covers exponents <= 1: there the trivial Abel mean is a closed form in
-z = r e^(ix), continuous up to |z| = 1 away from z = 1, so the Abel sum is
-that form at r = 1. `TrigSeries` and `SummedValue` are NamedTuples; a
-`TrigSeries` checks its fields in `__new__`.
+either route. Both routes sum a whole grid in one call and return one
+`SummedValue` per point, each the double its x gives alone. Every
+convergent series (exponent >= 1) has one kernel, `partial_sums_accelerated`:
+a short head per point, all heads batched into few numpy evaluations by
+`_heads`, plus an iterated summation-by-parts tail, all tails in one numpy
+pass by `_tails`. Divergent series (exponent <= 0) are never summed by raw
+truncation; they take the Abel route, `abel_sums`, which covers exponents
+<= 1: there the trivial Abel mean is a closed form in z = r e^(ix),
+continuous up to |z| = 1 away from z = 1, so the Abel sum is that form at
+r = 1. `TrigSeries` and `SummedValue` are NamedTuples; a `TrigSeries` checks
+its fields in `__new__`.
 """
 
 from __future__ import annotations
@@ -23,13 +24,7 @@ import cmath
 import math
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import (
-    Diverges,
-    EndpointConditional,
-    NotConverged,
-    OutsideDomain,
-    SingularAtEndpoint,
-)
+from .errors import EndpointConditional, NotConverged, OutsideDomain, SingularAtEndpoint
 
 _UNIT_ROUNDOFF = 2.0**-53
 _N0_SCALE, _N0_CAP, _SBP_MAX_LEVELS = 64, 400_000, 48
@@ -61,27 +56,7 @@ class SummedValue(NamedTuple):
 
     value: float
     abs_error_estimate: float
-    method: str  # partial_sum | abel_closed_form
-
-
-def partial_sum(series: TrigSeries, x: float, N: int) -> SummedValue:
-    """Sum of the first N terms of a trivial-character series, with a
-    rigorous tail bound as the error: N^(1-s)/(s-1) at exponent s >= 2, and
-    by summation by parts 1/((N+1) |sin(x/2)|) at exponent 1, where the
-    convergence is conditional and x = 0 mod 2*pi is rejected. A beta series
-    is summed by `partial_sums_accelerated` only.
-    """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if series.character != "trivial":
-        raise ValueError("partial_sum sums the trivial character; use partial_sums_accelerated")
-    s = series.exponent
-    if s <= 0:
-        raise Diverges(f"exponent {s} <= 0: raw truncation diverges; use abel_value")
-    if s == 1 and abs(math.sin(x / 2)) < 1e-12:
-        raise EndpointConditional(f"x = 0 mod 2*pi at x={x}: conditional convergence endpoint")
-    bound = N ** (1 - s) / (s - 1) if s >= 2 else 1.0 / ((N + 1) * abs(math.sin(x / 2)))
-    return SummedValue(_heads(series.parity, s, [x], [N])[0], bound, "partial_sum")
+    method: str  # partial_sum (the kernel's head plus tail) | abel_closed_form
 
 
 def _heads(parity: str, s: int, xs: Sequence[float], lengths: Sequence[int]) -> list[float]:
@@ -307,21 +282,23 @@ def _abel_means(parity: str, s: int, ys: Sequence[float]) -> list[tuple[float, f
     return out
 
 
-def abel_value(series: TrigSeries, x: float) -> SummedValue:
-    """Abel sum of `series` at x, at exponent <= 1: the limit r -> 1 of the
-    Abel mean sum chi(n) z^n / n^exponent, z = r e^(ix) (its imaginary part
-    for sin, real part for cos). The trivial mean F is continuous on the closed
-    unit disk away from z = 1, so the limit is `_abel_means` at r = 1; the beta
-    character is `_beta` over it, (F(iz) - F(-iz))/(2i). Raises OutsideDomain at
-    |sin(x/2)| <= 1e-9 (trivial) or |cos x| <= 1e-9 (beta), and ValueError at
-    exponents >= 2, which converge: their Abel sum is the sum (Abel's theorem),
-    `partial_sums_accelerated`.
+def abel_sums(series: TrigSeries, xs: Sequence[float]) -> list[SummedValue]:
+    """The Abel sum of `series` at every x of xs, at exponent <= 1: the limit
+    r -> 1 of the Abel mean sum chi(n) z^n / n^exponent, z = r e^(ix) (its
+    imaginary part for sin, real part for cos). The trivial mean F is
+    continuous on the closed unit disk away from z = 1, so the limit is
+    `_abel_means` at r = 1, over the whole grid; the beta character is `_beta`
+    over it, (F(iz) - F(-iz))/(2i). Every point is checked first: the first x
+    in grid order with |sin(x/2)| <= 1e-9 (trivial) or |cos x| <= 1e-9 (beta)
+    raises OutsideDomain, naming it. Exponents >= 2 raise ValueError: they
+    converge, so their Abel sum is the sum (Abel's theorem),
+    `partial_sums_accelerated`. Each value is the double its x gives alone.
     """
-    key = (series.parity, series.exponent, series.character)
     if series.exponent >= 2:
         raise ValueError(f"exponent {series.exponent} >= 2 converges; use partial_sums_accelerated")
     trivial = series.character == "trivial"
-    if abs(math.sin(x / 2) if trivial else math.cos(x)) <= 1e-9:
-        raise OutsideDomain(f"x={x} is a singular point ({'sin(x/2)' if trivial else 'cos x'} = 0) of the Abel sum of {key}")
-    sums = _abel_means(series.parity, series.exponent, [x]) if trivial else _beta(series, [x], _abel_means)
-    return SummedValue(*sums[0], "abel_closed_form")
+    if singular := [x for x in xs if abs(math.sin(x / 2) if trivial else math.cos(x)) <= 1e-9]:
+        zero = "sin(x/2)" if trivial else "cos x"
+        raise OutsideDomain(f"x={singular[0]} is a singular point ({zero} = 0) of the Abel sum of {tuple(series)}")
+    sums = _abel_means(series.parity, series.exponent, xs) if trivial else _beta(series, xs, _abel_means)
+    return [SummedValue(value, bound, "abel_closed_form") for value, bound in sums]

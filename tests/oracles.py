@@ -11,7 +11,8 @@ the per-point route of the accelerated sum, with exact differences, before it
 took a grid in one pass with float differences. `taylor_flow_per_degree` and
 `extract_special_values_per_degree` are the per-degree loops of the operator
 engine's flow and extraction, before both read their Taylor terms and
-operator values through `apply_operator`.
+operator values through `apply_operator`. `partial_sum` and
+`beta_partial_sum` sum by raw truncation, which no package route does.
 """
 
 from __future__ import annotations
@@ -162,12 +163,29 @@ def divisors(m: int) -> list[int]:
     return [d for d in range(1, m + 1) if m % d == 0]
 
 
+def partial_sum(parity: str, s: int, x: float, N: int) -> tuple[float, float]:
+    """Raw truncation of the trivial-character series sum_n trig(n x) / n^s
+    after N terms, summed in doubles, and its tail bound: N^(1-s)/(s-1) at
+    s >= 2, 1/((N+1) |sin(x/2)|) by summation by parts at s = 1, where the
+    convergence is conditional and x = 0 mod 2*pi is rejected (once
+    `series.partial_sum`, which no command called)."""
+    import numpy as np
+
+    if s < 1:
+        raise ValueError(f"exponent {s} <= 0: raw truncation diverges")
+    if s == 1 and abs(math.sin(x / 2)) < 1e-12:
+        raise EndpointConditional(f"x = 0 mod 2*pi at x={x}: conditional convergence endpoint")
+    n = np.arange(1, N + 1, dtype=np.float64)
+    value = float(np.sum((np.sin if parity == "sin" else np.cos)(n * x) / n**s))
+    return value, N ** (1 - s) / (s - 1) if s >= 2 else 1.0 / ((N + 1) * abs(math.sin(x / 2)))
+
+
 def beta_partial_sum(parity: str, s: int, x: float, N: int) -> tuple[float, float]:
     """Raw truncation of the beta-character series sum_k (-1)^k
     trig((2k+1) x) / (2k+1)^s after N terms, summed in doubles, and its tail
     bound: (2N)^(1-s)/(2(s-1)) at s >= 2, 1/((2N+1) |cos x|) by summation by
     parts at s = 1 (the route `series.partial_sum` took for this character
-    before `partial_sum_accelerated` summed it by a shift)."""
+    before the accelerated sum took it by a shift)."""
     import numpy as np
 
     k = np.arange(N, dtype=np.float64)

@@ -10,6 +10,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from opzeta import registry
 from opzeta.cli import _write, main
 from opzeta.errors import PrecisionLoss
 from opzeta.exactnum import PiPolynomial, PiXPolynomial
@@ -92,6 +93,35 @@ class TestRegistry:
         summed = [rec.series.exponent for rec in reg.values() if rec.verify_mode == "sum"]
         assert abel and summed
         assert max(abel) <= 1 <= min(summed), (abel, summed)
+
+    BLOCK = """[meta]
+version = 1
+
+[odd_one]
+summary = sum_n sin(n x) = sin x / (2 (1 - cos x)) (Abel)
+lhs = series parity=sin exponent=0 character=trivial
+domain = (0, pi]
+verify_mode = abel
+default_grid = 0.1:3:5
+default_tol = 1e-6
+"""
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("verify_mode = pointwise", "[odd_one] unknown verify mode 'pointwise'"),
+            ("rhs_closed = cot_half", "[odd_one] unknown closed form 'cot_half'"),
+            ("rhs_taylor = tan_series", "[odd_one] unknown Taylor generator 'tan_series'"),
+        ],
+    )
+    def test_a_bad_block_is_named(self, line, message):
+        version, records = registry._parse(self.BLOCK)
+        assert version == 1 and records["odd_one"].verify_mode == "abel"
+        key = line.split(" = ")[0]
+        text = "".join(row for row in self.BLOCK.splitlines(keepends=True) if not row.startswith(key)) + line + "\n"
+        with pytest.raises(ValueError) as info:
+            registry._parse(text)
+        assert str(info.value) == message
 
 
 class TestVerifyCommand:

@@ -10,7 +10,6 @@ import pytest
 
 from opzeta import series as series_module
 from opzeta.errors import (
-    Diverges,
     EndpointConditional,
     NotConverged,
     OutsideDomain,
@@ -23,13 +22,18 @@ from opzeta.series import (
     TrigSeries,
     _differences,
     _geometric_rational,
-    abel_value,
+    abel_sums,
     geometric_abel,
-    partial_sum,
     partial_sums_accelerated,
 )
 from opzeta.specfun import clausen_closed_form, special_value
-from oracles import beta_partial_sum, exact_differences, partial_sum_accelerated_per_point, series_reciprocal
+from oracles import (
+    beta_partial_sum,
+    exact_differences,
+    partial_sum,
+    partial_sum_accelerated_per_point,
+    series_reciprocal,
+)
 
 PI = math.pi
 
@@ -46,45 +50,41 @@ def polylog_reference(s, character, x):
 
 
 class TestPartialSum:
+    """The raw truncation of `oracles.partial_sum`, the reference of
+    `TestConvergentClosedFormAgreement`, at known values and its own checks."""
+
     def test_sin_at_pi_vanishes(self):
-        r = partial_sum(TrigSeries("sin", 1), PI, 10_000)
-        assert abs(r.value) <= r.abs_error_estimate
-        assert abs(r.value) < 1e-9  # every term sin(n pi) = 0
+        value, bound = partial_sum("sin", 1, PI, 10_000)
+        assert abs(value) <= bound
+        assert abs(value) < 1e-9  # every term sin(n pi) = 0
 
     def test_sawtooth_at_half_pi(self):
-        r = partial_sum(TrigSeries("sin", 1), PI / 2, 100_000)
-        assert abs(r.value - PI / 4) <= r.abs_error_estimate
-        assert r.method == "partial_sum"
+        value, bound = partial_sum("sin", 1, PI / 2, 100_000)
+        assert abs(value - PI / 4) <= bound
 
     def test_quadratic_series_at_zero(self):
-        r = partial_sum(TrigSeries("cos", 2), 0.0, 1_000_000)
-        assert abs(r.value - PI * PI / 6) <= 1e-6
+        value, _ = partial_sum("cos", 2, 0.0, 1_000_000)
+        assert abs(value - PI * PI / 6) <= 1e-6
 
     def test_divergent_rejected(self):
-        with pytest.raises(Diverges):
-            partial_sum(TrigSeries("sin", 0), 1.0, 100)
-        with pytest.raises(Diverges):
-            partial_sum(TrigSeries("cos", -1), 1.0, 100)
+        for parity, s in (("sin", 0), ("cos", -1)):
+            with pytest.raises(ValueError, match="raw truncation diverges"):
+                partial_sum(parity, s, 1.0, 100)
 
     def test_endpoint_conditional(self):
         with pytest.raises(EndpointConditional):
-            partial_sum(TrigSeries("cos", 1), 0.0, 100)
+            partial_sum("cos", 1, 0.0, 100)
         with pytest.raises(EndpointConditional):
-            partial_sum(TrigSeries("cos", 1), 2 * PI, 100)
+            partial_sum("cos", 1, 2 * PI, 100)
 
     def test_beta_character_terms(self):
-        # raw truncation covers the trivial character; the beta one is summed
-        # by the shift, and its raw truncation is the tests' reference
-        with pytest.raises(ValueError, match="partial_sums_accelerated"):
-            partial_sum(TrigSeries("cos", 2, "beta"), 0.0, 200_000)
         # sum (-1)^k cos((2k+1)x)/(2k+1)^2 at x=0 is Catalan's constant
         value, bound = beta_partial_sum("cos", 2, 0.0, 200_000)
         assert abs(value - 0.915965594177219) <= max(bound, 1e-6)
 
     def test_tail_bound_shape_exponent1(self):
-        r = partial_sum(TrigSeries("sin", 1), 0.5, 1000)
-        expect = 1.0 / (1001 * abs(math.sin(0.25)))
-        assert r.abs_error_estimate == pytest.approx(expect)
+        _, bound = partial_sum("sin", 1, 0.5, 1000)
+        assert bound == pytest.approx(1.0 / (1001 * abs(math.sin(0.25))))
 
 
 class TestPartialSumAccelerated:
@@ -292,7 +292,7 @@ class TestDifferences:
 
 
 class TestAbelValueHonestBound:
-    """`abel_value` against mpmath polylog at 40 digits: exponents 1 down to
+    """`abel_sums` against mpmath polylog at 40 digits: exponents 1 down to
     -14, both characters and parities, x down to 1e-3 from each singular
     point. The beta series is (Li_s(iz) - Li_s(-iz))/(2i), z = e^(ix)."""
 
@@ -311,10 +311,10 @@ class TestAbelValueHonestBound:
         for s, character, x in points:
             want = polylog_reference(s, character, x)
             for parity, part in (("sin", want.imag), ("cos", want.real)):
-                got = abel_value(TrigSeries(parity, s, character), x)
+                got = abel_sums(TrigSeries(parity, s, character), [x])[0]
                 assert got.method == "abel_closed_form"
                 assert abs(got.value - float(part)) <= got.abs_error_estimate, (parity, s, character, x)
-        got = abel_value(TrigSeries("sin", 1, "beta"), 2.0)
+        got = abel_sums(TrigSeries("sin", 1, "beta"), [2.0])[0]
         want = 0.5 * math.log((1 + math.sin(2.0)) / abs(math.cos(2.0)))
         assert abs(got.value - want) <= got.abs_error_estimate + 4e-16 * abs(want)
 
@@ -328,12 +328,13 @@ class TestBetaIsTheShiftedTrivialMean:
         for s in range(1, -15, -1):
             for x in xs:
                 plus, minus = (
-                    complex(abel_value(TrigSeries("cos", s), y).value, abel_value(TrigSeries("sin", s), y).value)
+                    complex(abel_sums(TrigSeries("cos", s), [y])[0].value,
+                            abel_sums(TrigSeries("sin", s), [y])[0].value)
                     for y in (x + PI / 2, x - PI / 2)
                 )
                 want = (plus - minus) / 2j
-                assert abel_value(TrigSeries("sin", s, "beta"), x).value == want.imag, (s, x)
-                assert abel_value(TrigSeries("cos", s, "beta"), x).value == want.real, (s, x)
+                assert abel_sums(TrigSeries("sin", s, "beta"), [x])[0].value == want.imag, (s, x)
+                assert abel_sums(TrigSeries("cos", s, "beta"), [x])[0].value == want.real, (s, x)
 
     @pytest.mark.parametrize("s", range(1, 5))
     def test_kernel_bit_for_bit(self, s):
@@ -374,40 +375,40 @@ class TestGeometricAbel:
 
 class TestAbelValue:
     def test_sine_exponent0(self):
-        r = abel_value(TrigSeries("sin", 0), PI / 2)
+        r = abel_sums(TrigSeries("sin", 0), [PI / 2])[0]
         assert r.value == pytest.approx(0.5, abs=1e-14)
         assert r.method == "abel_closed_form"
 
     def test_beta_sine_vanishes(self):
-        r = abel_value(TrigSeries("sin", 0, "beta"), 1.0)
+        r = abel_sums(TrigSeries("sin", 0, "beta"), [1.0])[0]
         assert r.value == 0.0
 
     def test_cos_exponent_minus_one(self):
-        r = abel_value(TrigSeries("cos", -1), PI)
+        r = abel_sums(TrigSeries("cos", -1), [PI])[0]
         assert r.value == pytest.approx(-0.25, abs=1e-14)
 
     def test_beta_cos_half_sec(self):
-        r = abel_value(TrigSeries("cos", 0, "beta"), 1.0)
+        r = abel_sums(TrigSeries("cos", 0, "beta"), [1.0])[0]
         assert r.value == pytest.approx(1 / (2 * math.cos(1.0)), abs=1e-14)
 
     def test_outside_domain(self):
         with pytest.raises(OutsideDomain):
-            abel_value(TrigSeries("sin", 1, "beta"), PI / 2)
+            abel_sums(TrigSeries("sin", 1, "beta"), [PI / 2])
         with pytest.raises(OutsideDomain):
-            abel_value(TrigSeries("sin", 0), 0.0)
+            abel_sums(TrigSeries("sin", 0), [0.0])
         with pytest.raises(OutsideDomain):
-            abel_value(TrigSeries("cos", 0, "beta"), PI / 2)
+            abel_sums(TrigSeries("cos", 0, "beta"), [PI / 2])
 
     def test_fallback_extrapolates(self):
         # the Abel sum of sum cos(nx) is -1/2 wherever x != 0 mod 2*pi
-        r = abel_value(TrigSeries("cos", 0), 1.2)
+        r = abel_sums(TrigSeries("cos", 0), [1.2])[0]
         assert r.method == "abel_closed_form"
         assert abs(r.value + 0.5) <= r.abs_error_estimate <= 1e-14
 
     def test_cos_exponent0_next_to_the_pole(self):
         # the Abel means of sum cos(nx) grow like 1/(1 - r) at x ~ 0, but at
         # r = 1 the factored 1 - z keeps -1/2 within a bound of 1e-7
-        r = abel_value(TrigSeries("cos", 0), 1e-7)
+        r = abel_sums(TrigSeries("cos", 0), [1e-7])[0]
         assert abs(r.value + 0.5) <= r.abs_error_estimate <= 1e-7
 
     def test_no_closed_form_names_the_tail_at_convergent_exponents(self):
@@ -415,30 +416,80 @@ class TestAbelValue:
         # route's, and the route names it
         for series in (TrigSeries("cos", 2), TrigSeries("sin", 5, "beta")):
             with pytest.raises(ValueError, match="use partial_sums_accelerated"):
-                abel_value(series, 1.0)
+                abel_sums(series, [1.0])
         # the kernel's own error where the capped head leaves the tail above tol, which the
         # Abel route used to wrap
         with pytest.raises(NotConverged, match="tail remainder"):
             partial_sums_accelerated(TrigSeries("cos", 2), [1e-6])
 
 
+class TestAbelSums:
+    """The Abel route over a grid: every point checked first, one mean per
+    grid, and each value the double its x gives alone."""
+
+    @pytest.mark.parametrize("character", ["trivial", "beta"])
+    @pytest.mark.parametrize("exponent", range(1, -7, -1))
+    def test_each_value_is_its_point_alone(self, exponent, character):
+        rng = random.Random(f"abel-grid-{exponent}-{character}")
+        if character == "trivial":
+            xs = [rng.uniform(1e-3, 2 * PI - 1e-3) for _ in range(30)] + [1e-7, -2.0, PI, 2 * PI - 1e-3]
+        else:
+            xs = [rng.uniform(-1.4, 1.4) for _ in range(30)] + [1e-3 - PI / 2, 0.0, 2.0, PI / 2 - 1e-7]
+        bits = lambda r: (r.value.hex(), r.abs_error_estimate.hex(), r.method)  # noqa: E731
+        for parity in ("sin", "cos"):
+            series = TrigSeries(parity, exponent, character)
+            got, reversed_grid = abel_sums(series, xs), abel_sums(series, xs[::-1])[::-1]
+            assert len(got) == len(xs)
+            for x, r, r_rev in zip(xs, got, reversed_grid):
+                assert bits(r) == bits(r_rev) == bits(abel_sums(series, [x])[0]), x
+        assert abel_sums(TrigSeries("sin", 0), []) == []
+
+    @pytest.mark.parametrize(
+        "series, first, second, zero",
+        [
+            (TrigSeries("sin", 0), 2 * PI, 0.0, "sin(x/2)"),
+            (TrigSeries("cos", -3), 1e-10, -2 * PI, "sin(x/2)"),
+            (TrigSeries("sin", 1, "beta"), PI / 2, -PI / 2, "cos x"),
+            (TrigSeries("cos", 0, "beta"), -PI / 2 + 1e-10, 3 * PI / 2, "cos x"),
+        ],
+    )
+    def test_first_singular_point_is_named_before_any_mean(self, series, first, second, zero, monkeypatch):
+        calls = []
+        monkeypatch.setattr(series_module, "_abel_means", lambda *args: calls.append(args))
+        for bad, grid in ((first, [0.5, first, 1.0, second]), (second, [1.0, second, first, 0.5])):
+            with pytest.raises(OutsideDomain) as info:
+                abel_sums(series, grid)
+            assert str(info.value) == f"x={bad} is a singular point ({zero} = 0) of the Abel sum of {tuple(series)}"
+        assert calls == []
+
+    def test_one_mean_per_grid(self, monkeypatch):
+        # the rational function of the trivial mean is built once a grid, for either character
+        calls = []
+        rational = series_module._geometric_rational
+        monkeypatch.setattr(series_module, "_geometric_rational", lambda s: calls.append(s) or rational(s))
+        xs = [0.1 * k for k in range(1, 14)]
+        abel_sums(TrigSeries("cos", -4), xs)
+        abel_sums(TrigSeries("sin", -2, "beta"), xs)
+        assert calls == [-4, -2]
+
+
 class TestAbelExtrapolate:
-    """`abel_value` at sample points, and the kernel at the convergent exponents."""
+    """`abel_sums` at sample points, and the kernel at the convergent exponents."""
 
     def test_spec_grid_sine(self):
-        r = abel_value(TrigSeries("sin", 0), PI / 2)
+        r = abel_sums(TrigSeries("sin", 0), [PI / 2])[0]
         assert abs(r.value - 0.5) < 1e-15
 
     def test_beta_cos_at_one(self):
-        r = abel_value(TrigSeries("cos", 0, "beta"), 1.0)
+        r = abel_sums(TrigSeries("cos", 0, "beta"), [1.0])[0]
         assert abs(r.value - 1 / (2 * math.cos(1.0))) < 1e-15
 
     def test_sin_at_pi_vanishes(self):
-        r = abel_value(TrigSeries("sin", 0), PI)
+        r = abel_sums(TrigSeries("sin", 0), [PI])[0]
         assert abs(r.value) < 1e-15
 
     def test_method_field(self):
-        assert abel_value(TrigSeries("sin", 0), 2.0).method == "abel_closed_form"
+        assert abel_sums(TrigSeries("sin", 0), [2.0])[0].method == "abel_closed_form"
 
     @pytest.mark.parametrize("exponent", range(2, 7))
     def test_convergent_exponents_are_the_sum(self, exponent):
@@ -453,7 +504,7 @@ class TestAbelExtrapolate:
 
 
 class TestRegistryExtrapolationAgreement:
-    """Every registry closed form vs `abel_value` at 20 random points."""
+    """Every registry closed form vs `abel_sums` at 20 random points."""
 
     FORMS = {
         ("sin", 0, "trivial"): CLOSED_FORMS["sin_over_one_minus_cos"],
@@ -478,7 +529,7 @@ class TestRegistryExtrapolationAgreement:
             if character == "trivial" and abs(math.sin(x / 2)) < 0.05:
                 continue
             count += 1
-            a = abel_value(series, x)
+            a = abel_sums(series, [x])[0]
             assert abs(a.value - fn(x)) <= a.abs_error_estimate + 1e-15 * abs(fn(x))
 
 
@@ -522,35 +573,33 @@ class TestDecompositionInvariants:
     def test_imaginary_part_is_sine_series(self):
         for x in [0.2 + 0.37 * k for k in range(16)]:
             g = geometric_abel(x)
-            s = abel_value(TrigSeries("sin", 0), x)
+            s = abel_sums(TrigSeries("sin", 0), [x])[0]
             assert g.imag == pytest.approx(float(s.value), abs=1e-12)
             assert g.real == pytest.approx(-0.5, abs=1e-12)
 
     def test_geometric_from_abel_values_matches_closed_form(self):
         # the complex left side of `verify`'s geometric mode
         for x in (0.3, 1.1, 2.7, 5.1):
-            e = complex(abel_value(TrigSeries("cos", 0), x).value, abel_value(TrigSeries("sin", 0), x).value)
+            e = complex(abel_sums(TrigSeries("cos", 0), [x])[0].value, abel_sums(TrigSeries("sin", 0), [x])[0].value)
             assert abs(e - geometric_abel(x)) < 1e-14
 
 
 class TestConvergentClosedFormAgreement:
     @pytest.mark.parametrize("m", [1, 2])
     def test_sine_series(self, m):
-        series = TrigSeries("sin", 2 * m - 1)
         poly = clausen_closed_form("sin", m)
         for k in range(20):
             x = 0.1 + (2 * PI - 0.2) * k / 19
-            r = partial_sum(series, x, 20_000)
-            assert abs(r.value - pipoly_eval(poly, x)) <= r.abs_error_estimate
+            value, bound = partial_sum("sin", 2 * m - 1, x, 20_000)
+            assert abs(value - pipoly_eval(poly, x)) <= bound
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_cosine_series(self, m):
-        series = TrigSeries("cos", 2 * m)
         poly = clausen_closed_form("cos", m)
         for k in range(20):
             x = 0.1 + (2 * PI - 0.2) * k / 19
-            r = partial_sum(series, x, 20_000)
-            assert abs(r.value - pipoly_eval(poly, x)) <= r.abs_error_estimate
+            value, bound = partial_sum("cos", 2 * m, x, 20_000)
+            assert abs(value - pipoly_eval(poly, x)) <= bound
 
 
 class TestClosedFormsNearCancellation:
