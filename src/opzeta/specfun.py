@@ -11,8 +11,12 @@ multiplicative, so each prime takes one mpmath power and each composite one
 product. Each thread computes in its own mpmath context
 (`_working_precision`), local integers and a local table; there is no lock
 and no process-global precision, so the public functions are safe for
-concurrent use and leave mpmath's global `mp` context untouched. mpmath is
-imported on the first numeric call, so the exact values never load it.
+concurrent use and leave mpmath's global `mp` context untouched. The one
+shared value is the bounded memo of logarithms `_ln` (log m for the powers,
+log((4N+3)/(4N+1)) for beta's pole term), one immutable mpmath value per
+integer pair and precision, filled on first use with no lock: threads that
+race on a key compute the same value. mpmath is imported on the first
+numeric call, so the exact values never load it.
 
 `special_value` is the one route table of the operator values: for each kind
 and exact argument it decides between the exact value, the numeric one and
@@ -26,7 +30,7 @@ import threading
 import warnings
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import factorial
 from typing import NamedTuple
 
@@ -49,6 +53,9 @@ _EM_IM_MAX = 50.0
 # _EM_K_MAX terms: a hundredth of the 1e-16 floor both evaluators add.
 _EM_TARGET = 1e-18
 _EM_K_MAX = 41
+# Entries of the memo `_ln`: the validated domain reaches about 5,000 keys
+# (1,055 on the real axis, the rest beta's pole logarithm at complex s).
+_LN_MEMO_SIZE = 8192
 
 
 @contextmanager
@@ -112,20 +119,48 @@ def _em_params(sig: float, tau: float, stride: int = 1) -> tuple[int, int]:
     return n, dps
 
 
+@lru_cache(maxsize=_LN_MEMO_SIZE)
+def _ln(a: int, b: int, prec: int) -> tuple:
+    """log(a/b) at `prec` bits as a raw mpmath value (a libmp tuple), rounded
+    to nearest as mpmath's log of the mpf a/b is: computed once per
+    (a, b, prec)."""
+    from mpmath.libmp import from_int, mpf_div, mpf_log, round_nearest
+
+    return mpf_log(mpf_div(from_int(a), from_int(b), prec, round_nearest), prec, round_nearest)
+
+
+def _powers(ctx, neg):
+    """m -> m^neg for an integer m >= 1, bit-identical to ctx.mpf(m) ** neg.
+    At a real neg that is neither an integer nor a half-integer, mpmath's
+    power is exp(neg log m), with log m at prec + 10 bits; this takes the log
+    from the memo `_ln`. An integer power (squarings) or a half-integer one
+    (a square root) takes no logarithm, and a complex power rounds its log
+    another way: those stay mpmath's `**`."""
+    t = getattr(neg, "_mpf_", None)
+    if t is None or t[2] >= -1:  # complex, or an integer or half-integer (binary exponent >= -1)
+        return lambda m: ctx.mpf(m) ** neg
+    from mpmath.libmp import mpf_exp, mpf_mul, round_nearest
+
+    prec = ctx.prec
+    return lambda m: ctx.make_mpf(mpf_exp(mpf_mul(t, _ln(m, 1, prec + 10)), prec, round_nearest))
+
+
 def _power_table(ctx, smp, top: int, odd: bool = False) -> list:
     """m^-s at m = 1..top (odd m only if `odd`; None elsewhere), by a linear
-    sieve: a prime m is one mpmath power, a composite m = p c, p its smallest
-    prime factor, the product of the entries at c and p. Error budget: m has
-    at most log2(m) prime factors, so its entry is at most log2(m) powers,
-    each within one ulp at prec, joined by fewer products, each within half
-    an ulp: within relative 3 log2(m) 2^-prec of m^-s (at m <= 4N + 3, under
-    2^(5-prec) in the validated domain)."""
+    sieve: a prime m is one mpmath power (`_powers`, each log m from the
+    memo), a composite m = p c, p its smallest prime factor, the product of
+    the entries at c and p. Each power is the very value ctx.mpf(m) ** -s
+    gives, so the error budget is mpmath's: m has at most log2(m) prime
+    factors, so its entry is at most log2(m) powers, each within one ulp at
+    prec, joined by fewer products, each within half an ulp: within relative
+    3 log2(m) 2^-prec of m^-s (at m <= 4N + 3, under 2^(5-prec) in the
+    validated domain)."""
     table = [None] * (top + 1)
     table[1] = ctx.mpf(1)
-    neg, primes = -smp, []
+    power, primes = _powers(ctx, -smp), []
     for m in range(2 + odd, top + 1, 1 + odd):
         if table[m] is None:
-            table[m] = ctx.mpf(m) ** neg
+            table[m] = power(m)
             primes.append(m)
         for p in primes:
             if m * p > top:
@@ -256,7 +291,7 @@ def dirichlet_beta(s) -> EvalResult:
     ratio = _ratio(s)
     with _working_precision(dps) as ctx:
         smp = _mp_of(ctx, ratio)
-        four_pow = ctx.mpf(4) ** (-smp)
+        four_pow = _powers(ctx, -smp)(4)
         four_s, scale = 1 / four_pow, float(abs(four_pow))
         n4 = 4 * n_cut
         table = _power_table(ctx, smp, n4 + 3, odd=True)
@@ -264,7 +299,7 @@ def dirichlet_beta(s) -> EvalResult:
         part1, lead1, err1 = _em_sum(ctx, ratio, smp, 0.25, n_cut, scale, head1, four_s * table[n4 + 1])
         part2, _, err2 = _em_sum(ctx, ratio, smp, 0.75, n_cut, scale, head2, four_s * table[n4 + 3])
         # b1, b2 = N + 1/4, N + 3/4: [b1^(1-s) - b2^(1-s)]/(s-1) = -b1^(1-s) expm1((1-s) log(b2/b1))/(s-1)
-        log_ratio = ctx.log(ctx.mpf(n4 + 3) / (n4 + 1))
+        log_ratio = ctx.make_mpf(_ln(n4 + 3, n4 + 1, ctx.prec))
         if abs(smp - 1) < 1e-13:
             pole = lead1 * log_ratio
         else:

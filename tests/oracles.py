@@ -13,6 +13,10 @@ took a grid in one pass with float differences. `taylor_flow_per_degree` and
 engine's flow and extraction, before both read their Taylor terms and
 operator values through `apply_operator`. `partial_sum` and
 `beta_partial_sum` sum by raw truncation, which no package route does.
+`small_numbers_fraction` is the Fraction recurrence the exact table of
+Bernoulli and Euler numbers took before it ran in integers, and
+`powers_pow` and `ln_mpmath` the mpmath powers and logarithm of
+`specfun` before it kept its logarithms in a memo.
 """
 
 from __future__ import annotations
@@ -56,6 +60,20 @@ def bernoulli_akiyama_tanigawa(nmax: int) -> list[Fraction]:
     if nmax >= 1:
         out[1] = -out[1]
     return out
+
+
+def small_numbers_fraction(nmax: int) -> tuple[list[Fraction], list[int]]:
+    """B_0..B_nmax and E_0..E_nmax by the binomial recurrences in Fractions:
+    sum_(j<m) C(m+1, j) B_j = -(m+1) B_m and E_2m = -sum_(j<m) C(2m, 2j) E_2j."""
+    bern, euler = [Fraction(1), Fraction(-1, 2)], [1, 0]
+    for m in range(2, nmax + 1):
+        if m % 2:
+            bern.append(Fraction(0))
+            euler.append(0)
+            continue
+        bern.append(-sum(comb(m + 1, j) * b for j, b in enumerate(bern) if b) / (m + 1))
+        euler.append(-sum(comb(m, j) * euler[j] for j in range(0, m, 2)))
+    return bern[: nmax + 1], euler[: nmax + 1]
 
 
 def series_reciprocal(den: list[Fraction], nterms: int) -> list[Fraction]:
@@ -338,6 +356,22 @@ def nint_l_value_mpmath(scale: int, power: int, pi_mult: int, odd: bool) -> int:
         if abs(value - nearest) > 2.0**-16:
             raise NotConverged(f"L-value rounding: {ctx.nstr(value - nearest, 3)} from the nearest integer")
     return nearest
+
+
+def powers_pow(ctx, neg):
+    """m -> ctx.mpf(m) ** neg: the one mpmath power per prime that
+    `specfun._powers` stands in for (a drop-in for it)."""
+    return lambda m: ctx.mpf(m) ** neg
+
+
+def ln_mpmath(a: int, b: int, prec: int) -> tuple:
+    """log(a/b) as mpmath's `log` of the mpf a/b at `prec` bits, as a raw
+    libmp value: the formula `specfun._ln` memoizes (a drop-in for it)."""
+    import mpmath
+
+    ctx = mpmath.MPContext()
+    ctx.prec = prec
+    return ctx.log(ctx.mpf(a) / b)._mpf_
 
 
 def em_sum_mpf(ctx, s, a, n_cut: int, unit: float):

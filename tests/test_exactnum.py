@@ -35,6 +35,7 @@ from oracles import (
     nint_l_value_mpmath,
     pi_poly_mpf,
     pipoly_evaluator_mpf,
+    small_numbers_fraction,
 )
 
 
@@ -165,6 +166,23 @@ class TestNumbersPastTheTable:
         scale = int((2 * ctx.pi) ** 84 / 2)
         with pytest.raises(NotConverged):
             exactnum._nint_l_value(scale, 84, 2, False)
+
+    def test_table_equals_the_fraction_recurrence(self):
+        # the integer recurrence over one common denominator gives the very
+        # table the same recurrence gives in Fractions
+        exactnum._small_numbers.cache_clear()
+        bern, euler = small_numbers_fraction(exactnum._TABLE_MAX)
+        assert exactnum._small_numbers() == (tuple(bern), tuple(euler))
+
+    def test_inexact_division_raises(self, monkeypatch):
+        # a wrong binomial leaves some B_m times the common denominator
+        # fractional: the exact division by m + 1 must refuse it
+        monkeypatch.setattr(exactnum, "comb", lambda n, k: math.comb(n, k) + 1)
+        exactnum._small_numbers.cache_clear()
+        with pytest.raises(ArithmeticError, match="not an integer"):
+            exactnum._small_numbers()
+        monkeypatch.undo()
+        assert exactnum._small_numbers()[0][2] == Fraction(1, 6)
 
     def test_table_is_immutable_and_built_once(self):
         bern, euler = exactnum._small_numbers()

@@ -507,9 +507,10 @@ class TestImportIsCheap:
         return proc.stdout.strip()
 
     def test_no_bernoulli_number_at_import(self):
-        # the exact table and the Euler-Maclaurin coefficients are built on
-        # first use; importing the package must compute no Bernoulli or Euler
-        # number (a profile hook sees every call into exactnum's generators)
+        # the exact table, the Euler-Maclaurin coefficients and the memo of
+        # logarithms are built on first use; importing the package must
+        # compute no Bernoulli or Euler number (a profile hook sees every call
+        # into exactnum's generators) and no logarithm
         code = (
             "import sys\n"
             "calls = []\n"
@@ -521,9 +522,10 @@ class TestImportIsCheap:
             "sys.setprofile(hook)\n"
             "import opzeta, opzeta.specfun as s, opzeta.exactnum as e\n"
             "sys.setprofile(None)\n"
-            "print(calls, e._small_numbers.cache_info().currsize, s._em_coefficients.cache_info().currsize)"
+            "print(calls, e._small_numbers.cache_info().currsize, s._em_coefficients.cache_info().currsize,\n"
+            "      s._ln.cache_info().currsize)"
         )
-        assert self._child(code) == "[] 0 0"
+        assert self._child(code) == "[] 0 0 0"
 
     def test_cli_paths_without_numpy(self):
         # numpy is imported inside the two functions that use it; the import of
@@ -678,11 +680,14 @@ class TestIntegerCorrections:
 
     def test_routes_under_threads(self):
         # the loop keeps its state in local integers and the head table in a
-        # local list: 4 threads at once, with a short switch interval, give
-        # each call its serial result
+        # local list, and the memo of logarithms is emptied after the serial
+        # run, so the threads race to fill it: 4 threads at once, with a short
+        # switch interval, give each call its serial result
         import sys
         import threading
         from concurrent.futures import ThreadPoolExecutor
+
+        from opzeta import specfun
 
         calls = [
             (zeta_em, -12.75), (dirichlet_beta, 0.3), (zeta_em, complex(0.5, 21.0)), (dirichlet_beta, complex(-3.25, 9.5)),
@@ -692,6 +697,7 @@ class TestIntegerCorrections:
             (dirichlet_beta, Fraction(1139, 100)), (zeta_em, Fraction(-17, 8)),
         ]
         serial = [f(s) for f, s in calls]
+        specfun._ln.cache_clear()
         start = threading.Barrier(4)
 
         def run(offset):
@@ -711,7 +717,8 @@ class TestIntegerCorrections:
 
 class TestPowerTable:
     """`_power_table` gives the heads of zeta_em and dirichlet_beta: one
-    mpmath power per prime m and one product per composite."""
+    mpmath power per prime m, its logarithm from the memo `_ln`, and one
+    product per composite."""
 
     @pytest.mark.parametrize("s", [-25, Fraction(-1, 2), 12, complex(3, 50), complex(-24, 3)])
     def test_entries_within_the_stated_bound(self, s):
@@ -738,6 +745,85 @@ class TestPowerTable:
                 worst = max(worst, float(rel * 2**prec / max(1.0, 3 * math.log2(m))))
         assert worst <= 1.0
 
+    # fractional (decimal, as `values` passes it, and a double), integer,
+    # half-integer, 0 and complex s
+    _CLASSES = [Fraction(-2469, 200), Fraction(1, 3), 7.3125 + 2**-30, -25, 12, Fraction(-49, 2), 0.5, 0,
+                complex(0.5, 14.0), complex(-24.75, 50.0)]
+
+    @pytest.mark.parametrize("s", _CLASSES)
+    def test_entries_bit_identical_to_mpmath_powers(self, monkeypatch, s):
+        # every entry, the odd table's and 4^-s, at dps 25 and at the largest
+        # dps of the validated domain, with the memo empty and then warm, is
+        # the raw mpmath value the sieve gives with ctx.mpf(m) ** -s per prime
+        from oracles import powers_pow
+
+        from opzeta import specfun
+
+        n_cut, max_dps = specfun._em_params(-25.0, 50.0, stride=4)
+        top = 4 * n_cut + 3
+
+        def raw(x):
+            return getattr(x, "_mpf_", None) or x._mpc_
+
+        def tables(ctx, smp):
+            power = specfun._powers(ctx, -smp)
+            rows = (specfun._power_table(ctx, smp, top), specfun._power_table(ctx, smp, top, odd=True))
+            return [raw(power(4))] + [raw(x) if x is not None else None for row in rows for x in row]
+
+        for dps in (25, max_dps):
+            with specfun._working_precision(dps) as ctx:
+                smp = specfun._mp_of(ctx, specfun._ratio(s))
+                specfun._ln.cache_clear()
+                cold, warm = tables(ctx, smp), tables(ctx, smp)
+                with monkeypatch.context() as patch:
+                    patch.setattr(specfun, "_powers", powers_pow)
+                    ref = tables(ctx, smp)
+            assert cold == ref, dps
+            assert warm == ref, dps
+
+    def test_same_doubles_as_mpmath_logarithms(self, monkeypatch):
+        # zeta_em and dirichlet_beta give, by float.hex of value and bound,
+        # what they gave with mpmath's power per prime and 4^-s and mpmath's
+        # log((4N+3)/(4N+1)): at seeded decimal and double s in the validated
+        # domain, every half-integer and integer in [-25, 11.5], 0 and complex s
+        from oracles import ln_mpmath, powers_pow
+
+        from opzeta import specfun
+
+        rng = random.Random(26)
+        points = [Fraction(rng.randrange(-25000, 12001), 1000) for _ in range(150)]
+        points += [rng.uniform(-25.0, 12.0) for _ in range(50)]
+        points += [Fraction(k, 2) for k in range(-50, 24) if k != 2] + [0, 0.0]
+        points += [complex(rng.uniform(-25.0, 12.0), rng.uniform(-50.0, 50.0)) for _ in range(30)]
+
+        def results():
+            return [
+                (f.__name__, s, complex(r.value).real.hex(), complex(r.value).imag.hex(), r.abs_error_estimate.hex())
+                for s in points
+                for f in (zeta_em, dirichlet_beta)
+                for r in (f(s),)
+            ]
+
+        specfun._ln.cache_clear()
+        memo = results()
+        monkeypatch.setattr(specfun, "_powers", powers_pow)
+        monkeypatch.setattr(specfun, "_ln", ln_mpmath)
+        assert [r for r, m in zip(memo, results()) if r != m] == []
+
+    def test_memo_is_mpmath_log(self):
+        # _ln(a, b, prec) is mpmath's log of the mpf a/b at prec bits, raw,
+        # when computed and when read back: for the powers' log m (b = 1, m up
+        # to beyond beta's 4N + 3 at complex s) and beta's log((4N+3)/(4N+1))
+        from oracles import ln_mpmath
+
+        from opzeta import specfun
+
+        keys = [(m, 1, prec) for m in (2, 3, 4, 89, 97, 401, 403) for prec in (93, 102, 259, 332)]
+        keys += [(4 * n + 3, 4 * n + 1, prec) for n in (10, 23, 100) for prec in (83, 92, 249, 322)]
+        specfun._ln.cache_clear()
+        cold = [specfun._ln(*k) for k in keys]
+        assert cold == [specfun._ln(*k) for k in keys] == [ln_mpmath(*k) for k in keys]
+
     @pytest.mark.parametrize(
         "fn, s, n_cut, powers",
         [
@@ -748,17 +834,32 @@ class TestPowerTable:
         ],
     )
     def test_powers_per_call(self, monkeypatch, fn, s, n_cut, powers):
+        # an integer s takes mpmath's power (squarings) per prime; a
+        # fractional s takes no mpmath power but one exp per prime, and at
+        # most one log per prime and precision, beta's pole log((4N+3)/(4N+1))
+        # aside: a second call takes every log from the memo
+        import mpmath.libmp
         from mpmath.ctx_mp_python import _mpf
 
         from opzeta import specfun
 
         assert specfun._em_params(complex(s).real, 0.0)[0] == n_cut
-        calls, power = [], _mpf.__pow__
+        calls, power, exp = {"pow": 0, "exp": 0}, _mpf.__pow__, mpmath.libmp.mpf_exp
 
-        def counted(x, y):
-            calls.append(x)
-            return power(x, y)
+        def counted(name, f):
+            def call(*args):
+                calls[name] += 1
+                return f(*args)
 
-        monkeypatch.setattr(_mpf, "__pow__", counted)
-        fn(s)
-        assert len(calls) == powers
+            return call
+
+        monkeypatch.setattr(_mpf, "__pow__", counted("pow", power))
+        monkeypatch.setattr(mpmath.libmp, "mpf_exp", counted("exp", exp))
+        specfun._ln.cache_clear()
+        first = fn(s)
+        fractional = s != int(s)
+        assert calls == {"pow": powers * (not fractional), "exp": powers * fractional}
+        logs = powers * fractional + (fn is dirichlet_beta)
+        assert specfun._ln.cache_info().misses == specfun._ln.cache_info().currsize == logs
+        assert fn(s) == first
+        assert specfun._ln.cache_info().misses == logs
