@@ -27,6 +27,12 @@ from .errors import DimensionMismatch
 
 # rows per block of the divisor sieve and of the printed column
 _BLOCK = 1 << 14
+# rows m per string of the triplet export
+_TRIPLET_ROWS = 1 << 7
+# most quadrature panel rows per array pass of consistency_check (a layout with more
+# has a pass alone), 128 KB per array of nodes: at 2^10 rows a warm check at size
+# 1000, n = 1, faulted in about 21,000 pages a call (2^9: under 1,000), 5% slower
+_PANEL_ROWS = 1 << 9
 
 
 def _divisor_rows(size: int, label: Callable = int) -> Iterator[list]:
@@ -89,11 +95,13 @@ class DivisibilityMatrix(NamedTuple):
         return len(self.entries)
 
     def triplet_rows(self) -> Iterator[str]:
-        """Sparse triplet export, one string per row m: 'm n 1 m/n' for each divisor n
-        of m, increasing; reversed, the divisors are the cofactors, the last is m."""
-        for divs in _divisor_rows(self.size, str):
-            row = divs[-1]
-            yield "".join([f"{row} {n} 1 {k}\n" for n, k in zip(divs, reversed(divs))])
+        """Sparse triplet export, 2^7 whole rows m per string (at most 27 KB at the
+        size bound): 'm n 1 m/n' for each divisor n of m, increasing; reversed, the
+        divisors are the cofactors, the last is m."""
+        rows = _divisor_rows(self.size, str)
+        while chunk := list(itertools.islice(rows, _TRIPLET_ROWS)):
+            yield "".join([f"{m} {n} 1 {k}\n" for divs in chunk for m in [divs[-1]]
+                           for n, k in zip(divs, reversed(divs))])
 
     def column_blocks(self, n: int) -> Iterator[str]:
         """Column n as 'm num/den' lines, m = 1..size, 2^14 rows per string:
@@ -154,8 +162,11 @@ def consistency_check(n: int, M: int) -> ConsistencyReport:
 
     f jumps at x = 2 pi j / n, so the quadrature is composite Gauss-Legendre
     with panels split at the jumps and refined with the frequency m. m = 1..5
-    share one panel layout and so does each pair 2j, 2j + 1: nodes and weighted
-    sawtooth are built once per layout, each m adds its panel sums in order.
+    share one panel layout and so does each pair 2j, 2j + 1. The nodes and
+    weighted sawtooth of consecutive layouts are built together, in array passes
+    of at most 2^9 panel rows (a larger layout has a pass alone); the m of a
+    layout are evaluated together on views of its rows, and each adds its panel
+    sums in order, as a scalar loop from 0.0 does: bit-identical to it.
     """
     if n < 1 or M < n:
         raise ValueError("need 1 <= n <= M")
@@ -168,20 +179,24 @@ def consistency_check(n: int, M: int) -> ConsistencyReport:
     jumps = [2 * math.pi * j / n for j in range(1, n // 2 + 1) if 2 * math.pi * j / n < math.pi - 1e-12]
     breaks = np.array([0.0] + jumps + [math.pi])
     starts, widths = breaks[:-1], np.diff(breaks)
+    layouts = [(per, np.array(list(ms))) for per, ms in itertools.groupby(range(1, M + 1), lambda m: max(4, m // 2 + 2))]
+    step = max(1, _PANEL_ROWS // (layouts[-1][0] + len(widths)))  # a layout has at most per + len(widths) panels
     coeffs = []
-    for per, ms in itertools.groupby(range(1, M + 1), key=lambda m: max(4, m // 2 + 2)):
-        sub = np.maximum(1, np.ceil(per * widths / math.pi)).astype(np.int64)  # panels per interval
-        seg = np.repeat(np.arange(len(sub)), sub)
+    for lo in range(0, len(layouts), step):
+        per = np.array([p for p, _ in layouts[lo : lo + step]])
+        sub = np.maximum(1, np.ceil(per[:, None] * widths / math.pi)).astype(np.int64).ravel()  # panels per layout, interval
+        seg = np.repeat(np.tile(np.arange(len(widths)), len(per)), sub)
         i = np.arange(len(seg)) - np.repeat(np.cumsum(sub) - sub, sub)  # panel i of interval seg is [a, b]
-        a, b = starts[seg] + widths[seg] * np.stack([i, i + 1]) / sub[seg]
+        a, b = starts[seg] + widths[seg] * np.stack([i, i + 1]) / np.repeat(sub, sub)
         half = 0.5 * (b - a)
         xq = (0.5 * (a + b))[:, None] + half[:, None] * xs_gl
         weighted = ws_gl * (slope * np.fmod(n * xq, 2 * math.pi) + half_pi)  # n xq > 0: fmod is never negative
-        for m in ms:
-            total = 0.0
-            for h, s in zip(half.tolist(), np.sum(weighted * np.sin(m * xq), axis=1).tolist()):
-                total += h * s
-            coeffs.append(2.0 / math.pi * total)
+        ends = np.cumsum(sub.reshape(len(per), -1).sum(axis=1)).tolist()
+        for (_, ms), r0, r1 in zip(layouts[lo : lo + step], [0] + ends, ends):
+            t = ms[:, None, None] * xq[r0:r1]  # one temporary per layout: sin and weights in place
+            s = np.sum(np.multiply(weighted[r0:r1], np.sin(t, out=t), out=t), axis=-1)
+            coeffs += (2.0 / math.pi * np.cumsum(half[r0:r1] * s, axis=-1)[:, -1]).tolist()  # in panel order
+        del xq, weighted, t  # this pass's arrays go before the next pass builds its own
     expected = tuple(Fraction(1, m // n) if m % n == 0 else Fraction(0) for m in range(1, M + 1))
     deviations = tuple(abs(c - float(e)) for c, e in zip(coeffs, expected))
     return ConsistencyReport(n, M, tuple(coeffs), expected, deviations, max(deviations))

@@ -172,13 +172,19 @@ class TestTripletExport:
         assert sum(map(len, rows)) == sum(size // n for n in range(1, size + 1))
         assert list(_divisor_rows(60, str)) == [[str(n) for n in row] for row in rows[:60]]
 
-    @pytest.mark.parametrize("M", [1, 2, 12, 97])
-    def test_one_string_per_row_matches_entries(self, M):
-        rows = list(build_matrix(M).triplet_rows())
-        assert len(rows) == M
-        for m, row in enumerate(rows, start=1):
-            want = [f"{m} {n} {q.numerator} {q.denominator}" for (i, n), q in build_matrix(M).entries.items() if i == m]
-            assert row.endswith("\n") and row.splitlines() == want
+    @pytest.mark.parametrize("M", [1, 2, 12, 97, 2**14 + 200])
+    def test_chunks_of_whole_rows_match_entries(self, M):
+        # 2^7 rows m per string, each string ending on a row boundary; the
+        # last size crosses string boundaries and the 2^14-row sieve block
+        A = build_matrix(M)
+        chunks = list(A.triplet_rows())
+        assert len(chunks) == -(-M // 128)
+        for i, chunk in enumerate(chunks):
+            assert chunk.endswith("\n")
+            rows = {int(line.split()[0]) for line in chunk.splitlines()}
+            assert sorted(rows) == list(range(128 * i + 1, min(128 * i + 128, M) + 1))
+        want = [f"{m} {n} {q.numerator} {q.denominator}" for (m, n), q in A.entries.items()]
+        assert "".join(chunks).splitlines() == want
 
 
 class TestColumnText:
@@ -215,6 +221,33 @@ class TestColumnBlocks:
             next(build_matrix(4).column_blocks(n))
 
 
+def _scalar_quadrature(n: int, m: int) -> float:
+    """The reference loop for coefficient m of the frequency-n sawtooth: panels
+    generated one at a time, the sawtooth evaluated per node, panel sums added
+    in order from 0.0."""
+    xs_gl, ws_gl = np.polynomial.legendre.leggauss(32)
+    jumps = [2 * math.pi * j / n for j in range(1, n // 2 + 1) if 2 * math.pi * j / n < math.pi - 1e-12]
+    breaks = [0.0] + jumps + [math.pi]
+
+    def sawtooth(x):
+        y = math.fmod(n * x, 2 * math.pi)
+        if y < 0:
+            y += 2 * math.pi
+        return (math.pi - y) / 2
+
+    total = 0.0
+    for a0, b0 in zip(breaks, breaks[1:]):
+        width = b0 - a0
+        sub = max(1, math.ceil(max(4, m // 2 + 2) * width / math.pi))
+        for i in range(sub):
+            a, b = a0 + width * i / sub, a0 + width * (i + 1) / sub
+            mid, half = 0.5 * (a + b), 0.5 * (b - a)
+            xq = mid + half * xs_gl
+            fx = np.array([sawtooth(float(x)) for x in xq])
+            total += half * float(np.sum(ws_gl * fx * np.sin(m * xq)))
+    return 2.0 / math.pi * total
+
+
 class TestConsistencyCheck:
     def test_frequency_one_column(self):
         rep = consistency_check(1, 32)
@@ -249,36 +282,21 @@ class TestConsistencyCheck:
         (1, 16), (3, 16), (2, 40), (5, 40), (20, 40), (40, 40), (7, 96), (96, 96), (1, 5), (4, 7), (13, 61),
     ])
     def test_bit_identical_to_scalar_quadrature(self, n, M):
-        # the reference loop: panels generated one at a time, the sawtooth
-        # evaluated per node, panel sums added in order; every coefficient
-        # must equal it exactly, not within a tolerance
-        xs_gl, ws_gl = np.polynomial.legendre.leggauss(32)
-        jumps = [2 * math.pi * j / n for j in range(1, n // 2 + 1) if 2 * math.pi * j / n < math.pi - 1e-12]
-        breaks = [0.0] + jumps + [math.pi]
-
-        def sawtooth(x):
-            y = math.fmod(n * x, 2 * math.pi)
-            if y < 0:
-                y += 2 * math.pi
-            return (math.pi - y) / 2
-
-        want = []
-        for m in range(1, M + 1):
-            total = 0.0
-            for a0, b0 in zip(breaks, breaks[1:]):
-                width = b0 - a0
-                sub = max(1, math.ceil(max(4, m // 2 + 2) * width / math.pi))
-                for i in range(sub):
-                    a, b = a0 + width * i / sub, a0 + width * (i + 1) / sub
-                    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-                    xq = mid + half * xs_gl
-                    fx = np.array([sawtooth(float(x)) for x in xq])
-                    total += half * float(np.sum(ws_gl * fx * np.sin(m * xq)))
-            want.append(2.0 / math.pi * total)
+        # every coefficient must equal the reference loop exactly, not within
+        # a tolerance
+        want = [_scalar_quadrature(n, m) for m in range(1, M + 1)]
         rep = consistency_check(n, M)
         assert rep.coefficients == tuple(want)
         assert rep.deviations == tuple(abs(c - float(e)) for c, e in zip(want, rep.expected))
         assert rep.expected == tuple(Fraction(n, m) if m % n == 0 else Fraction(0) for m in range(1, M + 1))
+
+    @pytest.mark.parametrize("n", [1, 999])
+    def test_bit_identical_at_the_size_bound(self, n):
+        # at n = 999 a layout has 500 to about 1,000 panel rows: the largest
+        # layouts, each m a layout's first or last, across pass boundaries
+        rep = consistency_check(n, 1000)
+        for m in (1, 5, 6, 500, 999, 1000):
+            assert rep.coefficients[m - 1].hex() == _scalar_quadrature(n, m).hex(), m
 
     def test_validation(self):
         with pytest.raises(ValueError):

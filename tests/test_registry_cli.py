@@ -583,7 +583,7 @@ class TestMatrixCommand:
         assert run_cli("matrix", "--size", "4", "--check", "0")[0] == 2
 
     def test_export_streams_by_row(self):
-        # the export is written a row at a time, never joined whole
+        # the export is written 2^7 rows at a time, never joined whole
         # (about 15 MB at the size bound)
         class RecordingOut(io.StringIO):
             largest = 0
@@ -614,15 +614,13 @@ class TestMatrixCommand:
         lines = out.getvalue().splitlines()
         assert lines[2] == "3 1/1" and lines[99998] == "99999 1/33333" and lines[-1] == "100000 0/1"
 
-    def test_apply_peak_rss_at_the_size_bound(self):
-        # one string per row, joined once, peaked at 36 MB; blocks of rows
-        # keep the child within 31 MB (about 24 MB measured). A child's
-        # ru_maxrss counts the memory of the process it was started from, so
-        # a small interpreter starts it and reports its wait4 usage.
+    @staticmethod
+    def _child_maxrss_kb(*argv) -> int:
+        # A child's ru_maxrss counts the memory of the process it was started
+        # from, so a small interpreter starts it and reports its wait4 usage.
         starter = (
             "import os, subprocess, sys\n"
-            "proc = subprocess.Popen([sys.executable, '-m', 'opzeta', 'matrix', '--size', '100000',"
-            " '--apply', '1'], stdout=subprocess.DEVNULL)\n"
+            f"proc = subprocess.Popen([sys.executable, '-m', 'opzeta', *{list(argv)!r}], stdout=subprocess.DEVNULL)\n"
             "_, status, usage = os.wait4(proc.pid, 0)\n"
             "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
         )
@@ -635,7 +633,20 @@ class TestMatrixCommand:
         assert proc.returncode == 0, proc.stderr
         code, maxrss_kb = map(int, proc.stdout.split())
         assert code == 0
-        assert maxrss_kb <= 31 * 1024  # ru_maxrss is in kilobytes on Linux
+        return maxrss_kb  # ru_maxrss is in kilobytes on Linux
+
+    def test_apply_peak_rss_at_the_size_bound(self):
+        # one string per row, joined once, peaked at 36 MB; blocks of rows
+        # keep the child within 31 MB (about 24 MB measured)
+        assert self._child_maxrss_kb("matrix", "--size", "100000", "--apply", "1") <= 31 * 1024
+
+    def test_check_peak_rss_at_the_size_bound(self):
+        # the quadrature's array passes are bounded in panel rows: at the
+        # check's bound the child peaks within 2 MB of a check at size 16
+        # (about 0.9 MB measured; every layout in one pass peaks 208 MB above),
+        # a relative bound that leaves numpy's import out of it
+        small = self._child_maxrss_kb("matrix", "--size", "16", "--check", "1")
+        assert self._child_maxrss_kb("matrix", "--size", "1000", "--check", "999") - small <= 2 * 1024
 
     def test_deterministic_export(self):
         assert run_cli("matrix", "--size", "12") == run_cli("matrix", "--size", "12")
