@@ -10,7 +10,9 @@ bernoulli` loads no registry, `values zeta|beta` no operators and `list` no
 specfun, divmatrix or mpmath; json and csv load for their format only, and
 no layer loads `dataclasses`. A `values` row takes its route (exact, numeric
 or pole) from `specfun.special_value`, the one table the operator engine
-reads too.
+reads too. A command's own parser reads its arguments in one pass (the
+top-level parser takes help, an unknown command and leftover arguments), and
+a grid identity's right side is built once per identity.
 """
 
 from __future__ import annotations
@@ -74,34 +76,39 @@ def _verify_exact(rec: registry.IdentityRecord) -> tuple[list[dict], float, list
     return [_row(rec.id, None, repr(p), repr(target), deviation, "exact") for p in lhs_polys], deviation, events
 
 
+@cache
+def _rhs_evaluator(identity: str) -> Callable[[float], float]:
+    """x -> the right side of the registry's record `identity`: its
+    polynomial's coefficients at pi once, then Horner per x (`rhs_poly`
+    first), or its closed form. Built once per identity and only read after."""
+    from . import registry
+
+    rec = registry.load_registry()[identity]
+    return pipoly_evaluator(rec.rhs_poly) if rec.rhs_poly is not None else rec.closed_form()
+
+
 def _verify_grid(rec: registry.IdentityRecord, grid: tuple[float, float, int], tol: float) -> tuple[list[dict], float, list[str]]:
-    """Numeric verification on the grid -> (rows, max deviation, no events)."""
+    """Numeric verification on the grid -> (rows, max deviation, no events);
+    the right side is that of the registry's record of rec.id."""
     from . import series
 
     mode = rec.verify_mode
     a, b, steps = grid
     xs = [a + (b - a) * i / (steps - 1) for i in range(steps)] if steps > 1 else [a]
-    rows, max_deviation = [], 0.0
-    # the right side: its coefficients at pi once, then Horner per x (`rhs_poly` first)
-    rhs_at = pipoly_evaluator(rec.rhs_poly) if rec.rhs_poly is not None else rec.closed_form()
     # one route call per grid; a sum-mode grid beyond the head terms bound is a usage error
-    if mode == "sum":
-        sums = series.partial_sums_accelerated(rec.series, xs, tol * 1e-3)
-    elif mode == "abel":
-        sums = series.abel_sums(rec.series, xs)
-    else:  # geometric: sum e^(inx) = sum cos(nx) + i sum sin(nx), both Abel sums
-        cos_sums, sums = (series.abel_sums(series.TrigSeries(parity, 0), xs) for parity in ("cos", "sin"))
-    for k, (x, sv) in enumerate(zip(xs, sums)):
-        if mode == "geometric":
-            lhs, rhs = complex(cos_sums[k].value, sv.value), series.geometric_abel(x)
+    if mode == "geometric":  # sum e^(inx) = sum cos(nx) + i sum sin(nx), both Abel sums
+        cos_sums, sin_sums = (series.abel_sums(series.TrigSeries(parity, 0), xs) for parity in ("cos", "sin"))
+        rows = []
+        for x, cv, sv in zip(xs, cos_sums, sin_sums):
+            lhs, rhs = complex(cv.value, sv.value), series.geometric_abel(x)
             off_line = abs(rhs.real + 0.5) > 1e-8 or abs(lhs.real + 0.5) > 1e-8
-            deviation = math.inf if off_line else abs(lhs - rhs)
-            lhs, rhs = repr(lhs), repr(rhs)
-        else:
-            lhs, rhs = sv.value, rhs_at(x)
-            deviation = abs(lhs - rhs)
-        rows.append(_row(rec.id, x, lhs, rhs, deviation, sv.method))
-        max_deviation = max(max_deviation, deviation)
+            rows.append(_row(rec.id, x, repr(lhs), repr(rhs), math.inf if off_line else abs(lhs - rhs), sv.method))
+    else:
+        sums = series.partial_sums_accelerated(rec.series, xs, tol * 1e-3) if mode == "sum" else series.abel_sums(rec.series, xs)
+        rhs_at = _rhs_evaluator(rec.id)
+        rows = [_row(rec.id, x, sv.value, rhs, abs(sv.value - rhs), sv.method) for x, sv in zip(xs, sums) for rhs in (rhs_at(x),)]
+    # in row order from 0.0, as a running max: a nan deviation leaves it unchanged
+    max_deviation = max([0.0, *(r["deviation"] for r in rows)])
 
     if rec.extra_check == "geometric_real_part":
         worst = max(abs(series.geometric_abel(x).real + 0.5) for x in xs)
@@ -119,8 +126,10 @@ def _write(out, fmt: str, head: dict, rows: list[dict], text: Callable[[], str],
     in pure Python, so the C encoder writes it here, its item separators
     carrying the layout's newlines. An encoded string holds no raw newline, so
     `}`, the row separator and `{` always mark a row boundary. The head holds
-    scalars or flat lists; the rows are non-empty flat dicts. csv: a header of
-    the row keys, then `cells(row)` per row. text: `text()`, for text only.
+    scalars or flat lists under plain ASCII names (no quote, backslash or
+    control character), written quoted as they are; the rows are non-empty
+    flat dicts. csv: a header of the row keys, then `cells(row)` per row.
+    text: `text()`, for text only.
     """
     if fmt == "text":
         out.write(text())
@@ -143,7 +152,7 @@ def _write(out, fmt: str, head: dict, rows: list[dict], text: Callable[[], str],
                 encoded = "[\n    " + head_enc.encode(value)[1:-1] + "\n  ]"
             else:
                 encoded = head_enc.encode(value)
-            items.append(f"{head_enc.encode(key)}: {encoded}")
+            items.append(f'"{key}": {encoded}')
         out.write("{\n  " + ",\n  ".join(items) + "\n}\n")
 
 
@@ -366,9 +375,10 @@ _NEGATIVE_NUMBER = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
 
 @cache
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process, built on first use and only read after
-    (parsing leaves it unchanged, so threads share it); do not modify it."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The one parser of the process and each command's own parser by name,
+    built on first use and only read after (parsing leaves them unchanged, so
+    threads share them); do not modify them."""
     p = argparse.ArgumentParser(
         prog="opzeta",
         description="Verify dilation-operator series identities, print special values, and export the divisibility matrix.",
@@ -405,15 +415,28 @@ def build_parser() -> argparse.ArgumentParser:
     action.add_argument("--check", type=int, default=None, metavar="N", help="quadrature consistency check of column N")
     m.add_argument("--tol", type=float, default=1e-8)
 
-    sub.add_parser("list", help="list registry identities").set_defaults(run=_cmd_list)
-    return p
+    ls = sub.add_parser("list", help="list registry identities")
+    ls.set_defaults(run=_cmd_list)
+    return p, {"verify": v, "values": w, "extract": e, "matrix": m, "list": ls}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process (see `_parsers`); do not modify it."""
+    return _parsers()[0]
 
 
 def main(argv: Optional[list[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = _parsers()
     try:
-        args = parser.parse_args(argv)
+        # a command's own parser reads its arguments in one pass; the top-level
+        # parser takes anything else (help, no command or an unknown one) and
+        # reports leftover arguments, each as it always has
+        command = commands.get(argv[0]) if argv else None
+        args, leftover = command.parse_known_args(argv[1:]) if command is not None else (None, True)
+        if leftover:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -10,12 +10,13 @@ either route. Both routes sum a whole grid in one call and return one
 convergent series (exponent >= 1) has one kernel, `partial_sums_accelerated`:
 a short head per point, all heads batched into few numpy evaluations by
 `_heads`, plus an iterated summation-by-parts tail, all tails in one numpy
-pass by `_tails`. Divergent series (exponent <= 0) are never summed by raw
-truncation; they take the Abel route, `abel_sums`, which covers exponents
-<= 1: there the trivial Abel mean is a closed form in z = r e^(ix),
-continuous up to |z| = 1 away from z = 1, so the Abel sum is that form at
-r = 1. `TrigSeries` and `SummedValue` are NamedTuples; a `TrigSeries` checks
-its fields in `__new__`.
+pass by `_tails`; the rest of its per-point work runs in array passes, with
+sin, log, log2 and powers as scalar libm calls. Divergent series (exponent
+<= 0) are never summed by raw truncation; they take the Abel route,
+`abel_sums`, which covers exponents <= 1: there the trivial Abel mean is a
+closed form in z = r e^(ix), continuous up to |z| = 1 away from z = 1, so
+the Abel sum is that form at r = 1. `TrigSeries` and `SummedValue` are
+NamedTuples; a `TrigSeries` checks its fields in `__new__`.
 """
 
 from __future__ import annotations
@@ -28,10 +29,11 @@ from .errors import EndpointConditional, NotConverged, OutsideDomain, SingularAt
 
 _UNIT_ROUNDOFF = 2.0**-53
 _N0_SCALE, _N0_CAP, _SBP_MAX_LEVELS = 64, 400_000, 48
-# terms of one numpy evaluation in `_heads`: a batch of heads, and a piece of a longer head
-_HEAD_BATCH, _HEAD_PIECE = 1 << 16, 5_000_000
-# the head terms one call sums at most: a default verify grid takes about 3.2*10^4, a point
-# within about 1.6e-4 of x = 0 mod 2*pi the cap of 4*10^5, and 100 of those took 1.5 s
+# terms of one numpy evaluation in `_heads`: whole heads of up to this many terms in all
+_HEAD_BATCH = 1 << 16
+# the head terms one call sums at most: the 10 default sum grids of the registry take 4,230 to
+# 4,559 each, a point within about 1.6e-4 of x = 0 mod 2*pi the cap of 4*10^5, and 100 of those
+# took 1.5 s
 _HEAD_TERMS_BOUND = 20_000_000
 
 
@@ -59,29 +61,27 @@ class SummedValue(NamedTuple):
     method: str  # partial_sum (the kernel's head plus tail) | abel_closed_form
 
 
-def _heads(parity: str, s: int, xs: Sequence[float], lengths: Sequence[int]) -> list[float]:
-    """sum_(n<=N) trig(n x) / n^s for each x and N of xs and lengths. A head
-    is cut into pieces of at most 5*10^6 terms; consecutive pieces of up to
-    2^16 terms in all (or one longer piece) take one numpy evaluation, and
-    each piece is the pairwise `sum` of its own slice, so a head is the same
-    double whichever heads share its batch (`np.add.reduceat` does not sum
-    pairwise, and would change it)."""
+def _heads(parity: str, s: int, xs: Sequence[float], lengths: Sequence[int]):
+    """sum_(n<=N) trig(n x) / n^s for each x and N of xs and lengths, as an
+    array. Consecutive heads of up to 2^16 terms in all (or one longer head)
+    take one numpy evaluation, and each head is the pairwise `np.add.reduce`
+    of its own slice, so a head is the same double whichever heads share its
+    batch (`np.add.reduceat` does not sum pairwise, and would change it)."""
     import numpy as np  # here only: the CLI's cold paths never load it
 
     trig = np.sin if parity == "sin" else np.cos
-    pieces = [(k, x, start, min(N + 1, start + _HEAD_PIECE) - start)
-              for k, (x, N) in enumerate(zip(xs, lengths)) for start in range(1, N + 1, _HEAD_PIECE)]
-    sums, i = [0.0] * len(xs), 0
-    while i < len(pieces):
-        j, size = i + 1, pieces[i][3]
-        while j < len(pieces) and size + pieces[j][3] <= _HEAD_BATCH:
-            size, j = size + pieces[j][3], j + 1
-        heads, xb, starts, counts = zip(*pieces[i:j])
-        firsts = np.cumsum(counts) - counts  # each piece's offset in the batch
-        n = np.arange(size, dtype=np.float64) + np.repeat(np.subtract(starts, firsts), counts)
-        terms = trig(n * np.repeat(xb, counts)) / n**s
-        for k, a, c in zip(heads, firsts.tolist(), counts):
-            sums[k] += float(terms[a : a + c].sum())
+    x, counts = np.asarray(xs, dtype=np.float64), np.asarray(lengths, dtype=np.int64)
+    ends = np.cumsum(counts)
+    firsts = ends - counts
+    # the batch that starts at head i runs to head fits[i] - 1: the last whose end is in reach
+    fits = np.searchsorted(ends, firsts + _HEAD_BATCH, side="right").tolist()
+    edges = [0, *ends.tolist()]  # head k is terms edges[k]:edges[k + 1] of the grid's
+    sums, i = np.empty(len(edges) - 1), 0
+    while i < len(sums):
+        j, base = max(fits[i], i + 1), edges[i]
+        n = np.arange(edges[j] - base, dtype=np.float64) + np.repeat(1 - (firsts[i:j] - base), counts[i:j])
+        terms = trig(n * np.repeat(x[i:j], counts[i:j])) / n**s
+        sums[i:j] = [np.add.reduce(terms[a - base : b - base]) for a, b in zip(edges[i:j], edges[i + 1 : j + 1])]
         i = j
     return sums
 
@@ -163,29 +163,33 @@ def partial_sums_accelerated(series: TrigSeries, xs: Sequence[float], tol: float
 def _trivial_sums(parity: str, s: int, xs: Sequence[float], tol: float, names: Sequence[float], endpoint: str):
     """(value, bound) of the trivial series at every x of xs, as
     `partial_sums_accelerated` gives them; an error at xs[k] names names[k]
-    and, for an endpoint, the condition `endpoint`."""
-    qs = [2.0 * abs(math.sin(x / 2)) for x in xs]  # q = |1 - e^(ix)|
-    if endpoints := [name for name, q in zip(names, qs) if q < 2e-12]:  # |sin(x/2)| < 1e-12
-        raise EndpointConditional(f"{endpoint} at x={endpoints[0]}")
-    n0s = [int(min(_N0_CAP, math.ceil(_N0_SCALE / q))) for q in qs]
-    if sum(n0s) > _HEAD_TERMS_BOUND:
-        raise ValueError(f"the heads of the grid add up to {sum(n0s)} terms, above the bound {_HEAD_TERMS_BOUND}")
-    tails, bounds = _tails(xs, n0s, qs, s, min(tol, _UNIT_ROUNDOFF))
-    tails, bounds = (tails.imag if parity == "sin" else tails.real).tolist(), bounds.tolist()
-    for name, n0, bound in zip(names, n0s, bounds):
-        if bound > max(tol, _UNIT_ROUNDOFF):
-            raise NotConverged(f"tail remainder {bound:.3e} above tol {tol:.3e} at x={name} with n0={n0} head terms")
-    out = []
-    for x, q, n0, head, tail, bound in zip(xs, qs, n0s, _heads(parity, s, xs, n0s), tails, bounds):
-        # rounding: a head term by u*n|x| (in n*x) plus a few u, the pairwise sum by u*log2(n0)
-        # per unit of sum n^-s <= log_n0; each tail level (<= (n0+1)^-s / q) by u*n0|x| plus a few u
-        # (4 * (n0|x| + 128)), and its difference by (3j + 2s)u at level j (`_differences`)
-        log_n0 = 1.0 + math.log(n0)
-        tail_size = _SBP_MAX_LEVELS * (n0 + 1.0) ** -s / q
-        rounding = _UNIT_ROUNDOFF * (4 * (abs(x) * (n0 if s == 1 else log_n0) + (3 + math.log2(n0)) * log_n0)
-                                     + (4 * (n0 * abs(x) + 128) + 3 * _SBP_MAX_LEVELS + 2 * s) * tail_size)
-        out.append((head + tail, bound + rounding))
-    return out
+    and, for an endpoint, the condition `endpoint`. Per point, sin, log, log2
+    and the power are scalar libm calls (numpy's may differ in the last ulp);
+    the rest runs in array passes over the grid."""
+    import numpy as np
+
+    q = np.array([2.0 * abs(math.sin(x / 2)) for x in xs])  # q = |1 - e^(ix)|
+    if (endpoints := np.flatnonzero(q < 2e-12)).size:  # |sin(x/2)| < 1e-12
+        raise EndpointConditional(f"{endpoint} at x={names[endpoints[0]]}")
+    n0 = np.minimum(_N0_CAP, np.ceil(_N0_SCALE / q))
+    if (total := int(n0.sum())) > _HEAD_TERMS_BOUND:
+        raise ValueError(f"the heads of the grid add up to {total} terms, above the bound {_HEAD_TERMS_BOUND}")
+    tails, bounds = _tails(xs, n0, q, s, min(tol, _UNIT_ROUNDOFF))
+    if (over := np.flatnonzero(bounds > max(tol, _UNIT_ROUNDOFF))).size:
+        k = over[0]
+        raise NotConverged(f"tail remainder {bounds[k]:.3e} above tol {tol:.3e} at x={names[k]} with n0={int(n0[k])} head terms")
+    heads = _heads(parity, s, xs, n0.astype(np.int64))
+    # rounding: a head term by u*n|x| (in n*x) plus a few u, the pairwise sum by u*log2(n0)
+    # per unit of sum n^-s <= log_n0; each tail level (<= (n0+1)^-s / q) by u*n0|x| plus a few u
+    # (4 * (n0|x| + 128)), and its difference by (3j + 2s)u at level j (`_differences`)
+    x_abs, n0s = np.abs(xs), n0.tolist()
+    log_n0 = 1.0 + np.array([math.log(n) for n in n0s])
+    log2_n0 = np.array([math.log2(n) for n in n0s])
+    tail_size = _SBP_MAX_LEVELS * np.array([(n + 1.0) ** -s for n in n0s]) / q
+    rounding = _UNIT_ROUNDOFF * (4 * (x_abs * (n0 if s == 1 else log_n0) + (3 + log2_n0) * log_n0)
+                                 + (4 * (n0 * x_abs + 128) + 3 * _SBP_MAX_LEVELS + 2 * s) * tail_size)
+    values = heads + (tails.imag if parity == "sin" else tails.real)
+    return list(zip(values.tolist(), (bounds + rounding).tolist()))
 
 
 def _beta(series: TrigSeries, xs: Sequence[float], route: Callable) -> list[tuple[float, float]]:

@@ -8,7 +8,10 @@ Bernoulli and Euler numbers instead of the zigzag triangle.
 The `*_mpf`/`*_mpmath` functions are the mpmath routes that package code
 took before it computed in integers, and `partial_sum_accelerated_per_point`
 the per-point route of the accelerated sum, with exact differences, before it
-took a grid in one pass with float differences. `taylor_flow_per_degree` and
+took a grid in one pass with float differences. `partial_sums_per_point_loops`
+is the grid kernel as it was before its per-point Python loops became array
+passes: `heads_by_piece` and `trivial_sums_by_point`, the same arithmetic in
+the same order, so the kernel must match it bit for bit. `taylor_flow_per_degree` and
 `extract_special_values_per_degree` are the per-degree loops of the operator
 engine's flow and extraction, before both read their Taylor terms and
 operator values through `apply_operator`. `partial_sum` and
@@ -39,6 +42,8 @@ from opzeta.series import (
     _UNIT_ROUNDOFF,
     SummedValue,
     TrigSeries,
+    _beta,
+    _tails,
 )
 from opzeta.specfun import _EM_K_MAX, _EM_TARGET, _em_coefficients, _working_precision, special_value
 
@@ -299,6 +304,67 @@ def partial_sum_accelerated_per_point(series: TrigSeries, x: float, tol: float =
         abs(x) * (n0 if s == 1 else log_n0) + (3 + math.log2(n0)) * log_n0 + (n0 * abs(x) + 128) * tail_size
     )
     return SummedValue(value, bound + rounding, "partial_sum")
+
+
+def heads_by_piece(parity: str, s: int, xs, lengths) -> list[float]:
+    """`series._heads` before it batched whole heads: each head cut into
+    pieces of at most 5*10^6 terms, consecutive pieces of up to 2^16 terms in
+    all (or one longer piece) in one numpy evaluation, and each piece the
+    pairwise `sum` of its own slice, added to its head's sum."""
+    import numpy as np
+
+    piece, batch = 5_000_000, 1 << 16
+    trig = np.sin if parity == "sin" else np.cos
+    pieces = [(k, x, start, min(N + 1, start + piece) - start)
+              for k, (x, N) in enumerate(zip(xs, lengths)) for start in range(1, N + 1, piece)]
+    sums, i = [0.0] * len(xs), 0
+    while i < len(pieces):
+        j, size = i + 1, pieces[i][3]
+        while j < len(pieces) and size + pieces[j][3] <= batch:
+            size, j = size + pieces[j][3], j + 1
+        heads, xb, starts, counts = zip(*pieces[i:j])
+        firsts = np.cumsum(counts) - counts  # each piece's offset in the batch
+        n = np.arange(size, dtype=np.float64) + np.repeat(np.subtract(starts, firsts), counts)
+        terms = trig(n * np.repeat(xb, counts)) / n**s
+        for k, a, c in zip(heads, firsts.tolist(), counts):
+            sums[k] += float(terms[a : a + c].sum())
+        i = j
+    return sums
+
+
+def trivial_sums_by_point(parity: str, s: int, xs, tol: float, names, endpoint: str) -> list[tuple[float, float]]:
+    """`series._trivial_sums` before its per-point loops became array passes:
+    the same checks in the same order, n0, the rounding term of the bound and
+    head + tail one point at a time, with the heads of `heads_by_piece`."""
+    qs = [2.0 * abs(math.sin(x / 2)) for x in xs]  # q = |1 - e^(ix)|
+    if endpoints := [name for name, q in zip(names, qs) if q < 2e-12]:
+        raise EndpointConditional(f"{endpoint} at x={endpoints[0]}")
+    n0s = [int(min(_N0_CAP, math.ceil(_N0_SCALE / q))) for q in qs]
+    if sum(n0s) > 20_000_000:
+        raise ValueError(f"the heads of the grid add up to {sum(n0s)} terms, above the bound 20000000")
+    tails, bounds = _tails(xs, n0s, qs, s, min(tol, _UNIT_ROUNDOFF))
+    tails, bounds = (tails.imag if parity == "sin" else tails.real).tolist(), bounds.tolist()
+    for name, n0, bound in zip(names, n0s, bounds):
+        if bound > max(tol, _UNIT_ROUNDOFF):
+            raise NotConverged(f"tail remainder {bound:.3e} above tol {tol:.3e} at x={name} with n0={n0} head terms")
+    out = []
+    for x, q, n0, head, tail, bound in zip(xs, qs, n0s, heads_by_piece(parity, s, xs, n0s), tails, bounds):
+        log_n0 = 1.0 + math.log(n0)
+        tail_size = _SBP_MAX_LEVELS * (n0 + 1.0) ** -s / q
+        rounding = _UNIT_ROUNDOFF * (4 * (abs(x) * (n0 if s == 1 else log_n0) + (3 + math.log2(n0)) * log_n0)
+                                     + (4 * (n0 * abs(x) + 128) + 3 * _SBP_MAX_LEVELS + 2 * s) * tail_size)
+        out.append((head + tail, bound + rounding))
+    return out
+
+
+def partial_sums_per_point_loops(series: TrigSeries, xs, tol: float = 1e-9) -> list[SummedValue]:
+    """`series.partial_sums_accelerated` over `trivial_sums_by_point`."""
+    if series.character == "trivial":
+        sums = trivial_sums_by_point(series.parity, series.exponent, xs, tol, xs, "x = 0 mod 2*pi")
+    else:
+        names = [x for x in xs for _ in range(2)]
+        sums = _beta(series, xs, lambda parity, s, ys: trivial_sums_by_point(parity, s, ys, tol, names, "cos x = 0"))
+    return [SummedValue(value, bound, "partial_sum") for value, bound in sums]
 
 
 def pi_poly_mpf(c, pi):

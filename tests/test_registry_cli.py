@@ -682,20 +682,32 @@ class TestMatrixCommand:
 
 
 class TestSharedParser:
-    """`cli.main` parses with one parser per process, built on first use."""
+    """`cli.main` parses with one parser per process and one parser per
+    command, built on first use, and evaluates each identity's right side with
+    one evaluator, built on its first grid."""
 
     ARGV = {
         "values": ["values", "zeta", "0.5", "-3", "2", "--format", "json"],
         "verify": ["verify", "beta_sin_s1", "--grid", "-1.4:1.4:7", "--format", "csv"],
+        "sum": ["verify", "eq3_2", "--format", "json"],
+        "poly": ["verify", "beta_sin_s0", "--grid", "0.2:1.4:9"],
+        "geometric": ["verify", "eq5", "--format", "json"],
         "matrix": ["matrix", "--size", "300", "--apply", "7"],
         "usage": ["values", "zeta"],
+        "leftover": ["verify", "eq2", "extra"],
     }
 
     def test_threads_share_the_parser(self):
         from concurrent.futures import ThreadPoolExecutor
 
+        from opzeta import cli
+
         expect = {name: run_cli(*argv) for name, argv in self.ARGV.items()}
-        assert expect["usage"] == (2, "") and all(code == 0 for code, _ in list(expect.values())[:3])
+        assert expect["usage"] == expect["leftover"] == (2, "")
+        assert all(code == 0 for name, (code, _) in expect.items() if name not in ("usage", "leftover"))
+        # the threads race to build the parsers and the evaluators
+        cli._parsers.cache_clear()
+        cli._rhs_evaluator.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -707,10 +719,10 @@ class TestSharedParser:
             assert results == [expect[name]] * 10, name
 
     def test_usage_error_leaves_the_parser_unchanged(self, capsys):
-        from opzeta.cli import build_parser
+        from opzeta.cli import _parsers, build_parser
 
         valid = self.ARGV["verify"]
-        build_parser.cache_clear()
+        _parsers.cache_clear()
         fresh = run_cli(*valid)
         assert run_cli("verify", "beta_sin_s1", "--grid", "1:2") == (2, "")
         first_error = capsys.readouterr().err
@@ -718,7 +730,104 @@ class TestSharedParser:
         assert run_cli(*valid) == fresh
         assert run_cli("verify", "beta_sin_s1", "--grid", "1:2") == (2, "")
         assert capsys.readouterr().err == first_error
-        assert build_parser() is build_parser()
+        assert build_parser() is build_parser() is _parsers()[0]
+        commands = _parsers()[1]
+        assert set(commands) == {"verify", "values", "extract", "matrix", "list"}
+        assert all(commands[name].prog == f"opzeta {name}" for name in commands)
+
+    def test_one_evaluator_per_identity(self, monkeypatch):
+        from opzeta import cli, exactnum
+
+        built = []
+        monkeypatch.setattr(cli, "pipoly_evaluator", lambda p: built.append(p) or exactnum.pipoly_evaluator(p))
+        cli._rhs_evaluator.cache_clear()
+        try:
+            for argv in (self.ARGV["sum"], self.ARGV["sum"], ["verify", "eq3_2", "--grid", "1:2:3"], self.ARGV["poly"]):
+                assert run_cli(*argv)[0] == 0
+        finally:
+            cli._rhs_evaluator.cache_clear()  # drop the evaluators built under the patch
+        assert built == [get_identity("eq3_2").rhs_poly, get_identity("beta_sin_s0").rhs_poly]
+
+
+def two_level_main(argv, out) -> int:
+    """`cli.main` as it parsed before each command read its own arguments:
+    the top-level parser, which hands them to the command's parser."""
+    from opzeta.cli import build_parser
+    from opzeta.errors import OpzetaError
+
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    try:
+        return args.run(args, out)
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    except OpzetaError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+class TestOnePassParse:
+    """`cli.main`, which parses a command's arguments with that command's own
+    parser, against the two-level path: the same exit code, output, and
+    stdout and stderr bytes on every argv."""
+
+    CORPUS = [
+        ["-h"], ["--help"], [], ["bogus"], ["bogus", "eq2"], ["-x"], ["--format", "json"],
+        ["verify", "-h"], ["values", "--help"], ["extract", "-h"], ["matrix", "-h"], ["list", "-h"],
+        ["verify", "eq2", "-h", "extra"],
+        ["verify"], ["verify", "eq2", "extra"], ["verify", "eq2", "extra", "more", "--format", "json"],
+        ["verify", "eq2", "--bogus"], ["verify", "eq2", "--", "x"], ["list", "extra"],
+        ["verify", "eq2", "--format", "json"], ["verify", "eq2", "--format=csv"], ["verify", "eq2", "--form", "json"],
+        ["verify", "eq2", "--format", "xml"], ["verify", "eq2", "--grid=0.1:3:5"], ["verify", "eq2", "--grid", "0.1:3:5"],
+        ["verify", "beta_sin_s1", "--grid", "-1.4:1.4:3"], ["verify", "eq2", "--grid", "1:2"], ["verify", "eq2", "--grid"],
+        ["verify", "eq2", "--grid=-1:0:5"], ["verify", "eq2", "--grid", "0.1:3:100000000"],
+        ["verify", "eq2", "--tol", "-1"], ["verify", "eq2", "--tol=-1"], ["verify", "eq2", "--tol", "abc"],
+        ["verify", "eq2", "--tol", "1e-30"], ["verify", "eq6", "--tol=nan"], ["verify", "eq17", "--tol=0"],
+        ["verify", "nope"], ["verify", "eq17", "--grid", "0.1:3.1:5"], ["verify", "eq2", "--exact", "--grid", "0.1:3.1:5"],
+        ["verify", "eq2", "--grid", "1e-9:1e-8:3"], ["verify", "eq2", "--grid", "1e-9:1e-8:100"],
+        ["verify", "eq4_2", "--grid", "1e-4:2e-4:10000"], ["verify", "eq17"], ["verify", "eq5", "--format", "csv"],
+        ["values", "zeta", "-3", "-2.5"], ["values", "zeta", "-2.5e1", "--format", "json"], ["values", "zeta"],
+        ["values", "gamma", "1"], ["values", "zeta", "abc"], ["values", "beta", "--", "-inf"], ["values", "beta", "-1e6"],
+        ["values", "zeta", "1e300"], ["values", "euler", "1001"], ["values", "bernoulli", "-3"],
+        ["values", "bernoulli", "3.0000000000001"], ["values", "zeta", "1.0000000000001"], ["values", "zeta", "1", "--format", "csv"],
+        ["extract", "eq17"], ["extract", "eq5"], ["extract", "nope"], ["extract", "eq17", "--terms", "0"],
+        ["extract", "eq17", "--terms=-2"], ["extract", "eq21_sin", "--terms", "498"], ["extract", "eq17", "--terms", "x"],
+        ["matrix"], ["matrix", "--size", "0"], ["matrix", "--size", "4", "--apply", "9"], ["matrix", "--size", "4", "--check", "0"],
+        ["matrix", "--size", "8", "--apply", "2", "--check", "2"], ["matrix", "--size", "8", "--check", "2", "--tol=nan"],
+        ["matrix", "--size", "100001"], ["matrix", "--size", "1001", "--check", "1"], ["matrix", "--size", "12"],
+        ["list"],
+        ["verify", "eq21_sin", "--grid", "0.1:3.1:5"], ["verify", "eq18", "--exact", "--grid", "0.1:6.1:5"],
+        *(["verify", ident, f"--tol={tol}"] for ident in ("eq2", "eq6", "eq17") for tol in ("0", "-1", "nan", "inf", "-inf")),
+        *(["values", *argv] for argv in (("zeta", "inf"), ("zeta", "nan"), ("beta", "1e999"), ("beta", "-inf"),
+                                         ("bernoulli", "inf"), ("zeta", "3000"), ("zeta", "--", "-3000.5"),
+                                         ("beta", "--", "-3000.5"), ("bernoulli", "1e300"), ("zeta", "2", "1e300"),
+                                         ("euler", "3.0000000000001"), ("zeta", "-100.5", "--format", "json"))),
+        ["extract", "eq17", "--terms", "-2"],
+        *(["matrix", "--size", "8", "--check", "2", f"--tol={tol}"] for tol in ("0", "-1", "inf", "-inf")),
+        ["matrix", "--size", "10000000000"], ["matrix", "--size", "1000000000", "--apply", "1"],
+        ["matrix", "--size", "100000", "--check", "100000"],
+    ]
+
+    @staticmethod
+    def run(main_fn, argv, capsys):
+        out = io.StringIO()
+        code = main_fn(list(argv), out)
+        captured = capsys.readouterr()
+        return code, out.getvalue(), captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", CORPUS, ids=" ".join)
+    def test_same_bytes_as_the_two_level_path(self, argv, capsys):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want = self.run(two_level_main, argv, capsys)
+            got = self.run(lambda a, out: main(a, out=out), argv, capsys)
+        assert got == want
+        assert want[0] != 2 or want[1] == ""  # a usage error writes nothing to out
 
 
 class TestListCommand:

@@ -32,6 +32,7 @@ from oracles import (
     exact_differences,
     partial_sum,
     partial_sum_accelerated_per_point,
+    partial_sums_per_point_loops,
     series_reciprocal,
 )
 
@@ -263,6 +264,65 @@ class TestPartialSumsAccelerated:
         with pytest.raises(ValueError, match="above the bound 20000000"):  # one shift of each point is capped
             partial_sums_accelerated(TrigSeries("cos", 1, "beta"), [PI / 2 + 1e-9] * 51)
         assert calls == []
+
+
+class TestKernelBitIdentity:
+    """The grid kernel against `oracles.partial_sums_per_point_loops`, its
+    per-point loops before they became array passes: the same arithmetic, so
+    every value and bound is the same double, and every error the same."""
+
+    @staticmethod
+    def outcome(route, series, xs, tol):
+        try:
+            return [(r.value.hex(), r.abs_error_estimate.hex(), r.method) for r in route(series, xs, tol)]
+        except (EndpointConditional, NotConverged, ValueError) as exc:
+            return type(exc), str(exc)
+
+    def assert_identical(self, series, xs, tol):
+        got = self.outcome(partial_sums_accelerated, series, xs, tol)
+        assert got == self.outcome(partial_sums_per_point_loops, series, xs, tol), (series, tol)
+        return got
+
+    @staticmethod
+    def grid_with_head_terms(total):
+        """A grid whose heads add up to `total` terms: points with heads of
+        4,000 terms, then one with the rest."""
+        def point(n0):  # an x whose head is n0 = ceil(64/q) terms
+            return 2 * math.asin(32 / (n0 - 0.5))
+
+        xs = [point(4000)] * (total // 4000 - 1)
+        return xs + [point(total - 4000 * len(xs))]
+
+    @pytest.mark.parametrize("character", ["trivial", "beta"])
+    @pytest.mark.parametrize("parity", ["sin", "cos"])
+    @pytest.mark.parametrize("exponent", range(1, 8))
+    def test_seeded_grids(self, exponent, parity, character):
+        rng = random.Random(f"bits-{exponent}-{parity}-{character}")
+        series, errors = TrigSeries(parity, exponent, character), 0
+        for size in (1, 2, 3, 7, 20, 50, 100):
+            if character == "trivial":
+                xs = [rng.uniform(-7.0, 7.0) for _ in range(size)]
+            else:
+                xs = [rng.uniform(-1.5, 1.5) for _ in range(size)]
+            if size == 20:  # a point near an endpoint, where n0 is capped or the tail fails
+                xs[rng.randrange(size)] = rng.choice([1e-4, 2 * PI + 3e-4, 1e-9, 2 * PI]) + (PI / 2 if character == "beta" else 0.0)
+            for tol in (1e-3, 1e-9, 1e-13):
+                errors += isinstance(self.assert_identical(series, xs, tol), tuple)
+        assert errors <= 3  # only the grid with a point near an endpoint may fail
+
+    def test_heads_span_several_batches(self):
+        xs = [1e-3, 2.0, 1.1e-3, 5e-4, 3.0, 1e-3, 0.9e-3, 4.0, 6.28]
+        for series in (TrigSeries("sin", 1), TrigSeries("cos", 2), TrigSeries("sin", 5), TrigSeries("cos", 3, "beta")):
+            for tol in (1e-3, 1e-9, 1e-13):
+                self.assert_identical(series, xs, tol)
+
+    @pytest.mark.parametrize("total", [series_module._HEAD_BATCH, series_module._HEAD_BATCH + 1])
+    def test_heads_at_the_batch_size(self, total):
+        xs = self.grid_with_head_terms(total)
+        assert sum(math.ceil(64 / (2 * math.sin(x / 2))) for x in xs) == total
+        for series in (TrigSeries("sin", 1), TrigSeries("cos", 4)):
+            for grid in (xs, xs[::-1], [2.0, *xs]):
+                assert isinstance(self.assert_identical(series, grid, 1e-9), list)
 
 
 class TestDifferences:
