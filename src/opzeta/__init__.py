@@ -1,17 +1,15 @@
 """opzeta: a verification lab for operator-valued zeta calculus.
 
-Exact Bernoulli/Euler arithmetic and polynomials over Q[pi], numeric
-zeta/beta/1/Gamma with Hankel-contour cross-checks, Abel summation of
-divergent trigonometric series, a symbolic dilation-operator engine, and the
-sine-basis divisibility matrix, all driven by an auditable identity registry.
+Exact Bernoulli/Euler arithmetic and polynomials over Q[pi], numeric zeta and
+beta by Euler-Maclaurin and 1/Gamma, Abel summation of divergent
+trigonometric series, a symbolic dilation-operator engine, and the sine-basis
+divisibility matrix, all driven by an auditable identity registry.
 """
 
 from importlib import import_module
 
 from . import errors
 from .errors import (
-    ContourClipped,
-    DimensionMismatch,
     EndpointConditional,
     MultipleAnomalies,
     NotConverged,
@@ -30,12 +28,11 @@ _LAYER_OF = {
     name: layer
     for layer, names in {
         "exactnum": "PI PiPolynomial PiXPolynomial bernoulli_number bernoulli_polynomial euler_number pipoly_eval",
-        "specfun": "EvalResult clausen_closed_form dirichlet_beta functional_equation_residual hankel_zeta"
-        " hurwitz_zeta lerch_hankel recip_gamma zeta_em",
+        "specfun": "EvalResult clausen_closed_form dirichlet_beta recip_gamma zeta_em",
         "series": "SummedValue TrigSeries abel_sums geometric_abel partial_sums_accelerated",
         "operators": "DilationShift Expression OpResult TaylorFlowResult apply_operator apply_recip_gamma_op"
         " extract_special_values parity_anomaly taylor_flow",
-        "divmatrix": "DivisibilityMatrix build_matrix consistency_check matrix_apply",
+        "divmatrix": "DivisibilityMatrix build_matrix consistency_check",
         "registry": "IdentityRecord get_identity load_registry",
     }.items()
     for name in names.split()

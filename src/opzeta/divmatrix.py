@@ -4,7 +4,9 @@ In the basis {sqrt(2/pi) sin(n x)} on [0, pi], the operator that sends
 sin(n x) to sum_k sin(k n x)/k has matrix entries n/m when n divides m and 0
 otherwise: column n of the matrix is the Fourier expansion of the frequency-n
 sawtooth. Entries are exact rationals 1/(m/n), computed on demand and never
-stored; floats appear only at the quadrature comparison boundary.
+stored; floats appear only at the quadrature comparison boundary. The matrix
+is read as its entries, as one column in text (the image of basis vector n)
+and as sorted triplets, and each column is checked against quadrature.
 
 Every finite truncation is unit lower triangular (hence invertible), while
 the operator itself still hits the zeta pole on constants (see
@@ -20,10 +22,7 @@ import math
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Iterator, NamedTuple, Sequence
-
-from .errors import DimensionMismatch
-
+from typing import Callable, Iterator, NamedTuple
 
 # rows per block of the divisor sieve and of the printed column
 _BLOCK = 1 << 14
@@ -121,18 +120,6 @@ def build_matrix(M: int) -> DivisibilityMatrix:
     if M < 1:
         raise ValueError("M must be >= 1")
     return DivisibilityMatrix(M)
-
-
-def matrix_apply(A: DivisibilityMatrix, v: Sequence[Fraction]) -> list[Fraction]:
-    """Exact matrix-vector product over the support of v; v is indexed from basis index 1."""
-    if len(v) != A.size:
-        raise DimensionMismatch(f"vector length {len(v)} != matrix size {A.size}")
-    out = [Fraction(0)] * A.size
-    for n, vn in enumerate(v, start=1):
-        if vn:
-            for k, m in enumerate(range(n, A.size + 1, n), start=1):
-                out[m - 1] += Fraction(1, k) * vn
-    return out
 
 
 class ConsistencyReport(NamedTuple):

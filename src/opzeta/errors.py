@@ -13,10 +13,6 @@ class PoleAtOne(OpzetaError):
     """Evaluation requested at (or within tolerance of) the simple pole s = 1."""
 
 
-class ContourClipped(OpzetaError):
-    """A Hankel contour radius would enclose poles of the integration kernel."""
-
-
 class PrecisionLoss(UserWarning):
     """Result returned outside the validated accuracy domain.
 
@@ -65,8 +61,3 @@ class UnsupportedExpression(OpzetaError):
 class MultipleAnomalies(OpzetaError):
     """More than one parity-violating term found; indicates a registry bug."""
 
-
-# --- divisibility matrix -----------------------------------------------------
-
-class DimensionMismatch(OpzetaError):
-    """Vector length does not match the matrix size."""

@@ -1,6 +1,5 @@
-"""Numeric and exact evaluation of zeta, Hurwitz zeta, Dirichlet beta, and
-1/Gamma, plus the Hankel-contour integral representations used as an
-independent cross-check route.
+"""Numeric and exact evaluation of zeta, Dirichlet beta and 1/Gamma, and the
+closed forms of the trigonometric series with polynomial sums.
 
 Numeric kernels run in mpmath working precision sized to the cancellation
 headroom of the argument, then round once to a complex double; the
@@ -34,7 +33,7 @@ from functools import cache, lru_cache
 from math import factorial
 from typing import NamedTuple
 
-from .errors import ContourClipped, NotConverged, PoleAtOne, PrecisionLoss
+from .errors import NotConverged, PoleAtOne, PrecisionLoss
 from .exactnum import (
     PiPolynomial,
     PiXPolynomial,
@@ -43,7 +42,6 @@ from .exactnum import (
     euler_number,
 )
 
-_TWO_PI = 2 * math.pi
 _THREAD = threading.local()
 
 # Validated accuracy domain of the Euler-Maclaurin evaluator.
@@ -225,6 +223,8 @@ def _em_sum(ctx, ratio, smp, a: float, n_cut: int, unit: float, head, base_pow):
 
 
 def _check_validated_domain(s, caller: str) -> None:
+    """Warn PrecisionLoss outside the validated domain, naming `caller`, the
+    public function that called this one, at the line that called it."""
     sig, tau = s.real, abs(s.imag)
     if sig < _EM_RE_MIN or tau > _EM_IM_MAX:
         warnings.warn(
@@ -244,31 +244,17 @@ def zeta_em(s) -> EvalResult:
     first whose remainder bound is below 1e-18, summed in integers. The bound
     is the floor |value|*1e-15 + 1e-16 in Re s >= -25, |Im s| <= 50. Raises
     PoleAtOne within 1e-13 of s = 1."""
-    return hurwitz_zeta(s, 1.0)
-
-
-def hurwitz_zeta(s, a) -> EvalResult:
-    """Hurwitz zeta(s, a) for 0 < a <= 1 by the same Euler-Maclaurin route;
-    a != 1 takes one power per head term."""
-    a = float(a)
-    if not 0 < a <= 1:
-        raise ValueError("a must lie in (0, 1]")
     sc = complex(s)
     if abs(sc - 1) < 1e-13:
         raise PoleAtOne(f"s={sc} is within 1e-13 of the pole at s=1")
-    _check_validated_domain(sc, "hurwitz_zeta")
+    _check_validated_domain(sc, "zeta_em")
     n_cut, dps = _em_params(sc.real, abs(sc.imag))
     ratio = _ratio(s)
     with _working_precision(dps) as ctx:
         smp = _mp_of(ctx, ratio)
-        if a == 1:
-            table = _power_table(ctx, smp, n_cut + 1)
-            head, base_pow = ctx.fsum(table[1:n_cut + 1]), table[n_cut + 1]
-        else:
-            a_mp = ctx.mpf(a)
-            head = ctx.fsum((n + a_mp) ** (-smp) for n in range(n_cut))
-            base_pow = (n_cut + a_mp) ** (-smp)
-        part, lead, err = _em_sum(ctx, ratio, smp, a, n_cut, 1.0, head, base_pow)
+        table = _power_table(ctx, smp, n_cut + 1)
+        head, base_pow = ctx.fsum(table[1:n_cut + 1]), table[n_cut + 1]
+        part, lead, err = _em_sum(ctx, ratio, smp, 1.0, n_cut, 1.0, head, base_pow)
         out = complex(part + lead / (smp - 1))
     return EvalResult(out, max(err, abs(out) * 1e-15 + 1e-16))
 
@@ -369,101 +355,6 @@ def special_value(kind: str, arg: Fraction):
     return "numeric", r.value, r.abs_error_estimate, _NUMERIC_ROUTE[kind]
 
 
-def _ray_cutoff(sig: float, tau: float, delta: float) -> float:
-    # |t^(s-1)| e^(-r cos delta) < 1e-18 along the rays
-    r = 60.0
-    for _ in range(4):
-        r = (45.0 + max(0.0, sig - 1.0) * math.log(r) + tau * math.pi + 5.0) / math.cos(delta)
-    return r
-
-
-def _hankel_loop(s, x: float, rho: float, delta: float):
-    """Gamma(1-s)/(2 pi i) times the loop integral of t^(s-1)/(e^(-t-ix) - 1):
-    in along the ray at angle -(pi - delta), around |t| = rho, out along
-    +(pi - delta). Returns (value, quadrature error, cancellation floor); the
-    floor is 0.0 unless the segments cancel to below 1e-12 of their size."""
-    sc = complex(s)
-    r_max = _ray_cutoff(sc.real, abs(sc.imag), delta)
-    theta = math.pi - delta
-    with _working_precision(30) as ctx:
-        smp = _mp_of(ctx, _ratio(s))
-        ix = ctx.mpc(0, x)
-
-        def kernel(t):
-            return ctx.power(t, smp - 1) / ctx.expm1(-t - ix)
-
-        e_up = ctx.exp(1j * theta)
-        e_lo = ctx.exp(-1j * theta)
-        up, e1 = ctx.quad(lambda u: kernel(u * e_up) * e_up, [rho, r_max], error=True)
-        lo, e2 = ctx.quad(lambda u: kernel(u * e_lo) * e_lo, [rho, r_max], error=True)
-        circ, e3 = ctx.quad(
-            lambda ph: kernel(rho * ctx.exp(1j * ph)) * 1j * rho * ctx.exp(1j * ph),
-            [-theta, theta],
-            error=True,
-        )
-        magnitude = float(abs(up) + abs(lo) + abs(circ))
-        integral = up - lo + circ
-        pref = ctx.gamma(1 - smp) / (2j * ctx.pi)
-        val = complex(pref * integral)
-        qerr = float(abs(pref) * (e1 + e2 + e3))
-        cancel = float(abs(integral)) < 1e-12 * magnitude
-        floor = float(abs(pref)) * magnitude * 1e-24 if cancel else 0.0
-    return val, qerr, floor
-
-
-def hankel_zeta(s, rho: float = math.pi, delta: float = 0.15) -> EvalResult:
-    """zeta(s) for Re s < 1 from the loop integral of t^(s-1)/(e^-t - 1)
-    times Gamma(1-s)/(2 pi i).
-
-    t^(s-1) uses the principal branch (cut along the negative real axis);
-    the rays hug the cut at angle +/-(pi - delta). rho must stay below 2*pi
-    or the kernel poles at +/-2*pi*i would be enclosed (ContourClipped).
-    """
-    sc = complex(s)
-    if sc.real >= 1:
-        raise ValueError("hankel_zeta requires Re s < 1")
-    if not 0 < rho < _TWO_PI:
-        raise ContourClipped(f"rho={rho} must lie in (0, 2*pi) to exclude the kernel poles at +/-2*pi*i")
-    if not 0 < delta < math.pi / 2:
-        raise ValueError("delta must lie in (0, pi/2)")
-    val, qerr, floor = _hankel_loop(s, 0.0, rho, delta)
-    err = qerr + abs(val) * 1e-14 + 1e-14
-    # branch terms nearly cancel close to (but not at) integer s
-    near_int = abs(sc.real - round(sc.real)) < 1e-9 and abs(sc.imag) < 1e-9
-    if floor and not near_int:
-        warnings.warn("hankel_zeta: severe cancellation between contour segments", PrecisionLoss, stacklevel=2)
-        err = max(err, floor)
-    return EvalResult(val, err)
-
-
-def lerch_hankel(s, x: float, delta: float = 0.15, rho: float | None = None) -> EvalResult:
-    """Abel-regularized sum of e^(i n x) / n^s over n >= 1 for 0 < x < 2*pi,
-    Re s < 1, by a Hankel loop of t^(s-1)/(e^(-t-ix) - 1) times
-    Gamma(1-s)/(2 pi i).
-
-    At s = 0 the loop reduces to the t = 0 residue, 1/(e^-ix - 1). The kernel
-    poles sit at t = i(2*pi*k - x); the default rho = min(x, 2*pi - x)/2 keeps
-    them strictly outside the circle.
-    """
-    if not 0 < x < _TWO_PI:
-        raise ValueError("x must lie in (0, 2*pi)")
-    if complex(s).real >= 1:
-        raise ValueError("lerch_hankel requires Re s < 1")
-    pole_dist = min(x, _TWO_PI - x)
-    if rho is None:
-        rho = pole_dist / 2
-    if rho >= pole_dist:
-        raise ContourClipped(
-            f"rho={rho} would enclose the kernel pole at distance {pole_dist:.6g} from the origin"
-        )
-    val, qerr, _ = _hankel_loop(s, x, rho, delta)
-    err = qerr + abs(val) * 1e-13 + 1e-13
-    if pole_dist < 0.05:
-        warnings.warn("lerch_hankel: kernel pole close to the contour", PrecisionLoss, stacklevel=2)
-        err = max(err, 1e-8)
-    return EvalResult(val, err)
-
-
 def clausen_closed_form(parity: str, m: int) -> PiXPolynomial:
     """Exact closed form of the trigonometric series with polynomial sum:
 
@@ -490,21 +381,3 @@ def clausen_closed_form(parity: str, m: int) -> PiXPolynomial:
         q = sign * cj * (2 ** (order - j)) / (2 * factorial(order))
         coeffs.append(PiPolynomial.pi_power(q, order - j))
     return PiXPolynomial(coeffs)
-
-
-def functional_equation_residual(s) -> float:
-    """Residual of the functional equation, all factors numeric, in the
-    direction whose Gamma factor has no pole (Gamma(1-s) has one at each
-    integer s >= 2); s = 0 and s = 1 raise PoleAtOne:
-      Re s < 1/2:   |zeta(s) - 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s)|
-      Re s >= 1/2:  |zeta(1-s) - 2 (2 pi)^-s cos(pi s/2) Gamma(s) zeta(s)|
-    A validation-only cross-check; never used as a definition."""
-    sc = complex(s)
-    zs = zeta_em(s).value
-    z1s = zeta_em(1 - sc).value
-    with _working_precision(40) as ctx:
-        if sc.real < 0.5:
-            pref = ctx.mpf(2) ** sc * ctx.pi ** (sc - 1) * ctx.sin(ctx.pi * sc / 2) * ctx.gamma(1 - ctx.mpc(sc))
-            return abs(zs - complex(pref) * z1s)
-        pref = 2 * (2 * ctx.pi) ** -sc * ctx.cos(ctx.pi * sc / 2) * ctx.gamma(ctx.mpc(sc))
-        return abs(z1s - complex(pref) * zs)

@@ -20,6 +20,25 @@ operator values through `apply_operator`. `partial_sum` and
 Bernoulli and Euler numbers took before it ran in integers, and
 `powers_pow` and `ln_mpmath` the mpmath powers and logarithm of
 `specfun` before it kept its logarithms in a memo.
+
+Some references left the package because no command reaches them; the tests
+still compare the package against them:
+
+- `hurwitz_zeta(s, a)`, the Euler-Maclaurin route of `specfun` at any shift
+  0 < a <= 1, with one mpmath power per head term where `zeta_em` reads its
+  head from the table of m^-s. It calls `specfun._em_sum` through the module
+  at call time, so a test that replaces that core reaches this route too.
+- `hankel_zeta` and `lerch_hankel`, a second continuation of zeta and of the
+  Abel-regularised sum of e^(inx) n^-s, by a Hankel loop integral. `t^(s-1)`
+  on the contour takes the principal branch, cut along the negative real axis,
+  with the rays at angle +/-(pi - delta).
+- `functional_equation_residual`, the functional equation of zeta checked with
+  every factor numeric.
+- `matrix_apply`, the exact product of the divisibility matrix with a vector
+  over the vector's support, against which `column_blocks` is checked.
+
+A contour radius that would enclose a kernel pole, or a vector of the wrong
+length, raises `ValueError`.
 """
 
 from __future__ import annotations
@@ -27,12 +46,13 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import warnings
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from math import comb, factorial
 
-from opzeta import registry
-from opzeta.errors import EndpointConditional, NotConverged, PoleHit, UnsupportedExpression
+from opzeta import registry, specfun
+from opzeta.errors import EndpointConditional, NotConverged, PoleAtOne, PoleHit, PrecisionLoss, UnsupportedExpression
 from opzeta.exactnum import PiPolynomial, PiXPolynomial, bernoulli_number, euler_number
 from opzeta.operators import DilationShift, ExtractedValue, TaylorFlowResult, parity_anomaly
 from opzeta.series import (
@@ -45,7 +65,21 @@ from opzeta.series import (
     _beta,
     _tails,
 )
-from opzeta.specfun import _EM_K_MAX, _EM_TARGET, _em_coefficients, _working_precision, special_value
+from opzeta.specfun import (
+    _EM_K_MAX,
+    _EM_TARGET,
+    EvalResult,
+    _check_validated_domain,
+    _em_coefficients,
+    _em_params,
+    _mp_of,
+    _ratio,
+    _working_precision,
+    special_value,
+    zeta_em,
+)
+
+_TWO_PI = 2 * math.pi
 
 
 def bernoulli_akiyama_tanigawa(nmax: int) -> list[Fraction]:
@@ -184,6 +218,19 @@ def divisor_count(m: int) -> int:
 
 def divisors(m: int) -> list[int]:
     return [d for d in range(1, m + 1) if m % d == 0]
+
+
+def matrix_apply(A, v) -> list[Fraction]:
+    """Exact product of the divisibility matrix A with v over the support of
+    v; v is indexed from basis index 1."""
+    if len(v) != A.size:
+        raise ValueError(f"vector length {len(v)} != matrix size {A.size}")
+    out = [Fraction(0)] * A.size
+    for n, vn in enumerate(v, start=1):
+        if vn:
+            for k, m in enumerate(range(n, A.size + 1, n), start=1):
+                out[m - 1] += Fraction(1, k) * vn
+    return out
 
 
 def partial_sum(parity: str, s: int, x: float, N: int) -> tuple[float, float]:
@@ -477,6 +524,138 @@ def em_sum_mpf(ctx, s, a, n_cut: int, unit: float):
         g *= (s + 2 * k - 1) * (s + 2 * k) * inv_sq
         g_abs *= abs(sc + 2 * k - 1) * abs(sc + 2 * k) / (b * b)
     return total, base * base_pow, err
+
+
+def hurwitz_zeta(s, a) -> EvalResult:
+    """Hurwitz zeta(s, a) for 0 < a <= 1 by `specfun`'s Euler-Maclaurin route
+    (`specfun._em_sum`, read at call time), its head one mpmath power per
+    term; the bound is `zeta_em`'s."""
+    a = float(a)
+    if not 0 < a <= 1:
+        raise ValueError("a must lie in (0, 1]")
+    sc = complex(s)
+    if abs(sc - 1) < 1e-13:
+        raise PoleAtOne(f"s={sc} is within 1e-13 of the pole at s=1")
+    _check_validated_domain(sc, "hurwitz_zeta")
+    n_cut, dps = _em_params(sc.real, abs(sc.imag))
+    ratio = _ratio(s)
+    with _working_precision(dps) as ctx:
+        smp = _mp_of(ctx, ratio)
+        a_mp = ctx.mpf(a)
+        head = ctx.fsum((n + a_mp) ** (-smp) for n in range(n_cut))
+        base_pow = (n_cut + a_mp) ** (-smp)
+        part, lead, err = specfun._em_sum(ctx, ratio, smp, a, n_cut, 1.0, head, base_pow)
+        out = complex(part + lead / (smp - 1))
+    return EvalResult(out, max(err, abs(out) * 1e-15 + 1e-16))
+
+
+def _ray_cutoff(sig: float, tau: float, delta: float) -> float:
+    # |t^(s-1)| e^(-r cos delta) < 1e-18 along the rays
+    r = 60.0
+    for _ in range(4):
+        r = (45.0 + max(0.0, sig - 1.0) * math.log(r) + tau * math.pi + 5.0) / math.cos(delta)
+    return r
+
+
+def _hankel_loop(s, x: float, rho: float, delta: float):
+    """Gamma(1-s)/(2 pi i) times the loop integral of t^(s-1)/(e^(-t-ix) - 1):
+    in along the ray at angle -(pi - delta), around |t| = rho, out along
+    +(pi - delta). Returns (value, quadrature error, cancellation floor); the
+    floor is 0.0 unless the segments cancel to below 1e-12 of their size."""
+    sc = complex(s)
+    r_max = _ray_cutoff(sc.real, abs(sc.imag), delta)
+    theta = math.pi - delta
+    with _working_precision(30) as ctx:
+        smp = _mp_of(ctx, _ratio(s))
+        ix = ctx.mpc(0, x)
+
+        def kernel(t):
+            return ctx.power(t, smp - 1) / ctx.expm1(-t - ix)
+
+        e_up = ctx.exp(1j * theta)
+        e_lo = ctx.exp(-1j * theta)
+        up, e1 = ctx.quad(lambda u: kernel(u * e_up) * e_up, [rho, r_max], error=True)
+        lo, e2 = ctx.quad(lambda u: kernel(u * e_lo) * e_lo, [rho, r_max], error=True)
+        circ, e3 = ctx.quad(
+            lambda ph: kernel(rho * ctx.exp(1j * ph)) * 1j * rho * ctx.exp(1j * ph),
+            [-theta, theta],
+            error=True,
+        )
+        magnitude = float(abs(up) + abs(lo) + abs(circ))
+        integral = up - lo + circ
+        pref = ctx.gamma(1 - smp) / (2j * ctx.pi)
+        val = complex(pref * integral)
+        qerr = float(abs(pref) * (e1 + e2 + e3))
+        cancel = float(abs(integral)) < 1e-12 * magnitude
+        floor = float(abs(pref)) * magnitude * 1e-24 if cancel else 0.0
+    return val, qerr, floor
+
+
+def hankel_zeta(s, rho: float = math.pi, delta: float = 0.15) -> EvalResult:
+    """zeta(s) for Re s < 1 from the loop integral of t^(s-1)/(e^-t - 1)
+    times Gamma(1-s)/(2 pi i).
+
+    The rays hug the branch cut at angle +/-(pi - delta). rho must stay below
+    2*pi or the kernel poles at +/-2*pi*i would be enclosed (ValueError).
+    """
+    sc = complex(s)
+    if sc.real >= 1:
+        raise ValueError("hankel_zeta requires Re s < 1")
+    if not 0 < rho < _TWO_PI:
+        raise ValueError(f"rho={rho} must lie in (0, 2*pi) to exclude the kernel poles at +/-2*pi*i")
+    if not 0 < delta < math.pi / 2:
+        raise ValueError("delta must lie in (0, pi/2)")
+    val, qerr, floor = _hankel_loop(s, 0.0, rho, delta)
+    err = qerr + abs(val) * 1e-14 + 1e-14
+    # branch terms nearly cancel close to (but not at) integer s
+    near_int = abs(sc.real - round(sc.real)) < 1e-9 and abs(sc.imag) < 1e-9
+    if floor and not near_int:
+        warnings.warn("hankel_zeta: severe cancellation between contour segments", PrecisionLoss, stacklevel=2)
+        err = max(err, floor)
+    return EvalResult(val, err)
+
+
+def lerch_hankel(s, x: float, delta: float = 0.15, rho: float | None = None) -> EvalResult:
+    """Abel-regularized sum of e^(i n x) / n^s over n >= 1 for 0 < x < 2*pi,
+    Re s < 1, by a Hankel loop of t^(s-1)/(e^(-t-ix) - 1) times
+    Gamma(1-s)/(2 pi i).
+
+    At s = 0 the loop reduces to the t = 0 residue, 1/(e^-ix - 1). The kernel
+    poles sit at t = i(2*pi*k - x); the default rho = min(x, 2*pi - x)/2 keeps
+    them strictly outside the circle.
+    """
+    if not 0 < x < _TWO_PI:
+        raise ValueError("x must lie in (0, 2*pi)")
+    if complex(s).real >= 1:
+        raise ValueError("lerch_hankel requires Re s < 1")
+    pole_dist = min(x, _TWO_PI - x)
+    if rho is None:
+        rho = pole_dist / 2
+    if rho >= pole_dist:
+        raise ValueError(f"rho={rho} would enclose the kernel pole at distance {pole_dist:.6g} from the origin")
+    val, qerr, _ = _hankel_loop(s, x, rho, delta)
+    err = qerr + abs(val) * 1e-13 + 1e-13
+    if pole_dist < 0.05:
+        warnings.warn("lerch_hankel: kernel pole close to the contour", PrecisionLoss, stacklevel=2)
+        err = max(err, 1e-8)
+    return EvalResult(val, err)
+
+
+def functional_equation_residual(s) -> float:
+    """Residual of the functional equation, all factors numeric, in the
+    direction whose Gamma factor has no pole (Gamma(1-s) has one at each
+    integer s >= 2); s = 0 and s = 1 raise PoleAtOne:
+      Re s < 1/2:   |zeta(s) - 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s)|
+      Re s >= 1/2:  |zeta(1-s) - 2 (2 pi)^-s cos(pi s/2) Gamma(s) zeta(s)|"""
+    sc = complex(s)
+    zs = zeta_em(s).value
+    z1s = zeta_em(1 - sc).value
+    with _working_precision(40) as ctx:
+        if sc.real < 0.5:
+            pref = ctx.mpf(2) ** sc * ctx.pi ** (sc - 1) * ctx.sin(ctx.pi * sc / 2) * ctx.gamma(1 - ctx.mpc(sc))
+            return abs(zs - complex(pref) * z1s)
+        pref = 2 * (2 * ctx.pi) ** -sc * ctx.cos(ctx.pi * sc / 2) * ctx.gamma(ctx.mpc(sc))
+        return abs(z1s - complex(pref) * zs)
 
 
 def _trig_degrees(trig: str, terms: int) -> list[int]:

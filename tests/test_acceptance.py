@@ -33,12 +33,10 @@ from opzeta.series import TrigSeries, abel_sums, geometric_abel
 from opzeta.specfun import (
     clausen_closed_form,
     dirichlet_beta,
-    functional_equation_residual,
-    hankel_zeta,
     special_value,
     zeta_em,
 )
-from oracles import bernoulli_akiyama_tanigawa
+from oracles import bernoulli_akiyama_tanigawa, functional_equation_residual, hankel_zeta
 
 PI = math.pi
 

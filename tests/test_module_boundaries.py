@@ -45,3 +45,69 @@ def _imports_dataclasses(path: Path) -> bool:
 
 def test_no_module_imports_dataclasses():
     assert [path.name for path in sorted(SRC.glob("*.py")) if _imports_dataclasses(path)] == []
+
+
+# public names that only tests and the benchmark harness call
+_PUBLIC_FOR_TESTS = {"cli.build_parser", "exactnum.pipoly_eval"}
+
+
+def _trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+
+
+def _names_used(node: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Every name read as a variable or an attribute under node, outside skip."""
+    found, stack = set(), [node]
+    while stack:
+        n = stack.pop()
+        if n is skip:
+            continue
+        if isinstance(n, ast.Name):
+            found.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            found.add(n.attr)
+        stack.extend(ast.iter_child_nodes(n))
+    return found
+
+
+def test_every_public_definition_is_used_in_the_package():
+    # a re-export in __init__'s table of layers is a string, not a use
+    trees = _trees()
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if f"{module}.{node.name}" in _PUBLIC_FOR_TESTS:
+                continue
+            if not any(node.name in _names_used(other, skip=node) for other in trees.values()):
+                unused.append(f"{module}.{node.name}")
+    assert unused == []
+
+
+def _called_name(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def test_every_error_type_is_raised_in_the_package():
+    # OpzetaError is the base the others share; a warning type is issued by warnings.warn
+    from opzeta import errors
+
+    raised, warned = set(), set()
+    for tree in _trees().values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised.add(_called_name(node.exc))
+            elif isinstance(node, ast.Call) and _called_name(node) == "warn":
+                warned.update(_called_name(arg) for arg in node.args[1:2])
+    types = [obj for obj in vars(errors).values() if isinstance(obj, type) and obj.__module__ == errors.__name__]
+    error_types = {t.__name__ for t in types if issubclass(t, errors.OpzetaError)} - {"OpzetaError"}
+    warning_types = {t.__name__ for t in types if issubclass(t, Warning)}
+    assert error_types - raised == set()
+    assert warning_types - warned == set()
