@@ -1,19 +1,19 @@
 """Numeric and exact evaluation of zeta, Dirichlet beta and 1/Gamma, and the
 closed forms of the trigonometric series with polynomial sums.
 
-Numeric kernels run in mpmath working precision sized to the cancellation
-headroom of the argument, then round once to a complex double; the
-Euler-Maclaurin corrections run in integers at a fixed point below that
-precision (`_em_sum`). The heads of zeta and beta come from one table of
-m^-s per call (`_power_table`): m^-s and chi_4 are completely
-multiplicative, so each prime takes one mpmath power and each composite one
-product. Each thread computes in its own mpmath context
-(`_working_precision`), local integers and a local table; there is no lock
-and no process-global precision, so the public functions are safe for
-concurrent use and leave mpmath's global `mp` context untouched. The one
+Numeric kernels compute on raw mpmath values (libmp tuples) at an explicit
+precision, prec = dps_to_prec(dps), dps sized to the cancellation headroom of
+the argument, then round once to a complex double. A call picks once, from
+whether s is real, the mpf_* or mpc_* operations mpmath's operators apply
+(`_arith`), so each value is bit-identical to mpmath's numbers at prec. The
+Euler-Maclaurin corrections run in integers, one loop over k for every shift
+of a call (`_em_sum`); the heads come from one table of m^-s per call
+(`_power_table`, one power per prime). A call keeps its state in local
+values, with no mpmath context, no lock and no process-global precision: the
+public functions are safe for concurrent use and leave mpmath's `mp` alone.
+Beside immutable tables built once (`_arith`, `_em_coefficients`), the one
 shared value is the bounded memo of logarithms `_ln` (log m for the powers,
-log((4N+3)/(4N+1)) for beta's pole term), one immutable mpmath value per
-integer pair and precision, filled on first use with no lock: threads that
+log((4N+3)/(4N+1)) for beta's pole term), filled with no lock: threads that
 race on a key compute the same value. mpmath is imported on the first
 numeric call, so the exact values never load it.
 
@@ -25,24 +25,15 @@ the pole.
 from __future__ import annotations
 
 import math
-import threading
 import warnings
-from contextlib import contextmanager
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import factorial
 from typing import NamedTuple
 
 from .errors import NotConverged, PoleAtOne, PrecisionLoss
-from .exactnum import (
-    PiPolynomial,
-    PiXPolynomial,
-    bernoulli_number,
-    bernoulli_polynomial,
-    euler_number,
-)
-
-_THREAD = threading.local()
+from .exactnum import PiPolynomial, PiXPolynomial, bernoulli_number, bernoulli_polynomial, euler_number
 
 # Validated accuracy domain of the Euler-Maclaurin evaluator.
 _EM_RE_MIN = -25.0
@@ -54,23 +45,11 @@ _EM_K_MAX = 41
 # Entries of the memo `_ln`: the validated domain reaches about 5,000 keys
 # (1,055 on the real axis, the rest beta's pole logarithm at complex s).
 _LN_MEMO_SIZE = 8192
-
-
-@contextmanager
-def _working_precision(dps: int):
-    """Yield the calling thread's own mpmath context (built once per thread)
-    at `dps` digits; on exit, nested or not, the previous precision returns."""
-    ctx = getattr(_THREAD, "ctx", None)
-    if ctx is None:
-        import mpmath  # on first numeric use only: the exact paths never load it
-
-        ctx = _THREAD.ctx = mpmath.MPContext()
-    prec = ctx.prec
-    ctx.dps = dps
-    try:
-        yield ctx
-    finally:
-        ctx.prec = prec
+# `_arith`'s operations by their mpmath.libmp names at a complex s; at a real s, the
+# mpf one less the mixed-type part of the name (mpc_mul_mpf -> mpf_mul, mpc_mpf_div -> mpf_div)
+_OPS = "mul div add sub neg abs pos exp pow rgamma mul_mpf div_mpf add_mpf sub_mpf mpf_div".split()
+_Arith = namedtuple("_Arith", [*_OPS, "sum", "complex", "one", "lib"])
+_RND = "n"  # mpmath.libmp.round_nearest, the rounding of mpmath's operators
 
 
 class EvalResult(NamedTuple):
@@ -89,29 +68,51 @@ def _ratio(s) -> tuple[int, int, int]:
     return re_n * (q // re_d), im_n * (q // im_d), q
 
 
-def _mp_of(ctx, ratio):
-    """s = `_ratio(s)` in ctx: an mpf when s is real (float, int, Fraction), an mpc otherwise."""
-    p_re, p_im, q = ratio
-    return (ctx.mpc(p_re, p_im) if p_im else ctx.mpf(p_re)) / q
+@cache
+def _arith(real: bool) -> _Arith:
+    """The raw arithmetic of a real or a complex s as mpmath's operators apply
+    it, built once per kind: each operation of `_OPS`, called with (prec, rnd)
+    (an `_mpf` form takes a real right operand, `mpf_div` a real left one);
+    sum(xs, prec, rnd), mpmath's fsum; complex(x, rnd); 1; and mpmath.libmp."""
+    from mpmath import libmp
+
+    ops = [getattr(libmp, "mpf_" + op.replace("_mpf", "").replace("mpf_", "") if real else "mpc_" + op) for op in _OPS]
+    if real:
+        return _Arith(*ops, libmp.mpf_sum, lambda x, rnd: complex(libmp.to_float(x, False, rnd)), libmp.fone, libmp)
+    return _Arith(*ops, lambda xs, prec, rnd: tuple(libmp.mpf_sum([x[i] for x in xs], prec, rnd) for i in (0, 1)),
+                  lambda z, rnd: libmp.mpc_to_complex(z, False, rnd), (libmp.fone, libmp.fzero), libmp)
+
+
+def _call(s, dps: int) -> tuple:
+    """(`_ratio(s)`, the `_arith` of its kind, prec = dps_to_prec(dps), s raw
+    at prec as mpmath's mpf(p_re) / q or mpc(p_re, p_im) / q gives it)."""
+    ratio = p_re, p_im, q = _ratio(s)
+    ar = _arith(not p_im)
+    prec, from_int = ar.lib.dps_to_prec(dps), ar.lib.from_int
+    num = from_int(p_re, prec, _RND) if not p_im else (from_int(p_re, prec, _RND), from_int(p_im, prec, _RND))
+    return ratio, ar, prec, ar.div_mpf(num, from_int(q), prec, _RND)
+
+
+def _mag(x) -> int:
+    """mpmath's `mag` of a nonzero raw mpf or mpc: exponent plus bit count (+1 for two nonzero parts)."""
+    mags = [t[2] + t[3] for t in ((x,) if len(x) == 4 else x) if t[1]]
+    return max(mags) + len(mags) - 1
 
 
 @cache
-def _em_coefficients() -> tuple[tuple[Fraction, ...], tuple[float, ...]]:
-    """B_2k/(2k)!, k = 1..K_max, exact and |.| as doubles: built on first use."""
-    exact = tuple(bernoulli_number(2 * k) / factorial(2 * k) for k in range(1, _EM_K_MAX + 1))
-    return exact, tuple(abs(float(c)) for c in exact)
+def _em_coefficients() -> tuple[tuple[tuple[int, int], ...], tuple[float, ...]]:
+    """B_2k/(2k)!, k = 1..K_max, as (numerator, denominator) and |.| as doubles: built on first use."""
+    exact = [bernoulli_number(2 * k) / factorial(2 * k) for k in range(1, _EM_K_MAX + 1)]
+    return tuple(c.as_integer_ratio() for c in exact), tuple(abs(float(c)) for c in exact)
 
 
 def _em_params(sig: float, tau: float, stride: int = 1) -> tuple[int, int]:
     """(N, dps) at s: N meets the remainder target within K_max terms; dps covers
-    head terms up to (stride (N + 2))^-sigma (stride 4 for beta's 4^-s).
-    Raises NotConverged where no K <= 41 has a finite remainder bound
-    (sigma + 2 K_max - 1 <= 0), before any work."""
+    head terms up to (stride (N + 2))^-sigma (stride 4 for beta's 4^-s). Raises
+    NotConverged where no K <= 41 has a finite bound (sigma + 2 K_max <= 1)."""
     if sig + 2 * _EM_K_MAX - 1 <= 0:
-        raise NotConverged(
-            f"Euler-Maclaurin at Re s = {sig:g}: no finite remainder bound within "
-            f"{_EM_K_MAX} terms at Re s <= {-2 * _EM_K_MAX + 1}"
-        )
+        raise NotConverged(f"Euler-Maclaurin at Re s = {sig:g}: no finite remainder bound within "
+                           f"{_EM_K_MAX} terms at Re s <= {-2 * _EM_K_MAX + 1}")
     n = max(10, int(0.6 * -sig) + 8) + (int(1.3 * tau) + 12 if tau else 0)
     dps = 25 + int(max(0.0, -sig) * math.log10(stride * (n + 2))) + int(0.12 * tau)
     return n, dps
@@ -119,43 +120,35 @@ def _em_params(sig: float, tau: float, stride: int = 1) -> tuple[int, int]:
 
 @lru_cache(maxsize=_LN_MEMO_SIZE)
 def _ln(a: int, b: int, prec: int) -> tuple:
-    """log(a/b) at `prec` bits as a raw mpmath value (a libmp tuple), rounded
-    to nearest as mpmath's log of the mpf a/b is: computed once per
-    (a, b, prec)."""
+    """log(a/b) at `prec` bits, raw, rounded to nearest as mpmath's log of the
+    mpf a/b is: computed once per (a, b, prec)."""
     from mpmath.libmp import from_int, mpf_div, mpf_log, round_nearest
 
     return mpf_log(mpf_div(from_int(a), from_int(b), prec, round_nearest), prec, round_nearest)
 
 
-def _powers(ctx, neg):
-    """m -> m^neg for an integer m >= 1, bit-identical to ctx.mpf(m) ** neg.
-    At a real neg that is neither an integer nor a half-integer, mpmath's
-    power is exp(neg log m), with log m at prec + 10 bits; this takes the log
-    from the memo `_ln`. An integer power (squarings) or a half-integer one
-    (a square root) takes no logarithm, and a complex power rounds its log
-    another way: those stay mpmath's `**`."""
-    t = getattr(neg, "_mpf_", None)
-    if t is None or t[2] >= -1:  # complex, or an integer or half-integer (binary exponent >= -1)
-        return lambda m: ctx.mpf(m) ** neg
-    from mpmath.libmp import mpf_exp, mpf_mul, round_nearest
-
-    prec = ctx.prec
-    return lambda m: ctx.make_mpf(mpf_exp(mpf_mul(t, _ln(m, 1, prec + 10)), prec, round_nearest))
+def _powers(ar, prec: int, neg):
+    """m -> m^neg at an integer m >= 1, neg = -s raw, as mpmath's mpf(m) ** neg
+    at `prec` bits: exp(neg log m), log m at prec + 10 bits from the memo
+    `_ln`, at a real neg not an integer or half-integer; else mpf_pow (squarings
+    or a square root) or mpc_pow (which rounds its log another way)."""
+    exp, mul, pow_, from_int, fzero = ar.exp, ar.mul, ar.pow, ar.lib.from_int, ar.lib.fzero
+    if len(neg) == 2:  # an mpc
+        return lambda m: pow_((from_int(m), fzero), neg, prec, _RND)
+    if neg[2] >= -1:  # an integer or half-integer (binary exponent >= -1)
+        return lambda m: pow_(from_int(m), neg, prec, _RND)
+    return lambda m: exp(mul(neg, _ln(m, 1, prec + 10)), prec, _RND)
 
 
-def _power_table(ctx, smp, top: int, odd: bool = False) -> list:
-    """m^-s at m = 1..top (odd m only if `odd`; None elsewhere), by a linear
-    sieve: a prime m is one mpmath power (`_powers`, each log m from the
-    memo), a composite m = p c, p its smallest prime factor, the product of
-    the entries at c and p. Each power is the very value ctx.mpf(m) ** -s
-    gives, so the error budget is mpmath's: m has at most log2(m) prime
-    factors, so its entry is at most log2(m) powers, each within one ulp at
-    prec, joined by fewer products, each within half an ulp: within relative
-    3 log2(m) 2^-prec of m^-s (at m <= 4N + 3, under 2^(5-prec) in the
-    validated domain)."""
+def _power_table(ar, prec: int, neg, top: int, odd: bool = False) -> list:
+    """m^neg, neg = -s raw, at m = 1..top (odd m only if `odd`; None
+    elsewhere), by a linear sieve: a prime m is one power (`_powers`), a
+    composite m = p c, p its smallest prime factor, the product of the entries
+    at c and p: at most log2(m) powers within an ulp joined by products within
+    half an ulp, within relative 3 log2(m) 2^-prec of m^-s."""
     table = [None] * (top + 1)
-    table[1] = ctx.mpf(1)
-    power, primes = _powers(ctx, -smp), []
+    table[1] = ar.one
+    power, mul, primes = _powers(ar, prec, neg), ar.mul, []
     for m in range(2 + odd, top + 1, 1 + odd):
         if table[m] is None:
             table[m] = power(m)
@@ -163,99 +156,121 @@ def _power_table(ctx, smp, top: int, odd: bool = False) -> list:
         for p in primes:
             if m * p > top:
                 break
-            table[m * p] = table[m] * table[p]
+            table[m * p] = mul(table[m], table[p], prec, _RND)
             if m % p == 0:
                 break
     return table
 
 
-def _em_sum(ctx, ratio, smp, a: float, n_cut: int, unit: float, head, base_pow):
-    """Euler-Maclaurin sum_(n>=0) (n + a)^-s less its pole term base^(1-s)/(s-1),
-    base = N + a, at s = `smp` = (p_re + i p_im)/q (`ratio`): the caller's head
-    sum_(n<N) (n + a)^-s and base^-s (from `_power_table` at a in {1, 1/4,
-    3/4}; its rounding stays within the 25 guard digits of dps), plus
-    base^-s / 2 and sum_(k<=K) B_2k/(2k)! g_k, g_k = (s)_(2k-1)
-    base^(-s-2k+1), in integers. K <= 41 is the first K
-    whose remainder bound after K terms, |B_2K/(2K)!| |(s)_2K|
-    base^(-sigma-2K+1)/(sigma+2K-1) (Johansson, arXiv:1309.2877, theorem 1
-    with M = K), carried in doubles, times `unit` (the returned value per unit
-    of this sum) is below _EM_TARGET.
+class _Tail:
+    """One shift in `_em_sum`'s loop: g_k and the sum so far as Gaussian
+    integers re + i im (im stays 0 at a real s), |g_k| and the last bound."""
 
-    The corrections take s exactly as (p_re + i p_im)/q and base as bn/bd,
-    and run in Gaussian integers at the fixed point 2^-F, F = prec + 16
-    - mag(base^-s) - bit_length(int(|s|)): one unit is under 2^-(prec+14)
-    max(1, |s|) |base^-s|. g_1 = s base^-s / base is floored to it once, each
-    step is g_(k+1) = g_k (p + (2k-1)q)(p + 2kq) bd^2 // (q bn)^2, and each
-    term g_k num // den, with B_2k/(2k)! = num/den. Error budget: each floor
-    errs by under one unit; a unit lost in g_j reaches term k scaled by
-    |B_2j/(2j)!| <= 1/12 times the ratio of term k to term j, under 1 while
-    the terms fall, as they do up to the stopping K. So at most 41 terms err
-    by under 41 (1 + 41/12) < 2^8 units (the worst seen on Re s in [-80, 12]
-    was 26), below 2^-(prec+6) max(1, |s|) |base^-s|. The sum enters the mpf
-    total as one mpf. Returns (sum, base^(1-s), bound in units of the sum)."""
+    __slots__ = ("re", "im", "re_sum", "im_sum", "g_abs", "err", "b_sq", "bd_sq", "den")
+
+    def __init__(self, g: tuple, g_abs: float, b: float, bd: int, den: int):
+        (self.re, self.im), self.re_sum, self.im_sum, self.g_abs, self.err = g, 0, 0, g_abs, math.inf
+        self.b_sq, self.bd_sq, self.den = b * b, bd * bd, den
+
+
+def _em_sum(ar, prec: int, ratio, s, n_cut: int, unit: float, shifts) -> list:
+    """Euler-Maclaurin sum_(n>=0) (n + a)^-s less its pole term base^(1-s)/(s-1),
+    base = N + a = bn/bd, at s = p/q, p = p_re + i p_im (`ratio`, `s` raw), per
+    (a, head, base^-s) of `shifts`: head + base^-s / 2 + sum_(k<=K) B_2k/(2k)! g_k,
+    g_k = (s)_(2k-1) base^(-s-2k+1). One loop over k takes every shift, each
+    to its K <= 41, the first whose remainder bound |B_2K/(2K)!| |(s)_2K|
+    base^(-sigma-2K+1)/(sigma+2K-1) (Johansson, arXiv:1309.2877, theorem 1,
+    M = K) times `unit` (value per unit of sum) is below _EM_TARGET. The
+    corrections run in Gaussian integers (integers at a real s) at 2^-F, F =
+    prec + 16 - mag(base^-s) - bit_length(int(|s|)): g_1 = s base^-s / base
+    floored once, g_(k+1) = g_k (p + (2k-1)q)(p + 2kq) bd^2 // (q bn)^2, each
+    term g_k num // den, B_2k/(2k)! = num/den. A unit lost in g_j reaches term
+    k scaled by at most 1/12 while the terms fall, as up to K, so the sum errs
+    by under 41 (1 + 41/12) < 2^8 units (26 seen on Re s in [-80, 12]), below
+    2^-(prec+6) max(1, |s|) |base^-s|. Returns (sum, base^(1-s), bound in
+    units of the sum) per shift."""
+    from_man_exp, to_fixed, to_float = ar.lib.from_man_exp, ar.lib.to_fixed, ar.lib.to_float
     p_re, p_im, q = ratio
     sc = complex(p_re / q, p_im / q)  # complex(s): int / int rounds once
-    exact, approx = _em_coefficients()
-    base = n_cut + ctx.mpf(a)
-    a_num, bd = a.as_integer_ratio()
-    step_den, bd_sq = (q * (n_cut * bd + a_num)) ** 2, bd * bd  # bn = n_cut bd + a_num
-    frac_bits = ctx.prec + 16 - ctx.mag(base_pow) - int(abs(sc)).bit_length()
-    g1 = smp * base_pow / base
-    g_re, g_im = g1.real.to_fixed(frac_bits), g1.imag.to_fixed(frac_bits)
-    sum_re = sum_im = 0
-    b = float(base)
-    g_abs, err = abs(sc) * float(abs(base_pow)) / b, math.inf
-    for k in range(1, _EM_K_MAX + 1):
-        num, den = exact[k - 1].numerator, exact[k - 1].denominator
-        sum_re += g_re * num // den
-        sum_im += g_im * num // den
-        if sc.real + 2 * k - 1 > 0:
-            err = approx[k - 1] * g_abs * abs(sc + 2 * k - 1) / (sc.real + 2 * k - 1)
-            if unit * err < _EM_TARGET:
-                break
-        # (p + (2k-1)q)(p + 2kq) bd^2, p = p_re + i p_im
-        u, v = p_re + (2 * k - 1) * q, p_re + 2 * k * q
-        m_re, m_im = (u * v - p_im * p_im) * bd_sq, p_im * (u + v) * bd_sq
-        g_re, g_im = (g_re * m_re - g_im * m_im) // step_den, (g_re * m_im + g_im * m_re) // step_den
-        g_abs *= abs(sc + 2 * k - 1) * abs(sc + 2 * k) / (b * b)
-    corr = ctx.mpc((sum_re, -frac_bits), (sum_im, -frac_bits)) if sum_im else ctx.mpf((sum_re, -frac_bits))
-    return head + base_pow / 2 + corr, base * base_pow, err
+    (exact, approx), real, size = _em_coefficients(), not p_im, int(abs(sc)).bit_length()
+    z, tails, fixed = sc.real if real else sc, [], []  # |z + j| = |s + j|, a double's at a real s
+    for a, head, base_pow in shifts:
+        (a_num, bd), b = a.as_integer_ratio(), n_cut + a  # bd a power of 2, b = float(base)
+        base, frac_bits = from_man_exp(n_cut * bd + a_num, 1 - bd.bit_length()), prec + 16 - _mag(base_pow) - size
+        g1 = ar.div_mpf(ar.mul(s, base_pow, prec, _RND), base, prec, _RND)
+        g = (to_fixed(g1, frac_bits), 0) if real else (to_fixed(g1[0], frac_bits), to_fixed(g1[1], frac_bits))
+        g_abs = abs(sc) * to_float(ar.abs(base_pow, prec, _RND), False, _RND) / b
+        tails.append(_Tail(g, g_abs, b, bd, (q * (n_cut * bd + a_num)) ** 2))  # bn = n_cut bd + a_num
+        fixed.append((head, base_pow, base, frac_bits))
+    live, sig = tails, sc.real
+    for k, (num, den), coeff_abs in zip(range(1, _EM_K_MAX + 1), exact, approx):
+        low, c1, c2 = sig + 2 * k - 1, abs(z + 2 * k - 1), abs(z + 2 * k)
+        u, v = p_re + (2 * k - 1) * q, p_re + 2 * k * q  # (p + (2k-1)q)(p + 2kq), p = p_re + i p_im
+        m_re, done = u * v - p_im * p_im, []
+        for t in live:
+            t.re_sum += t.re * num // den
+            if not real:
+                t.im_sum += t.im * num // den
+            if low > 0:
+                t.err = coeff_abs * t.g_abs * c1 / low
+                if unit * t.err < _EM_TARGET:
+                    done.append(t)
+                    continue
+            if real:
+                t.re = t.re * (m_re * t.bd_sq) // t.den
+            else:
+                r, i = m_re * t.bd_sq, p_im * (u + v) * t.bd_sq
+                t.re, t.im = (t.re * r - t.im * i) // t.den, (t.re * i + t.im * r) // t.den
+            t.g_abs *= c1 * c2 / t.b_sq
+        live = [t for t in live if t not in done] if done else live
+        if not live:
+            break
+    out = []
+    for t, (head, base_pow, base, frac_bits) in zip(tails, fixed):
+        corr = [from_man_exp(x, -frac_bits, prec, _RND) for x in ((t.re_sum,) if real else (t.re_sum, t.im_sum))]
+        half = ar.add(head, ar.div_mpf(base_pow, ar.lib.from_int(2), prec, _RND), prec, _RND)
+        out.append((ar.add(half, corr[0] if real else tuple(corr), prec, _RND), ar.mul_mpf(base_pow, base, prec, _RND), t.err))
+    return out
+
+
+def _expm1(ar, prec: int, x):
+    """mpmath's expm1: exp(x) at prec + 25 bits less 1, again with as many more bits as cancelled while
+    10 or more did, rounded to prec (x = 0 or |x| < 2^-prec, its other cases, need |s - 1| < 1e-13)."""
+    extra = 10
+    while True:
+        wp = prec + 15 + extra
+        e = ar.exp(x, wp, _RND)
+        diff = ar.add_mpf(e, ar.lib.fnone, wp, _RND)
+        cancelled = max(_mag(e), 1) - _mag(diff)
+        if cancelled < extra:
+            return ar.pos(diff, prec, _RND)
+        extra += min(wp, cancelled)
 
 
 def _check_validated_domain(s, caller: str) -> None:
-    """Warn PrecisionLoss outside the validated domain, naming `caller`, the
-    public function that called this one, at the line that called it."""
-    sig, tau = s.real, abs(s.imag)
-    if sig < _EM_RE_MIN or tau > _EM_IM_MAX:
-        warnings.warn(
-            f"{caller}: s={s} outside the validated domain "
-            f"(Re s >= {_EM_RE_MIN}, |Im s| <= {_EM_IM_MAX}); "
-            "returning best-effort value",
-            PrecisionLoss,
-            stacklevel=3,
-        )
+    """Warn PrecisionLoss outside the validated domain, naming `caller`, at the line that called `caller`."""
+    if s.real < _EM_RE_MIN or abs(s.imag) > _EM_IM_MAX:
+        warnings.warn(f"{caller}: s={s} outside the validated domain (Re s >= {_EM_RE_MIN}, |Im s| <= "
+                      f"{_EM_IM_MAX}); returning best-effort value", PrecisionLoss, stacklevel=3)
 
 
 def zeta_em(s) -> EvalResult:
     """Riemann zeta via Euler-Maclaurin continuation of sum n^-s (`_em_sum`):
-    N = max(10, 8 + 0.6(-sigma)) head terms, plus 12 + 1.3|tau| for complex
-    s, and base^-s, all read from one table of m^-s, m <= N + 1
-    (`_power_table`, one power per prime), then K <= 41 corrections, K the
-    first whose remainder bound is below 1e-18, summed in integers. The bound
-    is the floor |value|*1e-15 + 1e-16 in Re s >= -25, |Im s| <= 50. Raises
-    PoleAtOne within 1e-13 of s = 1."""
+    N = max(10, 8 + 0.6(-sigma)) (+ 12 + 1.3|tau| at complex s) head terms and
+    base^-s from one table of m^-s, m <= N + 1 (`_power_table`), then K <= 41
+    corrections, to a remainder bound below 1e-18. The bound is the floor
+    |value|*1e-15 + 1e-16 in Re s >= -25, |Im s| <= 50. Raises PoleAtOne
+    within 1e-13 of s = 1."""
     sc = complex(s)
     if abs(sc - 1) < 1e-13:
         raise PoleAtOne(f"s={sc} is within 1e-13 of the pole at s=1")
     _check_validated_domain(sc, "zeta_em")
     n_cut, dps = _em_params(sc.real, abs(sc.imag))
-    ratio = _ratio(s)
-    with _working_precision(dps) as ctx:
-        smp = _mp_of(ctx, ratio)
-        table = _power_table(ctx, smp, n_cut + 1)
-        head, base_pow = ctx.fsum(table[1:n_cut + 1]), table[n_cut + 1]
-        part, lead, err = _em_sum(ctx, ratio, smp, 1.0, n_cut, 1.0, head, base_pow)
-        out = complex(part + lead / (smp - 1))
+    ratio, ar, prec, smp = _call(s, dps)
+    table = _power_table(ar, prec, ar.neg(smp, prec, _RND), n_cut + 1)
+    head = ar.sum(table[1:n_cut + 1], prec, _RND)
+    ((part, lead, err),) = _em_sum(ar, prec, ratio, smp, n_cut, 1.0, [(1.0, head, table[n_cut + 1])])
+    out = ar.complex(ar.add(part, ar.div(lead, ar.sub_mpf(smp, ar.lib.fone, prec, _RND), prec, _RND), prec, _RND), _RND)
     return EvalResult(out, max(err, abs(out) * 1e-15 + 1e-16))
 
 
@@ -263,34 +278,30 @@ def dirichlet_beta(s) -> EvalResult:
     """Dirichlet beta (the L-function of the nontrivial character mod 4),
     entire, via 4^-s [zeta(s, 1/4) - zeta(s, 3/4)].
 
-    Both heads and base powers come from one table of m^-s over odd
-    m <= 4N + 3 (`_power_table`), as (n + 1/4)^-s = 4^s (4n+1)^-s and
-    (n + 3/4)^-s = 4^s (4n+3)^-s. The two Hurwitz pole terms cancel
-    analytically; the difference of the Euler-Maclaurin pole parts is
-    combined through expm1 so s = 1 needs no special casing beyond the 0/0
-    limit. N is zeta_em's; each correction loop stops once |4^-s| times its
-    remainder bound is below 1e-18, which is added to the floor
-    |value|*1e-15 + 1e-16. dps also covers the 4^-s scale."""
+    Heads and base powers come from one table of m^-s over odd m <= 4N + 3, as
+    (n + 1/4)^-s = 4^s (4n+1)^-s and (n + 3/4)^-s = 4^s (4n+3)^-s. The pole
+    parts' difference goes through expm1, so s = 1 is only the 0/0 limit. N is
+    zeta_em's; one correction loop takes both shifts, each to a remainder bound
+    below 1e-18 times |4^s|, added to the floor |value|*1e-15 + 1e-16."""
     sc = complex(s)
     _check_validated_domain(sc, "dirichlet_beta")
     n_cut, dps = _em_params(sc.real, abs(sc.imag), stride=4)
-    ratio = _ratio(s)
-    with _working_precision(dps) as ctx:
-        smp = _mp_of(ctx, ratio)
-        four_pow = _powers(ctx, -smp)(4)
-        four_s, scale = 1 / four_pow, float(abs(four_pow))
-        n4 = 4 * n_cut
-        table = _power_table(ctx, smp, n4 + 3, odd=True)
-        head1, head2 = four_s * ctx.fsum(table[1:n4:4]), four_s * ctx.fsum(table[3:n4:4])
-        part1, lead1, err1 = _em_sum(ctx, ratio, smp, 0.25, n_cut, scale, head1, four_s * table[n4 + 1])
-        part2, _, err2 = _em_sum(ctx, ratio, smp, 0.75, n_cut, scale, head2, four_s * table[n4 + 3])
-        # b1, b2 = N + 1/4, N + 3/4: [b1^(1-s) - b2^(1-s)]/(s-1) = -b1^(1-s) expm1((1-s) log(b2/b1))/(s-1)
-        log_ratio = ctx.make_mpf(_ln(n4 + 3, n4 + 1, ctx.prec))
-        if abs(smp - 1) < 1e-13:
-            pole = lead1 * log_ratio
-        else:
-            pole = -lead1 * ctx.expm1((1 - smp) * log_ratio) / (smp - 1)
-        out = complex(four_pow * (part1 - part2 + pole))
+    ratio, ar, prec, smp = _call(s, dps)
+    n4, neg, lm = 4 * n_cut, ar.neg(smp, prec, _RND), ar.lib
+    four_pow = _powers(ar, prec, neg)(4)
+    four_s, scale = ar.mpf_div(lm.fone, four_pow, prec, _RND), lm.to_float(ar.abs(four_pow, prec, _RND), False, _RND)
+    table = _power_table(ar, prec, neg, n4 + 3, odd=True)
+    shifts = [(a, ar.mul(four_s, ar.sum(table[r:n4:4], prec, _RND), prec, _RND), ar.mul(four_s, table[n4 + r], prec, _RND))
+              for a, r in ((0.25, 1), (0.75, 3))]
+    (part1, lead1, err1), (part2, _, err2) = _em_sum(ar, prec, ratio, smp, n_cut, scale, shifts)
+    # b1, b2 = N + 1/4, N + 3/4: [b1^(1-s) - b2^(1-s)]/(s-1) = -b1^(1-s) expm1((1-s) log(b2/b1))/(s-1)
+    log_ratio, s_1 = _ln(n4 + 3, n4 + 1, prec), ar.sub_mpf(smp, lm.fone, prec, _RND)
+    if lm.mpf_lt(ar.abs(s_1, prec, _RND), lm.from_float(1e-13)):
+        pole = ar.mul_mpf(lead1, log_ratio, prec, _RND)
+    else:
+        x = ar.mul_mpf(ar.sub(ar.one, smp, prec, _RND), log_ratio, prec, _RND)
+        pole = ar.div(ar.mul(ar.neg(lead1, prec, _RND), _expm1(ar, prec, x), prec, _RND), s_1, prec, _RND)
+    out = ar.complex(ar.mul(four_pow, ar.add(ar.sub(part1, part2, prec, _RND), pole, prec, _RND), prec, _RND), _RND)
     return EvalResult(out, scale * (err1 + err2) + abs(out) * 1e-15 + 1e-16)
 
 
@@ -299,13 +310,12 @@ def recip_gamma(s) -> complex:
 
     Exactly zero at nonpositive real integers; this is the annihilation
     mechanism the operator engine relies on. Absolute accuracy 1e-12 where
-    the value has order <= 1, relative 1e-12 elsewhere (|s| <= 30).
-    """
+    the value has order <= 1, relative 1e-12 elsewhere (|s| <= 30)."""
     sc = complex(s)
     if sc.imag == 0.0 and sc.real <= 0 and sc.real == int(sc.real):
         return complex(0.0)
-    with _working_precision(50) as ctx:
-        return complex(ctx.rgamma(_mp_of(ctx, _ratio(s))))
+    _, ar, prec, x = _call(s, 50)
+    return ar.complex(ar.rgamma(x, prec, _RND), _RND)
 
 
 _NUMERIC_ROUTE = {"zeta": "euler_maclaurin", "beta": "hurwitz_difference", "recip_gamma": "rgamma"}

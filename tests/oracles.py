@@ -19,7 +19,12 @@ operator values through `apply_operator`. `partial_sum` and
 `small_numbers_fraction` is the Fraction recurrence the exact table of
 Bernoulli and Euler numbers took before it ran in integers, and
 `powers_pow` and `ln_mpmath` the mpmath powers and logarithm of
-`specfun` before it kept its logarithms in a memo.
+`specfun` before it kept its logarithms in a memo. `zeta_em_context`,
+`dirichlet_beta_context` and `recip_gamma_context` are `specfun`'s kernels as
+they were before they computed on raw mpmath values at an explicit precision:
+mpmath numbers in a per-thread mpmath context (`_working_precision`, `_mp_of`),
+with a table of m^-s and a loop of integer corrections per shift of their own.
+The raw kernels must match them bit for bit.
 
 Some references left the package because no command reaches them; the tests
 still compare the package against them:
@@ -46,8 +51,10 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import threading
 import warnings
 from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from fractions import Fraction
 from math import comb, factorial
 
@@ -72,14 +79,46 @@ from opzeta.specfun import (
     _check_validated_domain,
     _em_coefficients,
     _em_params,
-    _mp_of,
     _ratio,
-    _working_precision,
     special_value,
     zeta_em,
 )
 
 _TWO_PI = 2 * math.pi
+_THREAD = threading.local()
+
+
+@contextmanager
+def _working_precision(dps: int):
+    """Yield the calling thread's own mpmath context (built once per thread)
+    at `dps` digits; on exit, nested or not, the previous precision returns."""
+    ctx = getattr(_THREAD, "ctx", None)
+    if ctx is None:
+        import mpmath
+
+        ctx = _THREAD.ctx = mpmath.MPContext()
+    prec = ctx.prec
+    ctx.dps = dps
+    try:
+        yield ctx
+    finally:
+        ctx.prec = prec
+
+
+def _mp_of(ctx, ratio):
+    """s = `_ratio(s)` in ctx: an mpf when s is real (float, int, Fraction), an mpc otherwise."""
+    p_re, p_im, q = ratio
+    return (ctx.mpc(p_re, p_im) if p_im else ctx.mpf(p_re)) / q
+
+
+def _raw(x):
+    """The raw libmp value of an mpmath number: an mpf tuple or an mpc pair."""
+    return getattr(x, "_mpf_", None) or x._mpc_
+
+
+def _number(ctx, raw):
+    """The mpmath number of ctx holding a raw mpf tuple or mpc pair."""
+    return ctx.make_mpc(raw) if len(raw) == 2 else ctx.make_mpf(raw)
 
 
 def bernoulli_akiyama_tanigawa(nmax: int) -> list[Fraction]:
@@ -471,10 +510,16 @@ def nint_l_value_mpmath(scale: int, power: int, pi_mult: int, odd: bool) -> int:
     return nearest
 
 
-def powers_pow(ctx, neg):
-    """m -> ctx.mpf(m) ** neg: the one mpmath power per prime that
-    `specfun._powers` stands in for (a drop-in for it)."""
-    return lambda m: ctx.mpf(m) ** neg
+def powers_pow(ar, prec: int, neg):
+    """m -> mpmath's mpf(m) ** neg at `prec` bits, as a raw value, neg = -s
+    raw: the one mpmath power per prime that `specfun._powers` stands in for
+    (a drop-in for it)."""
+    import mpmath
+
+    ctx = mpmath.MPContext()
+    ctx.prec = prec
+    x = _number(ctx, neg)
+    return lambda m: _raw(ctx.mpf(m) ** x)
 
 
 def ln_mpmath(a: int, b: int, prec: int) -> tuple:
@@ -516,7 +561,8 @@ def em_sum_mpf(ctx, s, a, n_cut: int, unit: float):
     total = ctx.fsum((n + a) ** (-s) for n in range(n_cut)) + base_pow / 2
     g_abs, err = abs(sc) * float(abs(base_pow)) / b, math.inf
     for k in range(1, _EM_K_MAX + 1):
-        total += g * exact[k - 1].numerator / exact[k - 1].denominator
+        num, den = exact[k - 1]
+        total += g * num / den
         if sc.real + 2 * k - 1 > 0:
             err = approx[k - 1] * g_abs * abs(sc + 2 * k - 1) / (sc.real + 2 * k - 1)
             if unit * err < _EM_TARGET:
@@ -524,6 +570,21 @@ def em_sum_mpf(ctx, s, a, n_cut: int, unit: float):
         g *= (s + 2 * k - 1) * (s + 2 * k) * inv_sq
         g_abs *= abs(sc + 2 * k - 1) * abs(sc + 2 * k) / (b * b)
     return total, base * base_pow, err
+
+
+def em_sum_mpf_shifts(ar, prec: int, ratio, s, n_cut: int, unit: float, shifts) -> list:
+    """`em_sum_mpf` at every shift, with its own head of one mpmath power per
+    term, on raw values at `prec` bits (a drop-in for `specfun._em_sum`; the
+    heads and base powers in `shifts` go unused)."""
+    import mpmath
+
+    ctx = mpmath.MPContext()
+    ctx.prec = prec
+    return [
+        (_raw(total), _raw(lead), err)
+        for a, _, _ in shifts
+        for total, lead, err in [em_sum_mpf(ctx, _number(ctx, s), ctx.mpf(a), n_cut, unit)]
+    ]
 
 
 def hurwitz_zeta(s, a) -> EvalResult:
@@ -538,15 +599,140 @@ def hurwitz_zeta(s, a) -> EvalResult:
         raise PoleAtOne(f"s={sc} is within 1e-13 of the pole at s=1")
     _check_validated_domain(sc, "hurwitz_zeta")
     n_cut, dps = _em_params(sc.real, abs(sc.imag))
+    ratio, ar, prec, s_raw = specfun._call(s, dps)
+    with _working_precision(dps) as ctx:
+        smp, a_mp = _number(ctx, s_raw), ctx.mpf(a)
+        head = ctx.fsum((n + a_mp) ** (-smp) for n in range(n_cut))
+        base_pow = (n_cut + a_mp) ** (-smp)
+        ((part, lead, err),) = specfun._em_sum(ar, prec, ratio, s_raw, n_cut, 1.0, [(a, _raw(head), _raw(base_pow))])
+        out = complex(_number(ctx, part) + _number(ctx, lead) / (smp - 1))
+    return EvalResult(out, max(err, abs(out) * 1e-15 + 1e-16))
+
+
+def powers_context(ctx, neg):
+    """m -> m^neg for an integer m >= 1, bit-identical to ctx.mpf(m) ** neg:
+    exp(neg log m) with log m from `specfun._ln` at a real neg neither an
+    integer nor a half-integer, else mpmath's `**`."""
+    t = getattr(neg, "_mpf_", None)
+    if t is None or t[2] >= -1:  # complex, or an integer or half-integer (binary exponent >= -1)
+        return lambda m: ctx.mpf(m) ** neg
+    from mpmath.libmp import mpf_exp, mpf_mul, round_nearest
+
+    prec = ctx.prec
+    return lambda m: ctx.make_mpf(mpf_exp(mpf_mul(t, specfun._ln(m, 1, prec + 10)), prec, round_nearest))
+
+
+def power_table_context(ctx, smp, top: int, odd: bool = False) -> list:
+    """m^-s at m = 1..top (odd m only if `odd`; None elsewhere) as mpmath
+    numbers of ctx, by a linear sieve: one power per prime, one product per
+    composite."""
+    table = [None] * (top + 1)
+    table[1] = ctx.mpf(1)
+    power, primes = powers_context(ctx, -smp), []
+    for m in range(2 + odd, top + 1, 1 + odd):
+        if table[m] is None:
+            table[m] = power(m)
+            primes.append(m)
+        for p in primes:
+            if m * p > top:
+                break
+            table[m * p] = table[m] * table[p]
+            if m % p == 0:
+                break
+    return table
+
+
+def em_sum_context(ctx, ratio, smp, a: float, n_cut: int, unit: float, head, base_pow):
+    """`specfun._em_sum` at one shift a on mpmath numbers of ctx: the same
+    integer corrections at the same fixed point, entering the total as one
+    mpf or mpc. Returns (sum, base^(1-s), bound in units of the sum)."""
+    p_re, p_im, q = ratio
+    sc = complex(p_re / q, p_im / q)
+    exact, approx = _em_coefficients()
+    base = n_cut + ctx.mpf(a)
+    a_num, bd = a.as_integer_ratio()
+    step_den, bd_sq = (q * (n_cut * bd + a_num)) ** 2, bd * bd
+    frac_bits = ctx.prec + 16 - ctx.mag(base_pow) - int(abs(sc)).bit_length()
+    g1 = smp * base_pow / base
+    g_re, g_im = g1.real.to_fixed(frac_bits), g1.imag.to_fixed(frac_bits)
+    sum_re = sum_im = 0
+    b = float(base)
+    g_abs, err = abs(sc) * float(abs(base_pow)) / b, math.inf
+    for k in range(1, _EM_K_MAX + 1):
+        num, den = exact[k - 1]
+        sum_re += g_re * num // den
+        sum_im += g_im * num // den
+        if sc.real + 2 * k - 1 > 0:
+            err = approx[k - 1] * g_abs * abs(sc + 2 * k - 1) / (sc.real + 2 * k - 1)
+            if unit * err < _EM_TARGET:
+                break
+        u, v = p_re + (2 * k - 1) * q, p_re + 2 * k * q
+        m_re, m_im = (u * v - p_im * p_im) * bd_sq, p_im * (u + v) * bd_sq
+        g_re, g_im = (g_re * m_re - g_im * m_im) // step_den, (g_re * m_im + g_im * m_re) // step_den
+        g_abs *= abs(sc + 2 * k - 1) * abs(sc + 2 * k) / (b * b)
+    corr = ctx.mpc((sum_re, -frac_bits), (sum_im, -frac_bits)) if sum_im else ctx.mpf((sum_re, -frac_bits))
+    return head + base_pow / 2 + corr, base * base_pow, err
+
+
+def zeta_em_context(s, seen: list | None = None) -> EvalResult:
+    """`specfun.zeta_em` on mpmath numbers of a per-thread context; `seen`,
+    if given, receives the raw value before its rounding to a double."""
+    sc = complex(s)
+    if abs(sc - 1) < 1e-13:
+        raise PoleAtOne(f"s={sc} is within 1e-13 of the pole at s=1")
+    _check_validated_domain(sc, "zeta_em")
+    n_cut, dps = _em_params(sc.real, abs(sc.imag))
     ratio = _ratio(s)
     with _working_precision(dps) as ctx:
         smp = _mp_of(ctx, ratio)
-        a_mp = ctx.mpf(a)
-        head = ctx.fsum((n + a_mp) ** (-smp) for n in range(n_cut))
-        base_pow = (n_cut + a_mp) ** (-smp)
-        part, lead, err = specfun._em_sum(ctx, ratio, smp, a, n_cut, 1.0, head, base_pow)
-        out = complex(part + lead / (smp - 1))
+        table = power_table_context(ctx, smp, n_cut + 1)
+        head, base_pow = ctx.fsum(table[1:n_cut + 1]), table[n_cut + 1]
+        part, lead, err = em_sum_context(ctx, ratio, smp, 1.0, n_cut, 1.0, head, base_pow)
+        out = _rounded(part + lead / (smp - 1), seen)
     return EvalResult(out, max(err, abs(out) * 1e-15 + 1e-16))
+
+
+def dirichlet_beta_context(s, seen: list | None = None) -> EvalResult:
+    """`specfun.dirichlet_beta` on mpmath numbers of a per-thread context,
+    one correction loop per shift and mpmath's expm1; `seen` as for
+    `zeta_em_context`."""
+    sc = complex(s)
+    _check_validated_domain(sc, "dirichlet_beta")
+    n_cut, dps = _em_params(sc.real, abs(sc.imag), stride=4)
+    ratio = _ratio(s)
+    with _working_precision(dps) as ctx:
+        smp = _mp_of(ctx, ratio)
+        four_pow = powers_context(ctx, -smp)(4)
+        four_s, scale = 1 / four_pow, float(abs(four_pow))
+        n4 = 4 * n_cut
+        table = power_table_context(ctx, smp, n4 + 3, odd=True)
+        head1, head2 = four_s * ctx.fsum(table[1:n4:4]), four_s * ctx.fsum(table[3:n4:4])
+        part1, lead1, err1 = em_sum_context(ctx, ratio, smp, 0.25, n_cut, scale, head1, four_s * table[n4 + 1])
+        part2, _, err2 = em_sum_context(ctx, ratio, smp, 0.75, n_cut, scale, head2, four_s * table[n4 + 3])
+        log_ratio = ctx.make_mpf(specfun._ln(n4 + 3, n4 + 1, ctx.prec))
+        if abs(smp - 1) < 1e-13:
+            pole = lead1 * log_ratio
+        else:
+            pole = -lead1 * ctx.expm1((1 - smp) * log_ratio) / (smp - 1)
+        out = _rounded(four_pow * (part1 - part2 + pole), seen)
+    return EvalResult(out, scale * (err1 + err2) + abs(out) * 1e-15 + 1e-16)
+
+
+def recip_gamma_context(s, seen: list | None = None) -> complex:
+    """`specfun.recip_gamma` as mpmath's rgamma at 50 digits in a per-thread
+    context; `seen` as for `zeta_em_context`."""
+    sc = complex(s)
+    if sc.imag == 0.0 and sc.real <= 0 and sc.real == int(sc.real):
+        return complex(0.0)
+    with _working_precision(50) as ctx:
+        return _rounded(ctx.rgamma(_mp_of(ctx, _ratio(s))), seen)
+
+
+def _rounded(x, seen: list | None) -> complex:
+    """complex(x), after appending x's raw value to `seen` if given."""
+    if seen is not None:
+        seen.append(_raw(x))
+    return complex(x)
 
 
 def _ray_cutoff(sig: float, tau: float, delta: float) -> float:

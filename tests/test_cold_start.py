@@ -146,8 +146,10 @@ class TestLazyPublicNames:
 
 
 def test_first_mpmath_use_under_threads():
-    # 4 threads build their mpmath contexts at once, each importing mpmath on
-    # its first call; every result must equal the serial one
+    # 4 threads make their first numeric calls at once: they race only on the
+    # first import of mpmath (and the kernels' tables of libmp operations it
+    # builds) and on the memo of logarithms; every result must equal the
+    # serial one
     code = """
 import sys, threading
 from concurrent.futures import ThreadPoolExecutor

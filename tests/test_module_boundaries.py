@@ -1,8 +1,10 @@
 """Each module of the package keeps its underscore names to itself: no module
 under src/opzeta imports another module's private name or reads one as an
-attribute, so a private name can change without a search of the package. And
-no module imports dataclasses, whose import and generated methods cost every
-cold command more than the records they build."""
+attribute, so a private name can change without a search of the package. No
+module imports dataclasses, whose import and generated methods cost every
+cold command more than the records they build. And no module holds a
+precision in an mpmath context or in thread-local state: the numeric kernels
+compute on raw values at an explicit precision."""
 
 import ast
 from pathlib import Path
@@ -45,6 +47,31 @@ def _imports_dataclasses(path: Path) -> bool:
 
 def test_no_module_imports_dataclasses():
     assert [path.name for path in sorted(SRC.glob("*.py")) if _imports_dataclasses(path)] == []
+
+
+# names that create or switch an mpmath context's precision, or thread-local state
+_CONTEXT_NAMES = {"MPContext", "workdps", "workprec", "extradps", "extraprec"}
+_CONTEXT_ATTRIBUTES = {("mpmath", "mp"), ("threading", "local")}
+
+
+def _context_state(path: Path) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.module in ("mpmath", "threading"):
+            found += [f"from {node.module} import {a.name}" for a in node.names
+                      if a.name in _CONTEXT_NAMES or (node.module, a.name) in _CONTEXT_ATTRIBUTES]
+        elif isinstance(node, ast.Attribute):
+            owner = node.value.id if isinstance(node.value, ast.Name) else None
+            if node.attr in _CONTEXT_NAMES or (owner, node.attr) in _CONTEXT_ATTRIBUTES:
+                found.append(f"{owner}.{node.attr}")
+        elif isinstance(node, ast.Name) and node.id in _CONTEXT_NAMES:
+            found.append(node.id)
+    return found
+
+
+def test_no_module_creates_an_mpmath_context_or_thread_local_state():
+    found = {path.name: names for path in sorted(SRC.glob("*.py")) if (names := _context_state(path))}
+    assert found == {}
 
 
 # public names that only tests and the benchmark harness call

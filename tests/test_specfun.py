@@ -11,6 +11,7 @@ import pytest
 from opzeta.errors import PoleAtOne, PrecisionLoss
 from opzeta.exactnum import PiPolynomial, PiXPolynomial, bernoulli_number, euler_number
 from opzeta.specfun import (
+    EvalResult,
     clausen_closed_form,
     dirichlet_beta,
     recip_gamma,
@@ -543,7 +544,7 @@ class TestImportIsCheap:
 
 class TestConcurrentUse:
     def test_numeric_kernels_under_threads(self):
-        # each thread computes in its own precision context; results must be
+        # each call computes at its own explicit precision; results must be
         # identical regardless of interleaving
         from concurrent.futures import ThreadPoolExecutor
 
@@ -665,7 +666,7 @@ class TestIntegerCorrections:
         return calls
 
     def test_same_double_and_bound_as_the_mpf_loop(self, monkeypatch):
-        from oracles import em_sum_mpf
+        from oracles import em_sum_mpf_shifts
 
         from opzeta import specfun
 
@@ -677,11 +678,7 @@ class TestIntegerCorrections:
 
         calls = self._calls()
         integer = results()
-        monkeypatch.setattr(
-            specfun,
-            "_em_sum",
-            lambda ctx, ratio, smp, a, n_cut, unit, head, base_pow: em_sum_mpf(ctx, smp, ctx.mpf(a), n_cut, unit),
-        )
+        monkeypatch.setattr(specfun, "_em_sum", em_sum_mpf_shifts)
         mpf = results()
         assert [r for r, m in zip(integer, mpf) if r != m] == []
 
@@ -731,24 +728,26 @@ class TestPowerTable:
     def test_entries_within_the_stated_bound(self, s):
         # every entry within relative 3 log2(m) 2^-prec of m^-s, from mpmath
         # one power per term at 64 more bits, up to dirichlet_beta's 4N + 3
+        from oracles import _mp_of, _number
+
         from opzeta import specfun
 
         sc = complex(s)
         n_cut, dps = specfun._em_params(sc.real, abs(sc.imag), stride=4)
         top = 4 * n_cut + 3
-        with specfun._working_precision(dps) as ctx:
-            prec, smp = ctx.prec, specfun._mp_of(ctx, specfun._ratio(s))
-            full = specfun._power_table(ctx, smp, top)
-            odd = specfun._power_table(ctx, smp, top, odd=True)
+        ratio, ar, prec, smp = specfun._call(s, dps)
+        neg = ar.neg(smp, prec, specfun._RND)
+        full = specfun._power_table(ar, prec, neg, top)
+        odd = specfun._power_table(ar, prec, neg, top, odd=True)
         ref = mpmath.MPContext()
         ref.prec = prec + 64
-        neg = -specfun._mp_of(ref, specfun._ratio(s))
+        neg = -_mp_of(ref, ratio)
         assert odd[2::2] == [None] * (top // 2)
         worst = 0.0
         for m in range(1, top + 1):
             exact_pow = ref.mpf(m) ** neg
             for table in (full, odd) if m % 2 else (full,):
-                rel = abs(table[m] - exact_pow) / abs(exact_pow)
+                rel = abs(_number(ref, table[m]) - exact_pow) / abs(exact_pow)
                 worst = max(worst, float(rel * 2**prec / max(1.0, 3 * math.log2(m))))
         assert worst <= 1.0
 
@@ -769,22 +768,19 @@ class TestPowerTable:
         n_cut, max_dps = specfun._em_params(-25.0, 50.0, stride=4)
         top = 4 * n_cut + 3
 
-        def raw(x):
-            return getattr(x, "_mpf_", None) or x._mpc_
-
-        def tables(ctx, smp):
-            power = specfun._powers(ctx, -smp)
-            rows = (specfun._power_table(ctx, smp, top), specfun._power_table(ctx, smp, top, odd=True))
-            return [raw(power(4))] + [raw(x) if x is not None else None for row in rows for x in row]
+        def tables(ar, prec, neg):
+            power = specfun._powers(ar, prec, neg)
+            rows = (specfun._power_table(ar, prec, neg, top), specfun._power_table(ar, prec, neg, top, odd=True))
+            return [power(4)] + [x for row in rows for x in row]
 
         for dps in (25, max_dps):
-            with specfun._working_precision(dps) as ctx:
-                smp = specfun._mp_of(ctx, specfun._ratio(s))
-                specfun._ln.cache_clear()
-                cold, warm = tables(ctx, smp), tables(ctx, smp)
-                with monkeypatch.context() as patch:
-                    patch.setattr(specfun, "_powers", powers_pow)
-                    ref = tables(ctx, smp)
+            _, ar, prec, smp = specfun._call(s, dps)
+            neg = ar.neg(smp, prec, specfun._RND)
+            specfun._ln.cache_clear()
+            cold, warm = tables(ar, prec, neg), tables(ar, prec, neg)
+            with monkeypatch.context() as patch:
+                patch.setattr(specfun, "_powers", powers_pow)
+                ref = tables(ar, prec, neg)
             assert cold == ref, dps
             assert warm == ref, dps
 
@@ -844,14 +840,13 @@ class TestPowerTable:
         # an integer s takes mpmath's power (squarings) per prime; a
         # fractional s takes no mpmath power but one exp per prime, and at
         # most one log per prime and precision, beta's pole log((4N+3)/(4N+1))
-        # aside: a second call takes every log from the memo
-        import mpmath.libmp
-        from mpmath.ctx_mp_python import _mpf
-
+        # aside: a second call takes every log from the memo. Beta's pole
+        # term takes one more exp, its expm1((1-s) log((4N+3)/(4N+1)))
         from opzeta import specfun
 
         assert specfun._em_params(complex(s).real, 0.0)[0] == n_cut
-        calls, power, exp = {"pow": 0, "exp": 0}, _mpf.__pow__, mpmath.libmp.mpf_exp
+        calls, arith = {"pow": 0, "exp": 0}, specfun._arith
+        real = arith(True)
 
         def counted(name, f):
             def call(*args):
@@ -860,13 +855,103 @@ class TestPowerTable:
 
             return call
 
-        monkeypatch.setattr(_mpf, "__pow__", counted("pow", power))
-        monkeypatch.setattr(mpmath.libmp, "mpf_exp", counted("exp", exp))
+        counting = real._replace(pow=counted("pow", real.pow), exp=counted("exp", real.exp))
+        monkeypatch.setattr(specfun, "_arith", lambda is_real: counting if is_real else arith(False))
         specfun._ln.cache_clear()
         first = fn(s)
         fractional = s != int(s)
-        assert calls == {"pow": powers * (not fractional), "exp": powers * fractional}
+        assert calls == {"pow": powers * (not fractional), "exp": powers * fractional + (fn is dirichlet_beta)}
         logs = powers * fractional + (fn is dirichlet_beta)
         assert specfun._ln.cache_info().misses == specfun._ln.cache_info().currsize == logs
         assert fn(s) == first
         assert specfun._ln.cache_info().misses == logs
+
+
+class TestKernelBitIdentity:
+    """The kernels on raw mpmath values at an explicit precision give, bit for
+    bit, what they gave on mpmath numbers in a per-thread context
+    (`oracles.zeta_em_context`, `dirichlet_beta_context` and
+    `recip_gamma_context`): the same raw value at the working precision
+    before the rounding to a double, the same value and bound by float.hex,
+    or the same error type and message, with the same warnings."""
+
+    @staticmethod
+    def _points() -> list:
+        # seeded decimals and doubles of the validated real range, every
+        # integer and half-integer in [-25, 11.5], 0 as int, float and
+        # Fraction, both sides of the pole, two points below the validated
+        # domain (PrecisionLoss) and complex s with |Im s| <= 50
+        rng = random.Random(1309_2877)
+        points = [Fraction(rng.randrange(-25000, 12001), 1000) for _ in range(1500)]
+        points += [rng.uniform(-25.0, 12.0) for _ in range(300)]
+        points += [Fraction(k, 2) for k in range(-50, 24)]
+        points += [0, 0.0, Fraction(0), 1 + 1e-10, 1 - 1e-10, -60.5, -80.5]
+        return points + [complex(rng.uniform(-25.0, 12.0), rng.uniform(-50.0, 50.0)) for _ in range(100)]
+
+    @staticmethod
+    def _outcome(seen: list, f, *args):
+        seen.clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                r = f(*args)
+            except Exception as e:  # compared by type and message
+                out = (type(e).__name__, str(e))
+            else:
+                if isinstance(r, EvalResult):
+                    out = (r.value.real.hex(), r.value.imag.hex(), r.abs_error_estimate.hex())
+                elif isinstance(r, complex):  # recip_gamma's value
+                    out = (r.real.hex(), r.imag.hex())
+                else:  # special_value's 4-tuple: repr keeps the sign of a zero and every digit
+                    out = repr(r)
+        return out, tuple(seen), [(w.category.__name__, str(w.message)) for w in caught]
+
+    @staticmethod
+    def _watch_rounding(monkeypatch, seen: list) -> None:
+        # each kernel rounds its one raw value to a double through its
+        # arithmetic's `complex`: record the raw value there
+        from opzeta import specfun
+
+        arith = specfun._arith
+
+        def watched(real):
+            ar = arith(real)
+            return ar._replace(complex=lambda x, rnd: (seen.append(x), ar.complex(x, rnd))[1])
+
+        monkeypatch.setattr(specfun, "_arith", watched)
+
+    @pytest.mark.parametrize("name", ["zeta_em", "dirichlet_beta", "recip_gamma"])
+    def test_same_values_as_the_context_kernels(self, monkeypatch, name):
+        import oracles
+
+        from opzeta import specfun
+
+        raw, context, seen, points = getattr(specfun, name), getattr(oracles, f"{name}_context"), [], self._points()
+        want = [self._outcome(seen, context, s, seen) for s in points]
+        self._watch_rounding(monkeypatch, seen)
+        got = [self._outcome(seen, raw, s) for s in points]
+        assert [(s, g, w) for s, g, w in zip(points, got, want) if g != w] == []
+        assert sum(len(raws) for _, raws, _ in got) > len(points) - 40  # every numeric call was seen
+        if name != "recip_gamma":
+            warned = {w for _, _, ws in got for w in ws}
+            assert ("PrecisionLoss", f"{name}: s=(-80.5+0j) outside the validated domain (Re s >= -25.0, "
+                    "|Im s| <= 50.0); returning best-effort value") in warned
+
+    def test_same_special_values(self, monkeypatch):
+        # the route table's 4-tuples, at every real point as the exact argument
+        import oracles
+
+        from opzeta import specfun
+
+        args = [Fraction(s) for s in self._points() if not isinstance(s, complex)]
+        calls = [(kind, a) for a in args for kind in ("zeta", "beta", "recip_gamma")]
+        seen = []
+        with monkeypatch.context() as patch:
+            for name in ("zeta_em", "dirichlet_beta", "recip_gamma"):
+                context = getattr(oracles, f"{name}_context")
+                patch.setattr(specfun, name, lambda s, context=context: context(s, seen))
+            want = [self._outcome(seen, special_value, *call) for call in calls]
+        self._watch_rounding(monkeypatch, seen)
+        got = [self._outcome(seen, special_value, *call) for call in calls]
+        assert [(c, g, w) for c, g, w in zip(calls, got, want) if g != w] == []
+        assert sum(isinstance(out, str) and out.startswith("('numeric'") for out, _, _ in got) > 5000
