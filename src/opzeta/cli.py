@@ -5,14 +5,17 @@ Exit codes: 0 = pass, 1 = verification/extraction failure, 2 = usage error.
 Output is deterministic: identical invocations produce byte-identical bytes
 (fixed float formats, fixed row order). `verify`, `values` and `extract` each
 build a head and flat rows, which one writer, `_write`, prints as JSON, CSV or
-text. Each command imports the layers it uses when it runs, so `values
-bernoulli` loads no registry, `values zeta|beta` no operators and `list` no
-specfun, divmatrix or mpmath; json and csv load for their format only, and
-no layer loads `dataclasses`. A `values` row takes its route (exact, numeric
-or pole) from `specfun.special_value`, the one table the operator engine
-reads too. A command's own parser reads its arguments in one pass (the
-top-level parser takes help, an unknown command and leftover arguments), and
-a grid identity's right side is built once per identity.
+text. Each command imports the layers it uses when it runs, and `list` none
+but the registry, which holds plain data. `values` at an integer loads
+`exactnum` alone, `extract` and `verify --exact` load `operators` and
+`exactnum` but no `series` or `specfun`, and a grid `verify` loads no
+`operators`; json and csv load for their format only, and no layer loads
+`dataclasses`. A `values` row takes its route (exact, numeric or pole) from
+`exactnum.special_value`, the one table the operator engine reads too, which
+imports `specfun` for a numeric value only. A command's own parser reads its
+arguments in one pass (the top-level parser takes help, an unknown command
+and leftover arguments), and a grid identity's right side is built once per
+identity.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from functools import cache
 from typing import Callable, Optional
 
 from .errors import OpzetaError
-from .exactnum import bernoulli_number, euler_number, pipoly_evaluator
 
 _EXACT_K = 12
 # bound of `verify --grid`'s steps (the registry's largest is 50); the head
@@ -41,17 +43,17 @@ def _row(identity: str, x, lhs, rhs, deviation: float, method: str) -> dict:
 def _verify_exact(rec: registry.IdentityRecord) -> tuple[list[dict], float, list[str]]:
     """Exact-equality verification in Q[pi] -> (rows, max deviation, pole
     events); the deviation is 0.0 on equality and inf otherwise."""
-    from . import specfun
+    from .exactnum import clausen_closed_form
     from .operators import Expression, apply_recip_gamma_op, parity_anomaly, taylor_flow
 
-    if rec.op is None or rec.trig is None:
+    if rec.kind is None:
         raise ValueError(f"{rec.id}: exact mode needs an operator-on-trig left side")
     events = []
     flow = taylor_flow(rec.op, rec.trig, _EXACT_K)
     if rec.gamma_shift is not None:
         # route A: closed form of the series, then the exact 1/Gamma action
-        shift = int(rec.op.shift)
-        closed = specfun.clausen_closed_form(rec.trig, (shift + 1) // 2 if rec.trig == "sin" else shift // 2)
+        shift = int(rec.shift)
+        closed = clausen_closed_form(rec.trig, (shift + 1) // 2 if rec.trig == "sin" else shift // 2)
         anomaly = parity_anomaly(closed, "odd" if rec.trig == "sin" else "even")
         route_a = apply_recip_gamma_op(rec.gamma_shift, Expression.from_poly(closed)).poly
         if anomaly is not None and apply_recip_gamma_op(rec.gamma_shift, Expression.from_poly(anomaly)).is_zero():
@@ -82,9 +84,10 @@ def _rhs_evaluator(identity: str) -> Callable[[float], float]:
     polynomial's coefficients at pi once, then Horner per x (`rhs_poly`
     first), or its closed form. Built once per identity and only read after."""
     from . import registry
+    from .exactnum import pipoly_evaluator
 
     rec = registry.load_registry()[identity]
-    return pipoly_evaluator(rec.rhs_poly) if rec.rhs_poly is not None else rec.closed_form()
+    return pipoly_evaluator(rec.rhs_poly) if rec.rhs_literal is not None else rec.closed_form()
 
 
 def _verify_grid(rec: registry.IdentityRecord, grid: tuple[float, float, int], tol: float) -> tuple[list[dict], float, list[str]]:
@@ -225,10 +228,10 @@ def _exact_row(tok: str, exact) -> dict:
 
 
 def _values_row(kind: str, tok: str, v: float) -> dict:
+    from .exactnum import bernoulli_number, euler_number, special_value
+
     if kind in ("bernoulli", "euler"):
         return _exact_row(tok, bernoulli_number(int(v)) if kind == "bernoulli" else Fraction(euler_number(int(v))))
-    from .specfun import special_value
-
     tag, value, err, method = special_value(kind, Fraction(v))
     if tag == "exact":
         return _exact_row(tok, value)
@@ -297,7 +300,7 @@ def _cmd_extract(args, out) -> int:
         return 2
     rows = [{"argument": v.argument, "value": str(v.value) if isinstance(v.value, Fraction) else repr(v.value), "matched": v.matched}
             for v in operators.extract_special_values(args.id, terms=args.terms)]
-    kind = rec.op.kind
+    kind = rec.kind
 
     def text() -> str:
         lines = [f"extraction from {args.id} (operator kind: {kind})\n"]

@@ -144,7 +144,7 @@ def _gauss_legendre() -> tuple[tuple[float, ...], tuple[float, ...]]:
 def consistency_check(n: int, M: int) -> ConsistencyReport:
     """Compare column n of the size-M matrix with the Fourier sine coefficients
     (2/pi) Int_0^pi f(x) sin(m x) dx of f(x) = S(n x mod 2 pi), the sum of the
-    frequency-n series, S(y) = pi/2 - y/2 = `specfun.clausen_closed_form("sin",
+    frequency-n series, S(y) = pi/2 - y/2 = `exactnum.clausen_closed_form("sin",
     1)` with its coefficients as doubles.
 
     f jumps at x = 2 pi j / n, so the quadrature is composite Gauss-Legendre
@@ -159,7 +159,7 @@ def consistency_check(n: int, M: int) -> ConsistencyReport:
         raise ValueError("need 1 <= n <= M")
     import numpy as np  # here only: the CLI's cold paths never load it
 
-    from .specfun import clausen_closed_form
+    from .exactnum import clausen_closed_form
 
     half_pi, slope = map(float, clausen_closed_form("sin", 1).coeffs)
     xs_gl, ws_gl = map(np.array, _gauss_legendre())

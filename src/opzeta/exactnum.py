@@ -25,6 +25,13 @@ x/(e^x - 1)); the alternate B_1 = +1/2 convention is deliberately rejected
 because every identity in this package is derived with the -1/2 sign.
 Euler numbers use the sech generating function 2/(e^t + e^-t), under which
 all odd-index values vanish.
+
+`special_value` is the one route table of the operator values: for each kind
+and exact argument it decides between the exact value, the numeric one and
+the pole. It imports `specfun`, the numeric kernels, for a numeric value
+only, so the exact commands never compile them. `clausen_closed_form`
+rescales the Bernoulli polynomials into the closed forms of the
+trigonometric series with polynomial sums.
 """
 
 from __future__ import annotations
@@ -415,6 +422,86 @@ def euler_number(n: int) -> int:
     if n % 2:
         return 0
     return (-1) ** (n // 2) * _nint_l_value(2 ** (n + 2) * factorial(n), n + 1, 1, True)
+
+
+def clausen_closed_form(parity: str, m: int) -> PiXPolynomial:
+    """Exact closed form of the trigonometric series with polynomial sum:
+
+      cos, weight n^-2m      ->  (-1)^(m-1) (2 pi)^(2m) / (2 (2m)!)   B_2m(x / 2 pi)
+      sin, weight n^-(2m-1)  ->  (-1)^m     (2 pi)^(2m-1) / (2 (2m-1)!) B_(2m-1)(x / 2 pi)
+
+    valid for x in [0, 2*pi]. Built by rescaling `bernoulli_polynomial`;
+    coefficient of x^j is a single rational multiple of pi^(M - j).
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if parity == "cos":
+        order = 2 * m
+        sign = Fraction((-1) ** (m - 1))
+    elif parity == "sin":
+        order = 2 * m - 1
+        sign = Fraction((-1) ** m)
+    else:
+        raise ValueError("parity must be 'sin' or 'cos'")
+    bp = bernoulli_polynomial(order)
+    coeffs = []
+    for j in range(order + 1):
+        cj = bp.coeff(j).as_rational()
+        q = sign * cj * (2 ** (order - j)) / (2 * factorial(order))
+        coeffs.append(PiPolynomial.pi_power(q, order - j))
+    return PiXPolynomial(coeffs)
+
+
+# --- the route table of the operator values ------------------------------------
+
+_NUMERIC_ROUTE = {"zeta": "euler_maclaurin", "beta": "hurwitz_difference", "recip_gamma": "rgamma"}
+
+
+def special_value(kind: str, arg: Fraction):
+    """kind(arg) for kind zeta, beta or recip_gamma at an exact argument, as
+    (tag, value, abs_error_estimate, method), with tag and method:
+
+      exact    a Fraction or PiPolynomial, error 0.0, method 'exact';
+      pole     zeta(1): value and error None, method 'pole';
+      numeric  a complex double and its bound, method the route's name:
+               euler_maclaurin (specfun.zeta_em), hurwitz_difference
+               (specfun.dirichlet_beta) or rgamma (specfun.recip_gamma,
+               bound 1e-12 max(1, |value|)).
+
+    Exact at every integer but zeta at odd n >= 3 and beta at even n >= 2,
+    which have no closed form; 1/Gamma is 0 at the Gamma poles. `specfun`
+    is imported for a numeric value only."""
+    if kind not in _NUMERIC_ROUTE:
+        raise ValueError(f"kind must be one of {tuple(_NUMERIC_ROUTE)}")
+    exact = None
+    if arg.denominator == 1:
+        k = int(arg)  # (-1) ** -k below: (-1) ** k is a float at k < 0
+        if kind == "zeta":
+            if k == 1:
+                return "pole", None, None, "pole"
+            if k <= 0:  # zeta(-n) = (-1)^n B_(n+1)/(n+1), n >= 0; zero at even n >= 2
+                exact = (-1) ** -k * bernoulli_number(1 - k) / (1 - k)
+            elif k % 2 == 0:  # zeta(2m) = (-1)^(m+1) B_2m (2 pi)^2m / (2 (2m)!)
+                q = (-1) ** (k // 2 + 1) * bernoulli_number(k) * 2 ** (k - 1) / factorial(k)
+                exact = PiPolynomial.pi_power(q, k)
+        elif kind == "beta":
+            if k <= 0:  # beta(-n) = E_n/2, n >= 0; zero at odd n
+                exact = Fraction(euler_number(-k), 2)
+            elif k % 2:  # beta(2m+1) = (-1)^m E_2m pi^(2m+1) / (4^(m+1) (2m)!)
+                q = Fraction((-1) ** (k // 2) * euler_number(k - 1), 2 ** (k + 1) * factorial(k - 1))
+                exact = PiPolynomial.pi_power(q, k)
+        else:
+            exact = Fraction(0) if k <= 0 else Fraction(1, factorial(k - 1))
+    if exact is not None:
+        return "exact", exact, 0.0, "exact"
+    from . import specfun
+
+    # arg goes in exactly: rounded to a double first, zeta(-221/10) errs by 16 times its bound
+    if kind == "recip_gamma":
+        value = specfun.recip_gamma(arg)
+        return "numeric", value, 1e-12 * max(1.0, abs(value)), _NUMERIC_ROUTE[kind]
+    r = specfun.zeta_em(arg) if kind == "zeta" else specfun.dirichlet_beta(arg)
+    return "numeric", r.value, r.abs_error_estimate, _NUMERIC_ROUTE[kind]
 
 
 # --- exact Taylor expansions of the registry closed forms ---------------------

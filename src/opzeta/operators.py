@@ -4,7 +4,7 @@ The generator is D = x p with p = -i d/dx, so exp(i*lambda*D) rescales the
 argument: f(x) -> f(e^lambda x), and i*D has eigenvalue alpha on x^alpha.
 Operators act only on the eigenbasis: monomials (including negative powers)
 pick up the scalar zeta(shift - n), beta(shift - n), or 1/Gamma(shift + n),
-exact, numeric or the pole as `specfun.special_value` routes it;
+exact, numeric or the pole as `exactnum.special_value` routes it;
 unit-coefficient trig atoms map to symbolic series. The engine never expands
 an operator function in powers of D about a point - every monomial degree is
 handled independently, which is what makes the pole at argument 1 an explicit,
@@ -28,7 +28,7 @@ from .errors import (
     PoleHit,
     UnsupportedExpression,
 )
-from .exactnum import PiPolynomial, PiXPolynomial
+from .exactnum import PiPolynomial, PiXPolynomial, special_value
 
 _KINDS = ("zeta", "beta", "recip_gamma")
 
@@ -146,8 +146,6 @@ def apply_operator(op: DilationShift, expr: Expression, allow_pole: bool = False
     argument equal to 1 for the zeta kind raises PoleHit unless `allow_pole`,
     in which case the term is moved to `pole_terms` unevaluated.
     """
-    from .specfun import special_value  # imported on use, as below: `list` loads no specfun
-
     # the argument shift -+ degree as one Fraction of ints: no Fraction arithmetic per term
     num, den = op.shift.numerator, op.shift.denominator
     step = den if op.kind == "recip_gamma" else -den
@@ -181,7 +179,7 @@ def apply_operator(op: DilationShift, expr: Expression, allow_pole: bool = False
 
     series_terms: list[SeriesTerm] = []
     for atom in expr.trig_atoms:
-        from .series import TrigSeries  # for a trig atom only: `values zeta|beta` loads no series
+        from .series import TrigSeries  # for a trig atom only: the exact commands load no series
 
         if op.kind == "recip_gamma":
             raise UnsupportedExpression("1/Gamma of the dilation generator has no series action on trig atoms")
@@ -306,14 +304,13 @@ def extract_special_values(identity_id: str, terms: int = 8) -> list[ExtractedVa
     when it equals the independent exact value from `special_value`. Raises
     ValueError if the identity has no exact right side.
     """
-    from . import registry  # local import: registry declares records using engine types
-    from .specfun import special_value
+    from . import registry  # on use: the rest of the engine reads no registry
 
     rec = registry.get_identity(identity_id)
     rhs = rec.exact_rhs(terms)
     if rhs is None:
         raise ValueError(f"identity {identity_id!r} has no exact polynomial right side")
-    if rec.op is None or rec.trig is None:
+    if rec.kind is None:
         raise ValueError(f"identity {identity_id!r} is not an operator-on-trig identity")
     if rec.anomaly_parity != "none":
         anom = parity_anomaly(rhs, rec.anomaly_parity)
@@ -323,7 +320,7 @@ def extract_special_values(identity_id: str, terms: int = 8) -> list[ExtractedVa
     taylor = Expression.from_poly(_taylor(rec.trig, terms))
     if rec.gamma_shift is not None:
         taylor = apply_recip_gamma_op(rec.gamma_shift, taylor)
-    shift = int(rec.op.shift)
+    shift = int(rec.shift)
     out: list[ExtractedValue] = []
     for d, factor in enumerate(taylor.poly.coeffs):
         if not factor.coeffs:
@@ -332,7 +329,7 @@ def extract_special_values(identity_id: str, terms: int = 8) -> list[ExtractedVa
         value = rhs.coeff(d) / factor.coeffs[0]  # the factor is a nonzero rational
         if value.is_rational():
             value = value.as_rational()
-        tag, independent, _, _ = special_value(rec.op.kind, Fraction(arg))
+        tag, independent, _, _ = special_value(rec.kind, Fraction(arg))
         # PiPolynomial.__eq__ accepts rationals, so mixed comparisons stay exact
         matched = tag == "exact" and independent == value
         out.append(ExtractedValue(arg, value, bool(matched)))

@@ -1,5 +1,4 @@
-"""Numeric and exact evaluation of zeta, Dirichlet beta and 1/Gamma, and the
-closed forms of the trigonometric series with polynomial sums.
+"""Numeric evaluation of zeta, Dirichlet beta and 1/Gamma.
 
 Numeric kernels compute on raw mpmath values (libmp tuples) at an explicit
 precision, prec = dps_to_prec(dps), dps sized to the cancellation headroom of
@@ -15,11 +14,12 @@ Beside immutable tables built once (`_arith`, `_em_coefficients`), the one
 shared value is the bounded memo of logarithms `_ln` (log m for the powers,
 log((4N+3)/(4N+1)) for beta's pole term), filled with no lock: threads that
 race on a key compute the same value. mpmath is imported on the first
-numeric call, so the exact values never load it.
+numeric call.
 
-`special_value` is the one route table of the operator values: for each kind
-and exact argument it decides between the exact value, the numeric one and
-the pole.
+The exact values live in `exactnum`, with `special_value`, the route table
+that picks for each kind and exact argument between the exact value, these
+kernels and the pole, and imports this module for a numeric value only: an
+exact command never compiles it.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from math import factorial
 from typing import NamedTuple
 
 from .errors import NotConverged, PoleAtOne, PrecisionLoss
-from .exactnum import PiPolynomial, PiXPolynomial, bernoulli_number, bernoulli_polynomial, euler_number
+from .exactnum import bernoulli_number
 
 # Validated accuracy domain of the Euler-Maclaurin evaluator.
 _EM_RE_MIN = -25.0
@@ -316,78 +316,3 @@ def recip_gamma(s) -> complex:
         return complex(0.0)
     _, ar, prec, x = _call(s, 50)
     return ar.complex(ar.rgamma(x, prec, _RND), _RND)
-
-
-_NUMERIC_ROUTE = {"zeta": "euler_maclaurin", "beta": "hurwitz_difference", "recip_gamma": "rgamma"}
-
-
-def special_value(kind: str, arg: Fraction):
-    """kind(arg) for kind zeta, beta or recip_gamma at an exact argument, as
-    (tag, value, abs_error_estimate, method), with tag and method:
-
-      exact    a Fraction or PiPolynomial, error 0.0, method 'exact';
-      pole     zeta(1): value and error None, method 'pole';
-      numeric  a complex double and its bound, method the route's name:
-               euler_maclaurin (zeta_em), hurwitz_difference
-               (dirichlet_beta) or rgamma (recip_gamma, bound 1e-12
-               max(1, |value|)).
-
-    Exact at every integer but zeta at odd n >= 3 and beta at even n >= 2,
-    which have no closed form; 1/Gamma is 0 at the Gamma poles."""
-    if kind not in _NUMERIC_ROUTE:
-        raise ValueError(f"kind must be one of {tuple(_NUMERIC_ROUTE)}")
-    exact = None
-    if arg.denominator == 1:
-        k = int(arg)  # (-1) ** -k below: (-1) ** k is a float at k < 0
-        if kind == "zeta":
-            if k == 1:
-                return "pole", None, None, "pole"
-            if k <= 0:  # zeta(-n) = (-1)^n B_(n+1)/(n+1), n >= 0; zero at even n >= 2
-                exact = (-1) ** -k * bernoulli_number(1 - k) / (1 - k)
-            elif k % 2 == 0:  # zeta(2m) = (-1)^(m+1) B_2m (2 pi)^2m / (2 (2m)!)
-                q = (-1) ** (k // 2 + 1) * bernoulli_number(k) * 2 ** (k - 1) / factorial(k)
-                exact = PiPolynomial.pi_power(q, k)
-        elif kind == "beta":
-            if k <= 0:  # beta(-n) = E_n/2, n >= 0; zero at odd n
-                exact = Fraction(euler_number(-k), 2)
-            elif k % 2:  # beta(2m+1) = (-1)^m E_2m pi^(2m+1) / (4^(m+1) (2m)!)
-                q = Fraction((-1) ** (k // 2) * euler_number(k - 1), 2 ** (k + 1) * factorial(k - 1))
-                exact = PiPolynomial.pi_power(q, k)
-        else:
-            exact = Fraction(0) if k <= 0 else Fraction(1, factorial(k - 1))
-    if exact is not None:
-        return "exact", exact, 0.0, "exact"
-    # arg goes in exactly: rounded to a double first, zeta(-221/10) errs by 16 times its bound
-    if kind == "recip_gamma":
-        value = recip_gamma(arg)
-        return "numeric", value, 1e-12 * max(1.0, abs(value)), _NUMERIC_ROUTE[kind]
-    r = zeta_em(arg) if kind == "zeta" else dirichlet_beta(arg)
-    return "numeric", r.value, r.abs_error_estimate, _NUMERIC_ROUTE[kind]
-
-
-def clausen_closed_form(parity: str, m: int) -> PiXPolynomial:
-    """Exact closed form of the trigonometric series with polynomial sum:
-
-      cos, weight n^-2m      ->  (-1)^(m-1) (2 pi)^(2m) / (2 (2m)!)   B_2m(x / 2 pi)
-      sin, weight n^-(2m-1)  ->  (-1)^m     (2 pi)^(2m-1) / (2 (2m-1)!) B_(2m-1)(x / 2 pi)
-
-    valid for x in [0, 2*pi]. Built by rescaling `bernoulli_polynomial`;
-    coefficient of x^j is a single rational multiple of pi^(M - j).
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if parity == "cos":
-        order = 2 * m
-        sign = Fraction((-1) ** (m - 1))
-    elif parity == "sin":
-        order = 2 * m - 1
-        sign = Fraction((-1) ** m)
-    else:
-        raise ValueError("parity must be 'sin' or 'cos'")
-    bp = bernoulli_polynomial(order)
-    coeffs = []
-    for j in range(order + 1):
-        cj = bp.coeff(j).as_rational()
-        q = sign * cj * (2 ** (order - j)) / (2 * factorial(order))
-        coeffs.append(PiPolynomial.pi_power(q, order - j))
-    return PiXPolynomial(coeffs)

@@ -60,7 +60,7 @@ from math import comb, factorial
 
 from opzeta import registry, specfun
 from opzeta.errors import EndpointConditional, NotConverged, PoleAtOne, PoleHit, PrecisionLoss, UnsupportedExpression
-from opzeta.exactnum import PiPolynomial, PiXPolynomial, bernoulli_number, euler_number
+from opzeta.exactnum import PiPolynomial, PiXPolynomial, bernoulli_number, euler_number, special_value
 from opzeta.operators import DilationShift, ExtractedValue, TaylorFlowResult, parity_anomaly
 from opzeta.series import (
     _N0_CAP,
@@ -80,7 +80,6 @@ from opzeta.specfun import (
     _em_coefficients,
     _em_params,
     _ratio,
-    special_value,
     zeta_em,
 )
 

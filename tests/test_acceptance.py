@@ -30,10 +30,9 @@ from opzeta.operators import (
 )
 from opzeta.registry import load_registry
 from opzeta.series import TrigSeries, abel_sums, geometric_abel
+from opzeta.exactnum import clausen_closed_form, special_value
 from opzeta.specfun import (
-    clausen_closed_form,
     dirichlet_beta,
-    special_value,
     zeta_em,
 )
 from oracles import bernoulli_akiyama_tanigawa, functional_equation_residual, hankel_zeta

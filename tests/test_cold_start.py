@@ -35,6 +35,23 @@ _EXACT_COMMANDS = [
     ["verify", "eq17", "--exact"],
 ]
 
+# the layers each command loads beside opzeta, opzeta.cli and opzeta.errors: `list`
+# reads the registry's plain data alone, an exact value loads no specfun, the exact
+# routes no series and a grid verify no operators
+_LAYERS_LOADED = [
+    (["list"], "registry"),
+    (["values", "bernoulli", "400"], "exactnum"),
+    (["values", "euler", "1000"], "exactnum"),
+    (["values", "zeta", "-399"], "exactnum"),
+    (["values", "beta", "399"], "exactnum"),
+    (["values", "zeta", "400"], "exactnum"),
+    (["extract", "eq21_sin", "--terms", "40"], "exactnum operators registry"),
+    (["verify", "eq17", "--exact"], "exactnum operators registry"),
+    (["values", "zeta", "0.5"], "exactnum specfun"),
+    (["verify", "eq2"], "exactnum registry series"),
+    (["matrix", "--size", "96", "--check", "1"], "divmatrix exactnum"),
+]
+
 
 def _child(*args: str) -> str:
     proc = subprocess.run(
@@ -71,14 +88,17 @@ class TestCommandImports:
         assert not {"opzeta.registry", "opzeta.series", "opzeta.divmatrix"} & set(row["loaded"]), row["loaded"]
 
     def test_zeta_beta_values_load_no_operators(self):
-        # exact, numeric or pole, the route is `specfun.special_value`
+        # exact, numeric or pole, the route is `exactnum.special_value`
         rows = _run_commands(["values", "zeta", "0.5"], ["values", "zeta", "-399"], ["values", "beta", "399"])
         assert all(row["code"] == 0 for row in rows)
         assert "opzeta.operators" not in rows[-1]["loaded"], rows[-1]["loaded"]
 
-    def test_list_loads_no_specfun_or_divmatrix(self):
-        (row,) = _run_commands(["list"])
-        assert not {"opzeta.specfun", "opzeta.divmatrix"} & set(row["loaded"]), row["loaded"]
+    @pytest.mark.parametrize("argv, layers", _LAYERS_LOADED, ids=[" ".join(argv) for argv, _ in _LAYERS_LOADED])
+    def test_each_command_loads_exactly_its_layers(self, argv, layers):
+        (row,) = _run_commands(argv)
+        assert row["code"] == 0
+        loaded = [m for m in row["loaded"] if m.split(".")[0] == "opzeta"]
+        assert loaded == sorted(["opzeta", "opzeta.cli", "opzeta.errors", *(f"opzeta.{layer}" for layer in layers.split())])
 
     def test_first_numeric_value_after_the_exact_paths(self):
         # mpmath is imported on the first numeric call, after every exact

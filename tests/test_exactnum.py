@@ -21,11 +21,11 @@ from opzeta.exactnum import (
     log_sec_plus_tan_half_series,
     pipoly_eval,
     pipoly_evaluator,
+    special_value,
 )
 from opzeta import exactnum
 from opzeta.errors import NotConverged
 from opzeta.registry import load_registry
-from opzeta.specfun import special_value
 from oracles import (
     TAYLOR_BY_NUMBERS,
     bernoulli_akiyama_tanigawa,

@@ -12,8 +12,10 @@ from opzeta.errors import (
 from opzeta.exactnum import (
     PiPolynomial,
     PiXPolynomial,
+    clausen_closed_form,
     cot_half_regular,
     inv_one_minus_cos_regular,
+    special_value,
 )
 from opzeta.operators import (
     DilationShift,
@@ -26,7 +28,6 @@ from opzeta.operators import (
     taylor_flow,
 )
 from opzeta.registry import get_identity, load_registry
-from opzeta.specfun import clausen_closed_form, special_value
 from oracles import extract_special_values_per_degree, taylor_flow_per_degree
 
 

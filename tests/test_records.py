@@ -28,8 +28,8 @@ from opzeta.series import SummedValue, TrigSeries
 from opzeta.specfun import EvalResult
 
 _EQ17_FIELDS = (
-    "id summary op trig series gamma_shift rhs_poly rhs_closed rhs_taylor domain anomaly_parity"
-    " verify_mode default_grid default_tol extract extra_check expected_event"
+    "id summary kind shift trig exponent character gamma_shift rhs_literal rhs_closed rhs_taylor domain"
+    " anomaly_parity verify_mode default_grid default_tol extract extra_check expected_event"
 )
 
 

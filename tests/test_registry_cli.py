@@ -13,14 +13,13 @@ import pytest
 from opzeta import registry
 from opzeta.cli import _write, main
 from opzeta.errors import PrecisionLoss
-from opzeta.exactnum import PiPolynomial, PiXPolynomial
+from opzeta.exactnum import PiPolynomial, PiXPolynomial, clausen_closed_form
 from opzeta.registry import (
     get_identity,
     load_registry,
     parse_pi_coefficient,
     registry_version,
 )
-from opzeta.specfun import clausen_closed_form
 
 SPEC_IDS = {
     "eq1", "eq2", "eq5", "eq6", "eq10", "eq17", "eq18", "eq19",
@@ -106,22 +105,68 @@ default_grid = 0.1:3:5
 default_tol = 1e-6
 """
 
-    @pytest.mark.parametrize(
-        "line, message",
-        [
-            ("verify_mode = pointwise", "[odd_one] unknown verify mode 'pointwise'"),
-            ("rhs_closed = cot_half", "[odd_one] unknown closed form 'cot_half'"),
-            ("rhs_taylor = tan_series", "[odd_one] unknown Taylor generator 'tan_series'"),
-        ],
-    )
+    BAD_LINES = [
+        ("verify_mode = pointwise", "[odd_one] unknown verify mode 'pointwise'"),
+        ("rhs_closed = cot_half", "[odd_one] unknown closed form 'cot_half'"),
+        ("rhs_taylor = tan_series", "[odd_one] unknown Taylor generator 'tan_series'"),
+        ("lhs = operator gamma shift=1 trig=sin", "[odd_one] unknown operator kind 'gamma'"),
+        ("rhs_poly = 1/2*pi; pi^2/6", "[odd_one] bad coefficient literal 'pi^2/6'"),
+    ]
+
+    @classmethod
+    def altered(cls, line: str) -> str:
+        """BLOCK with `line` in place of the line of its key."""
+        key = line.split(" = ")[0]
+        return "".join(row for row in cls.BLOCK.splitlines(keepends=True) if not row.startswith(key)) + line + "\n"
+
+    @pytest.mark.parametrize("line, message", BAD_LINES)
     def test_a_bad_block_is_named(self, line, message):
         version, records = registry._parse(self.BLOCK)
         assert version == 1 and records["odd_one"].verify_mode == "abel"
-        key = line.split(" = ")[0]
-        text = "".join(row for row in self.BLOCK.splitlines(keepends=True) if not row.startswith(key)) + line + "\n"
         with pytest.raises(ValueError) as info:
-            registry._parse(text)
+            registry._parse(self.altered(line))
         assert str(info.value) == message
+
+    def test_the_load_checks_without_the_engine(self):
+        # in a fresh interpreter, the parse rejects each bad block by the
+        # registry's own name sets, and no engine layer loads
+        code = (
+            "import json, sys\n"
+            "from opzeta import registry\n"
+            "for text in json.loads(sys.argv[1]):\n"
+            "    try:\n"
+            "        registry._parse(text)\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('opzeta'))))"
+        )
+        texts = [self.altered(line) for line, _ in self.BAD_LINES]
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(texts)], capture_output=True, text=True,
+                              timeout=60, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert proc.returncode == 0, proc.stderr
+        *messages, loaded = proc.stdout.splitlines()
+        assert messages == [message for _, message in self.BAD_LINES]
+        assert loaded == "opzeta opzeta.errors opzeta.registry"
+
+    def test_the_name_sets_are_the_engines(self):
+        from opzeta import exactnum, operators, series
+
+        assert registry._CLOSED_FORMS == set(series.CLOSED_FORMS)
+        assert registry._TAYLOR_GENERATORS == set(exactnum.TAYLOR_GENERATORS)
+        assert registry._KINDS == operators._KINDS
+
+    def test_engine_forms_are_built_once_per_value(self):
+        from opzeta.operators import DilationShift
+        from opzeta.series import TrigSeries
+
+        rec = get_identity("eq3_2")
+        assert (rec.op, rec.series) == (DilationShift("zeta", 4), TrigSeries("cos", 4, "trivial"))
+        assert rec.op is rec.op and rec.series is rec.series and rec.rhs_poly is rec.rhs_poly
+        assert rec.rhs_poly is get_identity("eq3_2").exact_rhs(12)
+        altered = rec._replace(kind="beta", shift=Fraction(2), exponent=2, character="beta", rhs_literal="0; 1/2")
+        assert (altered.op, altered.series) == (DilationShift("beta", 2), TrigSeries("cos", 2, "beta"))
+        assert altered.rhs_poly == PiXPolynomial([0, Fraction(1, 2)])
+        assert get_identity("eq5").op is get_identity("eq5").series is get_identity("eq5").rhs_poly is None
 
 
 class TestVerifyCommand:
@@ -174,7 +219,7 @@ class TestVerifyCommand:
         assert code == 1 and "FAIL" in out
 
     def test_anomalous_record_without_exact_rhs_is_a_usage_error(self, monkeypatch, capsys):
-        code, _ = self.verify_altered_eq2(monkeypatch, rhs_poly=None, rhs_closed="half_sec")
+        code, _ = self.verify_altered_eq2(monkeypatch, rhs_literal=None, rhs_closed="half_sec")
         assert code == 2 and "no exact right side" in capsys.readouterr().err
 
     def test_exact_identities_default_to_exact(self):
@@ -503,14 +548,33 @@ class TestExtractCommand:
 
     def test_taylor_right_sides_take_no_bernoulli_or_euler_number(self, monkeypatch):
         # the four rhs_taylor ids: their right sides come from the trig closed
-        # forms, so `matched` compares two routes, not one number with itself
-        import opzeta.specfun  # binds the real numbers for special_value first
+        # forms, so `matched` compares two routes, not one number with itself.
+        # special_value, in the same module, reads the numbers: they are
+        # forbidden only while a Taylor generator runs
+        from opzeta import exactnum
 
-        def forbidden(n):
-            raise AssertionError(f"Taylor right side asked for a Bernoulli or Euler number ({n})")
+        running = []
 
-        monkeypatch.setattr(opzeta.exactnum, "bernoulli_number", forbidden)
-        monkeypatch.setattr(opzeta.exactnum, "euler_number", forbidden)
+        def forbidden_in_a_generator(number):
+            def guarded(n):
+                if running:
+                    raise AssertionError(f"Taylor right side asked for a Bernoulli or Euler number ({n})")
+                return number(n)
+            return guarded
+
+        def tracked(generator):
+            def run(terms):
+                running.append(generator)
+                try:
+                    return generator(terms)
+                finally:
+                    running.pop()
+            return run
+
+        for name in ("bernoulli_number", "euler_number"):
+            monkeypatch.setattr(exactnum, name, forbidden_in_a_generator(getattr(exactnum, name)))
+        for name, generator in list(exactnum.TAYLOR_GENERATORS.items()):
+            monkeypatch.setitem(exactnum.TAYLOR_GENERATORS, name, tracked(generator))
         for ident in ("eq21_sin", "sec4_cos", "beta_cos_s0", "beta_sin_s1"):
             code, out = run_cli("extract", ident, "--terms", "20", "--format", "json")
             rows = json.loads(out)["rows"]
@@ -739,7 +803,8 @@ class TestSharedParser:
         from opzeta import cli, exactnum
 
         built = []
-        monkeypatch.setattr(cli, "pipoly_evaluator", lambda p: built.append(p) or exactnum.pipoly_evaluator(p))
+        evaluator = exactnum.pipoly_evaluator  # cli imports it from exactnum on use
+        monkeypatch.setattr(exactnum, "pipoly_evaluator", lambda p: built.append(p) or evaluator(p))
         cli._rhs_evaluator.cache_clear()
         try:
             for argv in (self.ARGV["sum"], self.ARGV["sum"], ["verify", "eq3_2", "--grid", "1:2:3"], self.ARGV["poly"]):

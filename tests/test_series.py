@@ -15,7 +15,7 @@ from opzeta.errors import (
     OutsideDomain,
     SingularAtEndpoint,
 )
-from opzeta.exactnum import pipoly_eval
+from opzeta.exactnum import clausen_closed_form, pipoly_eval, special_value
 from opzeta.series import (
     CLOSED_FORMS,
     SummedValue,
@@ -26,7 +26,6 @@ from opzeta.series import (
     geometric_abel,
     partial_sums_accelerated,
 )
-from opzeta.specfun import clausen_closed_form, special_value
 from oracles import (
     beta_partial_sum,
     exact_differences,

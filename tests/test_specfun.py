@@ -9,13 +9,18 @@ import mpmath
 import pytest
 
 from opzeta.errors import PoleAtOne, PrecisionLoss
-from opzeta.exactnum import PiPolynomial, PiXPolynomial, bernoulli_number, euler_number
+from opzeta.exactnum import (
+    PiPolynomial,
+    PiXPolynomial,
+    bernoulli_number,
+    clausen_closed_form,
+    euler_number,
+    special_value,
+)
 from opzeta.specfun import (
     EvalResult,
-    clausen_closed_form,
     dirichlet_beta,
     recip_gamma,
-    special_value,
     zeta_em,
 )
 from oracles import (
