@@ -27,8 +27,7 @@ from .errors import (
 _LAYER_OF = {
     name: layer
     for layer, names in {
-        "exactnum": "PI PiPolynomial PiXPolynomial bernoulli_number bernoulli_polynomial clausen_closed_form euler_number"
-        " pipoly_eval",
+        "exactnum": "PI PiPolynomial PiXPolynomial bernoulli_number bernoulli_polynomial clausen_closed_form euler_number",
         "specfun": "EvalResult dirichlet_beta recip_gamma zeta_em",
         "series": "SummedValue TrigSeries abel_sums geometric_abel partial_sums_accelerated",
         "operators": "DilationShift Expression OpResult TaylorFlowResult apply_operator apply_recip_gamma_op"

@@ -423,11 +423,6 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     return p, {"verify": v, "values": w, "extract": e, "matrix": m, "list": ls}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process (see `_parsers`); do not modify it."""
-    return _parsers()[0]
-
-
 def main(argv: Optional[list[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     argv = sys.argv[1:] if argv is None else argv

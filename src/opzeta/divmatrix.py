@@ -5,21 +5,19 @@ sin(n x) to sum_k sin(k n x)/k has matrix entries n/m when n divides m and 0
 otherwise: column n of the matrix is the Fourier expansion of the frequency-n
 sawtooth. Entries are exact rationals 1/(m/n), computed on demand and never
 stored; floats appear only at the quadrature comparison boundary. The matrix
-is read as its entries, as one column in text (the image of basis vector n)
-and as sorted triplets, and each column is checked against quadrature.
+is read as one column in text (the image of basis vector n) and as sorted
+triplets, and each column is checked against quadrature.
 
 Every finite truncation is unit lower triangular (hence invertible), while
 the operator itself still hits the zeta pole on constants (see
 operators.PoleHit); both facts are recorded and tested, not reconciled. The
-matrix and its report are NamedTuples; its entries, a read-only mapping,
-are a slotted class.
+matrix and its report are NamedTuples.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache
 from typing import Callable, Iterator, NamedTuple
@@ -46,52 +44,15 @@ def _divisor_rows(size: int, label: Callable = int) -> Iterator[list]:
         yield from rows
 
 
-class DivisorEntries(Mapping):
-    """Read-only mapping (m, n) -> n/m over 1 <= n <= m <= size with n | m,
-    computed per lookup; iteration is in sorted (m, n) order."""
-
-    __slots__ = ("size",)
-
-    def __init__(self, size: int):
-        object.__setattr__(self, "size", size)
-
-    def __setattr__(self, *a):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(size={self.size!r})"
-
-    def __getitem__(self, key: tuple[int, int]) -> Fraction:
-        try:  # as in a dict, any key equal to an integer pair (m, n) finds it
-            m, n = key
-            if (m, n) == (int(m), int(n)) and 1 <= n <= m <= self.size and m % n == 0:
-                return Fraction(1, int(m) // int(n))
-        except (TypeError, ValueError, OverflowError):  # not a pair of integers
-            pass
-        raise KeyError(key)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return ((m, n) for m, divs in enumerate(_divisor_rows(self.size), start=1) for n in divs)
-
-    def __len__(self) -> int:
-        return sum(self.size // n for n in range(1, self.size + 1))
-
-
 class DivisibilityMatrix(NamedTuple):
     """Exact matrix: entry (m, n) = n/m iff n divides m, 1 <= m, n <= size."""
 
     size: int
 
     @property
-    def entries(self) -> DivisorEntries:
-        return DivisorEntries(self.size)
-
-    def entry(self, m: int, n: int) -> Fraction:
-        return self.entries.get((m, n), Fraction(0))
-
-    @property
     def nnz(self) -> int:
-        return len(self.entries)
+        """The number of entries n | m, the count of multiples."""
+        return sum(self.size // n for n in range(1, self.size + 1))
 
     def triplet_rows(self) -> Iterator[str]:
         """Sparse triplet export, 2^7 whole rows m per string (at most 27 KB at the

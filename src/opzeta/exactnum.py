@@ -3,13 +3,12 @@ and Q[pi], and the Taylor generators of the closed forms (zigzag numbers).
 
 `PiPolynomial` (in pi over Q) and `PiXPolynomial` (in x over Q[pi]) share
 one private base, `_Poly`: the trimmed, immutable coefficient tuple, `+`,
-`-`, equality, hashing and printing. All operations are pure. `pipoly_eval`,
+`-`, equality, hashing and printing. All operations are pure.
 `pipoly_evaluator` (coefficients at pi once, then Horner per x) and
 `float(PiPolynomial)` compute in integers, with pi from the Chudnovsky
 series in integers (`_pi_fixed`, through the first block of `_pi_block`), and
 round the exact rational value once to a double by one int/int division. This
-module holds no mpmath context: an mpmath argument is only read exactly, as a
-ratio of integers.
+module holds no mpmath context.
 
 Bernoulli and Euler numbers up to index 82 come from one immutable table,
 built by the exact recurrences in integers on first use (the Bernoulli
@@ -142,9 +141,6 @@ class _Poly:
     def __sub__(self, other) -> "_Poly":
         return self + -self._lift(other)
 
-    def __rsub__(self, other) -> "_Poly":
-        return -self + other
-
     def __repr__(self) -> str:
         parts = []
         for k, c in enumerate(self.coeffs):
@@ -183,7 +179,8 @@ class PiPolynomial(_Poly):
     def __eq__(self, other) -> bool:
         return super().__eq__(PiPolynomial((other,)) if isinstance(other, (int, Fraction)) else other)
 
-    __hash__ = _Poly.__hash__
+    def __hash__(self):  # a rational value equals its Fraction, so it hashes as that (zero as 0)
+        return hash(self.coeff(0)) if self.is_rational() else super().__hash__()
 
     def __mul__(self, other) -> "PiPolynomial":
         if isinstance(other, (int, Fraction)):
@@ -230,13 +227,6 @@ class PiXPolynomial(_Poly):
     def monomial(cls, degree: int, coeff) -> "PiXPolynomial":
         return cls((0,) * degree + (coeff,))
 
-    def __mul__(self, other) -> "PiXPolynomial":
-        if isinstance(other, (int, Fraction, PiPolynomial)):
-            return PiXPolynomial(c * other for c in self.coeffs)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
 
 def _at_pi(c: PiPolynomial, bits: int) -> tuple[int, int]:
     """c at floor(pi 2^bits) / 2^bits (bits <= 1024, pi from `_pi_block(1)`),
@@ -250,29 +240,18 @@ def _at_pi(c: PiPolynomial, bits: int) -> tuple[int, int]:
     return num, den << top * bits
 
 
-def _exact_ratio(x) -> tuple[int, int]:
-    """x = num / den exactly, den > 0, for an int, Fraction, float or mpmath
-    mpf; ValueError or OverflowError where x is nan or infinite."""
-    if hasattr(x, "_mpf_"):  # an mpmath mpf, so mpmath is loaded already
-        from mpmath.libmp import to_rational
-
-        if not x.context.isfinite(x):
-            raise ValueError("not a finite number")
-        return to_rational(x._mpf_)
-    return x.as_integer_ratio()
-
-
 def pipoly_evaluator(p: PiXPolynomial):
-    """x -> `pipoly_eval(p, x)`. The coefficients of `p` are evaluated at pi
-    once, as integers scaled by 2^200 (60 digits); each call runs the Horner
-    step in integers at x's exact ratio and rounds once, by an int/int
-    division."""
+    """x -> `p` at real x (an int, float or Fraction, taken exactly as its
+    ratio of integers), rounded once to a double; nan where x is nan or
+    infinite. The coefficients of `p` are evaluated at pi once, as integers
+    scaled by 2^200 (60 digits); each call runs the Horner step in integers
+    and rounds once, by an int/int division."""
     coeffs = [(num << 200) // den for num, den in (_at_pi(c, 256) for c in reversed(p.coeffs))]
     top, rest = (coeffs or [0])[0], coeffs[1:]
 
     def horner(x) -> float:
         try:
-            num, den = _exact_ratio(x)
+            num, den = x.as_integer_ratio()
         except (OverflowError, ValueError):  # x is nan or infinite: 0 * x, the first step, is nan
             return math.nan
         acc, den_pow = top, 1
@@ -282,13 +261,6 @@ def pipoly_evaluator(p: PiXPolynomial):
         return acc / (den_pow << 200)
 
     return horner
-
-
-def pipoly_eval(p: PiXPolynomial, x) -> float:
-    """Evaluate `p` at real x (an int, float, Fraction or mpmath mpf, each
-    taken exactly) with pi and the coefficients carried to 60 decimal digits,
-    then rounded once to a double; nan where x is nan or infinite."""
-    return pipoly_evaluator(p)(x)
 
 
 # B_n and E_n up to this index come from one table: the Euler-Maclaurin

@@ -179,12 +179,12 @@ def apply_operator(op: DilationShift, expr: Expression, allow_pole: bool = False
 
     series_terms: list[SeriesTerm] = []
     for atom in expr.trig_atoms:
-        from .series import TrigSeries  # for a trig atom only: the exact commands load no series
-
         if op.kind == "recip_gamma":
             raise UnsupportedExpression("1/Gamma of the dilation generator has no series action on trig atoms")
         if den != 1:
             raise UnsupportedExpression("trig atoms need an integer shift (series weight is n^-shift)")
+        from .series import TrigSeries  # for an accepted trig atom only: the exact commands load no series
+
         character = "trivial" if op.kind == "zeta" else "beta"
         series_terms.append(SeriesTerm(atom.coeff, atom.frequency, TrigSeries(atom.parity, num, character)))
 
@@ -202,13 +202,11 @@ def apply_recip_gamma_op(b, expr: Expression) -> Expression:
     The values come from the same route table as `apply_operator`: terms
     with b + n a nonpositive integer are annihilated (coefficient set to
     exact zero), positive integers use 1/(b+n-1)!. Requires integer b so
-    every coefficient stays exact.
+    every coefficient stays exact; `apply_operator` refuses a trig atom.
     """
     b = Fraction(b)
     if b.denominator != 1:
         raise UnsupportedExpression("non-integer offsets leave Q[pi]; use apply_operator's numeric path")
-    if expr.trig_atoms:
-        raise UnsupportedExpression("1/Gamma of the dilation generator acts on polynomial parts only")
     return apply_operator(DilationShift("recip_gamma", b), expr).expr
 
 

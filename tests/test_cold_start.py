@@ -165,6 +165,22 @@ class TestLazyPublicNames:
         assert _child("-c", code).strip() == "['opzeta', 'opzeta.errors']"
 
 
+def test_refused_trig_atom_loads_no_series():
+    # apply_operator refuses a trig atom under 1/Gamma or at a non-integer
+    # shift before it imports series, which only an accepted atom needs
+    code = (
+        "import sys\n"
+        "from opzeta.errors import UnsupportedExpression\n"
+        "from opzeta.operators import DilationShift, Expression, apply_operator\n"
+        "for op in (DilationShift('recip_gamma', 0), DilationShift('zeta', '1/2')):\n"
+        "    try:\n"
+        "        apply_operator(op, Expression.from_trig('sin'))\n"
+        "    except UnsupportedExpression:\n"
+        "        print('opzeta.series' in sys.modules)"
+    )
+    assert _child("-c", code).split() == ["False", "False"]
+
+
 def test_first_mpmath_use_under_threads():
     # 4 threads make their first numeric calls at once: they race only on the
     # first import of mpmath (and the kernels' tables of libmp operations it

@@ -9,16 +9,34 @@ from opzeta.divmatrix import _divisor_rows, build_matrix, consistency_check
 from oracles import divisor_count, matrix_apply
 
 
+def _brute_force_entries(M: int) -> dict[tuple[int, int], Fraction]:
+    return {(m, n): Fraction(n, m) for m in range(1, M + 1) for n in range(1, M + 1) if m % n == 0}
+
+
+def _triplets(A) -> dict[tuple[int, int], Fraction]:
+    """The entries that the triplet export prints, 'm n num den' per line, in its order."""
+    rows = (line.split() for line in "".join(A.triplet_rows()).splitlines())
+    return {(int(m), int(n)): Fraction(int(num), int(den)) for m, n, num, den in rows}
+
+
+def _column(A, n: int) -> list[Fraction]:
+    """Column n as the column text prints it, 'm num/den' for m = 1..size."""
+    lines = "".join(A.column_blocks(n)).splitlines()
+    assert [int(line.split()[0]) for line in lines] == list(range(1, A.size + 1))
+    return [Fraction(line.split()[1]) for line in lines]
+
+
 class TestBuildMatrix:
     def test_size_one(self):
         A = build_matrix(1)
-        assert A.entries == {(1, 1): Fraction(1)}
+        assert _triplets(A) == {(1, 1): Fraction(1)}
+        assert _column(A, 1) == [Fraction(1)]
 
     def test_entries_at_six(self):
         A = build_matrix(6)
-        assert A.entry(6, 3) == Fraction(1, 2)
-        assert (6, 4) not in A.entries
-        assert A.entry(6, 4) == 0
+        assert _triplets(A)[(6, 3)] == _column(A, 3)[5] == Fraction(1, 2)
+        assert (6, 4) not in _triplets(A)
+        assert _column(A, 4)[5] == 0
 
     def test_nnz_is_divisor_sum(self):
         A = build_matrix(6)
@@ -26,46 +44,38 @@ class TestBuildMatrix:
 
     def test_pattern_against_brute_force(self):
         A = build_matrix(64)
-        for m in range(1, 65):
-            for n in range(1, 65):
-                if m % n == 0:
-                    assert A.entry(m, n) == Fraction(n, m)
-                else:
-                    assert (m, n) not in A.entries
+        brute = _brute_force_entries(64)
+        for n in range(1, 65):
+            assert _column(A, n) == [brute.get((m, n), Fraction(0)) for m in range(1, 65)], n
 
     def test_lower_triangular_unit_diagonal(self):
         A = build_matrix(64)
-        for (m, n) in A.entries:
-            assert n <= m
+        entries = _triplets(A)
+        assert all(n <= m for m, n in entries)
         for m in range(1, 65):
-            assert A.entry(m, m) == 1
+            assert entries[(m, m)] == _column(A, m)[m - 1] == 1
 
     def test_rejects_bad_size(self):
         with pytest.raises(ValueError):
             build_matrix(0)
 
 
-def _brute_force_entries(M: int) -> dict[tuple[int, int], Fraction]:
-    return {(m, n): Fraction(n, m) for m in range(1, M + 1) for n in range(1, M + 1) if m % n == 0}
-
-
 class TestImplicitEntries:
+    """The triplet export against the brute-force entries: the same pairs, in
+    sorted order, with the same values."""
+
     @pytest.mark.parametrize("M", range(1, 65))
     def test_equals_brute_force_dict(self, M):
-        A = build_matrix(M)
-        brute = _brute_force_entries(M)
-        assert A.entries == brute
-        assert brute == A.entries
-        assert dict(A.entries.items()) == brute
+        assert _triplets(build_matrix(M)) == _brute_force_entries(M)
 
     @pytest.mark.parametrize("M", [1, 2, 6, 64, 1000])
     def test_length_is_count_of_multiples(self, M):
         A = build_matrix(M)
-        assert len(A.entries) == A.nnz == sum(M // n for n in range(1, M + 1))
-        assert len(list(A.entries)) == A.nnz
+        assert len(_triplets(A)) == A.nnz == sum(M // n for n in range(1, M + 1))
+        assert "".join(A.triplet_rows()).count("\n") == A.nnz
 
     def test_iteration_is_sorted(self):
-        keys = list(build_matrix(200).entries)
+        keys = list(_triplets(build_matrix(200)))
         assert keys == sorted(keys)
 
     @pytest.mark.parametrize("key", [
@@ -73,26 +83,21 @@ class TestImplicitEntries:
     ])
     def test_keys_off_the_pattern_are_absent(self, key):
         A = build_matrix(12)
-        assert key not in A.entries
-        assert A.entry(*key) == 0
-        with pytest.raises(KeyError):
-            A.entries[key]
-
-    @pytest.mark.parametrize("key", [(2, 1), (1, 2, 3), 5, (2.0, 1.0), (2, 0), "ab", (True, True), (2.5, 1)])
-    def test_membership_is_dict_like(self, key):
-        # keys that are not integer pairs used to raise TypeError or ValueError
-        entries = build_matrix(4).entries
-        assert (key in entries) == (key in dict(entries.items()))
+        assert key not in _triplets(A)
+        m, n = key
+        if not 1 <= n <= 12:
+            with pytest.raises(ValueError):  # no such column
+                _column(A, n)
+        elif 1 <= m <= 12:
+            assert _column(A, n)[m - 1] == 0
 
     def test_read_only(self):
         A = build_matrix(6)
-        with pytest.raises(TypeError):
-            A.entries[(6, 5)] = Fraction(5, 6)
-        with pytest.raises(TypeError):
-            del A.entries[(6, 3)]
         with pytest.raises(AttributeError):
-            A.entries = {}
-        assert (6, 5) not in A.entries and A.entry(6, 3) == Fraction(1, 2)
+            A.size = 7
+        with pytest.raises(TypeError):
+            A[0] = 7
+        assert A == (6,) and _triplets(A) == _brute_force_entries(6)
 
 
 class TestMatrixApply:
@@ -146,8 +151,9 @@ class TestColumnStructure:
     def test_column_is_reciprocal_ladder(self):
         A = build_matrix(60)
         for n in (1, 2, 5, 7):
+            column = _column(A, n)
             for k in range(1, 60 // n + 1):
-                assert A.entry(k * n, n) == Fraction(1, k)
+                assert column[k * n - 1] == Fraction(1, k)
 
 
 class TestTripletExport:
@@ -182,7 +188,7 @@ class TestTripletExport:
             assert chunk.endswith("\n")
             rows = {int(line.split()[0]) for line in chunk.splitlines()}
             assert sorted(rows) == list(range(128 * i + 1, min(128 * i + 128, M) + 1))
-        want = [f"{m} {n} {q.numerator} {q.denominator}" for (m, n), q in A.entries.items()]
+        want = [f"{m} {n} 1 {m // n}" for m, n in sorted((k * n, n) for n in range(1, M + 1) for k in range(1, M // n + 1))]
         assert "".join(chunks).splitlines() == want
 
 

@@ -167,6 +167,11 @@ class TestApplyRecipGammaOp:
         with pytest.raises(UnsupportedExpression):
             apply_recip_gamma_op(Fraction(1, 2), Expression.from_poly(PiXPolynomial([1])))
 
+    def test_trig_atom_rejected(self):
+        # apply_operator's refusal: 1/Gamma has no series action on a trig atom
+        with pytest.raises(UnsupportedExpression, match="no series action on trig atoms"):
+            apply_recip_gamma_op(0, Expression(PiXPolynomial([1]), Expression.from_trig("sin").trig_atoms))
+
     def test_singular_annihilation(self):
         from opzeta.operators import SingularTerm
 

@@ -783,7 +783,7 @@ class TestSharedParser:
             assert results == [expect[name]] * 10, name
 
     def test_usage_error_leaves_the_parser_unchanged(self, capsys):
-        from opzeta.cli import _parsers, build_parser
+        from opzeta.cli import _parsers
 
         valid = self.ARGV["verify"]
         _parsers.cache_clear()
@@ -794,7 +794,7 @@ class TestSharedParser:
         assert run_cli(*valid) == fresh
         assert run_cli("verify", "beta_sin_s1", "--grid", "1:2") == (2, "")
         assert capsys.readouterr().err == first_error
-        assert build_parser() is build_parser() is _parsers()[0]
+        assert _parsers() is _parsers()
         commands = _parsers()[1]
         assert set(commands) == {"verify", "values", "extract", "matrix", "list"}
         assert all(commands[name].prog == f"opzeta {name}" for name in commands)
@@ -817,11 +817,11 @@ class TestSharedParser:
 def two_level_main(argv, out) -> int:
     """`cli.main` as it parsed before each command read its own arguments:
     the top-level parser, which hands them to the command's parser."""
-    from opzeta.cli import build_parser
+    from opzeta.cli import _parsers
     from opzeta.errors import OpzetaError
 
     try:
-        args = build_parser().parse_args(argv)
+        args = _parsers()[0].parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
