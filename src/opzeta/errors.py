@@ -48,9 +48,9 @@ class PoleHit(OpzetaError):
     `degree` is the monomial degree responsible.
     """
 
-    def __init__(self, degree: int, message: str | None = None):
+    def __init__(self, degree: int):
         self.degree = degree
-        super().__init__(message or f"operator argument hits the pole at monomial degree {degree}")
+        super().__init__(f"operator argument hits the pole at monomial degree {degree}")
 
 
 class UnsupportedExpression(OpzetaError):

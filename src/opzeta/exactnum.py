@@ -1,5 +1,5 @@
-"""Exact arithmetic: rationals, Bernoulli/Euler numbers, polynomials over Q
-and Q[pi], and the Taylor generators of the closed forms (zigzag numbers).
+"""Exact arithmetic: rationals, Bernoulli/Euler numbers, and polynomials
+over Q and Q[pi].
 
 `PiPolynomial` (in pi over Q) and `PiXPolynomial` (in x over Q[pi]) share
 one private base, `_Poly`: the trimmed, immutable coefficient tuple, `+`,
@@ -27,10 +27,10 @@ all odd-index values vanish.
 
 `special_value` is the one route table of the operator values: for each kind
 and exact argument it decides between the exact value, the numeric one and
-the pole. It imports `specfun`, the numeric kernels, for a numeric value
-only, so the exact commands never compile them. `clausen_closed_form`
-rescales the Bernoulli polynomials into the closed forms of the
-trigonometric series with polynomial sums.
+the pole, for the kinds that key `NUMERIC_ROUTE`. It imports `specfun`, the
+numeric kernels, for a numeric value only, so the exact commands never
+compile them. `clausen_closed_form` rescales the Bernoulli polynomials into
+the closed forms of the trigonometric series with polynomial sums.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate
 from math import comb, factorial
 from typing import Iterable, Union
 
@@ -426,7 +425,7 @@ def clausen_closed_form(parity: str, m: int) -> PiXPolynomial:
 
 # --- the route table of the operator values ------------------------------------
 
-_NUMERIC_ROUTE = {"zeta": "euler_maclaurin", "beta": "hurwitz_difference", "recip_gamma": "rgamma"}
+NUMERIC_ROUTE = {"zeta": "euler_maclaurin", "beta": "hurwitz_difference", "recip_gamma": "rgamma"}
 
 
 def special_value(kind: str, arg: Fraction):
@@ -443,8 +442,8 @@ def special_value(kind: str, arg: Fraction):
     Exact at every integer but zeta at odd n >= 3 and beta at even n >= 2,
     which have no closed form; 1/Gamma is 0 at the Gamma poles. `specfun`
     is imported for a numeric value only."""
-    if kind not in _NUMERIC_ROUTE:
-        raise ValueError(f"kind must be one of {tuple(_NUMERIC_ROUTE)}")
+    if kind not in NUMERIC_ROUTE:
+        raise ValueError(f"kind must be one of {tuple(NUMERIC_ROUTE)}")
     exact = None
     if arg.denominator == 1:
         k = int(arg)  # (-1) ** -k below: (-1) ** k is a float at k < 0
@@ -471,68 +470,7 @@ def special_value(kind: str, arg: Fraction):
     # arg goes in exactly: rounded to a double first, zeta(-221/10) errs by 16 times its bound
     if kind == "recip_gamma":
         value = specfun.recip_gamma(arg)
-        return "numeric", value, 1e-12 * max(1.0, abs(value)), _NUMERIC_ROUTE[kind]
+        return "numeric", value, 1e-12 * max(1.0, abs(value)), NUMERIC_ROUTE[kind]
     r = specfun.zeta_em(arg) if kind == "zeta" else specfun.dirichlet_beta(arg)
-    return "numeric", r.value, r.abs_error_estimate, _NUMERIC_ROUTE[kind]
+    return "numeric", r.value, r.abs_error_estimate, NUMERIC_ROUTE[kind]
 
-
-# --- exact Taylor expansions of the registry closed forms ---------------------
-#
-# The right sides of the singularity-removed identities in exact rationals, from
-# the trigonometric closed forms alone through the zigzag numbers A_m, with no
-# Bernoulli or Euler number: the independent route the operator engine matches.
-
-def _zigzag(n: int) -> list[int]:
-    """A_0..A_(n-1), sec x + tan x = sum A_m x^m / m!, by the Seidel-Entringer
-    boustrophedon in O(n^2) integer additions (Brent and Harvey,
-    arXiv:1108.0286): row m is 0 and then the running sums of row m - 1 read
-    backwards, and A_m is its last entry."""
-    row, out = [1], [1]
-    for _ in range(1, n):
-        row = list(accumulate(reversed(row), initial=0))
-        out.append(row[-1])
-    return out
-
-
-def cot_half_regular(terms: int) -> PiXPolynomial:
-    """Taylor polynomial of sin x / (2(1 - cos x)) - 1/x, `terms` nonzero terms.
-
-    Iterating cot y - tan y = 2 cot 2y gives -sum_(j>=2) 2^-j tan(2^-j x), so the
-    coefficient of x^m, m = 2k + 1, is -A_m / (m! 4^(k+1) (4^(k+1) - 1)), 4^(k+1) = 2^(m+1).
-    """
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
-    a, coeffs = _zigzag(2 * terms), [Fraction(0)] * (2 * terms)
-    for m in range(1, 2 * terms, 2):
-        coeffs[m] = Fraction(-a[m], factorial(m) * 2 ** (m + 1) * (2 ** (m + 1) - 1))
-    return PiXPolynomial(coeffs)
-
-
-def inv_one_minus_cos_regular(terms: int) -> PiXPolynomial:
-    """Taylor polynomial of -1/(2(1 - cos x)) + 1/x^2, `terms` nonzero terms:
-    the derivative of `cot_half_regular`."""
-    return PiXPolynomial(c * j for j, c in enumerate(cot_half_regular(terms).coeffs[1:], 1))
-
-
-def half_sec_series(terms: int) -> PiXPolynomial:
-    """Taylor polynomial of 1/(2 cos x): coefficient of x^(2k) is A_2k / (2 (2k)!)."""
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
-    a, coeffs = _zigzag(2 * terms - 1), [Fraction(0)] * (2 * terms - 1)
-    for m in range(0, 2 * terms - 1, 2):
-        coeffs[m] = Fraction(a[m], 2 * factorial(m))
-    return PiXPolynomial(coeffs)
-
-
-def log_sec_plus_tan_half_series(terms: int) -> PiXPolynomial:
-    """Taylor polynomial of (1/2) log(sec x + tan x): the antiderivative of
-    `half_sec_series`."""
-    return PiXPolynomial([0] + [c / j for j, c in enumerate(half_sec_series(terms).coeffs, 1)])
-
-
-TAYLOR_GENERATORS = {
-    "cot_half_regular": cot_half_regular,
-    "inv_one_minus_cos_regular": inv_one_minus_cos_regular,
-    "half_sec_series": half_sec_series,
-    "log_sec_plus_tan_half_series": log_sec_plus_tan_half_series,
-}

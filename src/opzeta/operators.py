@@ -14,7 +14,9 @@ typed event (PoleHit) instead of a divergent expansion.
 (`taylor_flow`) is `apply_operator` on the exact Taylor polynomial of sin or
 cos, and `extract_special_values` reads the factor of each unknown value off
 that same polynomial. Every record is a NamedTuple; `DilationShift`,
-`TrigAtom` and `SingularTerm` check and coerce their fields in `__new__`.
+`TrigAtom` and `SingularTerm` check and coerce their fields in `__new__`;
+a `DilationShift` takes the kinds `special_value` routes, the keys of
+`exactnum.NUMERIC_ROUTE`.
 """
 
 from __future__ import annotations
@@ -28,9 +30,7 @@ from .errors import (
     PoleHit,
     UnsupportedExpression,
 )
-from .exactnum import PiPolynomial, PiXPolynomial, special_value
-
-_KINDS = ("zeta", "beta", "recip_gamma")
+from .exactnum import NUMERIC_ROUTE, PiPolynomial, PiXPolynomial, special_value
 
 
 class DilationShift(NamedTuple("DilationShift", [("kind", str), ("shift", Fraction)])):
@@ -46,8 +46,8 @@ class DilationShift(NamedTuple("DilationShift", [("kind", str), ("shift", Fracti
     _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` builds through `__new__`
 
     def __new__(cls, kind: str, shift):
-        if kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}")
+        if kind not in NUMERIC_ROUTE:
+            raise ValueError(f"kind must be one of {tuple(NUMERIC_ROUTE)}")
         return super().__new__(cls, kind, Fraction(shift))
 
 
@@ -102,11 +102,6 @@ class SeriesTerm(NamedTuple):
     series: TrigSeries
 
 
-class PoleTerm(NamedTuple):
-    degree: int
-    coeff: PiPolynomial
-
-
 class NumericTerm(NamedTuple):
     """Operator value without an exact form (kept out of the exact poly)."""
 
@@ -117,7 +112,6 @@ class NumericTerm(NamedTuple):
 
 class OpResult(NamedTuple):
     expr: Expression
-    pole_terms: tuple[PoleTerm, ...] = ()
     series_result: tuple[SeriesTerm, ...] = ()
     numeric_terms: tuple[NumericTerm, ...] = ()
 
@@ -137,30 +131,25 @@ class TaylorFlowResult(NamedTuple):
 ExactValue = Union[Fraction, PiPolynomial]
 
 
-def apply_operator(op: DilationShift, expr: Expression, allow_pole: bool = False) -> OpResult:
+def apply_operator(op: DilationShift, expr: Expression) -> OpResult:
     """Apply kind(shift -+ iD) to the expression in its eigenbasis.
 
     Monomial x^n picks up the value at shift - n (shift + n for recip_gamma),
     exact whenever one exists; singular x^-k behaves as degree -k. A trig atom
     maps to the symbolic series sum_n chi(n) trig(n * freq * x) / n^shift. An
-    argument equal to 1 for the zeta kind raises PoleHit unless `allow_pole`,
-    in which case the term is moved to `pole_terms` unevaluated.
+    argument equal to 1 for the zeta kind raises PoleHit.
     """
     # the argument shift -+ degree as one Fraction of ints: no Fraction arithmetic per term
     num, den = op.shift.numerator, op.shift.denominator
     step = den if op.kind == "recip_gamma" else -den
 
     out_coeffs: list[PiPolynomial] = [PiPolynomial()] * len(expr.poly.coeffs)
-    poles: list[PoleTerm] = []
     numeric: list[NumericTerm] = []
 
     def handle(degree: int, coeff: PiPolynomial):
         tag, value, err, _ = special_value(op.kind, Fraction(num + step * degree, den))
         if tag == "pole":
-            if not allow_pole:
-                raise PoleHit(degree)
-            poles.append(PoleTerm(degree, coeff))
-            return None
+            raise PoleHit(degree)
         if tag == "numeric":
             cnum = float(coeff)
             numeric.append(NumericTerm(degree, cnum * value, abs(cnum) * err + 1e-16))
@@ -190,7 +179,6 @@ def apply_operator(op: DilationShift, expr: Expression, allow_pole: bool = False
 
     return OpResult(
         expr=Expression(PiXPolynomial(out_coeffs), (), tuple(singular_out)),
-        pole_terms=tuple(poles),
         series_result=tuple(series_terms),
         numeric_terms=tuple(numeric),
     )
@@ -290,7 +278,7 @@ class ExtractedValue(NamedTuple):
     matched: bool
 
 
-def extract_special_values(identity_id: str, terms: int = 8) -> list[ExtractedValue]:
+def extract_special_values(identity_id: str, terms: int) -> list[ExtractedValue]:
     """Equate term-by-term operator coefficients against the exact closed-form
     coefficients of a registry identity (anomaly term removed first) and solve
     for the operator's special values.

@@ -6,12 +6,12 @@ as the single source of truth. See the header of the data file for the field
 reference. A record holds plain data: the left side's kind, shift, trig
 function (a series' parity), exponent and character, the right side's
 polynomial literal and the names of its closed form and Taylor generator.
-The load imports no engine layer but checks each name and literal against
-the engine's (a test holds the name sets equal); a bad block raises
+Those names are defined here alone, as the keys of `CLOSED_FORMS` and
+`TAYLOR_GENERATORS`. The load imports no engine layer; a bad block raises
 ValueError naming it. `op`, `series` and `rhs_poly`, the engine forms a
-command reads, import their layer on first use and are built once per
-distinct value. Its records, like every layer's, are immutable NamedTuples,
-which a cold command defines without importing `dataclasses`.
+command reads, import their layer and are built on each read. Its records,
+like every layer's, are immutable NamedTuples, which a cold command defines
+without importing `dataclasses`.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ import math
 import os
 import re
 from fractions import Fraction
-from functools import cache, lru_cache
-from typing import NamedTuple, Optional
+from functools import lru_cache
+from itertools import accumulate
+from typing import Callable, NamedTuple, Optional
 
 _DATA_FILE = os.path.join(os.path.dirname(__file__), "data", "identities.cfg")
 
@@ -30,14 +31,10 @@ _PI_TOKENS = {"pi": math.pi, "2pi": 2 * math.pi, "pi/2": math.pi / 2, "-pi/2": -
 
 _COEFF_RE = re.compile(r"^([+-]?\d+(?:/\d+)?)(?:\*pi(?:\^(\d+))?)?$")
 
-# the names the engine defines, checked at load without importing it: the kinds of
-# operators.DilationShift, the keys of series.CLOSED_FORMS and of exactnum.TAYLOR_GENERATORS
-_KINDS = ("zeta", "beta", "recip_gamma")
-_CLOSED_FORMS = frozenset({"sin_over_one_minus_cos", "neg_inv_one_minus_cos", "half_sec", "log_sec_plus_tan_half"})
-_TAYLOR_GENERATORS = frozenset(
-    {"cot_half_regular", "inv_one_minus_cos_regular", "half_sec_series", "log_sec_plus_tan_half_series"}
-)
+# the series character of each operator kind a left side may take; 1/Gamma has no series form
+_LHS_CHARACTERS = {"zeta": "trivial", "beta": "beta"}
 _VERIFY_MODES = ("sum", "abel", "geometric", "exact")
+_EPS = 1e-12  # the slack of an interval's endpoints
 
 
 def _parse_endpoint(tok: str) -> float:
@@ -53,9 +50,9 @@ class Interval(NamedTuple):
     lo_open: bool
     hi_open: bool
 
-    def contains(self, x: float, eps: float = 1e-12) -> bool:
-        lo_ok = x > self.lo + eps if self.lo_open else x >= self.lo - eps
-        hi_ok = x < self.hi - eps if self.hi_open else x <= self.hi + eps
+    def contains(self, x: float) -> bool:
+        lo_ok = x > self.lo + _EPS if self.lo_open else x >= self.lo - _EPS
+        hi_ok = x < self.hi - _EPS if self.hi_open else x <= self.hi + _EPS
         return lo_ok and hi_ok
 
     def __str__(self) -> str:
@@ -90,25 +87,101 @@ def parse_pi_coefficient(text: str):
     return PiPolynomial.pi_power(*_coefficient(text))
 
 
-@cache
-def _operator(kind: str, shift: Fraction):
-    from .operators import DilationShift
+# --- the named closed forms (rhs_closed) ---------------------------------------
 
-    return DilationShift(kind, shift)
-
-
-@cache
-def _series(trig: str, exponent: int, character: str):
-    from .series import TrigSeries
-
-    return TrigSeries(trig, exponent, character)
+def _sin_over_one_minus_cos(x: float) -> float:
+    return 0.5 / math.tan(x / 2)  # sin x / (2 (1 - cos x)), with no 1 - cos x to cancel
 
 
-@cache
-def _polynomial(literal: str):
+def _neg_inv_one_minus_cos(x: float) -> float:
+    return -1.0 / (4.0 * math.sin(x / 2) ** 2)  # -1 / (2 (1 - cos x))
+
+
+def _half_sec(x: float) -> float:
+    return 1.0 / (2.0 * math.cos(x))
+
+
+def _log_sec_plus_tan_half(x: float) -> float:
+    sn = math.sin(x)  # (1 + sin x)/cos x = cos x/(1 - sin x): no 1 + sin x to cancel
+    return math.copysign(0.5 * math.log((1.0 + abs(sn)) / math.cos(x)), sn)
+
+
+CLOSED_FORMS: dict[str, Callable[[float], float]] = {
+    "sin_over_one_minus_cos": _sin_over_one_minus_cos,
+    "neg_inv_one_minus_cos": _neg_inv_one_minus_cos,
+    "half_sec": _half_sec,
+    "log_sec_plus_tan_half": _log_sec_plus_tan_half,
+}
+
+
+# --- their exact Taylor generators (rhs_taylor) --------------------------------
+#
+# The right sides of the singularity-removed identities in exact rationals, from
+# the trigonometric closed forms alone through the zigzag numbers A_m, with no
+# Bernoulli or Euler number: the independent route the operator engine matches.
+
+def _zigzag(n: int) -> list[int]:
+    """A_0..A_(n-1), sec x + tan x = sum A_m x^m / m!, by the Seidel-Entringer
+    boustrophedon in O(n^2) integer additions (Brent and Harvey,
+    arXiv:1108.0286): row m is 0 and then the running sums of row m - 1 read
+    backwards, and A_m is its last entry."""
+    row, out = [1], [1]
+    for _ in range(1, n):
+        row = list(accumulate(reversed(row), initial=0))
+        out.append(row[-1])
+    return out
+
+
+def cot_half_regular(terms: int):
+    """Taylor polynomial of sin x / (2(1 - cos x)) - 1/x, `terms` nonzero terms.
+
+    Iterating cot y - tan y = 2 cot 2y gives -sum_(j>=2) 2^-j tan(2^-j x), so the
+    coefficient of x^m, m = 2k + 1, is -A_m / (m! 4^(k+1) (4^(k+1) - 1)), 4^(k+1) = 2^(m+1).
+    """
     from .exactnum import PiXPolynomial
 
-    return PiXPolynomial([parse_pi_coefficient(tok) for tok in literal.split(";")])
+    if terms < 1:
+        raise ValueError("terms must be >= 1")
+    a, coeffs = _zigzag(2 * terms), [Fraction(0)] * (2 * terms)
+    for m in range(1, 2 * terms, 2):
+        coeffs[m] = Fraction(-a[m], math.factorial(m) * 2 ** (m + 1) * (2 ** (m + 1) - 1))
+    return PiXPolynomial(coeffs)
+
+
+def inv_one_minus_cos_regular(terms: int):
+    """Taylor polynomial of -1/(2(1 - cos x)) + 1/x^2, `terms` nonzero terms:
+    the derivative of `cot_half_regular`."""
+    from .exactnum import PiXPolynomial
+
+    return PiXPolynomial(c * j for j, c in enumerate(cot_half_regular(terms).coeffs[1:], 1))
+
+
+def half_sec_series(terms: int):
+    """Taylor polynomial of 1/(2 cos x): coefficient of x^(2k) is A_2k / (2 (2k)!)."""
+    from .exactnum import PiXPolynomial
+
+    if terms < 1:
+        raise ValueError("terms must be >= 1")
+    a, coeffs = _zigzag(2 * terms - 1), [Fraction(0)] * (2 * terms - 1)
+    for m in range(0, 2 * terms - 1, 2):
+        coeffs[m] = Fraction(a[m], 2 * math.factorial(m))
+    return PiXPolynomial(coeffs)
+
+
+def log_sec_plus_tan_half_series(terms: int):
+    """Taylor polynomial of (1/2) log(sec x + tan x): the antiderivative of
+    `half_sec_series`."""
+    from .exactnum import PiXPolynomial
+
+    return PiXPolynomial([0] + [c / j for j, c in enumerate(half_sec_series(terms).coeffs, 1)])
+
+
+TAYLOR_GENERATORS = {
+    "cot_half_regular": cot_half_regular,
+    "inv_one_minus_cos_regular": inv_one_minus_cos_regular,
+    "half_sec_series": half_sec_series,
+    "log_sec_plus_tan_half_series": log_sec_plus_tan_half_series,
+}
 
 
 class IdentityRecord(NamedTuple):
@@ -116,7 +189,7 @@ class IdentityRecord(NamedTuple):
 
     id: str
     summary: str
-    kind: Optional[str]  # 'zeta' | 'beta' | 'recip_gamma' when the left side is an operator
+    kind: Optional[str]  # 'zeta' | 'beta' when the left side is an operator
     shift: Optional[Fraction]  # the operator's shift
     trig: Optional[str]  # 'sin' | 'cos': the trig function the operator acts on, or the series' parity
     exponent: Optional[int]  # of the left side's series form (an operator's integer shift)
@@ -137,17 +210,29 @@ class IdentityRecord(NamedTuple):
     @property
     def op(self):
         """The operator form of the left side, a DilationShift, or None."""
-        return None if self.kind is None else _operator(self.kind, self.shift)
+        if self.kind is None:
+            return None
+        from .operators import DilationShift
+
+        return DilationShift(self.kind, self.shift)
 
     @property
     def series(self):
         """The series form of the left side, a TrigSeries, or None."""
-        return None if self.exponent is None else _series(self.trig, self.exponent, self.character)
+        if self.exponent is None:
+            return None
+        from .series import TrigSeries
+
+        return TrigSeries(self.trig, self.exponent, self.character)
 
     @property
     def rhs_poly(self):
         """The right side's literal as a PiXPolynomial, or None."""
-        return None if self.rhs_literal is None else _polynomial(self.rhs_literal)
+        if self.rhs_literal is None:
+            return None
+        from .exactnum import PiXPolynomial
+
+        return PiXPolynomial([parse_pi_coefficient(tok) for tok in self.rhs_literal.split(";")])
 
     def exact_rhs(self, terms: int):
         """Exact polynomial right side: the literal, or the generated Taylor
@@ -156,17 +241,11 @@ class IdentityRecord(NamedTuple):
         if self.rhs_literal is not None:
             return self.rhs_poly
         if self.rhs_taylor is not None:
-            from .exactnum import TAYLOR_GENERATORS
-
             return TAYLOR_GENERATORS[self.rhs_taylor](terms)
         return None
 
     def closed_form(self):
-        if self.rhs_closed is None:
-            return None
-        from .series import CLOSED_FORMS
-
-        return CLOSED_FORMS[self.rhs_closed]
+        return None if self.rhs_closed is None else CLOSED_FORMS[self.rhs_closed]
 
 
 def _parse_lhs(text: str) -> tuple:
@@ -177,10 +256,10 @@ def _parse_lhs(text: str) -> tuple:
     kv = dict(p.split("=", 1) for p in parts[2 if parts[0] == "operator" else 1:])
     if parts[0] == "operator":
         kind, shift, trig = parts[1], Fraction(kv["shift"]), kv["trig"]
-        if kind not in _KINDS:
+        if kind not in _LHS_CHARACTERS:
             raise ValueError(f"unknown operator kind {kind!r}")
         exponent = int(shift) if shift.denominator == 1 else None
-        character = "trivial" if kind == "zeta" else "beta"
+        character = _LHS_CHARACTERS[kind]
     elif parts[0] == "series":
         kind = shift = None
         trig, exponent, character = kv["parity"], int(kv["exponent"]), kv["character"]
@@ -212,9 +291,9 @@ def _record(sec: str, block) -> IdentityRecord:
     if rhs_literal is not None:
         for tok in rhs_literal.split(";"):
             _coefficient(tok)  # checked here, built on first use
-    if rhs_closed is not None and rhs_closed not in _CLOSED_FORMS:
+    if rhs_closed is not None and rhs_closed not in CLOSED_FORMS:
         raise ValueError(f"unknown closed form {rhs_closed!r}")
-    if rhs_taylor is not None and rhs_taylor not in _TAYLOR_GENERATORS:
+    if rhs_taylor is not None and rhs_taylor not in TAYLOR_GENERATORS:
         raise ValueError(f"unknown Taylor generator {rhs_taylor!r}")
     if block["verify_mode"] not in _VERIFY_MODES:
         raise ValueError(f"unknown verify mode {block['verify_mode']!r}")

@@ -16,7 +16,8 @@ sin, log, log2 and powers as scalar libm calls. Divergent series (exponent
 `abel_sums`, which covers exponents <= 1: there the trivial Abel mean is a
 closed form in z = r e^(ix), continuous up to |z| = 1 away from z = 1, so
 the Abel sum is that form at r = 1. `TrigSeries` and `SummedValue` are
-NamedTuples; a `TrigSeries` checks its fields in `__new__`.
+NamedTuples; a `TrigSeries` checks its fields in `__new__`. `verify` holds
+these sums against the registry's closed forms, `registry.CLOSED_FORMS`.
 """
 
 from __future__ import annotations
@@ -223,33 +224,6 @@ def geometric_abel(x: float) -> complex:
     if abs(math.sin(x / 2)) < 1e-12:
         raise SingularAtEndpoint("x = 0 mod 2*pi")
     return 1.0 / (cmath.exp(-1j * x) - 1.0)
-
-
-# --- closed-form registry ------------------------------------------------------
-
-def _sin_over_one_minus_cos(x: float) -> float:
-    return 0.5 / math.tan(x / 2)  # sin x / (2 (1 - cos x)), with no 1 - cos x to cancel
-
-
-def _neg_inv_one_minus_cos(x: float) -> float:
-    return -1.0 / (4.0 * math.sin(x / 2) ** 2)  # -1 / (2 (1 - cos x))
-
-
-def _half_sec(x: float) -> float:
-    return 1.0 / (2.0 * math.cos(x))
-
-
-def _log_sec_plus_tan_half(x: float) -> float:
-    sn = math.sin(x)  # (1 + sin x)/cos x = cos x/(1 - sin x): no 1 + sin x to cancel
-    return math.copysign(0.5 * math.log((1.0 + abs(sn)) / math.cos(x)), sn)
-
-
-CLOSED_FORMS: dict[str, Callable[[float], float]] = {
-    "sin_over_one_minus_cos": _sin_over_one_minus_cos,
-    "neg_inv_one_minus_cos": _neg_inv_one_minus_cos,
-    "half_sec": _half_sec,
-    "log_sec_plus_tan_half": _log_sec_plus_tan_half,
-}
 
 
 def _geometric_rational(exponent: int) -> tuple[list[int], int]:

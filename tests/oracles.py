@@ -183,7 +183,7 @@ def euler_from_generating_function(nmax: int) -> list[int]:
 
 
 # The exact Taylor generators by their Bernoulli and Euler number formulas:
-# the route `exactnum.TAYLOR_GENERATORS` took before the zigzag triangle.
+# the route `registry.TAYLOR_GENERATORS` took before the zigzag triangle.
 
 def cot_half_regular_bernoulli(terms: int) -> PiXPolynomial:
     """sin x / (2(1 - cos x)) - 1/x = sum_(k>=1) (-1)^k B_2k x^(2k-1) / (2k)!."""

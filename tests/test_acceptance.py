@@ -16,9 +16,7 @@ from opzeta.errors import PoleHit
 from opzeta.exactnum import (
     PiPolynomial,
     PiXPolynomial,
-    cot_half_regular,
     euler_number,
-    inv_one_minus_cos_regular,
 )
 from opzeta.operators import (
     DilationShift,
@@ -28,7 +26,7 @@ from opzeta.operators import (
     parity_anomaly,
     taylor_flow,
 )
-from opzeta.registry import load_registry
+from opzeta.registry import cot_half_regular, inv_one_minus_cos_regular, load_registry
 from opzeta.series import TrigSeries, abel_sums, geometric_abel
 from opzeta.exactnum import clausen_closed_form, special_value
 from opzeta.specfun import (

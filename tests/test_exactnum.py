@@ -9,22 +9,24 @@ import pytest
 
 from opzeta.exactnum import (
     PI,
-    TAYLOR_GENERATORS,
     PiPolynomial,
     PiXPolynomial,
     bernoulli_number,
     bernoulli_polynomial,
-    cot_half_regular,
     euler_number,
-    half_sec_series,
-    inv_one_minus_cos_regular,
-    log_sec_plus_tan_half_series,
     pipoly_evaluator,
     special_value,
 )
-from opzeta import exactnum
+from opzeta import exactnum, registry
 from opzeta.errors import NotConverged
-from opzeta.registry import load_registry
+from opzeta.registry import (
+    TAYLOR_GENERATORS,
+    cot_half_regular,
+    half_sec_series,
+    inv_one_minus_cos_regular,
+    load_registry,
+    log_sec_plus_tan_half_series,
+)
 from oracles import (
     TAYLOR_BY_NUMBERS,
     bernoulli_akiyama_tanigawa,
@@ -374,7 +376,7 @@ class TestPiXPolynomialEval:
 class TestTaylorGenerators:
     def test_zigzag_numbers(self):
         # sec x + tan x = sum A_n x^n/n! (OEIS A000111)
-        assert exactnum._zigzag(13) == [1, 1, 1, 2, 5, 16, 61, 272, 1385, 7936, 50521, 353792, 2702765]
+        assert registry._zigzag(13) == [1, 1, 1, 2, 5, 16, 61, 272, 1385, 7936, 50521, 353792, 2702765]
 
     @pytest.mark.parametrize("name", sorted(TAYLOR_GENERATORS))
     def test_equal_the_bernoulli_euler_formulas(self, name):

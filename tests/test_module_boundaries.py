@@ -4,7 +4,14 @@ attribute, so a private name can change without a search of the package. No
 module imports dataclasses, whose import and generated methods cost every
 cold command more than the records they build. And no module holds a
 precision in an mpmath context or in thread-local state: the numeric kernels
-compute on raw values at an explicit precision."""
+compute on raw values at an explicit precision. Each name of the registry's
+right sides is spelled once in the package, and every process-wide memo is
+listed in `MEMOS` with the reason it stays.
+
+Print each memo with its reason:
+
+    PYTHONPATH=src python tests/test_module_boundaries.py
+"""
 
 import ast
 from pathlib import Path
@@ -132,3 +139,49 @@ def test_every_error_type_is_raised_in_the_package():
     warning_types = {t.__name__ for t in types if issubclass(t, Warning)}
     assert error_types - raised == set()
     assert warning_types - warned == set()
+
+
+def test_each_right_side_name_is_spelled_once():
+    # the registry's tables are the one definition of each name; a second
+    # spelling in the package would be a copy to keep equal
+    from opzeta import registry
+
+    constants = [node.value for tree in _trees().values() for node in ast.walk(tree)
+                 if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    names = [*registry.CLOSED_FORMS, *registry.TAYLOR_GENERATORS]
+    assert {name: constants.count(name) for name in names} == dict.fromkeys(names, 1)
+
+
+# every process-wide memo (functools.cache or lru_cache) of the package, with
+# the reason it stays; each is built on first use and then only read, but for
+# the bounded memo of logarithms
+MEMOS = {
+    "cli._parsers": "the one argparse parser and each command's own, built once per process",
+    "cli._rhs_evaluator": "a grid identity's right side, its coefficients at pi once, then Horner per x",
+    "divmatrix._gauss_legendre": "the 32 Gauss-Legendre nodes and weights of every quadrature panel",
+    "exactnum._pi_block": "pi in blocks of 1,024 bits, which the large numbers and the Q[pi] values shift down",
+    "exactnum._small_numbers": "B_0..B_82 and E_0..E_82 by the exact recurrences, one immutable table",
+    "registry._parse_registry": "the data file, parsed once per process",
+    "specfun._arith": "the libmp operations of a real and of a complex s, picked once",
+    "specfun._em_coefficients": "the Euler-Maclaurin coefficients B_2k/(2k)!",
+    "specfun._ln": "log(a/b) per integer pair and precision, bounded to 8,192 entries",
+}
+
+
+def memos() -> list[str]:
+    """module.function of every function of the package under a memo
+    decorator, module by module."""
+    return [f"{module}.{node.name}" for module, tree in _trees().items() for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and any(_called_name(d) in ("cache", "lru_cache") for d in node.decorator_list)]
+
+
+def test_every_memo_is_listed():
+    found = memos()
+    assert sorted(set(found) - set(MEMOS)) == [], "a memo with no reason given"
+    assert sorted(set(MEMOS) - set(found)) == [], "listed but gone"
+
+
+if __name__ == "__main__":
+    for name in memos():
+        print(f"{name}: {MEMOS.get(name, 'NOT LISTED: no reason is given')}")

@@ -13,8 +13,6 @@ from opzeta.exactnum import (
     PiPolynomial,
     PiXPolynomial,
     clausen_closed_form,
-    cot_half_regular,
-    inv_one_minus_cos_regular,
     special_value,
 )
 from opzeta.operators import (
@@ -27,7 +25,7 @@ from opzeta.operators import (
     parity_anomaly,
     taylor_flow,
 )
-from opzeta.registry import get_identity, load_registry
+from opzeta.registry import cot_half_regular, get_identity, inv_one_minus_cos_regular, load_registry
 from oracles import extract_special_values_per_degree, taylor_flow_per_degree
 
 
@@ -56,13 +54,6 @@ class TestApplyOperator:
         # non-invertibility witness: anything with a constant term trips the pole
         with pytest.raises(PoleHit):
             apply_operator(zeta_op(1), Expression.from_poly(SAWTOOTH))
-
-    def test_allow_pole_collects_term(self):
-        r = apply_operator(zeta_op(1), Expression.from_poly(SAWTOOTH), allow_pole=True)
-        assert len(r.pole_terms) == 1
-        assert r.pole_terms[0].degree == 0
-        assert r.pole_terms[0].coeff == PiPolynomial.pi_power(Fraction(1, 2), 1)
-        assert r.expr.poly == PiXPolynomial([0, Fraction(1, 4)])  # zeta(0) * (-x/2)
 
     def test_sine_becomes_series(self):
         r = apply_operator(zeta_op(1), Expression.from_trig("sin"))
@@ -387,7 +378,7 @@ class TestExtraction:
 
     def test_rejects_identity_without_exact_rhs(self):
         with pytest.raises(ValueError):
-            extract_special_values("eq1")
+            extract_special_values("eq1", 6)
 
 
 class TestExpressionValidation:

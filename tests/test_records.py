@@ -15,7 +15,6 @@ from opzeta.operators import (
     ExtractedValue,
     NumericTerm,
     OpResult,
-    PoleTerm,
     SeriesTerm,
     SingularTerm,
     TaylorFlowResult,
@@ -48,11 +47,10 @@ RECORDS = [
     (lambda: Expression(), "poly trig_atoms singular_terms", "Expression(poly=0, trig_atoms=(), singular_terms=())"),
     (lambda: SeriesTerm(Fraction(1, 2), 2, TrigSeries("sin", 1)), "coeff arg_scale series",
      "SeriesTerm(coeff=Fraction(1, 2), arg_scale=2, series=TrigSeries(parity='sin', exponent=1, character='trivial'))"),
-    (lambda: PoleTerm(0, PiPolynomial([1])), "degree coeff", "PoleTerm(degree=0, coeff=1)"),
     (lambda: NumericTerm(1, 0.5 + 0j, 1e-16), "degree value abs_error_estimate",
      "NumericTerm(degree=1, value=(0.5+0j), abs_error_estimate=1e-16)"),
-    (lambda: OpResult(Expression()), "expr pole_terms series_result numeric_terms",
-     "OpResult(expr=Expression(poly=0, trig_atoms=(), singular_terms=()), pole_terms=(), series_result=(), numeric_terms=())"),
+    (lambda: OpResult(Expression()), "expr series_result numeric_terms",
+     "OpResult(expr=Expression(poly=0, trig_atoms=(), singular_terms=()), series_result=(), numeric_terms=())"),
     (lambda: TaylorFlowResult(PiXPolynomial(), False), "poly anomaly_missing", "TaylorFlowResult(poly=0, anomaly_missing=False)"),
     (lambda: ExtractedValue(0, Fraction(-1, 2), True), "argument value matched",
      "ExtractedValue(argument=0, value=Fraction(-1, 2), matched=True)"),
@@ -117,7 +115,7 @@ def test_coercions_and_defaults():
     assert type(Expression.from_trig("sin", 2).trig_atoms[0].coeff) is Fraction
     assert Expression().is_zero() and Expression().poly == PiXPolynomial()
     assert TrigSeries("sin", 1).character == "trivial" and TrigSeries("sin", 1) == TrigSeries("sin", 1, "trivial")
-    assert OpResult(Expression()) == OpResult(Expression(), (), (), ())
+    assert OpResult(Expression()) == OpResult(Expression(), (), ())
 
 
 def test_records_are_tuples_of_their_fields():

@@ -16,8 +16,8 @@ from opzeta.errors import (
     SingularAtEndpoint,
 )
 from opzeta.exactnum import clausen_closed_form, pipoly_evaluator, special_value
+from opzeta.registry import CLOSED_FORMS
 from opzeta.series import (
-    CLOSED_FORMS,
     SummedValue,
     TrigSeries,
     _differences,
