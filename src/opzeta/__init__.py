@@ -10,15 +10,12 @@ from importlib import import_module
 
 from . import errors
 from .errors import (
-    EndpointConditional,
     MultipleAnomalies,
     NotConverged,
     OpzetaError,
     OutsideDomain,
-    PoleAtOne,
     PoleHit,
     PrecisionLoss,
-    SingularAtEndpoint,
     UnsupportedExpression,
 )
 

@@ -52,8 +52,7 @@ def _verify_exact(rec: registry.IdentityRecord) -> tuple[list[dict], float, list
     flow = taylor_flow(rec.op, rec.trig, _EXACT_K)
     if rec.gamma_shift is not None:
         # route A: closed form of the series, then the exact 1/Gamma action
-        shift = int(rec.shift)
-        closed = clausen_closed_form(rec.trig, (shift + 1) // 2 if rec.trig == "sin" else shift // 2)
+        closed = clausen_closed_form(rec.trig, (rec.shift + 1) // 2 if rec.trig == "sin" else rec.shift // 2)
         anomaly = parity_anomaly(closed, "odd" if rec.trig == "sin" else "even")
         route_a = apply_recip_gamma_op(rec.gamma_shift, Expression.from_poly(closed)).poly
         if anomaly is not None and apply_recip_gamma_op(rec.gamma_shift, Expression.from_poly(anomaly)).is_zero():
@@ -299,7 +298,7 @@ def _cmd_extract(args, out) -> int:
         print(f"--terms must be >= 1 and <= {_TERMS_BOUND}, got {args.terms}", file=sys.stderr)
         return 2
     rows = [{"argument": v.argument, "value": str(v.value) if isinstance(v.value, Fraction) else repr(v.value), "matched": v.matched}
-            for v in operators.extract_special_values(args.id, terms=args.terms)]
+            for v in operators.extract_special_values(rec, terms=args.terms)]
     kind = rec.kind
 
     def text() -> str:

@@ -1,16 +1,10 @@
-"""Exception and warning types used across the package."""
-
-from __future__ import annotations
+"""Exception and warning types used across the package, one error type per
+fault: every point that a route cannot take raises `OutsideDomain`, and every
+argument at the pole of zeta raises `PoleHit`."""
 
 
 class OpzetaError(Exception):
     """Base class for all package-specific errors."""
-
-
-# --- special functions -------------------------------------------------------
-
-class PoleAtOne(OpzetaError):
-    """Evaluation requested at (or within tolerance of) the simple pole s = 1."""
 
 
 class PrecisionLoss(UserWarning):
@@ -21,36 +15,19 @@ class PrecisionLoss(UserWarning):
     """
 
 
-# --- series ------------------------------------------------------------------
-
-class EndpointConditional(OpzetaError):
-    """Conditionally convergent series evaluated at an endpoint where the
-    partial-sum bound degenerates."""
-
-
-class SingularAtEndpoint(OpzetaError):
-    """Closed form singular at the requested point (x = 0 mod 2*pi)."""
-
-
 class OutsideDomain(OpzetaError):
-    """Point lies outside the validity domain of the requested closed form."""
+    """A point that its route cannot take: x = 0 mod 2*pi of a trivial series,
+    cos x = 0 of a beta series, or a singular point of an Abel mean or of its
+    closed form."""
 
 
 class NotConverged(OpzetaError):
     """A series, tail or expansion did not reach the accuracy its caller needs."""
 
 
-# --- operator engine ---------------------------------------------------------
-
 class PoleHit(OpzetaError):
-    """An operator argument landed on the pole (argument 1 for the zeta kind).
-
-    `degree` is the monomial degree responsible.
-    """
-
-    def __init__(self, degree: int):
-        self.degree = degree
-        super().__init__(f"operator argument hits the pole at monomial degree {degree}")
+    """An argument at the pole of zeta: an operator term's (argument 1 for the
+    zeta kind), or a numeric s within 1e-13 of 1."""
 
 
 class UnsupportedExpression(OpzetaError):
@@ -60,4 +37,3 @@ class UnsupportedExpression(OpzetaError):
 
 class MultipleAnomalies(OpzetaError):
     """More than one parity-violating term found; indicates a registry bug."""
-

@@ -5,18 +5,19 @@ argument: f(x) -> f(e^lambda x), and i*D has eigenvalue alpha on x^alpha.
 Operators act only on the eigenbasis: monomials (including negative powers)
 pick up the scalar zeta(shift - n), beta(shift - n), or 1/Gamma(shift + n),
 exact, numeric or the pole as `exactnum.special_value` routes it;
-unit-coefficient trig atoms map to symbolic series. The engine never expands
-an operator function in powers of D about a point - every monomial degree is
-handled independently, which is what makes the pole at argument 1 an explicit,
-typed event (PoleHit) instead of a divergent expansion.
+unit-coefficient trig atoms map to symbolic series (`SeriesTerm`). The engine
+never expands an operator function in powers of D about a point - every
+monomial degree is handled independently, which is what makes the pole at
+argument 1 an explicit, typed event (PoleHit) instead of a divergent expansion.
 
 `apply_operator` is the only place a term meets an operator value: the flow
 (`taylor_flow`) is `apply_operator` on the exact Taylor polynomial of sin or
 cos, and `extract_special_values` reads the factor of each unknown value off
-that same polynomial. Every record is a NamedTuple; `DilationShift`,
-`TrigAtom` and `SingularTerm` check and coerce their fields in `__new__`;
-a `DilationShift` takes the kinds `special_value` routes, the keys of
-`exactnum.NUMERIC_ROUTE`.
+that same polynomial, for the registry record its caller passes. The engine
+imports no layer but `errors` and `exactnum`. Every record is a NamedTuple;
+`DilationShift`, `TrigAtom` and `SingularTerm` check and coerce their fields
+in `__new__`; a `DilationShift` takes the kinds `special_value` routes, the
+keys of `exactnum.NUMERIC_ROUTE`.
 """
 
 from __future__ import annotations
@@ -95,11 +96,14 @@ class Expression(NamedTuple):
 
 
 class SeriesTerm(NamedTuple):
-    """coeff * series evaluated at (arg_scale * x)."""
+    """coeff * sum_n chi(n) parity(n * arg_scale * x) / n^exponent, chi the
+    character of the operator kind: trivial for zeta, beta's for beta."""
 
     coeff: Fraction
     arg_scale: int
-    series: TrigSeries
+    parity: str
+    exponent: int
+    kind: str
 
 
 class NumericTerm(NamedTuple):
@@ -149,7 +153,7 @@ def apply_operator(op: DilationShift, expr: Expression) -> OpResult:
     def handle(degree: int, coeff: PiPolynomial):
         tag, value, err, _ = special_value(op.kind, Fraction(num + step * degree, den))
         if tag == "pole":
-            raise PoleHit(degree)
+            raise PoleHit(f"operator argument hits the pole at monomial degree {degree}")
         if tag == "numeric":
             cnum = float(coeff)
             numeric.append(NumericTerm(degree, cnum * value, abs(cnum) * err + 1e-16))
@@ -172,10 +176,7 @@ def apply_operator(op: DilationShift, expr: Expression) -> OpResult:
             raise UnsupportedExpression("1/Gamma of the dilation generator has no series action on trig atoms")
         if den != 1:
             raise UnsupportedExpression("trig atoms need an integer shift (series weight is n^-shift)")
-        from .series import TrigSeries  # for an accepted trig atom only: the exact commands load no series
-
-        character = "trivial" if op.kind == "zeta" else "beta"
-        series_terms.append(SeriesTerm(atom.coeff, atom.frequency, TrigSeries(atom.parity, num, character)))
+        series_terms.append(SeriesTerm(atom.coeff, atom.frequency, atom.parity, num, op.kind))
 
     return OpResult(
         expr=Expression(PiXPolynomial(out_coeffs), (), tuple(singular_out)),
@@ -233,7 +234,7 @@ def taylor_flow(op: DilationShift, trig: str, K: int) -> TaylorFlowResult:
 
     pole_degree = shift - 1 if op.kind == "zeta" else -1
     if pole_degree >= 0 and (trig == "sin") == (pole_degree % 2 == 1):
-        raise PoleHit(pole_degree)
+        raise PoleHit(f"operator argument hits the pole at monomial degree {pole_degree}")
 
     # past the parity check no Taylor degree meets the pole
     flow = apply_operator(op, Expression.from_poly(_taylor(trig, K)))
@@ -278,10 +279,10 @@ class ExtractedValue(NamedTuple):
     matched: bool
 
 
-def extract_special_values(identity_id: str, terms: int) -> list[ExtractedValue]:
+def extract_special_values(rec, terms: int) -> list[ExtractedValue]:
     """Equate term-by-term operator coefficients against the exact closed-form
-    coefficients of a registry identity (anomaly term removed first) and solve
-    for the operator's special values.
+    coefficients of the registry record `rec` (anomaly term removed first) and
+    solve for the operator's special values.
 
     Each unknown kind(shift - d) appears at exactly one degree d, as a factor
     of the Taylor coefficient of x^d in the polynomial `taylor_flow` acts on
@@ -290,14 +291,11 @@ def extract_special_values(identity_id: str, terms: int) -> list[ExtractedValue]
     when it equals the independent exact value from `special_value`. Raises
     ValueError if the identity has no exact right side.
     """
-    from . import registry  # on use: the rest of the engine reads no registry
-
-    rec = registry.get_identity(identity_id)
     rhs = rec.exact_rhs(terms)
     if rhs is None:
-        raise ValueError(f"identity {identity_id!r} has no exact polynomial right side")
+        raise ValueError(f"identity {rec.id!r} has no exact polynomial right side")
     if rec.kind is None:
-        raise ValueError(f"identity {identity_id!r} is not an operator-on-trig identity")
+        raise ValueError(f"identity {rec.id!r} is not an operator-on-trig identity")
     if rec.anomaly_parity != "none":
         anom = parity_anomaly(rhs, rec.anomaly_parity)
         if anom is not None:
@@ -306,12 +304,11 @@ def extract_special_values(identity_id: str, terms: int) -> list[ExtractedValue]
     taylor = Expression.from_poly(_taylor(rec.trig, terms))
     if rec.gamma_shift is not None:
         taylor = apply_recip_gamma_op(rec.gamma_shift, taylor)
-    shift = int(rec.shift)
     out: list[ExtractedValue] = []
     for d, factor in enumerate(taylor.poly.coeffs):
         if not factor.coeffs:
             continue  # no Taylor term, or one 1/Gamma annihilates: no equation
-        arg = shift - d
+        arg = rec.shift - d
         value = rhs.coeff(d) / factor.coeffs[0]  # the factor is a nonzero rational
         if value.is_rational():
             value = value.as_rational()

@@ -34,6 +34,7 @@ _COEFF_RE = re.compile(r"^([+-]?\d+(?:/\d+)?)(?:\*pi(?:\^(\d+))?)?$")
 # the series character of each operator kind a left side may take; 1/Gamma has no series form
 _LHS_CHARACTERS = {"zeta": "trivial", "beta": "beta"}
 _VERIFY_MODES = ("sum", "abel", "geometric", "exact")
+_EXTRA_CHECKS = ("geometric_real_part",)  # the side conditions `verify` runs
 _EPS = 1e-12  # the slack of an interval's endpoints
 
 
@@ -190,11 +191,11 @@ class IdentityRecord(NamedTuple):
     id: str
     summary: str
     kind: Optional[str]  # 'zeta' | 'beta' when the left side is an operator
-    shift: Optional[Fraction]  # the operator's shift
+    shift: Optional[int]  # the operator's shift
     trig: Optional[str]  # 'sin' | 'cos': the trig function the operator acts on, or the series' parity
-    exponent: Optional[int]  # of the left side's series form (an operator's integer shift)
+    exponent: Optional[int]  # of the left side's series form (an operator's shift)
     character: Optional[str]  # 'trivial' | 'beta' of that series form
-    gamma_shift: Optional[Fraction]
+    gamma_shift: Optional[int]
     rhs_literal: Optional[str]  # the rhs_poly literal of the data file
     rhs_closed: Optional[str]
     rhs_taylor: Optional[str]
@@ -248,6 +249,13 @@ class IdentityRecord(NamedTuple):
         return None if self.rhs_closed is None else CLOSED_FORMS[self.rhs_closed]
 
 
+def _integer(key: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{key} must be an integer, got {text!r}") from None
+
+
 def _parse_lhs(text: str) -> tuple:
     """-> (kind, shift, trig, exponent, character); all None for the geometric left side."""
     parts = text.split()
@@ -255,10 +263,10 @@ def _parse_lhs(text: str) -> tuple:
         return None, None, None, None, None
     kv = dict(p.split("=", 1) for p in parts[2 if parts[0] == "operator" else 1:])
     if parts[0] == "operator":
-        kind, shift, trig = parts[1], Fraction(kv["shift"]), kv["trig"]
+        kind, trig = parts[1], kv["trig"]
         if kind not in _LHS_CHARACTERS:
             raise ValueError(f"unknown operator kind {kind!r}")
-        exponent = int(shift) if shift.denominator == 1 else None
+        shift = exponent = _integer("shift", kv["shift"])
         character = _LHS_CHARACTERS[kind]
     elif parts[0] == "series":
         kind = shift = None
@@ -295,8 +303,16 @@ def _record(sec: str, block) -> IdentityRecord:
         raise ValueError(f"unknown closed form {rhs_closed!r}")
     if rhs_taylor is not None and rhs_taylor not in TAYLOR_GENERATORS:
         raise ValueError(f"unknown Taylor generator {rhs_taylor!r}")
-    if block["verify_mode"] not in _VERIFY_MODES:
-        raise ValueError(f"unknown verify mode {block['verify_mode']!r}")
+    mode = block["verify_mode"]
+    if mode not in _VERIFY_MODES:
+        raise ValueError(f"unknown verify mode {mode!r}")
+    if (exponent is None) != (mode == "geometric"):
+        raise ValueError(f"verify mode {mode!r} does not take the left side {block['lhs']!r}")
+    if mode in ("sum", "abel") and rhs_literal is None and rhs_closed is None:
+        raise ValueError(f"verify mode {mode!r} needs rhs_poly or rhs_closed")
+    extra_check = block.get("extra_check")
+    if extra_check is not None and extra_check not in _EXTRA_CHECKS:
+        raise ValueError(f"unknown extra check {extra_check!r}")
     return IdentityRecord(
         id=sec,
         summary=block["summary"],
@@ -305,26 +321,26 @@ def _record(sec: str, block) -> IdentityRecord:
         trig=trig,
         exponent=exponent,
         character=character,
-        gamma_shift=Fraction(block["gamma_shift"]) if "gamma_shift" in block else None,
+        gamma_shift=_integer("gamma_shift", block["gamma_shift"]) if "gamma_shift" in block else None,
         rhs_literal=rhs_literal,
         rhs_closed=rhs_closed,
         rhs_taylor=rhs_taylor,
         domain=_parse_interval(block["domain"]),
         anomaly_parity=block.get("anomaly_parity", "none"),
-        verify_mode=block["verify_mode"],
+        verify_mode=mode,
         default_grid=parse_grid(block["default_grid"]),
         default_tol=float(block["default_tol"]),
         extract=block.get("extract", "no") == "yes",
-        extra_check=block.get("extra_check"),
+        extra_check=extra_check,
         expected_event=block.get("expected_event"),
     )
 
 
 def _parse(text: str) -> tuple[int, dict[str, IdentityRecord]]:
-    """(version, records) of a data file's text. A block with an unknown
-    operator kind, closed form, Taylor generator or verify mode, a bad
-    coefficient literal or any other malformed or missing value raises
-    ValueError naming the block."""
+    """(version, records) of a data file's text. A block with an unknown name,
+    a shift that is no integer, a verify mode without the left or right side
+    it runs on, a bad coefficient literal or any other malformed or missing
+    value raises ValueError naming the block."""
     cfg = configparser.ConfigParser(interpolation=None)
     cfg.optionxform = str
     cfg.read_string(text)

@@ -15,7 +15,8 @@ sin, log, log2 and powers as scalar libm calls. Divergent series (exponent
 <= 0) are never summed by raw truncation; they take the Abel route,
 `abel_sums`, which covers exponents <= 1: there the trivial Abel mean is a
 closed form in z = r e^(ix), continuous up to |z| = 1 away from z = 1, so
-the Abel sum is that form at r = 1. `TrigSeries` and `SummedValue` are
+the Abel sum is that form at r = 1. A point that a route cannot take raises
+`OutsideDomain`, naming it. `TrigSeries` and `SummedValue` are
 NamedTuples; a `TrigSeries` checks its fields in `__new__`. `verify` holds
 these sums against the registry's closed forms, `registry.CLOSED_FORMS`.
 """
@@ -26,7 +27,7 @@ import cmath
 import math
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import EndpointConditional, NotConverged, OutsideDomain, SingularAtEndpoint
+from .errors import NotConverged, OutsideDomain
 
 _UNIT_ROUNDOFF = 2.0**-53
 _N0_SCALE, _N0_CAP, _SBP_MAX_LEVELS = 64, 400_000, 48
@@ -142,7 +143,7 @@ def partial_sums_accelerated(series: TrigSeries, xs: Sequence[float], tol: float
     precision. The bound covers the remainder and the float rounding, the
     float differences' relative error of at most (3j + 2s)u at level j
     included. In order: every endpoint check (the first x = 0 mod 2*pi in grid
-    order raises EndpointConditional, naming it) and n0; ValueError if the n0
+    order raises OutsideDomain, naming it) and n0; ValueError if the n0
     add up to more than 2*10^7 head terms, so a grid near x = 0 mod 2*pi is
     refused before its tails; every tail, in one pass of arrays over the grid,
     where the first remainder in grid order above max(tol, unit roundoff)
@@ -171,7 +172,7 @@ def _trivial_sums(parity: str, s: int, xs: Sequence[float], tol: float, names: S
 
     q = np.array([2.0 * abs(math.sin(x / 2)) for x in xs])  # q = |1 - e^(ix)|
     if (endpoints := np.flatnonzero(q < 2e-12)).size:  # |sin(x/2)| < 1e-12
-        raise EndpointConditional(f"{endpoint} at x={names[endpoints[0]]}")
+        raise OutsideDomain(f"{endpoint} at x={names[endpoints[0]]}")
     n0 = np.minimum(_N0_CAP, np.ceil(_N0_SCALE / q))
     if (total := int(n0.sum())) > _HEAD_TERMS_BOUND:
         raise ValueError(f"the heads of the grid add up to {total} terms, above the bound {_HEAD_TERMS_BOUND}")
@@ -222,7 +223,7 @@ def geometric_abel(x: float) -> complex:
     sin x / (2(1 - cos x)).
     """
     if abs(math.sin(x / 2)) < 1e-12:
-        raise SingularAtEndpoint("x = 0 mod 2*pi")
+        raise OutsideDomain("x = 0 mod 2*pi")
     return 1.0 / (cmath.exp(-1j * x) - 1.0)
 
 

@@ -14,7 +14,7 @@ Beside immutable tables built once (`_arith`, `_em_coefficients`), the one
 shared value is the bounded memo of logarithms `_ln` (log m for the powers,
 log((4N+3)/(4N+1)) for beta's pole term), filled with no lock: threads that
 race on a key compute the same value. mpmath is imported on the first
-numeric call.
+numeric call; `zeta_em` raises `PoleHit`, the one pole error, near s = 1.
 
 The exact values live in `exactnum`, with `special_value`, the route table
 that picks for each kind and exact argument between the exact value, these
@@ -32,7 +32,7 @@ from functools import cache, lru_cache
 from math import factorial
 from typing import NamedTuple
 
-from .errors import NotConverged, PoleAtOne, PrecisionLoss
+from .errors import NotConverged, PoleHit, PrecisionLoss
 from .exactnum import bernoulli_number
 
 # Validated accuracy domain of the Euler-Maclaurin evaluator.
@@ -259,11 +259,11 @@ def zeta_em(s) -> EvalResult:
     N = max(10, 8 + 0.6(-sigma)) (+ 12 + 1.3|tau| at complex s) head terms and
     base^-s from one table of m^-s, m <= N + 1 (`_power_table`), then K <= 41
     corrections, to a remainder bound below 1e-18. The bound is the floor
-    |value|*1e-15 + 1e-16 in Re s >= -25, |Im s| <= 50. Raises PoleAtOne
+    |value|*1e-15 + 1e-16 in Re s >= -25, |Im s| <= 50. Raises PoleHit
     within 1e-13 of s = 1."""
     sc = complex(s)
     if abs(sc - 1) < 1e-13:
-        raise PoleAtOne(f"s={sc} is within 1e-13 of the pole at s=1")
+        raise PoleHit(f"s={sc} is within 1e-13 of the pole at s=1")
     _check_validated_domain(sc, "zeta_em")
     n_cut, dps = _em_params(sc.real, abs(sc.imag))
     ratio, ar, prec, smp = _call(s, dps)

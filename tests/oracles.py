@@ -58,8 +58,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 from math import comb, factorial
 
-from opzeta import registry, specfun
-from opzeta.errors import EndpointConditional, NotConverged, PoleAtOne, PoleHit, PrecisionLoss, UnsupportedExpression
+from opzeta import specfun
+from opzeta.errors import NotConverged, OutsideDomain, PoleHit, PrecisionLoss, UnsupportedExpression
 from opzeta.exactnum import PiPolynomial, PiXPolynomial, bernoulli_number, euler_number, special_value
 from opzeta.operators import DilationShift, ExtractedValue, TaylorFlowResult, parity_anomaly
 from opzeta.series import (
@@ -282,7 +282,7 @@ def partial_sum(parity: str, s: int, x: float, N: int) -> tuple[float, float]:
     if s < 1:
         raise ValueError(f"exponent {s} <= 0: raw truncation diverges")
     if s == 1 and abs(math.sin(x / 2)) < 1e-12:
-        raise EndpointConditional(f"x = 0 mod 2*pi at x={x}: conditional convergence endpoint")
+        raise OutsideDomain(f"x = 0 mod 2*pi at x={x}: conditional convergence endpoint")
     n = np.arange(1, N + 1, dtype=np.float64)
     value = float(np.sum((np.sin if parity == "sin" else np.cos)(n * x) / n**s))
     return value, N ** (1 - s) / (s - 1) if s >= 2 else 1.0 / ((N + 1) * abs(math.sin(x / 2)))
@@ -364,8 +364,8 @@ def partial_sum_accelerated_per_point(series: TrigSeries, x: float, tol: float =
         for sign, y in ((1.0, x - math.pi / 2), (-1.0, x + math.pi / 2)):
             try:
                 part, q = partial_sum_accelerated_per_point(shifted, y, tol), 2.0 * abs(math.sin(y / 2))
-            except EndpointConditional:
-                raise EndpointConditional(f"cos x = 0 at x={x}") from None
+            except OutsideDomain:
+                raise OutsideDomain(f"cos x = 0 at x={x}") from None
             except NotConverged as exc:
                 raise NotConverged(str(exc).replace(f"at x={y} ", f"at x={x} ")) from None
             slope = 1.0 / q if s == 1 else 2.0 + abs(math.log(q))
@@ -373,7 +373,7 @@ def partial_sum_accelerated_per_point(series: TrigSeries, x: float, tol: float =
             bound += part.abs_error_estimate + _UNIT_ROUNDOFF * (abs(x) + 3.0) * slope
         return SummedValue((0.5 if series.parity == "sin" else -0.5) * value, bound / 2, "partial_sum")
     if abs(math.sin(x / 2)) < 1e-12:
-        raise EndpointConditional(f"x = 0 mod 2*pi at x={x}")
+        raise OutsideDomain(f"x = 0 mod 2*pi at x={x}")
     q = 2.0 * abs(math.sin(x / 2))
     n0 = int(min(_N0_CAP, math.ceil(_N0_SCALE / q)))
     tail, bound = sbp_tail(x, n0, s, min(tol, _UNIT_ROUNDOFF), exact_differences(n0 + 1, s))
@@ -423,7 +423,7 @@ def trivial_sums_by_point(parity: str, s: int, xs, tol: float, names, endpoint: 
     head + tail one point at a time, with the heads of `heads_by_piece`."""
     qs = [2.0 * abs(math.sin(x / 2)) for x in xs]  # q = |1 - e^(ix)|
     if endpoints := [name for name, q in zip(names, qs) if q < 2e-12]:
-        raise EndpointConditional(f"{endpoint} at x={endpoints[0]}")
+        raise OutsideDomain(f"{endpoint} at x={endpoints[0]}")
     n0s = [int(min(_N0_CAP, math.ceil(_N0_SCALE / q))) for q in qs]
     if sum(n0s) > 20_000_000:
         raise ValueError(f"the heads of the grid add up to {sum(n0s)} terms, above the bound 20000000")
@@ -595,7 +595,7 @@ def hurwitz_zeta(s, a) -> EvalResult:
         raise ValueError("a must lie in (0, 1]")
     sc = complex(s)
     if abs(sc - 1) < 1e-13:
-        raise PoleAtOne(f"s={sc} is within 1e-13 of the pole at s=1")
+        raise PoleHit(f"s={sc} is within 1e-13 of the pole at s=1")
     _check_validated_domain(sc, "hurwitz_zeta")
     n_cut, dps = _em_params(sc.real, abs(sc.imag))
     ratio, ar, prec, s_raw = specfun._call(s, dps)
@@ -678,7 +678,7 @@ def zeta_em_context(s, seen: list | None = None) -> EvalResult:
     if given, receives the raw value before its rounding to a double."""
     sc = complex(s)
     if abs(sc - 1) < 1e-13:
-        raise PoleAtOne(f"s={sc} is within 1e-13 of the pole at s=1")
+        raise PoleHit(f"s={sc} is within 1e-13 of the pole at s=1")
     _check_validated_domain(sc, "zeta_em")
     n_cut, dps = _em_params(sc.real, abs(sc.imag))
     ratio = _ratio(s)
@@ -829,7 +829,7 @@ def lerch_hankel(s, x: float, delta: float = 0.15, rho: float | None = None) -> 
 def functional_equation_residual(s) -> float:
     """Residual of the functional equation, all factors numeric, in the
     direction whose Gamma factor has no pole (Gamma(1-s) has one at each
-    integer s >= 2); s = 0 and s = 1 raise PoleAtOne:
+    integer s >= 2); s = 0 and s = 1 raise PoleHit:
       Re s < 1/2:   |zeta(s) - 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s)|
       Re s >= 1/2:  |zeta(1-s) - 2 (2 pi)^-s cos(pi s/2) Gamma(s) zeta(s)|"""
     sc = complex(s)
@@ -868,7 +868,7 @@ def taylor_flow_per_degree(op: DilationShift, trig: str, K: int) -> TaylorFlowRe
         if pole_degree >= 0:
             pole_parity_odd = pole_degree % 2 == 1
             if (trig == "sin") == pole_parity_odd:
-                raise PoleHit(pole_degree)
+                raise PoleHit(f"operator argument hits the pole at monomial degree {pole_degree}")
             anomaly_missing = True
 
     degrees = _trig_degrees(trig, K)
@@ -882,17 +882,16 @@ def taylor_flow_per_degree(op: DilationShift, trig: str, K: int) -> TaylorFlowRe
     return TaylorFlowResult(PiXPolynomial(coeffs), anomaly_missing)
 
 
-def extract_special_values_per_degree(identity_id: str, terms: int = 8) -> list[ExtractedValue]:
+def extract_special_values_per_degree(rec, terms: int = 8) -> list[ExtractedValue]:
     """`operators.extract_special_values` by its own loop over the Taylor
     degrees: the factor of kind(shift - d) is (-1)^j/d! times
     1/Gamma(gamma_shift + d) from `special_value`, and a zero factor carries
     no equation."""
-    rec = registry.get_identity(identity_id)
     rhs = rec.exact_rhs(terms)
     if rhs is None:
-        raise ValueError(f"identity {identity_id!r} has no exact polynomial right side")
+        raise ValueError(f"identity {rec.id!r} has no exact polynomial right side")
     if rec.op is None or rec.trig is None:
-        raise ValueError(f"identity {identity_id!r} is not an operator-on-trig identity")
+        raise ValueError(f"identity {rec.id!r} is not an operator-on-trig identity")
     if rec.anomaly_parity != "none":
         anom = parity_anomaly(rhs, rec.anomaly_parity)
         if anom is not None:

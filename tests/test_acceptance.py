@@ -26,7 +26,7 @@ from opzeta.operators import (
     parity_anomaly,
     taylor_flow,
 )
-from opzeta.registry import cot_half_regular, inv_one_minus_cos_regular, load_registry
+from opzeta.registry import cot_half_regular, get_identity, inv_one_minus_cos_regular, load_registry
 from opzeta.series import TrigSeries, abel_sums, geometric_abel
 from opzeta.exactnum import clausen_closed_form, special_value
 from opzeta.specfun import (
@@ -112,7 +112,7 @@ def test_criterion_3_quadratic_cubic_and_regeneration():
 
 def test_criterion_4_trivial_zero_extraction():
     code, _ = run_cli("extract", "eq17")
-    vals = {v.argument: v for v in extract_special_values("eq17", 6)}
+    vals = {v.argument: v for v in extract_special_values(get_identity("eq17"), 6)}
     exact_ok = vals[0].value == Fraction(-1, 2) and vals[0].matched
     for k in range(1, 6):
         v = vals[-2 * k]
@@ -152,8 +152,8 @@ def test_criterion_6_singularity_removal():
 def test_criterion_7_beta_values():
     code_sin, _ = run_cli("extract", "beta_sin_s0")
     code_cos, _ = run_cli("extract", "beta_cos_s0")
-    sin_vals = {v.argument: v for v in extract_special_values("beta_sin_s0", 3)}
-    cos_vals = {v.argument: v for v in extract_special_values("beta_cos_s0", 3)}
+    sin_vals = {v.argument: v for v in extract_special_values(get_identity("beta_sin_s0"), 3)}
+    cos_vals = {v.argument: v for v in extract_special_values(get_identity("beta_cos_s0"), 3)}
     exact_ok = (
         all(sin_vals[-n].value == 0 and sin_vals[-n].matched for n in (1, 3, 5))
         and cos_vals[-2].value == Fraction(-1, 2)

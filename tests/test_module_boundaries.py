@@ -5,10 +5,12 @@ module imports dataclasses, whose import and generated methods cost every
 cold command more than the records they build. And no module holds a
 precision in an mpmath context or in thread-local state: the numeric kernels
 compute on raw values at an explicit precision. Each name of the registry's
-right sides is spelled once in the package, and every process-wide memo is
-listed in `MEMOS` with the reason it stays.
+right sides is spelled once in the package, every process-wide memo is
+listed in `MEMOS` with the reason it stays, and the operator engine imports
+no layer of the package but `errors` and `exactnum`.
 
-Print each memo with its reason:
+Print each memo with its reason, then each error type with the functions of
+the package that raise it:
 
     PYTHONPATH=src python tests/test_module_boundaries.py
 """
@@ -141,6 +143,48 @@ def test_every_error_type_is_raised_in_the_package():
     assert warning_types - warned == set()
 
 
+def raisers() -> dict[str, list[str]]:
+    """Each error type of `errors` but the base -> the module.function of
+    every function of the package that raises it, in source order."""
+    from opzeta import errors
+
+    found = {name: [] for name, obj in vars(errors).items()
+             if isinstance(obj, type) and issubclass(obj, errors.OpzetaError) and obj is not errors.OpzetaError}
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                name = _called_name(child.exc)
+                if name in found and where not in found[name]:
+                    found[name].append(where)
+            visit(child, where)
+
+    for module, tree in _trees().items():
+        visit(tree, module)
+    return found
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The modules of the package that `path` imports, at its top or inside a function."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "opzeta"):
+            module = (node.module or "").removeprefix("opzeta").lstrip(".")
+            found.update([module.split(".")[0]] if module else [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names if a.name.startswith("opzeta."))
+    return found
+
+
+def test_the_engine_imports_only_errors_and_exactnum():
+    # the operator engine takes the registry record from its caller and names
+    # a series by its parity, exponent and kind, so it reads neither layer
+    assert sorted(_package_imports(SRC / "operators.py") - {"errors", "exactnum"}) == []
+
+
 def test_each_right_side_name_is_spelled_once():
     # the registry's tables are the one definition of each name; a second
     # spelling in the package would be a copy to keep equal
@@ -185,3 +229,6 @@ def test_every_memo_is_listed():
 if __name__ == "__main__":
     for name in memos():
         print(f"{name}: {MEMOS.get(name, 'NOT LISTED: no reason is given')}")
+    print("error types of src/opzeta, each with the functions that raise it:")
+    for name, functions in raisers().items():
+        print(f"{name}: {', '.join(functions) or 'NOT RAISED'}")

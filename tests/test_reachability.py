@@ -36,7 +36,6 @@ UNRUN = {
     "opzeta.__dir__": "public entry point: `dir(opzeta)`",
     "opzeta.cli.entry": "public entry point: the console script, which calls `cli.main`",
     "opzeta.divmatrix.DivisibilityMatrix.nnz": "bench/spans.py (`COUNTS`) reads it until ROADMAP item 2",
-    "opzeta.errors.PoleHit.__init__": "error path: no command applies an operator at its pole",
     "opzeta.exactnum._Poly.__setattr__": "error path: a polynomial is immutable",
     "opzeta.exactnum._Poly.__hash__": "equal values must hash equal; no command hashes a polynomial",
     "opzeta.exactnum.PiPolynomial.__hash__": "equal values must hash equal; no command hashes a polynomial",

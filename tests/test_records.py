@@ -45,8 +45,8 @@ RECORDS = [
     (lambda: TrigAtom(1, "sin", 2), "coeff parity frequency", "TrigAtom(coeff=Fraction(1, 1), parity='sin', frequency=2)"),
     (lambda: SingularTerm(PiPolynomial([1]), -1), "coeff power", "SingularTerm(coeff=1, power=-1)"),
     (lambda: Expression(), "poly trig_atoms singular_terms", "Expression(poly=0, trig_atoms=(), singular_terms=())"),
-    (lambda: SeriesTerm(Fraction(1, 2), 2, TrigSeries("sin", 1)), "coeff arg_scale series",
-     "SeriesTerm(coeff=Fraction(1, 2), arg_scale=2, series=TrigSeries(parity='sin', exponent=1, character='trivial'))"),
+    (lambda: SeriesTerm(Fraction(1, 2), 2, "sin", 1, "zeta"), "coeff arg_scale parity exponent kind",
+     "SeriesTerm(coeff=Fraction(1, 2), arg_scale=2, parity='sin', exponent=1, kind='zeta')"),
     (lambda: NumericTerm(1, 0.5 + 0j, 1e-16), "degree value abs_error_estimate",
      "NumericTerm(degree=1, value=(0.5+0j), abs_error_estimate=1e-16)"),
     (lambda: OpResult(Expression()), "expr series_result numeric_terms",

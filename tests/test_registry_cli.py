@@ -99,6 +99,7 @@ version = 1
 [odd_one]
 summary = sum_n sin(n x) = sin x / (2 (1 - cos x)) (Abel)
 lhs = series parity=sin exponent=0 character=trivial
+rhs_closed = sin_over_one_minus_cos
 domain = (0, pi]
 verify_mode = abel
 default_grid = 0.1:3:5
@@ -112,13 +113,22 @@ default_tol = 1e-6
         ("lhs = operator gamma shift=1 trig=sin", "[odd_one] unknown operator kind 'gamma'"),
         ("lhs = operator recip_gamma shift=1 trig=sin", "[odd_one] unknown operator kind 'recip_gamma'"),
         ("rhs_poly = 1/2*pi; pi^2/6", "[odd_one] bad coefficient literal 'pi^2/6'"),
+        ("lhs = operator zeta shift=1/2 trig=sin", "[odd_one] shift must be an integer, got '1/2'"),
+        ("gamma_shift = 1/2", "[odd_one] gamma_shift must be an integer, got '1/2'"),
+        ("extra_check = geometric_realpart", "[odd_one] unknown extra check 'geometric_realpart'"),
+        ("lhs = geometric", "[odd_one] verify mode 'abel' does not take the left side 'geometric'"),
+        ("verify_mode = geometric",
+         "[odd_one] verify mode 'geometric' does not take the left side 'series parity=sin exponent=0 character=trivial'"),
+        ("rhs_closed =", "[odd_one] verify mode 'abel' needs rhs_poly or rhs_closed"),
     ]
 
     @classmethod
     def altered(cls, line: str) -> str:
-        """BLOCK with `line` in place of the line of its key."""
-        key = line.split(" = ")[0]
-        return "".join(row for row in cls.BLOCK.splitlines(keepends=True) if not row.startswith(key)) + line + "\n"
+        """BLOCK with `line` in place of the line of its key; a key with no
+        value drops that line."""
+        key, value = (part.strip() for part in line.split("=", 1))
+        kept = "".join(row for row in cls.BLOCK.splitlines(keepends=True) if not row.startswith(key))
+        return kept + line + "\n" if value else kept
 
     @pytest.mark.parametrize("line, message", BAD_LINES)
     def test_a_bad_block_is_named(self, line, message):

@@ -10,10 +10,8 @@ import pytest
 
 from opzeta import series as series_module
 from opzeta.errors import (
-    EndpointConditional,
     NotConverged,
     OutsideDomain,
-    SingularAtEndpoint,
 )
 from opzeta.exactnum import clausen_closed_form, pipoly_evaluator, special_value
 from opzeta.registry import CLOSED_FORMS
@@ -72,9 +70,9 @@ class TestPartialSum:
                 partial_sum(parity, s, 1.0, 100)
 
     def test_endpoint_conditional(self):
-        with pytest.raises(EndpointConditional):
+        with pytest.raises(OutsideDomain):
             partial_sum("cos", 1, 0.0, 100)
-        with pytest.raises(EndpointConditional):
+        with pytest.raises(OutsideDomain):
             partial_sum("cos", 1, 2 * PI, 100)
 
     def test_beta_character_terms(self):
@@ -168,13 +166,13 @@ class TestPartialSumAccelerated:
 
     def test_beta_endpoint(self):
         for x in (PI / 2, -PI / 2, 3 * PI / 2):
-            with pytest.raises(EndpointConditional):
+            with pytest.raises(OutsideDomain):
                 partial_sums_accelerated(TrigSeries("sin", 1, "beta"), [x])
 
     def test_beta_errors_name_the_callers_x(self):
         # the shifted points are the kernel's own business: its errors name the beta
         # condition and the x the caller passed, not x -/+ pi/2
-        with pytest.raises(EndpointConditional) as info:
+        with pytest.raises(OutsideDomain) as info:
             partial_sums_accelerated(TrigSeries("sin", 1, "beta"), [0.5, PI / 2])
         assert str(info.value) == "cos x = 0 at x=1.5707963267948966"
         x = -PI / 2 + 1e-9  # x + pi/2 is tiny, so its capped head leaves the tail above tol
@@ -242,7 +240,7 @@ class TestPartialSumsAccelerated:
         ],
     )
     def test_a_bad_point_fails_before_any_head(self, series, bad, monkeypatch):
-        with pytest.raises((EndpointConditional, NotConverged)) as want:
+        with pytest.raises((OutsideDomain, NotConverged)) as want:
             partial_sum_accelerated_per_point(series, bad)
         calls = []
         monkeypatch.setattr(series_module, "_heads", lambda *args: calls.append(args))
@@ -256,7 +254,7 @@ class TestPartialSumsAccelerated:
         # the first check in that order, not at its first bad point
         calls = []
         monkeypatch.setattr(series_module, "_tails", lambda *args: calls.append(args))
-        with pytest.raises(EndpointConditional):
+        with pytest.raises(OutsideDomain):
             partial_sums_accelerated(TrigSeries("sin", 2), [1e-9, 0.0])
         with pytest.raises(ValueError, match="add up to 20400000 terms, above the bound 20000000"):
             partial_sums_accelerated(TrigSeries("sin", 2), [1e-9] * 51)
@@ -274,7 +272,7 @@ class TestKernelBitIdentity:
     def outcome(route, series, xs, tol):
         try:
             return [(r.value.hex(), r.abs_error_estimate.hex(), r.method) for r in route(series, xs, tol)]
-        except (EndpointConditional, NotConverged, ValueError) as exc:
+        except (OutsideDomain, NotConverged, ValueError) as exc:
             return type(exc), str(exc)
 
     def assert_identical(self, series, xs, tol):
@@ -424,7 +422,7 @@ class TestGeometricAbel:
 
     def test_singular_endpoints(self):
         for x in (0.0, 2 * PI, 4 * PI):
-            with pytest.raises(SingularAtEndpoint):
+            with pytest.raises(OutsideDomain):
                 geometric_abel(x)
 
     def test_real_part_is_minus_half_everywhere(self):

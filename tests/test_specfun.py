@@ -8,7 +8,7 @@ from math import factorial
 import mpmath
 import pytest
 
-from opzeta.errors import PoleAtOne, PrecisionLoss
+from opzeta.errors import PoleHit, PrecisionLoss
 from opzeta.exactnum import (
     PiPolynomial,
     PiXPolynomial,
@@ -65,9 +65,9 @@ class TestZetaEM:
         assert expect == pytest.approx(-1 / 12)
 
     def test_pole_raises(self):
-        with pytest.raises(PoleAtOne):
+        with pytest.raises(PoleHit):
             zeta_em(1)
-        with pytest.raises(PoleAtOne):
+        with pytest.raises(PoleHit):
             zeta_em(1 + 1e-14)
 
     def test_near_pole_still_evaluates(self):
@@ -142,7 +142,7 @@ class TestHurwitz:
             hurwitz_zeta(2, 1.5)
 
     def test_pole(self):
-        with pytest.raises(PoleAtOne):
+        with pytest.raises(PoleHit):
             hurwitz_zeta(1, 0.5)
 
 
@@ -396,7 +396,7 @@ class TestFunctionalEquation:
 
     @pytest.mark.parametrize("s", [0, 1, 0.0, 1.0])
     def test_zeta_pole_raises(self, s):
-        with pytest.raises(PoleAtOne):
+        with pytest.raises(PoleHit):
             functional_equation_residual(s)
 
 
