@@ -24,9 +24,9 @@ from .errors import (
 _LAYER_OF = {
     name: layer
     for layer, names in {
-        "exactnum": "PI PiPolynomial PiXPolynomial bernoulli_number bernoulli_polynomial clausen_closed_form euler_number",
-        "specfun": "EvalResult dirichlet_beta recip_gamma zeta_em",
-        "series": "SummedValue TrigSeries abel_sums geometric_abel partial_sums_accelerated",
+        "exactnum": "EvalResult PI PiPolynomial PiXPolynomial bernoulli_number bernoulli_polynomial clausen_closed_form euler_number",
+        "specfun": "dirichlet_beta recip_gamma zeta_em",
+        "series": "TrigSeries abel_sums geometric_abel partial_sums_accelerated",
         "operators": "DilationShift Expression OpResult TaylorFlowResult apply_operator apply_recip_gamma_op"
         " extract_special_values parity_anomaly taylor_flow",
         "divmatrix": "DivisibilityMatrix build_matrix consistency_check",

@@ -109,15 +109,12 @@ def _verify_grid(rec: registry.IdentityRecord, grid: tuple[float, float, int], t
         sums = series.partial_sums_accelerated(rec.series, xs, tol * 1e-3) if mode == "sum" else series.abel_sums(rec.series, xs)
         rhs_at = _rhs_evaluator(rec.id)
         rows = [_row(rec.id, x, sv.value, rhs, abs(sv.value - rhs), sv.method) for x, sv in zip(xs, sums) for rhs in (rhs_at(x),)]
-    # in row order from 0.0, as a running max: a nan deviation leaves it unchanged
-    max_deviation = max([0.0, *(r["deviation"] for r in rows)])
-
-    if rec.extra_check == "geometric_real_part":
+    worst = 0.0
+    if rec.extra_check is not None:  # the one check the registry loads: Re of the geometric Abel sum is -1/2
         worst = max(abs(series.geometric_abel(x).real + 0.5) for x in xs)
         rows.append(_row(rec.id, None, "Re(geometric)", "-1/2", worst, "closed_form"))
-        if worst > 1e-8:
-            max_deviation = math.inf
-    return rows, max_deviation, []
+    # over every row, in row order from 0.0, as a running max: a nan deviation leaves it unchanged
+    return rows, math.inf if worst > 1e-8 else max([0.0, *(r["deviation"] for r in rows)]), []
 
 
 def _write(out, fmt: str, head: dict, rows: list[dict], text: Callable[[], str], cells: Callable = dict.values) -> None:
@@ -231,12 +228,12 @@ def _values_row(kind: str, tok: str, v: float) -> dict:
 
     if kind in ("bernoulli", "euler"):
         return _exact_row(tok, bernoulli_number(int(v)) if kind == "bernoulli" else Fraction(euler_number(int(v))))
-    tag, value, err, method = special_value(kind, Fraction(v))
-    if tag == "exact":
-        return _exact_row(tok, value)
-    pole = tag == "pole"
-    return {"argument": tok, "value": None if pole else value.real, "exact": "pole at s=1" if pole else "",
-            "method": method, "abs_error": err}
+    r = special_value(kind, Fraction(v))
+    if r.method == "exact":
+        return _exact_row(tok, r.value)
+    pole = r.method == "pole"
+    return {"argument": tok, "value": None if pole else r.value.real, "exact": "pole at s=1" if pole else "",
+            "method": r.method, "abs_error": r.abs_error_estimate}
 
 
 def _cmd_values(args, out) -> int:

@@ -20,7 +20,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 # rows per block of the divisor sieve and of the printed column
 _BLOCK = 1 << 14
@@ -32,13 +32,13 @@ _TRIPLET_ROWS = 1 << 7
 _PANEL_ROWS = 1 << 9
 
 
-def _divisor_rows(size: int, label: Callable = int) -> Iterator[list]:
-    """label(n) for each divisor n of m, increasing, one list per m = 1..size,
+def _divisor_rows(size: int) -> Iterator[list[str]]:
+    """str(n) for each divisor n of m, increasing, one list per m = 1..size,
     sieved 2^14 rows at a time: at the size bound, 1/6 of the lists at once."""
     for lo in range(1, size + 1, _BLOCK):
         rows = [[] for _ in range(lo, min(lo + _BLOCK, size + 1))]
         for n in range(1, lo + len(rows)):
-            name = label(n)
+            name = str(n)
             for row in rows[-lo % n :: n]:  # the multiples of n in this block
                 row.append(name)
         yield from rows
@@ -58,7 +58,7 @@ class DivisibilityMatrix(NamedTuple):
         """Sparse triplet export, 2^7 whole rows m per string (at most 27 KB at the
         size bound): 'm n 1 m/n' for each divisor n of m, increasing; reversed, the
         divisors are the cofactors, the last is m."""
-        rows = _divisor_rows(self.size, str)
+        rows = _divisor_rows(self.size)
         while chunk := list(itertools.islice(rows, _TRIPLET_ROWS)):
             yield "".join([f"{m} {n} 1 {k}\n" for divs in chunk for m in [divs[-1]]
                            for n, k in zip(divs, reversed(divs))])

@@ -28,9 +28,10 @@ all odd-index values vanish.
 `special_value` is the one route table of the operator values: for each kind
 and exact argument it decides between the exact value, the numeric one and
 the pole, for the kinds that key `NUMERIC_ROUTE`. It imports `specfun`, the
-numeric kernels, for a numeric value only, so the exact commands never
-compile them. `clausen_closed_form` rescales the Bernoulli polynomials into
-the closed forms of the trigonometric series with polynomial sums.
+numeric kernels, for a numeric value only, so no exact command compiles them.
+It, those kernels and the `series` routes return one record, `EvalResult`.
+`clausen_closed_form` rescales the Bernoulli polynomials into the closed forms
+of the trigonometric series with polynomial sums.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import math
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import NotConverged
 
@@ -425,19 +426,24 @@ def clausen_closed_form(parity: str, m: int) -> PiXPolynomial:
 
 # --- the route table of the operator values ------------------------------------
 
+class EvalResult(NamedTuple):
+    """A value, its bound and the method that made it: the record of every
+    route. By method: exact, a Fraction or PiPolynomial, bound 0.0; pole,
+    None, bound None; a route of `NUMERIC_ROUTE` (in `specfun`), a complex
+    double; partial_sum or abel_closed_form (in `series`), a double."""
+
+    value: object
+    abs_error_estimate: Optional[float]
+    method: str
+
+
 NUMERIC_ROUTE = {"zeta": "euler_maclaurin", "beta": "hurwitz_difference", "recip_gamma": "rgamma"}
 
 
-def special_value(kind: str, arg: Fraction):
-    """kind(arg) for kind zeta, beta or recip_gamma at an exact argument, as
-    (tag, value, abs_error_estimate, method), with tag and method:
-
-      exact    a Fraction or PiPolynomial, error 0.0, method 'exact';
-      pole     zeta(1): value and error None, method 'pole';
-      numeric  a complex double and its bound, method the route's name:
-               euler_maclaurin (specfun.zeta_em), hurwitz_difference
-               (specfun.dirichlet_beta) or rgamma (specfun.recip_gamma,
-               bound 1e-12 max(1, |value|)).
+def special_value(kind: str, arg: Fraction) -> EvalResult:
+    """kind(arg) for kind zeta, beta or recip_gamma at an exact argument: the
+    exact value, the pole (zeta(1)) or the record of the `specfun` kernel of
+    route `NUMERIC_ROUTE[kind]`.
 
     Exact at every integer but zeta at odd n >= 3 and beta at even n >= 2,
     which have no closed form; 1/Gamma is 0 at the Gamma poles. `specfun`
@@ -449,7 +455,7 @@ def special_value(kind: str, arg: Fraction):
         k = int(arg)  # (-1) ** -k below: (-1) ** k is a float at k < 0
         if kind == "zeta":
             if k == 1:
-                return "pole", None, None, "pole"
+                return EvalResult(None, None, "pole")
             if k <= 0:  # zeta(-n) = (-1)^n B_(n+1)/(n+1), n >= 0; zero at even n >= 2
                 exact = (-1) ** -k * bernoulli_number(1 - k) / (1 - k)
             elif k % 2 == 0:  # zeta(2m) = (-1)^(m+1) B_2m (2 pi)^2m / (2 (2m)!)
@@ -464,13 +470,8 @@ def special_value(kind: str, arg: Fraction):
         else:
             exact = Fraction(0) if k <= 0 else Fraction(1, factorial(k - 1))
     if exact is not None:
-        return "exact", exact, 0.0, "exact"
+        return EvalResult(exact, 0.0, "exact")
     from . import specfun
 
     # arg goes in exactly: rounded to a double first, zeta(-221/10) errs by 16 times its bound
-    if kind == "recip_gamma":
-        value = specfun.recip_gamma(arg)
-        return "numeric", value, 1e-12 * max(1.0, abs(value)), NUMERIC_ROUTE[kind]
-    r = specfun.zeta_em(arg) if kind == "zeta" else specfun.dirichlet_beta(arg)
-    return "numeric", r.value, r.abs_error_estimate, NUMERIC_ROUTE[kind]
-
+    return {"zeta": specfun.zeta_em, "beta": specfun.dirichlet_beta, "recip_gamma": specfun.recip_gamma}[kind](arg)

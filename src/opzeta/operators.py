@@ -151,14 +151,14 @@ def apply_operator(op: DilationShift, expr: Expression) -> OpResult:
     numeric: list[NumericTerm] = []
 
     def handle(degree: int, coeff: PiPolynomial):
-        tag, value, err, _ = special_value(op.kind, Fraction(num + step * degree, den))
-        if tag == "pole":
+        r = special_value(op.kind, Fraction(num + step * degree, den))
+        if r.method == "pole":
             raise PoleHit(f"operator argument hits the pole at monomial degree {degree}")
-        if tag == "numeric":
+        if r.method != "exact":
             cnum = float(coeff)
-            numeric.append(NumericTerm(degree, cnum * value, abs(cnum) * err + 1e-16))
+            numeric.append(NumericTerm(degree, cnum * r.value, abs(cnum) * r.abs_error_estimate + 1e-16))
             return None
-        return coeff * value
+        return coeff * r.value
 
     for n, c in enumerate(expr.poly.coeffs):
         if c.coeffs and (res := handle(n, c)) is not None:
@@ -312,8 +312,8 @@ def extract_special_values(rec, terms: int) -> list[ExtractedValue]:
         value = rhs.coeff(d) / factor.coeffs[0]  # the factor is a nonzero rational
         if value.is_rational():
             value = value.as_rational()
-        tag, independent, _, _ = special_value(rec.kind, Fraction(arg))
+        independent = special_value(rec.kind, Fraction(arg))
         # PiPolynomial.__eq__ accepts rationals, so mixed comparisons stay exact
-        matched = tag == "exact" and independent == value
+        matched = independent.method == "exact" and independent.value == value
         out.append(ExtractedValue(arg, value, bool(matched)))
     return out

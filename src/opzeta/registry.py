@@ -35,6 +35,8 @@ _COEFF_RE = re.compile(r"^([+-]?\d+(?:/\d+)?)(?:\*pi(?:\^(\d+))?)?$")
 _LHS_CHARACTERS = {"zeta": "trivial", "beta": "beta"}
 _VERIFY_MODES = ("sum", "abel", "geometric", "exact")
 _EXTRA_CHECKS = ("geometric_real_part",)  # the side conditions `verify` runs
+# the values of the vocabulary keys, as the data file's header documents them
+_VOCABULARY = {"anomaly_parity": ("odd", "even", "none"), "expected_event": ("anomaly_missing", "annihilated_constant")}
 _EPS = 1e-12  # the slack of an interval's endpoints
 
 
@@ -313,6 +315,15 @@ def _record(sec: str, block) -> IdentityRecord:
     extra_check = block.get("extra_check")
     if extra_check is not None and extra_check not in _EXTRA_CHECKS:
         raise ValueError(f"unknown extra check {extra_check!r}")
+    for key, values in _VOCABULARY.items():
+        if key in block and block[key] not in values:
+            raise ValueError(f"{key} must be one of {values}, got {block[key]!r}")
+    gamma_shift = _integer("gamma_shift", block["gamma_shift"]) if "gamma_shift" in block else None
+    if gamma_shift is not None and (kind != "zeta" or mode != "exact"):
+        raise ValueError("gamma_shift applies only to a zeta operator left side in verify mode 'exact'")
+    want = "yes" if kind is not None and (rhs_literal is not None or rhs_taylor is not None) else "no"
+    if (extract := block.get("extract", "no")) != want:
+        raise ValueError(f"extract must be {want!r} (yes for an operator left side with rhs_poly or rhs_taylor), got {extract!r}")
     return IdentityRecord(
         id=sec,
         summary=block["summary"],
@@ -321,7 +332,7 @@ def _record(sec: str, block) -> IdentityRecord:
         trig=trig,
         exponent=exponent,
         character=character,
-        gamma_shift=_integer("gamma_shift", block["gamma_shift"]) if "gamma_shift" in block else None,
+        gamma_shift=gamma_shift,
         rhs_literal=rhs_literal,
         rhs_closed=rhs_closed,
         rhs_taylor=rhs_taylor,
@@ -330,17 +341,17 @@ def _record(sec: str, block) -> IdentityRecord:
         verify_mode=mode,
         default_grid=parse_grid(block["default_grid"]),
         default_tol=float(block["default_tol"]),
-        extract=block.get("extract", "no") == "yes",
+        extract=want == "yes",
         extra_check=extra_check,
         expected_event=block.get("expected_event"),
     )
 
 
 def _parse(text: str) -> tuple[int, dict[str, IdentityRecord]]:
-    """(version, records) of a data file's text. A block with an unknown name,
-    a shift that is no integer, a verify mode without the left or right side
-    it runs on, a bad coefficient literal or any other malformed or missing
-    value raises ValueError naming the block."""
+    """(version, records) of a data file's text. A block with an unknown name
+    or vocabulary value, a shift that is no integer, a verify mode, gamma_shift
+    or extract flag its sides do not take, a bad coefficient literal or any
+    other malformed or missing value raises ValueError naming the block."""
     cfg = configparser.ConfigParser(interpolation=None)
     cfg.optionxform = str
     cfg.read_string(text)

@@ -6,19 +6,20 @@ n = 1, 2, 3, ...; the `beta` character runs over odd n = 2k+1 with sign
 (-1)^k. Each route computes the trivial character only, and `_beta` takes
 the beta character as the trivial series at x - pi/2 and x + pi/2 through
 either route. Both routes sum a whole grid in one call and return one
-`SummedValue` per point, each the double its x gives alone. Every
-convergent series (exponent >= 1) has one kernel, `partial_sums_accelerated`:
-a short head per point, all heads batched into few numpy evaluations by
-`_heads`, plus an iterated summation-by-parts tail, all tails in one numpy
-pass by `_tails`; the rest of its per-point work runs in array passes, with
-sin, log, log2 and powers as scalar libm calls. Divergent series (exponent
-<= 0) are never summed by raw truncation; they take the Abel route,
-`abel_sums`, which covers exponents <= 1: there the trivial Abel mean is a
-closed form in z = r e^(ix), continuous up to |z| = 1 away from z = 1, so
-the Abel sum is that form at r = 1. A point that a route cannot take raises
-`OutsideDomain`, naming it. `TrigSeries` and `SummedValue` are
-NamedTuples; a `TrigSeries` checks its fields in `__new__`. `verify` holds
-these sums against the registry's closed forms, `registry.CLOSED_FORMS`.
+`exactnum.EvalResult` per point, each the double its x gives alone, its
+method partial_sum or abel_closed_form. Every convergent series (exponent
+>= 1) has one kernel, `partial_sums_accelerated`: a short head per point,
+all heads batched into few numpy evaluations by `_heads`, plus an iterated
+summation-by-parts tail, all tails in one numpy pass by `_tails`; the rest
+of its per-point work runs in array passes, with sin, log, log2 and powers
+as scalar libm calls. Divergent series (exponent <= 0) are never summed by
+raw truncation; they take the Abel route, `abel_sums`, which covers
+exponents <= 1: there the trivial Abel mean is a closed form in
+z = r e^(ix), continuous up to |z| = 1 away from z = 1, so the Abel sum is
+that form at r = 1. A point that a route cannot take raises
+`OutsideDomain`, naming it. `TrigSeries` is a NamedTuple that checks its
+fields in `__new__`. `verify` holds these sums against the registry's
+closed forms, `registry.CLOSED_FORMS`.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import math
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import NotConverged, OutsideDomain
+from .exactnum import EvalResult
 
 _UNIT_ROUNDOFF = 2.0**-53
 _N0_SCALE, _N0_CAP, _SBP_MAX_LEVELS = 64, 400_000, 48
@@ -53,14 +55,6 @@ class TrigSeries(NamedTuple("TrigSeries", [("parity", str), ("exponent", int), (
         if not isinstance(exponent, int):
             raise ValueError("exponent must be an integer")
         return super().__new__(cls, parity, exponent, character)
-
-
-class SummedValue(NamedTuple):
-    """Value with error bound and the method that produced it (audit trail)."""
-
-    value: float
-    abs_error_estimate: float
-    method: str  # partial_sum (the kernel's head plus tail) | abel_closed_form
 
 
 def _heads(parity: str, s: int, xs: Sequence[float], lengths: Sequence[int]):
@@ -135,7 +129,7 @@ def _tails(xs: Sequence[float], n0s: Sequence[int], qs: Sequence[float], s: int,
     return tail, bound
 
 
-def partial_sums_accelerated(series: TrigSeries, xs: Sequence[float], tol: float = 1e-9) -> list[SummedValue]:
+def partial_sums_accelerated(series: TrigSeries, xs: Sequence[float], tol: float = 1e-9) -> list[EvalResult]:
     """The sum at every x of xs, for exponent >= 1: a head of n0 = 64/|1-e^(ix)|
     terms (at most 4*10^5) plus a tail by `_tails`; a tail level then gains
     about a factor (exponent + level)/64. The tail stops below tol and below
@@ -159,7 +153,7 @@ def partial_sums_accelerated(series: TrigSeries, xs: Sequence[float], tol: float
     else:
         names = [x for x in xs for _ in range(2)]  # the x of each shifted point
         sums = _beta(series, xs, lambda parity, s, ys: _trivial_sums(parity, s, ys, tol, names, "cos x = 0"))
-    return [SummedValue(value, bound, "partial_sum") for value, bound in sums]
+    return [EvalResult(value, bound, "partial_sum") for value, bound in sums]
 
 
 def _trivial_sums(parity: str, s: int, xs: Sequence[float], tol: float, names: Sequence[float], endpoint: str):
@@ -261,7 +255,7 @@ def _abel_means(parity: str, s: int, ys: Sequence[float]) -> list[tuple[float, f
     return out
 
 
-def abel_sums(series: TrigSeries, xs: Sequence[float]) -> list[SummedValue]:
+def abel_sums(series: TrigSeries, xs: Sequence[float]) -> list[EvalResult]:
     """The Abel sum of `series` at every x of xs, at exponent <= 1: the limit
     r -> 1 of the Abel mean sum chi(n) z^n / n^exponent, z = r e^(ix) (its
     imaginary part for sin, real part for cos). The trivial mean F is
@@ -280,4 +274,4 @@ def abel_sums(series: TrigSeries, xs: Sequence[float]) -> list[SummedValue]:
         zero = "sin(x/2)" if trivial else "cos x"
         raise OutsideDomain(f"x={singular[0]} is a singular point ({zero} = 0) of the Abel sum of {tuple(series)}")
     sums = _abel_means(series.parity, series.exponent, xs) if trivial else _beta(series, xs, _abel_means)
-    return [SummedValue(value, bound, "abel_closed_form") for value, bound in sums]
+    return [EvalResult(value, bound, "abel_closed_form") for value, bound in sums]

@@ -19,7 +19,8 @@ numeric call; `zeta_em` raises `PoleHit`, the one pole error, near s = 1.
 The exact values live in `exactnum`, with `special_value`, the route table
 that picks for each kind and exact argument between the exact value, these
 kernels and the pole, and imports this module for a numeric value only: an
-exact command never compiles it.
+exact command never compiles it. Each kernel returns `exactnum.EvalResult`,
+its method the kernel's name in `NUMERIC_ROUTE`.
 """
 
 from __future__ import annotations
@@ -30,10 +31,9 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import factorial
-from typing import NamedTuple
 
 from .errors import NotConverged, PoleHit, PrecisionLoss
-from .exactnum import bernoulli_number
+from .exactnum import NUMERIC_ROUTE, EvalResult, bernoulli_number
 
 # Validated accuracy domain of the Euler-Maclaurin evaluator.
 _EM_RE_MIN = -25.0
@@ -50,13 +50,6 @@ _LN_MEMO_SIZE = 8192
 _OPS = "mul div add sub neg abs pos exp pow rgamma mul_mpf div_mpf add_mpf sub_mpf mpf_div".split()
 _Arith = namedtuple("_Arith", [*_OPS, "sum", "complex", "one", "lib"])
 _RND = "n"  # mpmath.libmp.round_nearest, the rounding of mpmath's operators
-
-
-class EvalResult(NamedTuple):
-    """Numeric value with the producing algorithm's claimed error bound."""
-
-    value: complex
-    abs_error_estimate: float
 
 
 def _ratio(s) -> tuple[int, int, int]:
@@ -271,7 +264,7 @@ def zeta_em(s) -> EvalResult:
     head = ar.sum(table[1:n_cut + 1], prec, _RND)
     ((part, lead, err),) = _em_sum(ar, prec, ratio, smp, n_cut, 1.0, [(1.0, head, table[n_cut + 1])])
     out = ar.complex(ar.add(part, ar.div(lead, ar.sub_mpf(smp, ar.lib.fone, prec, _RND), prec, _RND), prec, _RND), _RND)
-    return EvalResult(out, max(err, abs(out) * 1e-15 + 1e-16))
+    return EvalResult(out, max(err, abs(out) * 1e-15 + 1e-16), NUMERIC_ROUTE["zeta"])
 
 
 def dirichlet_beta(s) -> EvalResult:
@@ -302,17 +295,20 @@ def dirichlet_beta(s) -> EvalResult:
         x = ar.mul_mpf(ar.sub(ar.one, smp, prec, _RND), log_ratio, prec, _RND)
         pole = ar.div(ar.mul(ar.neg(lead1, prec, _RND), _expm1(ar, prec, x), prec, _RND), s_1, prec, _RND)
     out = ar.complex(ar.mul(four_pow, ar.add(ar.sub(part1, part2, prec, _RND), pole, prec, _RND), prec, _RND), _RND)
-    return EvalResult(out, scale * (err1 + err2) + abs(out) * 1e-15 + 1e-16)
+    return EvalResult(out, scale * (err1 + err2) + abs(out) * 1e-15 + 1e-16, NUMERIC_ROUTE["beta"])
 
 
-def recip_gamma(s) -> complex:
+def recip_gamma(s) -> EvalResult:
     """1/Gamma(s), evaluated as an entire function (never as 1/Gamma-value).
 
     Exactly zero at nonpositive real integers; this is the annihilation
-    mechanism the operator engine relies on. Absolute accuracy 1e-12 where
-    the value has order <= 1, relative 1e-12 elsewhere (|s| <= 30)."""
+    mechanism the operator engine relies on. The bound is 1e-12 max(1, |value|):
+    absolute 1e-12 where the value has order <= 1, relative 1e-12 elsewhere
+    (|s| <= 30)."""
     sc = complex(s)
     if sc.imag == 0.0 and sc.real <= 0 and sc.real == int(sc.real):
-        return complex(0.0)
-    _, ar, prec, x = _call(s, 50)
-    return ar.complex(ar.rgamma(x, prec, _RND), _RND)
+        value = complex(0.0)
+    else:
+        _, ar, prec, x = _call(s, 50)
+        value = ar.complex(ar.rgamma(x, prec, _RND), _RND)
+    return EvalResult(value, 1e-12 * max(1.0, abs(value)), NUMERIC_ROUTE["recip_gamma"])

@@ -60,14 +60,13 @@ from math import comb, factorial
 
 from opzeta import specfun
 from opzeta.errors import NotConverged, OutsideDomain, PoleHit, PrecisionLoss, UnsupportedExpression
-from opzeta.exactnum import PiPolynomial, PiXPolynomial, bernoulli_number, euler_number, special_value
+from opzeta.exactnum import EvalResult, PiPolynomial, PiXPolynomial, bernoulli_number, euler_number, special_value
 from opzeta.operators import DilationShift, ExtractedValue, TaylorFlowResult, parity_anomaly
 from opzeta.series import (
     _N0_CAP,
     _N0_SCALE,
     _SBP_MAX_LEVELS,
     _UNIT_ROUNDOFF,
-    SummedValue,
     TrigSeries,
     _beta,
     _tails,
@@ -75,7 +74,6 @@ from opzeta.series import (
 from opzeta.specfun import (
     _EM_K_MAX,
     _EM_TARGET,
-    EvalResult,
     _check_validated_domain,
     _em_coefficients,
     _em_params,
@@ -345,7 +343,7 @@ def sbp_tail(x: float, n0: int, s: int, target: float, deltas: Iterable[float]) 
     return tail, bound
 
 
-def partial_sum_accelerated_per_point(series: TrigSeries, x: float, tol: float = 1e-9) -> SummedValue:
+def partial_sum_accelerated_per_point(series: TrigSeries, x: float, tol: float = 1e-9) -> EvalResult:
     """The route of the one-point `series.partial_sum_accelerated` before it
     became one point of `partial_sums_accelerated`: the endpoint check, the
     tail and its NotConverged check, then a head of its own numpy arrays and `np.sum`,
@@ -371,7 +369,7 @@ def partial_sum_accelerated_per_point(series: TrigSeries, x: float, tol: float =
             slope = 1.0 / q if s == 1 else 2.0 + abs(math.log(q))
             value += sign * part.value
             bound += part.abs_error_estimate + _UNIT_ROUNDOFF * (abs(x) + 3.0) * slope
-        return SummedValue((0.5 if series.parity == "sin" else -0.5) * value, bound / 2, "partial_sum")
+        return EvalResult((0.5 if series.parity == "sin" else -0.5) * value, bound / 2, "partial_sum")
     if abs(math.sin(x / 2)) < 1e-12:
         raise OutsideDomain(f"x = 0 mod 2*pi at x={x}")
     q = 2.0 * abs(math.sin(x / 2))
@@ -388,7 +386,7 @@ def partial_sum_accelerated_per_point(series: TrigSeries, x: float, tol: float =
     rounding = 4 * _UNIT_ROUNDOFF * (
         abs(x) * (n0 if s == 1 else log_n0) + (3 + math.log2(n0)) * log_n0 + (n0 * abs(x) + 128) * tail_size
     )
-    return SummedValue(value, bound + rounding, "partial_sum")
+    return EvalResult(value, bound + rounding, "partial_sum")
 
 
 def heads_by_piece(parity: str, s: int, xs, lengths) -> list[float]:
@@ -442,14 +440,14 @@ def trivial_sums_by_point(parity: str, s: int, xs, tol: float, names, endpoint: 
     return out
 
 
-def partial_sums_per_point_loops(series: TrigSeries, xs, tol: float = 1e-9) -> list[SummedValue]:
+def partial_sums_per_point_loops(series: TrigSeries, xs, tol: float = 1e-9) -> list[EvalResult]:
     """`series.partial_sums_accelerated` over `trivial_sums_by_point`."""
     if series.character == "trivial":
         sums = trivial_sums_by_point(series.parity, series.exponent, xs, tol, xs, "x = 0 mod 2*pi")
     else:
         names = [x for x in xs for _ in range(2)]
         sums = _beta(series, xs, lambda parity, s, ys: trivial_sums_by_point(parity, s, ys, tol, names, "cos x = 0"))
-    return [SummedValue(value, bound, "partial_sum") for value, bound in sums]
+    return [EvalResult(value, bound, "partial_sum") for value, bound in sums]
 
 
 def pi_poly_mpf(c, pi):
@@ -605,7 +603,7 @@ def hurwitz_zeta(s, a) -> EvalResult:
         base_pow = (n_cut + a_mp) ** (-smp)
         ((part, lead, err),) = specfun._em_sum(ar, prec, ratio, s_raw, n_cut, 1.0, [(a, _raw(head), _raw(base_pow))])
         out = complex(_number(ctx, part) + _number(ctx, lead) / (smp - 1))
-    return EvalResult(out, max(err, abs(out) * 1e-15 + 1e-16))
+    return EvalResult(out, max(err, abs(out) * 1e-15 + 1e-16), "euler_maclaurin")
 
 
 def powers_context(ctx, neg):
@@ -688,7 +686,7 @@ def zeta_em_context(s, seen: list | None = None) -> EvalResult:
         head, base_pow = ctx.fsum(table[1:n_cut + 1]), table[n_cut + 1]
         part, lead, err = em_sum_context(ctx, ratio, smp, 1.0, n_cut, 1.0, head, base_pow)
         out = _rounded(part + lead / (smp - 1), seen)
-    return EvalResult(out, max(err, abs(out) * 1e-15 + 1e-16))
+    return EvalResult(out, max(err, abs(out) * 1e-15 + 1e-16), "euler_maclaurin")
 
 
 def dirichlet_beta_context(s, seen: list | None = None) -> EvalResult:
@@ -714,17 +712,20 @@ def dirichlet_beta_context(s, seen: list | None = None) -> EvalResult:
         else:
             pole = -lead1 * ctx.expm1((1 - smp) * log_ratio) / (smp - 1)
         out = _rounded(four_pow * (part1 - part2 + pole), seen)
-    return EvalResult(out, scale * (err1 + err2) + abs(out) * 1e-15 + 1e-16)
+    return EvalResult(out, scale * (err1 + err2) + abs(out) * 1e-15 + 1e-16, "hurwitz_difference")
 
 
-def recip_gamma_context(s, seen: list | None = None) -> complex:
+def recip_gamma_context(s, seen: list | None = None) -> EvalResult:
     """`specfun.recip_gamma` as mpmath's rgamma at 50 digits in a per-thread
-    context; `seen` as for `zeta_em_context`."""
+    context, with its stated bound 1e-12 max(1, |value|); `seen` as for
+    `zeta_em_context`."""
     sc = complex(s)
     if sc.imag == 0.0 and sc.real <= 0 and sc.real == int(sc.real):
-        return complex(0.0)
-    with _working_precision(50) as ctx:
-        return _rounded(ctx.rgamma(_mp_of(ctx, _ratio(s))), seen)
+        value = complex(0.0)
+    else:
+        with _working_precision(50) as ctx:
+            value = _rounded(ctx.rgamma(_mp_of(ctx, _ratio(s))), seen)
+    return EvalResult(value, 1e-12 * max(1.0, abs(value)), "rgamma")
 
 
 def _rounded(x, seen: list | None) -> complex:
@@ -797,7 +798,7 @@ def hankel_zeta(s, rho: float = math.pi, delta: float = 0.15) -> EvalResult:
     if floor and not near_int:
         warnings.warn("hankel_zeta: severe cancellation between contour segments", PrecisionLoss, stacklevel=2)
         err = max(err, floor)
-    return EvalResult(val, err)
+    return EvalResult(val, err, "hankel_loop")
 
 
 def lerch_hankel(s, x: float, delta: float = 0.15, rho: float | None = None) -> EvalResult:
@@ -823,7 +824,7 @@ def lerch_hankel(s, x: float, delta: float = 0.15, rho: float | None = None) -> 
     if pole_dist < 0.05:
         warnings.warn("lerch_hankel: kernel pole close to the contour", PrecisionLoss, stacklevel=2)
         err = max(err, 1e-8)
-    return EvalResult(val, err)
+    return EvalResult(val, err, "hankel_loop")
 
 
 def functional_equation_residual(s) -> float:
@@ -874,8 +875,8 @@ def taylor_flow_per_degree(op: DilationShift, trig: str, K: int) -> TaylorFlowRe
     degrees = _trig_degrees(trig, K)
     coeffs = [PiPolynomial()] * (degrees[-1] + 1)
     for j, d in enumerate(degrees):
-        tag, value, _, _ = special_value(op.kind, Fraction(shift - d))
-        if tag == "numeric":
+        value, _, method = special_value(op.kind, Fraction(shift - d))
+        if method != "exact":
             raise UnsupportedExpression(f"no exact value at argument {shift - d}; taylor_flow stays in Q[pi]")
         c = Fraction((-1) ** j, factorial(d))
         coeffs[d] = value * c if isinstance(value, PiPolynomial) else PiPolynomial((value * c,))
@@ -902,7 +903,7 @@ def extract_special_values_per_degree(rec, terms: int = 8) -> list[ExtractedValu
     for j, d in enumerate(_trig_degrees(rec.trig, terms)):
         factor = Fraction((-1) ** j, factorial(d))
         if rec.gamma_shift is not None:
-            gamma_factor = special_value("recip_gamma", rec.gamma_shift + d)[1]
+            gamma_factor = special_value("recip_gamma", rec.gamma_shift + d).value
             if gamma_factor == 0:
                 continue
             factor *= gamma_factor
@@ -910,7 +911,7 @@ def extract_special_values_per_degree(rec, terms: int = 8) -> list[ExtractedValu
         value = rhs.coeff(d) / factor
         if value.is_rational():
             value = value.as_rational()
-        tag, independent, _, _ = special_value(rec.op.kind, Fraction(arg))
-        matched = tag == "exact" and independent == value
+        independent, _, method = special_value(rec.op.kind, Fraction(arg))
+        matched = method == "exact" and independent == value
         out.append(ExtractedValue(arg, value, bool(matched)))
     return out

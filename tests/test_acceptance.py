@@ -116,7 +116,7 @@ def test_criterion_4_trivial_zero_extraction():
     exact_ok = vals[0].value == Fraction(-1, 2) and vals[0].matched
     for k in range(1, 6):
         v = vals[-2 * k]
-        exact_ok = exact_ok and v.value == 0 and v.matched and special_value("zeta", Fraction(-2 * k))[1] == 0
+        exact_ok = exact_ok and v.value == 0 and v.matched and special_value("zeta", Fraction(-2 * k)).value == 0
     ok = code == 0 and exact_ok
     report(4, ok, "extract eq17: zeta(0) = -1/2 and zeta(-2k) = 0 for k=1..5, exact, matched against special_value")
 

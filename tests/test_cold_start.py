@@ -166,8 +166,8 @@ class TestLazyPublicNames:
 
 
 def test_refused_trig_atom_loads_no_series():
-    # apply_operator refuses a trig atom under 1/Gamma or at a non-integer
-    # shift before it imports series, which only an accepted atom needs
+    # apply_operator refuses a trig atom under 1/Gamma and at a non-integer
+    # shift, and neither refusal loads series: the engine imports none
     code = (
         "import sys\n"
         "from opzeta.errors import UnsupportedExpression\n"

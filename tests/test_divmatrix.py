@@ -170,12 +170,12 @@ class TestTripletExport:
         # row lists divisors of m in increasing order, and the rows hold all
         # sum_n size//n divisor pairs, so none is missing
         size = 2 * 2**14 + 5
-        rows = list(_divisor_rows(size))
+        rows = [[int(n) for n in row] for row in _divisor_rows(size)]
         assert len(rows) == size
         for m, row in enumerate(rows, start=1):
             assert row[0] == 1 and row[-1] == m and all(a < b and m % a == 0 for a, b in zip(row, row[1:]))
         assert sum(map(len, rows)) == sum(size // n for n in range(1, size + 1))
-        assert list(_divisor_rows(60, str)) == [[str(n) for n in row] for row in rows[:60]]
+        assert list(_divisor_rows(60)) == [[str(n) for n in row] for row in rows[:60]]
 
     @pytest.mark.parametrize("M", [1, 2, 12, 97, 2**14 + 200])
     def test_chunks_of_whole_rows_match_entries(self, M):

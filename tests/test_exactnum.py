@@ -237,7 +237,7 @@ class TestPiPolynomial:
 
         ctx = mpmath.MPContext()
         ctx.dps = 80
-        p = special_value("zeta", Fraction(n))[1]
+        p = special_value("zeta", Fraction(n)).value
         want = sum(ctx.mpf(c.numerator) / c.denominator * ctx.pi ** k for k, c in enumerate(p.coeffs))
         assert float(p) == float(want)
 
@@ -250,8 +250,8 @@ class TestPiPolynomial:
     def test_float_same_double_as_the_mpf_route(self):
         # every exact zeta/beta value in Q[pi] at |k| <= 400: the same double as
         # Horner in pi at 35 digits, the route of float() before it was integer
-        forms = [special_value("zeta", Fraction(n))[1] for n in range(2, 401, 2)]
-        forms += [special_value("beta", Fraction(n))[1] for n in range(1, 400, 2)]
+        forms = [special_value("zeta", Fraction(n)).value for n in range(2, 401, 2)]
+        forms += [special_value("beta", Fraction(n)).value for n in range(1, 400, 2)]
         for p in forms:
             assert float(p) == pipoly_evaluator_mpf(PiXPolynomial([p]))(0), p.degree
 

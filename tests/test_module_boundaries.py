@@ -192,7 +192,7 @@ def test_each_right_side_name_is_spelled_once():
 
     constants = [node.value for tree in _trees().values() for node in ast.walk(tree)
                  if isinstance(node, ast.Constant) and isinstance(node.value, str)]
-    names = [*registry.CLOSED_FORMS, *registry.TAYLOR_GENERATORS]
+    names = [*registry.CLOSED_FORMS, *registry.TAYLOR_GENERATORS, *registry._EXTRA_CHECKS]
     assert {name: constants.count(name) for name in names} == dict.fromkeys(names, 1)
 
 

@@ -79,11 +79,11 @@ class TestApplyOperator:
             r = apply_operator(zeta_op(a), expr)
             arg = a - n
             if arg <= 0:
-                want = special_value("zeta", Fraction(arg))[1]
+                want = special_value("zeta", Fraction(arg)).value
                 assert r.expr.poly.coeff(n) == PiPolynomial([want])
                 assert not r.numeric_terms
             elif arg % 2 == 0:
-                assert r.expr.poly.coeff(n) == special_value("zeta", Fraction(arg))[1]
+                assert r.expr.poly.coeff(n) == special_value("zeta", Fraction(arg)).value
                 assert not r.numeric_terms
             else:
                 # odd zeta values >= 3: numeric route, exact part untouched
@@ -95,7 +95,7 @@ class TestApplyOperator:
 
         e = Expression(singular_terms=(SingularTerm(PiPolynomial([1]), -1),))
         r = apply_operator(zeta_op(1), e)  # argument 1 - (-1) = 2
-        assert r.expr.singular_terms[0].coeff == special_value("zeta", Fraction(2))[1]
+        assert r.expr.singular_terms[0].coeff == special_value("zeta", Fraction(2)).value
 
     def test_singular_pole(self):
         from opzeta.operators import SingularTerm
@@ -107,7 +107,7 @@ class TestApplyOperator:
     def test_large_degree_no_radius_restriction(self):
         # the engine never expands about a point, so degree 200 works like degree 2
         r = apply_operator(zeta_op(5), Expression.from_poly(PiXPolynomial.monomial(200, 1)))
-        assert r.expr.poly.coeff(200) == PiPolynomial([special_value("zeta", Fraction(-195))[1]])
+        assert r.expr.poly.coeff(200) == PiPolynomial([special_value("zeta", Fraction(-195)).value])
 
     def test_non_integer_shift_on_trig_unsupported(self):
         with pytest.raises(UnsupportedExpression):
@@ -205,7 +205,7 @@ class TestTaylorFlow:
 
     def test_shift2_cosine_value(self):
         r = taylor_flow(zeta_op(2), "cos", 8)
-        want = PiXPolynomial([special_value("zeta", Fraction(2))[1], PiPolynomial(), PiPolynomial([Fraction(1, 4)])])
+        want = PiXPolynomial([special_value("zeta", Fraction(2)).value, PiPolynomial(), PiPolynomial([Fraction(1, 4)])])
         assert r.poly == want
 
     def test_k_minimum(self):
@@ -363,7 +363,7 @@ class TestExtraction:
     def test_eq18_includes_pi_form(self):
         vals = extract_special_values(get_identity("eq18"), 4)
         table = {v.argument: v.value for v in vals}
-        assert table[2] == special_value("zeta", Fraction(2))[1]
+        assert table[2] == special_value("zeta", Fraction(2)).value
         assert table[0] == Fraction(-1, 2)
         assert table[-2] == 0
 

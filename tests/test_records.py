@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from opzeta.divmatrix import ConsistencyReport, DivisibilityMatrix
-from opzeta.exactnum import PiPolynomial, PiXPolynomial
+from opzeta.exactnum import EvalResult, PiPolynomial, PiXPolynomial, special_value
 from opzeta.operators import (
     DilationShift,
     Expression,
@@ -21,8 +21,8 @@ from opzeta.operators import (
     TrigAtom,
 )
 from opzeta.registry import IdentityRecord, Interval, get_identity
-from opzeta.series import SummedValue, TrigSeries
-from opzeta.specfun import EvalResult
+from opzeta.series import TrigSeries, abel_sums, partial_sums_accelerated
+from opzeta.specfun import dirichlet_beta, recip_gamma, zeta_em
 
 _EQ17_FIELDS = (
     "id summary kind shift trig exponent character gamma_shift rhs_literal rhs_closed rhs_taylor domain"
@@ -55,9 +55,8 @@ RECORDS = [
     (lambda: ExtractedValue(0, Fraction(-1, 2), True), "argument value matched",
      "ExtractedValue(argument=0, value=Fraction(-1, 2), matched=True)"),
     (lambda: TrigSeries("cos", 2, "beta"), "parity exponent character", "TrigSeries(parity='cos', exponent=2, character='beta')"),
-    (lambda: SummedValue(0.5, 1e-12, "partial_sum"), "value abs_error_estimate method",
-     "SummedValue(value=0.5, abs_error_estimate=1e-12, method='partial_sum')"),
-    (lambda: EvalResult(0.5 + 0j, 1e-16), "value abs_error_estimate", "EvalResult(value=(0.5+0j), abs_error_estimate=1e-16)"),
+    (lambda: EvalResult(0.5 + 0j, 1e-16, "euler_maclaurin"), "value abs_error_estimate method",
+     "EvalResult(value=(0.5+0j), abs_error_estimate=1e-16, method='euler_maclaurin')"),
     (lambda: DivisibilityMatrix(3), "size", "DivisibilityMatrix(size=3)"),
     (lambda: ConsistencyReport(1, 2, (1.0, 0.5), (Fraction(1), Fraction(1, 2)), (0.0, 0.0), 0.0),
      "n size coefficients expected deviations max_abs_deviation",
@@ -126,3 +125,17 @@ def test_records_are_tuples_of_their_fields():
     assert (kind, shift) == ("zeta", Fraction(1)) == DilationShift("zeta", 1)
     assert get_identity("eq17")._replace(gamma_shift=None).gamma_shift is None
     assert isinstance(get_identity("eq17"), IdentityRecord)
+
+
+def test_every_route_returns_the_one_record():
+    # the kernels of zeta, beta and 1/Gamma, both series routes and the route
+    # table return one record, whose method names the route that made the value
+    import opzeta
+
+    results = [zeta_em(0.5), dirichlet_beta(0.5), recip_gamma(0.5),
+               *partial_sums_accelerated(TrigSeries("sin", 1), [1.0]), *abel_sums(TrigSeries("cos", 0), [1.0]),
+               *(special_value(kind, Fraction(k, 2)) for kind in ("zeta", "beta", "recip_gamma") for k in (-1, 1, 2, 4))]
+    assert {type(r) for r in results} == {EvalResult}
+    assert {r.method for r in results} == {"exact", "pole", "euler_maclaurin", "hurwitz_difference", "rgamma",
+                                           "partial_sum", "abel_closed_form"}
+    assert opzeta.EvalResult is EvalResult and "SummedValue" not in opzeta.__all__

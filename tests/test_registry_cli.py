@@ -120,15 +120,30 @@ default_tol = 1e-6
         ("verify_mode = geometric",
          "[odd_one] verify mode 'geometric' does not take the left side 'series parity=sin exponent=0 character=trivial'"),
         ("rhs_closed =", "[odd_one] verify mode 'abel' needs rhs_poly or rhs_closed"),
+        # only the exact route applies a gamma_shift, and only to a zeta operator's Clausen form
+        ("lhs = operator zeta shift=0 trig=sin\ngamma_shift = 0",
+         "[odd_one] gamma_shift applies only to a zeta operator left side in verify mode 'exact'"),
+        ("lhs = operator beta shift=0 trig=sin\nverify_mode = exact\ngamma_shift = 0",
+         "[odd_one] gamma_shift applies only to a zeta operator left side in verify mode 'exact'"),
+        ("extract = yes",
+         "[odd_one] extract must be 'no' (yes for an operator left side with rhs_poly or rhs_taylor), got 'yes'"),
+        ("lhs = operator zeta shift=0 trig=sin\nrhs_taylor = cot_half_regular\nextract = no",
+         "[odd_one] extract must be 'yes' (yes for an operator left side with rhs_poly or rhs_taylor), got 'no'"),
+        ("anomaly_parity = od", "[odd_one] anomaly_parity must be one of ('odd', 'even', 'none'), got 'od'"),
+        ("expected_event = anomaly_mising",
+         "[odd_one] expected_event must be one of ('anomaly_missing', 'annihilated_constant'), got 'anomaly_mising'"),
     ]
 
     @classmethod
-    def altered(cls, line: str) -> str:
-        """BLOCK with `line` in place of the line of its key; a key with no
-        value drops that line."""
-        key, value = (part.strip() for part in line.split("=", 1))
-        kept = "".join(row for row in cls.BLOCK.splitlines(keepends=True) if not row.startswith(key))
-        return kept + line + "\n" if value else kept
+    def altered(cls, lines: str) -> str:
+        """BLOCK with each line of `lines` in place of the line of its key; a
+        key with no value drops that line."""
+        text = cls.BLOCK
+        for line in lines.splitlines():
+            key, value = (part.strip() for part in line.split("=", 1))
+            kept = "".join(row for row in text.splitlines(keepends=True) if not row.startswith(key))
+            text = kept + line + "\n" if value else kept
+        return text
 
     @pytest.mark.parametrize("line, message", BAD_LINES)
     def test_a_bad_block_is_named(self, line, message):
