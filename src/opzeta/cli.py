@@ -45,6 +45,7 @@ def _verify_exact(rec: registry.IdentityRecord) -> tuple[list[dict], float, list
     events); the deviation is 0.0 on equality and inf otherwise."""
     from .exactnum import clausen_closed_form
     from .operators import Expression, apply_recip_gamma_op, parity_anomaly, taylor_flow
+    from .registry import ANNIHILATED_CONSTANT, ANOMALY_MISSING
 
     if rec.kind is None:
         raise ValueError(f"{rec.id}: exact mode needs an operator-on-trig left side")
@@ -56,7 +57,7 @@ def _verify_exact(rec: registry.IdentityRecord) -> tuple[list[dict], float, list
         anomaly = parity_anomaly(closed, "odd" if rec.trig == "sin" else "even")
         route_a = apply_recip_gamma_op(rec.gamma_shift, Expression.from_poly(closed)).poly
         if anomaly is not None and apply_recip_gamma_op(rec.gamma_shift, Expression.from_poly(anomaly)).is_zero():
-            events.append("annihilated_constant")
+            events.append(ANNIHILATED_CONSTANT)
         # route B: term-by-term flow first, 1/Gamma after
         route_b = apply_recip_gamma_op(rec.gamma_shift, Expression.from_poly(flow.poly)).poly
         target = rec.rhs_poly
@@ -72,7 +73,7 @@ def _verify_exact(rec: registry.IdentityRecord) -> tuple[list[dict], float, list
         lhs_polys = [flow.poly + anomaly if anomaly is not None else flow.poly]
         equal = lhs_polys[0] == target and flow.anomaly_missing == (anomaly is not None)
     if flow.anomaly_missing:
-        events.append("anomaly_missing")
+        events.append(ANOMALY_MISSING)
     deviation = 0.0 if equal else math.inf
     return [_row(rec.id, None, repr(p), repr(target), deviation, "exact") for p in lhs_polys], deviation, events
 
@@ -308,8 +309,8 @@ def _cmd_extract(args, out) -> int:
 
 
 # size bounds of `matrix`: the triplet export prints about size * ln(size)
-# lines (1.17M at the bound); the quadrature check costs O(size^2) and takes
-# about 0.4 s in process at its bound (n = 999 or 1000), 0.6 s from a cold start
+# lines (1.17M at the bound); the check bounds outside input, as its closed
+# form costs O(size), about 1.6 ms in process at its bound (n = 999 or 1000)
 _MATRIX_SIZE_BOUND = 100_000
 _CHECK_SIZE_BOUND = 1000
 
@@ -411,7 +412,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     m.add_argument("--size", type=int, required=True)
     action = m.add_mutually_exclusive_group()
     action.add_argument("--apply", type=int, default=None, metavar="N", help="apply to basis vector N")
-    action.add_argument("--check", type=int, default=None, metavar="N", help="quadrature consistency check of column N")
+    action.add_argument("--check", type=int, default=None, metavar="N", help="check column N against the sawtooth's Fourier coefficients")
     m.add_argument("--tol", type=float, default=1e-8)
 
     ls = sub.add_parser("list", help="list registry identities")

@@ -3,9 +3,9 @@
 The registry is a versioned text data file (key=value blocks) rather than
 code so each identity is auditable in one place; tests and the CLI share it
 as the single source of truth. See the header of the data file for the field
-reference. A record holds plain data: the left side's kind, shift, trig
-function (a series' parity), exponent and character, the right side's
-polynomial literal and the names of its closed form and Taylor generator.
+reference. A record holds plain data: the left side's kind, shift (a
+series' exponent), trig function (a series' parity) and character, the right
+side's polynomial literal and the names of its closed form and Taylor generator.
 Those names are defined here alone, as the keys of `CLOSED_FORMS` and
 `TAYLOR_GENERATORS`. The load imports no engine layer; a bad block raises
 ValueError naming it. `op`, `series` and `rhs_poly`, the engine forms a
@@ -35,8 +35,10 @@ _COEFF_RE = re.compile(r"^([+-]?\d+(?:/\d+)?)(?:\*pi(?:\^(\d+))?)?$")
 _LHS_CHARACTERS = {"zeta": "trivial", "beta": "beta"}
 _VERIFY_MODES = ("sum", "abel", "geometric", "exact")
 _EXTRA_CHECKS = ("geometric_real_part",)  # the side conditions `verify` runs
+# the pole events of the exact route, which a block's expected_event may name
+ANOMALY_MISSING, ANNIHILATED_CONSTANT = "anomaly_missing", "annihilated_constant"
 # the values of the vocabulary keys, as the data file's header documents them
-_VOCABULARY = {"anomaly_parity": ("odd", "even", "none"), "expected_event": ("anomaly_missing", "annihilated_constant")}
+_VOCABULARY = {"anomaly_parity": ("odd", "even", "none"), "expected_event": (ANOMALY_MISSING, ANNIHILATED_CONSTANT)}
 _EPS = 1e-12  # the slack of an interval's endpoints
 
 
@@ -193,9 +195,8 @@ class IdentityRecord(NamedTuple):
     id: str
     summary: str
     kind: Optional[str]  # 'zeta' | 'beta' when the left side is an operator
-    shift: Optional[int]  # the operator's shift
+    shift: Optional[int]  # the operator's shift, the exponent of the left side's series form
     trig: Optional[str]  # 'sin' | 'cos': the trig function the operator acts on, or the series' parity
-    exponent: Optional[int]  # of the left side's series form (an operator's shift)
     character: Optional[str]  # 'trivial' | 'beta' of that series form
     gamma_shift: Optional[int]
     rhs_literal: Optional[str]  # the rhs_poly literal of the data file
@@ -222,11 +223,11 @@ class IdentityRecord(NamedTuple):
     @property
     def series(self):
         """The series form of the left side, a TrigSeries, or None."""
-        if self.exponent is None:
+        if self.shift is None:
             return None
         from .series import TrigSeries
 
-        return TrigSeries(self.trig, self.exponent, self.character)
+        return TrigSeries(self.trig, self.shift, self.character)
 
     @property
     def rhs_poly(self):
@@ -259,27 +260,28 @@ def _integer(key: str, text: str) -> int:
 
 
 def _parse_lhs(text: str) -> tuple:
-    """-> (kind, shift, trig, exponent, character); all None for the geometric left side."""
+    """-> (kind, shift, trig, character), a series' exponent as its shift; all
+    None for the geometric left side."""
     parts = text.split()
     if parts[0] == "geometric":
-        return None, None, None, None, None
+        return None, None, None, None
     kv = dict(p.split("=", 1) for p in parts[2 if parts[0] == "operator" else 1:])
     if parts[0] == "operator":
         kind, trig = parts[1], kv["trig"]
         if kind not in _LHS_CHARACTERS:
             raise ValueError(f"unknown operator kind {kind!r}")
-        shift = exponent = _integer("shift", kv["shift"])
+        shift = _integer("shift", kv["shift"])
         character = _LHS_CHARACTERS[kind]
     elif parts[0] == "series":
-        kind = shift = None
-        trig, exponent, character = kv["parity"], int(kv["exponent"]), kv["character"]
+        kind = None
+        trig, shift, character = kv["parity"], int(kv["exponent"]), kv["character"]
         if character not in ("trivial", "beta"):
             raise ValueError(f"unknown character {character!r}")
     else:
         raise ValueError(f"bad lhs {text!r}")
     if trig not in ("sin", "cos"):
         raise ValueError(f"unknown trig function {trig!r}")
-    return kind, shift, trig, exponent, character
+    return kind, shift, trig, character
 
 
 def parse_grid(text: str) -> tuple[float, float, int]:
@@ -296,7 +298,7 @@ def _parse_registry() -> tuple[int, dict[str, IdentityRecord]]:
 
 
 def _record(sec: str, block) -> IdentityRecord:
-    kind, shift, trig, exponent, character = _parse_lhs(block["lhs"])
+    kind, shift, trig, character = _parse_lhs(block["lhs"])
     rhs_literal, rhs_closed, rhs_taylor = block.get("rhs_poly"), block.get("rhs_closed"), block.get("rhs_taylor")
     if rhs_literal is not None:
         for tok in rhs_literal.split(";"):
@@ -308,7 +310,7 @@ def _record(sec: str, block) -> IdentityRecord:
     mode = block["verify_mode"]
     if mode not in _VERIFY_MODES:
         raise ValueError(f"unknown verify mode {mode!r}")
-    if (exponent is None) != (mode == "geometric"):
+    if (shift is None) != (mode == "geometric"):
         raise ValueError(f"verify mode {mode!r} does not take the left side {block['lhs']!r}")
     if mode in ("sum", "abel") and rhs_literal is None and rhs_closed is None:
         raise ValueError(f"verify mode {mode!r} needs rhs_poly or rhs_closed")
@@ -321,7 +323,10 @@ def _record(sec: str, block) -> IdentityRecord:
     gamma_shift = _integer("gamma_shift", block["gamma_shift"]) if "gamma_shift" in block else None
     if gamma_shift is not None and (kind != "zeta" or mode != "exact"):
         raise ValueError("gamma_shift applies only to a zeta operator left side in verify mode 'exact'")
-    want = "yes" if kind is not None and (rhs_literal is not None or rhs_taylor is not None) else "no"
+    exact_rhs = kind is not None and (rhs_literal is not None or rhs_taylor is not None)
+    if mode == "exact" and not exact_rhs:
+        raise ValueError("verify mode 'exact' needs an operator left side with rhs_poly or rhs_taylor")
+    want = "yes" if exact_rhs else "no"
     if (extract := block.get("extract", "no")) != want:
         raise ValueError(f"extract must be {want!r} (yes for an operator left side with rhs_poly or rhs_taylor), got {extract!r}")
     return IdentityRecord(
@@ -330,7 +335,6 @@ def _record(sec: str, block) -> IdentityRecord:
         kind=kind,
         shift=shift,
         trig=trig,
-        exponent=exponent,
         character=character,
         gamma_shift=gamma_shift,
         rhs_literal=rhs_literal,

@@ -16,6 +16,9 @@ the same order, so the kernel must match it bit for bit. `taylor_flow_per_degree
 engine's flow and extraction, before both read their Taylor terms and
 operator values through `apply_operator`. `partial_sum` and
 `beta_partial_sum` sum by raw truncation, which no package route does.
+`scalar_quadrature` integrates the frequency-n sawtooth against sin(m x) by
+composite Gauss-Legendre, panels split at its jumps, where `divmatrix`
+reads the same coefficients off the jumps in closed form.
 `small_numbers_fraction` is the Fraction recurrence the exact table of
 Bernoulli and Euler numbers took before it ran in integers, and
 `powers_pow` and `ln_mpmath` the mpmath powers and logarithm of
@@ -267,6 +270,35 @@ def matrix_apply(A, v) -> list[Fraction]:
             for k, m in enumerate(range(n, A.size + 1, n), start=1):
                 out[m - 1] += Fraction(1, k) * vn
     return out
+
+
+def scalar_quadrature(n: int, m: int) -> float:
+    """The reference loop for coefficient m of the frequency-n sawtooth: panels
+    generated one at a time, the sawtooth evaluated per node, panel sums added
+    in order from 0.0."""
+    import numpy as np
+
+    xs_gl, ws_gl = np.polynomial.legendre.leggauss(32)
+    jumps = [2 * math.pi * j / n for j in range(1, n // 2 + 1) if 2 * math.pi * j / n < math.pi - 1e-12]
+    breaks = [0.0] + jumps + [math.pi]
+
+    def sawtooth(x):
+        y = math.fmod(n * x, 2 * math.pi)
+        if y < 0:
+            y += 2 * math.pi
+        return (math.pi - y) / 2
+
+    total = 0.0
+    for a0, b0 in zip(breaks, breaks[1:]):
+        width = b0 - a0
+        sub = max(1, math.ceil(max(4, m // 2 + 2) * width / math.pi))
+        for i in range(sub):
+            a, b = a0 + width * i / sub, a0 + width * (i + 1) / sub
+            mid, half = 0.5 * (a + b), 0.5 * (b - a)
+            xq = mid + half * xs_gl
+            fx = np.array([sawtooth(float(x)) for x in xq])
+            total += half * float(np.sum(ws_gl * fx * np.sin(m * xq)))
+    return 2.0 / math.pi * total
 
 
 def partial_sum(parity: str, s: int, x: float, N: int) -> tuple[float, float]:

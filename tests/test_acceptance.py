@@ -199,4 +199,4 @@ def test_criterion_9_matrix_and_pole_witness():
     except PoleHit:
         pole_ok = True
     ok = quad_ok and pattern_ok and pole_ok
-    report(9, ok, f"column-1 quadrature deviation {rep.max_abs_deviation:.2e} <= 1e-8; divisibility pattern exact to 64; constants raise PoleHit")
+    report(9, ok, f"column-1 sawtooth coefficient deviation {rep.max_abs_deviation:.2e} <= 1e-8; divisibility pattern exact to 64; constants raise PoleHit")

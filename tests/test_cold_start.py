@@ -33,6 +33,7 @@ _EXACT_COMMANDS = [
     ["values", "zeta", "400"],
     ["extract", "eq21_sin", "--terms", "40"],
     ["verify", "eq17", "--exact"],
+    ["matrix", "--size", "96", "--check", "1"],
 ]
 
 # the layers each command loads beside opzeta, opzeta.cli and opzeta.errors: `list`

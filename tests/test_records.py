@@ -25,7 +25,7 @@ from opzeta.series import TrigSeries, abel_sums, partial_sums_accelerated
 from opzeta.specfun import dirichlet_beta, recip_gamma, zeta_em
 
 _EQ17_FIELDS = (
-    "id summary kind shift trig exponent character gamma_shift rhs_literal rhs_closed rhs_taylor domain"
+    "id summary kind shift trig character gamma_shift rhs_literal rhs_closed rhs_taylor domain"
     " anomaly_parity verify_mode default_grid default_tol extract extra_check expected_event"
 )
 

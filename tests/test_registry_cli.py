@@ -129,6 +129,10 @@ default_tol = 1e-6
          "[odd_one] extract must be 'no' (yes for an operator left side with rhs_poly or rhs_taylor), got 'yes'"),
         ("lhs = operator zeta shift=0 trig=sin\nrhs_taylor = cot_half_regular\nextract = no",
          "[odd_one] extract must be 'yes' (yes for an operator left side with rhs_poly or rhs_taylor), got 'no'"),
+        # exact mode compares polynomials: a series left side, or an operator with a closed form alone, has none
+        ("verify_mode = exact", "[odd_one] verify mode 'exact' needs an operator left side with rhs_poly or rhs_taylor"),
+        ("lhs = operator zeta shift=0 trig=sin\nverify_mode = exact",
+         "[odd_one] verify mode 'exact' needs an operator left side with rhs_poly or rhs_taylor"),
         ("anomaly_parity = od", "[odd_one] anomaly_parity must be one of ('odd', 'even', 'none'), got 'od'"),
         ("expected_event = anomaly_mising",
          "[odd_one] expected_event must be one of ('anomaly_missing', 'annihilated_constant'), got 'anomaly_mising'"),
@@ -182,7 +186,7 @@ default_tol = 1e-6
         rec = get_identity("eq3_2")
         assert (rec.op, rec.series) == (DilationShift("zeta", 4), TrigSeries("cos", 4, "trivial"))
         assert rec.rhs_poly == get_identity("eq3_2").exact_rhs(12)
-        altered = rec._replace(kind="beta", shift=Fraction(2), exponent=2, character="beta", rhs_literal="0; 1/2")
+        altered = rec._replace(kind="beta", shift=2, character="beta", rhs_literal="0; 1/2")
         assert (altered.op, altered.series) == (DilationShift("beta", 2), TrigSeries("cos", 2, "beta"))
         assert altered.rhs_poly == PiXPolynomial([0, Fraction(1, 2)])
         assert get_identity("eq5").op is get_identity("eq5").series is get_identity("eq5").rhs_poly is None
@@ -724,10 +728,9 @@ class TestMatrixCommand:
         assert self._child_maxrss_kb("matrix", "--size", "100000", "--apply", "1") <= 31 * 1024
 
     def test_check_peak_rss_at_the_size_bound(self):
-        # the quadrature's array passes are bounded in panel rows: at the
-        # check's bound the child peaks within 2 MB of a check at size 16
-        # (about 0.9 MB measured; every layout in one pass peaks 208 MB above),
-        # a relative bound that leaves numpy's import out of it
+        # the check holds O(size) floats and fractions: at its bound the child
+        # peaks within 2 MB of a check at size 16 (under 0.1 MB measured), a
+        # relative bound that leaves the interpreter's start out of it
         small = self._child_maxrss_kb("matrix", "--size", "16", "--check", "1")
         assert self._child_maxrss_kb("matrix", "--size", "1000", "--check", "999") - small <= 2 * 1024
 
