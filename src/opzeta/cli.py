@@ -309,8 +309,8 @@ def _cmd_extract(args, out) -> int:
 
 
 # size bounds of `matrix`: the triplet export prints about size * ln(size)
-# lines (1.17M at the bound); the check bounds outside input, as its closed
-# form costs O(size), about 1.6 ms in process at its bound (n = 999 or 1000)
+# lines (1.17M at the bound); the check's closed form costs O(size), about
+# 1.6 ms in process at its bound (n = 999 or 1000)
 _MATRIX_SIZE_BOUND = 100_000
 _CHECK_SIZE_BOUND = 1000
 
