@@ -14,7 +14,7 @@ Bernoulli and Euler numbers up to index 82 come from one immutable table,
 built by the exact recurrences in integers on first use (the Bernoulli
 numbers over one common denominator, the product of the primes up to 83:
 about 1 ms against 6 ms as Fractions on a 2-vCPU VM); a larger index is one
-rounded Dirichlet series (zeta or beta), summed in integers at a fixed
+rounded Dirichlet series (a row of `CHARACTERS`), summed in integers at a fixed
 point: B_1000 and E_1000 take about 3 and 8 ms. The only other memo is pi
 in blocks of 1,024 bits (`_pi_block`), built on first use, which those series
 (about 8 blocks up to index 1000) and the evaluations in Q[pi] (one block)
@@ -27,9 +27,10 @@ all odd-index values vanish.
 
 `special_value` is the one route table of the operator values: for each kind
 and exact argument it decides between the exact value, the numeric one and
-the pole, for the kinds that key `NUMERIC_ROUTE`. It imports `specfun`, the
-numeric kernels, for a numeric value only, so no exact command compiles them.
-It, those kernels and the `series` routes return one record, `EvalResult`.
+the pole, for the kinds that key `NUMERIC_ROUTE`, zeta and beta by one
+functional equation over their rows of `CHARACTERS`. It imports `specfun` for
+a numeric value only, so no exact command compiles it. It, the `specfun`
+kernels and the `series` routes return one record, `EvalResult`.
 `clausen_closed_form` rescales the Bernoulli polynomials into the closed forms
 of the trigonometric series with polynomial sums.
 """
@@ -292,11 +293,10 @@ def _small_numbers() -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
     return tuple(Fraction(b, den) for b in bern), tuple(euler)
 
 
-def _nint_l_value(scale: int, power: int, pi_mult: int, odd: bool) -> int:
-    """The integer nearest to V = scale L / (pi_mult pi)^power, where L is the
-    Dirichlet series sum_k chi(k) k^-power summed directly (Brent and Harvey,
-    arXiv:1108.0286): over k >= 1 (chi = 1, L = zeta(power)), or over odd k
-    with chi(2j+1) = (-1)^j (`odd`, L = beta(power)).
+def _nint_l_value(scale: int, power: int, pi_mult: int, row: tuple[int, ...]) -> int:
+    """The integer nearest to V = scale L / (pi_mult pi)^power, where L =
+    sum_(k>=1) chi(k) k^-power, chi(k) = row[k % q] for a row of `CHARACTERS`
+    (zeta or beta), is summed directly (Brent and Harvey, arXiv:1108.0286).
 
     Everything is an integer at `prec` fractional bits (u = 2^-prec): log2 V
     plus 24 guard bits and bit_length(power), the bits that pi^power loses,
@@ -318,10 +318,7 @@ def _nint_l_value(scale: int, power: int, pi_mult: int, odd: bool) -> int:
     prec = max(0, math.ceil(log2_value)) + power.bit_length() + 24
     k_stop = int(2.0 ** ((prec + 2) / power)) + 1
     one = 1 << prec
-    if odd:
-        series = sum((-1) ** j * (one // (2 * j + 1) ** power) for j in range(k_stop // 2 + 1))
-    else:
-        series = sum(one // k**power for k in range(1, k_stop + 1))
+    series = sum(chi * (one // k**power) for k in range(1, k_stop + 1) if (chi := row[k % len(row)]))
     base = pi_mult * (_pi_block(-(-prec // 1024)) >> -prec % 1024)
     den = base
     for bit in bin(power)[3:]:  # left to right: square, then multiply on a set bit
@@ -362,7 +359,7 @@ def bernoulli_number(n: int) -> Fraction:
     if n % 2:
         return Fraction(0)
     den = _staudt_clausen_denominator(n)
-    return Fraction((-1) ** (n // 2 + 1) * _nint_l_value(2 * factorial(n) * den, n, 2, False), den)
+    return Fraction((-1) ** (n // 2 + 1) * _nint_l_value(2 * factorial(n) * den, n, 2, CHARACTERS["zeta"]), den)
 
 
 # empties the small table, so that the next call computes it cold (for timing)
@@ -393,7 +390,7 @@ def euler_number(n: int) -> int:
         return _small_numbers()[1][n]
     if n % 2:
         return 0
-    return (-1) ** (n // 2) * _nint_l_value(2 ** (n + 2) * factorial(n), n + 1, 1, True)
+    return (-1) ** (n // 2) * _nint_l_value(2 ** (n + 2) * factorial(n), n + 1, 1, CHARACTERS["beta"])
 
 
 def clausen_closed_form(parity: str, m: int) -> PiXPolynomial:
@@ -438,6 +435,8 @@ class EvalResult(NamedTuple):
 
 
 NUMERIC_ROUTE = {"zeta": "euler_maclaurin", "beta": "hurwitz_difference", "recip_gamma": "rgamma"}
+# the real Dirichlet character of each L-function kind: chi(n) = row[n % q], q the row's length (its conductor)
+CHARACTERS = {"zeta": (1,), "beta": (0, 1, 0, -1)}
 
 
 def special_value(kind: str, arg: Fraction) -> EvalResult:
@@ -445,30 +444,25 @@ def special_value(kind: str, arg: Fraction) -> EvalResult:
     exact value, the pole (zeta(1)) or the record of the `specfun` kernel of
     route `NUMERIC_ROUTE[kind]`.
 
-    Exact at every integer but zeta at odd n >= 3 and beta at even n >= 2,
-    which have no closed form; 1/Gamma is 0 at the Gamma poles. `specfun`
-    is imported for a numeric value only."""
+    A kind of `CHARACTERS` is exact at every integer k <= 0 and, by the
+    functional equation, at k >= 1 with chi(-1) = (-1)^k; zeta at odd and beta
+    at even k >= 2 have no closed form. 1/Gamma is 0 at the Gamma poles.
+    `specfun` is imported for a numeric value only."""
     if kind not in NUMERIC_ROUTE:
         raise ValueError(f"kind must be one of {tuple(NUMERIC_ROUTE)}")
-    exact = None
+    exact, row = None, CHARACTERS.get(kind)
     if arg.denominator == 1:
         k = int(arg)  # (-1) ** -k below: (-1) ** k is a float at k < 0
-        if kind == "zeta":
-            if k == 1:
-                return EvalResult(None, None, "pole")
-            if k <= 0:  # zeta(-n) = (-1)^n B_(n+1)/(n+1), n >= 0; zero at even n >= 2
-                exact = (-1) ** -k * bernoulli_number(1 - k) / (1 - k)
-            elif k % 2 == 0:  # zeta(2m) = (-1)^(m+1) B_2m (2 pi)^2m / (2 (2m)!)
-                q = (-1) ** (k // 2 + 1) * bernoulli_number(k) * 2 ** (k - 1) / factorial(k)
-                exact = PiPolynomial.pi_power(q, k)
-        elif kind == "beta":
-            if k <= 0:  # beta(-n) = E_n/2, n >= 0; zero at odd n
-                exact = Fraction(euler_number(-k), 2)
-            elif k % 2:  # beta(2m+1) = (-1)^m E_2m pi^(2m+1) / (4^(m+1) (2m)!)
-                q = Fraction((-1) ** (k // 2) * euler_number(k - 1), 2 ** (k + 1) * factorial(k - 1))
-                exact = PiPolynomial.pi_power(q, k)
-        else:
+        if row is None:
             exact = Fraction(0) if k <= 0 else Fraction(1, factorial(k - 1))
+        elif len(row) == 1 and k == 1:
+            return EvalResult(None, None, "pole")
+        elif k <= 0:  # zeta(-n) = (-1)^n B_(n+1)/(n+1), zero at even n >= 2; beta(-n) = E_n/2, zero at odd n
+            exact = (-1) ** -k * bernoulli_number(1 - k) / (1 - k) if len(row) == 1 else Fraction(euler_number(-k), 2)
+        elif row[-1] == (-1) ** k:  # chi(-1) = (-1)^k: L(k) = (-1)^(k//2) (sqrt(q)/2) (2 pi/q)^k L(1-k)/(k-1)!
+            q = len(row)  # a square (DLMF 25.15; Apostol, ch. 12)
+            c = Fraction((-1) ** (k // 2) * math.isqrt(q) * 2 ** (k - 1), q**k * factorial(k - 1))
+            exact = PiPolynomial.pi_power(c * special_value(kind, Fraction(1 - k)).value, k)
     if exact is not None:
         return EvalResult(exact, 0.0, "exact")
     from . import specfun

@@ -17,7 +17,8 @@ that same polynomial, for the registry record its caller passes. The engine
 imports no layer but `errors` and `exactnum`. Every record is a NamedTuple;
 `DilationShift`, `TrigAtom` and `SingularTerm` check and coerce their fields
 in `__new__`; a `DilationShift` takes the kinds `special_value` routes, the
-keys of `exactnum.NUMERIC_ROUTE`.
+keys of `exactnum.NUMERIC_ROUTE`, and the flow the L-function kinds, the rows
+of `exactnum.CHARACTERS`, of which only the principal row (zeta) has a pole.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import (
     PoleHit,
     UnsupportedExpression,
 )
-from .exactnum import NUMERIC_ROUTE, PiPolynomial, PiXPolynomial, special_value
+from .exactnum import CHARACTERS, NUMERIC_ROUTE, PiPolynomial, PiXPolynomial, special_value
 
 
 class DilationShift(NamedTuple("DilationShift", [("kind", str), ("shift", Fraction)])):
@@ -226,13 +227,13 @@ def taylor_flow(op: DilationShift, trig: str, K: int) -> TaylorFlowResult:
         raise ValueError("K must be >= 4")
     if trig not in ("sin", "cos"):
         raise ValueError("trig must be 'sin' or 'cos'")
-    if op.kind not in ("zeta", "beta"):
+    if op.kind not in CHARACTERS:
         raise UnsupportedExpression("taylor_flow drives zeta/beta kinds")
     if op.shift.denominator != 1:
         raise UnsupportedExpression("taylor_flow needs an integer shift for exact values")
     shift = int(op.shift)
 
-    pole_degree = shift - 1 if op.kind == "zeta" else -1
+    pole_degree = shift - 1 if len(CHARACTERS[op.kind]) == 1 else -1  # the principal row's pole
     if pole_degree >= 0 and (trig == "sin") == (pole_degree % 2 == 1):
         raise PoleHit(f"operator argument hits the pole at monomial degree {pole_degree}")
 

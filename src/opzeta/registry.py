@@ -31,8 +31,8 @@ _PI_TOKENS = {"pi": math.pi, "2pi": 2 * math.pi, "pi/2": math.pi / 2, "-pi/2": -
 
 _COEFF_RE = re.compile(r"^([+-]?\d+(?:/\d+)?)(?:\*pi(?:\^(\d+))?)?$")
 
-# the series character of each operator kind a left side may take; 1/Gamma has no series form
-_LHS_CHARACTERS = {"zeta": "trivial", "beta": "beta"}
+# the series character of each operator kind, and so every character a series takes; 1/Gamma has none
+SERIES_CHARACTERS = {"zeta": "trivial", "beta": "beta"}
 _VERIFY_MODES = ("sum", "abel", "geometric", "exact")
 _EXTRA_CHECKS = ("geometric_real_part",)  # the side conditions `verify` runs
 # the pole events of the exact route, which a block's expected_event may name
@@ -194,10 +194,10 @@ class IdentityRecord(NamedTuple):
 
     id: str
     summary: str
-    kind: Optional[str]  # 'zeta' | 'beta' when the left side is an operator
+    kind: Optional[str]  # a key of SERIES_CHARACTERS when the left side is an operator
     shift: Optional[int]  # the operator's shift, the exponent of the left side's series form
     trig: Optional[str]  # 'sin' | 'cos': the trig function the operator acts on, or the series' parity
-    character: Optional[str]  # 'trivial' | 'beta' of that series form
+    character: Optional[str]  # a value of SERIES_CHARACTERS: the character of that series form
     gamma_shift: Optional[int]
     rhs_literal: Optional[str]  # the rhs_poly literal of the data file
     rhs_closed: Optional[str]
@@ -268,14 +268,14 @@ def _parse_lhs(text: str) -> tuple:
     kv = dict(p.split("=", 1) for p in parts[2 if parts[0] == "operator" else 1:])
     if parts[0] == "operator":
         kind, trig = parts[1], kv["trig"]
-        if kind not in _LHS_CHARACTERS:
+        if kind not in SERIES_CHARACTERS:
             raise ValueError(f"unknown operator kind {kind!r}")
         shift = _integer("shift", kv["shift"])
-        character = _LHS_CHARACTERS[kind]
+        character = SERIES_CHARACTERS[kind]
     elif parts[0] == "series":
         kind = None
         trig, shift, character = kv["parity"], int(kv["exponent"]), kv["character"]
-        if character not in ("trivial", "beta"):
+        if character not in SERIES_CHARACTERS.values():
             raise ValueError(f"unknown character {character!r}")
     else:
         raise ValueError(f"bad lhs {text!r}")

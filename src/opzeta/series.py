@@ -18,8 +18,8 @@ exponents <= 1: there the trivial Abel mean is a closed form in
 z = r e^(ix), continuous up to |z| = 1 away from z = 1, so the Abel sum is
 that form at r = 1. A point that a route cannot take raises
 `OutsideDomain`, naming it. `TrigSeries` is a NamedTuple that checks its
-fields in `__new__`. `verify` holds these sums against the registry's
-closed forms, `registry.CLOSED_FORMS`.
+fields in `__new__`, its character against `registry.SERIES_CHARACTERS`.
+`verify` holds these sums against the closed forms `registry.CLOSED_FORMS`.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .errors import NotConverged, OutsideDomain
 from .exactnum import EvalResult
+from .registry import SERIES_CHARACTERS
 
 _UNIT_ROUNDOFF = 2.0**-53
 _N0_SCALE, _N0_CAP, _SBP_MAX_LEVELS = 64, 400_000, 48
@@ -50,8 +51,8 @@ class TrigSeries(NamedTuple("TrigSeries", [("parity", str), ("exponent", int), (
     def __new__(cls, parity: str, exponent: int, character: str = "trivial"):
         if parity not in ("sin", "cos"):
             raise ValueError("parity must be 'sin' or 'cos'")
-        if character not in ("trivial", "beta"):
-            raise ValueError("character must be 'trivial' or 'beta'")
+        if character not in SERIES_CHARACTERS.values():
+            raise ValueError(f"character must be {' or '.join(map(repr, SERIES_CHARACTERS.values()))}")
         if not isinstance(exponent, int):
             raise ValueError("exponent must be an integer")
         return super().__new__(cls, parity, exponent, character)

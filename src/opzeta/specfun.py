@@ -1,19 +1,20 @@
 """Numeric evaluation of zeta, Dirichlet beta and 1/Gamma.
 
-Numeric kernels compute on raw mpmath values (libmp tuples) at an explicit
-precision, prec = dps_to_prec(dps), dps sized to the cancellation headroom of
-the argument, then round once to a complex double. A call picks once, from
-whether s is real, the mpf_* or mpc_* operations mpmath's operators apply
-(`_arith`), so each value is bit-identical to mpmath's numbers at prec. The
-Euler-Maclaurin corrections run in integers, one loop over k for every shift
-of a call (`_em_sum`); the heads come from one table of m^-s per call
-(`_power_table`, one power per prime). A call keeps its state in local
-values, with no mpmath context, no lock and no process-global precision: the
-public functions are safe for concurrent use and leave mpmath's `mp` alone.
-Beside immutable tables built once (`_arith`, `_em_coefficients`), the one
-shared value is the bounded memo of logarithms `_ln` (log m for the powers,
-log((4N+3)/(4N+1)) for beta's pole term), filled with no lock: threads that
-race on a key compute the same value. mpmath is imported on the first
+zeta and beta are the two rows of `exactnum.CHARACTERS`, and one kernel,
+`_l_em`, evaluates either row by Euler-Maclaurin. It computes on raw mpmath
+values (libmp tuples) at an explicit precision, prec = dps_to_prec(dps), dps
+sized to the cancellation headroom of the argument, then rounds once to a
+complex double. A call picks once, from whether s is real, the mpf_* or mpc_*
+operations mpmath's operators apply (`_arith`), so each value is bit-identical
+to mpmath's numbers at prec. The Euler-Maclaurin corrections run in integers,
+one loop over k for every shift of a call (`_em_sum`); the heads come from one
+table of m^-s per call (`_power_table`, one power per prime). A call keeps its
+state in local values, with no mpmath context, no lock and no process-global
+precision: the public functions are safe for concurrent use and leave mpmath's
+`mp` alone. Beside immutable tables built once (`_arith`, `_em_coefficients`),
+the one shared value is the bounded memo of logarithms `_ln` (log m for the
+powers, log((4N+3)/(4N+1)) for beta's pole term), filled with no lock: threads
+that race on a key compute the same value. mpmath is imported on the first
 numeric call; `zeta_em` raises `PoleHit`, the one pole error, near s = 1.
 
 The exact values live in `exactnum`, with `special_value`, the route table
@@ -33,7 +34,7 @@ from functools import cache, lru_cache
 from math import factorial
 
 from .errors import NotConverged, PoleHit, PrecisionLoss
-from .exactnum import NUMERIC_ROUTE, EvalResult, bernoulli_number
+from .exactnum import CHARACTERS, NUMERIC_ROUTE, EvalResult, bernoulli_number
 
 # Validated accuracy domain of the Euler-Maclaurin evaluator.
 _EM_RE_MIN = -25.0
@@ -101,7 +102,7 @@ def _em_coefficients() -> tuple[tuple[tuple[int, int], ...], tuple[float, ...]]:
 
 def _em_params(sig: float, tau: float, stride: int = 1) -> tuple[int, int]:
     """(N, dps) at s: N meets the remainder target within K_max terms; dps covers
-    head terms up to (stride (N + 2))^-sigma (stride 4 for beta's 4^-s). Raises
+    head terms up to (stride (N + 2))^-sigma (stride q for a conductor q). Raises
     NotConverged where no K <= 41 has a finite bound (sigma + 2 K_max <= 1)."""
     if sig + 2 * _EM_K_MAX - 1 <= 0:
         raise NotConverged(f"Euler-Maclaurin at Re s = {sig:g}: no finite remainder bound within "
@@ -240,62 +241,63 @@ def _expm1(ar, prec: int, x):
         extra += min(wp, cancelled)
 
 
-def _check_validated_domain(s, caller: str) -> None:
-    """Warn PrecisionLoss outside the validated domain, naming `caller`, at the line that called `caller`."""
+def _check_validated_domain(s, caller: str, stacklevel: int = 3) -> None:
+    """Warn PrecisionLoss outside the validated domain, naming `caller`, `stacklevel` frames up (the caller's line)."""
     if s.real < _EM_RE_MIN or abs(s.imag) > _EM_IM_MAX:
         warnings.warn(f"{caller}: s={s} outside the validated domain (Re s >= {_EM_RE_MIN}, |Im s| <= "
-                      f"{_EM_IM_MAX}); returning best-effort value", PrecisionLoss, stacklevel=3)
+                      f"{_EM_IM_MAX}); returning best-effort value", PrecisionLoss, stacklevel=stacklevel)
 
 
-def zeta_em(s) -> EvalResult:
-    """Riemann zeta via Euler-Maclaurin continuation of sum n^-s (`_em_sum`):
-    N = max(10, 8 + 0.6(-sigma)) (+ 12 + 1.3|tau| at complex s) head terms and
-    base^-s from one table of m^-s, m <= N + 1 (`_power_table`), then K <= 41
-    corrections, to a remainder bound below 1e-18. The bound is the floor
-    |value|*1e-15 + 1e-16 in Re s >= -25, |Im s| <= 50. Raises PoleHit
-    within 1e-13 of s = 1."""
-    sc = complex(s)
-    if abs(sc - 1) < 1e-13:
+def _l_em(s, kind: str, caller: str) -> EvalResult:
+    """L(s, chi) of the row `CHARACTERS[kind]`, conductor q, as q^-s sum_a
+    chi(a) zeta(s, a/q) over the a <= q with chi(a) != 0: N head terms
+    (`_em_params`, stride q) and base^-s per shift from one table of m^-s over
+    the m coprime to q (`_power_table`), as (n + a/q)^-s = q^s (qn + a)^-s, then
+    one `_em_sum` call for every shift (a/q a double: exact at q = 1 and 4). The
+    principal row (q = 1) adds its pole term lead/(s-1), raises PoleHit within
+    1e-13 of s = 1 and bounds max(err, floor); beta's pole parts cancel through
+    expm1, so s = 1 is only a 0/0 limit, and it bounds |4^-s| (err1 + err2) +
+    floor. The floor is |value|*1e-15 + 1e-16 in Re s >= -25, |Im s| <= 50."""
+    row, sc = CHARACTERS[kind], complex(s)
+    q = len(row)
+    if q == 1 and abs(sc - 1) < 1e-13:
         raise PoleHit(f"s={sc} is within 1e-13 of the pole at s=1")
-    _check_validated_domain(sc, "zeta_em")
-    n_cut, dps = _em_params(sc.real, abs(sc.imag))
+    _check_validated_domain(sc, caller, stacklevel=4)
+    n_cut, dps = _em_params(sc.real, abs(sc.imag), stride=q)
     ratio, ar, prec, smp = _call(s, dps)
-    table = _power_table(ar, prec, ar.neg(smp, prec, _RND), n_cut + 1)
-    head = ar.sum(table[1:n_cut + 1], prec, _RND)
-    ((part, lead, err),) = _em_sum(ar, prec, ratio, smp, n_cut, 1.0, [(1.0, head, table[n_cut + 1])])
-    out = ar.complex(ar.add(part, ar.div(lead, ar.sub_mpf(smp, ar.lib.fone, prec, _RND), prec, _RND), prec, _RND), _RND)
-    return EvalResult(out, max(err, abs(out) * 1e-15 + 1e-16), NUMERIC_ROUTE["zeta"])
-
-
-def dirichlet_beta(s) -> EvalResult:
-    """Dirichlet beta (the L-function of the nontrivial character mod 4),
-    entire, via 4^-s [zeta(s, 1/4) - zeta(s, 3/4)].
-
-    Heads and base powers come from one table of m^-s over odd m <= 4N + 3, as
-    (n + 1/4)^-s = 4^s (4n+1)^-s and (n + 3/4)^-s = 4^s (4n+3)^-s. The pole
-    parts' difference goes through expm1, so s = 1 is only the 0/0 limit. N is
-    zeta_em's; one correction loop takes both shifts, each to a remainder bound
-    below 1e-18 times |4^s|, added to the floor |value|*1e-15 + 1e-16."""
-    sc = complex(s)
-    _check_validated_domain(sc, "dirichlet_beta")
-    n_cut, dps = _em_params(sc.real, abs(sc.imag), stride=4)
-    ratio, ar, prec, smp = _call(s, dps)
-    n4, neg, lm = 4 * n_cut, ar.neg(smp, prec, _RND), ar.lib
-    four_pow = _powers(ar, prec, neg)(4)
-    four_s, scale = ar.mpf_div(lm.fone, four_pow, prec, _RND), lm.to_float(ar.abs(four_pow, prec, _RND), False, _RND)
-    table = _power_table(ar, prec, neg, n4 + 3, odd=True)
-    shifts = [(a, ar.mul(four_s, ar.sum(table[r:n4:4], prec, _RND), prec, _RND), ar.mul(four_s, table[n4 + r], prec, _RND))
-              for a, r in ((0.25, 1), (0.75, 3))]
-    (part1, lead1, err1), (part2, _, err2) = _em_sum(ar, prec, ratio, smp, n_cut, scale, shifts)
-    # b1, b2 = N + 1/4, N + 3/4: [b1^(1-s) - b2^(1-s)]/(s-1) = -b1^(1-s) expm1((1-s) log(b2/b1))/(s-1)
-    log_ratio, s_1 = _ln(n4 + 3, n4 + 1, prec), ar.sub_mpf(smp, lm.fone, prec, _RND)
+    neg, lm, qn = ar.neg(smp, prec, _RND), ar.lib, q * n_cut
+    residues = [a for a in range(1, q + 1) if row[a % q]]
+    table = _power_table(ar, prec, neg, qn + residues[-1], odd=q % 2 == 0)  # the m coprime to q = 1 or 4
+    shifts = [(a / q, ar.sum(table[a:qn + a:q], prec, _RND), table[qn + a]) for a in residues]
+    s_1, unit = ar.sub_mpf(smp, lm.fone, prec, _RND), 1.0
+    if q > 1:
+        q_pow = _powers(ar, prec, neg)(q)
+        q_s, unit = ar.mpf_div(lm.fone, q_pow, prec, _RND), lm.to_float(ar.abs(q_pow, prec, _RND), False, _RND)
+        shifts = [(a, ar.mul(q_s, head, prec, _RND), ar.mul(q_s, base_pow, prec, _RND)) for a, head, base_pow in shifts]
+    (part1, lead1, err1), *others = _em_sum(ar, prec, ratio, smp, n_cut, unit, shifts)
+    if q == 1:
+        out = ar.complex(ar.add(part1, ar.div(lead1, s_1, prec, _RND), prec, _RND), _RND)
+        return EvalResult(out, max(err1, abs(out) * 1e-15 + 1e-16), NUMERIC_ROUTE[kind])
+    ((part2, _, err2),) = others
+    # b1, b2 = N + a1/q, N + a2/q: [b1^(1-s) - b2^(1-s)]/(s-1) = -b1^(1-s) expm1((1-s) log(b2/b1))/(s-1)
+    log_ratio = _ln(qn + residues[1], qn + residues[0], prec)
     if lm.mpf_lt(ar.abs(s_1, prec, _RND), lm.from_float(1e-13)):
         pole = ar.mul_mpf(lead1, log_ratio, prec, _RND)
     else:
         x = ar.mul_mpf(ar.sub(ar.one, smp, prec, _RND), log_ratio, prec, _RND)
         pole = ar.div(ar.mul(ar.neg(lead1, prec, _RND), _expm1(ar, prec, x), prec, _RND), s_1, prec, _RND)
-    out = ar.complex(ar.mul(four_pow, ar.add(ar.sub(part1, part2, prec, _RND), pole, prec, _RND), prec, _RND), _RND)
-    return EvalResult(out, scale * (err1 + err2) + abs(out) * 1e-15 + 1e-16, NUMERIC_ROUTE["beta"])
+    out = ar.complex(ar.mul(q_pow, ar.add(ar.sub(part1, part2, prec, _RND), pole, prec, _RND), prec, _RND), _RND)
+    return EvalResult(out, unit * (err1 + err2) + abs(out) * 1e-15 + 1e-16, NUMERIC_ROUTE[kind])
+
+
+def zeta_em(s) -> EvalResult:
+    """Riemann zeta, the principal row of `CHARACTERS`, by `_l_em`; PoleHit within 1e-13 of s = 1."""
+    return _l_em(s, "zeta", "zeta_em")
+
+
+def dirichlet_beta(s) -> EvalResult:
+    """Dirichlet beta, the entire L-function of the character mod 4, by `_l_em`: 4^-s [zeta(s, 1/4) - zeta(s, 3/4)]."""
+    return _l_em(s, "beta", "dirichlet_beta")
 
 
 def recip_gamma(s) -> EvalResult:

@@ -120,16 +120,6 @@ class TestEulerNumbers:
             assert euler_number(n) == 0
 
 
-_ORACLE_MAX = 420
-
-
-@pytest.fixture(scope="module")
-def oracle_numbers():
-    """B_n and E_n to 420 from the independent oracles, built once: the small
-    table ends at 82, so both sides of the boundary are covered."""
-    return bernoulli_akiyama_tanigawa(_ORACLE_MAX), euler_from_generating_function(_ORACLE_MAX)
-
-
 class TestNumbersPastTheTable:
     def test_bernoulli_against_akiyama_tanigawa_to_401(self, oracle_numbers):
         for n in range(402):
@@ -148,7 +138,7 @@ class TestNumbersPastTheTable:
         # 4 threads (more than the 2 cores of the reference VM), a short switch
         # interval, and the small table built cold while they run
         rng = random.Random(9)
-        ns = rng.choices(range(300, _ORACLE_MAX + 1), k=64) + rng.choices(range(exactnum._TABLE_MAX + 1), k=16)
+        ns = rng.choices(range(300, len(oracle_numbers[0])), k=64) + rng.choices(range(exactnum._TABLE_MAX + 1), k=16)
         rng.shuffle(ns)
         exactnum._small_numbers.cache_clear()
         interval = sys.getswitchinterval()
@@ -166,7 +156,7 @@ class TestNumbersPastTheTable:
         ctx.prec = 400
         scale = int((2 * ctx.pi) ** 84 / 2)
         with pytest.raises(NotConverged):
-            exactnum._nint_l_value(scale, 84, 2, False)
+            exactnum._nint_l_value(scale, 84, 2, exactnum.CHARACTERS["zeta"])
 
     def test_table_equals_the_fraction_recurrence(self):
         # the integer recurrence over one common denominator gives the very

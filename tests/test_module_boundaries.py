@@ -5,7 +5,8 @@ module imports dataclasses, whose import and generated methods cost every
 cold command more than the records they build. And no module holds a
 precision in an mpmath context or in thread-local state: the numeric kernels
 compute on raw values at an explicit precision. Each name of the registry's
-right sides is spelled once in the package, every process-wide memo is
+right sides is spelled once in the package, and so are the characters a
+series takes (`registry.SERIES_CHARACTERS`), every process-wide memo is
 listed in `MEMOS` with the reason it stays, and the operator engine imports
 no layer of the package but `errors` and `exactnum`.
 
@@ -194,6 +195,26 @@ def test_each_right_side_name_is_spelled_once():
                  if isinstance(node, ast.Constant) and isinstance(node.value, str)]
     names = [*registry.CLOSED_FORMS, *registry.TAYLOR_GENERATORS, *registry._EXTRA_CHECKS, *registry._VOCABULARY["expected_event"]]
     assert {name: constants.count(name) for name in names} == dict.fromkeys(names, 1)
+
+
+def test_the_series_characters_are_spelled_once():
+    # `registry.SERIES_CHARACTERS` is the one spelling of the characters a
+    # series takes: a literal that holds them all, or a text that quotes them
+    # all, anywhere else is a copy to keep equal
+    characters = {"trivial", "beta"}
+    spelled = []
+    for module, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Tuple, ast.List, ast.Set, ast.Dict)):
+                items = node.values if isinstance(node, ast.Dict) else node.elts
+                held = {item.value for item in items if isinstance(item, ast.Constant)}
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                held = {c for c in characters if f"'{c}'" in node.value}
+            else:
+                continue
+            if characters <= held:
+                spelled.append(module)
+    assert spelled == ["registry"]
 
 
 # every process-wide memo (functools.cache or lru_cache) of the package, with

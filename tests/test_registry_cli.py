@@ -178,7 +178,7 @@ default_tol = 1e-6
         assert messages == [message for _, message in self.BAD_LINES]
         assert loaded == "opzeta opzeta.errors opzeta.registry"
 
-    def test_engine_forms_are_built_once_per_value(self):
+    def test_each_engine_form_is_the_one_its_fields_give(self):
         # each read builds the form its fields give
         from opzeta.operators import DilationShift
         from opzeta.series import TrigSeries

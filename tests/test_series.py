@@ -347,7 +347,7 @@ class TestDifferences:
                 assert abs(Fraction(value) - exact) <= (s + 2 * j + 2) * Fraction(2.0**-53) * exact, (m, j)
 
 
-class TestAbelValueHonestBound:
+class TestAbelSumsHonestBound:
     """`abel_sums` against mpmath polylog at 40 digits: exponents 1 down to
     -14, both characters and parities, x down to 1e-3 from each singular
     point. The beta series is (Li_s(iz) - Li_s(-iz))/(2i), z = e^(ix)."""

@@ -24,8 +24,6 @@ from opzeta.specfun import (
     zeta_em,
 )
 from oracles import (
-    bernoulli_akiyama_tanigawa,
-    euler_from_generating_function,
     euler_summed_alternating,
     functional_equation_residual,
     hankel_zeta,
@@ -176,36 +174,36 @@ class TestDirichletBeta:
 
 
 class TestSpecialValue:
-    # B_n and E_n by routes other than exactnum's (Akiyama-Tanigawa, sech long division)
-    B = bernoulli_akiyama_tanigawa(62)
-    E = euler_from_generating_function(62)
-
-    @classmethod
-    def exact_formula(cls, kind, k):
-        """The closed form of kind(k), 'pole' at zeta(1), None where there is none."""
+    @staticmethod
+    def exact_formula(kind, k, numbers):
+        """The closed form of kind(k), 'pole' at zeta(1), None where there is none,
+        from B_n and E_n by routes other than exactnum's (`oracle_numbers`)."""
+        B, E = numbers
         if kind == "zeta":
             if k == 1:
                 return "pole"
             if k <= 0:  # zeta(-n) = (-1)^n B_(n+1)/(n+1); the oracle's B_1 is already -1/2
-                return (-1) ** -k * cls.B[1 - k] / (1 - k)
+                return (-1) ** -k * B[1 - k] / (1 - k)
             if k % 2:
                 return None
-            return PiPolynomial.pi_power((-1) ** (k // 2 + 1) * cls.B[k] * 2**k / (2 * factorial(k)), k)
+            return PiPolynomial.pi_power((-1) ** (k // 2 + 1) * B[k] * 2**k / (2 * factorial(k)), k)
         if kind == "beta":
             if k <= 0:  # beta(-n) = E_n/2
-                return Fraction(cls.E[-k], 2)
+                return Fraction(E[-k], 2)
             if k % 2 == 0:
                 return None
             m = (k - 1) // 2  # beta(2m+1) = (-1)^m E_2m pi^(2m+1) / (4^(m+1) (2m)!)
-            return PiPolynomial.pi_power(Fraction((-1) ** m * cls.E[2 * m], 4 ** (m + 1) * factorial(2 * m)), k)
+            return PiPolynomial.pi_power(Fraction((-1) ** m * E[2 * m], 4 ** (m + 1) * factorial(2 * m)), k)
         return Fraction(0) if k <= 0 else Fraction(1, factorial(k - 1))
 
     NUMERIC = {"zeta": (zeta_em, "euler_maclaurin"), "beta": (dirichlet_beta, "hurwitz_difference")}
 
     @pytest.mark.parametrize("kind", ["zeta", "beta", "recip_gamma"])
-    def test_exact_formulas_at_every_integer(self, kind):
-        for k in range(-60, 61):
-            want = self.exact_formula(kind, k)
+    def test_exact_formulas_at_every_integer(self, kind, oracle_numbers):
+        # past index 82 on both sides, where B_n and E_n come from the L-value
+        # sums and the positive side from the functional equation
+        for k in range(-401, 402):
+            want = self.exact_formula(kind, k, oracle_numbers)
             got = special_value(kind, Fraction(k))
             if want == "pole":
                 assert got == (None, None, "pole")
