@@ -1,9 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from opzeta.divmatrix import _divisor_rows, build_matrix, consistency_check
+from opzeta.divmatrix import build_matrix, consistency_check
 from oracles import divisor_count, matrix_apply, scalar_quadrature
 
 
@@ -164,21 +165,24 @@ class TestTripletExport:
         assert keys == sorted(keys)
 
     def test_sieve_blocks_agree(self):
-        # rows are sieved 2^14 at a time: across two block boundaries every
-        # row lists divisors of m in increasing order, and the rows hold all
-        # sum_n size//n divisor pairs, so none is missing
+        # rows are filled 2^14 at a time, each by the hyperbola split (columns
+        # n <= sqrt m, then the cofactor columns): across two block boundaries
+        # rows run 1..size in order, each row's n rises from 1 to m with
+        # n k = m, and the rows hold all sum_n size//n pairs, so none is missing
         size = 2 * 2**14 + 5
-        rows = [[int(n) for n in row] for row in _divisor_rows(size)]
-        assert len(rows) == size
-        for m, row in enumerate(rows, start=1):
-            assert row[0] == 1 and row[-1] == m and all(a < b and m % a == 0 for a, b in zip(row, row[1:]))
-        assert sum(map(len, rows)) == sum(size // n for n in range(1, size + 1))
-        assert list(_divisor_rows(60)) == [[str(n) for n in row] for row in rows[:60]]
+        lines = [tuple(map(int, line.split())) for line in "".join(build_matrix(size).triplet_rows()).splitlines()]
+        assert len(lines) == sum(size // n for n in range(1, size + 1))
+        assert all(one == 1 and n * k == m for m, n, one, k in lines)
+        rows = [(m, [n for _, n, _, _ in group]) for m, group in itertools.groupby(lines, key=lambda line: line[0])]
+        assert [m for m, _ in rows] == list(range(1, size + 1))
+        for m, row in rows:
+            assert row[0] == 1 and row[-1] == m and all(a < b for a, b in zip(row, row[1:]))
 
-    @pytest.mark.parametrize("M", [1, 2, 12, 97, 2**14 + 200])
+    @pytest.mark.parametrize("M", [1, 2, 12, 97, 2**14 - 1, 2**14, 2**14 + 1, 2**14 + 200])
     def test_chunks_of_whole_rows_match_entries(self, M):
         # 2^7 rows m per string, each string ending on a row boundary; the
-        # last size crosses string boundaries and the 2^14-row sieve block
+        # larger sizes cross string boundaries and the 2^14-row block, whose
+        # last row 2^14 = 128^2 has the divisor 128 as its own cofactor
         A = build_matrix(M)
         chunks = list(A.triplet_rows())
         assert len(chunks) == -(-M // 128)

@@ -701,6 +701,33 @@ class TestMatrixCommand:
         lines = out.getvalue().splitlines()
         assert lines[2] == "3 1/1" and lines[99998] == "99999 1/33333" and lines[-1] == "100000 0/1"
 
+    def test_triplet_export_at_the_size_bound(self):
+        # 1,166,750 lines, 2^7 whole rows per write; the rows that start and end
+        # 2^14-row blocks, and the last, list their divisors by trial division
+        picked = {16384, 16385, 98304, 98305, 100000}
+
+        class CheckingOut(io.StringIO):
+            def __init__(self):
+                super().__init__()
+                self.writes = self.lines = 0
+                self.picked_lines = []
+
+            def write(self, text):
+                assert text.endswith("\n")
+                lines = text.splitlines()
+                ms = [int(line.split(" ", 1)[0]) for line in lines]
+                first = 128 * self.writes + 1
+                assert set(ms) == set(range(first, min(first + 128, 100001)))
+                self.picked_lines += [line for m, line in zip(ms, lines) if m in picked]
+                self.writes += 1
+                self.lines += len(ms)
+                return len(text)
+
+        out = CheckingOut()
+        assert main(["matrix", "--size", "100000"], out=out) == 0
+        assert out.writes == -(-100000 // 128) and out.lines == 1_166_750
+        assert out.picked_lines == [f"{m} {n} 1 {m // n}" for m in sorted(picked) for n in range(1, m + 1) if m % n == 0]
+
     @staticmethod
     def _child_maxrss_kb(*argv) -> int:
         # A child's ru_maxrss counts the memory of the process it was started
@@ -726,6 +753,13 @@ class TestMatrixCommand:
         # one string per row, joined once, peaked at 36 MB; blocks of rows
         # keep the child within 31 MB (about 24 MB measured)
         assert self._child_maxrss_kb("matrix", "--size", "100000", "--apply", "1") <= 31 * 1024
+
+    def test_triplet_peak_rss_at_the_size_bound(self):
+        # the export holds a table of size + 1 number strings and three refs
+        # per pair of a 2^14-row block: the child peaked at 22.7-23.0 MB with
+        # the divisor sieve it replaced, and at 31.8-32.1 MB by the hyperbola
+        # split
+        assert self._child_maxrss_kb("matrix", "--size", "100000") <= 40 * 1024
 
     def test_check_peak_rss_at_the_size_bound(self):
         # the check holds O(size) floats and fractions: at its bound the child
