@@ -1,21 +1,25 @@
 """Numeric evaluation of zeta, Dirichlet beta and 1/Gamma.
 
 zeta and beta are the two rows of `exactnum.CHARACTERS`, and one kernel,
-`_l_em`, evaluates either row by Euler-Maclaurin. It computes on raw mpmath
-values (libmp tuples) at an explicit precision, prec = dps_to_prec(dps), dps
-sized to the cancellation headroom of the argument, then rounds once to a
-complex double. A call picks once, from whether s is real, the mpf_* or mpc_*
-operations mpmath's operators apply (`_arith`), so each value is bit-identical
-to mpmath's numbers at prec. The Euler-Maclaurin corrections run in integers,
-one loop over k for every shift of a call (`_em_sum`); the heads come from one
-table of m^-s per call (`_power_table`, one power per prime). A call keeps its
-state in local values, with no mpmath context, no lock and no process-global
-precision: the public functions are safe for concurrent use and leave mpmath's
-`mp` alone. Beside immutable tables built once (`_arith`, `_em_coefficients`),
-the one shared value is the bounded memo of logarithms `_ln` (log m for the
-powers, log((4N+3)/(4N+1)) for beta's pole term), filled with no lock: threads
-that race on a key compute the same value. mpmath is imported on the first
-numeric call; `zeta_em` raises `PoleHit`, the one pole error, near s = 1.
+`_l_em`, evaluates either row by Euler-Maclaurin. It works at an explicit
+precision, prec = dps_to_prec(dps), dps sized to the cancellation headroom of
+the argument, and rounds once to a complex double. The head is integers at a
+fixed point: one table of m^-s per call at 2^-wp, wp = prec + 8 (`_power_table`),
+a fixed-point exp per prime (times a fixed-point cos and sin at a complex s)
+by one power rule for every s (`_power`), a shifted product per composite,
+each entry within log2(m) 2^(1-wp) max(1, |m^-s|) of m^-s, each head a sum of
+a slice of it. The Euler-Maclaurin corrections run in integers too, a loop
+over k per shift (`_em_sum`). What stays in mpmath's raw values
+(libmp tuples), with the mpf_* or mpc_* operations its operators apply, picked
+once from whether s is real (`_arith`), is s itself, the pole term and the
+rounding of the sum. A call keeps its state in local values, with no mpmath
+context, no lock and no process-global precision: the public functions are
+safe for concurrent use and leave mpmath's `mp` alone. Beside immutable tables built once (`_arith`, `_em_coefficients`),
+the one shared value is the bounded memo of logarithms `_ln` (mpmath's log m
+for the powers, log((4N+3)/(4N+1)) for beta's pole term, each held exactly as
+an integer), filled with no lock: threads that race on a key compute the same
+value. mpmath is imported on the first numeric call; `zeta_em` raises
+`PoleHit`, the one pole error, near s = 1.
 
 The exact values live in `exactnum`, with `special_value`, the route table
 that picks for each kind and exact argument between the exact value, these
@@ -43,12 +47,18 @@ _EM_IM_MAX = 50.0
 # _EM_K_MAX terms: a hundredth of the 1e-16 floor both evaluators add.
 _EM_TARGET = 1e-18
 _EM_K_MAX = 41
-# Entries of the memo `_ln`: the validated domain reaches about 5,000 keys
-# (1,055 on the real axis, the rest beta's pole logarithm at complex s).
+# Entries of the memo `_ln`: the validated domain reaches at most about 5,000
+# keys (143 on the real axis, the rest mostly beta's pole logarithm at complex s).
 _LN_MEMO_SIZE = 8192
+# `_ln` holds mpmath's log at prec bits exactly, as an integer at 2^-(prec + _LN_EXTRA);
+# `_power` reads log m from it at a multiple of _LN_BLOCK bits, shifted down
+_LN_EXTRA = 16
+_LN_BLOCK = 64
+# Fractional bits of the head table beyond the working precision prec
+_GUARD = 8
 # `_arith`'s operations by their mpmath.libmp names at a complex s; at a real s, the
-# mpf one less the mixed-type part of the name (mpc_mul_mpf -> mpf_mul, mpc_mpf_div -> mpf_div)
-_OPS = "mul div add sub neg abs pos exp pow rgamma mul_mpf div_mpf add_mpf sub_mpf mpf_div".split()
+# mpf one less the mixed-type part of the name (mpc_mul_mpf -> mpf_mul)
+_OPS = "mul div sub neg abs pos exp rgamma mul_mpf div_mpf add_mpf sub_mpf".split()
 _Arith = namedtuple("_Arith", [*_OPS, "sum", "complex", "one", "lib"])
 _RND = "n"  # mpmath.libmp.round_nearest, the rounding of mpmath's operators
 
@@ -66,11 +76,11 @@ def _ratio(s) -> tuple[int, int, int]:
 def _arith(real: bool) -> _Arith:
     """The raw arithmetic of a real or a complex s as mpmath's operators apply
     it, built once per kind: each operation of `_OPS`, called with (prec, rnd)
-    (an `_mpf` form takes a real right operand, `mpf_div` a real left one);
-    sum(xs, prec, rnd), mpmath's fsum; complex(x, rnd); 1; and mpmath.libmp."""
+    (an `_mpf` form takes a real right operand); sum(xs, prec, rnd), mpmath's
+    fsum; complex(x, rnd); 1; and mpmath.libmp."""
     from mpmath import libmp
 
-    ops = [getattr(libmp, "mpf_" + op.replace("_mpf", "").replace("mpf_", "") if real else "mpc_" + op) for op in _OPS]
+    ops = [getattr(libmp, "mpf_" + op.replace("_mpf", "") if real else "mpc_" + op) for op in _OPS]
     if real:
         return _Arith(*ops, libmp.mpf_sum, lambda x, rnd: complex(libmp.to_float(x, False, rnd)), libmp.fone, libmp)
     return _Arith(*ops, lambda xs, prec, rnd: tuple(libmp.mpf_sum([x[i] for x in xs], prec, rnd) for i in (0, 1)),
@@ -113,117 +123,169 @@ def _em_params(sig: float, tau: float, stride: int = 1) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=_LN_MEMO_SIZE)
-def _ln(a: int, b: int, prec: int) -> tuple:
-    """log(a/b) at `prec` bits, raw, rounded to nearest as mpmath's log of the
-    mpf a/b is: computed once per (a, b, prec)."""
-    from mpmath.libmp import from_int, mpf_div, mpf_log, round_nearest
+def _ln(a: int, b: int, prec: int) -> int:
+    """log(a/b) as mpmath's log of the mpf a/b at `prec` bits (each rounded to
+    nearest), held as an integer at 2^-(prec + _LN_EXTRA): exactly that
+    number where |log(a/b)| >= 2^-_LN_EXTRA. Computed once per (a, b, prec)."""
+    from mpmath.libmp import from_int, mpf_div, mpf_log, to_fixed
 
-    return mpf_log(mpf_div(from_int(a), from_int(b), prec, round_nearest), prec, round_nearest)
-
-
-def _powers(ar, prec: int, neg):
-    """m -> m^neg at an integer m >= 1, neg = -s raw, as mpmath's mpf(m) ** neg
-    at `prec` bits: exp(neg log m), log m at prec + 10 bits from the memo
-    `_ln`, at a real neg not an integer or half-integer; else mpf_pow (squarings
-    or a square root) or mpc_pow (which rounds its log another way)."""
-    exp, mul, pow_, from_int, fzero = ar.exp, ar.mul, ar.pow, ar.lib.from_int, ar.lib.fzero
-    if len(neg) == 2:  # an mpc
-        return lambda m: pow_((from_int(m), fzero), neg, prec, _RND)
-    if neg[2] >= -1:  # an integer or half-integer (binary exponent >= -1)
-        return lambda m: pow_(from_int(m), neg, prec, _RND)
-    return lambda m: exp(mul(neg, _ln(m, 1, prec + 10)), prec, _RND)
+    return to_fixed(mpf_log(mpf_div(from_int(a), from_int(b), prec, _RND), prec, _RND), prec + _LN_EXTRA)
 
 
-def _power_table(ar, prec: int, neg, top: int, odd: bool = False) -> list:
-    """m^neg, neg = -s raw, at m = 1..top (odd m only if `odd`; None
-    elsewhere), by a linear sieve: a prime m is one power (`_powers`), a
-    composite m = p c, p its smallest prime factor, the product of the entries
-    at c and p: at most log2(m) powers within an ulp joined by products within
-    half an ulp, within relative 3 log2(m) 2^-prec of m^-s."""
-    table = [None] * (top + 1)
-    table[1] = ar.one
-    power, mul, primes = _powers(ar, prec, neg), ar.mul, []
+def _power(ratio, prec: int, top: int):
+    """The one power rule at s = (p_re + i p_im)/q (`ratio`): m -> m^-s at an
+    integer 2 <= m <= top. With n = floor(-sigma) at sigma < 0, else 0, and
+    log m at lp bits, x = -(sigma + n) log m = k log 2 + t, 0 <= t < log 2;
+    then m^-s = m^n exp_fixed(t) 2^k, times cos_sin_fixed(-tau log m) at a
+    complex s. Where exp_fixed(t) 2^k has a closed form it is taken exactly
+    or to the unit, with no exp, as mpmath's power took integer and
+    half-integer exponents by squarings and a square root: at an integer
+    sigma <= 0, t = 0 and the power is m^n; at sigma + n = -1/2 it is m^n
+    isqrt(m) (k = 0), which costs a small part of an exp at the hundreds of
+    bits of sigma near -80; at an integer sigma > 0 it is 1/m^sigma floored.
+    The power is (re, im, e), m^-s = (re + i im) 2^e, within relative
+    2^-(prec+8); with `wp`, each factor is taken to just the bits that a unit
+    at 2^-wp needs (None below a unit, its exp never taken). lp = prec + 8 +
+    extra: the extra bits are those of (|sigma + n| + |tau|)(1 + log2(top)) +
+    4, which bounds the units that log m, log 2 and pi/2 carry into x, t and
+    the angle. log m is the memo `_ln`'s at the first multiple of _LN_BLOCK
+    bits past lp + 4 (within a unit where m < e^8), shifted down."""
+    from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed, ln2_fixed
+
+    p_re, p_im, q = ratio
+    n = max(0, -p_re // q)
+    r = p_re + n * q  # sigma + n = r/q
+    extra = int((abs(r) + abs(p_im)) / q * (1 + math.log2(top)) + 4).bit_length()
+    lp = prec + _GUARD + extra
+    ln2, block = ln2_fixed(lp), -(-(lp + 5) // _LN_BLOCK) * _LN_BLOCK
+    half = 2 * r == -q  # sigma + n = -1/2: exp(log(m)/2) is sqrt(m), to the unit by isqrt
+    recip = q == 1 and p_re > 0  # an integer sigma > 0: m^-sigma is 1/m^sigma, floored
+
+    def power(m: int, wp: int | None = None):
+        ln = _ln(m, 1, block) >> block + _LN_EXTRA - lp
+        k, t = divmod(-r * ln // q, ln2)
+        m_n = m**n
+        bits = lp if wp is None else min(lp, wp + k + m_n.bit_length() + extra)  # |m^-s| < 2^(k + 1 + bits(m^n))
+        if bits <= extra:
+            return None
+        cut = lp - bits
+        if recip:
+            d = m**p_re
+            k, x = 1 - d.bit_length(), (1 << bits + d.bit_length() - 1) // d
+        elif half:
+            k, x = 0, m_n * math.isqrt(m << 2 * bits)
+        else:  # exp_fixed(0) would run its series at three times the bits to give exactly 1
+            x = m_n * exp_fixed(t >> cut, bits, ln2 >> cut) if t else m_n << bits
+        y = 0
+        if p_im:
+            c, s = cos_sin_fixed(-p_im * ln // q >> cut, bits)
+            x, y = x * c >> bits, x * s >> bits
+        return x, y, k - bits
+
+    return power
+
+
+def _power_table(power, wp: int, top: int, odd: bool = False, real: bool = True, full=()) -> tuple:
+    """m^-s as integers at 2^-wp for m = 1..top (odd m only if `odd`; None
+    elsewhere), by a linear sieve: (the real parts, None, floats) at a real s,
+    (the real parts, the imaginary parts, floats) at a complex one. A prime m
+    is one power of `power` (`_power`) shifted to 2^-wp; a prime m of `full`
+    takes its power at full precision, kept in floats[m]. A composite m = p c,
+    p its smallest prime factor, is the product of the entries at c and p
+    shifted down by wp. Each entry is within log2(m) 2^(1-wp) max(1, |m^-s|)
+    of m^-s: relative 2^-wp or a unit per power, a unit floored per product."""
+    re, im, primes, floats = [None] * (top + 1), None if real else [None] * (top + 1), [], {}
+    re[1] = 1 << wp
+    if im:
+        im[1] = 0
     for m in range(2 + odd, top + 1, 1 + odd):
-        if table[m] is None:
-            table[m] = power(m)
+        if re[m] is None:
+            x, y, e = power(m, None if m in full else wp) or (0, 0, 0)
+            if m in full:
+                floats[m] = x, y, e
+            sh = e + wp
+            re[m] = x << sh if sh >= 0 else x >> -sh
+            if im:
+                im[m] = y << sh if sh >= 0 else y >> -sh
             primes.append(m)
         for p in primes:
             if m * p > top:
                 break
-            table[m * p] = mul(table[m], table[p], prec, _RND)
+            if im:
+                a, b, c, d = re[m], im[m], re[p], im[p]
+                re[m * p], im[m * p] = (a * c - b * d) >> wp, (a * d + b * c) >> wp
+            else:
+                re[m * p] = re[m] * re[p] >> wp
             if m % p == 0:
                 break
-    return table
+    return re, im, floats
 
 
-class _Tail:
-    """One shift in `_em_sum`'s loop: g_k and the sum so far as Gaussian
-    integers re + i im (im stays 0 at a real s), |g_k| and the last bound."""
-
-    __slots__ = ("re", "im", "re_sum", "im_sum", "g_abs", "err", "b_sq", "bd_sq", "den")
-
-    def __init__(self, g: tuple, g_abs: float, b: float, bd: int, den: int):
-        (self.re, self.im), self.re_sum, self.im_sum, self.g_abs, self.err = g, 0, 0, g_abs, math.inf
-        self.b_sq, self.bd_sq, self.den = b * b, bd * bd, den
+def _modulus(x: int, y: int, e: int) -> tuple[int, int]:
+    """|x + i y| 2^e as (floor |x + i y|, e)."""
+    return (math.isqrt(x * x + y * y) if y else abs(x)), e
 
 
-def _em_sum(ar, prec: int, ratio, s, n_cut: int, unit: float, shifts) -> list:
-    """Euler-Maclaurin sum_(n>=0) (n + a)^-s less its pole term base^(1-s)/(s-1),
-    base = N + a = bn/bd, at s = p/q, p = p_re + i p_im (`ratio`, `s` raw), per
-    (a, head, base^-s) of `shifts`: head + base^-s / 2 + sum_(k<=K) B_2k/(2k)! g_k,
-    g_k = (s)_(2k-1) base^(-s-2k+1). One loop over k takes every shift, each
-    to its K <= 41, the first whose remainder bound |B_2K/(2K)!| |(s)_2K|
-    base^(-sigma-2K+1)/(sigma+2K-1) (Johansson, arXiv:1309.2877, theorem 1,
-    M = K) times `unit` (value per unit of sum) is below _EM_TARGET. The
-    corrections run in Gaussian integers (integers at a real s) at 2^-F, F =
-    prec + 16 - mag(base^-s) - bit_length(int(|s|)): g_1 = s base^-s / base
-    floored once, g_(k+1) = g_k (p + (2k-1)q)(p + 2kq) bd^2 // (q bn)^2, each
-    term g_k num // den, B_2k/(2k)! = num/den. A unit lost in g_j reaches term
-    k scaled by at most 1/12 while the terms fall, as up to K, so the sum errs
-    by under 41 (1 + 41/12) < 2^8 units (26 seen on Re s in [-80, 12]), below
-    2^-(prec+6) max(1, |s|) |base^-s|. Returns (sum, base^(1-s), bound in
-    units of the sum) per shift."""
-    from_man_exp, to_fixed, to_float = ar.lib.from_man_exp, ar.lib.to_fixed, ar.lib.to_float
+def _scaled(x: int, e: int, y: int = 1, f: int = 0) -> float:
+    """(x 2^e) / (y 2^f) rounded once to a double (int / int rounds correctly)."""
+    return (x << e - f) / y if e >= f else x / (y << f - e)
+
+
+def _em_sum(ar, prec: int, ratio, n_cut: int, unit: float, shifts) -> list:
+    """Euler-Maclaurin sum_(n>=0) c (n + a)^-s less its pole term c
+    base^(1-s)/(s-1), base = N + a = bn/bd, at s = p/q, p = p_re + i p_im
+    (`ratio`), per (a, head, c base^-s, |base^-s|) of `shifts`, c the value
+    per unit of the sum (q^-s for a conductor q): head + c base^-s / 2 +
+    sum_(k<=K) B_2k/(2k)! g_k, g_k = (s)_(2k-1) c base^(-s-2k+1). head and c
+    base^-s are Gaussian integers (x, y, e) = (x + i y) 2^e; |base^-s| is a
+    double. Each shift runs its loop over k to its K <= 41, the first whose
+    remainder bound |B_2K/(2K)!| |(s)_2K| base^(-sigma-2K+1)/(sigma+2K-1)
+    (Johansson, arXiv:1309.2877, theorem 1, M = K) times `unit` (|c|) is below
+    _EM_TARGET. The corrections run in Gaussian integers (integers at a real s)
+    at 2^-F, F = prec + 16 - mag(c base^-s) - bit_length(int(|s|)): g_1 = p c
+    base^-s bd / (q bn) floored once, g_(k+1) = g_k (p + (2k-1)q)(p + 2kq) bd^2
+    // (q bn)^2, each term g_k num // den, B_2k/(2k)! = num/den. A unit lost in
+    g_j reaches term k scaled by at most 1/12 while the terms fall, as up to K,
+    so the sum errs by under 41 (1 + 41/12) < 2^8 units (26 seen on Re s in
+    [-80, 12]), below 2^-(prec+5) max(1, |s|) |c base^-s|. Returns (the sum,
+    head, half and corrections added exactly and rounded once, and c
+    base^(1-s), both raw at prec; the bound in units of the sum) per shift."""
+    from_man_exp = ar.lib.from_man_exp
     p_re, p_im, q = ratio
     sc = complex(p_re / q, p_im / q)  # complex(s): int / int rounds once
     (exact, approx), real, size = _em_coefficients(), not p_im, int(abs(sc)).bit_length()
-    z, tails, fixed = sc.real if real else sc, [], []  # |z + j| = |s + j|, a double's at a real s
-    for a, head, base_pow in shifts:
-        (a_num, bd), b = a.as_integer_ratio(), n_cut + a  # bd a power of 2, b = float(base)
-        base, frac_bits = from_man_exp(n_cut * bd + a_num, 1 - bd.bit_length()), prec + 16 - _mag(base_pow) - size
-        g1 = ar.div_mpf(ar.mul(s, base_pow, prec, _RND), base, prec, _RND)
-        g = (to_fixed(g1, frac_bits), 0) if real else (to_fixed(g1[0], frac_bits), to_fixed(g1[1], frac_bits))
-        g_abs = abs(sc) * to_float(ar.abs(base_pow, prec, _RND), False, _RND) / b
-        tails.append(_Tail(g, g_abs, b, bd, (q * (n_cut * bd + a_num)) ** 2))  # bn = n_cut bd + a_num
-        fixed.append((head, base_pow, base, frac_bits))
-    live, sig = tails, sc.real
-    for k, (num, den), coeff_abs in zip(range(1, _EM_K_MAX + 1), exact, approx):
-        low, c1, c2 = sig + 2 * k - 1, abs(z + 2 * k - 1), abs(z + 2 * k)
-        u, v = p_re + (2 * k - 1) * q, p_re + 2 * k * q  # (p + (2k-1)q)(p + 2kq), p = p_re + i p_im
-        m_re, done = u * v - p_im * p_im, []
-        for t in live:
-            t.re_sum += t.re * num // den
-            if not real:
-                t.im_sum += t.im * num // den
-            if low > 0:
-                t.err = coeff_abs * t.g_abs * c1 / low
-                if unit * t.err < _EM_TARGET:
-                    done.append(t)
-                    continue
-            if real:
-                t.re = t.re * (m_re * t.bd_sq) // t.den
-            else:
-                r, i = m_re * t.bd_sq, p_im * (u + v) * t.bd_sq
-                t.re, t.im = (t.re * r - t.im * i) // t.den, (t.re * i + t.im * r) // t.den
-            t.g_abs *= c1 * c2 / t.b_sq
-        live = [t for t in live if t not in done] if done else live
-        if not live:
-            break
+    z, sig = sc.real if real else sc, sc.real  # |z + j| = |s + j|, a double's at a real s
     out = []
-    for t, (head, base_pow, base, frac_bits) in zip(tails, fixed):
-        corr = [from_man_exp(x, -frac_bits, prec, _RND) for x in ((t.re_sum,) if real else (t.re_sum, t.im_sum))]
-        half = ar.add(head, ar.div_mpf(base_pow, ar.lib.from_int(2), prec, _RND), prec, _RND)
-        out.append((ar.add(half, corr[0] if real else tuple(corr), prec, _RND), ar.mul_mpf(base_pow, base, prec, _RND), t.err))
+    for a, (h_re, h_im, h_e), (x, y, e), base_abs in shifts:
+        (a_num, bd), b = a.as_integer_ratio(), n_cut + a  # bd a power of 2, b = float(base)
+        bn = n_cut * bd + a_num
+        frac_bits = prec + 16 - max(abs(x), abs(y)).bit_length() - e - size
+        sh, den = frac_bits + e, q * bn
+        g_re, g_im = [(n * bd << sh) // den if sh >= 0 else n * bd // (den << -sh) for n in (p_re * x - p_im * y, p_re * y + p_im * x)]
+        step, bd_sq, b_sq = den * den, bd * bd, b * b
+        g_abs, err, sum_re, sum_im = abs(sc) * base_abs / b, math.inf, 0, 0
+        for k, (num, c_den), coeff_abs in zip(range(1, _EM_K_MAX + 1), exact, approx):
+            sum_re += g_re * num // c_den
+            if not real:
+                sum_im += g_im * num // c_den
+            low, c1 = sig + 2 * k - 1, abs(z + 2 * k - 1)
+            if low > 0:
+                err = coeff_abs * g_abs * c1 / low
+                if unit * err < _EM_TARGET:
+                    break
+            u, v = p_re + (2 * k - 1) * q, p_re + 2 * k * q  # (p + (2k-1)q)(p + 2kq), p = p_re + i p_im
+            if real:
+                g_re = g_re * (u * v * bd_sq) // step
+            else:
+                r, i = (u * v - p_im * p_im) * bd_sq, p_im * (u + v) * bd_sq
+                g_re, g_im = (g_re * r - g_im * i) // step, (g_re * i + g_im * r) // step
+            g_abs *= c1 * abs(z + 2 * k) / b_sq
+        top = max(-h_e, 1 - e, frac_bits)  # head + c base^-s / 2 + corrections at 2^-top
+        parts = [(h << top + h_e) + (w << top + e - 1) + (c << top - frac_bits)
+                 for h, w, c in ((h_re, x, sum_re), (h_im, y, sum_im))[:2 - real]]
+        part = tuple(from_man_exp(n, -top, prec, _RND) for n in parts)
+        lead = tuple(from_man_exp(w * bn, e + 1 - bd.bit_length(), prec, _RND) for w in (x, y)[:2 - real])
+        out.append((part[0], lead[0], err) if real else (part, lead, err))
     return out
 
 
@@ -250,43 +312,57 @@ def _check_validated_domain(s, caller: str, stacklevel: int = 3) -> None:
 
 def _l_em(s, kind: str, caller: str) -> EvalResult:
     """L(s, chi) of the row `CHARACTERS[kind]`, conductor q, as q^-s sum_a
-    chi(a) zeta(s, a/q) over the a <= q with chi(a) != 0: N head terms
-    (`_em_params`, stride q) and base^-s per shift from one table of m^-s over
-    the m coprime to q (`_power_table`), as (n + a/q)^-s = q^s (qn + a)^-s, then
-    one `_em_sum` call for every shift (a/q a double: exact at q = 1 and 4). The
-    principal row (q = 1) adds its pole term lead/(s-1), raises PoleHit within
-    1e-13 of s = 1 and bounds max(err, floor); beta's pole parts cancel through
-    expm1, so s = 1 is only a 0/0 limit, and it bounds |4^-s| (err1 + err2) +
-    floor. The floor is |value|*1e-15 + 1e-16 in Re s >= -25, |Im s| <= 50."""
+    chi(a) zeta(s, a/q) over the a <= q with chi(a) != 0, each term in units
+    of the value, where q^-s (n + a/q)^-s = (qn + a)^-s: N head terms
+    (`_em_params`, stride q) per shift, a sum of a slice of one table of m^-s
+    at 2^-wp, wp = prec + 8, over the m coprime to q (`_power_table`); then
+    one `_em_sum` call for every shift (a/q a double: exact at q = 1 and 4).
+    Each shift's (qN + a)^-s keeps prec bits: a prime's power at full
+    precision, else the table's entry where it has them (|.| >= 2^-8), else
+    one power of `_power`. |q^-s| (1 at q = 1) and |(N + a/q)^-s| enter the
+    bounds as doubles rounded once. The principal row (q = 1) adds its pole
+    term lead/(s-1), raises PoleHit within 1e-13 of s = 1 and bounds max(err,
+    floor); beta's pole parts cancel through expm1, so s = 1 is only a 0/0
+    limit, and it bounds |4^-s| (err1 + err2) + floor. The floor is
+    |value|*1e-15 + 1e-16 in Re s >= -25, |Im s| <= 50. NotConverged
+    (`_em_params`) comes before the PrecisionLoss warning of a point outside
+    that domain, which would announce a value that never comes."""
     row, sc = CHARACTERS[kind], complex(s)
     q = len(row)
     if q == 1 and abs(sc - 1) < 1e-13:
         raise PoleHit(f"s={sc} is within 1e-13 of the pole at s=1")
-    _check_validated_domain(sc, caller, stacklevel=4)
     n_cut, dps = _em_params(sc.real, abs(sc.imag), stride=q)
+    _check_validated_domain(sc, caller, stacklevel=4)
     ratio, ar, prec, smp = _call(s, dps)
-    neg, lm, qn = ar.neg(smp, prec, _RND), ar.lib, q * n_cut
+    qn = q * n_cut
     residues = [a for a in range(1, q + 1) if row[a % q]]
-    table = _power_table(ar, prec, neg, qn + residues[-1], odd=q % 2 == 0)  # the m coprime to q = 1 or 4
-    shifts = [(a / q, ar.sum(table[a:qn + a:q], prec, _RND), table[qn + a]) for a in residues]
-    s_1, unit = ar.sub_mpf(smp, lm.fone, prec, _RND), 1.0
-    if q > 1:
-        q_pow = _powers(ar, prec, neg)(q)
-        q_s, unit = ar.mpf_div(lm.fone, q_pow, prec, _RND), lm.to_float(ar.abs(q_pow, prec, _RND), False, _RND)
-        shifts = [(a, ar.mul(q_s, head, prec, _RND), ar.mul(q_s, base_pow, prec, _RND)) for a, head, base_pow in shifts]
-    (part1, lead1, err1), *others = _em_sum(ar, prec, ratio, smp, n_cut, unit, shifts)
+    top = qn + residues[-1]
+    wp, power, bases = prec + _GUARD, _power(ratio, prec, top), [qn + a for a in residues]
+    re, im, floats = _power_table(power, wp, top, odd=q % 2 == 0, real=not ratio[1], full=bases)
+    # |q^-s| = q^-sigma, the value per unit of sum_n (n + a/q)^-s, as (x, e): x 2^e
+    q_abs = _modulus(*power(q)) if q > 1 else (1, 0)
+    unit, shifts = _scaled(*q_abs), []
+    for a, m in zip(residues, bases):
+        head = (sum(re[a:m:q]), sum(im[a:m:q]) if im else 0, -wp)
+        # base^-s as a prime's power, else from the table if it has prec bits there, else one power
+        base_pow = floats.get(m) or (re[m], im[m] if im else 0, -wp)
+        if max(abs(base_pow[0]), abs(base_pow[1])).bit_length() < prec:
+            base_pow = power(m)
+        shifts.append((a / q, head, base_pow, _scaled(*_modulus(*base_pow), *q_abs)))
+    s_1 = ar.sub_mpf(smp, ar.lib.fone, prec, _RND)
+    (part1, lead1, err1), *others = _em_sum(ar, prec, ratio, n_cut, unit, shifts)
     if q == 1:
-        out = ar.complex(ar.add(part1, ar.div(lead1, s_1, prec, _RND), prec, _RND), _RND)
+        out = ar.complex(ar.sum([part1, ar.div(lead1, s_1, prec, _RND)], prec, _RND), _RND)
         return EvalResult(out, max(err1, abs(out) * 1e-15 + 1e-16), NUMERIC_ROUTE[kind])
     ((part2, _, err2),) = others
     # b1, b2 = N + a1/q, N + a2/q: [b1^(1-s) - b2^(1-s)]/(s-1) = -b1^(1-s) expm1((1-s) log(b2/b1))/(s-1)
-    log_ratio = _ln(qn + residues[1], qn + residues[0], prec)
-    if lm.mpf_lt(ar.abs(s_1, prec, _RND), lm.from_float(1e-13)):
+    log_ratio = ar.lib.from_man_exp(_ln(qn + residues[1], qn + residues[0], prec), -prec - _LN_EXTRA)
+    if ar.lib.mpf_lt(ar.abs(s_1, prec, _RND), ar.lib.from_float(1e-13)):
         pole = ar.mul_mpf(lead1, log_ratio, prec, _RND)
     else:
         x = ar.mul_mpf(ar.sub(ar.one, smp, prec, _RND), log_ratio, prec, _RND)
         pole = ar.div(ar.mul(ar.neg(lead1, prec, _RND), _expm1(ar, prec, x), prec, _RND), s_1, prec, _RND)
-    out = ar.complex(ar.mul(q_pow, ar.add(ar.sub(part1, part2, prec, _RND), pole, prec, _RND), prec, _RND), _RND)
+    out = ar.complex(ar.sum([part1, ar.neg(part2), pole], prec, _RND), _RND)
     return EvalResult(out, unit * (err1 + err2) + abs(out) * 1e-15 + 1e-16, NUMERIC_ROUTE[kind])
 
 

@@ -20,21 +20,23 @@ operator values through `apply_operator`. `partial_sum` and
 composite Gauss-Legendre, panels split at its jumps, where `divmatrix`
 reads the same coefficients off the jumps in closed form.
 `small_numbers_fraction` is the Fraction recurrence the exact table of
-Bernoulli and Euler numbers took before it ran in integers, and
-`powers_pow` and `ln_mpmath` the mpmath powers and logarithm of
-`specfun` before it kept its logarithms in a memo. `zeta_em_context`,
-`dirichlet_beta_context` and `recip_gamma_context` are `specfun`'s kernels as
-they were before they computed on raw mpmath values at an explicit precision:
-mpmath numbers in a per-thread mpmath context (`_working_precision`, `_mp_of`),
-with a table of m^-s and a loop of integer corrections per shift of their own.
-The raw kernels must match them bit for bit.
+Bernoulli and Euler numbers took before it ran in integers; `powers_context`,
+`powers_pow` and `power_table_context` are the mpmath powers and the table of
+m^-s of `specfun` before its table ran in integers, and `ln_mpmath` the
+logarithm its memo holds. `zeta_em_context`, `dirichlet_beta_context` and
+`recip_gamma_context` are `specfun`'s kernels on mpmath numbers in a
+per-thread mpmath context (`_working_precision`, `_mp_of`) in place of raw
+values at an explicit precision, with a loop of integer corrections per shift
+of their own; the Euler-Maclaurin pair reads its table of m^-s through the
+module, so the raw kernels must match them bit for bit, or, given `powers`,
+builds the old mpmath table, where the doubles must match.
 
 Some references left the package because no command reaches them; the tests
 still compare the package against them:
 
 - `hurwitz_zeta(s, a)`, the Euler-Maclaurin route of `specfun` at any shift
-  0 < a <= 1, with one mpmath power per head term where `zeta_em` reads its
-  head from the table of m^-s. It calls `specfun._em_sum` through the module
+  0 < a <= 1, with one mpmath power per head term where `zeta_em` sums a
+  slice of its integer table of m^-s. It calls `specfun._em_sum` through the module
   at call time, so a test that replaces that core reaches this route too.
 - `hankel_zeta` and `lerch_hankel`, a second continuation of zeta and of the
   Abel-regularised sum of e^(inx) n^-s, by a Hankel loop integral. `t^(s-1)`
@@ -539,21 +541,14 @@ def nint_l_value_mpmath(scale: int, power: int, pi_mult: int, odd: bool) -> int:
     return nearest
 
 
-def powers_pow(ar, prec: int, neg):
-    """m -> mpmath's mpf(m) ** neg at `prec` bits, as a raw value, neg = -s
-    raw: the one mpmath power per prime that `specfun._powers` stands in for
-    (a drop-in for it)."""
-    import mpmath
-
-    ctx = mpmath.MPContext()
-    ctx.prec = prec
-    x = _number(ctx, neg)
-    return lambda m: _raw(ctx.mpf(m) ** x)
+def powers_pow(ctx, neg):
+    """m -> ctx.mpf(m) ** neg: one mpmath power per prime, neg = -s in ctx."""
+    return lambda m: ctx.mpf(m) ** neg
 
 
 def ln_mpmath(a: int, b: int, prec: int) -> tuple:
     """log(a/b) as mpmath's `log` of the mpf a/b at `prec` bits, as a raw
-    libmp value: the formula `specfun._ln` memoizes (a drop-in for it)."""
+    libmp value: the number `specfun._ln` holds as an integer."""
     import mpmath
 
     ctx = mpmath.MPContext()
@@ -601,63 +596,74 @@ def em_sum_mpf(ctx, s, a, n_cut: int, unit: float):
     return total, base * base_pow, err
 
 
-def em_sum_mpf_shifts(ar, prec: int, ratio, s, n_cut: int, unit: float, shifts) -> list:
+def em_sum_mpf_shifts(ar, prec: int, ratio, n_cut: int, unit: float, shifts) -> list:
     """`em_sum_mpf` at every shift, with its own head of one mpmath power per
-    term, on raw values at `prec` bits (a drop-in for `specfun._em_sum`; the
-    heads and base powers in `shifts` go unused)."""
+    term, on raw values at `prec` bits (a drop-in for `specfun._em_sum`). The
+    heads in `shifts` go unused; each shift's c base^-s gives only the scale c
+    (c = 1 for zeta, 4^-s for beta's shifts) by which the sum and
+    base^(1-s) are returned, as `specfun._em_sum` returns them."""
     import mpmath
 
     ctx = mpmath.MPContext()
     ctx.prec = prec
-    return [
-        (_raw(total), _raw(lead), err)
-        for a, _, _ in shifts
-        for total, lead, err in [em_sum_mpf(ctx, _number(ctx, s), ctx.mpf(a), n_cut, unit)]
-    ]
+    out = []
+    for a, _, (x, y, e), _ in shifts:
+        smp, a_mp = _mp_of(ctx, ratio), ctx.mpf(a)
+        total, lead, err = em_sum_mpf(ctx, smp, a_mp, n_cut, unit)
+        scale = (ctx.mpc(ctx.ldexp(x, e), ctx.ldexp(y, e)) if y else ctx.ldexp(x, e)) * (n_cut + a_mp) ** smp
+        out.append((_raw(total * scale), _raw(lead * scale), err))
+    return out
 
 
 def hurwitz_zeta(s, a) -> EvalResult:
     """Hurwitz zeta(s, a) for 0 < a <= 1 by `specfun`'s Euler-Maclaurin route
     (`specfun._em_sum`, read at call time), its head one mpmath power per
-    term; the bound is `zeta_em`'s."""
+    term taken to a fixed point of prec + 8 bits; the bound is `zeta_em`'s."""
     a = float(a)
     if not 0 < a <= 1:
         raise ValueError("a must lie in (0, 1]")
     sc = complex(s)
     if abs(sc - 1) < 1e-13:
         raise PoleHit(f"s={sc} is within 1e-13 of the pole at s=1")
-    _check_validated_domain(sc, "hurwitz_zeta")
     n_cut, dps = _em_params(sc.real, abs(sc.imag))
+    _check_validated_domain(sc, "hurwitz_zeta")
     ratio, ar, prec, s_raw = specfun._call(s, dps)
     with _working_precision(dps) as ctx:
-        smp, a_mp = _number(ctx, s_raw), ctx.mpf(a)
-        head = ctx.fsum((n + a_mp) ** (-smp) for n in range(n_cut))
+        smp, a_mp, wp = _number(ctx, s_raw), ctx.mpf(a), prec + 8
+        head = _fixed(ctx.fsum((n + a_mp) ** (-smp) for n in range(n_cut)), wp)
         base_pow = (n_cut + a_mp) ** (-smp)
-        ((part, lead, err),) = specfun._em_sum(ar, prec, ratio, s_raw, n_cut, 1.0, [(a, _raw(head), _raw(base_pow))])
+        shift = (a, (*head, -wp), _floating(base_pow), float(abs(base_pow)))
+        ((part, lead, err),) = specfun._em_sum(ar, prec, ratio, n_cut, 1.0, [shift])
         out = complex(_number(ctx, part) + _number(ctx, lead) / (smp - 1))
     return EvalResult(out, max(err, abs(out) * 1e-15 + 1e-16), "euler_maclaurin")
 
 
 def powers_context(ctx, neg):
     """m -> m^neg for an integer m >= 1, bit-identical to ctx.mpf(m) ** neg:
-    exp(neg log m) with log m from `specfun._ln` at a real neg neither an
-    integer nor a half-integer, else mpmath's `**`."""
+    exp(neg log m) with log m mpmath's at prec + 10 bits (`specfun._ln`) at a
+    real neg neither an integer nor a half-integer, else mpmath's `**`. The
+    power per prime of `specfun` before its table ran in integers."""
     t = getattr(neg, "_mpf_", None)
     if t is None or t[2] >= -1:  # complex, or an integer or half-integer (binary exponent >= -1)
         return lambda m: ctx.mpf(m) ** neg
-    from mpmath.libmp import mpf_exp, mpf_mul, round_nearest
+    from mpmath.libmp import from_man_exp, mpf_exp, mpf_mul, round_nearest
 
     prec = ctx.prec
-    return lambda m: ctx.make_mpf(mpf_exp(mpf_mul(t, specfun._ln(m, 1, prec + 10)), prec, round_nearest))
+
+    def power(m):
+        ln = from_man_exp(specfun._ln(m, 1, prec + 10), -prec - 26)
+        return ctx.make_mpf(mpf_exp(mpf_mul(t, ln), prec, round_nearest))
+
+    return power
 
 
-def power_table_context(ctx, smp, top: int, odd: bool = False) -> list:
+def power_table_context(ctx, smp, top: int, odd: bool = False, powers=powers_context) -> list:
     """m^-s at m = 1..top (odd m only if `odd`; None elsewhere) as mpmath
-    numbers of ctx, by a linear sieve: one power per prime, one product per
-    composite."""
+    numbers of ctx, by a linear sieve: one power per prime (`powers`), one
+    product per composite. The table of `specfun` before it ran in integers."""
     table = [None] * (top + 1)
     table[1] = ctx.mpf(1)
-    power, primes = powers_context(ctx, -smp), []
+    power, primes = powers(ctx, -smp), []
     for m in range(2 + odd, top + 1, 1 + odd):
         if table[m] is None:
             table[m] = power(m)
@@ -671,26 +677,97 @@ def power_table_context(ctx, smp, top: int, odd: bool = False) -> list:
     return table
 
 
-def em_sum_context(ctx, ratio, smp, a: float, n_cut: int, unit: float, head, base_pow):
+def _fixed(x, wp: int) -> tuple[int, int]:
+    """An mpf or mpc as a Gaussian integer at 2^-wp, each part floored."""
+    return x.real.to_fixed(wp), x.imag.to_fixed(wp)
+
+
+def _floating(x) -> tuple[int, int, int]:
+    """An mpf or mpc exactly as (re, im, e): (re + i im) 2^e."""
+    (xs, xm, xe, _), (ys, ym, ye, _) = x.real._mpf_, x.imag._mpf_
+    xm, ym, e = -xm if xs else xm, -ym if ys else ym, min(xe if xm else ye, ye if ym else xe)
+    return (xm << xe - e if xm else 0), (ym << ye - e if ym else 0), e
+
+
+def _powers_of(ctx, ratio, smp, prec: int, top: int, q: int, bases: list, powers) -> tuple:
+    """(wp, re, im, floats, q_abs, power) as `specfun._l_em` reads them: the
+    table of m^-s at 2^-wp over the m coprime to q, the full-precision
+    powers at the prime bases, |q^-s| and the one power of a base. With
+    `powers` None they come from `specfun._power` and `specfun._power_table`
+    (read at call time); else from mpmath's table `power_table_context`
+    with `powers`, each number floored to 2^-wp or taken exactly."""
+    wp, odd, real = prec + 8, q % 2 == 0, not ratio[1]
+    if powers is None:
+        power = specfun._power(ratio, prec, top)
+        re, im, floats = specfun._power_table(power, wp, top, odd=odd, real=real, full=bases)
+        return wp, re, im, floats, specfun._modulus(*power(q)) if q > 1 else (1, 0), power
+    table = power_table_context(ctx, smp, top, odd, powers)
+    parts = [None if x is None else _fixed(x, wp) for x in table]
+    re, im = [p and p[0] for p in parts], None if real else [p and p[1] for p in parts]
+    floats = {m: _floating(table[m]) for m in bases}
+    power = powers(ctx, -smp)
+    q_abs = ctx.mpf(abs(power(q))).man_exp if q > 1 else (1, 0)
+    return wp, re, im, floats, q_abs, lambda m: _floating(power(m))
+
+
+def _l_em_context(s, kind: str, caller: str, seen: list | None, powers) -> EvalResult:
+    """`specfun._l_em` on mpmath numbers of a per-thread context: its table,
+    heads and integer corrections (`em_sum_context`), its pole term and one
+    rounding; `seen`, if given, receives the raw value before its rounding to
+    a double; `powers` as for `_powers_of`."""
+    sc, q = complex(s), 1 if kind == "zeta" else 4
+    if q == 1 and abs(sc - 1) < 1e-13:
+        raise PoleHit(f"s={sc} is within 1e-13 of the pole at s=1")
+    n_cut, dps = _em_params(sc.real, abs(sc.imag), stride=q)
+    _check_validated_domain(sc, caller)
+    ratio, qn = _ratio(s), q * n_cut
+    residues = [1] if q == 1 else [1, 3]
+    bases = [qn + a for a in residues]
+    with _working_precision(dps) as ctx:
+        smp = _mp_of(ctx, ratio)
+        wp, re, im, floats, q_abs, power = _powers_of(ctx, ratio, smp, ctx.prec, bases[-1], q, bases, powers)
+        unit, shifts = specfun._scaled(*q_abs), []
+        for a, m in zip(residues, bases):
+            head = (sum(re[a:m:q]), sum(im[a:m:q]) if im else 0, -wp)
+            base_pow = floats.get(m) or (re[m], im[m] if im else 0, -wp)
+            if max(abs(base_pow[0]), abs(base_pow[1])).bit_length() < ctx.prec:
+                base_pow = power(m)
+            shifts.append(em_sum_context(ctx, ratio, n_cut, unit, a / q, head, base_pow,
+                                         specfun._scaled(*specfun._modulus(*base_pow), *q_abs)))
+        (part1, lead1, err1), *others = shifts
+        if q == 1:
+            out = _rounded(ctx.fsum([part1, lead1 / (smp - 1)]), seen)
+            return EvalResult(out, max(err1, abs(out) * 1e-15 + 1e-16), "euler_maclaurin")
+        ((part2, _, err2),) = others
+        log_ratio = ctx.ldexp(specfun._ln(bases[1], bases[0], ctx.prec), -ctx.prec - 16)
+        if abs(smp - 1) < 1e-13:
+            pole = lead1 * log_ratio
+        else:
+            pole = -lead1 * ctx.expm1((1 - smp) * log_ratio) / (smp - 1)
+        out = _rounded(ctx.fsum([part1, -part2, pole]), seen)
+    return EvalResult(out, unit * (err1 + err2) + abs(out) * 1e-15 + 1e-16, "hurwitz_difference")
+
+
+def em_sum_context(ctx, ratio, n_cut: int, unit: float, a: float, head, base_pow, base_abs: float):
     """`specfun._em_sum` at one shift a on mpmath numbers of ctx: the same
-    integer corrections at the same fixed point, entering the total as one
-    mpf or mpc. Returns (sum, base^(1-s), bound in units of the sum)."""
+    integer corrections at the same fixed point, the head, half of c base^-s
+    and the corrections added exactly and rounded once to ctx.prec. Returns
+    (sum, c base^(1-s), bound in units of the sum)."""
     p_re, p_im, q = ratio
     sc = complex(p_re / q, p_im / q)
     exact, approx = _em_coefficients()
-    base = n_cut + ctx.mpf(a)
-    a_num, bd = a.as_integer_ratio()
-    step_den, bd_sq = (q * (n_cut * bd + a_num)) ** 2, bd * bd
-    frac_bits = ctx.prec + 16 - ctx.mag(base_pow) - int(abs(sc)).bit_length()
-    g1 = smp * base_pow / base
-    g_re, g_im = g1.real.to_fixed(frac_bits), g1.imag.to_fixed(frac_bits)
+    (a_num, bd), b = a.as_integer_ratio(), n_cut + a
+    bn, (x, y, e), (h_re, h_im, h_e) = n_cut * bd + a_num, base_pow, head
+    frac_bits = ctx.prec + 16 - max(abs(x), abs(y)).bit_length() - e - int(abs(sc)).bit_length()
+    sh, den = frac_bits + e, q * bn
+    g_re, g_im = [(n * bd << sh) // den if sh >= 0 else n * bd // (den << -sh) for n in (p_re * x - p_im * y, p_re * y + p_im * x)]
+    step_den, bd_sq = den * den, bd * bd
     sum_re = sum_im = 0
-    b = float(base)
-    g_abs, err = abs(sc) * float(abs(base_pow)) / b, math.inf
+    g_abs, err = abs(sc) * base_abs / b, math.inf
     for k in range(1, _EM_K_MAX + 1):
-        num, den = exact[k - 1]
-        sum_re += g_re * num // den
-        sum_im += g_im * num // den
+        num, den_k = exact[k - 1]
+        sum_re += g_re * num // den_k
+        sum_im += g_im * num // den_k
         if sc.real + 2 * k - 1 > 0:
             err = approx[k - 1] * g_abs * abs(sc + 2 * k - 1) / (sc.real + 2 * k - 1)
             if unit * err < _EM_TARGET:
@@ -699,52 +776,24 @@ def em_sum_context(ctx, ratio, smp, a: float, n_cut: int, unit: float, head, bas
         m_re, m_im = (u * v - p_im * p_im) * bd_sq, p_im * (u + v) * bd_sq
         g_re, g_im = (g_re * m_re - g_im * m_im) // step_den, (g_re * m_im + g_im * m_re) // step_den
         g_abs *= abs(sc + 2 * k - 1) * abs(sc + 2 * k) / (b * b)
-    corr = ctx.mpc((sum_re, -frac_bits), (sum_im, -frac_bits)) if sum_im else ctx.mpf((sum_re, -frac_bits))
-    return head + base_pow / 2 + corr, base * base_pow, err
+    top = max(-h_e, 1 - e, frac_bits)
+    total = [ctx.mpf(((h << top + h_e) + (w << top + e - 1) + (c << top - frac_bits), -top))
+             for h, w, c in ((h_re, x, sum_re), (h_im, y, sum_im))]
+    lead = [ctx.mpf((w * bn, e + 1 - bd.bit_length())) for w in (x, y)]
+    if not p_im:
+        return total[0], lead[0], err
+    return ctx.mpc(*total), ctx.mpc(*lead), err
 
 
-def zeta_em_context(s, seen: list | None = None) -> EvalResult:
-    """`specfun.zeta_em` on mpmath numbers of a per-thread context; `seen`,
-    if given, receives the raw value before its rounding to a double."""
-    sc = complex(s)
-    if abs(sc - 1) < 1e-13:
-        raise PoleHit(f"s={sc} is within 1e-13 of the pole at s=1")
-    _check_validated_domain(sc, "zeta_em")
-    n_cut, dps = _em_params(sc.real, abs(sc.imag))
-    ratio = _ratio(s)
-    with _working_precision(dps) as ctx:
-        smp = _mp_of(ctx, ratio)
-        table = power_table_context(ctx, smp, n_cut + 1)
-        head, base_pow = ctx.fsum(table[1:n_cut + 1]), table[n_cut + 1]
-        part, lead, err = em_sum_context(ctx, ratio, smp, 1.0, n_cut, 1.0, head, base_pow)
-        out = _rounded(part + lead / (smp - 1), seen)
-    return EvalResult(out, max(err, abs(out) * 1e-15 + 1e-16), "euler_maclaurin")
+def zeta_em_context(s, seen: list | None = None, powers=None) -> EvalResult:
+    """`specfun.zeta_em` on mpmath numbers of a per-thread context (`_l_em_context`)."""
+    return _l_em_context(s, "zeta", "zeta_em", seen, powers)
 
 
-def dirichlet_beta_context(s, seen: list | None = None) -> EvalResult:
-    """`specfun.dirichlet_beta` on mpmath numbers of a per-thread context,
-    one correction loop per shift and mpmath's expm1; `seen` as for
-    `zeta_em_context`."""
-    sc = complex(s)
-    _check_validated_domain(sc, "dirichlet_beta")
-    n_cut, dps = _em_params(sc.real, abs(sc.imag), stride=4)
-    ratio = _ratio(s)
-    with _working_precision(dps) as ctx:
-        smp = _mp_of(ctx, ratio)
-        four_pow = powers_context(ctx, -smp)(4)
-        four_s, scale = 1 / four_pow, float(abs(four_pow))
-        n4 = 4 * n_cut
-        table = power_table_context(ctx, smp, n4 + 3, odd=True)
-        head1, head2 = four_s * ctx.fsum(table[1:n4:4]), four_s * ctx.fsum(table[3:n4:4])
-        part1, lead1, err1 = em_sum_context(ctx, ratio, smp, 0.25, n_cut, scale, head1, four_s * table[n4 + 1])
-        part2, _, err2 = em_sum_context(ctx, ratio, smp, 0.75, n_cut, scale, head2, four_s * table[n4 + 3])
-        log_ratio = ctx.make_mpf(specfun._ln(n4 + 3, n4 + 1, ctx.prec))
-        if abs(smp - 1) < 1e-13:
-            pole = lead1 * log_ratio
-        else:
-            pole = -lead1 * ctx.expm1((1 - smp) * log_ratio) / (smp - 1)
-        out = _rounded(four_pow * (part1 - part2 + pole), seen)
-    return EvalResult(out, scale * (err1 + err2) + abs(out) * 1e-15 + 1e-16, "hurwitz_difference")
+def dirichlet_beta_context(s, seen: list | None = None, powers=None) -> EvalResult:
+    """`specfun.dirichlet_beta` on mpmath numbers of a per-thread context, one
+    correction loop per shift and mpmath's expm1 (`_l_em_context`)."""
+    return _l_em_context(s, "beta", "dirichlet_beta", seen, powers)
 
 
 def recip_gamma_context(s, seen: list | None = None) -> EvalResult:

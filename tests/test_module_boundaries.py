@@ -228,7 +228,7 @@ MEMOS = {
     "registry._parse_registry": "the data file, parsed once per process",
     "specfun._arith": "the libmp operations of a real and of a complex s, picked once",
     "specfun._em_coefficients": "the Euler-Maclaurin coefficients B_2k/(2k)!",
-    "specfun._ln": "log(a/b) per integer pair and precision, bounded to 8,192 entries",
+    "specfun._ln": "mpmath's log(a/b) per integer pair and precision, held as a fixed-point integer, bounded to 8,192 entries",
 }
 
 

@@ -48,7 +48,6 @@ UNRUN = {
     "opzeta.operators.Expression.from_trig": _TRIG_AND_SINGULAR,
     "opzeta.specfun._arith.<lambda 2>": _COMPLEX_SHIFTS,
     "opzeta.specfun._arith.<lambda 3>": _COMPLEX_SHIFTS,
-    "opzeta.specfun._powers.<lambda 1>": _COMPLEX_SHIFTS,
     "opzeta.specfun.recip_gamma": "1/Gamma at a non-integer: the branch terms of ROADMAP items 4a and 7 need it",
     "opzeta.series.partial_sums_accelerated.<lambda>":
         "the sum route of the beta character, which the registry uses; its beta ids verify by the Abel route",

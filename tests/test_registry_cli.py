@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -419,12 +420,52 @@ class TestValuesCommand:
     @pytest.mark.parametrize("kind", ["zeta", "beta"])
     def test_no_finite_bound_is_an_error(self, kind, capsys):
         # below Re s = -81 no Euler-Maclaurin K <= 41 has a finite remainder
-        # bound: exit 1 with a message, never a value with abs_error Infinity
-        with pytest.warns(PrecisionLoss):
+        # bound: exit 1 with a message, never a value with abs_error Infinity,
+        # and no PrecisionLoss warning of a best-effort value that never comes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code, out = run_cli("values", kind, "-100.5", "--format", "json")
         assert code == 1 and out == ""
         err = capsys.readouterr().err
         assert "values error: Euler-Maclaurin at Re s = -100.5" in err and "Traceback" not in err
+
+    @staticmethod
+    def _child(*argv) -> subprocess.CompletedProcess:
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        return subprocess.run([sys.executable, "-m", "opzeta", *argv], capture_output=True, text=True, env=env)
+
+    def test_refused_argument_prints_only_its_error(self):
+        # the refusal comes before the domain warning: stderr is the one line
+        proc = self._child("values", "zeta", "-81.5")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == ("values error: Euler-Maclaurin at Re s = -81.5: no finite remainder bound "
+                               "within 41 terms at Re s <= -81\n")
+
+    def test_best_effort_value_keeps_its_one_warning(self):
+        proc = self._child("values", "beta", "-30.25")
+        assert proc.returncode == 0
+        assert proc.stdout == "beta values\n    -30.25      -4.28600634064e+26  [hurwitz_difference, err<=4.29e+11]\n"
+        assert proc.stderr.count("PrecisionLoss") == 1
+        assert "dirichlet_beta: s=(-30.25+0j) outside the validated domain" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            # every entry of the head table but m = 1 lies below its resolution
+            (("beta", "20", "998", "1000"),
+             "argument,value,exact,method,abs_error\n20,0.9999999997132133,,hurwitz_difference,1.0999999997132135e-15\n"
+             "998,1.0,,hurwitz_difference,1.1000000000000001e-15\n1000,1.0,,hurwitz_difference,1.1000000000000001e-15\n"),
+            (("zeta", "40", "999.5", "12.001"),
+             "argument,value,exact,method,abs_error\n40,1.0000000000009095,261082718496449122051/"
+             "20080431172289638826798401128390556640625*pi^40,exact,0.0\n999.5,1.0,,euler_maclaurin,1.1000000000000001e-15\n"
+             "12.001,1.0002459152302963,,euler_maclaurin,1.1002459152302963e-15\n"),
+        ],
+    )
+    def test_large_positive_s_where_the_powers_underflow(self, argv, want):
+        # base^-s keeps its bits from one power of its own where the table's
+        # fixed point cannot hold it: the bytes the mpmath table gave
+        code, out = run_cli("values", *argv, "--format", "csv")
+        assert (code, out) == (0, want)
 
     def test_outside_validated_domain_within_bound(self):
         with pytest.warns(PrecisionLoss):
@@ -671,7 +712,7 @@ class TestMatrixCommand:
 
     def test_export_streams_by_row(self):
         # the export is written 2^7 rows at a time, never joined whole
-        # (about 15 MB at the size bound)
+        # (18,189,066 characters at the size bound)
         class RecordingOut(io.StringIO):
             largest = 0
 

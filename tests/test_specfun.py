@@ -629,15 +629,18 @@ class TestPrecisionLossWarnings:
     @pytest.mark.parametrize("fn", [zeta_em, dirichlet_beta, lambda s: hurwitz_zeta(s, 0.5)])
     def test_no_finite_bound_raises(self, fn):
         # at Re s <= -81 no K <= 41 gives a finite remainder bound: raise, never
-        # return a value with an infinite bound
+        # return a value with an infinite bound, and warn of no best-effort
+        # value before the refusal
         from opzeta.errors import NotConverged, PrecisionLoss
 
         with pytest.warns(PrecisionLoss):
             r = fn(-80.5)
         assert math.isfinite(r.abs_error_estimate)
         for s in (-81.0, -100.5, complex(-200.0, 3.0)):
-            with pytest.warns(PrecisionLoss), pytest.raises(NotConverged):
-                fn(s)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NotConverged):
+                    fn(s)
 
 
 class TestIntegerCorrections:
@@ -722,36 +725,61 @@ class TestIntegerCorrections:
 
 
 class TestPowerTable:
-    """`_power_table` gives the heads of zeta_em and dirichlet_beta: one
-    mpmath power per prime m, its logarithm from the memo `_ln`, and one
-    product per composite."""
+    """`_power_table` gives the heads of zeta_em and dirichlet_beta as
+    integers at 2^-wp, wp = prec + 8: one fixed-point exp per prime m (times a
+    fixed-point cos and sin at a complex s), its logarithm from the memo
+    `_ln`, and one product per composite."""
+
+    @staticmethod
+    def _tables(s, dps: int, top: int):
+        # (power rule, the full table, the odd table, wp) of a call at s and dps
+        from opzeta import specfun
+
+        ratio, ar, prec, _ = specfun._call(s, dps)
+        power, wp, real = specfun._power(ratio, prec, top), prec + specfun._GUARD, not ratio[1]
+        full = specfun._power_table(power, wp, top, real=real)
+        odd = specfun._power_table(power, wp, top, odd=True, real=real)
+        return power, full, odd, wp
+
+    @staticmethod
+    def _worst(s, power, tables, wp: int, top: int) -> float:
+        # the largest |entry - m^-s| / (log2(m) 2^(1-wp) max(1, |m^-s|)) over
+        # every entry of `tables`, and |4^-s - 4^-s| / (2^-wp |4^-s|) for the
+        # rule's 4^-s, m^-s from mpmath one power per term at wp + 64 bits
+        from oracles import _mp_of
+
+        from opzeta.specfun import _ratio
+
+        ref = mpmath.MPContext()
+        ref.prec = wp + 64
+        neg = -_mp_of(ref, _ratio(s))
+        worst = 0.0
+        for re, im, _ in tables:
+            for m in range(2, top + 1):
+                if re[m] is None:
+                    continue
+                exact_pow = ref.mpf(m) ** neg
+                got = ref.mpc(re[m], im[m] if im else 0) / ref.mpf(2) ** wp
+                bound = math.log2(m) * 2.0 ** (1 - wp) * max(1.0, float(abs(exact_pow)))
+                worst = max(worst, float(abs(got - exact_pow)) / bound)
+        x, y, e = power(4)
+        exact_pow = ref.mpf(4) ** neg
+        worst = max(worst, float(abs(ref.mpc(ref.ldexp(x, e), ref.ldexp(y, e)) - exact_pow) / abs(exact_pow)) * 2.0**wp)
+        return worst
 
     @pytest.mark.parametrize("s", [-25, Fraction(-1, 2), 12, complex(3, 50), complex(-24, 3)])
     def test_entries_within_the_stated_bound(self, s):
-        # every entry within relative 3 log2(m) 2^-prec of m^-s, from mpmath
-        # one power per term at 64 more bits, up to dirichlet_beta's 4N + 3
-        from oracles import _mp_of, _number
-
+        # at the call's own dps, up to dirichlet_beta's 4N + 3, every entry is
+        # within log2(m) 2^(1-wp) max(1, |m^-s|) of m^-s, odd m alone in the
+        # odd table, and the rule's 4^-s within relative 2^-wp
         from opzeta import specfun
 
         sc = complex(s)
         n_cut, dps = specfun._em_params(sc.real, abs(sc.imag), stride=4)
         top = 4 * n_cut + 3
-        ratio, ar, prec, smp = specfun._call(s, dps)
-        neg = ar.neg(smp, prec, specfun._RND)
-        full = specfun._power_table(ar, prec, neg, top)
-        odd = specfun._power_table(ar, prec, neg, top, odd=True)
-        ref = mpmath.MPContext()
-        ref.prec = prec + 64
-        neg = -_mp_of(ref, ratio)
-        assert odd[2::2] == [None] * (top // 2)
-        worst = 0.0
-        for m in range(1, top + 1):
-            exact_pow = ref.mpf(m) ** neg
-            for table in (full, odd) if m % 2 else (full,):
-                rel = abs(_number(ref, table[m]) - exact_pow) / abs(exact_pow)
-                worst = max(worst, float(rel * 2**prec / max(1.0, 3 * math.log2(m))))
-        assert worst <= 1.0
+        power, full, odd, wp = self._tables(s, dps, top)
+        assert odd[0][2::2] == [None] * (top // 2)
+        assert self._worst(s, power, (full, odd), wp, top) <= 1.0
 
     # fractional (decimal, as `values` passes it, and a double), integer,
     # half-integer, 0 and complex s
@@ -759,39 +787,31 @@ class TestPowerTable:
                 complex(0.5, 14.0), complex(-24.75, 50.0)]
 
     @pytest.mark.parametrize("s", _CLASSES)
-    def test_entries_bit_identical_to_mpmath_powers(self, monkeypatch, s):
-        # every entry, the odd table's and 4^-s, at dps 25 and at the largest
-        # dps of the validated domain, with the memo empty and then warm, is
-        # the raw mpmath value the sieve gives with ctx.mpf(m) ** -s per prime
-        from oracles import powers_pow
-
+    def test_entries_bit_identical_to_mpmath_powers(self, s):
+        # every entry, the odd table's and the rule's 4^-s, at dps 25 and at
+        # the largest dps of the validated domain, is within the stated bound
+        # of m^-s from mpmath at wp + 64 bits (the tables hold no mpmath
+        # number since their powers became fixed-point exps); with the memo
+        # of logarithms empty and then warm, the tables are the same integers
         from opzeta import specfun
 
         n_cut, max_dps = specfun._em_params(-25.0, 50.0, stride=4)
         top = 4 * n_cut + 3
-
-        def tables(ar, prec, neg):
-            power = specfun._powers(ar, prec, neg)
-            rows = (specfun._power_table(ar, prec, neg, top), specfun._power_table(ar, prec, neg, top, odd=True))
-            return [power(4)] + [x for row in rows for x in row]
-
         for dps in (25, max_dps):
-            _, ar, prec, smp = specfun._call(s, dps)
-            neg = ar.neg(smp, prec, specfun._RND)
             specfun._ln.cache_clear()
-            cold, warm = tables(ar, prec, neg), tables(ar, prec, neg)
-            with monkeypatch.context() as patch:
-                patch.setattr(specfun, "_powers", powers_pow)
-                ref = tables(ar, prec, neg)
-            assert cold == ref, dps
-            assert warm == ref, dps
+            power, *cold, wp = self._tables(s, dps, top)
+            _, *warm, _ = self._tables(s, dps, top)
+            assert cold == warm, dps
+            assert cold[0][0][1] == 1 << wp
+            assert self._worst(s, power, cold, wp, top) <= 1.0, dps
 
-    def test_same_doubles_as_mpmath_logarithms(self, monkeypatch):
+    def test_same_doubles_as_mpmath_logarithms(self):
         # zeta_em and dirichlet_beta give, by float.hex of value and bound,
-        # what they gave with mpmath's power per prime and 4^-s and mpmath's
-        # log((4N+3)/(4N+1)): at seeded decimal and double s in the validated
-        # domain, every half-integer and integer in [-25, 11.5], 0 and complex s
-        from oracles import ln_mpmath, powers_pow
+        # what they give with mpmath's power per prime and 4^-s (ctx.mpf(m)
+        # ** -s, `oracles.powers_pow`) in mpmath's table of m^-s: at seeded
+        # decimal and double s in the validated domain, every half-integer and
+        # integer in [-25, 11.5], 0 and complex s
+        from oracles import dirichlet_beta_context, powers_pow, zeta_em_context
 
         from opzeta import specfun
 
@@ -801,24 +821,26 @@ class TestPowerTable:
         points += [Fraction(k, 2) for k in range(-50, 24) if k != 2] + [0, 0.0]
         points += [complex(rng.uniform(-25.0, 12.0), rng.uniform(-50.0, 50.0)) for _ in range(30)]
 
-        def results():
+        def results(fs):
             return [
-                (f.__name__, s, complex(r.value).real.hex(), complex(r.value).imag.hex(), r.abs_error_estimate.hex())
+                (s, complex(r.value).real.hex(), complex(r.value).imag.hex(), r.abs_error_estimate.hex())
                 for s in points
-                for f in (zeta_em, dirichlet_beta)
+                for f in fs
                 for r in (f(s),)
             ]
 
         specfun._ln.cache_clear()
-        memo = results()
-        monkeypatch.setattr(specfun, "_powers", powers_pow)
-        monkeypatch.setattr(specfun, "_ln", ln_mpmath)
-        assert [r for r, m in zip(memo, results()) if r != m] == []
+        memo = results([zeta_em, dirichlet_beta])
+        mpmath_table = results([lambda s: zeta_em_context(s, powers=powers_pow),
+                                lambda s: dirichlet_beta_context(s, powers=powers_pow)])
+        assert [r for r, m in zip(memo, mpmath_table) if r != m] == []
 
     def test_memo_is_mpmath_log(self):
-        # _ln(a, b, prec) is mpmath's log of the mpf a/b at prec bits, raw,
-        # when computed and when read back: for the powers' log m (b = 1, m up
-        # to beyond beta's 4N + 3 at complex s) and beta's log((4N+3)/(4N+1))
+        # _ln(a, b, prec) holds mpmath's log of the mpf a/b at prec bits as an
+        # integer at 2^-(prec + 16), exactly that raw value, when computed and
+        # when read back: for the powers' log m (b = 1, m up to beyond beta's
+        # 4N + 3 at complex s) and beta's log((4N+3)/(4N+1))
+        from mpmath.libmp import from_man_exp
         from oracles import ln_mpmath
 
         from opzeta import specfun
@@ -827,7 +849,8 @@ class TestPowerTable:
         keys += [(4 * n + 3, 4 * n + 1, prec) for n in (10, 23, 100) for prec in (83, 92, 249, 322)]
         specfun._ln.cache_clear()
         cold = [specfun._ln(*k) for k in keys]
-        assert cold == [specfun._ln(*k) for k in keys] == [ln_mpmath(*k) for k in keys]
+        assert cold == [specfun._ln(*k) for k in keys]
+        assert [from_man_exp(v, -k[2] - 16) for v, k in zip(cold, keys)] == [ln_mpmath(*k) for k in keys]
 
     @pytest.mark.parametrize(
         "fn, s, n_cut, powers",
@@ -839,31 +862,28 @@ class TestPowerTable:
         ],
     )
     def test_powers_per_call(self, monkeypatch, fn, s, n_cut, powers):
-        # an integer s takes mpmath's power (squarings) per prime; a
-        # fractional s takes no mpmath power but one exp per prime, and at
-        # most one log per prime and precision, beta's pole log((4N+3)/(4N+1))
-        # aside: a second call takes every log from the memo. Beta's pole
-        # term takes one more exp, its expm1((1-s) log((4N+3)/(4N+1)))
+        # one power per prime (and beta one more for 4^-s), each a
+        # fixed-point exp at a fractional s and the exact m^n, no exp, at an
+        # integer s <= 0, and at most one log per prime and precision, beta's
+        # pole log((4N+3)/(4N+1)) aside: a second call takes every log from
+        # the memo. Beta's pole term, its expm1((1-s) log((4N+3)/(4N+1))), is
+        # mpmath's exp, not a fixed-point one
+        from mpmath.libmp import libelefun
+
         from opzeta import specfun
 
         assert specfun._em_params(complex(s).real, 0.0)[0] == n_cut
-        calls, arith = {"pow": 0, "exp": 0}, specfun._arith
-        real = arith(True)
+        calls, exp_fixed = [0], libelefun.exp_fixed
 
-        def counted(name, f):
-            def call(*args):
-                calls[name] += 1
-                return f(*args)
+        def counted(*args):
+            calls[0] += 1
+            return exp_fixed(*args)
 
-            return call
-
-        counting = real._replace(pow=counted("pow", real.pow), exp=counted("exp", real.exp))
-        monkeypatch.setattr(specfun, "_arith", lambda is_real: counting if is_real else arith(False))
+        monkeypatch.setattr(libelefun, "exp_fixed", counted)
         specfun._ln.cache_clear()
         first = fn(s)
-        fractional = s != int(s)
-        assert calls == {"pow": powers * (not fractional), "exp": powers * fractional + (fn is dirichlet_beta)}
-        logs = powers * fractional + (fn is dirichlet_beta)
+        assert calls == [powers * (s != int(s))]
+        logs = powers + (fn is dirichlet_beta)
         assert specfun._ln.cache_info().misses == specfun._ln.cache_info().currsize == logs
         assert fn(s) == first
         assert specfun._ln.cache_info().misses == logs
@@ -937,6 +957,22 @@ class TestKernelBitIdentity:
             warned = {w for _, _, ws in got for w in ws}
             assert ("PrecisionLoss", f"{name}: s=(-80.5+0j) outside the validated domain (Re s >= -25.0, "
                     "|Im s| <= 50.0); returning best-effort value") in warned
+
+    @pytest.mark.parametrize("name", ["zeta_em", "dirichlet_beta"])
+    def test_same_doubles_as_the_mpmath_table(self, name):
+        # the context kernels with the table of mpmath numbers the kernels
+        # read before their table ran in integers (`oracles.power_table_context`,
+        # one mpmath power per prime) give, at every point, the same value and
+        # bound by float.hex, the same error and the same warnings as the
+        # integer table
+        import oracles
+
+        from opzeta import specfun
+
+        raw, context, seen, points = getattr(specfun, name), getattr(oracles, f"{name}_context"), [], self._points()
+        want = [self._outcome(seen, lambda s: context(s, powers=oracles.powers_context), s) for s in points]
+        got = [self._outcome(seen, raw, s) for s in points]
+        assert [(s, g, w) for s, g, w in zip(points, got, want) if g[::2] != w[::2]] == []
 
     def test_same_special_values(self, monkeypatch):
         # the route table's records, at every real point as the exact argument
