@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -310,7 +311,9 @@ def _cmd_extract(args, out) -> int:
 
 # size bounds of `matrix`: the triplet export prints about size * ln(size)
 # lines (1.17M at the bound, in 0.21-0.27 s in process by the hyperbola split,
-# with a 32 MB child); the check's closed form costs O(size), about 1.6 ms in
+# with a 32 MB child); --apply prints size lines, made ten at a time from
+# decades, in 24-30 ms for the dense column 1 at the bound and 2.2-2.9 ms for
+# a sparse one; the check's closed form costs O(size), about 0.7-1.0 ms in
 # process at its bound (n = 999 or 1000)
 _MATRIX_SIZE_BOUND = 100_000
 _CHECK_SIZE_BOUND = 1000
@@ -446,7 +449,16 @@ def main(argv: Optional[list[str]] = None, out=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (`opzeta matrix --size 100000 | head -1`):
+        # stdout goes to devnull, so that the interpreter's flush at exit stays
+        # quiet, as the Python docs' note on SIGPIPE does it
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

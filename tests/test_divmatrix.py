@@ -212,10 +212,19 @@ class TestColumnText:
 class TestColumnBlocks:
     BLOCK = 1 << 14
 
-    @pytest.mark.parametrize("M", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    # sizes on both sides of each change of digit width and of the 2^14-row
+    # block edges, where a block starts mid-decade (16385, 32769, 98305), up
+    # to the size bound
+    @pytest.mark.parametrize("M", [
+        BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3,
+        9, 10, 11, 99, 100, 101, 999, 1000, 1001, 9999, 10000, 10001, BLOCK + 6, 99999, 100000,
+    ])
     def test_joined_blocks_equal_the_column_across_block_boundaries(self, M):
+        # the zero lines are made ten at a time and cut at the multiples of n,
+        # whose offsets step by n (w + 5) among numbers of width w
         A = build_matrix(M)
-        for n in sorted({1, 2, 3, 7, 5461, self.BLOCK - 1, self.BLOCK, self.BLOCK + 1, M} & set(range(1, M + 1))):
+        columns = {1, 2, 3, 7, 10, 11, 99, 100, 101, 5461, self.BLOCK - 1, self.BLOCK, self.BLOCK + 1, M}
+        for n in sorted(columns & set(range(1, M + 1))):
             want = "".join(f"{m} 1/{m // n}\n" if m % n == 0 else f"{m} 0/1\n" for m in range(1, M + 1))
             blocks = list(A.column_blocks(n))
             assert [b.count("\n") for b in blocks[:-1]] == [self.BLOCK] * (len(blocks) - 1)
@@ -274,13 +283,17 @@ class TestConsistencyCheck:
         assert rep.deviations == tuple(abs(c - float(e)) for c, e in zip(rep.coefficients, rep.expected))
         assert rep.expected == tuple(Fraction(n, m) if m % n == 0 else Fraction(0) for m in range(1, M + 1))
 
-    @pytest.mark.parametrize("n", [1, 999])
+    @pytest.mark.parametrize("n", [1, 2, 999, 1000])
     def test_bit_identical_at_the_size_bound(self, n):
         # at n = 999 the cosine sum over J = 499 jumps cancels to about 0, the
-        # largest rounding of the closed form: rows at both ends and the middle
+        # largest rounding of the closed form: rows at both ends and the middle;
+        # expected and deviations equal their per-row definitions
         rep = consistency_check(n, 1000)
         for m in (1, 5, 6, 500, 999, 1000):
             assert abs(rep.coefficients[m - 1] - scalar_quadrature(n, m)) <= self.QUADRATURE_TOL, m
+        assert rep.expected == tuple(Fraction(n, m) if m % n == 0 else Fraction(0) for m in range(1, 1001))
+        assert rep.deviations == tuple(abs(c - float(e)) for c, e in zip(rep.coefficients, rep.expected))
+        assert rep.max_abs_deviation == max(rep.deviations)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 96])
     def test_a_wrong_closed_form_fails(self, n, monkeypatch):

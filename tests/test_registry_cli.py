@@ -1011,3 +1011,22 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert "-1/2" in proc.stdout
+
+    @pytest.mark.parametrize("argv,line", [
+        (("matrix", "--size", "100000"), b"1 1 1 1\n"),
+        (("matrix", "--size", "100000", "--apply", "7"), b"1 0/1\n"),
+    ])
+    def test_closed_pipe_exits_1_without_a_traceback(self, argv, line):
+        # `opzeta matrix --size 100000 | head -1`: the reader takes one line and
+        # closes the pipe while megabytes are still to come
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "opzeta", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert proc.stdout.readline() == line
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
