@@ -310,11 +310,12 @@ def _cmd_extract(args, out) -> int:
 
 
 # size bounds of `matrix`: the triplet export prints about size * ln(size)
-# lines (1.17M at the bound, in 0.21-0.27 s in process by the hyperbola split,
-# with a 32 MB child); --apply prints size lines, made ten at a time from
-# decades, in 24-30 ms for the dense column 1 at the bound and 2.2-2.9 ms for
-# a sparse one; the check's closed form costs O(size), about 0.7-1.0 ms in
-# process at its bound (n = 999 or 1000)
+# lines (1.17M at the bound, in 0.19-0.21 s in process by the hyperbola split
+# from a names table made by decades, each row joined once, with a 32 MB
+# child); --apply prints size lines, made ten at a time from decades, in
+# 24-30 ms for the dense column 1 at the bound and 2.2-2.9 ms for a sparse
+# one; the check's closed form costs O(size), about 0.7-1.0 ms in process at
+# its bound (n = 999 or 1000)
 _MATRIX_SIZE_BOUND = 100_000
 _CHECK_SIZE_BOUND = 1000
 

@@ -8,15 +8,16 @@ stored; floats appear only where a column is compared with the sawtooth's
 sine coefficients. The matrix is read as one column in text (the image of
 basis vector n) and as sorted triplets, and each column is checked against
 those coefficients, which the sawtooth's jumps give in closed form. The
-triplets come by Dirichlet's hyperbola split, each line joined from number
-strings made once: at the size bound, 0.21-0.27 s in process (best of 3, on a
-2-vCPU VM) and a child that peaks at 32 MB. The column makes its lines ten at
-a time: str(p) joins the ten zero lines 'm 0/1' of decade p, and the same join
-gives the ten tails '1/k' of the multiples m = k n, which go in where the zero
-text is cut at each multiple's '0/1'. Lines of one digit width are equally
-long, so the cuts form one range per width, and no Python code runs per line:
-at the size bound, column 1 takes 24-30 ms and column 99991 2.2-2.9 ms in
-process (best of 5, on a 2-vCPU VM).
+triplets come by Dirichlet's hyperbola split, each line three shared strings
+from a table of the numbers' names, made ten at a time as str(p) joins the
+digits of decade p, and each row joined once: at the size bound, 0.19-0.21 s
+in process (best of 3, on a 2-vCPU VM) and a child that peaks at 32 MB. The
+column makes its lines ten at a time: str(p) joins the ten zero lines 'm 0/1'
+of decade p, and the same join gives the ten tails '1/k' of the multiples
+m = k n, which go in where the zero text is cut at each multiple's '0/1'.
+Lines of one digit width are equally long, so the cuts form one range per
+width, and no Python code runs per line: at the size bound, column 1 takes
+24-30 ms and column 99991 2.2-2.9 ms in process (best of 5, on a 2-vCPU VM).
 
 Every finite truncation is unit lower triangular (hence invertible), while
 the operator itself still hits the zeta pole on constants (see
@@ -36,14 +37,16 @@ from typing import Iterator, NamedTuple
 _BLOCK = 1 << 14
 # rows m per string of the triplet export
 _TRIPLET_ROWS = 1 << 7
-# decade p of the column's zero lines 'm 0/1' and of its tails '1/k', each
-# joined by str(p)
+# decade p of the export's names 'n', of the column's zero lines 'm 0/1' and
+# of its tails '1/k', each joined by str(p)
+_NAME_DECADE = ["", *(f"{d}\n" for d in range(10))]
 _ZERO_DECADE = ["", *(f"{d} 0/1\n" for d in range(10))]
 _TAIL_DECADE = ["1/", *(f"{d}\n1/" for d in range(9)), "9\n"]
 
 
 def _decades(first: int, last: int, parts: list[str]) -> str:
-    """The decades p = first..last of a run, str(p).join(parts) each, p = 0 joined by ''."""
+    """The decades p = first..last of a run, str(p).join(parts) each, p = 0 joined by '':
+    the triplet export's names 'n', and a column's zero lines 'm 0/1' and tails '1/k'."""
     prefixes = itertools.chain([""] * (first == 0), map(str, range(max(first, 1), last + 1)))
     return "".join(map(str.join, prefixes, itertools.repeat(parts)))
 
@@ -72,8 +75,10 @@ class DivisibilityMatrix(NamedTuple):
         size bound): 'm n 1 k' for each n k = m, n increasing. By Dirichlet's
         hyperbola split, a block [lo, hi) of 2^14 rows fills in 2 isqrt(hi - 1)
         strided passes, each giving every row it reaches three shared strings: for
-        t rising, the columns n = t <= sqrt m, then, for t falling, n = m/t > sqrt m."""
-        names = list(map(str, range(self.size + 1)))
+        t rising, the columns n = t <= sqrt m, then, for t falling, n = m/t > sqrt m.
+        The names 'n', n <= size, are one text of decades split into lines, and each
+        string of rows is one join of its rows, each row joined once."""
+        names = _decades(0, self.size // 10, _NAME_DECADE).splitlines()[: self.size + 1]
         for lo in range(1, self.size + 1, _BLOCK):
             hi = min(lo + _BLOCK, self.size + 1)
             rows = [[] for _ in range(lo, hi)]
@@ -91,7 +96,7 @@ class DivisibilityMatrix(NamedTuple):
                 k = max(t + 1, -(-lo // t))  # the column k > t of the first row m = k t >= lo
                 fill(t, k, names[k : (hi - 1) // t + 1], itertools.repeat(" 1 " + names[t]))
             for i in range(0, hi - lo, _TRIPLET_ROWS):
-                yield "".join(itertools.chain.from_iterable(rows[i : i + _TRIPLET_ROWS]))[1:] + "\n"
+                yield "".join(map("".join, rows[i : i + _TRIPLET_ROWS]))[1:] + "\n"
 
     def column_blocks(self, n: int) -> Iterator[str]:
         """Column n as 'm num/den' lines, m = 1..size, 2^14 rows per string:

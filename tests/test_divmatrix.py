@@ -178,11 +178,16 @@ class TestTripletExport:
         for m, row in rows:
             assert row[0] == 1 and row[-1] == m and all(a < b for a, b in zip(row, row[1:]))
 
-    @pytest.mark.parametrize("M", [1, 2, 12, 97, 2**14 - 1, 2**14, 2**14 + 1, 2**14 + 200])
+    @pytest.mark.parametrize("M", [
+        1, 2, 12, 97, 2**14 - 1, 2**14, 2**14 + 1, 2**14 + 200,
+        9, 10, 11, 99, 100, 101, 999, 1000, 1001,
+    ])
     def test_chunks_of_whole_rows_match_entries(self, M):
         # 2^7 rows m per string, each string ending on a row boundary; the
         # larger sizes cross string boundaries and the 2^14-row block, whose
-        # last row 2^14 = 128^2 has the divisor 128 as its own cofactor
+        # last row 2^14 = 128^2 has the divisor 128 as its own cofactor; the
+        # sizes at each change of digit width end the names table, made a
+        # decade at a time, mid-decade and on either side of a new width
         A = build_matrix(M)
         chunks = list(A.triplet_rows())
         assert len(chunks) == -(-M // 128)
