@@ -10,7 +10,6 @@ from importlib import import_module
 
 from . import errors
 from .errors import (
-    MultipleAnomalies,
     NotConverged,
     OpzetaError,
     OutsideDomain,
@@ -28,7 +27,7 @@ _LAYER_OF = {
         "specfun": "dirichlet_beta recip_gamma zeta_em",
         "series": "TrigSeries abel_sums geometric_abel partial_sums_accelerated",
         "operators": "DilationShift Expression OpResult TaylorFlowResult apply_operator apply_recip_gamma_op"
-        " extract_special_values parity_anomaly taylor_flow",
+        " extract_special_values taylor_flow",
         "divmatrix": "DivisibilityMatrix build_matrix consistency_check",
         "registry": "IdentityRecord get_identity load_registry",
     }.items()

@@ -45,19 +45,19 @@ def _verify_exact(rec: registry.IdentityRecord) -> tuple[list[dict], float, list
     """Exact-equality verification in Q[pi] -> (rows, max deviation, pole
     events); the deviation is 0.0 on equality and inf otherwise."""
     from .exactnum import clausen_closed_form
-    from .operators import Expression, apply_recip_gamma_op, parity_anomaly, taylor_flow
+    from .operators import Expression, apply_recip_gamma_op, taylor_flow
     from .registry import ANNIHILATED_CONSTANT, ANOMALY_MISSING
 
     if rec.kind is None:
         raise ValueError(f"{rec.id}: exact mode needs an operator-on-trig left side")
     events = []
     flow = taylor_flow(rec.op, rec.trig, _EXACT_K)
+    anomaly = flow.branch.poly  # the branch term's polynomial part, which the flow misses
     if rec.gamma_shift is not None:
         # route A: closed form of the series, then the exact 1/Gamma action
         closed = clausen_closed_form(rec.trig, (rec.shift + 1) // 2 if rec.trig == "sin" else rec.shift // 2)
-        anomaly = parity_anomaly(closed, "odd" if rec.trig == "sin" else "even")
         route_a = apply_recip_gamma_op(rec.gamma_shift, Expression.from_poly(closed)).poly
-        if anomaly is not None and apply_recip_gamma_op(rec.gamma_shift, Expression.from_poly(anomaly)).is_zero():
+        if anomaly and apply_recip_gamma_op(rec.gamma_shift, flow.branch).is_zero():
             events.append(ANNIHILATED_CONSTANT)
         # route B: term-by-term flow first, 1/Gamma after
         route_b = apply_recip_gamma_op(rec.gamma_shift, Expression.from_poly(flow.poly)).poly
@@ -65,15 +65,13 @@ def _verify_exact(rec: registry.IdentityRecord) -> tuple[list[dict], float, list
         lhs_polys = [route_a, route_b]
         equal = route_a == route_b == target
     else:
-        # the flow, plus the parity-violating term where the record names one, rebuilds the
-        # right side exactly; the flow misses a term exactly where the record names one
+        # the flow plus the branch term's polynomial part rebuilds the right side exactly
         target = rec.exact_rhs(_EXACT_K)
         if target is None:
             raise ValueError(f"{rec.id}: no exact right side available for exact mode")
-        anomaly = parity_anomaly(target, rec.anomaly_parity) if rec.anomaly_parity != "none" else None
-        lhs_polys = [flow.poly + anomaly if anomaly is not None else flow.poly]
-        equal = lhs_polys[0] == target and flow.anomaly_missing == (anomaly is not None)
-    if flow.anomaly_missing:
+        lhs_polys = [flow.poly + anomaly]
+        equal = lhs_polys[0] == target
+    if anomaly:
         events.append(ANOMALY_MISSING)
     deviation = 0.0 if equal else math.inf
     return [_row(rec.id, None, repr(p), repr(target), deviation, "exact") for p in lhs_polys], deviation, events
@@ -191,7 +189,8 @@ def _cmd_verify(args, out) -> int:
     except OpzetaError as exc:
         print(f"verification error: {exc}", file=sys.stderr)
         return 1
-    passed = deviation <= tol and (not exact or rec.expected_event is None or rec.expected_event in events)
+    # an exact run passes with the one event its record states, or with none where it states none
+    passed = deviation <= tol and (not exact or (rec.expected_event in events if rec.expected_event else not events))
     mode = "exact" if exact else rec.verify_mode
 
     def text() -> str:

@@ -33,7 +33,3 @@ class PoleHit(OpzetaError):
 class UnsupportedExpression(OpzetaError):
     """Input outside the engine's domain (monomials, singular powers, and
     integer-frequency trig atoms with integer shifts)."""
-
-
-class MultipleAnomalies(OpzetaError):
-    """More than one parity-violating term found; indicates a registry bug."""

@@ -13,7 +13,9 @@ argument 1 an explicit, typed event (PoleHit) instead of a divergent expansion.
 `apply_operator` is the only place a term meets an operator value: the flow
 (`taylor_flow`) is `apply_operator` on the exact Taylor polynomial of sin or
 cos, and `extract_special_values` reads the factor of each unknown value off
-that same polynomial, for the registry record its caller passes. The engine
+that same polynomial, for the registry record its caller passes. One rule,
+`_branch_term`, gives the branch term that the flow loses: the residue at
+zeta's pole of the Mellin-Barnes integrand (DLMF 1.14(iv), 25.12). The engine
 imports no layer but `errors` and `exactnum`. Every record is a NamedTuple;
 `DilationShift`, `TrigAtom` and `SingularTerm` check and coerce their fields
 in `__new__`; a `DilationShift` takes the kinds `special_value` routes, the
@@ -25,13 +27,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Union
 
-from .errors import (
-    MultipleAnomalies,
-    PoleHit,
-    UnsupportedExpression,
-)
+from .errors import PoleHit, UnsupportedExpression
 from .exactnum import CHARACTERS, NUMERIC_ROUTE, PiPolynomial, PiXPolynomial, special_value
 
 
@@ -122,15 +120,12 @@ class OpResult(NamedTuple):
 
 
 class TaylorFlowResult(NamedTuple):
-    """Truncated term-by-term operator action on a trig Taylor expansion.
-
-    `anomaly_missing` is set when the parity analysis says the matching
-    closed form carries a pole (anomaly) term that term-by-term application
-    silently loses.
-    """
+    """Truncated term-by-term operator action on a trig Taylor expansion,
+    and the branch term that term-by-term application loses: the operator
+    image is poly + branch, up to the truncation."""
 
     poly: PiXPolynomial
-    anomaly_missing: bool
+    branch: Expression
 
 
 ExactValue = Union[Fraction, PiPolynomial]
@@ -211,18 +206,32 @@ def _taylor(trig: str, terms: int) -> PiXPolynomial:
     return PiXPolynomial(coeffs)
 
 
+_QUARTER_TURNS = {"sin": (0, 1, 0, -1), "cos": (1, 0, -1, 0)}  # trig(pi k/2) at k = 0, 1, 2, 3 mod 4
+
+
+def _branch_term(trig: str, shift: int) -> Expression:
+    """What term-by-term application of zeta(shift - iD) to trig x loses: the
+    residue at zeta's pole w = 1 - shift of zeta(shift + w) M(w) x^-w, where
+    M(w) = Gamma(w) trig(pi w/2) is the Mellin transform of trig (DLMF 1.14(iv),
+    25.12). At w >= 1 it is (w - 1)! trig(pi w/2) x^-w. At w = -m <= 0, where
+    trig(pi w/2) = 0, it is Gamma's residue (-1)^m/m! times (pi/2) trig'(pi w/2)
+    x^m; elsewhere there the two poles meet in a logarithm, and PoleHit is raised."""
+    w, turns = 1 - shift, _QUARTER_TURNS[trig]
+    if w >= 1:
+        c = factorial(w - 1) * turns[w % 4]
+        return Expression(singular_terms=(SingularTerm(PiPolynomial((c,)), -w),)) if c else Expression()
+    if turns[w % 4]:
+        raise PoleHit(f"operator argument hits the pole at monomial degree {-w}")
+    c = Fraction((-1) ** -w * turns[(w + 1) % 4], 2 * factorial(-w))  # trig'(t) = trig(t + pi/2)
+    return Expression(PiXPolynomial.monomial(-w, PiPolynomial.pi_power(c, 1)))
+
+
 def taylor_flow(op: DilationShift, trig: str, K: int) -> TaylorFlowResult:
     """`apply_operator` on the exact polynomial of the first K Taylor terms
-    of sin or cos; returns the image, which must stay in Q[pi]
-    (UnsupportedExpression where a value has no exact form).
-
-    If the pole degree shift - 1 has the same parity as the expansion, the
-    flow genuinely hits the pole and PoleHit is raised (independently of K:
-    the statement concerns the full series). If it has the opposite parity,
-    term-by-term application silently loses the pole's contribution; the
-    result then carries anomaly_missing=True and the matching closed form's
-    parity-violating term is exactly what is missing.
-    """
+    of sin or cos, which must stay in Q[pi] (UnsupportedExpression where a
+    value has no exact form), and the branch term of `_branch_term`, whose
+    PoleHit concerns the full series, not K; beta's branch is empty, as its
+    L-function is entire."""
     if K < 4:
         raise ValueError("K must be >= 4")
     if trig not in ("sin", "cos"):
@@ -233,38 +242,13 @@ def taylor_flow(op: DilationShift, trig: str, K: int) -> TaylorFlowResult:
         raise UnsupportedExpression("taylor_flow needs an integer shift for exact values")
     shift = int(op.shift)
 
-    pole_degree = shift - 1 if len(CHARACTERS[op.kind]) == 1 else -1  # the principal row's pole
-    if pole_degree >= 0 and (trig == "sin") == (pole_degree % 2 == 1):
-        raise PoleHit(f"operator argument hits the pole at monomial degree {pole_degree}")
-
-    # past the parity check no Taylor degree meets the pole
+    # only the principal row has a pole; past the rule's check no Taylor degree meets it
+    branch = _branch_term(trig, shift) if len(CHARACTERS[op.kind]) == 1 else Expression()
     flow = apply_operator(op, Expression.from_poly(_taylor(trig, K)))
     if flow.numeric_terms:
         arg = shift - flow.numeric_terms[0].degree
         raise UnsupportedExpression(f"no exact value at argument {arg}; taylor_flow stays in Q[pi]")
-    return TaylorFlowResult(flow.expr.poly, anomaly_missing=pole_degree >= 0)
-
-
-def parity_anomaly(poly: PiXPolynomial, expected_parity: str) -> Optional[PiXPolynomial]:
-    """The unique monomial of `poly` whose x-parity contradicts
-    `expected_parity`, or None. Raises MultipleAnomalies if uniqueness fails
-    (that indicates a registry bug)."""
-    if expected_parity not in ("odd", "even"):
-        raise ValueError("expected_parity must be 'odd' or 'even'")
-    want_odd = expected_parity == "odd"
-    violating = [
-        (j, c)
-        for j in range(poly.degree + 1)
-        if not (c := poly.coeff(j)).is_zero() and (j % 2 == 1) != want_odd
-    ]
-    if not violating:
-        return None
-    if len(violating) > 1:
-        raise MultipleAnomalies(
-            f"{len(violating)} parity-violating terms at degrees {[j for j, _ in violating]}"
-        )
-    j, c = violating[0]
-    return PiXPolynomial.monomial(j, c)
+    return TaylorFlowResult(flow.expr.poly, branch)
 
 
 class ExtractedValue(NamedTuple):
@@ -282,25 +266,22 @@ class ExtractedValue(NamedTuple):
 
 def extract_special_values(rec, terms: int) -> list[ExtractedValue]:
     """Equate term-by-term operator coefficients against the exact closed-form
-    coefficients of the registry record `rec` (anomaly term removed first) and
-    solve for the operator's special values.
+    coefficients of the registry record `rec` and solve for the operator's
+    special values.
 
     Each unknown kind(shift - d) appears at exactly one degree d, as a factor
     of the Taylor coefficient of x^d in the polynomial `taylor_flow` acts on
     (after 1/Gamma(gamma_shift + iD) where the record has one; a degree it
-    annihilates carries no equation). The solved value is marked `matched`
-    when it equals the independent exact value from `special_value`. Raises
-    ValueError if the identity has no exact right side.
+    annihilates carries no equation, and the branch term's degree carries no
+    Taylor term). The solved value is marked `matched` when it equals the
+    independent exact value from `special_value`. Raises ValueError if the
+    identity has no exact right side.
     """
     rhs = rec.exact_rhs(terms)
     if rhs is None:
         raise ValueError(f"identity {rec.id!r} has no exact polynomial right side")
     if rec.kind is None:
         raise ValueError(f"identity {rec.id!r} is not an operator-on-trig identity")
-    if rec.anomaly_parity != "none":
-        anom = parity_anomaly(rhs, rec.anomaly_parity)
-        if anom is not None:
-            rhs = rhs - anom
 
     taylor = Expression.from_poly(_taylor(rec.trig, terms))
     if rec.gamma_shift is not None:

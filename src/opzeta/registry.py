@@ -3,9 +3,11 @@
 The registry is a versioned text data file (key=value blocks) rather than
 code so each identity is auditable in one place; tests and the CLI share it
 as the single source of truth. See the header of the data file for the field
-reference. A record holds plain data: the left side's kind, shift (a
-series' exponent), trig function (a series' parity) and character, the right
-side's polynomial literal and the names of its closed form and Taylor generator.
+reference; a key the header does not list refuses the block. A record holds
+plain data: the left side's kind, shift (a series' exponent), trig function
+(a series' parity) and character, the right side's polynomial literal and the
+names of its closed form and Taylor generator. It states no anomaly term: the
+term that a term-by-term flow loses is the branch term `taylor_flow` returns.
 Those names are defined here alone, as the keys of `CLOSED_FORMS` and
 `TAYLOR_GENERATORS`. The load imports no engine layer; a bad block raises
 ValueError naming it. `op`, `series` and `rhs_poly`, the engine forms a
@@ -37,8 +39,10 @@ _VERIFY_MODES = ("sum", "abel", "geometric", "exact")
 _EXTRA_CHECKS = ("geometric_real_part",)  # the side conditions `verify` runs
 # the pole events of the exact route, which a block's expected_event may name
 ANOMALY_MISSING, ANNIHILATED_CONSTANT = "anomaly_missing", "annihilated_constant"
-# the values of the vocabulary keys, as the data file's header documents them
-_VOCABULARY = {"anomaly_parity": ("odd", "even", "none"), "expected_event": (ANOMALY_MISSING, ANNIHILATED_CONSTANT)}
+# the keys of a block and the values of the vocabulary keys, as the data file's header documents them
+_KEYS = frozenset("summary lhs gamma_shift rhs_poly rhs_closed rhs_taylor domain verify_mode default_grid"
+                  " default_tol extract extra_check expected_event".split())
+_VOCABULARY = {"expected_event": (ANOMALY_MISSING, ANNIHILATED_CONSTANT)}
 _EPS = 1e-12  # the slack of an interval's endpoints
 
 
@@ -203,7 +207,6 @@ class IdentityRecord(NamedTuple):
     rhs_closed: Optional[str]
     rhs_taylor: Optional[str]
     domain: Interval
-    anomaly_parity: str
     verify_mode: str
     default_grid: tuple[float, float, int]
     default_tol: float
@@ -298,6 +301,8 @@ def _parse_registry() -> tuple[int, dict[str, IdentityRecord]]:
 
 
 def _record(sec: str, block) -> IdentityRecord:
+    if unknown := [key for key in block if key not in _KEYS]:
+        raise ValueError(f"unknown key {unknown[0]!r}")
     kind, shift, trig, character = _parse_lhs(block["lhs"])
     rhs_literal, rhs_closed, rhs_taylor = block.get("rhs_poly"), block.get("rhs_closed"), block.get("rhs_taylor")
     if rhs_literal is not None:
@@ -341,7 +346,6 @@ def _record(sec: str, block) -> IdentityRecord:
         rhs_closed=rhs_closed,
         rhs_taylor=rhs_taylor,
         domain=_parse_interval(block["domain"]),
-        anomaly_parity=block.get("anomaly_parity", "none"),
         verify_mode=mode,
         default_grid=parse_grid(block["default_grid"]),
         default_tol=float(block["default_tol"]),
@@ -352,10 +356,10 @@ def _record(sec: str, block) -> IdentityRecord:
 
 
 def _parse(text: str) -> tuple[int, dict[str, IdentityRecord]]:
-    """(version, records) of a data file's text. A block with an unknown name
-    or vocabulary value, a shift that is no integer, a verify mode, gamma_shift
-    or extract flag its sides do not take, a bad coefficient literal or any
-    other malformed or missing value raises ValueError naming the block."""
+    """(version, records) of a data file's text. A block with an unknown key,
+    name or vocabulary value, a shift that is no integer, a verify mode,
+    gamma_shift or extract flag its sides do not take, a bad coefficient literal
+    or any other malformed or missing value raises ValueError naming the block."""
     cfg = configparser.ConfigParser(interpolation=None)
     cfg.optionxform = str
     cfg.read_string(text)

@@ -14,7 +14,9 @@ passes: `heads_by_piece` and `trivial_sums_by_point`, the same arithmetic in
 the same order, so the kernel must match it bit for bit. `taylor_flow_per_degree` and
 `extract_special_values_per_degree` are the per-degree loops of the operator
 engine's flow and extraction, before both read their Taylor terms and
-operator values through `apply_operator`. `partial_sum` and
+operator values through `apply_operator`; the flow's branch term comes from
+the Clausen closed forms and from differentiating the series, not from the
+Mellin residue. `partial_sum` and
 `beta_partial_sum` sum by raw truncation, which no package route does.
 `scalar_quadrature` integrates the frequency-n sawtooth against sin(m x) by
 composite Gauss-Legendre, panels split at its jumps, where `divmatrix`
@@ -65,8 +67,16 @@ from math import comb, factorial
 
 from opzeta import specfun
 from opzeta.errors import NotConverged, OutsideDomain, PoleHit, PrecisionLoss, UnsupportedExpression
-from opzeta.exactnum import EvalResult, PiPolynomial, PiXPolynomial, bernoulli_number, euler_number, special_value
-from opzeta.operators import DilationShift, ExtractedValue, TaylorFlowResult, parity_anomaly
+from opzeta.exactnum import (
+    EvalResult,
+    PiPolynomial,
+    PiXPolynomial,
+    bernoulli_number,
+    clausen_closed_form,
+    euler_number,
+    special_value,
+)
+from opzeta.operators import DilationShift, Expression, ExtractedValue, SingularTerm, TaylorFlowResult
 from opzeta.series import (
     _N0_CAP,
     _N0_SCALE,
@@ -930,10 +940,27 @@ def _trig_degrees(trig: str, terms: int) -> list[int]:
     return [start + 2 * j for j in range(terms)]
 
 
+def _singular_branch(trig: str, shift: int) -> Expression:
+    """The branch term of zeta(shift - iD) on sin or cos at shift <= 0, by
+    differentiating the series term by term from shift 0: there sum sin(n x)
+    = sin x/(2(1 - cos x)) has the pole 1/x, and sum cos(n x) = -1/2 none.
+    d/dx takes the sine series at shift a to the cosine series at a - 1, and
+    the cosine series to minus the sine series."""
+    sin, cos = (1, -1), (0, -1)  # (coefficient, power) of each series' singular term; 0: none
+    for _ in range(-shift):
+        sin, cos = (-cos[0] * cos[1], cos[1] - 1), (sin[0] * sin[1], sin[1] - 1)
+    c, power = sin if trig == "sin" else cos
+    return Expression(singular_terms=(SingularTerm(PiPolynomial([c]), power),)) if c else Expression()
+
+
 def taylor_flow_per_degree(op: DilationShift, trig: str, K: int) -> TaylorFlowResult:
     """`operators.taylor_flow` by its own loop over the Taylor degrees of sin
     or cos: each coefficient (-1)^j/d! times `special_value` at shift - d,
-    after the same pole-parity rule."""
+    after the pole-parity rule: the pole degree shift - 1 of zeta raises
+    PoleHit where it has the parity of the expansion. The branch term comes
+    from the closed forms, not from the Mellin rule: at shift >= 1 it is the
+    Clausen polynomial less the whole flow, at shift <= 0 `_singular_branch`,
+    and beta has none."""
     if K < 4:
         raise ValueError("K must be >= 4")
     if trig not in ("sin", "cos"):
@@ -944,16 +971,12 @@ def taylor_flow_per_degree(op: DilationShift, trig: str, K: int) -> TaylorFlowRe
         raise UnsupportedExpression("taylor_flow needs an integer shift for exact values")
     shift = int(op.shift)
 
-    anomaly_missing = False
-    if op.kind == "zeta":
-        pole_degree = shift - 1
-        if pole_degree >= 0:
-            pole_parity_odd = pole_degree % 2 == 1
-            if (trig == "sin") == pole_parity_odd:
-                raise PoleHit(f"operator argument hits the pole at monomial degree {pole_degree}")
-            anomaly_missing = True
+    pole_degree = shift - 1 if op.kind == "zeta" else -1
+    if pole_degree >= 0 and (trig == "sin") == (pole_degree % 2 == 1):
+        raise PoleHit(f"operator argument hits the pole at monomial degree {pole_degree}")
 
-    degrees = _trig_degrees(trig, K)
+    # zeta's flow up to degree shift as well, which the Clausen polynomial reaches
+    degrees = _trig_degrees(trig, max(K, shift // 2 + 1) if op.kind == "zeta" else K)
     coeffs = [PiPolynomial()] * (degrees[-1] + 1)
     for j, d in enumerate(degrees):
         value, _, method = special_value(op.kind, Fraction(shift - d))
@@ -961,7 +984,14 @@ def taylor_flow_per_degree(op: DilationShift, trig: str, K: int) -> TaylorFlowRe
             raise UnsupportedExpression(f"no exact value at argument {shift - d}; taylor_flow stays in Q[pi]")
         c = Fraction((-1) ** j, factorial(d))
         coeffs[d] = value * c if isinstance(value, PiPolynomial) else PiPolynomial((value * c,))
-    return TaylorFlowResult(PiXPolynomial(coeffs), anomaly_missing)
+    poly = PiXPolynomial(coeffs[: _trig_degrees(trig, K)[-1] + 1])
+    if op.kind == "beta":
+        branch = Expression()
+    elif shift >= 1:
+        branch = Expression(clausen_closed_form(trig, (shift + 1) // 2) - PiXPolynomial(coeffs))
+    else:
+        branch = _singular_branch(trig, shift)
+    return TaylorFlowResult(poly, branch)
 
 
 def extract_special_values_per_degree(rec, terms: int = 8) -> list[ExtractedValue]:
@@ -974,11 +1004,6 @@ def extract_special_values_per_degree(rec, terms: int = 8) -> list[ExtractedValu
         raise ValueError(f"identity {rec.id!r} has no exact polynomial right side")
     if rec.op is None or rec.trig is None:
         raise ValueError(f"identity {rec.id!r} is not an operator-on-trig identity")
-    if rec.anomaly_parity != "none":
-        anom = parity_anomaly(rhs, rec.anomaly_parity)
-        if anom is not None:
-            rhs = rhs - anom
-
     shift = int(rec.op.shift)
     out: list[ExtractedValue] = []
     for j, d in enumerate(_trig_degrees(rec.trig, terms)):

@@ -21,9 +21,9 @@ from opzeta.exactnum import (
 from opzeta.operators import (
     DilationShift,
     Expression,
+    SingularTerm,
     apply_operator,
     extract_special_values,
-    parity_anomaly,
     taylor_flow,
 )
 from opzeta.registry import cot_half_regular, get_identity, inv_one_minus_cos_regular, load_registry
@@ -131,10 +131,9 @@ def test_criterion_5_anomaly_ledger():
     ok = True
     for ident, want in expected.items():
         rec = reg[ident]
-        anomaly = parity_anomaly(rec.rhs_poly, rec.anomaly_parity)
         flow = taylor_flow(rec.op, rec.trig, 12)
-        ok = ok and anomaly == want and flow.anomaly_missing and (flow.poly + anomaly == rec.rhs_poly)
-    report(5, ok, "parity anomalies are exactly pi/2, -pi x/2, -pi x^2/4; flow + anomaly rebuilds each closed form to K=12")
+        ok = ok and flow.branch == Expression(want) and (flow.poly + flow.branch.poly == rec.rhs_poly)
+    report(5, ok, "branch terms are exactly pi/2, -pi x/2, -pi x^2/4; flow + branch rebuilds each closed form to K=12")
 
 
 def test_criterion_6_singularity_removal():
@@ -142,11 +141,12 @@ def test_criterion_6_singularity_removal():
     flow_cos = taylor_flow(DilationShift("zeta", Fraction(-1)), "cos", 10)
     ok = (
         flow_sin.poly == cot_half_regular(10)
-        and not flow_sin.anomaly_missing
+        and flow_sin.branch == Expression(singular_terms=(SingularTerm(PiPolynomial([1]), -1),))
         and flow_cos.poly == inv_one_minus_cos_regular(10)
-        and not flow_cos.anomaly_missing
+        and flow_cos.branch == Expression(singular_terms=(SingularTerm(PiPolynomial([-1]), -2),))
     )
-    report(6, ok, "shift-0 sine flow equals the regrouped sin x/(2(1-cos x)) - 1/x expansion exactly (K=10); shift -1 cosine analogue likewise")
+    report(6, ok, "shift-0 sine flow equals the regrouped sin x/(2(1-cos x)) - 1/x expansion exactly (K=10), its branch 1/x;"
+                  " shift -1 cosine analogue likewise, its branch -1/x^2")
 
 
 def test_criterion_7_beta_values():

@@ -4,7 +4,6 @@ import mpmath
 import pytest
 
 from opzeta.errors import (
-    MultipleAnomalies,
     PoleHit,
     UnsupportedExpression,
 )
@@ -12,19 +11,20 @@ from opzeta.exactnum import (
     PiPolynomial,
     PiXPolynomial,
     clausen_closed_form,
+    pipoly_evaluator,
     special_value,
 )
 from opzeta.operators import (
     DilationShift,
     Expression,
+    SingularTerm,
     TrigAtom,
     apply_operator,
     apply_recip_gamma_op,
     extract_special_values,
-    parity_anomaly,
     taylor_flow,
 )
-from opzeta.registry import cot_half_regular, get_identity, inv_one_minus_cos_regular, load_registry
+from opzeta.registry import CLOSED_FORMS, cot_half_regular, get_identity, inv_one_minus_cos_regular, load_registry
 from oracles import extract_special_values_per_degree, taylor_flow_per_degree
 
 
@@ -37,6 +37,16 @@ def beta_op(shift) -> DilationShift:
 
 
 SAWTOOTH = clausen_closed_form("sin", 1)  # (pi - x)/2
+
+
+def pi_term(degree: int, q: Fraction) -> Expression:
+    """The branch term q pi x^degree."""
+    return Expression(PiXPolynomial.monomial(degree, PiPolynomial.pi_power(q, 1)))
+
+
+def singular(coeff: int, power: int) -> Expression:
+    """The branch term coeff x^power, power <= -1."""
+    return Expression(singular_terms=(SingularTerm(PiPolynomial([coeff]), power),))
 
 
 class TestApplyOperator:
@@ -175,22 +185,22 @@ class TestTaylorFlow:
     def test_shift1_sine_collapses_to_linear(self):
         r = taylor_flow(zeta_op(1), "sin", 6)
         assert r.poly == PiXPolynomial([0, Fraction(-1, 2)])
-        assert r.anomaly_missing
+        assert r.branch == pi_term(0, Fraction(1, 2))
 
     def test_shift0_sine_matches_regrouped_expansion(self):
         r = taylor_flow(zeta_op(0), "sin", 8)
         assert r.poly == cot_half_regular(8)
-        assert not r.anomaly_missing
+        assert r.branch == singular(1, -1)
 
     def test_shift_minus1_cosine_matches_regrouped_expansion(self):
         r = taylor_flow(zeta_op(-1), "cos", 8)
         assert r.poly == inv_one_minus_cos_regular(8)
-        assert not r.anomaly_missing
+        assert r.branch == singular(-1, -2)
 
     def test_beta_sine_vanishes_identically(self):
         r = taylor_flow(beta_op(0), "sin", 6)
         assert r.poly.is_zero()
-        assert not r.anomaly_missing
+        assert r.branch == Expression()
 
     def test_pole_parity_match_raises(self):
         with pytest.raises(PoleHit):
@@ -199,9 +209,9 @@ class TestTaylorFlow:
             taylor_flow(zeta_op(2), "sin", 6)  # pole degree 1 is odd
 
     def test_anomaly_flags_for_registry_shifts(self):
-        assert taylor_flow(zeta_op(2), "cos", 6).anomaly_missing
-        assert taylor_flow(zeta_op(3), "sin", 6).anomaly_missing
-        assert not taylor_flow(beta_op(1), "sin", 6).anomaly_missing
+        assert taylor_flow(zeta_op(2), "cos", 6).branch.poly
+        assert taylor_flow(zeta_op(3), "sin", 6).branch.poly
+        assert taylor_flow(beta_op(1), "sin", 6).branch == Expression()
 
     def test_shift2_cosine_value(self):
         r = taylor_flow(zeta_op(2), "cos", 8)
@@ -287,30 +297,67 @@ class TestAgainstPerDegreeOracles:
 
 
 class TestParityAnomaly:
+    """The term that breaks the parity of a Clausen closed form is the branch
+    term of its flow, from the Mellin rule."""
+
     def test_sawtooth_constant(self):
-        assert parity_anomaly(SAWTOOTH, "odd") == PiXPolynomial([PiPolynomial.pi_power(Fraction(1, 2), 1)])
+        assert taylor_flow(zeta_op(1), "sin", 6).branch.poly == PiXPolynomial([PiPolynomial.pi_power(Fraction(1, 2), 1)])
 
     def test_quadratic_linear_term(self):
-        got = parity_anomaly(clausen_closed_form("cos", 1), "even")
-        assert got == PiXPolynomial.monomial(1, PiPolynomial.pi_power(Fraction(-1, 2), 1))
+        assert taylor_flow(zeta_op(2), "cos", 6).branch == pi_term(1, Fraction(-1, 2))
 
     def test_cubic_square_term(self):
-        got = parity_anomaly(clausen_closed_form("sin", 2), "odd")
-        assert got == PiXPolynomial.monomial(2, PiPolynomial.pi_power(Fraction(-1, 4), 1))
+        assert taylor_flow(zeta_op(3), "sin", 6).branch == pi_term(2, Fraction(-1, 4))
 
     def test_none_when_parity_clean(self):
-        assert parity_anomaly(PiXPolynomial([0, 1, 0, Fraction(1, 3)]), "odd") is None
+        # sum cos(n x) and sum n sin(n x) have no pole at 0: the trig factor kills zeta's residue
+        assert taylor_flow(zeta_op(0), "cos", 6).branch == Expression()
+        assert taylor_flow(zeta_op(-1), "sin", 6).branch == Expression()
 
-    def test_multiple_anomalies_raise(self):
-        bad = PiXPolynomial([0, 1, 0, 1])  # x + x^3 against an even expectation
-        with pytest.raises(MultipleAnomalies):
-            parity_anomaly(bad, "even")
-
-    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("m", range(1, 41))
     def test_clausen_forms_have_exactly_one_anomaly(self, m):
-        # sine forms are odd with one even intruder, cosine forms the reverse
-        assert parity_anomaly(clausen_closed_form("sin", m), "odd") is not None
-        assert parity_anomaly(clausen_closed_form("cos", m), "even") is not None
+        # the flow (all of whose terms have the trig's parity) plus the one branch monomial is the closed form
+        for trig, shift in (("sin", 2 * m - 1), ("cos", 2 * m)):
+            flow = taylor_flow(zeta_op(shift), trig, m + 4)
+            assert flow.poly + flow.branch.poly == clausen_closed_form(trig, m), trig
+            assert [d for d, c in enumerate(flow.branch.poly.coeffs) if c] == [shift - 1], trig
+            assert flow.branch.singular_terms == ()
+
+
+def _at(expr: Expression, x: float) -> float:
+    """An expression of polynomial and singular terms at x."""
+    return pipoly_evaluator(expr.poly)(x) + sum(float(t.coeff) * x**t.power for t in expr.singular_terms)
+
+
+def _derivative(expr: Expression, sign: int = 1) -> Expression:
+    """sign * d/dx of an expression of singular terms alone."""
+    return Expression(singular_terms=tuple(SingularTerm(t.coeff * (sign * t.power), t.power - 1) for t in expr.singular_terms))
+
+
+class TestBranchTerm:
+    @pytest.mark.parametrize("ident, closed", [("eq1", "sin_over_one_minus_cos"), ("eq21_sin", "sin_over_one_minus_cos"),
+                                               ("sec4_cos", "neg_inv_one_minus_cos")])
+    def test_singular_branch_completes_the_closed_form(self, ident, closed):
+        rec = get_identity(ident)
+        flow = taylor_flow(rec.op, rec.trig, 12)
+        assert flow.branch.singular_terms and flow.branch.poly.is_zero()
+        for x in (0.3, 0.1):
+            assert abs(CLOSED_FORMS[closed](x) - _at(flow.branch, x) - pipoly_evaluator(flow.poly)(x)) <= 1e-12, x
+
+    def test_beta_ids_have_no_branch(self):
+        beta = [rec for rec in load_registry().values() if rec.kind == "beta"]
+        assert len(beta) == 3
+        for rec in beta:
+            assert taylor_flow(rec.op, rec.trig, 12).branch == Expression(), rec.id
+
+    def test_derivative_recursion(self):
+        # d/dx sum n^-a sin(n x) = sum n^-(a-1) cos(n x), and d/dx of the cosine series is minus the sine series
+        # from shift 0, where sum sin(n x) = sin x/(2(1 - cos x)) has the pole 1/x and sum cos(n x) = -1/2 none
+        branch = {(trig, a): taylor_flow(zeta_op(a), trig, 4).branch for trig in ("sin", "cos") for a in range(-21, 1)}
+        assert branch["sin", 0] == singular(1, -1) and branch["cos", 0] == Expression()
+        for a in range(0, -21, -1):
+            assert branch["cos", a - 1] == _derivative(branch["sin", a]), a
+            assert branch["sin", a - 1] == _derivative(branch["cos", a], -1), a
 
 
 class TestRoundTrip:
@@ -328,10 +375,8 @@ class TestRoundTrip:
         for ident in ("eq2", "eq3_1", "eq3_2", "eq3_3", "eq4_1", "eq4_2", "eq4_3", "eq10", "eq18", "eq19"):
             rec = reg[ident]
             flow = taylor_flow(rec.op, rec.trig, 12)
-            assert flow.anomaly_missing, ident
-            anomaly = parity_anomaly(rec.rhs_poly, rec.anomaly_parity)
-            assert anomaly is not None, ident
-            assert flow.poly + anomaly == rec.rhs_poly, ident
+            assert flow.branch.poly, ident
+            assert flow.poly + flow.branch.poly == rec.rhs_poly, ident
 
     def test_singularity_removal_all_orders(self):
         for k in (4, 7, 10):

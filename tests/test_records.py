@@ -26,7 +26,7 @@ from opzeta.specfun import dirichlet_beta, recip_gamma, zeta_em
 
 _EQ17_FIELDS = (
     "id summary kind shift trig character gamma_shift rhs_literal rhs_closed rhs_taylor domain"
-    " anomaly_parity verify_mode default_grid default_tol extract extra_check expected_event"
+    " verify_mode default_grid default_tol extract extra_check expected_event"
 )
 
 
@@ -51,7 +51,8 @@ RECORDS = [
      "NumericTerm(degree=1, value=(0.5+0j), abs_error_estimate=1e-16)"),
     (lambda: OpResult(Expression()), "expr series_result numeric_terms",
      "OpResult(expr=Expression(poly=0, trig_atoms=(), singular_terms=()), series_result=(), numeric_terms=())"),
-    (lambda: TaylorFlowResult(PiXPolynomial(), False), "poly anomaly_missing", "TaylorFlowResult(poly=0, anomaly_missing=False)"),
+    (lambda: TaylorFlowResult(PiXPolynomial(), Expression()), "poly branch",
+     "TaylorFlowResult(poly=0, branch=Expression(poly=0, trig_atoms=(), singular_terms=()))"),
     (lambda: ExtractedValue(0, Fraction(-1, 2), True), "argument value matched",
      "ExtractedValue(argument=0, value=Fraction(-1, 2), matched=True)"),
     (lambda: TrigSeries("cos", 2, "beta"), "parity exponent character", "TrigSeries(parity='cos', exponent=2, character='beta')"),

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -41,7 +42,13 @@ class TestRegistry:
         assert SPEC_IDS <= set(load_registry())
 
     def test_version(self):
-        assert registry_version() == 1
+        assert registry_version() == 2
+
+    def test_the_header_lists_every_key(self):
+        # the keys the load takes are those the data file's header documents
+        with open(registry._DATA_FILE, encoding="utf-8") as f:
+            header = f.read().split("[meta]")[0]
+        assert set(re.findall(r"^#   (\w+) ", header, re.M)) == registry._KEYS
 
     def test_coefficient_parser(self):
         assert parse_pi_coefficient("-1/2") == PiPolynomial([Fraction(-1, 2)])
@@ -135,7 +142,9 @@ default_tol = 1e-6
         ("verify_mode = exact", "[odd_one] verify mode 'exact' needs an operator left side with rhs_poly or rhs_taylor"),
         ("lhs = operator zeta shift=0 trig=sin\nverify_mode = exact",
          "[odd_one] verify mode 'exact' needs an operator left side with rhs_poly or rhs_taylor"),
-        ("anomaly_parity = od", "[odd_one] anomaly_parity must be one of ('odd', 'even', 'none'), got 'od'"),
+        # the load takes only the header's keys: a stale or misspelt key refuses the block
+        ("anomaly_parity = odd", "[odd_one] unknown key 'anomaly_parity'"),
+        ("expected_evnt = anomaly_missing", "[odd_one] unknown key 'expected_evnt'"),
         ("expected_event = anomaly_mising",
          "[odd_one] expected_event must be one of ('anomaly_missing', 'annihilated_constant'), got 'anomaly_mising'"),
     ]
@@ -239,8 +248,26 @@ class TestVerifyCommand:
         return run_cli("verify", "eq2")
 
     def test_exact_route_fails_an_anomaly_the_record_does_not_name(self, monkeypatch):
-        # the flow misses eq2's pi/2, and the record no longer names it
-        code, out = self.verify_altered_eq2(monkeypatch, anomaly_parity="none")
+        # the flow misses eq2's pi/2, and the record's right side leaves it out
+        code, out = self.verify_altered_eq2(monkeypatch, rhs_literal="0; -1/2")
+        assert code == 1 and "FAIL" in out
+
+    def test_exact_route_fails_an_event_the_record_does_not_state(self, monkeypatch):
+        code, out = self.verify_altered_eq2(monkeypatch, expected_event=None)
+        assert code == 1 and "events: anomaly_missing" in out and "FAIL" in out
+
+    @pytest.mark.parametrize("ident", ["eq2", "eq3_1", "eq3_2", "eq3_3", "eq4_1", "eq4_2", "eq4_3", "eq10", "eq18", "eq19"])
+    def test_exact_route_fails_a_scaled_anomaly_coefficient(self, monkeypatch, ident):
+        # the branch term sits at degree shift - 1; 2/3 of it on the right side must fail
+        rec = get_identity(ident)
+        assert run_cli("verify", ident, "--exact")[0] == 0
+        tokens = rec.rhs_literal.split(";")
+        q, k = registry._coefficient(tokens[rec.shift - 1])
+        assert q and k == 1
+        tokens[rec.shift - 1] = f"{q * Fraction(2, 3)}*pi"
+        altered = rec._replace(rhs_literal=";".join(tokens))
+        monkeypatch.setattr(registry, "get_identity", lambda identity_id: altered)
+        code, out = run_cli("verify", ident, "--exact")
         assert code == 1 and "FAIL" in out
 
     def test_anomalous_record_without_exact_rhs_is_a_usage_error(self, monkeypatch, capsys):
