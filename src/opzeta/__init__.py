@@ -23,7 +23,8 @@ from .errors import (
 _LAYER_OF = {
     name: layer
     for layer, names in {
-        "exactnum": "EvalResult PI PiPolynomial PiXPolynomial bernoulli_number bernoulli_polynomial clausen_closed_form euler_number",
+        "exactnum": "EvalResult bernoulli_number euler_number",
+        "pipoly": "PI PiPolynomial PiXPolynomial bernoulli_polynomial clausen_closed_form",
         "specfun": "dirichlet_beta recip_gamma zeta_em",
         "series": "TrigSeries abel_sums geometric_abel partial_sums_accelerated",
         "operators": "DilationShift Expression OpResult TaylorFlowResult apply_operator apply_recip_gamma_op"

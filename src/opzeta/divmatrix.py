@@ -150,7 +150,7 @@ class ConsistencyReport(NamedTuple):
 def consistency_check(n: int, M: int) -> ConsistencyReport:
     """Compare column n of the size-M matrix with the Fourier sine coefficients
     b_m = (2/pi) Int_0^pi f(x) sin(m x) dx of f(x) = S(n x mod 2 pi), the sum of
-    the frequency-n series, S(y) = pi/2 - y/2 = `exactnum.clausen_closed_form(
+    the frequency-n series, S(y) = pi/2 - y/2 = `pipoly.clausen_closed_form(
     "sin", 1)` with its coefficients as doubles.
 
     f is linear between jumps of height -2 pi S'(y) = pi at x_j = 2 pi j/n, of
@@ -163,7 +163,7 @@ def consistency_check(n: int, M: int) -> ConsistencyReport:
     """
     if n < 1 or M < n:
         raise ValueError("need 1 <= n <= M")
-    from .exactnum import clausen_closed_form
+    from .pipoly import clausen_closed_form
 
     half_pi, slope = map(float, clausen_closed_form("sin", 1).coeffs)
     jump, J, h = -2 * math.pi * slope, (n - 1) // 2, math.pi / n

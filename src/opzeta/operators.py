@@ -16,7 +16,8 @@ cos, and `extract_special_values` reads the factor of each unknown value off
 that same polynomial, for the registry record its caller passes. One rule,
 `_branch_term`, gives the branch term that the flow loses: the residue at
 zeta's pole of the Mellin-Barnes integrand (DLMF 1.14(iv), 25.12). The engine
-imports no layer but `errors` and `exactnum`. Every record is a NamedTuple;
+imports no layer but `errors` and the exact layer, `exactnum` and its
+polynomials in `pipoly`. Every record is a NamedTuple;
 `DilationShift`, `TrigAtom` and `SingularTerm` check and coerce their fields
 in `__new__`; a `DilationShift` takes the kinds `special_value` routes, the
 keys of `exactnum.NUMERIC_ROUTE`, and the flow the L-function kinds, the rows
@@ -30,7 +31,8 @@ from math import factorial
 from typing import NamedTuple, Union
 
 from .errors import PoleHit, UnsupportedExpression
-from .exactnum import CHARACTERS, NUMERIC_ROUTE, PiPolynomial, PiXPolynomial, special_value
+from .exactnum import CHARACTERS, NUMERIC_ROUTE, special_value
+from .pipoly import PiPolynomial, PiXPolynomial
 
 
 class DilationShift(NamedTuple("DilationShift", [("kind", str), ("shift", Fraction)])):

@@ -44,6 +44,7 @@ _KEYS = frozenset("summary lhs gamma_shift rhs_poly rhs_closed rhs_taylor domain
                   " default_tol extract extra_check expected_event".split())
 _VOCABULARY = {"expected_event": (ANOMALY_MISSING, ANNIHILATED_CONSTANT)}
 _EPS = 1e-12  # the slack of an interval's endpoints
+_VERSION = 2  # the [meta] version of the data file whose rules this module reads
 
 
 def _parse_endpoint(tok: str) -> float:
@@ -91,7 +92,7 @@ def _coefficient(text: str) -> tuple[Fraction, int]:
 
 def parse_pi_coefficient(text: str):
     """One registry coefficient as a PiPolynomial: '<rat>', '<rat>*pi', or '<rat>*pi^<k>'."""
-    from .exactnum import PiPolynomial
+    from .pipoly import PiPolynomial
 
     return PiPolynomial.pi_power(*_coefficient(text))
 
@@ -147,7 +148,7 @@ def cot_half_regular(terms: int):
     Iterating cot y - tan y = 2 cot 2y gives -sum_(j>=2) 2^-j tan(2^-j x), so the
     coefficient of x^m, m = 2k + 1, is -A_m / (m! 4^(k+1) (4^(k+1) - 1)), 4^(k+1) = 2^(m+1).
     """
-    from .exactnum import PiXPolynomial
+    from .pipoly import PiXPolynomial
 
     if terms < 1:
         raise ValueError("terms must be >= 1")
@@ -160,14 +161,14 @@ def cot_half_regular(terms: int):
 def inv_one_minus_cos_regular(terms: int):
     """Taylor polynomial of -1/(2(1 - cos x)) + 1/x^2, `terms` nonzero terms:
     the derivative of `cot_half_regular`."""
-    from .exactnum import PiXPolynomial
+    from .pipoly import PiXPolynomial
 
     return PiXPolynomial(c * j for j, c in enumerate(cot_half_regular(terms).coeffs[1:], 1))
 
 
 def half_sec_series(terms: int):
     """Taylor polynomial of 1/(2 cos x): coefficient of x^(2k) is A_2k / (2 (2k)!)."""
-    from .exactnum import PiXPolynomial
+    from .pipoly import PiXPolynomial
 
     if terms < 1:
         raise ValueError("terms must be >= 1")
@@ -180,7 +181,7 @@ def half_sec_series(terms: int):
 def log_sec_plus_tan_half_series(terms: int):
     """Taylor polynomial of (1/2) log(sec x + tan x): the antiderivative of
     `half_sec_series`."""
-    from .exactnum import PiXPolynomial
+    from .pipoly import PiXPolynomial
 
     return PiXPolynomial([0] + [c / j for j, c in enumerate(half_sec_series(terms).coeffs, 1)])
 
@@ -237,7 +238,7 @@ class IdentityRecord(NamedTuple):
         """The right side's literal as a PiXPolynomial, or None."""
         if self.rhs_literal is None:
             return None
-        from .exactnum import PiXPolynomial
+        from .pipoly import PiXPolynomial
 
         return PiXPolynomial([parse_pi_coefficient(tok) for tok in self.rhs_literal.split(";")])
 
@@ -356,13 +357,17 @@ def _record(sec: str, block) -> IdentityRecord:
 
 
 def _parse(text: str) -> tuple[int, dict[str, IdentityRecord]]:
-    """(version, records) of a data file's text. A block with an unknown key,
+    """(version, records) of a data file's text. A version other than
+    `_VERSION` raises ValueError naming both. A block with an unknown key,
     name or vocabulary value, a shift that is no integer, a verify mode,
     gamma_shift or extract flag its sides do not take, a bad coefficient literal
     or any other malformed or missing value raises ValueError naming the block."""
     cfg = configparser.ConfigParser(interpolation=None)
     cfg.optionxform = str
     cfg.read_string(text)
+    version = cfg.getint("meta", "version")
+    if version != _VERSION:
+        raise ValueError(f"[meta] version {version}: this code reads version {_VERSION}")
     out: dict[str, IdentityRecord] = {}
     for sec in cfg.sections():
         if sec == "meta":
@@ -373,7 +378,7 @@ def _parse(text: str) -> tuple[int, dict[str, IdentityRecord]]:
             raise ValueError(f"[{sec}] missing key {exc}") from exc
         except (IndexError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"[{sec}] {exc}") from exc
-    return cfg.getint("meta", "version"), out
+    return version, out
 
 
 def load_registry() -> dict[str, IdentityRecord]:

@@ -69,13 +69,11 @@ from opzeta import specfun
 from opzeta.errors import NotConverged, OutsideDomain, PoleHit, PrecisionLoss, UnsupportedExpression
 from opzeta.exactnum import (
     EvalResult,
-    PiPolynomial,
-    PiXPolynomial,
     bernoulli_number,
-    clausen_closed_form,
     euler_number,
     special_value,
 )
+from opzeta.pipoly import PiPolynomial, PiXPolynomial, clausen_closed_form
 from opzeta.operators import DilationShift, Expression, ExtractedValue, SingularTerm, TaylorFlowResult
 from opzeta.series import (
     _N0_CAP,
@@ -507,7 +505,7 @@ def pi_poly_mpf(c, pi):
 def pipoly_evaluator_mpf(p, pi_digits: int = 30):
     """x -> p(x) as a double by Horner in mpmath at pi_digits + 5 digits, with
     pi and each coefficient of p rounded to that precision first (the route
-    `exactnum.pipoly_evaluator` took before it computed in integers)."""
+    `pipoly.pipoly_evaluator` took before it computed in integers)."""
     import mpmath
 
     ctx = mpmath.MPContext()

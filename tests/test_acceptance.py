@@ -13,11 +13,7 @@ from math import comb, factorial
 from opzeta.cli import main
 from opzeta.divmatrix import build_matrix, consistency_check
 from opzeta.errors import PoleHit
-from opzeta.exactnum import (
-    PiPolynomial,
-    PiXPolynomial,
-    euler_number,
-)
+from opzeta.exactnum import euler_number
 from opzeta.operators import (
     DilationShift,
     Expression,
@@ -26,9 +22,11 @@ from opzeta.operators import (
     extract_special_values,
     taylor_flow,
 )
+from opzeta.pipoly import PiPolynomial, PiXPolynomial
 from opzeta.registry import cot_half_regular, get_identity, inv_one_minus_cos_regular, load_registry
 from opzeta.series import TrigSeries, abel_sums, geometric_abel
-from opzeta.exactnum import clausen_closed_form, special_value
+from opzeta.exactnum import special_value
+from opzeta.pipoly import clausen_closed_form
 from opzeta.specfun import (
     dirichlet_beta,
     zeta_em,

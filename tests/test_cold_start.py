@@ -1,7 +1,8 @@
-"""What a cold `python -m opzeta` loads: each command imports only the layers
-it uses, the exact paths never load mpmath or numpy, and the package's
-public names resolve on first access (PEP 562). Every check runs in a fresh
-child interpreter, where nothing is imported yet."""
+"""What a cold `python -m opzeta` loads: each command imports only its own
+module and the layers it uses, the exact paths never load mpmath or numpy,
+a `values` row whose value holds no power of pi loads no polynomial module,
+and the package's public names resolve on first access (PEP 562). Every
+check runs in a fresh child interpreter, where nothing is imported yet."""
 
 import json
 import os
@@ -36,21 +37,24 @@ _EXACT_COMMANDS = [
     ["matrix", "--size", "96", "--check", "1"],
 ]
 
-# the layers each command loads beside opzeta, opzeta.cli and opzeta.errors: `list`
-# reads the registry's plain data alone, an exact value loads no specfun, the exact
-# routes no series and a grid verify no operators
+# the modules each command loads beside opzeta, opzeta.cli and opzeta.errors: its
+# own module (`list` runs in cli) and no other command's, then its layers. `list`
+# reads the registry's plain data alone, an exact value loads no specfun and, where
+# it holds no power of pi (a Bernoulli or Euler number, zeta or beta at k <= 0),
+# no pipoly, the exact routes no series and a grid verify no operators
 _LAYERS_LOADED = [
     (["list"], "registry"),
-    (["values", "bernoulli", "400"], "exactnum"),
-    (["values", "euler", "1000"], "exactnum"),
-    (["values", "zeta", "-399"], "exactnum"),
-    (["values", "beta", "399"], "exactnum"),
-    (["values", "zeta", "400"], "exactnum"),
-    (["extract", "eq21_sin", "--terms", "40"], "exactnum operators registry"),
-    (["verify", "eq17", "--exact"], "exactnum operators registry"),
-    (["values", "zeta", "0.5"], "exactnum specfun"),
-    (["verify", "eq2"], "exactnum registry series"),
-    (["matrix", "--size", "96", "--check", "1"], "divmatrix exactnum"),
+    (["values", "bernoulli", "400"], "cmd_values exactnum"),
+    (["values", "euler", "1000"], "cmd_values exactnum"),
+    (["values", "zeta", "-399"], "cmd_values exactnum"),
+    (["values", "beta", "-398"], "cmd_values exactnum"),
+    (["values", "beta", "399"], "cmd_values exactnum pipoly"),
+    (["values", "zeta", "400"], "cmd_values exactnum pipoly"),
+    (["extract", "eq21_sin", "--terms", "40"], "cmd_extract exactnum operators pipoly registry"),
+    (["verify", "eq17", "--exact"], "cmd_verify exactnum operators pipoly registry"),
+    (["values", "zeta", "0.5"], "cmd_values exactnum specfun"),
+    (["verify", "eq2"], "cmd_verify exactnum pipoly registry series"),
+    (["matrix", "--size", "96", "--check", "1"], "cmd_matrix divmatrix exactnum pipoly"),
 ]
 
 
@@ -100,6 +104,12 @@ class TestCommandImports:
         assert row["code"] == 0
         loaded = [m for m in row["loaded"] if m.split(".")[0] == "opzeta"]
         assert loaded == sorted(["opzeta", "opzeta.cli", "opzeta.errors", *(f"opzeta.{layer}" for layer in layers.split())])
+
+    @pytest.mark.parametrize("argv, layers", _LAYERS_LOADED, ids=[" ".join(argv) for argv, _ in _LAYERS_LOADED])
+    def test_no_command_loads_another_commands_module(self, argv, layers):
+        # the rows above are exact, so each command loads its own module alone
+        own = set() if argv[0] == "list" else {f"cmd_{argv[0]}"}
+        assert {layer for layer in layers.split() if layer.startswith("cmd_")} == own
 
     def test_first_numeric_value_after_the_exact_paths(self):
         # mpmath is imported on the first numeric call, after every exact

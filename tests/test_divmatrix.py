@@ -304,10 +304,10 @@ class TestConsistencyCheck:
     def test_a_wrong_closed_form_fails(self, n, monkeypatch):
         # the ends, slope and jump height are read from the closed form alone,
         # so a wrong slope there must show as a deviation
-        from opzeta import exactnum
+        from opzeta import pipoly
 
-        wrong = exactnum.PiXPolynomial([exactnum.clausen_closed_form("sin", 1).coeffs[0], Fraction(-1, 3)])
-        monkeypatch.setattr(exactnum, "clausen_closed_form", lambda parity, m: wrong)
+        wrong = pipoly.PiXPolynomial([pipoly.clausen_closed_form("sin", 1).coeffs[0], Fraction(-1, 3)])
+        monkeypatch.setattr(pipoly, "clausen_closed_form", lambda parity, m: wrong)
         assert consistency_check(n, 96).max_abs_deviation > 0.1
 
     def test_validation(self):

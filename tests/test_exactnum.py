@@ -8,14 +8,16 @@ import mpmath
 import pytest
 
 from opzeta.exactnum import (
+    bernoulli_number,
+    euler_number,
+    special_value,
+)
+from opzeta.pipoly import (
     PI,
     PiPolynomial,
     PiXPolynomial,
-    bernoulli_number,
     bernoulli_polynomial,
-    euler_number,
     pipoly_evaluator,
-    special_value,
 )
 from opzeta import exactnum, registry
 from opzeta.errors import NotConverged

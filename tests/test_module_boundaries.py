@@ -8,7 +8,10 @@ compute on raw values at an explicit precision. Each name of the registry's
 right sides is spelled once in the package, and so are the characters a
 series takes (`registry.SERIES_CHARACTERS`), every process-wide memo is
 listed in `MEMOS` with the reason it stays, and the operator engine imports
-no layer of the package but `errors` and `exactnum`.
+no layer of the package but `errors` and the exact layer (`exactnum` and its
+polynomials, `pipoly`). No command module imports another, so a cold command
+compiles no other command's code, and `pipoly` imports no layer but `errors`
+and `exactnum`.
 
 Print each memo with its reason, then each error type with the functions of
 the package that raise it:
@@ -41,7 +44,7 @@ def _crossings(path: Path) -> list[str]:
 
 
 def test_no_module_reads_another_modules_private_names():
-    assert len(MODULES) == 8
+    assert len(MODULES) == 13
     crossings = {path.name: found for path in sorted(SRC.glob("*.py")) if (found := _crossings(path))}
     assert crossings == {}
 
@@ -182,8 +185,24 @@ def _package_imports(path: Path) -> set[str]:
 
 def test_the_engine_imports_only_errors_and_exactnum():
     # the operator engine takes the registry record from its caller and names
-    # a series by its parity, exponent and kind, so it reads neither layer
-    assert sorted(_package_imports(SRC / "operators.py") - {"errors", "exactnum"}) == []
+    # a series by its parity, exponent and kind, so it reads neither layer;
+    # `pipoly`, the polynomials of the exact layer, counts with `exactnum`
+    assert sorted(_package_imports(SRC / "operators.py") - {"errors", "exactnum", "pipoly"}) == []
+
+
+COMMAND_MODULES = {f"cmd_{command}" for command in ("verify", "values", "extract", "matrix")}
+
+
+def test_no_command_module_imports_another():
+    # cli imports a command's module only when it dispatches to that command;
+    # a command module that imported another would compile its code too
+    assert COMMAND_MODULES <= MODULES
+    found = {name: sorted(_package_imports(SRC / f"{name}.py") & (COMMAND_MODULES - {name})) for name in sorted(COMMAND_MODULES)}
+    assert found == dict.fromkeys(sorted(COMMAND_MODULES), [])
+
+
+def test_the_polynomials_import_only_errors_and_exactnum():
+    assert sorted(_package_imports(SRC / "pipoly.py") - {"errors", "exactnum"}) == []
 
 
 def test_each_right_side_name_is_spelled_once():
@@ -221,8 +240,8 @@ def test_the_series_characters_are_spelled_once():
 # the reason it stays; each is built on first use and then only read, but for
 # the bounded memo of logarithms
 MEMOS = {
-    "cli._parsers": "the one argparse parser and each command's own, built once per process",
-    "cli._rhs_evaluator": "a grid identity's right side, its coefficients at pi once, then Horner per x",
+    "cli._parser": "each command's own argparse parser and the two-level one, each built once per process",
+    "cmd_verify._rhs_evaluator": "a grid identity's right side, its coefficients at pi once, then Horner per x",
     "exactnum._pi_block": "pi in blocks of 1,024 bits, which the large numbers and the Q[pi] values shift down",
     "exactnum._small_numbers": "B_0..B_82 and E_0..E_82 by the exact recurrences, one immutable table",
     "registry._parse_registry": "the data file, parsed once per process",

@@ -7,12 +7,12 @@ from opzeta.errors import (
     PoleHit,
     UnsupportedExpression,
 )
-from opzeta.exactnum import (
+from opzeta.exactnum import special_value
+from opzeta.pipoly import (
     PiPolynomial,
     PiXPolynomial,
     clausen_closed_form,
     pipoly_evaluator,
-    special_value,
 )
 from opzeta.operators import (
     DilationShift,

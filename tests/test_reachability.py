@@ -36,11 +36,11 @@ UNRUN = {
     "opzeta.__dir__": "public entry point: `dir(opzeta)`",
     "opzeta.cli.entry": "public entry point: the console script, which calls `cli.main`",
     "opzeta.divmatrix.DivisibilityMatrix.nnz": "bench/spans.py (`COUNTS`) reads it until ROADMAP item 2",
-    "opzeta.exactnum._Poly.__setattr__": "error path: a polynomial is immutable",
-    "opzeta.exactnum._Poly.__hash__": "equal values must hash equal; no command hashes a polynomial",
-    "opzeta.exactnum.PiPolynomial.__hash__": "equal values must hash equal; no command hashes a polynomial",
-    "opzeta.exactnum._Poly.__neg__": "ring arithmetic of a polynomial; no command negates or subtracts one",
-    "opzeta.exactnum._Poly.__sub__": "ring arithmetic of a polynomial; no command negates or subtracts one",
+    "opzeta.pipoly._Poly.__setattr__": "error path: a polynomial is immutable",
+    "opzeta.pipoly._Poly.__hash__": "equal values must hash equal; no command hashes a polynomial",
+    "opzeta.pipoly.PiPolynomial.__hash__": "equal values must hash equal; no command hashes a polynomial",
+    "opzeta.pipoly._Poly.__neg__": "ring arithmetic of a polynomial; no command negates or subtracts one",
+    "opzeta.pipoly._Poly.__sub__": "ring arithmetic of a polynomial; no command negates or subtracts one",
     "opzeta.operators.DilationShift.<lambda>": _REPLACE,
     "opzeta.operators.TrigAtom.<lambda>": _REPLACE,
     "opzeta.operators.SingularTerm.<lambda>": _REPLACE,

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from opzeta.divmatrix import ConsistencyReport, DivisibilityMatrix
-from opzeta.exactnum import EvalResult, PiPolynomial, PiXPolynomial, special_value
+from opzeta.exactnum import EvalResult, special_value
+from opzeta.pipoly import PiPolynomial, PiXPolynomial
 from opzeta.operators import (
     DilationShift,
     Expression,

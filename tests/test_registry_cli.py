@@ -14,9 +14,9 @@ import mpmath
 import pytest
 
 from opzeta import registry
-from opzeta.cli import _write, main
+from opzeta.cli import main, write_result
 from opzeta.errors import PrecisionLoss
-from opzeta.exactnum import PiPolynomial, PiXPolynomial, clausen_closed_form
+from opzeta.pipoly import PiPolynomial, PiXPolynomial, clausen_closed_form
 from opzeta.registry import (
     get_identity,
     load_registry,
@@ -103,7 +103,7 @@ class TestRegistry:
         assert max(abel) <= 1 <= min(summed), (abel, summed)
 
     BLOCK = """[meta]
-version = 1
+version = 2
 
 [odd_one]
 summary = sum_n sin(n x) = sin x / (2 (1 - cos x)) (Abel)
@@ -163,10 +163,21 @@ default_tol = 1e-6
     @pytest.mark.parametrize("line, message", BAD_LINES)
     def test_a_bad_block_is_named(self, line, message):
         version, records = registry._parse(self.BLOCK)
-        assert version == 1 and records["odd_one"].verify_mode == "abel"
+        assert version == 2 and records["odd_one"].verify_mode == "abel"
         with pytest.raises(ValueError) as info:
             registry._parse(self.altered(line))
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("version", [1, 7])
+    def test_another_version_is_refused(self, version):
+        # the rules of another version may differ: the load refuses the block
+        # and the data file alike, naming both versions
+        with open(registry._DATA_FILE, encoding="utf-8") as f:
+            data = f.read()
+        for text in (self.BLOCK, data):
+            with pytest.raises(ValueError) as info:
+                registry._parse(text.replace("version = 2", f"version = {version}", 1))
+            assert str(info.value) == f"[meta] version {version}: this code reads version 2"
 
     def test_the_load_checks_without_the_engine(self):
         # in a fresh interpreter, the parse rejects each bad block by the
@@ -684,7 +695,7 @@ _TRICKY = 'quote " backslash \\ newline \n tab \t nul \x00 zeta \u03b6 \U0001d70
 
 
 class TestWriter:
-    """`_write`'s JSON is the bytes of `json.dumps(indent=2, sort_keys=True)`."""
+    """`write_result`'s JSON is the bytes of `json.dumps(indent=2, sort_keys=True)`."""
 
     PAYLOADS = {
         "scalars": ({"id": "eq1", "pass": True, "tolerance": 1e-6, "max_abs_deviation": math.inf, "pole_events": []},
@@ -701,19 +712,19 @@ class TestWriter:
     def test_json_bytes(self, name):
         head, rows = self.PAYLOADS[name]
         out = io.StringIO()
-        _write(out, "json", head, rows, text=lambda: pytest.fail("text built for JSON"))
+        write_result(out, "json", head, rows, text=lambda: pytest.fail("text built for JSON"))
         assert out.getvalue() == json.dumps({**head, "rows": rows}, indent=2, sort_keys=True) + "\n"
 
     def test_csv_header_and_cells(self):
         rows = [{"b": 1, "a": "x,y"}, {"b": None, "a": "z"}]
         out = io.StringIO()
-        _write(out, "csv", {"id": "h"}, rows, text=lambda: pytest.fail("text built for CSV"),
+        write_result(out, "csv", {"id": "h"}, rows, text=lambda: pytest.fail("text built for CSV"),
                cells=lambda r: (r["b"], r["a"].upper()))
         assert out.getvalue() == 'b,a\n1,"X,Y"\n,Z\n'
 
     def test_text(self):
         out = io.StringIO()
-        _write(out, "text", {}, [], text=lambda: "line\n")
+        write_result(out, "text", {}, [], text=lambda: "line\n")
         assert out.getvalue() == "line\n"
 
 
@@ -897,14 +908,14 @@ class TestSharedParser:
     def test_threads_share_the_parser(self):
         from concurrent.futures import ThreadPoolExecutor
 
-        from opzeta import cli
+        from opzeta import cli, cmd_verify
 
         expect = {name: run_cli(*argv) for name, argv in self.ARGV.items()}
         assert expect["usage"] == expect["leftover"] == (2, "")
         assert all(code == 0 for name, (code, _) in expect.items() if name not in ("usage", "leftover"))
         # the threads race to build the parsers and the evaluators
-        cli._parsers.cache_clear()
-        cli._rhs_evaluator.cache_clear()
+        cli._parser.cache_clear()
+        cmd_verify._rhs_evaluator.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -916,10 +927,10 @@ class TestSharedParser:
             assert results == [expect[name]] * 10, name
 
     def test_usage_error_leaves_the_parser_unchanged(self, capsys):
-        from opzeta.cli import _parsers
+        from opzeta.cli import COMMANDS, _parser
 
         valid = self.ARGV["verify"]
-        _parsers.cache_clear()
+        _parser.cache_clear()
         fresh = run_cli(*valid)
         assert run_cli("verify", "beta_sin_s1", "--grid", "1:2") == (2, "")
         first_error = capsys.readouterr().err
@@ -927,34 +938,33 @@ class TestSharedParser:
         assert run_cli(*valid) == fresh
         assert run_cli("verify", "beta_sin_s1", "--grid", "1:2") == (2, "")
         assert capsys.readouterr().err == first_error
-        assert _parsers() is _parsers()
-        commands = _parsers()[1]
-        assert set(commands) == {"verify", "values", "extract", "matrix", "list"}
-        assert all(commands[name].prog == f"opzeta {name}" for name in commands)
+        assert _parser(None) is _parser(None) and _parser("verify") is _parser("verify")
+        assert set(COMMANDS) == {"verify", "values", "extract", "matrix", "list"}
+        assert all(_parser(name).prog == f"opzeta {name}" for name in COMMANDS)
 
     def test_one_evaluator_per_identity(self, monkeypatch):
-        from opzeta import cli, exactnum
+        from opzeta import cmd_verify, pipoly
 
         built = []
-        evaluator = exactnum.pipoly_evaluator  # cli imports it from exactnum on use
-        monkeypatch.setattr(exactnum, "pipoly_evaluator", lambda p: built.append(p) or evaluator(p))
-        cli._rhs_evaluator.cache_clear()
+        evaluator = pipoly.pipoly_evaluator  # cmd_verify imports it from pipoly on use
+        monkeypatch.setattr(pipoly, "pipoly_evaluator", lambda p: built.append(p) or evaluator(p))
+        cmd_verify._rhs_evaluator.cache_clear()
         try:
             for argv in (self.ARGV["sum"], self.ARGV["sum"], ["verify", "eq3_2", "--grid", "1:2:3"], self.ARGV["poly"]):
                 assert run_cli(*argv)[0] == 0
         finally:
-            cli._rhs_evaluator.cache_clear()  # drop the evaluators built under the patch
+            cmd_verify._rhs_evaluator.cache_clear()  # drop the evaluators built under the patch
         assert built == [get_identity("eq3_2").rhs_poly, get_identity("beta_sin_s0").rhs_poly]
 
 
 def two_level_main(argv, out) -> int:
     """`cli.main` as it parsed before each command read its own arguments:
     the top-level parser, which hands them to the command's parser."""
-    from opzeta.cli import _parsers
+    from opzeta.cli import _parser
     from opzeta.errors import OpzetaError
 
     try:
-        args = _parsers()[0].parse_args(argv)
+        args = _parser(None).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -13,7 +13,8 @@ from opzeta.errors import (
     NotConverged,
     OutsideDomain,
 )
-from opzeta.exactnum import EvalResult, clausen_closed_form, pipoly_evaluator, special_value
+from opzeta.exactnum import EvalResult, special_value
+from opzeta.pipoly import clausen_closed_form, pipoly_evaluator
 from opzeta.registry import CLOSED_FORMS
 from opzeta.series import (
     TrigSeries,

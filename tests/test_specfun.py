@@ -11,13 +11,11 @@ import pytest
 from opzeta.errors import PoleHit, PrecisionLoss
 from opzeta.exactnum import (
     EvalResult,
-    PiPolynomial,
-    PiXPolynomial,
     bernoulli_number,
-    clausen_closed_form,
     euler_number,
     special_value,
 )
+from opzeta.pipoly import PiPolynomial, PiXPolynomial, clausen_closed_form
 from opzeta.specfun import (
     dirichlet_beta,
     recip_gamma,
