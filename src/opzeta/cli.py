@@ -15,7 +15,8 @@ but the registry, which holds plain data. `values` at an integer loads
 `specfun`, and a grid `verify` loads no `operators`; json and csv load for
 their format only, and no layer loads `dataclasses`. A command's own parser
 reads its arguments in one pass; the two-level parser of every command takes
-help, no command or an unknown one, and leftover arguments.
+help, no command or an unknown one, and leftover arguments. The console
+entry, `entry`, prints each warning, such as `PrecisionLoss`, as one line.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import argparse
 import os
 import re
 import sys
+import warnings
 from functools import cache
 from importlib import import_module
 from typing import Callable, Optional
@@ -145,6 +147,9 @@ def main(argv: Optional[list[str]] = None, out=None) -> int:
 
 
 def entry() -> None:
+    # the console's own warnings: one line each, `warning: <message>`, with no
+    # file name or source line (the library's warnings are left as they are)
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         code = main()
         sys.stdout.flush()

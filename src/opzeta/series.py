@@ -9,12 +9,13 @@ either route. Both routes sum a whole grid in one call and return one
 `exactnum.EvalResult` per point, each the double its x gives alone, its
 method partial_sum or abel_closed_form. Every convergent series (exponent
 >= 1) has one kernel, `partial_sums_accelerated`: a short head per point,
-all heads batched into few numpy evaluations by `_heads`, plus an iterated
-summation-by-parts tail, all tails in one numpy pass by `_tails`; the rest
-of its per-point work runs in array passes, with sin, log, log2 and powers
-as scalar libm calls. Divergent series (exponent <= 0) are never summed by
-raw truncation; they take the Abel route, `abel_sums`, which covers
-exponents <= 1: there the trivial Abel mean is a closed form in
+all heads batched into few numpy evaluations by `_heads`, each batch summed
+by one `np.add.reduceat`, plus an iterated summation-by-parts tail, every
+tail of the grid by `_tails` in blocks of 16 levels, one 2-D numpy pass a
+block; the rest of its per-point work runs in array passes, with sin, log,
+log2 and powers as scalar libm calls. Divergent series (exponent <= 0) are
+never summed by raw truncation; they take the Abel route, `abel_sums`, which
+covers exponents <= 1: there the trivial Abel mean is a closed form in
 z = r e^(ix), continuous up to |z| = 1 away from z = 1, so the Abel sum is
 that form at r = 1. A point that a route cannot take raises
 `OutsideDomain`, naming it. `TrigSeries` is a NamedTuple that checks its
@@ -34,8 +35,10 @@ from .registry import SERIES_CHARACTERS
 
 _UNIT_ROUNDOFF = 2.0**-53
 _N0_SCALE, _N0_CAP, _SBP_MAX_LEVELS = 64, 400_000, 48
-# terms of one numpy evaluation in `_heads`: whole heads of up to this many terms in all
+# terms of one numpy evaluation in `_heads`: whole heads of up to this many terms in all, plus a slot each
 _HEAD_BATCH = 1 << 16
+# tail levels of one numpy pass in `_tails`: the default grids of the registry stop within one block
+_LEVEL_BLOCK = 16
 # the head terms one call sums at most: the 10 default sum grids of the registry take 4,230 to
 # 4,559 each, a point within about 1.6e-4 of x = 0 mod 2*pi the cap of 4*10^5, and 100 of those
 # took 1.5 s
@@ -61,53 +64,74 @@ class TrigSeries(NamedTuple("TrigSeries", [("parity", str), ("exponent", int), (
 def _heads(parity: str, s: int, xs: Sequence[float], lengths: Sequence[int]):
     """sum_(n<=N) trig(n x) / n^s for each x and N of xs and lengths, as an
     array. Consecutive heads of up to 2^16 terms in all (or one longer head)
-    take one numpy evaluation, and each head is the pairwise `np.add.reduce`
-    of its own slice, so a head is the same double whichever heads share its
-    batch (`np.add.reduceat` does not sum pairwise, and would change it)."""
+    make a batch, each head's terms behind a slot of its own that holds 0.0,
+    and the batch takes one numpy evaluation and one `np.add.reduceat`.
+    reduceat sums a segment as its first element plus the pairwise
+    `np.add.reduce` of the rest, so a head is 0.0 + the pairwise sum of its
+    own terms: the same double whichever heads share its batch."""
     import numpy as np  # here only: the CLI's cold paths never load it
 
     trig = np.sin if parity == "sin" else np.cos
     x, counts = np.asarray(xs, dtype=np.float64), np.asarray(lengths, dtype=np.int64)
     ends = np.cumsum(counts)
-    firsts = ends - counts
     # the batch that starts at head i runs to head fits[i] - 1: the last whose end is in reach
-    fits = np.searchsorted(ends, firsts + _HEAD_BATCH, side="right").tolist()
-    edges = [0, *ends.tolist()]  # head k is terms edges[k]:edges[k + 1] of the grid's
-    sums, i = np.empty(len(edges) - 1), 0
+    fits = np.searchsorted(ends, ends - counts + _HEAD_BATCH, side="right").tolist()
+    sums, i = np.empty(len(counts)), 0
     while i < len(sums):
-        j, base = max(fits[i], i + 1), edges[i]
-        n = np.arange(edges[j] - base, dtype=np.float64) + np.repeat(1 - (firsts[i:j] - base), counts[i:j])
-        terms = trig(n * np.repeat(x[i:j], counts[i:j])) / n**s
-        sums[i:j] = [np.add.reduce(terms[a - base : b - base]) for a, b in zip(edges[i:j], edges[i + 1 : j + 1])]
+        j = max(fits[i], i + 1)
+        sizes = counts[i:j] + 1  # each head with its slot in front
+        slots = np.cumsum(sizes) - sizes
+        n = np.arange(slots[-1] + sizes[-1], dtype=np.float64) - np.repeat(slots, sizes)
+        n[slots] = 1.0  # a slot's term is computed as n = 1's, then zeroed
+        terms = trig(n * np.repeat(x[i:j], sizes)) / n**s
+        terms[slots] = 0.0
+        sums[i:j] = np.add.reduceat(terms, slots)
         i = j
     return sums
 
 
-def _differences(m, s: int):
-    """|Delta^j f(m)|, f(n) = n^-s, for j < _SBP_MAX_LEVELS, in floats over an
-    array m of integers below 2^53: (-1)^j Delta^j f(m) = c_j h_(s-1)(1/m, ...,
-    1/(m+j)), c_j = j!/(m...(m+j)) = c_(j-1) j/(m+j), h_k complete homogeneous
-    symmetric; node m+j sets h_k <- h_k + h_(k-1)/(m+j), k = 1..s-1, over
-    positive terms. Each step rounds at most twice, so to first order level j
-    is off by at most (3j + 2s)u relative: (2j + 1)u in c_j, (j + 2s - 3)u in
-    h_(s-1), u in their product."""
-    c, h = 1.0, [1.0] + [0.0] * (s - 1)
-    for j in range(_SBP_MAX_LEVELS):
-        node = m + j
-        c = c * max(j, 1) / node
-        for k in range(1, s):
-            h[k] = h[k] + h[k - 1] / node
-        yield c * h[-1]
+def _block_differences(m, s: int, j0: int, c, h):
+    """(deltas, c, h): |Delta^j f(m)|, f(n) = n^-s, at the levels j of one
+    block, j0 <= j < j0 + _LEVEL_BLOCK (and < _SBP_MAX_LEVELS), one row a
+    level over an array m of integers below 2^53, from the c and h that the
+    block before hands on (c = 1.0 and h = [1.0, 0.0, ...] at j0 = 0), with
+    those of its own last level. (-1)^j Delta^j f(m) = c_j h_(s-1)(1/m, ...,
+    1/(m+j)), c_j = j!/(m...(m+j)), the running product of max(j, 1)/(m+j)
+    (`np.multiply.accumulate`), h_k complete homogeneous symmetric: node m+j
+    sets h_k <- h_k + h_(k-1)/(m+j), k = 1..s-1, so h_k is the running sum
+    (`np.add.accumulate`) of h_(k-1)/node over positive terms. Each step
+    rounds at most twice, so to first order level j is off by at most
+    (3j + 2s)u relative: (2j + 1)u in c_j, (j + 2s - 3)u in h_(s-1), u in
+    their product."""
+    import numpy as np
+
+    j = np.arange(j0, min(j0 + _LEVEL_BLOCK, _SBP_MAX_LEVELS), dtype=np.float64)[:, None]
+    node = j + m
+    factors = np.maximum(j, 1.0) / node
+    factors[0] *= c
+    c, row, carried = np.multiply.accumulate(factors, axis=0), 1.0, [1.0]
+    for k in range(1, s):
+        steps = row / node
+        steps[0] += h[k]
+        row = np.add.accumulate(steps, axis=0, out=steps)
+        carried.append(row[-1])
+    return c * row, c[-1], carried
 
 
 def _tails(xs: Sequence[float], n0s: Sequence[int], qs: Sequence[float], s: int, target: float):
-    """(tails, bounds): sum_{n>n0} z^n f(n), z = e^(ix), f(n) = n^-s, at each
-    x, n0 and q = |1 - z| of the grid by iterated summation by parts, in one
-    pass of numpy arrays: level j adds w^j z^(n0+1)/(1-z) Delta^j f(n0+1),
-    w = z/(1-z). f is completely monotone, so Delta^d f keeps one sign and
-    telescopes: after d levels the remainder is at most |w|^d |Delta^(d-1)
-    f(n0+1)| (at d = 0, the tail sum of f). A point adds levels while that
-    bound shrinks and exceeds target (`live`); no point's arithmetic reads
+    """(tails, bounds, levels): sum_{n>n0} z^n f(n), z = e^(ix), f(n) = n^-s,
+    at each x, n0 and q = |1 - z| of the grid by iterated summation by parts,
+    and the number of levels each took: level j adds w^j z^(n0+1)/(1-z)
+    Delta^j f(n0+1), w = z/(1-z). f is completely monotone, so Delta^d f keeps
+    one sign and telescopes: after d levels the remainder is at most |w|^d
+    |Delta^(d-1) f(n0+1)| (at d = 0, the tail sum of f). A point adds levels
+    while that bound shrinks and exceeds target. The levels run in blocks of
+    _LEVEL_BLOCK, each block over the whole grid in 2-D numpy passes, one row
+    a level: the differences by `_block_differences`, |w|^(j+1) and the terms
+    by running products, the stop rule as one running AND of "level below the
+    previous bound, previous level above target", and the tail as the running
+    sum of the terms it keeps, read at each point's last level. A block runs
+    only while some point is still adding levels; no point's arithmetic reads
     another's."""
     import numpy as np
 
@@ -116,31 +140,46 @@ def _tails(xs: Sequence[float], n0s: Sequence[int], qs: Sequence[float], s: int,
     w = 1j * np.exp(0.5j * x) / (2.0 * np.sin(x / 2))  # 1 - z = -2i sin(x/2) e^(ix/2)
     term, neg_w = w * np.exp(1j * (n0 * x)), -w  # z^(n0+1)/(1-z), times (-w)^j at level j
     bound = np.full(len(x), math.inf) if s == 1 else n0 ** (1.0 - s) / (s - 1)
-    tail, live, w_pow = np.zeros(len(x), dtype=np.complex128), np.ones(len(x), dtype=bool), w_abs
+    tail, levels, points = np.zeros(len(x), dtype=np.complex128), np.zeros(len(x), dtype=np.int64), np.arange(len(x))
+    live, c, h, w_pow = np.ones(len(x), dtype=bool), 1.0, [1.0] + [0.0] * (s - 1), 1.0  # w_pow = |w|^j
     with np.errstate(over="ignore", invalid="ignore"):  # a stopped point's w^j may overflow
-        for delta in _differences(n0 + 1, s):
-            level = w_pow * delta
-            live &= level < bound
-            np.add(tail, term * delta, out=tail, where=live)
-            np.copyto(bound, level, where=live)
-            live &= level > target
+        for j0 in range(0, _SBP_MAX_LEVELS, _LEVEL_BLOCK):
+            deltas, c, h = _block_differences(n0 + 1, s, j0, c, h)
+            w_pows = np.empty(deltas.shape)
+            w_pows[:], w_pows[0] = w_abs, w_abs * w_pow
+            terms = np.empty(deltas.shape, dtype=np.complex128)
+            terms[:], terms[0] = neg_w, term
+            np.multiply.accumulate(w_pows, axis=0, out=w_pows)
+            np.multiply.accumulate(terms, axis=0, out=terms)
+            level = w_pows * deltas
+            keep = level < np.concatenate(([bound], level[:-1]))
+            keep[0] &= live
+            keep[1:] &= level[:-1] > target
+            np.logical_and.accumulate(keep, axis=0, out=keep)
+            kept = np.add.reduce(keep, axis=0, dtype=np.int64)
+            last, some = (np.maximum(kept - 1, 0), points), kept > 0
+            sums = terms * (deltas * keep)  # past a point's last level, inf * 0 may give nan
+            sums[0] += tail
+            np.add.accumulate(sums, axis=0, out=sums)
+            tail, bound, levels = np.where(some, sums[last], tail), np.where(some, level[last], bound), levels + kept
+            live = keep[-1] & (level[-1] > target)
             if not live.any():
                 break
-            term, w_pow = term * neg_w, w_pow * w_abs
-    return tail, bound
+            term, w_pow = terms[-1] * neg_w, w_pows[-1]
+    return tail, bound, levels
 
 
 def partial_sums_accelerated(series: TrigSeries, xs: Sequence[float], tol: float = 1e-9) -> list[EvalResult]:
     """The sum at every x of xs, for exponent >= 1: a head of n0 = 64/|1-e^(ix)|
     terms (at most 4*10^5) plus a tail by `_tails`; a tail level then gains
     about a factor (exponent + level)/64. The tail stops below tol and below
-    the unit roundoff: a level costs microseconds, so a loose tol keeps double
-    precision. The bound covers the remainder and the float rounding, the
-    float differences' relative error of at most (3j + 2s)u at level j
-    included. In order: every endpoint check (the first x = 0 mod 2*pi in grid
+    the unit roundoff: a block of levels costs microseconds, so a loose tol
+    keeps double precision. The bound covers the remainder and the float
+    rounding, the float differences' relative error of at most (3j + 2s)u at
+    level j included. In order: every endpoint check (the first x = 0 mod 2*pi in grid
     order raises OutsideDomain, naming it) and n0; ValueError if the n0
     add up to more than 2*10^7 head terms, so a grid near x = 0 mod 2*pi is
-    refused before its tails; every tail, in one pass of arrays over the grid,
+    refused before its tails; every tail, in blocks of levels over the grid,
     where the first remainder in grid order above max(tol, unit roundoff)
     (near x = 0 mod 2*pi, where n0 is capped) raises NotConverged; only then
     the heads, by `_heads`. Each value is the double its x gives alone.
@@ -171,14 +210,14 @@ def _trivial_sums(parity: str, s: int, xs: Sequence[float], tol: float, names: S
     n0 = np.minimum(_N0_CAP, np.ceil(_N0_SCALE / q))
     if (total := int(n0.sum())) > _HEAD_TERMS_BOUND:
         raise ValueError(f"the heads of the grid add up to {total} terms, above the bound {_HEAD_TERMS_BOUND}")
-    tails, bounds = _tails(xs, n0, q, s, min(tol, _UNIT_ROUNDOFF))
+    tails, bounds, _ = _tails(xs, n0, q, s, min(tol, _UNIT_ROUNDOFF))
     if (over := np.flatnonzero(bounds > max(tol, _UNIT_ROUNDOFF))).size:
         k = over[0]
         raise NotConverged(f"tail remainder {bounds[k]:.3e} above tol {tol:.3e} at x={names[k]} with n0={int(n0[k])} head terms")
     heads = _heads(parity, s, xs, n0.astype(np.int64))
     # rounding: a head term by u*n|x| (in n*x) plus a few u, the pairwise sum by u*log2(n0)
     # per unit of sum n^-s <= log_n0; each tail level (<= (n0+1)^-s / q) by u*n0|x| plus a few u
-    # (4 * (n0|x| + 128)), and its difference by (3j + 2s)u at level j (`_differences`)
+    # (4 * (n0|x| + 128)), and its difference by (3j + 2s)u at level j (`_block_differences`)
     x_abs, n0s = np.abs(xs), n0.tolist()
     log_n0 = 1.0 + np.array([math.log(n) for n in n0s])
     log2_n0 = np.array([math.log2(n) for n in n0s])

@@ -8,10 +8,12 @@ Bernoulli and Euler numbers instead of the zigzag triangle.
 The `*_mpf`/`*_mpmath` functions are the mpmath routes that package code
 took before it computed in integers, and `partial_sum_accelerated_per_point`
 the per-point route of the accelerated sum, with exact differences, before it
-took a grid in one pass with float differences. `partial_sums_per_point_loops`
-is the grid kernel as it was before its per-point Python loops became array
-passes: `heads_by_piece` and `trivial_sums_by_point`, the same arithmetic in
-the same order, so the kernel must match it bit for bit. `taylor_flow_per_degree` and
+took a grid in one pass with float differences, and `tails_by_level` the
+grid's tails one level at a time, before they ran in blocks of levels.
+`partial_sums_per_point_loops` is the grid kernel as it was before its
+per-point Python loops became array passes: `heads_by_piece` and
+`trivial_sums_by_point`, the same arithmetic in the same order, so the kernel
+must match it bit for bit. `taylor_flow_per_degree` and
 `extract_special_values_per_degree` are the per-degree loops of the operator
 engine's flow and extraction, before both read their Taylor terms and
 operator values through `apply_operator`; the flow's branch term comes from
@@ -431,6 +433,41 @@ def partial_sum_accelerated_per_point(series: TrigSeries, x: float, tol: float =
     return EvalResult(value, bound + rounding, "partial_sum")
 
 
+def tails_by_level(xs, n0s, qs, s: int, target: float):
+    """`series._tails` before it ran its levels in blocks: one level at a time
+    over the whole grid, each difference from the recurrence of
+    `series._block_differences` one node at a time (c_j = c_(j-1) max(j, 1)
+    / (m+j), multiplied before it divides), and the stop rule, the term and
+    |w|^(j+1) updated level by level. Returns (tails, bounds, levels), levels
+    the number of levels each point added."""
+    import numpy as np
+
+    x, n0 = np.array(xs, dtype=np.float64), np.array(n0s, dtype=np.float64)
+    w_abs = 1.0 / np.array(qs, dtype=np.float64)
+    w = 1j * np.exp(0.5j * x) / (2.0 * np.sin(x / 2))  # 1 - z = -2i sin(x/2) e^(ix/2)
+    term, neg_w = w * np.exp(1j * (n0 * x)), -w  # z^(n0+1)/(1-z), times (-w)^j at level j
+    bound = np.full(len(x), math.inf) if s == 1 else n0 ** (1.0 - s) / (s - 1)
+    tail, live, w_pow = np.zeros(len(x), dtype=np.complex128), np.ones(len(x), dtype=bool), w_abs
+    levels = np.zeros(len(x), dtype=np.int64)
+    c, h = 1.0, [1.0] + [0.0] * (s - 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # a stopped point's w^j may overflow
+        for j in range(_SBP_MAX_LEVELS):
+            node = n0 + 1 + j
+            c = c * max(j, 1) / node
+            for k in range(1, s):
+                h[k] = h[k] + h[k - 1] / node
+            level = w_pow * (delta := c * h[-1])
+            live &= level < bound
+            np.add(tail, term * delta, out=tail, where=live)
+            np.copyto(bound, level, where=live)
+            levels += live
+            live &= level > target
+            if not live.any():
+                break
+            term, w_pow = term * neg_w, w_pow * w_abs
+    return tail, bound, levels
+
+
 def heads_by_piece(parity: str, s: int, xs, lengths) -> list[float]:
     """`series._heads` before it batched whole heads: each head cut into
     pieces of at most 5*10^6 terms, consecutive pieces of up to 2^16 terms in
@@ -467,7 +504,7 @@ def trivial_sums_by_point(parity: str, s: int, xs, tol: float, names, endpoint: 
     n0s = [int(min(_N0_CAP, math.ceil(_N0_SCALE / q))) for q in qs]
     if sum(n0s) > 20_000_000:
         raise ValueError(f"the heads of the grid add up to {sum(n0s)} terms, above the bound 20000000")
-    tails, bounds = _tails(xs, n0s, qs, s, min(tol, _UNIT_ROUNDOFF))
+    tails, bounds, _ = _tails(xs, n0s, qs, s, min(tol, _UNIT_ROUNDOFF))
     tails, bounds = (tails.imag if parity == "sin" else tails.real).tolist(), bounds.tolist()
     for name, n0, bound in zip(names, n0s, bounds):
         if bound > max(tol, _UNIT_ROUNDOFF):

@@ -35,6 +35,7 @@ _TRIG = "ROADMAP items 6 and 7; no command builds a trig atom"
 UNRUN = {
     "opzeta.__dir__": "public entry point: `dir(opzeta)`",
     "opzeta.cli.entry": "public entry point: the console script, which calls `cli.main`",
+    "opzeta.cli.entry.<lambda>": "the console script's one-line warning format, set in `entry`, which the golden replay does not call",
     "opzeta.divmatrix.DivisibilityMatrix.nnz": "bench/spans.py (`COUNTS`) reads it until ROADMAP item 2",
     "opzeta.pipoly._Poly.__setattr__": "error path: a polynomial is immutable",
     "opzeta.pipoly._Poly.__hash__": "equal values must hash equal; no command hashes a polynomial",

@@ -481,11 +481,23 @@ class TestValuesCommand:
                                "within 41 terms at Re s <= -81\n")
 
     def test_best_effort_value_keeps_its_one_warning(self):
+        # the console prints the warning as one line, with no file name or source line
         proc = self._child("values", "beta", "-30.25")
         assert proc.returncode == 0
         assert proc.stdout == "beta values\n    -30.25      -4.28600634064e+26  [hurwitz_difference, err<=4.29e+11]\n"
-        assert proc.stderr.count("PrecisionLoss") == 1
-        assert "dirichlet_beta: s=(-30.25+0j) outside the validated domain" in proc.stderr
+        assert proc.stderr == ("warning: dirichlet_beta: s=(-30.25+0j) outside the validated domain "
+                               "(Re s >= -25.0, |Im s| <= 50.0); returning best-effort value\n")
+
+    def test_each_warning_prints_as_one_line(self):
+        # two arguments outside the validated domain: one line each, and stdout as without them
+        proc = self._child("values", "zeta", "-80.99999", "-30.5", "3")
+        assert proc.returncode == 0
+        assert proc.stdout == ("zeta values\n"
+                               "  -80.99999      -4.10659999089e+55  [euler_maclaurin, err<=4.11e+55]\n"
+                               "     -30.5           149774871.278  [euler_maclaurin, err<=1.50e-07]\n"
+                               "         3           1.20205690316  [euler_maclaurin, err<=1.30e-15]\n")
+        assert proc.stderr == "".join(f"warning: zeta_em: s=({s}+0j) outside the validated domain (Re s >= -25.0, "
+                                      "|Im s| <= 50.0); returning best-effort value\n" for s in ("-80.99999", "-30.5"))
 
     @pytest.mark.parametrize(
         "argv, want",

@@ -18,7 +18,7 @@ from opzeta.pipoly import clausen_closed_form, pipoly_evaluator
 from opzeta.registry import CLOSED_FORMS
 from opzeta.series import (
     TrigSeries,
-    _differences,
+    _block_differences,
     _geometric_rational,
     abel_sums,
     geometric_abel,
@@ -31,6 +31,7 @@ from oracles import (
     partial_sum_accelerated_per_point,
     partial_sums_per_point_loops,
     series_reciprocal,
+    tails_by_level,
 )
 
 PI = math.pi
@@ -337,15 +338,106 @@ class TestDifferences:
 
     @pytest.mark.parametrize("s", range(1, 7))
     def test_float_differences_within_their_error(self, s):
-        # the kernel's recurrence, over an array of m: |Delta^j n^-s| to a relative error of
-        # (s + 2j + 2)u, inside the (3j + 2s)u its docstring proves, at every level it can reach
+        # the kernel's recurrence, block by block over an array of m with c and h handed
+        # across the block edges (j = 15/16 and 31/32): |Delta^j n^-s| to a relative error
+        # of (s + 2j + 2)u, inside the (3j + 2s)u its docstring proves, at every level it can reach
         ms = [1, 7, 65, 400_001]
-        levels = list(_differences(np.array(ms, dtype=np.float64), s))
-        assert len(levels) == series_module._SBP_MAX_LEVELS
+        m, c, h, levels = np.array(ms, dtype=np.float64), 1.0, [1.0] + [0.0] * (s - 1), []
+        for j0 in range(0, series_module._SBP_MAX_LEVELS, series_module._LEVEL_BLOCK):
+            deltas, c, h = _block_differences(m, s, j0, c, h)
+            levels += list(deltas)
+        assert len(levels) == series_module._SBP_MAX_LEVELS == 3 * series_module._LEVEL_BLOCK
         for j, got in enumerate(levels):
             for m, value in zip(ms, got.tolist()):
                 exact = abs(self.exact(m, s, j))
                 assert abs(Fraction(value) - exact) <= (s + 2 * j + 2) * Fraction(2.0**-53) * exact, (m, j)
+
+
+class TestBlockTails:
+    """`series._tails`, its levels in blocks of `_LEVEL_BLOCK` rows, against
+    `oracles.tails_by_level`, the same recurrences one level at a time. The
+    difference factor c_j rounds in another order (max(j, 1)/node first, then
+    the product), so a tail and its bound may move by a few ulps, but the
+    stopping level, and so the outcome of the sum route, may not. Measured
+    worst over these grids: 2.7u in a tail relative to |tail|, 9.7u in a
+    bound, both at points near x = 0 mod 2*pi whose tails run 20 or more
+    levels."""
+
+    TAIL_ULPS, BOUND_ULPS = 4, 16
+
+    @staticmethod
+    def grid(rng, size):
+        """size points: about half uniform in [-7, 7], the rest within
+        10^-11.7 to 10^-2 of a multiple of 2*pi, where the head is long or
+        capped and the tail runs many levels or fails."""
+        return [rng.uniform(-7.0, 7.0) if rng.random() < 0.5
+                else 2 * PI * rng.randint(-1, 1) + rng.choice([-1, 1]) * 10 ** rng.uniform(-11.7, -2.0)
+                for _ in range(size)]
+
+    @staticmethod
+    def arguments(xs):
+        qs = [2.0 * abs(math.sin(x / 2)) for x in xs]
+        n0s = [min(series_module._N0_CAP, math.ceil(series_module._N0_SCALE / q)) for q in qs]
+        return xs, n0s, qs
+
+    def assert_close(self, xs, s, target):
+        """Both routes at one grid: the same stopping level at every point,
+        each tail and bound within its few ulps; returns the levels."""
+        args = self.arguments(xs)
+        tails, bounds, levels = series_module._tails(*args, s, target)
+        want_tails, want_bounds, want_levels = tails_by_level(*args, s, target)
+        assert levels.tolist() == want_levels.tolist(), (s, target)
+        u = 2.0**-53
+        for x, got, want, b, want_b in zip(xs, tails.tolist(), want_tails.tolist(), bounds.tolist(), want_bounds.tolist()):
+            assert abs(got - want) <= self.TAIL_ULPS * u * abs(want), (x, s, target)
+            assert abs(b - want_b) <= self.BOUND_ULPS * u * want_b or b == want_b, (x, s, target)
+        return want_levels.tolist()
+
+    @pytest.mark.parametrize("exponent", range(1, 9))
+    def test_seeded_grids(self, exponent):
+        rng = random.Random(f"block-tails-{exponent}")
+        for size in (1, 2, 5, 16, 17, 50, 100):
+            xs = self.grid(rng, size)
+            for target in (2.0**-53, 1e-13, 1e-9, 1e-3):
+                self.assert_close(xs, exponent, target)
+
+    def test_tails_across_the_block_edges(self):
+        # points near x = 0 whose tails stop at the last level of the first block, at the
+        # first of the second and past the second, in one grid and each alone
+        xs = np.geomspace(5e-5, 1e-3, 300).tolist()
+        levels = self.assert_close(xs, 1, 2.0**-53)
+        picks = [xs[levels.index(n)] for n in (16, 17)] + [xs[k] for k, n in enumerate(levels) if n > 32][:1]
+        assert len(picks) == 3
+        for x in picks:
+            self.assert_close([x], 1, 2.0**-53)
+        for s in (1, 2, 3):
+            self.assert_close([*picks, 2.0, *picks[::-1]], s, 2.0**-53)
+
+    @pytest.mark.parametrize("exponent", range(1, 9))
+    def test_sum_route_outcome(self, exponent, monkeypatch):
+        # the whole trivial route with the block tails and with the level-by-level ones: the same
+        # error (OutsideDomain before any tail, NotConverged from the bounds), or values that agree;
+        # the heads, the same code on both sides, read 0.0 so that capped ones cost nothing
+        rng, routes = random.Random(f"block-outcome-{exponent}"), (series_module._tails, tails_by_level)
+        monkeypatch.setattr(series_module, "_heads", lambda parity, s, xs, lengths: np.zeros(len(xs)))
+        for size in (1, 3, 20, 100):
+            xs = self.grid(rng, size)
+            if size == 20:
+                xs[rng.randrange(size)] = rng.choice([0.0, 2 * PI])
+            for tol in (1e-3, 1e-9, 1e-13):
+                outcomes = []
+                for tails in routes:
+                    monkeypatch.setattr(series_module, "_tails", tails)
+                    try:
+                        outcomes.append(series_module._trivial_sums("sin", exponent, xs, tol, xs, "x = 0 mod 2*pi"))
+                    except (OutsideDomain, NotConverged, ValueError) as exc:
+                        outcomes.append((type(exc), str(exc)))
+                got, want = outcomes
+                if isinstance(want, tuple):
+                    assert got == want, (exponent, size, tol)
+                else:
+                    for (value, bound), (want_value, want_bound) in zip(got, want):
+                        assert abs(value - want_value) <= bound and abs(bound - want_bound) <= 1e-3 * want_bound
 
 
 class TestAbelSumsHonestBound:
